@@ -4,9 +4,10 @@ This is the zlib-dfltcc shape: the deflate *body* is produced by the
 accelerator (CMPR invocations re-issued while CC=3, the CPU-determined
 completion), while the RFC 1950/1952 container framing stays in
 software — exactly how the s390 zlib patch wraps the instruction.
-Expansion strips the container, runs XPND with output-capacity growth
-on CC=1, and verifies the container checksum against the parameter
-block's running check value.
+Expansion skips the container header, runs XPND on a first operand
+sized from the member's own ISIZE (growing it on CC=1), and verifies
+the trailer XPND stopped at against the parameter block's running
+check value.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import struct
 from dataclasses import replace
 
-from ..deflate.checksums import adler32, crc32
-from ..deflate.containers import wrap_gzip, wrap_zlib
+from ..deflate.checksums import adler32
+from ..deflate.containers import (decompress_target_len, gzip_header_length,
+                                  wrap_gzip, wrap_zlib)
 from ..errors import AcceleratorError, ChecksumError, ConfigError, \
     DeflateError
 from ..nx.dht import DhtStrategy, canned_names
@@ -112,9 +114,10 @@ class DfltccBackend(CompressionBackend):
                     history: bytes) -> DriverResult:
         if fmt not in _FORMATS:
             raise ConfigError(f"dfltcc backend does not decode {fmt!r}")
-        body = _strip_container(payload, fmt)
+        header = _header_length(payload, fmt)
+        body = payload[header:]
         block = ParameterBlock(history=history)
-        capacity = max(4096, 4 * len(body))
+        capacity = decompress_target_len(payload, fmt)
         invocations = 0
         while True:
             result = self._facility.expand(block, body,
@@ -128,7 +131,8 @@ class DfltccBackend(CompressionBackend):
                 capacity *= 2
                 continue
             raise AcceleratorError(f"unexpected CC {result.cc!r}")
-        _verify_container(payload, result.produced, fmt)
+        _verify_trailer(payload, header + result.consumed, result.produced,
+                        block.check_value, fmt)
         if _REGISTRY.enabled:
             _REGISTRY.counter("repro_backend_dfltcc_invocations_total",
                               "DFLTCC instruction issues").inc(
@@ -138,39 +142,35 @@ class DfltccBackend(CompressionBackend):
         return DriverResult(output=result.produced, csb=None, stats=stats)
 
 
-def _strip_container(payload: bytes, fmt: str) -> bytes:
-    """Return the raw deflate body (trailer bytes are ignored by XPND)."""
+def _header_length(payload: bytes, fmt: str) -> int:
+    """Bytes of container framing in front of the raw deflate body."""
     if fmt == "raw":
-        return payload
+        return 0
     if fmt == "zlib":
         if len(payload) < 6:
             raise DeflateError("zlib stream too short")
-        return payload[2:]
-    if len(payload) < 18 or payload[:2] != b"\x1f\x8b":
-        raise DeflateError("bad gzip header")
-    flg = payload[3]
-    pos = 10
-    if flg & 0x04:  # FEXTRA
-        xlen = struct.unpack_from("<H", payload, pos)[0]
-        pos += 2 + xlen
-    if flg & 0x08:  # FNAME
-        pos = payload.index(b"\x00", pos) + 1
-    if flg & 0x10:  # FCOMMENT
-        pos = payload.index(b"\x00", pos) + 1
-    if flg & 0x02:  # FHCRC
-        pos += 2
-    return payload[pos:]
+        return 2
+    return gzip_header_length(payload)
 
 
-def _verify_container(payload: bytes, output: bytes, fmt: str) -> None:
-    """Check the container trailer against the expanded plaintext."""
+def _verify_trailer(payload: bytes, tail: int, output: bytes,
+                    check_value: int, fmt: str) -> None:
+    """Check the container trailer at ``tail`` (where XPND stopped).
+
+    gzip compares the CRC-32 the facility accumulated in the parameter
+    block while expanding — no second pass over the plaintext.
+    """
     if fmt == "zlib":
-        (expected,) = struct.unpack(">I", payload[-4:])
+        if tail + 4 > len(payload):
+            raise DeflateError("zlib stream truncated before Adler-32")
+        (expected,) = struct.unpack_from(">I", payload, tail)
         if adler32(output) != expected:
             raise ChecksumError("zlib Adler-32 mismatch")
     elif fmt == "gzip":
-        expected_crc, isize = struct.unpack("<II", payload[-8:])
-        if crc32(output) != expected_crc:
+        if tail + 8 > len(payload):
+            raise DeflateError("gzip stream truncated before trailer")
+        expected_crc, isize = struct.unpack_from("<II", payload, tail)
+        if check_value != expected_crc:
             raise ChecksumError("gzip CRC-32 mismatch")
         if (len(output) & 0xFFFFFFFF) != isize:
             raise ChecksumError("gzip ISIZE mismatch")

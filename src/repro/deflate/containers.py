@@ -13,13 +13,15 @@ import struct
 from ..errors import ChecksumError, DeflateError
 from .checksums import adler32, crc32
 from .compress import CompressResult, deflate
-from .inflate import inflate_with_stats
+from .inflate import InflateStats, inflate_with_stats
 
 ZLIB_CM_DEFLATE = 8
 ZLIB_WINDOW_32K = 7
 GZIP_MAGIC = b"\x1f\x8b"
 GZIP_METHOD_DEFLATE = 8
 GZIP_OS_UNKNOWN = 255
+#: RFC 1951's ceiling: a 258-byte match from 2 bits of a long zero run.
+DEFLATE_MAX_EXPANSION = 1032
 
 _LEVEL_TO_FLEVEL = {0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3, 9: 3}
 
@@ -43,8 +45,15 @@ def zlib_compress(data: bytes, level: int = 6,
     return out + result.data + struct.pack(">I", adler32(data))
 
 
-def zlib_decompress(data: bytes, zdict: bytes = b"") -> bytes:
-    """Decompress an RFC 1950 (zlib) stream, verifying Adler-32."""
+def zlib_decompress_with_stats(
+        data: bytes, zdict: bytes = b"", max_output: int = 1 << 31,
+) -> tuple[bytes, InflateStats, int]:
+    """Decode one RFC 1950 stream in a single inflate pass.
+
+    Returns ``(output, stats, end)`` with ``end`` the offset just past
+    the Adler-32; ``max_output`` aborts the decode with
+    :class:`OutputOverflow` at the cap, before any checksum work.
+    """
     if len(data) < 6:
         raise DeflateError("zlib stream too short")
     cmf, flg = data[0], data[1]
@@ -60,16 +69,22 @@ def zlib_decompress(data: bytes, zdict: bytes = b"") -> bytes:
         if dictid != adler32(zdict):
             raise ChecksumError("DICTID does not match the dictionary")
         start = 6
-    out, _stats, bits = inflate_with_stats(data, start=start,
-                                           history=zdict if flg & 0x20
-                                           else b"")
+    out, stats, bits = inflate_with_stats(data, start=start,
+                                          max_output=max_output,
+                                          history=zdict if flg & 0x20
+                                          else b"")
     tail = (bits + 7) // 8  # bits_consumed is absolute in the buffer
     if tail + 4 > len(data):
         raise DeflateError("zlib stream truncated before Adler-32")
     expected = struct.unpack(">I", data[tail:tail + 4])[0]
     if adler32(out) != expected:
         raise ChecksumError("Adler-32 mismatch")
-    return out
+    return out, stats, tail + 4
+
+
+def zlib_decompress(data: bytes, zdict: bytes = b"") -> bytes:
+    """Decompress an RFC 1950 (zlib) stream, verifying Adler-32."""
+    return zlib_decompress_with_stats(data, zdict=zdict)[0]
 
 
 def gzip_compress(data: bytes, level: int = 6,
@@ -83,28 +98,60 @@ def gzip_compress(data: bytes, level: int = 6,
     return header + result.data + trailer
 
 
-def gzip_decompress(data: bytes) -> bytes:
-    """Decompress one RFC 1952 (gzip) member, verifying CRC-32 and ISIZE."""
-    if len(data) < 18:
-        raise DeflateError("gzip stream too short")
-    if data[:2] != GZIP_MAGIC:
+def gzip_header_end(data: bytes, start: int = 0) -> int | None:
+    """Offset just past the RFC 1952 member header at ``start``.
+
+    The one walk over FEXTRA/FNAME/FCOMMENT/FHCRC, every field
+    bounds-checked.  ``None`` means the buffer ends inside the header
+    (a streaming reader waits for more; a one-shot decoder reports
+    truncation); a wrong magic or method is a :class:`DeflateError`.
+    """
+    if len(data) - start < 10:
+        return None
+    if data[start:start + 2] != GZIP_MAGIC:
         raise DeflateError("bad gzip magic")
-    if data[2] != GZIP_METHOD_DEFLATE:
-        raise DeflateError(f"unsupported gzip method {data[2]}")
-    flg = data[3]
-    pos = 10
+    if data[start + 2] != GZIP_METHOD_DEFLATE:
+        raise DeflateError(f"unsupported gzip method {data[start + 2]}")
+    flg = data[start + 3]
+    pos = start + 10
     if flg & 0x04:  # FEXTRA
         if pos + 2 > len(data):
-            raise DeflateError("gzip FEXTRA truncated")
-        xlen = struct.unpack_from("<H", data, pos)[0]
-        pos += 2 + xlen
-    if flg & 0x08:  # FNAME
-        pos = data.index(b"\x00", pos) + 1
-    if flg & 0x10:  # FCOMMENT
-        pos = data.index(b"\x00", pos) + 1
+            return None
+        pos += 2 + struct.unpack_from("<H", data, pos)[0]
+    for bit in (0x08, 0x10):  # FNAME, FCOMMENT
+        if flg & bit:
+            # An FEXTRA that ran past the buffer ends here too: find()
+            # from beyond the end is -1.
+            end = data.find(b"\x00", pos)
+            if end < 0:
+                return None
+            pos = end + 1
     if flg & 0x02:  # FHCRC
         pos += 2
-    out, _stats, bits = inflate_with_stats(data, start=pos)
+    return pos if pos <= len(data) else None
+
+
+def gzip_header_length(data: bytes, start: int = 0) -> int:
+    """Length in bytes of the complete member header at ``start``."""
+    end = gzip_header_end(data, start)
+    if end is None:
+        raise DeflateError("gzip header truncated")
+    return end - start
+
+
+def gzip_decompress_with_stats(
+        data: bytes, start: int = 0, max_output: int = 1 << 31,
+) -> tuple[bytes, InflateStats, int]:
+    """Decode the gzip member at ``start`` in a single inflate pass.
+
+    One header parse, one inflate, one CRC-32.  Returns ``(output,
+    stats, end)`` with ``end`` the offset just past the member's ISIZE;
+    ``max_output`` aborts the decode with :class:`OutputOverflow` at the
+    cap, before any checksum work.
+    """
+    body = start + gzip_header_length(data, start)
+    out, stats, bits = inflate_with_stats(data, start=body,
+                                          max_output=max_output)
     tail = (bits + 7) // 8
     if tail + 8 > len(data):
         raise DeflateError("gzip stream truncated before trailer")
@@ -113,7 +160,12 @@ def gzip_decompress(data: bytes) -> bytes:
         raise ChecksumError("gzip CRC-32 mismatch")
     if (len(out) & 0xFFFFFFFF) != isize:
         raise ChecksumError("gzip ISIZE mismatch")
-    return out
+    return out, stats, tail + 8
+
+
+def gzip_decompress(data: bytes) -> bytes:
+    """Decompress one RFC 1952 (gzip) member, verifying CRC-32 and ISIZE."""
+    return gzip_decompress_with_stats(data)[0]
 
 
 def deflate_result(data: bytes, level: int = 6) -> CompressResult:
@@ -123,20 +175,8 @@ def deflate_result(data: bytes, level: int = 6) -> CompressResult:
 
 def gzip_member_length(data: bytes, start: int = 0) -> int:
     """Length in bytes of the gzip member starting at ``start``."""
-    if data[start:start + 2] != GZIP_MAGIC:
-        raise DeflateError("bad gzip magic")
-    flg = data[start + 3]
-    pos = start + 10
-    if flg & 0x04:
-        xlen = struct.unpack_from("<H", data, pos)[0]
-        pos += 2 + xlen
-    if flg & 0x08:
-        pos = data.index(b"\x00", pos) + 1
-    if flg & 0x10:
-        pos = data.index(b"\x00", pos) + 1
-    if flg & 0x02:
-        pos += 2
-    _out, _stats, bits = inflate_with_stats(data, start=pos)
+    body = start + gzip_header_length(data, start)
+    _out, _stats, bits = inflate_with_stats(data, start=body)
     return (bits + 7) // 8 + 8 - start
 
 
@@ -149,10 +189,26 @@ def gzip_decompress_members(data: bytes) -> bytes:
     out = bytearray()
     pos = 0
     while pos < len(data):
-        length = gzip_member_length(data, pos)
-        out += gzip_decompress(data[pos:pos + length])
-        pos += length
+        member, _stats, pos = gzip_decompress_with_stats(data, start=pos)
+        out += member
     return bytes(out)
+
+
+def decompress_target_len(payload: bytes, fmt: str) -> int:
+    """First-attempt output buffer size for decompressing ``payload``.
+
+    A gzip member states its size in the ISIZE trailer, so the target is
+    sized from it; the value is untrusted (forged, mod 2**32, or another
+    member's when members are concatenated) and is therefore clamped to
+    what DEFLATE can expand ``payload`` to.  zlib and raw streams state
+    nothing: the 4x guess stands.  Callers keep their grow-and-resubmit
+    loop, so a hint that lies low costs a resubmission, never bytes.
+    """
+    guess = 4 * len(payload) + 1024
+    if fmt == "gzip" and len(payload) >= 18:
+        isize = int.from_bytes(payload[-4:], "little")
+        guess = min(isize, DEFLATE_MAX_EXPANSION * len(payload) + 1024)
+    return max(4096, guess)
 
 
 def wrap_zlib(deflate_body: bytes, original: bytes) -> bytes:

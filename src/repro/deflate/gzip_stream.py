@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ChecksumError, DeflateError
 from .checksums import crc32
-from .containers import GZIP_MAGIC, GZIP_METHOD_DEFLATE
+from .containers import gzip_header_end
 from .inflate_stream import InflateStream
 
 
@@ -24,36 +24,6 @@ class _Phase(enum.Enum):
     BODY = "body"
     TRAILER = "trailer"
     DONE = "done"
-
-
-def _header_length(buf: bytes) -> int | None:
-    """Bytes of the member header, or None if more input is needed."""
-    if len(buf) < 10:
-        return None
-    if buf[:2] != GZIP_MAGIC:
-        raise DeflateError("bad gzip magic")
-    if buf[2] != GZIP_METHOD_DEFLATE:
-        raise DeflateError(f"unsupported gzip method {buf[2]}")
-    flg = buf[3]
-    pos = 10
-    if flg & 0x04:  # FEXTRA
-        if len(buf) < pos + 2:
-            return None
-        xlen = struct.unpack_from("<H", buf, pos)[0]
-        pos += 2 + xlen
-        if len(buf) < pos:
-            return None
-    for bit in (0x08, 0x10):  # FNAME, FCOMMENT
-        if flg & bit:
-            end = buf.find(b"\x00", pos)
-            if end < 0:
-                return None
-            pos = end + 1
-    if flg & 0x02:  # FHCRC
-        pos += 2
-        if len(buf) < pos:
-            return None
-    return pos
 
 
 @dataclass
@@ -112,7 +82,7 @@ class GzipReader:
     def _try_header(self) -> bool:
         if not self._buf and self.members_read > 0:
             return False
-        length = _header_length(bytes(self._buf))
+        length = gzip_header_end(self._buf)
         if length is None:
             return False
         del self._buf[:length]

@@ -57,7 +57,7 @@ from .constants import (
     LENGTH_EXTRA_BITS,
     WINDOW_SIZE,
 )
-from .gzip_stream import _header_length
+from .containers import gzip_header_length
 from .huffman import _ROOT_MASK, fixed_decoders
 from .inflate import _BIT_MASKS, InflateStats, _inflate_huffman_block, \
     _read_dynamic_header
@@ -427,15 +427,11 @@ def _decode_member_run(view: bytes, header_byte: int,
     first = True
     while True:
         try:
-            header_len = _header_length(view[pos:])
+            header_len = gzip_header_length(view, pos)
         except DeflateError:
             if first:
                 raise
             break  # junk after a member boundary: the resolver's problem
-        if header_len is None:
-            if first:
-                raise DeflateError("truncated gzip header")
-            break
         seg, seg_end, is_final, _nblocks = _decode_blocks(
             view, (pos + header_len) * 8, b"", stop_bit=stop_bit)
         if not is_final:
@@ -626,9 +622,7 @@ class _Resolver:
         if self.fmt == "gzip":
             if len(payload) < 18:
                 raise DeflateError("gzip stream too short")
-            header_len = _header_length(payload)
-            if header_len is None:
-                raise DeflateError("truncated gzip header")
+            header_len = gzip_header_length(payload)
             self.pos_bit = header_len * 8
         elif self.fmt == "zlib":
             if len(payload) < 6:
@@ -774,9 +768,7 @@ class _Resolver:
                 continue
             if rec is not None:
                 self.counters["failed"] += 1
-            header_len = _header_length(payload[header_byte:])
-            if header_len is None:
-                raise DeflateError("truncated gzip header")
+            header_len = gzip_header_length(payload, header_byte)
             self.pos_bit = (header_byte + header_len) * 8
             self.window = b""
             self.member_crc = 0
@@ -978,9 +970,7 @@ def _decode_from_point(payload: bytes, fmt: str, point: SeekPoint,
         next_header = tail + 8
         if next_header >= len(payload):
             break
-        header_len = _header_length(payload[next_header:])
-        if header_len is None:
-            raise DeflateError("truncated gzip header")
+        header_len = gzip_header_length(payload, next_header)
         pos_bit = (next_header + header_len) * 8
         window = b""
         member_crc = 0

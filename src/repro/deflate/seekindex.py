@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ChecksumError, DeflateError, SeekIndexError
 from .checksums import crc32
+from .containers import gzip_header_length
 from .inflate_stream import InflateStream
 
 MAGIC = b"RSIX"
@@ -247,14 +248,10 @@ def build_index(payload: bytes, fmt: str = "gzip",
     pos = 0
 
     if fmt == "gzip":
-        from .gzip_stream import _header_length
         if len(payload) < 18:
             raise DeflateError("gzip stream too short")
         while pos < len(payload):
-            header_len = _header_length(payload[pos:])
-            if header_len is None:
-                raise DeflateError("truncated gzip header")
-            body = pos + header_len
+            body = pos + gzip_header_length(payload, pos)
             out, consumed = _index_member(payload, body, b"", spacing,
                                           members, total_out, points)
             tail = body + consumed

@@ -73,11 +73,11 @@ class NxAccelerator:
             crb = record.crb()
             # Indirect DDE entry arrays live in memory: hydrate them.
             self._hydrate(crb, space)
-            if chaos is not None:
-                action = chaos.on_job_start(crb)
-                if action == "hang":
-                    self.hung.append(record)
-                    continue
+            action = chaos.on_job_start(crb) if chaos is not None else None
+            if action == "hang":
+                self.hung.append(record)
+                continue
+            try:
                 if action == "dead":
                     outcome = self._fabricate(crb, space, CcCode.FUNCTION)
                 elif action == "translation":
@@ -86,10 +86,12 @@ class NxAccelerator:
                         fault_address=crb.source.address)
                 else:
                     outcome = self.execute(crb, space)
-                    chaos.on_outcome(crb, outcome, space)
-            else:
-                outcome = self.execute(crb, space)
-            self.vas.return_credit(record.window_id)
+                    if chaos is not None:
+                        chaos.on_outcome(crb, outcome, space)
+            finally:
+                # A stream the engine rejects raises out of the drain;
+                # the job is over either way, so its credit comes back.
+                self.vas.return_credit(record.window_id)
             completed.append(CompletedJob(window_id=record.window_id,
                                           outcome=outcome, crb=crb))
         return completed

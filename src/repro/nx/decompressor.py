@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..deflate.constants import BTYPE_DYNAMIC
-from ..deflate.containers import gzip_decompress, zlib_decompress
+from ..deflate.containers import (gzip_decompress_with_stats,
+                                  zlib_decompress_with_stats)
 from ..deflate.inflate import InflateStats, inflate_with_stats
 from ..errors import AcceleratorError
 from .params import EngineParams
@@ -27,6 +28,9 @@ class NxDecompressResult:
     cycles: int
     stats: InflateStats
     clock_ghz: float
+    #: Input bytes up to the end of the stream (container trailer
+    #: included); anything after them was not part of it.
+    consumed_bytes: int
 
     @property
     def output_bytes(self) -> int:
@@ -55,29 +59,30 @@ class NxDecompressor:
                    history: bytes = b"") -> NxDecompressResult:
         """Run one decompression request through the engine model.
 
-        ``history`` is the preset dictionary / carried window for raw
-        streams (the containers never use one here).
+        One inflate pass and one checksum pass, whatever the format;
+        output past ``max_output`` (the CRB's target size) aborts the
+        decode with :class:`OutputOverflow` at the cap.  ``history`` is
+        the preset dictionary / carried window for raw streams (the
+        containers never use one here).
         """
         if fmt == "gzip":
-            data = gzip_decompress(payload)
-            stats = self._restat(payload[10:])
+            data, stats, end = gzip_decompress_with_stats(
+                payload, max_output=max_output)
         elif fmt == "zlib":
-            data = zlib_decompress(payload)
-            stats = self._restat(payload[2:])
+            data, stats, end = zlib_decompress_with_stats(
+                payload, max_output=max_output)
         elif fmt == "raw":
-            data, stats, _bits = inflate_with_stats(
+            data, stats, bits = inflate_with_stats(
                 payload, max_output=max_output, history=history)
+            end = (bits + 7) // 8
         else:
             raise AcceleratorError(f"unsupported wire format {fmt!r}")
 
         cycles = self._cycle_model(len(payload), len(data), stats)
         return NxDecompressResult(data=data, input_bytes=len(payload),
                                   cycles=cycles, stats=stats,
-                                  clock_ghz=self.params.clock_ghz)
-
-    def _restat(self, body: bytes) -> InflateStats:
-        _data, stats, _bits = inflate_with_stats(body)
-        return stats
+                                  clock_ghz=self.params.clock_ghz,
+                                  consumed_bytes=end)
 
     def _cycle_model(self, in_bytes: int, out_bytes: int,
                      stats: InflateStats) -> int:

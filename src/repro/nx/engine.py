@@ -106,8 +106,9 @@ class NxEngine:
                     source, fmt=crb.function.fmt,
                     max_output=crb.target.total_length, history=history)
             except OutputOverflow:
-                # Raw streams hit the target cap mid-decode; report the
-                # architected overflow CC so the driver grows the buffer.
+                # The decode stopped at the target cap, before any
+                # checksum work; report the architected overflow CC so
+                # the driver grows the buffer.
                 return self._overflow_outcome(crb, space, 0, None)
             output = result.data
             compute_seconds = result.seconds

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from ..deflate.checksums import crc32
 from ..deflate.constants import WINDOW_SIZE
-from ..errors import AcceleratorError
+from ..deflate.containers import decompress_target_len
+from ..errors import AcceleratorError, OutputOverflow
 from .compressor import NxCompressor
 from .decompressor import NxDecompressor
 from .dht import GDHT_SCAN_WINDOW, DhtStrategy, select_canned_windowed
@@ -173,23 +174,28 @@ class Dfltcc:
                out_capacity: int = 1 << 62) -> DfltccResult:
         """XPND: synchronous decompression of a complete raw stream.
 
-        Output-side partial completion: if the first operand cannot hold
-        the plaintext, CC=1 is returned with nothing consumed (the
-        caller grows the buffer), matching the architecture's operand
-        semantics at request granularity.
+        Output-side partial completion: the decode stops as soon as the
+        plaintext outgrows the first operand and CC=1 is returned with
+        nothing consumed (the caller grows the buffer), matching the
+        architecture's operand semantics at request granularity.
+        ``consumed`` is the length of the DEFLATE stream, so a container
+        layer finds its trailer right behind it.
         """
         block.size_check()
-        result = self._decompressor.decompress(payload, fmt="raw",
-                                               history=block.history)
-        if len(result.data) > out_capacity:
+        try:
+            result = self._decompressor.decompress(
+                payload, fmt="raw", max_output=out_capacity,
+                history=block.history)
+        except OutputOverflow:
             return DfltccResult(cc=ConditionCode.OP1_FULL, consumed=0,
                                 produced=b"",
                                 seconds=self._issue_seconds())
         block.history = (block.history + result.data)[-WINDOW_SIZE:]
         block.check_value = crc32(result.data, block.check_value)
-        block.total_in += len(payload)
+        block.total_in += result.consumed_bytes
         block.total_out += len(result.data)
-        return DfltccResult(cc=ConditionCode.DONE, consumed=len(payload),
+        return DfltccResult(cc=ConditionCode.DONE,
+                            consumed=result.consumed_bytes,
                             produced=result.data,
                             seconds=self._issue_seconds() + result.seconds)
 
@@ -229,7 +235,7 @@ def dfltcc_expand(payload: bytes, machine: MachineParams = Z15
     """The software loop around XPND (with output-buffer growth)."""
     facility = Dfltcc(machine=machine)
     block = ParameterBlock()
-    capacity = max(4096, 4 * len(payload))
+    capacity = decompress_target_len(payload, "raw")
     while True:
         result = facility.expand(block, payload, out_capacity=capacity)
         if result.cc is ConditionCode.DONE:

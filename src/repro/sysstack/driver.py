@@ -8,7 +8,8 @@ This is the software half of the documented submission protocol:
 3. poll the CSB; on ``CC=TRANSLATION`` touch the faulting page and
    resubmit; on ``CC=TARGET_SPACE`` grow the target buffer and resubmit;
 4. after a bounded number of retries, fall back to software zlib —
-   the same last-resort path the production library (libnxz) takes.
+   the same last-resort path the production library (libnxz) takes;
+5. read the output, then free the request's buffers — on every exit.
 
 Every wait in the protocol is bounded by a
 :class:`~repro.resilience.policy.RetryPolicy`: the paste loop gives up
@@ -35,10 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..deflate.containers import decompress_target_len
 from ..errors import DeadlineExceeded, JobError, ReproError
 from ..obs.trace import TRACE as _TRACE
 from ..resilience.policy import RetryPolicy, check_deadline
-from ..sysstack.crb import (CRB_FLAG_CONTINUED, CcCode, Crb,
+from ..sysstack.crb import (CRB_FLAG_CONTINUED, CSB_BYTES, CcCode, Crb,
                             Csb, FunctionCode, Op)
 from ..sysstack.dde import Dde
 from ..sysstack.mmu import AddressSpace
@@ -50,6 +52,7 @@ PAGE_TOUCH_SECONDS = 4e-6       # minor fault service in the OS
 CSB_POLL_SECONDS = 0.2e-6       # one poll iteration
 PASTE_RETRY_SECONDS = 0.5e-6    # back-off after a credit-rejected paste
 DEFAULT_MAX_RETRIES = 8
+COMPRESS_TARGET_FACTOR = 1.3    # worst-case expansion plus framing slack
 
 #: The request itself is malformed — retrying cannot help.
 PERMANENT_CCS = (CcCode.INVALID_CRB, CcCode.DATA_LENGTH)
@@ -77,6 +80,18 @@ class DriverResult:
     csb: Csb | None
     stats: SubmissionStats
     engine_result: object | None = None
+
+
+def first_target_len(op: Op, data: bytes, fmt: str) -> int:
+    """Size of a request's first target buffer, sync and async alike.
+
+    Compression output is bounded by its input; decompression asks the
+    payload (:func:`~repro.deflate.containers.decompress_target_len`).
+    Either way ``CC=TARGET_SPACE`` regrowth backs a wrong first size.
+    """
+    if op in (Op.COMPRESS, Op.COMPRESS_842):
+        return max(4096, int(len(data) * COMPRESS_TARGET_FACTOR) + 1024)
+    return decompress_target_len(data, fmt)
 
 
 @dataclass
@@ -117,16 +132,53 @@ class NxDriver:
 
     # -- request construction ------------------------------------------------
 
-    def prepare_buffers(self, data: bytes,
-                        target_factor: float = 1.2) -> tuple[Dde, Dde, int]:
-        """Place input in memory; allocate output + CSB; return descriptors."""
+    def prepare_buffers(self, data: bytes, target_len: int | None = None
+                        ) -> tuple[Dde, Dde, int]:
+        """Place input in memory; allocate output + CSB; return descriptors.
+
+        ``target_len`` defaults to the compress sizing.
+        """
+        if target_len is None:
+            target_len = first_target_len(Op.COMPRESS, data, "raw")
         src_va = self.space.alloc(max(1, len(data)))
         self.space.write(src_va, data)
-        target_len = max(4096, int(len(data) * target_factor) + 1024)
         dst_va = self.space.alloc(target_len)
-        csb_va = self.space.alloc(64)
+        csb_va = self.space.alloc(CSB_BYTES)
         return (Dde.direct(src_va, len(data)),
                 Dde.direct(dst_va, target_len), csb_va)
+
+    def _stage(self, op: Op, data: bytes, strategy: str, fmt: str,
+               history: bytes, final: bool, sequence: int = 0) -> Crb:
+        """Buffers and CRB of one request — sync and async alike."""
+        source, target, csb_va = self.prepare_buffers(
+            data, first_target_len(op, data, fmt))
+        history_dde = None
+        if history:
+            hist_va = self.space.alloc(len(history))
+            self.space.write(hist_va, history)
+            history_dde = Dde.direct(hist_va, len(history))
+        return Crb(function=FunctionCode(op=op, strategy=strategy, fmt=fmt),
+                   source=source, target=target, csb_address=csb_va,
+                   sequence=sequence,
+                   flags=0 if final else CRB_FLAG_CONTINUED,
+                   history_dde=history_dde)
+
+    def _grow_target(self, crb: Crb) -> None:
+        """``CC=TARGET_SPACE``: swap in a target twice the size."""
+        new_len = crb.target.length * 2
+        self.space.free(crb.target.address, crb.target.length)
+        crb.target = Dde.direct(self.space.alloc(new_len), new_len)
+
+    def _release(self, crb: Crb) -> None:
+        """Free a finished request's buffers (its output is read by now).
+
+        Addresses are never reused, so a CRB that outlived its request
+        faults instead of scribbling on a later one.
+        """
+        for dde in (crb.source, crb.target, crb.history_dde):
+            if dde is not None:
+                self.space.free(dde.address, dde.length)
+        self.space.free(crb.csb_address, CSB_BYTES)
 
     # -- the submit/retry loop -----------------------------------------------
 
@@ -144,29 +196,24 @@ class NxDriver:
         """
         if self._window_id is None:
             self.open()
-        machine = self.accelerator.machine
-        policy = self.retry_policy
         if deadline_s is None:
             deadline_s = self.deadline_s
         stats = SubmissionStats()
-        compressing = op in (Op.COMPRESS, Op.COMPRESS_842)
-        source, target, csb_va = self.prepare_buffers(
-            data, target_factor=1.3 if compressing else 4.0)
-        history_dde = None
-        if history:
-            hist_va = self.space.alloc(len(history))
-            self.space.write(hist_va, history)
-            history_dde = Dde.direct(hist_va, len(history))
+        crb = self._stage(op, data, strategy, fmt, history, final)
+        try:
+            return self._run_staged(crb, stats, deadline_s)
+        finally:
+            self._release(crb)
 
-        flags = 0 if final else CRB_FLAG_CONTINUED
+    def _run_staged(self, crb: Crb, stats: SubmissionStats,
+                    deadline_s: float | None) -> DriverResult:
+        """The submit/poll/fix-up loop over one staged request."""
+        machine = self.accelerator.machine
+        policy = self.retry_policy
         chaos = self.accelerator.chaos
         attempt = 0
         while policy.allows(attempt):
-            crb = Crb(function=FunctionCode(op=op, strategy=strategy,
-                                            fmt=fmt),
-                      source=source, target=target, csb_address=csb_va,
-                      sequence=stats.submissions, flags=flags,
-                      history_dde=history_dde)
+            crb.sequence = stats.submissions
             stats.submissions += 1
             stats.elapsed_seconds += machine.submit_overhead_us * 1e-6
 
@@ -205,11 +252,12 @@ class NxDriver:
                                             attempt=attempt + 1)
                     elif csb.cc is CcCode.TARGET_SPACE:
                         complete_span.event("overflow.target",
-                                            length=target.length)
+                                            length=crb.target.length)
                         complete_span.event("resubmit",
                                             attempt=attempt + 1)
             if csb.cc is CcCode.SUCCESS:
-                output = self.space.read(target.address, csb.target_written)
+                output = self.space.read(crb.target.address,
+                                         csb.target_written)
                 return DriverResult(output=output, csb=csb, stats=stats,
                                     engine_result=outcome.result)
             if csb.cc is CcCode.TRANSLATION:
@@ -222,8 +270,7 @@ class NxDriver:
                 continue
             if csb.cc is CcCode.TARGET_SPACE:
                 stats.target_overflows += 1
-                new_len = target.length * 2
-                target = Dde.direct(self.space.alloc(new_len), new_len)
+                self._grow_target(crb)
                 check_deadline(stats.elapsed_seconds, deadline_s,
                                "target growth")
                 attempt += 1
@@ -244,10 +291,20 @@ class NxDriver:
         # running zlib on the calling core.
         stats.fallback_to_software = True
         _TRACE.event("fallback.software", retries=stats.submissions)
-        output, sw_seconds = _software_fallback(op, data, machine, fmt=fmt,
-                                                history=history, final=final)
+        output, sw_seconds = self._fallback(crb)
         stats.elapsed_seconds += sw_seconds
         return DriverResult(output=output, csb=None, stats=stats)
+
+    def _fallback(self, crb: Crb) -> tuple[bytes, float]:
+        """Run a staged request in software, from its own buffers."""
+        data = self.space.read(crb.source.address, crb.source.length)
+        history = (self.space.read(crb.history_dde.address,
+                                   crb.history_dde.length)
+                   if crb.history_dde is not None else b"")
+        return _software_fallback(crb.function.op, data,
+                                  self.accelerator.machine,
+                                  fmt=crb.function.fmt, history=history,
+                                  final=crb.is_final)
 
     # -- paste with bounded backoff ------------------------------------------
 
@@ -342,19 +399,20 @@ class AsyncNxDriver(NxDriver):
             self._unclaimed: list[PendingJob] = []
 
     def submit(self, op: Op, data: bytes, strategy: str = "auto",
-               fmt: str = "raw",
+               fmt: str = "raw", history: bytes = b"",
+               final: bool = True,
                deadline_s: float | None = None) -> PendingJob:
-        """Paste one request; returns a handle to poll on."""
+        """Paste one request; returns a handle to poll on.
+
+        ``history`` and ``final`` mean what they do for :meth:`run`.
+        """
         self._init_async()
         if self._window_id is None:
             self.open()
         machine = self.accelerator.machine
         stats = SubmissionStats()
-        source, target, csb_va = self.prepare_buffers(
-            data, target_factor=1.2 if op is Op.COMPRESS else 4.0)
-        crb = Crb(function=FunctionCode(op=op, strategy=strategy, fmt=fmt),
-                  source=source, target=target, csb_address=csb_va,
-                  sequence=self._next_sequence)
+        crb = self._stage(op, data, strategy, fmt, history, final,
+                          sequence=self._next_sequence)
         job = PendingJob(sequence=self._next_sequence, op=op, crb=crb,
                          stats=stats, data_len=len(data),
                          deadline_s=(deadline_s if deadline_s is not None
@@ -430,6 +488,7 @@ class AsyncNxDriver(NxDriver):
             if csb.cc is CcCode.SUCCESS:
                 output = self.space.read(job.crb.target.address,
                                          csb.target_written)
+                self._release(job.crb)
                 job.stats.elapsed_seconds += (
                     machine.completion_overhead_us * 1e-6)
                 job.done = True
@@ -447,9 +506,7 @@ class AsyncNxDriver(NxDriver):
                 self._retry(job, finished)
             elif csb.cc is CcCode.TARGET_SPACE:
                 job.stats.target_overflows += 1
-                new_len = job.crb.target.length * 2
-                job.crb.target = Dde.direct(self.space.alloc(new_len),
-                                            new_len)
+                self._grow_target(job.crb)
                 self._retry(job, finished)
             elif csb.cc in PERMANENT_CCS:
                 # Contain the failure to this job: mark it failed and
@@ -494,22 +551,20 @@ class AsyncNxDriver(NxDriver):
             finished.append(job)
 
     def _fail_job(self, job: PendingJob, error: Exception) -> None:
+        self._release(job.crb)
         job.error = error
         job.done = True
         self._pending.pop(job.sequence, None)
 
     def _resolve_software(self, job: PendingJob) -> None:
         """Retry budget spent: finish the job on the calling core."""
-        data = self.space.read(job.crb.source.address,
-                               job.crb.source.length)
         try:
-            output, sw_seconds = _software_fallback(
-                job.op, data, self.accelerator.machine,
-                fmt=job.crb.function.fmt)
+            output, sw_seconds = self._fallback(job.crb)
         except ReproError as exc:
             # The input is bad enough that software can't finish either.
             self._fail_job(job, exc)
             return
+        self._release(job.crb)
         job.stats.fallback_to_software = True
         job.stats.elapsed_seconds += sw_seconds
         job.result = DriverResult(output=output, csb=None, stats=job.stats)
@@ -554,10 +609,8 @@ class AsyncNxDriver(NxDriver):
         cancelled: list[PendingJob] = []
         for sequence in sorted(self._pending):
             job = self._pending[sequence]
-            job.error = JobError(f"job {sequence} cancelled")
-            job.done = True
+            self._fail_job(job, JobError(f"job {sequence} cancelled"))
             cancelled.append(job)
-        self._pending.clear()
         return cancelled
 
     @property

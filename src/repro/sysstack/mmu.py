@@ -68,6 +68,18 @@ class AddressSpace:
         self._next_va += npages * self.page_size
         return base
 
+    def free(self, va: int, size: int) -> None:
+        """Unmap the region ``alloc(size)`` returned at ``va``.
+
+        Addresses are handed out once (``_next_va`` only grows), so a
+        stale pointer into a freed region faults instead of aliasing a
+        later allocation; freeing an unmapped page is itself a fault.
+        """
+        first = va // self.page_size
+        for page in range(first, first + max(1, -(-size // self.page_size))):
+            self._page(page)
+            del self.pages[page]
+
     def write(self, va: int, data: bytes) -> None:
         """CPU-side store: never faults (the OS pages in synchronously)."""
         pos = 0
