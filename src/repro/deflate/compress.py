@@ -8,6 +8,7 @@ way zlib does, by comparing the computed bit costs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..errors import DeflateError, HuffmanError
@@ -84,7 +85,8 @@ def token_frequencies(
 
 
 def payload_cost_bits(lit_freq: list[int], dist_freq: list[int],
-                      lit_lengths: list[int], dist_lengths: list[int]) -> int:
+                      lit_lengths: Sequence[int],
+                      dist_lengths: Sequence[int]) -> int:
     """Bit cost of the token payload under the given codes."""
     bits = 0
     for sym, freq in enumerate(lit_freq):
@@ -126,8 +128,8 @@ def build_dynamic_code(
     return lit_lengths, dist_lengths
 
 
-def encode_code_lengths(lit_lengths: list[int],
-                        dist_lengths: list[int]) -> tuple[list, int, int]:
+def encode_code_lengths(lit_lengths: Sequence[int],
+                        dist_lengths: Sequence[int]) -> tuple[list, int, int]:
     """RLE-encode the two length arrays per RFC 1951 section 3.2.7.
 
     Returns ``(ops, hlit, hdist)`` where each op is either a plain length
@@ -177,6 +179,18 @@ def _codelen_frequencies(ops: list) -> list[int]:
         sym = op[0] if isinstance(op, tuple) else op
         freq[sym] += 1
     return freq
+
+
+def code_length_header(lit_lengths: Sequence[int],
+                       dist_lengths: Sequence[int]) -> tuple[list, int, int,
+                                                             list[int]]:
+    """``(ops, hlit, hdist, cl_lengths)``: the RLE ops of a dynamic header
+    plus the code-length code that ships them."""
+    ops, hlit, hdist = encode_code_lengths(lit_lengths, dist_lengths)
+    cl_freq = _codelen_frequencies(ops)
+    cl_lengths = limited_code_lengths(cl_freq, MAX_CODELEN_CODE_LENGTH)
+    cl_lengths = _ensure_decodable(cl_freq, cl_lengths, (0, 18))
+    return ops, hlit, hdist, cl_lengths
 
 
 def dynamic_header_cost_bits(ops: list, cl_lengths: list[int]) -> int:
@@ -305,10 +319,8 @@ def plan_block(tokens: list[Token], raw: bytes) -> BlockPlan:
     """Choose the cheapest encoding for one block of tokens."""
     lit_freq, dist_freq = token_frequencies(tokens)
     lit_lengths, dist_lengths = build_dynamic_code(lit_freq, dist_freq)
-    ops, hlit, hdist = encode_code_lengths(lit_lengths, dist_lengths)
-    cl_freq = _codelen_frequencies(ops)
-    cl_lengths = limited_code_lengths(cl_freq, MAX_CODELEN_CODE_LENGTH)
-    cl_lengths = _ensure_decodable(cl_freq, cl_lengths, (0, 18))
+    ops, _hlit, _hdist, cl_lengths = code_length_header(lit_lengths,
+                                                        dist_lengths)
 
     dyn_bits = (dynamic_header_cost_bits(ops, cl_lengths)
                 + payload_cost_bits(lit_freq, dist_freq,
@@ -344,11 +356,8 @@ def emit_block(writer: BitWriter, plan: BlockPlan, final: bool) -> None:
     if plan.btype == BTYPE_FIXED:
         lit_enc, dist_enc = fixed_encoders()
     else:
-        ops, hlit, hdist = encode_code_lengths(plan.litlen_lengths,
-                                               plan.dist_lengths)
-        cl_freq = _codelen_frequencies(ops)
-        cl_lengths = limited_code_lengths(cl_freq, MAX_CODELEN_CODE_LENGTH)
-        cl_lengths = _ensure_decodable(cl_freq, cl_lengths, (0, 18))
+        ops, hlit, hdist, cl_lengths = code_length_header(
+            plan.litlen_lengths, plan.dist_lengths)
         _emit_dynamic_header(writer, ops, hlit, hdist, cl_lengths)
         lit_enc = HuffmanEncoder(plan.litlen_lengths)
         dist_enc = HuffmanEncoder(plan.dist_lengths)

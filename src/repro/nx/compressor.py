@@ -222,16 +222,16 @@ class NxCompressor:
         dynamic = generate_dynamic(lit_freq, dist_freq, self.params)
 
         fixed_bits = payload_cost_bits(lit_freq, dist_freq,
-                                       list(fixed.litlen_lengths),
-                                       list(fixed.dist_lengths))
+                                       fixed.litlen_lengths,
+                                       fixed.dist_lengths)
         canned_bits = (payload_cost_bits(canned_lit_freq, canned_dist_freq,
-                                         list(canned.litlen_lengths),
-                                         list(canned.dist_lengths))
-                       + _header_bits(canned))
+                                         canned.litlen_lengths,
+                                         canned.dist_lengths)
+                       + canned.header_bits)
         dyn_bits = (payload_cost_bits(lit_freq, dist_freq,
-                                      list(dynamic.litlen_lengths),
-                                      list(dynamic.dist_lengths))
-                    + _header_bits(dynamic))
+                                      dynamic.litlen_lengths,
+                                      dynamic.dist_lengths)
+                    + dynamic.header_bits)
         stored_bits = len(raw) * 8 + 40
 
         best = min(stored_bits, fixed_bits, canned_bits, dyn_bits)
@@ -294,25 +294,6 @@ def _demote_uncovered(tokens: list[Token], raw: bytes,
     return tokens if out is None else out
 
 
-def _header_bits(dht: DhtResult) -> int:
-    """Approximate dynamic-header bit cost for a DHT (for AUTO choice)."""
-    from ..deflate.compress import (
-        _codelen_frequencies,
-        _ensure_decodable,
-        dynamic_header_cost_bits,
-        encode_code_lengths,
-    )
-    from ..deflate.constants import MAX_CODELEN_CODE_LENGTH
-    from ..deflate.huffman import limited_code_lengths
-
-    ops, _hlit, _hdist = encode_code_lengths(list(dht.litlen_lengths),
-                                             list(dht.dist_lengths))
-    cl_freq = _codelen_frequencies(ops)
-    cl_lengths = limited_code_lengths(cl_freq, MAX_CODELEN_CODE_LENGTH)
-    cl_lengths = _ensure_decodable(cl_freq, cl_lengths, (0, 18))
-    return dynamic_header_cost_bits(ops, cl_lengths)
-
-
 def _emit_planned(plans: list[tuple[BlockPlan, DhtResult | None]],
                   final: bool) -> tuple[bytes, list[int], list[str], int]:
     """Encode a planned block sequence into one DEFLATE body."""
@@ -339,6 +320,8 @@ def _split_by_input_bytes(tokens: list[Token], raw: bytes,
                           block_bytes: int) -> list[tuple[list[Token],
                                                           bytes]]:
     """Split the token stream into blocks covering ~block_bytes input."""
+    if len(raw) <= block_bytes:
+        return [(tokens, raw)]
     blocks: list[tuple[list[Token], bytes]] = []
     current: list[Token] = []
     start = 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ..deflate.constants import (
     MAX_CODE_LENGTH,
@@ -54,6 +54,23 @@ class DhtResult:
     generation_cycles: int
     source: str  # "fixed", "dynamic" or canned template name
 
+    @cached_property
+    def header_bits(self) -> int:
+        """Dynamic-header bit cost of shipping this table in a block.
+
+        Worked out once per table object: a canned table serves many
+        requests, and a re-registered trained table is a new object, so
+        no cost can outlive the lengths it was computed from.
+        """
+        from ..deflate.compress import (
+            code_length_header,
+            dynamic_header_cost_bits,
+        )
+
+        ops, _hlit, _hdist, cl_lengths = code_length_header(
+            self.litlen_lengths, self.dist_lengths)
+        return dynamic_header_cost_bits(ops, cl_lengths)
+
 
 def generate_dynamic(lit_freq: list[int], dist_freq: list[int],
                      params: EngineParams) -> DhtResult:
@@ -74,6 +91,7 @@ def dynamic_generation_cycles(lit_freq: list[int], dist_freq: list[int],
     return params.dht_base_cycles + params.dht_cycles_per_symbol * used
 
 
+@lru_cache(maxsize=None)
 def fixed_dht() -> DhtResult:
     """The RFC 1951 fixed code as a zero-cost DHT."""
     return DhtResult(tuple(fixed_litlen_lengths()),

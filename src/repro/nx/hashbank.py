@@ -6,15 +6,20 @@ positions whose hashes collide on a bank in the same cycle serialize,
 costing stall cycles.  Capacity is limited: each set keeps the most
 recent ``ways`` positions (FIFO), which is what bounds match-candidate
 quality versus software's unbounded hash chains.
+
+Storage is sparse: the silicon has ``banks x sets`` sets, but a job only
+ever touches as many as it hashes positions, so the model keeps a dict of
+the *live* sets and pays nothing for the rest.  The per-access methods
+here are the reference model; :meth:`NxMatchPipeline.scan
+<repro.nx.pipeline.NxMatchPipeline.scan>` drives the same ``entries``
+dict inline and the tests hold the two equal.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .params import EngineParams
 
-_HASH_MULT = 0x9E3779B1  # Fibonacci hashing of the 3-byte prefix
+HASH_MULT = 0x9E3779B1  # Fibonacci hashing of the 3-byte prefix
 
 
 class BankedHashTable:
@@ -26,17 +31,18 @@ class BankedHashTable:
         self.ways = params.hash_ways
         self.sets = 1 << params.hash_sets_log2
         self.window = params.window_bytes
-        self._table: list[list[int]] = [
-            [] for _ in range(self.banks * self.sets)
-        ]
+        #: ``hash % slots`` names one set: it is ``set * banks + bank``
+        #: for ``bank = hash % banks`` and ``set = hash // banks % sets``.
+        self.slots = self.banks * self.sets
+        #: Live sets only: set name -> resident positions, oldest first.
+        self.entries: dict[int, list[int]] = {}
         self.lookups = 0
         self.insertions = 0
         self.conflict_stalls = 0
 
     def reset(self) -> None:
         """Clear table contents and statistics (new job, new history)."""
-        for entry in self._table:
-            entry.clear()
+        self.entries.clear()
         self.lookups = 0
         self.insertions = 0
         self.conflict_stalls = 0
@@ -45,23 +51,19 @@ class BankedHashTable:
     def hash3(data: bytes, i: int) -> int:
         """Hash the 3-byte prefix at ``i`` into a 32-bit value."""
         prefix = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
-        return (prefix * _HASH_MULT) & 0xFFFFFFFF
+        return (prefix * HASH_MULT) & 0xFFFFFFFF
 
-    def _index(self, h: int) -> tuple[int, int]:
-        bank = h % self.banks
-        set_idx = (h // self.banks) % self.sets
-        return bank, bank * self.sets + set_idx
-
-    def lookup_insert(self, data: bytes, i: int) -> tuple[list[int], int]:
-        """Return (candidate positions, bank id) and insert position ``i``.
+    def lookup_insert(self, data: bytes, i: int) -> tuple[list[int],
+                                                          tuple[int, int]]:
+        """Return (candidate positions, access) and insert position ``i``.
 
         Candidates are returned most-recent first and filtered to the
         sliding window; the caller still validates the actual bytes (hash
-        aliasing is allowed, exactly as in hardware).
+        aliasing is allowed, exactly as in hardware).  ``access`` is the
+        ``(bank, hash)`` pair :meth:`charge_group_conflicts` takes.
         """
         h = self.hash3(data, i)
-        bank, idx = self._index(h)
-        entry = self._table[idx]
+        entry = self.entries.setdefault(h % self.slots, [])
         low_limit = i - self.window
         candidates = [pos for pos in reversed(entry) if pos > low_limit]
         entry.append(i)
@@ -69,7 +71,7 @@ class BankedHashTable:
             entry.pop(0)
         self.lookups += 1
         self.insertions += 1
-        return candidates, (bank, h)
+        return candidates, (h % self.banks, h)
 
     def charge_group_conflicts(self, accesses: list[tuple[int, int]]) -> int:
         """Account bank-conflict stalls for one scan group.
@@ -82,9 +84,9 @@ class BankedHashTable:
         """
         if not accesses:
             return 0
-        per_bank: Counter[int] = Counter()
+        per_bank: dict[int, int] = {}
         for bank, _h in set(accesses):
-            per_bank[bank] += 1
+            per_bank[bank] = per_bank.get(bank, 0) + 1
         worst = max(per_bank.values())
         stalls = max(0, -(-worst // self.ports) - 1)
         self.conflict_stalls += stalls

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..deflate.constants import MAX_MATCH, MIN_MATCH
 from ..deflate.matcher import MatchStats, Token
-from .hashbank import BankedHashTable
+from .hashbank import HASH_MULT, BankedHashTable
 from .params import EngineParams
 
 
@@ -59,67 +59,105 @@ class NxMatchPipeline:
         plaintext is streamed through the hash pipe before the source so
         back-references can reach into it.  The load is charged at scan
         width, which is how the hardware brings history in.
-        """
-        self.table.reset()
-        width = self.params.scan_bytes_per_cycle
-        history = history[-self.params.window_bytes:]
-        start = len(history)
-        combined = history + data if history else data
-        n = len(combined)
-        tokens: list[Token] = []
-        stats = MatchStats()
-        conflict_stalls = 0
-        candidate_probes = 0
-        next_emit = start
-        hash_limit = n - MIN_MATCH + 1
-        data = combined
 
-        for group_start in range(0, n, width):
-            group_end = min(group_start + width, n)
-            accesses: list[tuple[int, int]] = []
-            for i in range(group_start, group_end):
-                if i >= hash_limit:
-                    if i >= next_emit:
-                        tokens.append(data[i])
-                        stats.literals += 1
-                        next_emit = i + 1
-                    continue
-                candidates, access = self.table.lookup_insert(data, i)
-                accesses.append(access)
-                if i < next_emit:
-                    continue  # inside a committed match: hash only
-                best_len = 0
+        One flat loop drives the table's sparse ``entries`` inline; it is
+        :meth:`BankedHashTable.lookup_insert` and
+        :meth:`~BankedHashTable.charge_group_conflicts` unrolled, and
+        must stay equal to them field for field.  Three things decide
+        golden-pinned numbers: every in-window candidate is counted as a
+        probe *before* the scan-end byte may reject it; only a strictly
+        longer match replaces the best, so the most recent candidate
+        wins ties; and accesses of one group merge per distinct hash
+        before banks are charged.
+        """
+        table = self.table
+        table.reset()
+        entries = table.entries
+        lookup = entries.get
+        slots, banks, ports, ways = (table.slots, table.banks, table.ports,
+                                     table.ways)
+        width = self.params.scan_bytes_per_cycle
+        window = self.params.window_bytes
+        history = history[-window:]
+        start = len(history)
+        if history:
+            data = history + data
+        n = len(data)
+        windowed = n > window  # else every resident position is in reach
+        hash_limit = max(0, n - MIN_MATCH + 1)
+        tokens: list[Token] = []
+        emit = tokens.append
+        matches = match_bytes = candidate_probes = 0
+        next_emit = start  # history positions only hash-and-insert
+        group: list[int] = []  # hashes of the scan group in flight
+        group_end = width
+        prefix = (data[0] << 8) | (data[1] << 16) if hash_limit else 0
+
+        for i in range(hash_limit):
+            if i == group_end:
+                # A bank can only hold more accesses than ports when the
+                # group maps onto few enough distinct banks.
+                if len(group) - len({h % banks for h in group}) >= ports:
+                    table.charge_group_conflicts(
+                        [(h % banks, h) for h in group])
+                group.clear()
+                group_end += width
+            prefix = (prefix >> 8) | (data[i + 2] << 16)
+            h = (prefix * HASH_MULT) & 0xFFFFFFFF
+            group.append(h)
+            key = h % slots
+            entry = lookup(key)
+            if i >= next_emit:
+                best_len = MIN_MATCH - 1
                 best_dist = 0
-                max_len = min(MAX_MATCH, n - i)
-                for cand in candidates:
-                    candidate_probes += 1
-                    length = self._match_length(data, cand, i, max_len)
-                    if length > best_len:
-                        best_len = length
-                        best_dist = i - cand
-                if best_len >= MIN_MATCH:
-                    tokens.append((best_len, best_dist))
-                    stats.matches += 1
-                    stats.match_bytes += best_len
+                if entry:
+                    if windowed:
+                        low_limit = i - window
+                        reach = [pos for pos in entry if pos > low_limit]
+                    else:
+                        reach = entry
+                    candidate_probes += len(reach)
+                    max_len = n - i if n - i < MAX_MATCH else MAX_MATCH
+                    for cand in reversed(reach):
+                        # zlib's scan-end filter: only a candidate that
+                        # also matches just past the best can beat it.
+                        if data[cand + best_len] != data[i + best_len]:
+                            continue
+                        if data[cand:cand + max_len] == data[i:i + max_len]:
+                            best_len = max_len
+                            best_dist = i - cand
+                            break
+                        length = 0  # the slices differ, so this stops
+                        while data[cand + length] == data[i + length]:
+                            length += 1
+                        if length > best_len:
+                            best_len = length
+                            best_dist = i - cand
+                if best_dist:
+                    emit((best_len, best_dist))
+                    matches += 1
+                    match_bytes += best_len
                     next_emit = i + best_len
                 else:
-                    tokens.append(data[i])
-                    stats.literals += 1
+                    emit(data[i])
                     next_emit = i + 1
-            conflict_stalls += self.table.charge_group_conflicts(accesses)
+            if entry is None:
+                entries[key] = [i]
+            else:
+                entry.append(i)
+                if len(entry) > ways:
+                    del entry[0]
+        if group:
+            table.charge_group_conflicts([(h % banks, h) for h in group])
+        table.lookups = table.insertions = hash_limit
 
-        history_cycles = (start + width - 1) // width
-        scan_cycles = (n - start + width - 1) // width
-        stats.chain_probes = candidate_probes
+        # The last MIN_MATCH - 1 positions cannot start a match.
+        tokens.extend(data[max(next_emit, hash_limit):])
+        stats = MatchStats(literals=n - start - match_bytes, matches=matches,
+                           match_bytes=match_bytes,
+                           chain_probes=candidate_probes)
         return ScanResult(tokens=tokens, stats=stats,
-                          scan_cycles=scan_cycles,
-                          conflict_stalls=conflict_stalls,
+                          scan_cycles=(n - start + width - 1) // width,
+                          conflict_stalls=table.conflict_stalls,
                           candidate_probes=candidate_probes,
-                          history_cycles=history_cycles)
-
-    @staticmethod
-    def _match_length(data: bytes, cand: int, pos: int, max_len: int) -> int:
-        length = 0
-        while length < max_len and data[cand + length] == data[pos + length]:
-            length += 1
-        return length
+                          history_cycles=(start + width - 1) // width)

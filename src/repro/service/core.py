@@ -78,8 +78,8 @@ class ServiceResult:
     op: str
     qos: str
     modelled_seconds: float
-    queue_wait_s: float
-    wall_seconds: float
+    queue_wait_s: float   # admission -> taken off the queue by the dispatcher
+    wall_seconds: float   # admission -> fulfilment (wait + service)
     batch_size: int = 1
 
 
@@ -136,6 +136,9 @@ class _Queued:
     strategy: str
     deadline_s: float | None
     enqueued_at: float
+    #: When the dispatcher took the request off its queue; everything
+    #: before is queue wait, everything after is service.
+    dequeued_at: float = 0.0
     span: object = NULL_SPAN
     #: Set when this request leads a result-cache singleflight: its
     #: fulfilment commits the blob and serves any parked followers.
@@ -590,7 +593,9 @@ class CompressionService:
                 queue = self._queues[qcls.name]
                 batch = [queue.popleft()
                          for _ in range(min(depth, len(queue)))]
+                dequeued_at = time.perf_counter()
                 for req in batch:
+                    req.dequeued_at = dequeued_at
                     self._queued_bytes[qcls.name] -= len(req.payload)
                 self._publish_depth_locked(qcls.name)
             self._run_batch(qcls, batch)
@@ -712,9 +717,8 @@ class CompressionService:
 
     def _resolve_ok(self, req: _Queued, output: bytes, modelled_s: float,
                     batch_size: int) -> None:
-        done = time.perf_counter()
-        queue_wait = max(0.0, done - req.enqueued_at)
-        wall = queue_wait  # wait + service, measured at fulfilment
+        wall = time.perf_counter() - req.enqueued_at
+        queue_wait = req.dequeued_at - req.enqueued_at
         with self._cond:
             self._completed += 1
             self._bytes_in += len(req.payload)

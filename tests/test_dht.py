@@ -5,12 +5,15 @@ import pytest
 from repro.deflate.constants import NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS
 from repro.deflate.huffman import kraft_sum
 from repro.nx.dht import (
+    DhtResult,
     DhtStrategy,
     canned_dht,
     canned_names,
+    clear_trained_dhts,
     dynamic_generation_cycles,
     fixed_dht,
     generate_dynamic,
+    register_trained_dht,
     select_canned,
 )
 from repro.nx.params import POWER9, Z15
@@ -89,6 +92,58 @@ class TestCannedDht:
 
     def test_cached(self):
         assert canned_dht("text") is canned_dht("text")
+
+
+def fresh_header_bits(dht: DhtResult) -> int:
+    """The header cost recomputed from the lengths alone."""
+    return DhtResult(dht.litlen_lengths, dht.dist_lengths,
+                     dht.generation_cycles, dht.source).header_bits
+
+
+class TestHeaderCost:
+    """A table's header cost is worked out once and never goes stale."""
+
+    SPARSE = ((9,) * 257 + (0,) * 31, (0,) * NUM_DIST_SYMBOLS)
+    FULL = ((8,) * 256 + (9,) + (7,) * 29 + (0, 0), (5,) * NUM_DIST_SYMBOLS)
+
+    @pytest.fixture(autouse=True)
+    def _clean_tables(self):
+        clear_trained_dhts()
+        yield
+        clear_trained_dhts()
+
+    def test_canned_cost_not_recomputed_per_request(self, monkeypatch):
+        from repro.deflate import compress as deflate_compress
+        from repro.nx.compressor import NxCompressor
+
+        data = generate("markov_text", 4096, seed=5)
+        comp = NxCompressor(POWER9.engine)
+        first = comp.compress(data)  # warms the canned table's cost
+        calls = []
+        real = deflate_compress.dynamic_header_cost_bits
+        monkeypatch.setattr(
+            deflate_compress, "dynamic_header_cost_bits",
+            lambda ops, cl: calls.append(1) or real(ops, cl))
+        assert comp.compress(data).data == first.data
+        # Only the request's own dynamic table is costed.
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", canned_names())
+    def test_cached_cost_equals_fresh(self, name):
+        dht = canned_dht(name)
+        assert dht.header_bits == fresh_header_bits(dht)
+
+    def test_replaced_and_cleared_tables_drop_their_cost(self):
+        name = "tenant.c0.v1"
+        register_trained_dht(name, *self.SPARSE, centroid=(0.0,) * 20)
+        sparse_bits = canned_dht(name).header_bits
+        register_trained_dht(name, *self.FULL, centroid=(0.0,) * 20,
+                             replace=True)
+        full = canned_dht(name)
+        assert full.header_bits == fresh_header_bits(full) != sparse_bits
+        clear_trained_dhts()
+        register_trained_dht(name, *self.SPARSE, centroid=(0.0,) * 20)
+        assert canned_dht(name).header_bits == sparse_bits
 
 
 class TestSelectCanned:

@@ -31,6 +31,8 @@ from repro.nx.dht import (
 from repro.service import CompressionService, QosClass, QosPolicy
 from repro.workloads.generators import generate
 
+from .test_dht import fresh_header_bits
+
 
 @pytest.fixture(autouse=True)
 def _clean_tables():
@@ -331,6 +333,16 @@ class TestRegistry:
         assert len(canned_names()) == 4
         assert set(canned_names(include_trained=True)) \
             >= {d.name for d in trained}
+
+    def test_push_leaves_no_stale_header_cost(self) -> None:
+        registry = DictionaryRegistry(seed=1)
+        _feed(registry, "t", seed=9)
+        for _epoch in range(2):
+            registry.train("t")
+            for name in registry.push():
+                dht = canned_dht(name)
+                assert dht.header_bits == fresh_header_bits(dht)
+            _feed(registry, "t", seed=10)  # next epoch trains differently
 
     def test_bundle_roundtrip(self, tmp_path) -> None:
         registry = DictionaryRegistry(seed=2)

@@ -246,6 +246,52 @@ class TestDeadlines:
             assert svc.stats().expired == expired
 
 
+class TestTimingBreakdown:
+    """``queue_wait_s`` is the wait, ``wall_seconds`` is wait + service."""
+
+    def test_held_execution_is_service_time_not_queue_wait(self):
+        pool = AcceleratorPool(chips=1)
+        started, release = threading.Event(), threading.Event()
+        real_compress = pool.compress
+
+        def gated_compress(*args, **kwargs):
+            started.set()
+            assert release.wait(30)
+            return real_compress(*args, **kwargs)
+
+        pool.compress = gated_compress
+        try:
+            with CompressionService(pool) as svc:
+                submitted = time.perf_counter()
+                held = svc.submit("compress", b"h" * 2000)
+                assert started.wait(30)  # dequeued, now executing
+                hold_from = time.perf_counter()
+                parked = svc.submit("compress", b"p" * 2000)
+                parked_from = time.perf_counter()
+                release.set()
+                first, second = held.wait(30), parked.wait(30)
+                hold_until = time.perf_counter()
+        finally:
+            pool.close()
+        # The hold happened after dequeue, so it is service, not wait.
+        assert (first.wall_seconds - first.queue_wait_s
+                >= parked_from - hold_from)
+        assert first.queue_wait_s <= hold_from - submitted
+        # The second request sat in the queue for the rest of the hold.
+        assert second.queue_wait_s > 0
+        assert second.wall_seconds <= hold_until - hold_from
+        for result in (first, second):
+            assert 0 <= result.queue_wait_s <= result.wall_seconds
+
+    def test_cache_hit_reports_no_wait_and_no_service(self):
+        with CompressionService(chips=1, cache_mb=1) as svc:
+            miss = svc.compress(b"c" * 3000)
+            hit = svc.compress(b"c" * 3000)
+        assert hit.output == miss.output
+        assert miss.wall_seconds > 0
+        assert (hit.queue_wait_s, hit.wall_seconds) == (0.0, 0.0)
+
+
 class TestQosScheduling:
     def test_high_fifo_preferred(self):
         policy = QosPolicy(starvation_bound=8)
