@@ -16,8 +16,8 @@ import struct
 from dataclasses import replace
 
 from ..deflate.checksums import adler32
-from ..deflate.containers import (decompress_target_len, gzip_header_length,
-                                  wrap_gzip, wrap_zlib)
+from ..deflate.containers import (decompress_target_len, frame_gzip,
+                                  gzip_header_length, wrap_zlib)
 from ..errors import AcceleratorError, ChecksumError, ConfigError, \
     DeflateError
 from ..nx.dht import DhtStrategy, canned_names
@@ -105,7 +105,10 @@ class DfltccBackend(CompressionBackend):
         elif fmt == "zlib":
             output = wrap_zlib(bytes(body), data)
         else:
-            output = wrap_gzip(bytes(body), data)
+            # The facility accumulated the CRC-32 chunk by chunk in the
+            # parameter block: no second pass over the input.
+            output = frame_gzip(bytes(body), block.check_value,
+                                block.total_in)
         stats = SubmissionStats(submissions=invocations,
                                 elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)

@@ -5,22 +5,38 @@ containers carry, and the ones the NX accelerator computes inline with the
 data pipe.  Both are incremental: ``crc32(b, crc32(a))`` equals
 ``crc32(a + b)``, matching the stdlib ``zlib`` calling convention.
 
-The CRC uses the slicing-by-4 formulation (four derived tables, one
-32-bit word folded per step, words loaded through a little-endian
-``memoryview`` cast); Adler-32 batches each chunk through
-``itertools.accumulate`` — Python's arbitrary-precision ints make the
-deferred modulo exact at any chunk size, unlike C's NMAX-bounded sums.
+The CRC is PCLMULQDQ-style folding in the widest register CPython has,
+an arbitrary-precision ``int``.  CRC-32 reads each byte LSB first, so one
+``translate`` that bit-reverses every byte makes the big-endian integer
+of the buffer *be* the message polynomial M(x); the running register,
+reversed the same way, is XORed into M's top 32 bits (the init
+injection) and the CRC is ``M * x^32 mod P``.  A fold splits the integer
+at bit ``k``: ``H*x^k + L == clmul(H, x^k mod P) + L (mod P)``, one
+C-speed ``H << s`` and XOR per set bit ``s`` of the 32-bit constant.
+``k`` halves per level and the value with it, plus up to 31 carry bits a
+fold; below ``k`` = 256 a level costs more than the bytes it saves, so a
+few more rounds there absorb the carries and the 32 bytes left go
+through the byte table, which supplies the ``* x^32``.  Longer inputs
+shift in a block at a time above that remainder (transient ints stay
+O(block)); inputs under the measured crossover never leave the table.
+Adler-32 batches each chunk through ``itertools.accumulate`` — exact
+deferred modulo at any chunk size, unlike C's NMAX-bounded sums; at
+1.6 ms per 64 KB and on no benchmark path it is left as it was.
 """
 
 from __future__ import annotations
 
-import sys
 from itertools import accumulate
 
 _CRC_POLY = 0xEDB88320  # reflected IEEE 802.3 polynomial
+_FOLD_MIN_BYTES = 112  # measured crossover: below it the table loop wins
+_FOLD_BLOCK_BYTES = 1 << 18  # bytes shifted in per round of folds
+_FOLD_STOP_BITS = 256  # last fold level; the rest is the table's
 _ADLER_MOD = 65521  # largest prime below 2**16
 _ADLER_NMAX = 5552  # zlib's 8-bit overflow bound (kept for reference)
 _ADLER_CHUNK = 1 << 16  # bounds the prefix-sum list, not the arithmetic
+
+_BIT_REVERSE = bytes(int(f"{n:08b}"[::-1], 2) for n in range(256))
 
 
 def _build_crc_table() -> tuple[int, ...]:
@@ -36,36 +52,66 @@ def _build_crc_table() -> tuple[int, ...]:
 _CRC_TABLE = _build_crc_table()
 
 
-def _derive_slice_tables() -> tuple[tuple[int, ...], ...]:
-    """Tables T1..T3 with ``Tk[b] = crc of byte b followed by k zeros``."""
-    t0 = _CRC_TABLE
-    tables = [t0]
-    for _ in range(3):
-        prev = tables[-1]
-        tables.append(tuple(t0[c & 0xFF] ^ (c >> 8) for c in prev))
-    return tuple(tables)
+def _crc_bytes(data: bytes, crc: int) -> int:
+    """The table loop on the raw register: small inputs and fold tails."""
+    table = _CRC_TABLE
+    for byte in data:
+        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc
 
 
-_T0, _T1, _T2, _T3 = _derive_slice_tables()
+def _fold(x: int, k: int, shifts: tuple[int, ...]) -> int:
+    """``x`` with its part above bit ``k`` times ``x^k mod P`` added below."""
+    high = x >> k
+    if not high:
+        return x
+    folded = 0
+    for s in shifts:
+        folded ^= high << s
+    return x & (1 << k) - 1 ^ folded
+
+
+def _build_fold_levels() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``(k, set bits of x^k mod P)``, ``k`` halving from half a block to
+    ``_FOLD_STOP_BITS``: each constant is the one below it squared."""
+    def bits(c: int) -> tuple[int, ...]:
+        return tuple(s for s in range(32) if c >> s & 1)
+    rem = int(f"{_CRC_POLY:032b}"[::-1], 2)  # x^32 mod P, MSB first
+    reduce = bits(rem)
+    levels, k = [], 32
+    while k < _FOLD_BLOCK_BYTES * 4:
+        rem = _fold(rem << 32, 32, bits(rem))  # clmul(rem, rem)
+        while rem >> 32:
+            rem = _fold(rem, 32, reduce)
+        k *= 2
+        if k >= _FOLD_STOP_BITS:
+            levels.append((k, bits(rem)))
+    return tuple(reversed(levels))
+
+
+_FOLD_LEVELS = _build_fold_levels()
 
 
 def crc32(data: bytes, value: int = 0) -> int:
     """Update a CRC-32 with ``data`` and return the new checksum."""
     crc = (value & 0xFFFFFFFF) ^ 0xFFFFFFFF
-    n = len(data)
-    i = 0
-    if n >= 16 and sys.byteorder == "little":
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        nwords = n >> 2
-        i = nwords << 2
-        for word in memoryview(data)[:i].cast("I"):
-            x = crc ^ word
-            crc = (t3[x & 0xFF] ^ t2[(x >> 8) & 0xFF]
-                   ^ t1[(x >> 16) & 0xFF] ^ t0[x >> 24])
-    table = _CRC_TABLE
-    for byte in data[i:]:
-        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+    if len(data) < _FOLD_MIN_BYTES:
+        return _crc_bytes(data, crc) ^ 0xFFFFFFFF
+    view = memoryview(data)
+    x = 0
+    for pos in range(0, len(view), _FOLD_BLOCK_BYTES):
+        block = view[pos:pos + _FOLD_BLOCK_BYTES]
+        x = (x << 8 * len(block)
+             ^ int.from_bytes(bytes(block).translate(_BIT_REVERSE), "big"))
+        if not pos:  # the register meets the first 32 message bits
+            x ^= int.from_bytes(crc.to_bytes(4, "little").translate(
+                _BIT_REVERSE), "big") << 8 * len(block) - 32
+        for k, shifts in _FOLD_LEVELS:
+            x = _fold(x, k, shifts)
+        while x >> k:  # the 31-bit carries the levels above left behind
+            x = _fold(x, k, shifts)
+    tail = x.to_bytes(_FOLD_STOP_BITS >> 3, "big").translate(_BIT_REVERSE)
+    return _crc_bytes(tail, 0) ^ 0xFFFFFFFF
 
 
 def adler32(data: bytes, value: int = 1) -> int:

@@ -220,10 +220,17 @@ def wrap_zlib(deflate_body: bytes, original: bytes) -> bytes:
         ">I", adler32(original))
 
 
-def wrap_gzip(deflate_body: bytes, original: bytes, mtime: int = 0) -> bytes:
-    """Frame an existing raw-DEFLATE body as an RFC 1952 member."""
+def frame_gzip(deflate_body: bytes, crc: int, size: int,
+               mtime: int = 0) -> bytes:
+    """Frame a raw-DEFLATE body as an RFC 1952 member, given the CRC-32
+    and length of the plaintext (an engine or a stream accumulates both
+    while it compresses)."""
     header = GZIP_MAGIC + bytes([GZIP_METHOD_DEFLATE, 0]) + struct.pack(
         "<I", mtime) + bytes([0, GZIP_OS_UNKNOWN])
-    trailer = struct.pack("<II", crc32(original),
-                          len(original) & 0xFFFFFFFF)
-    return header + deflate_body + trailer
+    return header + deflate_body + struct.pack("<II", crc,
+                                               size & 0xFFFFFFFF)
+
+
+def wrap_gzip(deflate_body: bytes, original: bytes, mtime: int = 0) -> bytes:
+    """Frame an existing raw-DEFLATE body as an RFC 1952 member."""
+    return frame_gzip(deflate_body, crc32(original), len(original), mtime)

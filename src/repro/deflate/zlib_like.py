@@ -20,9 +20,9 @@ from .checksums import adler32, crc32
 from .compress import deflate
 from .constants import WINDOW_SIZE
 from .containers import (
+    frame_gzip,
     gzip_compress,
     gzip_decompress,
-    wrap_gzip,
     wrap_zlib,
     zlib_compress,
     zlib_decompress,
@@ -116,9 +116,7 @@ class CompressObj:
             framed = wrap_zlib(body, b"")
             # Rebuild the trailer from the running Adler-32.
             return framed[:-4] + self._adler.to_bytes(4, "big")
-        framed = wrap_gzip(body, b"")
-        return (framed[:-8] + self._crc.to_bytes(4, "little")
-                + (self._size & 0xFFFFFFFF).to_bytes(4, "little"))
+        return frame_gzip(body, self._crc, self._size)
 
     def _account(self, chunk: bytes) -> None:
         self._crc = crc32(chunk, self._crc)

@@ -2,16 +2,15 @@
 
 Production firmware runs a power-on self-test and the driver sanity-
 checks the engine at window-open: canned vectors go through compress and
-decompress, and checksums must match.  This module provides that
-routine for the model — it doubles as the quickest possible "is the
-whole stack wired correctly" check for users.
+decompress, and the plaintext must come back byte for byte.  This
+module provides that routine for the model — it doubles as the quickest
+possible "is the whole stack wired correctly" check for users.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..deflate.checksums import crc32
 from ..errors import AcceleratorError, ReproError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from .compressor import NxCompressor
@@ -19,7 +18,7 @@ from .decompressor import NxDecompressor
 from .dht import DhtStrategy
 from .params import MachineParams
 
-# Known-answer vectors: (name, plaintext, expected CRC-32).
+# Known-answer vectors: (name, plaintext).
 _VECTORS: list[tuple[str, bytes]] = [
     ("ascii", b"IBM POWER9 and z15 on-chip compression accelerator"),
     ("runs", b"\x00" * 300 + b"\xff" * 300 + b"ab" * 150),
@@ -52,12 +51,11 @@ def run_selftest(machine: MachineParams,
     failures = []
     compress_ok = decompress_ok = True
     for name, plaintext in _VECTORS:
-        expected_crc = crc32(plaintext)
         for strategy in strategies:
             payload = compressor.compress(plaintext,
                                           strategy=strategy).data
             restored = decompressor.decompress(payload).data
-            if restored != plaintext or crc32(restored) != expected_crc:
+            if restored != plaintext:
                 failures.append((name, strategy))
                 # Attribute the failure: if the reference software
                 # decoder can't restore the payload either, the

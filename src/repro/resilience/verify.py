@@ -1,7 +1,7 @@
-"""Verify-after-compress: inflate the payload and check its CRC-32.
+"""Verify-after-compress: inflate the payload and compare the bytes.
 
 The production zEDC path can re-inflate compressed output and compare
-the CRC before handing the buffer back — a data-integrity backstop
+it before handing the buffer back — a data-integrity backstop
 against a mis-executing engine.  This module provides that check for
 the model plus the software *repair* path: when verification fails the
 job is re-run on the calling core (charged at the calibrated software
@@ -10,8 +10,8 @@ rate) so the caller always receives bytes that round-trip.
 
 from __future__ import annotations
 
-from ..deflate import (crc32, deflate, gzip_compress, gzip_decompress,
-                       inflate, zlib_compress, zlib_decompress)
+from ..deflate import (deflate, gzip_compress, gzip_decompress, inflate,
+                       zlib_compress, zlib_decompress)
 from ..errors import ReproError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
@@ -31,13 +31,16 @@ def decode_payload(payload: bytes, fmt: str) -> bytes:
 
 
 def verify_payload(original: bytes, payload: bytes, fmt: str = "raw") -> bool:
-    """Does ``payload`` inflate back to ``original`` (CRC-32 checked)?"""
+    """Does ``payload`` decode back to exactly ``original``?
+
+    The container decode has already checked its own trailer; the byte
+    compare decides the rest, so no further checksum pass is made.
+    """
     try:
         restored = decode_payload(payload, fmt)
     except ReproError:
         return False
-    return (crc32(restored) == crc32(original)
-            and restored == original)
+    return restored == original
 
 
 def software_compress(data: bytes, fmt: str = "raw", level: int = 6,

@@ -1,10 +1,10 @@
-"""One inflate and one checksum pass per decompress request.
+"""One inflate and one checksum pass per request.
 
-Pins the decompress path end to end: the kernels are entered once per
-request, the target cap stops a decode for every wire format, the first
-target is sized from the gzip ISIZE trailer as an untrusted hint, and
-members carrying optional RFC 1952 header fields decode on every
-backend.
+Pins the decompress path end to end (and the checksum count of gzip
+compress): the kernels are entered once per request, the target cap
+stops a decode for every wire format, the first target is sized from
+the gzip ISIZE trailer as an untrusted hint, and members carrying
+optional RFC 1952 header fields decode on every backend.
 """
 
 import gzip as stdgzip
@@ -23,6 +23,7 @@ from repro.deflate import checksums
 from repro.deflate.containers import (DEFLATE_MAX_EXPANSION,
                                       decompress_target_len,
                                       gzip_decompress_with_stats,
+                                      wrap_gzip,
                                       zlib_decompress_with_stats)
 from repro.errors import ChecksumError, DeflateError, OutputOverflow
 from repro.nx.decompressor import NxDecompressor
@@ -164,6 +165,40 @@ class TestKernelEntries:
         assert counter.inflates == len(members)
         assert counter.crcs == len(members)
 
+    @pytest.mark.parametrize("backend,machine", BACKENDS[:2])
+    def test_one_crc_per_gzip_compress_request(self, backend, machine,
+                                               monkeypatch):
+        """The trailer comes from the one pass the engine made (on z15
+        the parameter block's check value), bytes as ``wrap_gzip``'s."""
+        payloads = [generate(family, 32768, seed=5)
+                    for family in ("json_records", "random_bytes")]
+        payloads.append(b"")
+        handle = create_backend(backend, machine=machine)
+        try:
+            bodies = [handle.compress(data, fmt="raw").output
+                      for data in payloads]
+            counter = _KernelCounter(monkeypatch)
+            members = [handle.compress(data, fmt="gzip").output
+                       for data in payloads]
+        finally:
+            handle.close()
+        assert counter.crcs == len(payloads)
+        for data, body, member in zip(payloads, bodies, members):
+            assert member == wrap_gzip(body, data)
+            assert stdgzip.decompress(member) == data
+
+    def test_dfltcc_check_value_spans_reissued_chunks(self, monkeypatch,
+                                                      json_20k):
+        """CC=3 re-issues: the trailer is the value carried across them."""
+        handle = create_backend("dfltcc", machine="z15", quantum=8192)
+        counter = _KernelCounter(monkeypatch)
+        try:
+            result = handle.compress(json_20k, fmt="gzip")
+        finally:
+            handle.close()
+        assert result.stats.submissions == counter.crcs == 3
+        assert stdgzip.decompress(result.output) == json_20k
+
     def test_zlib_is_single_pass_on_nx(self, monkeypatch, text_20k):
         handle = create_backend("nx", machine="POWER9")
         counter = _KernelCounter(monkeypatch)
@@ -188,6 +223,32 @@ class TestKernelEntries:
             result = engine.decompress(member, fmt=fmt)
             assert result.stats == reference
             assert result.consumed_bytes == len(member)
+
+
+class TestOnePassStillCoversEveryByte:
+    """A cheaper checksum is still the whole checksum: any one flipped
+    byte of a 64 KB member is caught, in the data or in the trailer."""
+
+    @pytest.mark.parametrize("backend,machine", BACKENDS)
+    def test_single_byte_corruption_raises(self, backend, machine):
+        # Incompressible data is stored, so a flipped body byte leaves a
+        # well-formed stream carrying different plaintext: only the
+        # CRC-32 can tell.
+        plain = generate("random_bytes", 65536, seed=9)
+        member = stdgzip.compress(plain)
+        crc_at = len(member) - 8
+        spots = [200, 4096, 40000, crc_at - 1, *range(crc_at, crc_at + 4)]
+        handle = create_backend(backend, machine=machine)
+        try:
+            assert handle.decompress(member, fmt="gzip").output == plain
+            for spot in spots:
+                for flip in (0x01, 0x80):
+                    bad = bytearray(member)
+                    bad[spot] ^= flip
+                    with pytest.raises(ChecksumError, match="CRC-32"):
+                        handle.decompress(bytes(bad), fmt="gzip")
+        finally:
+            handle.close()
 
 
 class TestCapHonouredForEveryFormat:
