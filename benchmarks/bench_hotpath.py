@@ -43,6 +43,9 @@ RESULT_PATH = REPO_ROOT / "BENCH_hotpath.json"
 
 _MB = 1e6
 
+#: Uncompressed bytes per gzip member of the parallel-inflate archive.
+_MEMBER_BYTES = 1 << 16
+
 #: Span-timed stages (private tracer; survives across run_bench calls so
 #: ``main`` can persist the per-stage breakdown).
 _STAGES = StageRecorder()
@@ -118,10 +121,12 @@ def run_bench(quick: bool = False, level: int = 6,
         results["parallel_deflate_mbps"] = warm_scaling
         results["parallel_deflate_cold_mbps"] = cold_scaling
 
-    # Speculative parallel-inflate scaling, on the *same* corpus and
-    # scale as the deflate sweep so gate comparisons are apples-to-
-    # apples.  Rates are output (uncompressed) MB/s — the number a
-    # scan-side consumer feels.
+    # Parallel-inflate scaling on the *same* corpus and scale as the
+    # deflate sweep, cut into 64 KB gzip members: member boundaries are
+    # the only restart points the engine parallelises from (a single-
+    # member stream plans no jobs at any worker count).  Rates are
+    # output (uncompressed) MB/s — the number a scan-side consumer
+    # feels.
     inflate_chunk = None
     try:
         from repro.deflate.containers import gzip_compress
@@ -130,11 +135,13 @@ def run_bench(quick: bool = False, level: int = 6,
     except ImportError:
         parallel_inflate = None
     if parallel_inflate is not None:
-        gzip_payload = gzip_compress(corpus, level=level)
+        gzip_payload = b"".join(
+            gzip_compress(corpus[off:off + _MEMBER_BYTES], level=level)
+            for off in range(0, len(corpus), _MEMBER_BYTES))
         # Floor at the engine minimum (4 KiB), not the deflate floor:
-        # compressed payloads are ~4x smaller than the corpus, and the
-        # quick run must still produce two chunks per worker or the
-        # sweep silently degenerates to the serial path.
+        # members compress to ~15 KB, and a planning chunk must stay
+        # under that for every member start to get its own job (two
+        # runs per worker at the gated 2-worker row).
         inflate_chunk = max(4096,
                             len(gzip_payload) // (2 * max(workers)))
         cold_inflate: dict[str, float] = {}
@@ -179,6 +186,7 @@ def run_bench(quick: bool = False, level: int = 6,
             "bytes": len(corpus),
             "gzip_bytes": (len(gzip_payload)
                            if parallel_inflate is not None else None),
+            "member_bytes": _MEMBER_BYTES,
             "cpus": os.cpu_count() or 1,
             "parallel_chunk_bytes": inflate_chunk,
         },

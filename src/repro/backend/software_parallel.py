@@ -10,15 +10,16 @@ compares the accelerators against on multi-core hosts ("pigz -p N").
 Container formats are framed here the way pigz frames them: header and
 trailer are computed over the whole input while the body comes from the
 chunked compressor.  Decompression runs through
-:func:`repro.deflate.parallel_inflate.parallel_inflate` — speculative
-block-boundary scanning with marker-tracked chunks, rapidgzip-style —
-so with more than one worker both directions use the pool.  Like pigz
-``-d`` (and unlike the single-core backend), the gzip path accepts
-concatenated multi-member archives.
+:func:`repro.deflate.parallel_inflate.parallel_inflate`, which puts
+runs of gzip members on the pool and decodes everything else (zlib,
+raw, single-member gzip, anything under its 128 KiB chunk) inline.
+Like pigz ``-d`` (and unlike the single-core backend), the gzip path
+accepts concatenated multi-member archives.
 
 Modelled time charges the calibrated single-core rate divided by the
 worker count actually used — pigz's near-linear scaling, which the
-paper's figure 13 uses as the software frontier.
+paper's figure 13 uses as the software frontier; for decompression
+that is 1 unless member runs were spliced.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import struct
 from ..deflate import (adler32, crc32, gzip_decompress, inflate_with_stats,
                        zlib_decompress)
 from ..deflate.parallel import DEFAULT_CHUNK_SIZE, parallel_deflate
-from ..deflate.parallel_inflate import (DEFAULT_INFLATE_CHUNK_SIZE,
-                                        parallel_inflate)
+from ..deflate.parallel_inflate import parallel_inflate
 from ..errors import ConfigError
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.trace import TRACE as _TRACE
@@ -134,12 +134,10 @@ class SoftwareParallelBackend(CompressionBackend):
             raise ConfigError(
                 f"software-parallel backend does not decode {fmt!r}")
         if self.workers > 1 and not (history and fmt != "raw"):
-            chunk = min(DEFAULT_INFLATE_CHUNK_SIZE,
-                        max(4096, len(payload) // (2 * self.workers)))
             result = parallel_inflate(payload, fmt, workers=self.workers,
-                                      chunk_size=chunk, history=history)
+                                      history=history)
             output = result.data
-            used = max(1, min(self.workers, result.chunks_speculated + 1))
+            used = min(self.workers, result.chunks_used + 1)
             submissions = result.chunks_speculated + result.serial_segments
         elif fmt == "raw":
             output, _stats, _bits = inflate_with_stats(payload,

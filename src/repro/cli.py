@@ -115,13 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--deadline-ms", type=float, default=None,
                        help="per-job deadline in modelled milliseconds")
     p_dec.add_argument("--parallel-workers", type=int, default=None,
-                       help="decompress on N worker processes "
-                            "(speculative chunk decode; implies the "
-                            "software-parallel backend, output is "
-                            "byte-identical for every worker count)")
+                       help="decode runs of gzip members on N worker "
+                            "processes (implies the software-parallel "
+                            "backend; zlib, raw and single-member gzip "
+                            "decode inline; output is byte-identical "
+                            "for every worker count)")
     p_dec.add_argument("--chunk-size", type=int, default=None,
-                       help="bytes per speculative chunk (default "
-                            "128 KiB; only with --parallel-workers)")
+                       help="the software-parallel backend's compress "
+                            "chunk; decompression ignores it (member "
+                            "runs are planned per 128 KiB)")
     _add_machine_arg(p_dec)
     _add_backend_args(p_dec, pool=True)
 
@@ -145,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pool workers for full decodes (default: "
                             "cpu count)")
     p_cat.add_argument("--chunk-size", type=int, default=None,
-                       help="bytes per speculative chunk")
+                       help="compressed bytes per member-run job "
+                            "(default 128 KiB, minimum 4096)")
 
     sub.add_parser("machines", help="list machine models")
 

@@ -29,6 +29,7 @@ from .constants import (
     LENGTH_BASE,
     LENGTH_EXTRA_BITS,
     NUM_CODELEN_SYMBOLS,
+    WINDOW_SIZE,
 )
 from .huffman import _ROOT_MASK, HuffmanDecoder, fixed_decoders
 
@@ -246,17 +247,21 @@ def inflate_with_stats(data: bytes, start: int = 0,
     return inflate_core(data, start, max_output, history)
 
 
-def inflate_core(data: bytes, start: int = 0,
-                 max_output: int = 1 << 31,
-                 history: bytes = b"") -> tuple[bytes, InflateStats, int]:
-    """:func:`inflate_with_stats` without the telemetry guard."""
-    reader = BitReader(data, start=start)
-    from .constants import WINDOW_SIZE as _W
+def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
+                   stats: InflateStats, stop_bit: int | None = None,
+                   want_bytes: int | None = None) -> bool:
+    """Decode whole blocks from ``reader`` onto the end of ``out``.
 
-    history = history[-_W:]
-    out = bytearray(history)
-    base = len(history)
-    stats = InflateStats()
+    The one stored/fixed/dynamic block loop for every one-shot decode:
+    ``out`` arrives holding the back-reference window (history, or
+    nothing at a member start) and may grow by at most ``budget`` bytes
+    before :class:`OutputOverflow`.  Stops after the final block
+    (returns True) or, returning False, after the first block that ends
+    at/after ``stop_bit`` or brings this call's output to
+    ``want_bytes``.  ``reader.bits_consumed`` is the next block's bit.
+    """
+    base = len(out)
+    limit = base + budget
     while True:
         final = reader.read_bits(1)
         btype = reader.read_bits(2)
@@ -268,23 +273,37 @@ def inflate_core(data: bytes, start: int = 0,
             nsize = header[2] | (header[3] << 8)
             if size != (~nsize & 0xFFFF):
                 raise DeflateError("stored block LEN/NLEN mismatch")
-            chunk = reader.read_bytes(size)
-            out.extend(chunk)
+            out.extend(reader.read_bytes(size))
             stats.literals += size
-            if len(out) > max_output + base:
+            if len(out) > limit:
                 raise OutputOverflow("output exceeds allowed size")
         elif btype == BTYPE_FIXED:
             lit_dec, dist_dec = fixed_decoders()
             _inflate_huffman_block(reader, out, lit_dec, dist_dec,
-                                   stats, max_output + base)
+                                   stats, limit)
         elif btype == BTYPE_DYNAMIC:
             lit_dec, dist_dec = _read_dynamic_header(reader)
             _inflate_huffman_block(reader, out, lit_dec, dist_dec,
-                                   stats, max_output + base)
+                                   stats, limit)
         else:
             raise DeflateError("reserved block type 3")
         if final:
-            break
+            return True
+        if stop_bit is not None and reader.bits_consumed >= stop_bit:
+            return False
+        if want_bytes is not None and len(out) - base >= want_bytes:
+            return False
+
+
+def inflate_core(data: bytes, start: int = 0,
+                 max_output: int = 1 << 31,
+                 history: bytes = b"") -> tuple[bytes, InflateStats, int]:
+    """:func:`inflate_with_stats` without the telemetry guard."""
+    reader = BitReader(data, start=start)
+    out = bytearray(history[-WINDOW_SIZE:])
+    base = len(out)
+    stats = InflateStats()
+    inflate_blocks(reader, out, max_output, stats)
     return bytes(out[base:]), stats, reader.bits_consumed
 
 
@@ -292,8 +311,3 @@ def inflate(data: bytes) -> bytes:
     """Decode a raw DEFLATE stream and return the output bytes."""
     out, _stats, _bits = inflate_with_stats(data)
     return out
-
-
-def _fixed_decoders() -> tuple[HuffmanDecoder, HuffmanDecoder]:
-    """Back-compat alias; the cache now lives in :mod:`.huffman`."""
-    return fixed_decoders()

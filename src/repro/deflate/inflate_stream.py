@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
 
-from ..errors import DeflateError
+from ..errors import DeflateError, OutputOverflow
 from .bitio import BitReader
 from .constants import (
     BTYPE_DYNAMIC,
@@ -57,19 +56,10 @@ class _State(enum.Enum):
 
 @dataclass
 class InflateStream:
-    """Resumable raw-DEFLATE decoder.
-
-    ``on_block_boundary(bit_offset, is_final)`` — when set — fires at
-    the end of every block with the **absolute** bit offset of the next
-    element (stable across input compaction) and whether the block that
-    just ended carried BFINAL.  Inside the callback :meth:`window` and
-    :attr:`produced` describe the decode state at exactly that
-    boundary, which is everything a seek index needs to resume there.
-    """
+    """Resumable raw-DEFLATE decoder."""
 
     history: bytes = b""
     max_output: int = 1 << 31
-    on_block_boundary: Callable[[int, bool], None] | None = None
     _out: bytearray = field(init=False, repr=False)
     _base: int = field(init=False)
 
@@ -80,7 +70,6 @@ class InflateStream:
         self._emitted = self._base
         self._buf = bytearray()
         self._bits_consumed = 0  # within _buf
-        self._in_base = 0  # bits dropped from _buf by compaction
         self._state = _State.BLOCK_HEADER
         self._final_block = False
         self._stored_left = 0
@@ -133,20 +122,6 @@ class InflateStream:
         if self._state is not _State.DONE:
             return 0
         return len(self._buf) - (self._bits_consumed + 7) // 8
-
-    @property
-    def produced(self) -> int:
-        """Plaintext bytes emitted so far (excludes the history prefix)."""
-        return self._emitted - self._base
-
-    def window(self) -> bytes:
-        """The current 32 KiB back-reference window (history included).
-
-        A decode resumed from :class:`InflateStream` seeded with this as
-        ``history``, at the bit offset the block-boundary callback
-        reported, continues byte-identically — the seek-index contract.
-        """
-        return bytes(self._out[-32768:])
 
     # -- the resumable decode loop --------------------------------------------
 
@@ -234,7 +209,7 @@ class InflateStream:
 
     def _do_stored_data(self, reader: BitReader) -> bool:
         if self._stored_left == 0:
-            self._end_block(reader)
+            self._end_block()
             return True
         available = (len(self._buf) * 8 - reader.bits_consumed) // 8
         take = min(self._stored_left, available)
@@ -244,7 +219,7 @@ class InflateStream:
         self._emit(chunk)
         self._stored_left -= take
         if self._stored_left == 0:
-            self._end_block(reader)
+            self._end_block()
         return True
 
     def _do_dyn_counts(self, reader: BitReader) -> bool:
@@ -264,7 +239,7 @@ class InflateStream:
             self._cl_read += 1
             if reader.bits_consumed > len(self._buf) * 8 - _SAFE_BITS:
                 self._bits_consumed = reader.bits_consumed
-                return self._cl_read == self._hclen or True
+                return True
         self._cl_dec = HuffmanDecoder(self._cl_lengths)
         self._state = _State.DYN_LENGTHS
         return True
@@ -314,7 +289,7 @@ class InflateStream:
                 self._emit(bytes([sym]))
             elif sym == END_OF_BLOCK:
                 self._bits_consumed = reader.bits_consumed
-                self._end_block(reader)
+                self._end_block()
                 return True
             else:
                 if sym > 285:
@@ -341,7 +316,7 @@ class InflateStream:
                     out.append(out[start + k])
                 self._emitted += length
                 if self._emitted - self._base > self.max_output:
-                    raise DeflateError("output exceeds allowed size")
+                    raise OutputOverflow("output exceeds allowed size")
             self._bits_consumed = reader.bits_consumed
             progressed = True
 
@@ -353,17 +328,11 @@ class InflateStream:
         self._out.extend(data)
         self._emitted += len(data)
         if self._emitted - self._base > self.max_output:
-            raise DeflateError("output exceeds allowed size")
+            raise OutputOverflow("output exceeds allowed size")
 
-    def _end_block(self, reader: BitReader) -> None:
+    def _end_block(self) -> None:
         self._state = (_State.DONE if self._final_block
                        else _State.BLOCK_HEADER)
-        if self.on_block_boundary is not None:
-            # reader.bits_consumed is exact within the current _buf even
-            # when the refill ran ahead; _in_base restores what
-            # compaction dropped, so the offset is absolute.
-            self.on_block_boundary(self._in_base + reader.bits_consumed,
-                                   self._final_block)
 
     def _compact(self) -> None:
         """Drop fully consumed input bytes and old output beyond the
@@ -372,7 +341,6 @@ class InflateStream:
         if drop:
             del self._buf[:drop]
             self._bits_consumed -= drop * 8
-            self._in_base += drop * 8
         excess = len(self._out) - 32768
         if excess > 0:
             del self._out[:excess]

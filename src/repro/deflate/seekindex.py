@@ -35,10 +35,9 @@ typed :class:`~repro.errors.SeekIndexError`: an unreadable index must
 never steer a decode toward wrong bytes — callers fall back to a full
 serial decode instead.
 
-:func:`build_index` walks a stream **serially** through
-:class:`~repro.deflate.inflate_stream.InflateStream`'s block-boundary
-callback; the parallel engine in :mod:`.parallel_inflate` records the
-same points as a side effect of any full decode.
+:func:`build_index` is the ``workers=1`` case of the one builder: the
+container walker in :mod:`.parallel_inflate` records the points as a
+side effect of any full decode.
 """
 
 from __future__ import annotations
@@ -49,10 +48,8 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from ..errors import ChecksumError, DeflateError, SeekIndexError
+from ..errors import DeflateError, SeekIndexError
 from .checksums import crc32
-from .containers import gzip_header_length
-from .inflate_stream import InflateStream
 
 MAGIC = b"RSIX"
 VERSION = 1
@@ -229,8 +226,6 @@ def _unpack_window(stored: bytes, wkind: int, wlen: int) -> bytes:
     return window
 
 
-# -- serial builder (streaming decoder + block-boundary callback) ---------
-
 def build_index(payload: bytes, fmt: str = "gzip",
                 spacing: int = DEFAULT_SPACING) -> SeekIndex:
     """Serially decode ``payload`` and record seek points every
@@ -238,101 +233,8 @@ def build_index(payload: bytes, fmt: str = "gzip",
     start).  Containers are verified exactly like the one-shot
     decoders, so a successfully built index implies a valid stream.
     """
-    if fmt not in _FMT_CODES:
-        raise DeflateError(f"seek index does not support fmt {fmt!r}")
     if spacing < 1:
         raise DeflateError(f"spacing must be positive, got {spacing}")
-    points: list[SeekPoint] = []
-    total_out = 0
-    members = 0
-    pos = 0
-
-    if fmt == "gzip":
-        if len(payload) < 18:
-            raise DeflateError("gzip stream too short")
-        while pos < len(payload):
-            body = pos + gzip_header_length(payload, pos)
-            out, consumed = _index_member(payload, body, b"", spacing,
-                                          members, total_out, points)
-            tail = body + consumed
-            if tail + 8 > len(payload):
-                raise DeflateError("gzip stream truncated before trailer")
-            expected_crc, isize = struct.unpack_from("<II", payload, tail)
-            if crc32(out) != expected_crc:
-                raise ChecksumError("gzip CRC-32 mismatch")
-            if (len(out) & 0xFFFFFFFF) != isize:
-                raise ChecksumError("gzip ISIZE mismatch")
-            total_out += len(out)
-            members += 1
-            pos = tail + 8
-    elif fmt == "zlib":
-        if len(payload) < 6:
-            raise DeflateError("zlib stream too short")
-        cmf, flg = payload[0], payload[1]
-        if (cmf & 0x0F) != 8:
-            raise DeflateError(f"unsupported zlib method {cmf & 0x0F}")
-        if ((cmf << 8) | flg) % 31 != 0:
-            raise DeflateError("zlib header check failed")
-        if flg & 0x20:
-            raise DeflateError("stream needs a preset dictionary")
-        out, consumed = _index_member(payload, 2, b"", spacing, 0, 0,
-                                      points)
-        from .checksums import adler32
-        tail = 2 + consumed
-        if tail + 4 > len(payload):
-            raise DeflateError("zlib stream truncated before Adler-32")
-        (expected,) = struct.unpack_from(">I", payload, tail)
-        if adler32(out) != expected:
-            raise ChecksumError("Adler-32 mismatch")
-        total_out = len(out)
-        members = 1
-    else:  # raw
-        out, _consumed = _index_member(payload, 0, b"", spacing, 0, 0,
-                                       points)
-        total_out = len(out)
-        members = 1
-
-    return SeekIndex(fmt=fmt, compressed_size=len(payload),
-                     output_size=total_out, members=members,
-                     points=points)
-
-
-def _index_member(payload: bytes, body_start: int, history: bytes,
-                  spacing: int, member: int, global_base: int,
-                  points: list[SeekPoint]) -> tuple[bytes, int]:
-    """Decode one DEFLATE body via :class:`InflateStream`, appending its
-    seek points; returns ``(plaintext, body bytes consumed)``."""
-    boundaries: list[tuple[int, int, bytes]] = []
-    taken = [-spacing]  # produced offset of the last snapshot
-
-    stream = InflateStream(history=history)
-
-    def on_boundary(bit_offset: int, is_final: bool) -> None:
-        if is_final:
-            return
-        if stream.produced - taken[0] >= spacing:
-            taken[0] = stream.produced
-            boundaries.append((bit_offset, stream.produced,
-                               stream.window()))
-
-    stream.on_block_boundary = on_boundary
-    # Record the body start itself: resuming a member needs no window.
-    points.append(SeekPoint(bit_offset=body_start * 8,
-                            out_offset=global_base, member=member,
-                            member_out_offset=0, crc=0, window=history))
-    rest = payload[body_start:]
-    out = stream.feed(rest)
-    out += stream.finish()
-    consumed = len(rest) - len(stream.unused_bytes())
-    # One incremental CRC walk turns the recorded boundaries into full
-    # seek points (the callback could not know the running CRC yet).
-    crc_state = 0
-    crc_pos = 0
-    for bit_offset, produced, window in boundaries:
-        crc_state = crc32(out[crc_pos:produced], crc_state)
-        crc_pos = produced
-        points.append(SeekPoint(
-            bit_offset=body_start * 8 + bit_offset,
-            out_offset=global_base + produced, member=member,
-            member_out_offset=produced, crc=crc_state, window=window))
-    return out, consumed
+    from .parallel_inflate import parallel_inflate
+    return parallel_inflate(payload, fmt, workers=1, build_index=True,
+                            index_spacing=spacing).index

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.deflate.compress import deflate
 from repro.deflate.inflate_stream import InflateStream, inflate_incremental
-from repro.errors import DeflateError
+from repro.errors import DeflateError, OutputOverflow
 from repro.workloads.generators import generate
 
 
@@ -87,7 +87,7 @@ class TestWindowAndDict:
     def test_max_output_enforced(self):
         payload = deflate(bytes(100000), 6).data
         stream = InflateStream(max_output=1000)
-        with pytest.raises(DeflateError):
+        with pytest.raises(OutputOverflow):
             stream.feed(payload)
             stream.finish()
 
@@ -139,82 +139,6 @@ def test_chunking_invariance_property(data, cuts, level):
     """Any chunking of any valid stream decodes to the same bytes."""
     payload = deflate(data, level).data
     assert inflate_incremental(split_at(payload, cuts)) == data
-
-
-class TestBlockBoundaryCallback:
-    """The seek-index contract: every boundary reports a resumable
-    (bit offset, window, produced) triple."""
-
-    def test_offsets_monotonic_and_final_flag(self, text_20k):
-        payload = deflate(text_20k, 6, block_tokens=512).data
-        events = []
-        stream = InflateStream(
-            on_block_boundary=lambda bit, fin: events.append((bit, fin)))
-        stream.feed(payload)
-        stream.finish()
-        assert len(events) >= 2  # small blocks force several boundaries
-        bits = [bit for bit, _ in events]
-        assert bits == sorted(bits) and len(set(bits)) == len(bits)
-        assert all(bit <= len(payload) * 8 for bit in bits)
-        assert [fin for _, fin in events].count(True) == 1
-        assert events[-1][1] is True
-
-    def test_window_resumes_byte_identically(self, text_20k):
-        payload = deflate(text_20k, 6, block_tokens=512).data
-        snaps = []
-        stream = InflateStream(
-            on_block_boundary=lambda bit, fin: snaps.append(
-                (bit, stream.window(), stream.produced)))
-        out = stream.feed(payload) + stream.finish()
-        assert out == text_20k
-        bit, window, produced = snaps[len(snaps) // 2]
-        assert window == text_20k[:produced][-32768:]
-        # Resume a fresh decoder at the boundary with that window.
-        resumed = InflateStream(history=window)
-        rest = resumed.feed(_shift_bits(payload, bit)) \
-            + resumed.finish()
-        assert rest == text_20k[produced:]
-
-    def test_callback_sees_state_at_boundary(self):
-        data = generate("json_records", 30000, seed=21)
-        payload = deflate(data, 0).data  # stored: many 65k-max blocks
-        produced_at = []
-        stream = InflateStream(
-            on_block_boundary=lambda bit, fin: produced_at.append(
-                stream.produced))
-        stream.feed(payload)
-        stream.finish()
-        assert produced_at[-1] == len(data)
-        assert produced_at == sorted(produced_at)
-
-    def test_byte_at_a_time_same_boundaries(self, text_20k):
-        payload = deflate(text_20k, 6, block_tokens=512).data
-        whole, trickled = [], []
-        s1 = InflateStream(
-            on_block_boundary=lambda bit, fin: whole.append((bit, fin)))
-        s1.feed(payload)
-        s1.finish()
-        s2 = InflateStream(
-            on_block_boundary=lambda bit, fin: trickled.append(
-                (bit, fin)))
-        for i in range(0, len(payload), 7):
-            s2.feed(payload[i:i + 7])
-        s2.finish()
-        assert trickled == whole  # compaction must not move offsets
-
-
-def _shift_bits(payload: bytes, bit: int) -> bytes:
-    """``payload`` re-aligned so absolute ``bit`` becomes bit 0."""
-    if bit % 8 == 0:
-        return payload[bit // 8:]
-    shift = bit % 8
-    body = payload[bit // 8:]
-    out = bytearray()
-    for i in range(len(body) - 1):
-        out.append(((body[i] >> shift)
-                    | (body[i + 1] << (8 - shift))) & 0xFF)
-    out.append(body[-1] >> shift)
-    return bytes(out)
 
 
 class TestTrailingGarbage:

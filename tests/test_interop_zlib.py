@@ -124,7 +124,7 @@ def test_stdlib_decodes_nx_output(text_20k, json_20k, random_8k):
 #
 # Seeded archives concatenate gzip members from *both* compressors at
 # mixed levels (level 0 forces stored blocks; tiny members force tiny
-# final blocks), then the speculative parallel-inflate engine must agree
+# final blocks), then the parallel-inflate engine must agree
 # byte-for-byte with the stdlib's multi-member decoder.
 
 
@@ -160,8 +160,8 @@ def test_fuzz_multimember_parallel_inflate(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzz_multimember_speculative_resolve(seed):
-    """Same archives through the inline speculative path (every chunk
-    decoded ahead and spliced), which must change nothing."""
+    """Same archives through the inline member-run path (every planned
+    run decoded ahead and spliced), which must change nothing."""
     import gzip as stdgzip
 
     from tests.test_parallel_inflate import _speculative

@@ -127,6 +127,17 @@ class TestSoftwareParallelBackend:
         assert zlib.decompress(backend.compress(data, fmt="zlib").output
                                ) == data
 
+    def test_small_payload_decodes_inline(self, backend):
+        """12 KB is far under the 128 KiB planning chunk: no pool jobs,
+        one inline segment, modelled time for one worker."""
+        import gzip
+        data = generate("random_bytes", 12000, seed=9)
+        back = backend.decompress(gzip.compress(data), fmt="gzip")
+        assert back.output == data
+        assert back.stats.submissions == 1
+        assert back.stats.elapsed_seconds == pytest.approx(
+            backend._cost.decompress_seconds(len(data)))
+
     def test_pool_usability(self, corpus):
         from repro.backend.pool import AcceleratorPool
         pool = AcceleratorPool("power9", chips=2, backend="software-parallel",

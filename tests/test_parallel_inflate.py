@@ -1,23 +1,23 @@
-"""Speculative parallel inflate: byte parity for every worker count.
+"""Parallel inflate: byte parity for every worker count.
 
-The engine has three moving parts — the worker-side speculative chunk
-decoder (bit-scan + marker cells), the parent-side resolver that
-splices or falls back, and the container bookkeeping (multi-member
-gzip, zlib Adler, raw history).  These tests drive the speculative
-machinery *inline* (plan jobs, run ``inflate_chunk_job`` with
-``data=``, resolve) so the splice/patch logic is exercised
-deterministically without paying process-pool spin-up per test; one
-test goes through the real pool end-to-end.
+The engine has three moving parts — the worker-side member-run decoder,
+the parent-side resolver that splices a run or decodes inline, and the
+container bookkeeping (multi-member gzip, zlib Adler, raw history).
+Most tests drive the machinery *inline* (plan jobs, run
+``inflate_chunk_job`` with ``data=``, resolve) so the splice logic is
+exercised deterministically; the pooled cases go through the real
+(session-warm) process pool end-to-end.
 """
 
 import gzip as stdgzip
 import random
+import tracemalloc
 import zlib as stdzlib
 
 import pytest
 
 from repro.deflate.compress import deflate
-from repro.deflate.containers import gzip_compress, zlib_compress
+from repro.deflate.containers import gzip_compress, wrap_gzip, zlib_compress
 from repro.deflate.parallel_inflate import (
     _plan_jobs, _Resolver, inflate_chunk_job, parallel_inflate,
     read_range)
@@ -28,22 +28,26 @@ from repro.workloads.generators import generate
 def _speculative(payload: bytes, fmt: str = "gzip", *,
                  chunk_size: int = 8192, history: bytes = b"",
                  build_index: bool = False, spacing: int = 65536):
-    """The pooled path, run inline: every planned chunk is speculated
+    """The pooled path, run inline: every planned member run is decoded
     in-process and handed to the resolver exactly as pool records are."""
     jobs = _plan_jobs(payload, fmt, chunk_size)
-    counters = {"used": 0, "failed": 0, "serial": 0,
-                "speculated": len(jobs)}
-    specs = {}
-    for job in jobs:
-        record = inflate_chunk_job(data=payload, **job)
-        if record.get("ok"):
-            specs[record["start_bit"]] = record
-        else:
-            counters["failed"] += 1
-    resolver = _Resolver(payload, fmt, specs, history, build_index,
-                         spacing, 1 << 62, counters)
+    spacing = spacing if build_index else None
+    records = [inflate_chunk_job(data=payload, spacing=spacing, **job)
+               for job in jobs]
+    specs = {record["start_bit"]: record
+             for record in records if record["ok"]}
+    resolver = _Resolver(payload, fmt, specs, spacing, 1 << 62)
+    resolver.open(history)
     resolver.run()
+    counters = {"used": resolver.used, "serial": resolver.serial}
     return bytes(resolver.out), counters, resolver
+
+
+def _zero_bomb_archive() -> bytes:
+    """A small text member, then three 4 MB zero runs (~4 KB each)."""
+    bomb = stdgzip.compress(bytes(4 << 20), 6)
+    return stdgzip.compress(generate("markov_text", 20000, seed=53), 6) \
+        + bomb * 3
 
 
 class TestSerialParity:
@@ -138,26 +142,88 @@ class TestValidation:
         with pytest.raises(DeflateError):
             parallel_inflate(blob[:len(blob) // 2], "gzip", workers=1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_bomb_stops_at_the_cap(self, workers):
+        """The budget reaches the block walker: a member that would
+        expand to 4 MB is abandoned at the cap, not after it has been
+        materialised (the peak also holds first-use decoder tables)."""
+        archive = _zero_bomb_archive()
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutputOverflow):
+                parallel_inflate(archive, "gzip", workers=workers,
+                                 chunk_size=4096, max_output=65536)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak  # half of one bomb member
+
+    def test_zero_bomb_member_run_fails_at_the_cap(self):
+        """Worker side of the same bound: the run is a failed job (the
+        resolver raises, in stream order), and it never held 4 MB."""
+        archive = _zero_bomb_archive()
+        jobs = _plan_jobs(archive, "gzip", 4096)
+        assert jobs
+        tracemalloc.start()
+        try:
+            records = [inflate_chunk_job(data=archive, max_output=65536,
+                                         **job) for job in jobs]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert records == [{"ok": False}] * len(jobs)
+        assert peak < 2 << 20, peak  # half of one bomb member
+
 
 class TestSpeculativeResolve:
-    """Inline speculation: splice/patch parity and fallback behaviour."""
+    """Member-run splice parity and fallback behaviour."""
 
-    def test_text_chunks_spliced(self):
-        data = generate("markov_text", 200000, seed=41)
-        blob = gzip_compress(data, level=6)
-        out, counters, _ = _speculative(blob, chunk_size=8192)
-        assert out == data
-        assert counters["used"] > 0, counters
+    @pytest.mark.parametrize("fmt", ["gzip", "zlib", "raw"])
+    def test_window_unknown_streams_plan_no_jobs(self, fmt):
+        """No member boundary past the first chunk, no restart point:
+        nothing is planned and the stream decodes inline."""
+        data = generate("source_code", 150000, seed=48)
+        wbits = {"gzip": 31, "zlib": 15, "raw": -15}[fmt]
+        comp = stdzlib.compressobj(6, stdzlib.DEFLATED, wbits)
+        blob = comp.compress(data) + comp.flush()
+        assert _plan_jobs(blob, fmt, 8192) == []
+        result = parallel_inflate(blob, fmt, workers=2, chunk_size=8192)
+        assert result.data == data
+        assert result.chunks_speculated == 0
+        assert result.chunks_used == 0 and result.serial_segments == 1
 
     def test_incompressible_falls_back_serially(self):
         data = generate("random_bytes", 120000, seed=42)
         blob = gzip_compress(data, level=6)
         out, counters, _ = _speculative(blob, chunk_size=8192)
-        # Random bytes deflate to literal soup; bit scans rarely find a
-        # dynamic header.  What matters: bytes stay golden regardless.
+        # One member of literal soup: whatever magic-looking bytes it
+        # holds, nothing can be spliced and the bytes stay golden.
         assert out == data
-        assert counters["used"] + counters["failed"] \
-            + counters["serial"] >= 1
+        assert counters["used"] == 0 and counters["serial"] >= 1
+
+    @pytest.mark.parametrize("decoy", ["junk", "whole-member"])
+    def test_false_member_magic_in_stored_block(self, decoy):
+        """A member magic inside a stored block is planned as a job —
+        even one that decodes and verifies, as an embedded .gz does —
+        but the resolver never arrives there by way of a trailer."""
+        inner = {"junk": b"\x1f\x8b\x08\x00" + bytes(range(200)),
+                 "whole-member": stdgzip.compress(
+                     generate("log_lines", 40000, seed=54), 6)}[decoy]
+        plain = generate("markov_text", 10000, seed=55) + inner \
+            + generate("markov_text", 10000, seed=56)
+        blob = gzip_compress(plain, level=0)
+        jobs = _plan_jobs(blob, "gzip", 4096)
+        assert [job["header_byte"] for job in jobs] \
+            == [blob.index(inner)]
+        assert inflate_chunk_job(data=blob, **jobs[0])["ok"] \
+            == (decoy == "whole-member")
+        for workers in (1, 2):
+            result = parallel_inflate(blob, "gzip", workers=workers,
+                                      chunk_size=4096)
+            assert result.data == plain == stdgzip.decompress(blob)
+            assert result.members == 1 and result.chunks_used == 0
+            assert result.chunks_failed == result.chunks_speculated \
+                == workers - 1
 
     def test_multi_member_member_jobs(self):
         parts = [generate("markov_text", 60000, seed=s)
@@ -174,13 +240,6 @@ class TestSpeculativeResolve:
             + gzip_compress(parts[1], level=6)
         out, _, _ = _speculative(archive, chunk_size=4096)
         assert out == b"".join(parts)
-
-    def test_zlib_speculation(self):
-        data = generate("source_code", 150000, seed=48)
-        blob = zlib_compress(data, level=6)
-        out, counters, _ = _speculative(blob, fmt="zlib",
-                                        chunk_size=8192)
-        assert out == data == stdzlib.decompress(blob)
 
     def test_index_built_during_resolve(self):
         # Multi-member: body starts are always recorded, so the index
@@ -207,20 +266,48 @@ class TestSpeculativeResolve:
             members.append(gzip_compress(data,
                                          level=rng.choice([0, 1, 6, 9])))
         archive = b"".join(members)
+        plain = b"".join(parts)
+        assert plain == stdgzip.decompress(archive)
         out, _, _ = _speculative(archive, chunk_size=4096)
-        assert out == b"".join(parts) == stdgzip.decompress(archive)
+        assert out == plain
+        for workers in (1, 2):  # and through the real pool
+            result = parallel_inflate(archive, "gzip", workers=workers,
+                                      chunk_size=4096)
+            assert result.data == plain, workers
+            assert result.members == len(members)
 
 
 class TestPooledPath:
     def test_pool_parity_and_result_counts(self):
-        data = generate("markov_text", 150000, seed=50)
-        blob = gzip_compress(data, level=6)
+        parts = [generate("markov_text", 50000, seed=50 + i)
+                 for i in range(3)]
+        blob = b"".join(gzip_compress(p, level=6) for p in parts)
         result = parallel_inflate(blob, "gzip", workers=2,
                                   chunk_size=8192)
-        assert result.data == data
-        assert result.workers == 2
-        assert result.chunks_speculated >= 1
+        assert result.data == b"".join(parts)
+        assert result.workers == 2 and result.members == 3
+        assert result.chunks_used >= 1
+        assert result.chunks_used + result.chunks_failed \
+            == result.chunks_speculated
         # Session-scoped conftest fixture asserts zero leaked segments.
+
+    def test_index_points_independent_of_workers(self):
+        """Runs that stop inside a member hand over mid-spacing; the
+        seek points must land where the inline decode puts them."""
+        parts = [generate("markov_text", 60000, seed=57 + i)
+                 for i in range(3)]
+        blob = b"".join(
+            wrap_gzip(deflate(p, 6, block_tokens=1024).data, p)
+            for p in parts)
+        serial = parallel_inflate(blob, "gzip", workers=1,
+                                  build_index=True, index_spacing=8192)
+        pooled = parallel_inflate(blob, "gzip", workers=2,
+                                  chunk_size=8192, build_index=True,
+                                  index_spacing=8192)
+        assert pooled.chunks_used >= 2
+        assert len(serial.index.points) > 3 * 4  # interior points too
+        assert pooled.index == serial.index
+        assert pooled.data == serial.data == b"".join(parts)
 
 
 class TestResultIndex:

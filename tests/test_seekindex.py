@@ -80,6 +80,9 @@ class TestRoundTrip:
     def test_build_index_function(self, archive):
         blob, plain, _ = archive
         index = build_index(blob, "gzip", spacing=32768)
+        assert index == parallel_inflate(
+            blob, "gzip", workers=1, build_index=True,
+            index_spacing=32768).index  # one builder, two doors
         assert index.output_size == len(plain)
         assert index.compressed_size == len(blob)
         rr = read_range(blob, 100000, 3000, index=index)

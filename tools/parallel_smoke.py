@@ -7,7 +7,7 @@ Five checks, all host-independent (they hold even on a 1-CPU runner):
   so worker count must never change the stream);
 * a 2-worker pool-backed ``parallel_inflate`` on a multi-member gzip
   archive is byte-identical to the serial decode for the same input
-  (speculation may win or lose, it must never change bytes);
+  and splices at least one worker-decoded member run;
 * a ``read_range`` through the seek index recorded during that decode
   returns golden bytes while *skipping* the uncompressed prefix;
 * a warm pool beats a cold one on the same call (the whole point of
@@ -48,7 +48,7 @@ def main() -> int:
         print("parallel smoke FAILED: round-trip mismatch")
         return 1
 
-    # Pooled speculative inflate: byte parity on a multi-member gzip
+    # Pooled member-run inflate: byte parity on a multi-member gzip
     # archive, then one indexed random read that skips the prefix.
     from repro.deflate.containers import gzip_compress
     from repro.deflate.parallel_inflate import parallel_inflate, read_range
@@ -65,6 +65,11 @@ def main() -> int:
     if pooled_inf.data != plain or serial_inf.data != plain:
         print("parallel smoke FAILED: parallel inflate output differs "
               f"from golden ({len(pooled_inf.data)} vs {len(plain)})")
+        return 1
+    if pooled_inf.chunks_used < 1:
+        print("parallel smoke FAILED: no member run was spliced "
+              f"({pooled_inf.chunks_speculated} planned, "
+              f"{pooled_inf.chunks_failed} failed)")
         return 1
     off, length = len(corpus) + 1000, 2048
     rr = read_range(archive, off, length, index=pooled_inf.index)
