@@ -37,7 +37,9 @@ part — a shared accelerator fails *per request*, never per tenant):
 from __future__ import annotations
 
 import itertools
+import select
 import threading
+import time
 from dataclasses import dataclass, field
 
 from ..errors import (AcceleratorError, ChipUnavailable, ConfigError,
@@ -66,10 +68,16 @@ SOFTWARE = -1
 #: reaches full utilisation on 64 KB jobs); deeper batches only queue.
 SATURATION_DEPTH = 4
 
-#: How long a blocking exec drain tolerates *zero* completions before
-#: declaring unresolved jobs orphaned (worker died in its claim window)
-#: and rescuing them; any progress restarts the window.
+#: How long open exec jobs may go with *zero* completions before the
+#: unresolved ones are declared orphaned (worker died in its claim
+#: window) and rescued; any progress restarts the window.
 _EXEC_ORPHAN_TIMEOUT_S = 10.0
+
+#: Longest one sleep in :meth:`AcceleratorPool.reap`.  Completions and
+#: worker deaths wake it at once; the tick only bounds how late the
+#: orphan verdict fires and covers a record that another thread sharing
+#: the exec pool applied on our behalf.
+_REAP_TICK_S = 0.1
 
 
 def _hardware_clean(result: DriverResult) -> bool:
@@ -220,6 +228,9 @@ class AcceleratorPool:
         self._exec_pool = exec_pool
         self._exec_seq = itertools.count(1)
         self._exec_open: list[tuple[int, _ExecPending]] = []
+        #: When an exec job last resolved (or the first was submitted
+        #: into an idle layer): the orphan verdict's clock.
+        self._exec_progress_at = 0.0
         self._lock = threading.Lock()
         # One lock per chip handle (plus software): a chip's send window
         # serves one request context at a time, so concurrent callers
@@ -316,13 +327,8 @@ class AcceleratorPool:
             _REGISTRY.counter("repro_pool_dispatch_total",
                               "jobs routed per chip").inc(1, chip=target)
 
-    def _route_traced(self, nbytes: int, home: int) -> int:
-        """Route + probes + dispatch accounting, under a span."""
-        chip, _span = self._route_spanned(nbytes, home)
-        return chip
-
     def _route_spanned(self, nbytes: int, home: int) -> tuple[int, object]:
-        """Like :meth:`_route_traced`, also returning the route span.
+        """Route + probes + dispatch accounting, under a span it returns.
 
         The (closed) ``pool.route`` span is the parent that worker-side
         spans folded back from the execution layer nest under — fold
@@ -385,57 +391,52 @@ class AcceleratorPool:
                  final: bool = True, home: int = 0,
                  deadline_s: float | None = None,
                  verify: bool | None = None) -> DriverResult:
-        chip = self._route_traced(len(data), home)
+        chip, _ = self._route_spanned(len(data), home)
+        return self._run_on(chip, "compress", data, strategy, fmt, history,
+                            final, deadline_s, verify)
+
+    def decompress(self, payload: bytes, *, fmt: str | None = None,
+                   history: bytes = b"", home: int = 0,
+                   deadline_s: float | None = None) -> DriverResult:
+        chip, _ = self._route_spanned(len(payload), home)
+        return self._run_on(chip, "decompress", payload, "auto", fmt,
+                            history, True, deadline_s, None)
+
+    def _run_on(self, chip: int, kind: str, data: bytes, strategy: object,
+                fmt: str | None, history: bytes, final: bool,
+                deadline_s: float | None,
+                verify: bool | None) -> DriverResult:
+        """Run one routed job on the calling thread, resilience included:
+        breaker accounting, software rescue, verify-after-compress."""
         backend = self.backend_for(chip)
         fmt = fmt or backend.capabilities().default_format
         try:
             with self._op_lock(chip):
-                result = backend.compress(data, strategy=strategy, fmt=fmt,
-                                          history=history, final=final,
-                                          deadline_s=deadline_s)
+                if kind == "compress":
+                    result = backend.compress(
+                        data, strategy=strategy, fmt=fmt, history=history,
+                        final=final, deadline_s=deadline_s)
+                else:
+                    result = backend.decompress(
+                        data, fmt=fmt, history=history,
+                        deadline_s=deadline_s)
         except DeadlineExceeded:
             # A late chip is a sick chip, but the deadline is the
             # caller's contract — no software rescue behind its back.
             self._note_health(chip, healthy=False)
             _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
-                              kind="compress", chip=chip, nbytes=len(data))
+                              kind=kind, chip=chip, nbytes=len(data))
             raise
         except AcceleratorError as exc:
             if chip == SOFTWARE:
                 raise
             self._note_health(chip, healthy=False)
-            result = self._rescue("compress", data, fmt, exc)
+            result = self._rescue(kind, data, fmt, exc)
         else:
             self._note_health(chip, healthy=_hardware_clean(result))
         do_verify = self.verify if verify is None else verify
-        if do_verify and final and not history:
+        if kind == "compress" and do_verify and final and not history:
             result = self._verified(chip, data, fmt, result)
-        return result
-
-    def decompress(self, payload: bytes, *, fmt: str | None = None,
-                   history: bytes = b"", home: int = 0,
-                   deadline_s: float | None = None) -> DriverResult:
-        chip = self._route_traced(len(payload), home)
-        backend = self.backend_for(chip)
-        fmt = fmt or backend.capabilities().default_format
-        try:
-            with self._op_lock(chip):
-                result = backend.decompress(payload, fmt=fmt,
-                                            history=history,
-                                            deadline_s=deadline_s)
-        except DeadlineExceeded:
-            self._note_health(chip, healthy=False)
-            _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
-                              kind="decompress", chip=chip,
-                              nbytes=len(payload))
-            raise
-        except AcceleratorError as exc:
-            if chip == SOFTWARE:
-                raise
-            self._note_health(chip, healthy=False)
-            result = self._rescue("decompress", payload, fmt, exc)
-        else:
-            self._note_health(chip, healthy=_hardware_clean(result))
         return result
 
     # -- resilience plumbing -------------------------------------------------
@@ -551,17 +552,15 @@ class AcceleratorPool:
             with self._lock:
                 self._pending_bytes[chip] += len(data)
                 self._by_pending[(chip, pending.sequence)] = job
+                if not self._exec_open:
+                    self._exec_progress_at = time.monotonic()
                 self._exec_open.append((chip, pending))
             self._publish_in_flight()
         else:
-            with self._op_lock(chip):
-                if kind == "compress":
-                    job.result = backend.compress(data, strategy=strategy,
-                                                  fmt=fmt,
-                                                  deadline_s=deadline_s)
-                else:
-                    job.result = backend.decompress(data, fmt=fmt,
-                                                    deadline_s=deadline_s)
+            # Synchronous backend, no execution layer: the job is done
+            # when submit returns, under the same contract as compress().
+            job.result = self._run_on(chip, kind, data, strategy, fmt,
+                                      b"", True, deadline_s, None)
         with self._lock:
             self._open.append(job)
         return job
@@ -602,10 +601,19 @@ class AcceleratorPool:
 
     # -- process-based execution of sync-backend batches ---------------------
 
-    @property
-    def exec_enabled(self) -> bool:
-        """Whether batch submits may run on the process execution layer."""
-        return self.exec_workers is not None or self._exec_pool is not None
+    def _exec_fleet(self):
+        """The execution pool this pool's chip jobs run on, else None:
+        no execution layer, or an async backend, which bypasses it."""
+        exec_pool = self._exec()
+        if exec_pool is None or hasattr(self.backend_for(0), "submit"):
+            return None
+        return exec_pool
+
+    def warm(self) -> None:
+        """Start the exec workers now instead of on the first submit."""
+        fleet = self._exec_fleet()
+        if fleet is not None:
+            fleet.warm()
 
     def _exec(self):
         """The execution pool serving this AcceleratorPool, if enabled."""
@@ -697,7 +705,7 @@ class AcceleratorPool:
                 else:
                     allocator.release(slab)
 
-    def _drain_exec(self, block: bool) -> list[PoolJob]:
+    def _drain_exec(self) -> None:
         """Resolve finished exec jobs through the completion path.
 
         The execution pool is shared (parallel_deflate batches ride the
@@ -708,58 +716,110 @@ class AcceleratorPool:
             open_pendings = list(self._exec_open)
         pool = self._exec_pool
         if pool is None or not open_pendings:
-            return []
-        if block:
+            return
+        pool.poll()
+        now = time.monotonic()
+        if any(pending.exec_job.done for _, pending in open_pendings):
+            self._exec_progress_at = now
+        elif now - self._exec_progress_at >= _EXEC_ORPHAN_TIMEOUT_S:
             # A worker killed between popping a task and writing its
             # claim record leaves a job nothing will ever resolve.  A
-            # stalled *total* wait can't distinguish that from a long
-            # queue, so the orphan verdict is progress-based: only when
-            # no handle at all resolves for the full window are the
-            # stragglers failed (rescue then recomputes them).
-            handles = [pending.exec_job for _, pending in open_pendings]
-            while any(not job.done for job in handles):
-                done_before = sum(1 for job in handles if job.done)
-                try:
-                    pool.wait([job for job in handles if not job.done],
-                              timeout_s=_EXEC_ORPHAN_TIMEOUT_S)
-                except TimeoutError:
-                    if sum(1 for job in handles
-                           if job.done) > done_before:
-                        continue  # progress: not orphaned, keep waiting
-                    for _, pending in open_pendings:
-                        if not pending.exec_job.done:
-                            pending.poisoned = True
-                            pool.fail_job(pending.exec_job, WorkerCrash(
-                                "job orphaned by a dying worker"))
-        else:
-            pool.poll()
-        finished: list[PoolJob] = []
+            # long wait can't distinguish that from a long queue, so the
+            # orphan verdict is progress-based: only when no handle at
+            # all resolves for the full window are the stragglers failed
+            # (rescue then recomputes them).
+            for _, pending in open_pendings:
+                pending.poisoned = True
+                pool.fail_job(pending.exec_job, WorkerCrash(
+                    "job orphaned by a dying worker"))
         for chip, pending in open_pendings:
             if not pending.exec_job.done:
                 continue
             self._resolve_exec(chip, pending)
             with self._lock:
                 self._exec_open.remove((chip, pending))
-            job = self._finish_pending(chip, pending)
-            if job is not None:
-                finished.append(job)
-        return finished
+            self._finish_pending(chip, pending)
 
-    def poll(self) -> list[PoolJob]:
-        """Drain every chip once; returns jobs that resolved."""
-        finished: list[PoolJob] = []
+    def _drain_chips(self, wait: bool) -> None:
+        """Poll each chip's async driver once, or (``wait``) until idle.
+
+        The drivers are in-process models — draining one *is* the engine
+        doing the work — so waiting never sleeps; a wedged engine raises
+        :class:`AcceleratorError` once its poll budget is spent, after
+        the jobs that did complete (``partial``) have been resolved.
+        """
         for chip, instance in enumerate(self._instances):
             if instance is None or not hasattr(instance, "poll"):
                 continue
+            wedged = None
             with self._op_lock(chip):
-                resolved = instance.poll()
+                try:
+                    # An idle driver is still polled once: it may hold
+                    # completions a paste-retry loop drained on the side.
+                    resolved = (instance.wait_all()
+                                if wait and instance.in_flight
+                                else instance.poll())
+                except AcceleratorError as exc:
+                    resolved, wedged = getattr(exc, "partial", []), exc
             for pending in resolved:
-                job = self._finish_pending(chip, pending)
-                if job is not None:
-                    finished.append(job)
-        finished.extend(self._drain_exec(block=False))
+                self._finish_pending(chip, pending)
+            if wedged is not None:
+                raise wedged
+
+    def _take_resolved(self) -> list[PoolJob]:
+        """Hand over, and forget, every open job that has resolved."""
+        with self._lock:
+            finished = [job for job in self._open if job.done]
+            if finished:
+                self._open = [job for job in self._open if not job.done]
         if finished:
             self._publish_in_flight()
+        return finished
+
+    def _sleep(self, wake: tuple = ()) -> None:
+        """Sleep, holding no lock, until an exec worker has news (a
+        record or a death), a ``wake`` handle is readable, or one tick
+        has passed."""
+        handles = list(wake)
+        if self._exec_open:
+            handles += self._exec_pool.wait_handles()
+        if handles:
+            poller = select.poll()
+            try:
+                for handle in handles:
+                    poller.register(handle, select.POLLIN)
+            except OSError:
+                return  # exec pool shut down under us: its jobs are failed
+            poller.poll(_REAP_TICK_S * 1e3)
+
+    def poll(self) -> list[PoolJob]:
+        """Drain every chip once, never blocking.
+
+        Returns each job that resolved since the last ``poll`` /
+        ``reap`` / ``wait_all`` — including any that were already done
+        when their submit returned — and drops it from the open list, so
+        a caller driving the pool with submit + poll retains nothing.
+        """
+        self._drain_chips(wait=False)
+        self._drain_exec()
+        return self._take_resolved()
+
+    def reap(self, wake: tuple = ()) -> list[PoolJob]:
+        """Like :meth:`poll`, but when nothing has resolved yet, wait.
+
+        Chip jobs are run to completion; for exec jobs the caller sleeps
+        until a worker has news or one of its own ``wake`` handles (file
+        descriptors or connections) turns readable — one blocking call,
+        any number of wake sources — for at most a tick.  May return
+        nothing: the caller was woken, or the tick passed.
+        """
+        self._drain_chips(wait=True)
+        self._drain_exec()
+        finished = self._take_resolved()
+        if not finished:
+            self._sleep(wake)
+            self._drain_exec()
+            finished = self._take_resolved()
         return finished
 
     def wait_all(self) -> list[DriverResult | None]:
@@ -767,63 +827,64 @@ class AcceleratorPool:
 
         A job that terminally failed (deadline, unrescuable input)
         yields ``None`` in its slot; its exception is on the
-        :class:`PoolJob` handle returned at submit time.
+        :class:`PoolJob` handle returned at submit time.  Jobs a
+        ``poll``/``reap`` already handed over are not repeated.
         """
-        for chip, instance in enumerate(self._instances):
-            if (instance is None or not hasattr(instance, "wait_all")
-                    or not instance.in_flight):
-                continue
-            with self._op_lock(chip):
-                resolved = instance.wait_all()
-            for pending in resolved:
-                self._finish_pending(chip, pending)
-        self._drain_exec(block=True)
+        self._drain_chips(wait=True)
+        self._finish_exec()
         with self._lock:
             results = [job.result for job in self._open]
             self._open = []
         self._publish_in_flight()
         return results
 
+    def _finish_exec(self) -> None:
+        """Block until every open exec job has resolved."""
+        self._drain_exec()
+        while self._exec_open:
+            self._sleep()
+            self._drain_exec()
+
     @property
     def in_flight(self) -> int:
         with self._lock:
             return len(self._by_pending)
 
-    def cancel_in_flight(self) -> list[PoolJob]:
+    def cancel_in_flight(self) -> None:
         """Abandon every pending batch job (hung-engine recovery).
 
         Each chip's driver flushes its FIFOs, resets hung engines, and
         reclaims window credits; the abandoned jobs come back through
         :meth:`_finish_pending`, where the normal failure path applies —
         so with rescue enabled callers still receive correct bytes,
-        computed on the CPU.
+        computed on the CPU — and the next :meth:`poll` hands them over.
         """
-        resolved: list[PoolJob] = []
         for chip, instance in enumerate(self._instances):
             if instance is None or not hasattr(instance, "cancel_pending"):
                 continue
             with self._op_lock(chip):
                 cancelled = instance.cancel_pending()
             for pending in cancelled:
-                job = self._finish_pending(chip, pending)
-                if job is not None:
-                    resolved.append(job)
+                self._finish_pending(chip, pending)
         # Exec jobs are CPU work already running in a worker, not wedged
         # hardware: drain them to completion rather than abandoning.
-        resolved.extend(self._drain_exec(block=True))
-        if resolved:
-            self._publish_in_flight()
-        return resolved
+        self._finish_exec()
+        self._publish_in_flight()
 
     def suggested_batch_depth(self) -> int:
-        """How many jobs a caller should coalesce per async batch.
+        """How many jobs a caller should keep in flight at once.
 
-        E16's saturation depth (:data:`SATURATION_DEPTH`) per healthy
-        chip, capped by the aggregate window credits when the backend
-        exposes them — submitting past the credit pool only spins the
-        paste loop.  This is what the service layer sizes its request
-        coalescing with.
+        When submits run on the process execution layer: one per live
+        worker, which keeps every core busy and queues nothing behind a
+        busy one.  Otherwise E16's saturation depth
+        (:data:`SATURATION_DEPTH`) per healthy chip, capped by the
+        aggregate window credits when the backend exposes them —
+        submitting past the credit pool only spins the paste loop.
+        This is what the service dispatcher sizes its window with.
         """
+        fleet = self._exec_fleet()
+        if fleet is not None:
+            return max(1, fleet.workers)
         healthy = max(1, len(self.health.available_chips()))
         depth = SATURATION_DEPTH * healthy
         credits = 0

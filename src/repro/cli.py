@@ -268,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: until interrupted)")
     p_serve.add_argument("--exec-workers", type=int, default=None,
                          help="run served jobs on N persistent worker "
-                              "processes (zero-copy shared-memory "
-                              "payloads; the dispatcher stays an I/O "
-                              "loop)")
+                              "processes, at most one per CPU "
+                              "(zero-copy shared-memory payloads; the "
+                              "dispatcher stays an I/O loop)")
     p_serve.add_argument("--http-port", type=int, default=None,
                          help="also serve the HTTP ops plane on this "
                               "port (0 = ephemeral; adds /metrics, "
@@ -805,7 +805,9 @@ def _cmd_dict_push(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    import os
     import signal as _signal
+    import threading
     import time as _time
 
     from .service import CompressionService, serve
@@ -834,12 +836,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pushed = registry.push()
         print(f"dictionaries: pushed {len(pushed)} trained canned "
               f"tables from {args.dicts}", flush=True)
+    exec_workers = args.exec_workers
+    cpus = os.cpu_count() or 1
+    if exec_workers is not None and exec_workers > cpus:
+        # More workers than cores only adds contention (4 lose to 2 on a
+        # 2-CPU host); library users of ProcessWorkerPool choose freely.
+        print(f"exec-workers: {exec_workers} clamped to the host's "
+              f"{cpus} CPU(s)", flush=True)
+        exec_workers = cpus
     service = CompressionService(machine=args.machine, chips=args.chips,
                                  policy=args.policy,
                                  backend=args.backend,
                                  verify=args.verify,
-                                 exec_workers=args.exec_workers,
+                                 exec_workers=exec_workers,
                                  cache_mb=args.cache_mb)
+    if exec_workers is not None:
+        # Spawn the workers while the socket binds, not on request 1.
+        threading.Thread(target=service.pool.warm,
+                         name="repro-exec-warm", daemon=True).start()
     server = serve(service, host=args.host, port=args.port)
     print(f"serving on {args.host}:{server.port} "
           f"(machine {args.machine}, {args.chips} chip(s), "

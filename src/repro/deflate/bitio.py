@@ -10,9 +10,9 @@ eight bytes at a time through one ``int.from_bytes`` call (instead of one
 byte per loop iteration), and the writer accumulates bits into one wide
 int that is flushed in eight-byte chunks.  Python's arbitrary-precision
 ints make the wide accumulator exact; the hot-path consumers
-(``HuffmanDecoder.decode_run``, ``compress._emit_tokens``) keep the same
-``_bitbuf``/``_bitcount``/``_pos`` fields in locals across symbols and
-write them back once per run.
+(``inflate._inflate_huffman_block``, ``compress._emit_tokens``) keep the
+same ``_bitbuf``/``_bitcount``/``_pos`` fields in locals across symbols
+and write them back once per run.
 """
 
 from __future__ import annotations

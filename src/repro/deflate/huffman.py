@@ -15,9 +15,9 @@ codes up to ``_ROOT_BITS`` bits, each entry packing ``sym << 5 | length``
 (0 means "not in the table": fall back to the bit-by-bit counting walk of
 Mark Adler's *puff*).  Bit reversal is table-driven, and the table is
 built in a single canonical walk over the ``(length, symbol)``-sorted
-symbols — no second :func:`canonical_codes` pass.  ``decode_run`` is the
-inflate hot loop: it keeps the reader's bit buffer in locals across
-symbols and appends decoded literals straight into the output buffer.
+symbols — no second :func:`canonical_codes` pass.  The inflate hot loop
+(``inflate._inflate_huffman_block``) reads ``_fast`` directly and only
+calls back into ``_decode_slow`` for codes longer than the root table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 
-from ..errors import DeflateError, HuffmanError
+from ..errors import HuffmanError
 from .bitio import BitReader, BitWriter
 
 _ROOT_BITS = 11  # fast decode table covers codes up to this many bits
@@ -215,57 +215,6 @@ class HuffmanDecoder:
             reader.skip_bits(entry & 31)
             return entry >> 5
         return self._decode_slow(reader)
-
-    def decode_run(self, reader: BitReader, out: bytearray,
-                   limit: int) -> int:
-        """Decode consecutive literal symbols (< 256) into ``out``.
-
-        The inflate hot loop: the reader's bit buffer lives in locals
-        across symbols, refilled eight bytes per ``int.from_bytes`` call,
-        and literals are appended without per-symbol method dispatch.
-        Returns the first symbol >= 256 (length or end-of-block code),
-        or -1 after ``limit`` literals were appended (output cap hit).
-        """
-        data = reader._data
-        pos = reader._pos
-        bitbuf = reader._bitbuf
-        bitcount = reader._bitcount
-        fast = self._fast
-        append = out.append
-        appended = 0
-        while True:
-            if bitcount < 15:
-                chunk = data[pos:pos + 8]
-                bitbuf |= int.from_bytes(chunk, "little") << bitcount
-                pos += len(chunk)
-                bitcount += len(chunk) << 3
-            entry = fast[bitbuf & _ROOT_MASK]
-            if entry:
-                length = entry & 31
-                if length > bitcount:
-                    raise DeflateError("unexpected end of DEFLATE stream")
-                sym = entry >> 5
-                bitbuf >>= length
-                bitcount -= length
-            else:
-                reader._pos = pos
-                reader._bitbuf = bitbuf
-                reader._bitcount = bitcount
-                sym = self._decode_slow(reader)
-                pos = reader._pos
-                bitbuf = reader._bitbuf
-                bitcount = reader._bitcount
-            if sym < 256:
-                append(sym)
-                appended += 1
-                if appended >= limit:
-                    sym = -1
-                else:
-                    continue
-            reader._pos = pos
-            reader._bitbuf = bitbuf
-            reader._bitcount = bitcount
-            return sym
 
     def _decode_slow(self, reader: BitReader) -> int:
         code = 0

@@ -4,9 +4,10 @@
 strictly; it is used both as the software baseline decompressor and as the
 functional core of the NX decompress engine model.
 
-The Huffman-block loop is batch-oriented: literal runs are decoded by
-:meth:`HuffmanDecoder.decode_run` (bit buffer in locals, one append per
-literal), non-overlapping back-references are copied with one slice
+The Huffman-block loop (:func:`_inflate_huffman_block`) is
+batch-oriented: literal runs spin in an inner loop over the decoder's
+flat table (bit buffer in locals, one append per literal),
+non-overlapping back-references are copied with one slice
 ``extend``, and overlapping runs are materialised by periodic repetition
 of the ``dist``-byte seed instead of a per-byte append loop.
 """

@@ -39,6 +39,7 @@ import multiprocessing as mp
 import os
 import threading
 import time
+from multiprocessing.connection import wait as _wait_readable
 
 from ..errors import ConfigError, ExecError, WorkerCrash
 from ..obs.flight import FLIGHT as _FLIGHT
@@ -331,34 +332,43 @@ class ProcessWorkerPool:
             finished.extend(self._drain(block_s=0.05))
         return finished
 
+    def wait_handles(self) -> list:
+        """What turns readable when this pool has news for its waiter.
+
+        The result pipe (a claim or completion record) and one sentinel
+        per worker (a death).  A caller with wake sources of its own —
+        the service dispatcher and its admission pipe — polls these and
+        its own in one blocking call, then calls :meth:`poll`.
+        """
+        with self._lock:
+            if not self._started or self._closed:
+                return []
+            return [self._rx, *(proc.sentinel
+                                for proc in self._procs.values())]
+
     def _drain(self, block_s: float) -> list[ExecJob]:
-        """Process claim/done/err records; reap dead workers."""
+        """Process claim/done/err records; reap dead workers.
+
+        The wait happens before the lock is taken, so a ``submit`` from
+        another thread never queues behind a sleeping waiter; the lock
+        covers only applying the records that are already buffered.
+        """
+        if block_s:
+            try:
+                _wait_readable(self.wait_handles(), block_s)
+            except OSError:  # pragma: no cover - shut down under us
+                pass
         finished: list[ExecJob] = []
         with self._lock:
             if not self._started or self._closed:
                 return finished
-            # Drain everything buffered, then (optionally) block once.
-            waited = False
-            while True:
-                try:
-                    ready = self._rx.poll(
-                        0.0 if (finished or waited or not block_s)
-                        else block_s)
-                except (OSError, EOFError):  # pragma: no cover
-                    break
-                if not ready:
-                    if block_s and not waited and not finished:
-                        waited = True
-                        continue
-                    break
-                waited = True
-                try:
-                    record = self._rx.recv()
-                except (OSError, EOFError):  # pragma: no cover
-                    break
-                job = self._handle(record)
-                if job is not None:
-                    finished.append(job)
+            try:
+                while self._rx.poll(0.0):
+                    job = self._handle(self._rx.recv())
+                    if job is not None:
+                        finished.append(job)
+            except (OSError, EOFError):  # pragma: no cover
+                pass
             self._reap_dead()
         for job in finished:
             self._fold_telemetry(job)

@@ -13,21 +13,23 @@ queues and a single dispatcher thread drives them through the shared
   unbounded buffering (the server never queues more than the configured
   envelope, no matter the offered load).
 * **QoS scheduling** — dispatch order follows the VAS two-FIFO model
-  via :class:`~repro.service.qos.QosPolicy`: the high FIFO preempts at
-  batch granularity, the starvation bound keeps bulk moving.
-* **Batch coalescing** — up to ``max_batch`` requests of one class are
-  folded into one async batch submission (``submit``/``wait_all``),
-  sized by the E16 saturation depth via
-  :meth:`~repro.backend.pool.AcceleratorPool.suggested_batch_depth`.
+  via :class:`~repro.service.qos.QosPolicy`: the high FIFO takes the
+  next free slot, the starvation bound keeps bulk moving.
+* **A dispatch window** — the dispatcher keeps up to
+  :meth:`~repro.backend.pool.AcceleratorPool.suggested_batch_depth`
+  jobs in flight (the E16 saturation depth per chip; the live worker
+  count when the pool fronts the process execution layer), submits
+  without waiting, and resolves each job as it completes.  It sleeps in
+  one call woken by a completion *or* an admission.
 * **Resilience** — breaker-aware routing, software rescue, and
-  deadlines all come from the pool; a batch whose engine wedges is
+  deadlines all come from the pool; when an engine wedges the window is
   cancelled (:meth:`~repro.backend.pool.AcceleratorPool.cancel_in_flight`)
   and the abandoned jobs resolve through software rescue, so accepted
   requests still return correct bytes.  Requests that out-wait their
   deadline *in the queue* are expired without being executed.
 * **Telemetry** — every request owns a detached ``service.request``
   span (opened at admission on the caller's thread, closed at
-  fulfilment on the dispatcher's), adopted around the pool calls so
+  fulfilment on the dispatcher's), adopted around the pool submit so
   ``pool.route``/``backend.submit`` nest under it; outcomes publish
   ``repro_service_*`` metrics.
 
@@ -40,6 +42,7 @@ per-job deadline contract).
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
 from collections import deque
@@ -55,7 +58,7 @@ from ..obs.context import TraceContext
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import record_service_request
-from ..obs.trace import NULL_SPAN, Span, TRACE as _TRACE
+from ..obs.trace import NULL_SPAN, TRACE as _TRACE
 from .qos import DEFAULT_CLASSES, DEFAULT_STARVATION_BOUND, QosPolicy
 
 _OPS = ("compress", "decompress")
@@ -80,6 +83,8 @@ class ServiceResult:
     modelled_seconds: float
     queue_wait_s: float   # admission -> taken off the queue by the dispatcher
     wall_seconds: float   # admission -> fulfilment (wait + service)
+    #: Jobs in flight on the pool, this one included, when it was
+    #: dispatched: 1 means it had the engines to itself.
     batch_size: int = 1
 
 
@@ -222,7 +227,7 @@ class CompressionService:
         # (tenant, key) -> tickets parked on that key's leader.
         self._cache_followers: dict[tuple[str, str],
                                     list[ServiceTicket]] = {}
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._queues: dict[str, deque[_Queued]] = {
             c.name: deque() for c in self.qos.classes}
         self._queued_bytes: dict[str, int] = {
@@ -230,7 +235,7 @@ class CompressionService:
         self._state = "running"
         self._ids = itertools.count(1)
         self._ewma_job_s = _EWMA_SEED_S
-        # Counters (all mutated under self._cond).
+        # Counters (all mutated under self._lock).
         self._accepted = 0
         self._rejected = 0
         self._expired = 0
@@ -245,6 +250,10 @@ class CompressionService:
                      "expired": 0, "failed": 0}
             for c in self.qos.classes}
         self._per_tenant: dict[str, dict[str, int]] = {}
+        # The dispatcher sleeps in one wait on the pool's completion
+        # handles plus this pipe; see _poke_locked.
+        self._wake_r, self._wake_w = os.pipe()
+        self._wake_state = "awake"  # | "armed" | "poked" | "gone"
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-service-dispatcher",
             daemon=True)
@@ -311,7 +320,7 @@ class CompressionService:
                qcls, tenant: str, deadline: float | None,
                traceparent: str | None, client_request_id: str | None,
                cache_key: tuple[str, str] | None) -> ServiceTicket:
-        with self._cond:
+        with self._lock:
             if self._state != "running":
                 raise ServiceClosed(
                     f"service is {self._state}; not accepting work")
@@ -367,7 +376,9 @@ class CompressionService:
                 entry["accepted"] += 1
                 entry["bytes_in"] += len(payload)
             self._publish_depth_locked(qcls.name)
-            self._cond.notify_all()
+            poke = self._poke_locked()
+        if poke:
+            self._poke()
         return ticket
 
     # -- result-cache integration --------------------------------------------
@@ -410,7 +421,7 @@ class CompressionService:
 
     def _count_cache_admission(self, op: str, qos: str, tenant: str,
                                nbytes: int) -> None:
-        with self._cond:
+        with self._lock:
             self._accepted += 1
             self._per_class[qos]["accepted"] += 1
             if tenant:
@@ -423,7 +434,7 @@ class CompressionService:
                            tenant: str, nbytes_in: int,
                            output: bytes) -> None:
         """Resolve one request with cached bytes (no dispatch at all)."""
-        with self._cond:
+        with self._lock:
             self._completed += 1
             self._bytes_in += nbytes_in
             self._bytes_out += len(output)
@@ -464,7 +475,7 @@ class CompressionService:
             self.cache.abort(tenant, key)
             followers = self._cache_followers.pop((tenant, key), [])
         for ticket in followers:
-            with self._cond:
+            with self._lock:
                 self._failed += 1
                 self._per_class[ticket.qos]["failed"] += 1
             if _REGISTRY.enabled:
@@ -492,10 +503,12 @@ class CompressionService:
 
         Returns True when the backlog fully drained within the timeout.
         """
-        with self._cond:
+        with self._lock:
             if self._state == "running":
                 self._state = "draining"
-            self._cond.notify_all()
+            poke = self._poke_locked()
+        if poke:
+            self._poke()
         self._dispatcher.join(timeout_s)
         return not self._dispatcher.is_alive()
 
@@ -504,7 +517,7 @@ class CompressionService:
         otherwise it is failed with :class:`ServiceClosed`."""
         if drain:
             self.drain(timeout_s)
-        with self._cond:
+        with self._lock:
             self._state = "stopped"
             abandoned = [req for name in self._queues
                          for req in self._queues[name]]
@@ -515,7 +528,9 @@ class CompressionService:
             for req in abandoned:
                 self._failed += 1
                 self._per_class[req.ticket.qos]["failed"] += 1
-            self._cond.notify_all()
+            poke = self._poke_locked()
+        if poke:
+            self._poke()
         for req in abandoned:
             error = ServiceClosed("service stopped before dispatch")
             req.span.set(outcome="failed", error="ServiceClosed")
@@ -537,7 +552,7 @@ class CompressionService:
 
     def stats(self) -> ServiceStats:
         """One mutually consistent snapshot (single critical section)."""
-        with self._cond:
+        with self._lock:
             return ServiceStats(
                 accepted=self._accepted, rejected=self._rejected,
                 expired=self._expired, completed=self._completed,
@@ -574,144 +589,149 @@ class CompressionService:
 
     # -- the dispatcher ------------------------------------------------------
 
+    def _poke_locked(self) -> bool:
+        """Claim the dispatcher's wake-up (admission, drain, close).
+
+        True when the caller must :meth:`_poke` once it has released the
+        lock — writing under it would hand the GIL to a dispatcher that
+        then queues on this very lock.  Only a dispatcher that armed the
+        pipe on its way to sleep is poked, and it reads the byte back
+        when it wakes, so the pipe never holds more than one and a busy
+        dispatcher costs admission nothing.
+        """
+        if self._wake_state != "armed":
+            return False
+        self._wake_state = "poked"
+        return True
+
+    def _poke(self) -> None:
+        os.write(self._wake_w, b"\0")
+
     def _dispatch_loop(self) -> None:
+        """Keep a bounded window of jobs in flight on the pool.
+
+        While the window has room the next request is taken in QoS order
+        and submitted without waiting; each job is resolved the moment
+        the pool hands it back; otherwise the loop sleeps inside
+        ``pool.reap`` until a completion *or* an admission.  Jobs on
+        in-process backends are done when submit/reap returns, so they
+        pass through the same loop and leave nothing in flight.
+        """
+        #: PoolJob.index -> (request, jobs in flight once it joined them)
+        flying: dict[int, tuple[_Queued, int]] = {}
+        try:
+            while True:
+                took = 0
+                while (req := self._take(flying)) is not None:
+                    job = self._submit(req)
+                    if job is not None:
+                        flying[job.index] = (req, len(flying) + 1)
+                        took += 1
+                if took:
+                    with self._lock:
+                        self._batches += 1
+                    if _REGISTRY.enabled:
+                        _REGISTRY.histogram(
+                            "repro_service_batch_size",
+                            "requests dispatched per round",
+                            buckets=(1, 2, 4, 8, 16, 32)).observe(took)
+                elif (not flying and self._state != "running"
+                        and not any(self._queues.values())):
+                    # Admission closed before the queues read empty, so
+                    # nothing can arrive behind this unlocked look.
+                    return
+                for job in self._reap(flying):
+                    req, in_flight = flying.pop(job.index)
+                    if job.result is not None:
+                        self._resolve_ok(req, job.result.output,
+                                         job.result.stats.elapsed_seconds,
+                                         batch_size=in_flight)
+                    else:
+                        self._resolve_error(req, job.error)
+        finally:
+            with self._lock:
+                if self._wake_state == "poked":
+                    os.read(self._wake_r, 1)  # let the poker finish
+                self._wake_state = "gone"
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+
+    def _take(self, flying: dict) -> _Queued | None:
+        """The next live request for a free window slot, in QoS order.
+
+        None when nothing can be dispatched right now: nothing is
+        queued, or the window — the pool's suggested depth, and within
+        it each class's ``max_batch`` — is full.  The wake pipe is armed
+        under the same lock that saw that, so a request admitted from
+        then on pokes the dispatcher out of its sleep.
+        """
+        with self._lock:
+            if self._wake_state == "poked":
+                os.read(self._wake_r, 1)
+            self._wake_state = "awake"
+            if not any(self._queues.values()):
+                self._wake_state = "armed"
+                return None
+        window = self.pool.suggested_batch_depth() if self.batching else 1
         while True:
-            with self._cond:
-                while True:
-                    waiting = {name: len(q)
-                               for name, q in self._queues.items()}
-                    if any(waiting.values()):
-                        break
-                    if self._state != "running":
-                        return
-                    self._cond.wait(0.1)
-                qcls = self.qos.pick(waiting)
-                if qcls is None:  # pragma: no cover - pick of nonempty
-                    continue
-                depth = min(qcls.max_batch,
-                            self.pool.suggested_batch_depth())
-                queue = self._queues[qcls.name]
-                batch = [queue.popleft()
-                         for _ in range(min(depth, len(queue)))]
-                dequeued_at = time.perf_counter()
-                for req in batch:
-                    req.dequeued_at = dequeued_at
-                    self._queued_bytes[qcls.name] -= len(req.payload)
+            with self._lock:
+                busy = [req.ticket.qos for req, _ in flying.values()]
+                qcls = None
+                if len(busy) < window:
+                    qcls = self.qos.pick({
+                        name: len(queue)
+                        for name, queue in self._queues.items()
+                        if busy.count(name)
+                        < self.qos.by_name[name].max_batch})
+                if qcls is None:
+                    self._wake_state = "armed"
+                    return None
+                req = self._queues[qcls.name].popleft()
+                req.dequeued_at = now = time.perf_counter()
+                self._queued_bytes[qcls.name] -= len(req.payload)
                 self._publish_depth_locked(qcls.name)
-            self._run_batch(qcls, batch)
+            if (req.deadline_s is None
+                    or now - req.enqueued_at <= req.deadline_s):
+                return req
+            self._resolve_expired(req, now)
 
-    def _run_batch(self, qcls, batch: list[_Queued]) -> None:
-        """Execute one coalesced batch outside the admission lock."""
-        now = time.perf_counter()
-        live: list[_Queued] = []
-        for req in batch:
-            if (req.deadline_s is not None
-                    and now - req.enqueued_at > req.deadline_s):
-                self._resolve_expired(req, now)
-            else:
-                live.append(req)
-        if not live:
-            return
-        with self._cond:
-            self._batches += 1
-        if _REGISTRY.enabled:
-            _REGISTRY.histogram("repro_service_batch_size",
-                                "requests coalesced per dispatch",
-                                buckets=(1, 2, 4, 8, 16, 32)).observe(
-                len(live), qos=qcls.name)
-        # A singleton normally runs inline on the dispatcher thread, but
-        # when the pool fronts a process execution layer even a batch of
-        # one goes through submit/wait so the work leaves this I/O loop.
-        use_batch = self.batching and (
-            len(live) > 1 or getattr(self.pool, "exec_enabled", False))
-        if use_batch:
-            # The batch span hangs off the first live request's span (and
-            # wire trace), so the exported tree nests client ->
-            # service.request -> service.batch -> pool -> worker.  Pool
-            # work is genuinely batch-scoped, so the other coalesced
-            # requests link to it via request_ids rather than owning
-            # duplicate copies of the pool spans.
-            first = next((req.span for req in live
-                          if isinstance(req.span, Span)), None)
-            batch_ctx = None
-            if first is not None and first.ctx is not None:
-                batch_ctx = first.ctx.child()
-            batch_span = _TRACE.span_detached(
-                "service.batch", parent=first, ctx=batch_ctx,
-                qos=qcls.name, size=len(live),
-                request_ids=[req.ticket.request_id for req in live])
-            try:
-                with _TRACE.adopt(batch_span):
-                    jobs = self._submit_batch(live)
-                    self._await_batch(live, jobs)
-            finally:
-                batch_span.end()
-        else:
-            for req in live:
-                self._run_sync(req)
-
-    def _submit_batch(self, live: list[_Queued]) -> list[PoolJob | None]:
-        # Runs under the adopted service.batch span: pool.route /
-        # backend.submit / folded worker spans nest under the batch.
-        jobs: list[PoolJob | None] = []
-        for req in live:
+    def _submit(self, req: _Queued) -> PoolJob | None:
+        """Hand one request to the pool without waiting for it."""
+        # Under the request's own span: pool.route / backend.submit and
+        # the worker spans folded back from the exec layer nest there.
+        with _TRACE.adopt(req.span):
             try:
                 if req.op == "compress":
-                    job = self.pool.submit_compress(
+                    return self.pool.submit_compress(
                         req.payload, strategy=req.strategy,
                         fmt=req.fmt, deadline_s=req.deadline_s)
-                else:
-                    job = self.pool.submit_decompress(
-                        req.payload, fmt=req.fmt,
-                        deadline_s=req.deadline_s)
+                return self.pool.submit_decompress(
+                    req.payload, fmt=req.fmt, deadline_s=req.deadline_s)
             except ReproError as exc:
                 # Any library failure — accelerator trouble, but also a
                 # malformed payload (DeflateError on garbage input) —
                 # fails this job; it must never fail the dispatcher.
                 self._resolve_error(req, exc)
-                job = None
-            jobs.append(job)
-        return jobs
+                return None
 
-    def _await_batch(self, live: list[_Queued],
-                     jobs: list[PoolJob | None]) -> None:
-        try:
-            self.pool.wait_all()
-        except AcceleratorError:
-            # Wedged engine: abandon what's stuck — cancellation routes
-            # the jobs through the rescue path, so most still resolve
-            # with correct software-computed bytes.
-            self.pool.cancel_in_flight()
-        for req, job in zip(live, jobs):
-            if job is None:
-                continue  # already failed at submit
-            if job.result is not None:
-                self._resolve_ok(req, job.result.output,
-                                 job.result.stats.elapsed_seconds,
-                                 batch_size=len(live))
-            else:
-                error = job.error or AcceleratorError(
-                    "batch job resolved without result or error")
-                self._resolve_error(req, error)
-
-    def _run_sync(self, req: _Queued) -> None:
-        with _TRACE.adopt(req.span):
+    def _reap(self, flying: dict) -> list[PoolJob]:
+        """Sleep until a completion or an admission; our resolved jobs."""
+        # Pool work in a reap is window-scoped (one accelerator drain
+        # serves every pasted job), so it hangs off the oldest in-flight
+        # request's span — its own whenever the window holds one job.
+        oldest = next(iter(flying.values()))[0].span if flying else NULL_SPAN
+        with _TRACE.adopt(oldest):
             try:
-                if req.op == "compress":
-                    result = self.pool.compress(
-                        req.payload, strategy=req.strategy, fmt=req.fmt,
-                        deadline_s=req.deadline_s)
-                else:
-                    result = self.pool.decompress(
-                        req.payload, fmt=req.fmt,
-                        deadline_s=req.deadline_s)
-            except ReproError as exc:
-                # Same contract as _submit_batch: a bad payload fails
-                # the one request, never the dispatcher thread.
-                self._resolve_error(req, exc)
-                return
-        self._resolve_ok(req, result.output,
-                         result.stats.elapsed_seconds, batch_size=1)
+                finished = self.pool.reap(wake=(self._wake_r,))
+            except AcceleratorError:
+                # Wedged engine: abandon what's stuck — cancellation
+                # routes the jobs through the rescue path, so most still
+                # resolve with correct software-computed bytes.
+                self.pool.cancel_in_flight()
+                finished = self.pool.poll()
+        # A pool that was handed in may also be resolving someone
+        # else's jobs; those are not ours to fulfil.
+        return [job for job in finished if job.index in flying]
 
     # -- fulfilment ----------------------------------------------------------
 
@@ -719,12 +739,14 @@ class CompressionService:
                     batch_size: int) -> None:
         wall = time.perf_counter() - req.enqueued_at
         queue_wait = req.dequeued_at - req.enqueued_at
-        with self._cond:
+        with self._lock:
             self._completed += 1
             self._bytes_in += len(req.payload)
             self._bytes_out += len(output)
             self._modelled_s += modelled_s
             self._per_class[req.ticket.qos]["completed"] += 1
+            # The jobs it shared the pool with ran during the same wall
+            # time, so the cost one more queued request adds is its share.
             per_job = wall / max(1, batch_size)
             self._ewma_job_s += _EWMA_WEIGHT * (per_job - self._ewma_job_s)
         if _REGISTRY.enabled:
@@ -756,7 +778,7 @@ class CompressionService:
 
     def _resolve_expired(self, req: _Queued, now: float) -> None:
         waited = now - req.enqueued_at
-        with self._cond:
+        with self._lock:
             self._expired += 1
             self._per_class[req.ticket.qos]["expired"] += 1
         if _REGISTRY.enabled:
@@ -782,7 +804,7 @@ class CompressionService:
         outcome = ("expired" if isinstance(error, DeadlineExceeded)
                    else "failed")
         reason = type(error).__name__
-        with self._cond:
+        with self._lock:
             if outcome == "expired":
                 self._expired += 1
             else:

@@ -4,15 +4,15 @@ The accelerator front end has exactly two receive FIFOs (high priority
 and normal — the E14 arbitration), so the service maps its QoS classes
 onto that hardware reality: ``interactive`` rides the high FIFO, while
 ``batch`` and ``bulk`` share the normal FIFO and differ only in queue
-bounds and coalescing depth.  Starvation is bounded the same way the
+bounds and window share.  Starvation is bounded the same way the
 VAS arbitrates: after :data:`DEFAULT_STARVATION_BOUND` consecutive
-high-FIFO picks with normal work waiting, one normal batch is served
+high-FIFO picks with normal work waiting, one normal request is served
 (see :class:`repro.perf.priority.PriorityQueueSim`).
 
 Every class carries its *admission bound* — the queue limits behind the
-reject-with-retry-after backpressure — and its *coalescing depth*, the
-number of requests folded into one async batch submission (E16: a few
-in-flight jobs saturate an engine; deeper batches only add queueing and
+reject-with-retry-after backpressure — and its *share of the dispatch
+window*, the most of its requests in flight at once (E16: a few
+in-flight jobs saturate an engine; more only add queueing and
 head-of-line blocking for the high FIFO).
 """
 
@@ -25,19 +25,19 @@ from ..errors import ConfigError
 #: The two hardware receive FIFOs behind the VAS front end.
 FIFOS = ("high", "normal")
 
-#: Consecutive high-FIFO dispatches before one normal batch is forced
+#: Consecutive high-FIFO dispatches before one normal request is forced
 #: through (mirrors the modelled VAS anti-starvation arbitration).
 DEFAULT_STARVATION_BOUND = 8
 
 
 @dataclass(frozen=True)
 class QosClass:
-    """One service level and its queue/batch envelope.
+    """One service level and its queue/window envelope.
 
     ``rank`` orders classes within a FIFO (lower dispatches first);
     ``queue_limit``/``queue_bytes_limit`` bound admission;
-    ``max_batch`` caps how many of this class's requests coalesce into
-    one async batch submission.
+    ``max_batch`` caps how many of this class's requests are in flight
+    on the pool at once.
 
     Dictionary-service knobs: ``cache_results`` opts this class's
     compress traffic into the content-addressed result cache (when the
@@ -73,7 +73,7 @@ class QosClass:
 
 #: The stock three-level policy: RPC-sized latency-sensitive traffic on
 #: the high FIFO, throughput traffic on the normal FIFO, backup-window
-#: bulk behind it with the deepest queue and batches.
+#: bulk behind it with the deepest queue and window share.
 DEFAULT_CLASSES = (
     QosClass("interactive", fifo="high", rank=0, queue_limit=64,
              queue_bytes_limit=8 << 20, max_batch=2),

@@ -129,6 +129,42 @@ def test_restart_cap_breaks_pool():
         p.shutdown()
 
 
+def test_submit_does_not_queue_behind_a_waiter(pool):
+    """wait() sleeps outside the pool lock, so another thread's submit
+    is not held up for the length of the waiter's blocking drain."""
+    import statistics
+    import threading
+
+    slow = pool.submit("echo", value="slow", delay_s=1.0)
+    waiter = threading.Thread(target=pool.wait, args=([slow],),
+                              kwargs={"timeout_s": 60.0})
+    waiter.start()
+    try:
+        # The claim record can only have been applied by the waiter's
+        # drain loop: it is inside wait() from here on.
+        deadline = time.monotonic() + 30.0
+        while slow.claimed_by is None:
+            assert time.monotonic() < deadline, "slow job never claimed"
+            time.sleep(0.005)
+        took = []
+        for _ in range(5):
+            started = time.perf_counter()
+            quick = pool.submit("echo", value="quick")
+            took.append(time.perf_counter() - started)
+            # Only the waiter drains: once it has applied this job's
+            # completion it goes straight back to sleep, so the next
+            # submit again arrives at the start of a blocking drain.
+            while not quick.done:
+                assert time.monotonic() < deadline, "quick job lost"
+                time.sleep(0.002)
+        assert not slow.done  # the waiter was blocked throughout
+        assert statistics.median(took) < 0.010, took
+    finally:
+        waiter.join(60.0)
+    assert not waiter.is_alive()
+    assert slow.result == "slow"
+
+
 def test_fail_job_resolves_handle_externally(pool):
     job = pool.submit("echo", value=1, delay_s=1.0)
     pool.fail_job(job, WorkerCrash("declared orphaned"))

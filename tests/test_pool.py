@@ -100,6 +100,27 @@ def test_poll_drains_incrementally(text_20k):
         assert pool.stats().requests == 2
 
 
+def test_submit_poll_retains_nothing():
+    """A caller driving the pool with submit + poll must not leak jobs
+    (and their payloads) into the open list."""
+    with AcceleratorPool(POWER9, chips=1) as pool:
+        seen = 0
+        for i in range(1000):
+            pool.submit_compress(b"%04d" % i * 16)
+            seen += len(pool.poll())
+        assert seen == 1000
+        assert len(pool._open) == pool.in_flight == 0
+
+
+def test_wait_all_lists_only_what_is_still_open(text_20k):
+    with AcceleratorPool(Z15, chips=1) as pool:
+        first = pool.submit_compress(text_20k)
+        assert pool.poll() == [first]  # handed over, forgotten
+        later = [pool.submit_compress(text_20k[:n]) for n in (500, 900)]
+        assert pool.wait_all() == [job.result for job in later]
+        assert pool.wait_all() == []
+
+
 # -- capacity planning (DES view of the same policies) ------------------------
 
 @pytest.mark.parametrize("policy", ["round_robin", "least_loaded"])

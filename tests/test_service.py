@@ -37,6 +37,26 @@ def service():
     svc.close()
 
 
+def gate_submits(pool: AcceleratorPool):
+    """Hold the dispatcher inside its next ``pool.submit_compress``.
+
+    Returns ``(started, release)`` events: ``started`` is set once the
+    dispatcher has dequeued a request and is about to submit it; it
+    stays there until ``release`` is set, so whatever is admitted in
+    between provably waits in the queue.
+    """
+    started, release = threading.Event(), threading.Event()
+    real_submit = pool.submit_compress
+
+    def gated_submit(*args, **kwargs):
+        started.set()
+        assert release.wait(30)
+        return real_submit(*args, **kwargs)
+
+    pool.submit_compress = gated_submit
+    return started, release
+
+
 def small_policy(limit: int = 4, max_batch: int = 4) -> QosPolicy:
     return QosPolicy((
         QosClass("interactive", fifo="high", rank=0, queue_limit=limit,
@@ -119,10 +139,19 @@ class TestAdmissionControl:
     def test_byte_bound_sheds_big_payloads(self):
         policy = QosPolicy((QosClass("only", queue_limit=100,
                                      queue_bytes_limit=10_000),))
-        with CompressionService(chips=1, qos=policy) as svc:
-            svc.submit("compress", b"a" * 9_000, qos="only")
-            with pytest.raises(ServiceOverloaded):
-                svc.submit("compress", b"b" * 9_000, qos="only")
+        pool = AcceleratorPool(chips=1)
+        started, release = gate_submits(pool)
+        try:
+            with CompressionService(pool, qos=policy) as svc:
+                svc.submit("compress", b"x" * 100, qos="only")
+                assert started.wait(30)  # dispatcher held: queue stands
+                svc.submit("compress", b"a" * 9_000, qos="only")
+                with pytest.raises(ServiceOverloaded):
+                    svc.submit("compress", b"b" * 9_000, qos="only")
+                release.set()
+        finally:
+            release.set()
+            pool.close()
 
 
 class TestBatching:
@@ -161,6 +190,161 @@ class TestBatching:
                 result = ticket.wait(30)
                 assert gzip.decompress(result.output) == data
                 assert result.batch_size == 1
+
+
+class TestDispatchWindow:
+    """The dispatcher keeps a window of jobs in flight on exec workers.
+
+    Every test holds jobs in their workers with the exec pool's
+    ``default_delay_s`` hook, so "in flight" is a state the test can
+    observe (claim records) rather than a race it has to win.
+    """
+
+    DELAY_S = 0.4
+
+    @pytest.fixture()
+    def fleet(self):
+        from repro.exec import ProcessWorkerPool
+
+        exec_pool = ProcessWorkerPool(2, name="test-window")
+        exec_pool.warm()
+        exec_pool.default_delay_s = self.DELAY_S
+        yield exec_pool
+        exec_pool.shutdown()
+        assert exec_pool.allocator.retained_bytes == 0
+
+    @pytest.fixture()
+    def serve_on(self, fleet):
+        """Factory: a service over ``fleet``; closed at teardown."""
+        made = []
+
+        def factory(**kwargs) -> CompressionService:
+            pool = AcceleratorPool("POWER9", chips=1, backend="software",
+                                   exec_pool=fleet)
+            made.append(CompressionService(pool, **kwargs))
+            return made[-1]
+
+        yield factory
+        for svc in made:
+            svc.close()
+            svc.pool.close()
+
+    @staticmethod
+    def _await_claims(fleet, count: int, tickets=()) -> None:
+        deadline = time.monotonic() + 30.0
+        while len(fleet._claimed) < count:
+            assert time.monotonic() < deadline, "workers never claimed"
+            assert not any(ticket.done for ticket in tickets)
+            time.sleep(0.005)
+
+    def test_two_callers_overlap_on_two_workers(self, fleet, serve_on):
+        payloads = [generate("json_records", 6000, seed=s) for s in (1, 2)]
+        svc = serve_on()
+        tickets = [svc.submit("compress", p, qos="bulk") for p in payloads]
+        # Both jobs claimed, by different workers, before either
+        # completes: the window put them in flight together.
+        self._await_claims(fleet, 2, tickets)
+        assert len(set(fleet._claimed)) == 2
+        assert not any(ticket.done for ticket in tickets)
+        results = [ticket.wait(30) for ticket in tickets]
+        assert [gzip.decompress(r.output) for r in results] == payloads
+        assert [r.batch_size for r in results] == [1, 2]
+
+    def test_interactive_takes_next_free_slot(self, fleet, serve_on):
+        """High FIFO first at every free slot; the starvation bound
+        still forces a normal pick while high work keeps waiting."""
+        svc = serve_on(starvation_bound=2)
+        order: list[bytes] = []
+        real_submit = svc.pool.submit_compress
+
+        def recording_submit(data, **kwargs):
+            order.append(data[:2])
+            return real_submit(data, **kwargs)
+
+        svc.pool.submit_compress = recording_submit
+
+        def submit(tag: bytes, qos: str):
+            return svc.submit("compress", tag + b"." * 3000, qos=qos)
+
+        tickets = [submit(b"b0", "bulk"), submit(b"b1", "bulk")]
+        self._await_claims(fleet, 2, tickets)
+        # Window full: one more bulk queues, then three interactive.
+        tickets.append(submit(b"b2", "bulk"))
+        tickets += [submit(tag, "interactive")
+                    for tag in (b"i0", b"i1", b"i2")]
+        for ticket in tickets:
+            assert ticket.wait(30).output
+        assert order == [b"b0", b"b1", b"i0", b"i1", b"b2", b"i2"]
+
+    def test_worker_killed_mid_window(self, fleet, serve_on):
+        """Every ticket resolves exactly once, with the right bytes."""
+        import glob
+
+        slabs_before = set(glob.glob("/dev/shm/repro-exec-*"))
+        payloads = [generate("markov_text", 5000, seed=s)
+                    for s in range(6)]
+        svc = serve_on()
+        server = serve(svc, port=0)
+        replies: dict[int, bytes] = {}
+
+        def caller(indices):
+            with ServiceClient("127.0.0.1", server.port) as client:
+                for i in indices:
+                    replies[i] = client.request(
+                        "compress", payloads[i], qos="bulk").output
+
+        callers = [threading.Thread(target=caller, args=(idx,))
+                   for idx in ((0, 2, 4), (1, 3, 5))]
+        try:
+            for thread in callers:
+                thread.start()
+            self._await_claims(fleet, 2)
+            victim = next(iter(fleet._procs.values()))
+            victim.terminate()
+            for thread in callers:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert [gzip.decompress(replies[i]) for i in range(6)] \
+                == payloads
+            with ServiceClient("127.0.0.1", server.port) as client:
+                doc = client.stats()
+            assert doc["completed"] == 6 and doc["failed"] == 0
+            assert doc["dedup"]["stores"] == 6
+            assert doc["dedup"]["duplicate_stores"] == 0
+            assert fleet.worker_restarts == 1
+            assert svc.pool.stats().rescues == 1
+        finally:
+            server.shutdown()
+        svc.close()
+        fleet.shutdown()
+        assert set(glob.glob("/dev/shm/repro-exec-*")) <= slabs_before
+
+    def test_drain_waits_for_a_full_window(self, fleet, serve_on):
+        svc = serve_on()
+        tickets = [svc.submit("compress", b"d" * 4000, qos="bulk")
+                   for _ in range(3)]
+        self._await_claims(fleet, 2, tickets)
+        assert svc.drain(timeout_s=30)
+        # drain() returning is the claim: nothing is still in flight.
+        assert all(ticket.done for ticket in tickets)
+        assert svc.pool.in_flight == 0
+        for ticket in tickets:
+            assert gzip.decompress(ticket.wait(0).output) == b"d" * 4000
+
+    def test_deadline_expires_behind_a_full_window(self, fleet, serve_on):
+        svc = serve_on()
+        tickets = [svc.submit("compress", b"w" * 4000, qos="bulk")
+                   for _ in range(2)]
+        self._await_claims(fleet, 2, tickets)
+        doomed = svc.submit("compress", b"late" * 100, qos="bulk",
+                            deadline_s=self.DELAY_S / 4)
+        with pytest.raises(DeadlineExceeded):
+            doomed.wait(30)
+        for ticket in tickets:
+            assert ticket.wait(30).output
+        assert svc.stats().expired == 1
+        # Expired at dequeue, never executed.
+        assert fleet.jobs_dispatched == 2
 
 
 class TestLifecycle:
@@ -251,15 +435,7 @@ class TestTimingBreakdown:
 
     def test_held_execution_is_service_time_not_queue_wait(self):
         pool = AcceleratorPool(chips=1)
-        started, release = threading.Event(), threading.Event()
-        real_compress = pool.compress
-
-        def gated_compress(*args, **kwargs):
-            started.set()
-            assert release.wait(30)
-            return real_compress(*args, **kwargs)
-
-        pool.compress = gated_compress
+        started, release = gate_submits(pool)
         try:
             with CompressionService(pool) as svc:
                 submitted = time.perf_counter()

@@ -3,9 +3,9 @@
 The acceptance path for the observability plane: one job submitted
 through :class:`ServiceClient` against a served fleet with process
 workers must come out of the exporter as a *single* trace tree —
-client → service.request → service.batch → pool.route → worker.job →
-kernel — under the client's wire trace id, and the exec layer must fold
-worker telemetry exactly once even when a worker crashes mid-job and
+client → service.request → pool.route → worker.job → kernel — under
+the client's wire trace id, and the exec layer must fold worker
+telemetry exactly once even when a worker crashes mid-job and
 the job is resubmitted.
 """
 
@@ -27,8 +27,8 @@ from repro.service.server import serve
 from repro.workloads.generators import generate
 
 #: Span names the single served trace must nest, client to kernel.
-CHAIN = {"client.request", "service.request", "service.batch",
-         "pool.route", "worker.job", "backend.submit"}
+CHAIN = {"client.request", "service.request", "pool.route",
+         "worker.job", "backend.submit"}
 
 
 def crash_once_counting(marker: str, value: object = None) -> object:

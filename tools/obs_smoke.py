@@ -34,9 +34,9 @@ from repro.service import ServiceClient
 from repro.workloads.generators import generate
 
 #: Spans the served trace tree must contain, per the propagation chain
-#: service.request → service.batch → pool.route → worker.job → kernel.
-SERVED_SPANS = {"service.request", "service.batch", "pool.route",
-                "worker.job", "backend.submit"}
+#: service.request → pool.route → worker.job → kernel.
+SERVED_SPANS = {"service.request", "pool.route", "worker.job",
+                "backend.submit"}
 
 
 def _tree_names(node: dict, out: set | None = None) -> set:

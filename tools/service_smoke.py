@@ -3,9 +3,11 @@
 Starts a :class:`CompressionServer` on an ephemeral port, drives
 concurrent round trips across every default QoS class through the wire
 protocol, exercises a structured rejection against a tiny queue, and
-finishes with a clean drain.  Functional coverage lives in
-``tests/test_service.py``; this script is the end-to-end "does the
-server actually serve over a socket" bit for CI.
+finishes with a clean drain, then serves two concurrent clients from a
+server with two exec workers and checks that their jobs overlapped.
+Functional coverage lives in ``tests/test_service.py``; this script is
+the end-to-end "does the server actually serve over a socket" bit for
+CI.
 
 Usage::
 
@@ -15,7 +17,9 @@ Usage::
 from __future__ import annotations
 
 import gzip
+import os
 import threading
+import time
 
 from repro.errors import ServiceOverloaded
 from repro.service import (
@@ -53,6 +57,62 @@ def _round_trips(port: int, failures: list[str]) -> None:
                     failures.append(f"decompress mismatch for {qos}")
     except Exception as exc:  # noqa: BLE001 - smoke reports, not raises
         failures.append(f"client crashed: {exc!r}")
+
+
+def exec_overlap_phase() -> str | None:
+    """Two clients against ``exec_workers=2``: their jobs must overlap.
+
+    Returns a failure message, or None.  Jobs dwell in their workers
+    (the exec pool's ``default_delay_s`` hook), so overlap is read off
+    the workers' claim records while both are held, then cross-checked
+    against the ``batch_size`` reply header and the ``stats`` op.
+    """
+    payloads = [generate("json_records", 32768, seed=s) for s in (1, 2)]
+    replies: dict[int, object] = {}
+    with CompressionService(machine="z15", chips=2, backend="dfltcc",
+                            exec_workers=2) as service:
+        server = serve(service, port=0)
+        exec_pool = service.pool._exec()
+        exec_pool.warm()
+        exec_pool.default_delay_s = 0.5
+
+        def client(i: int) -> None:
+            with ServiceClient("127.0.0.1", server.port) as conn:
+                replies[i] = conn.request("compress", payloads[i],
+                                          qos="bulk")
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            claimed: set[int] = set()
+            deadline = time.monotonic() + 60.0
+            while len(claimed) < 2 and time.monotonic() < deadline \
+                    and any(thread.is_alive() for thread in threads):
+                claimed = set(exec_pool._claimed)
+                time.sleep(0.005)
+            for thread in threads:
+                thread.join(60.0)
+            with ServiceClient("127.0.0.1", server.port) as conn:
+                stats = conn.stats()
+        finally:
+            exec_pool.default_delay_s = 0.0
+            server.shutdown()
+    if len(claimed) < 2:
+        return (f"exec workers never held two claims at once "
+                f"(saw workers {sorted(claimed)})")
+    if len(replies) != 2 or any(
+            gzip.decompress(replies[i].output) != payloads[i]
+            for i in range(2)):
+        return "exec phase: missing or wrong reply bytes"
+    if sorted(reply.batch_size for reply in replies.values()) != [1, 2]:
+        return ("exec phase: replies do not show one job dispatched "
+                "beside the other (batch_size "
+                f"{[r.batch_size for r in replies.values()]})")
+    if stats["completed"] != 2 or stats["failed"] != 0:
+        return f"exec phase: stats op reports {stats}"
+    return None
 
 
 def main() -> int:
@@ -117,9 +177,20 @@ def main() -> int:
             print("service smoke FAILED: drain left work in service")
             return 1
 
+    # Part 4: the dispatch window puts two callers on two workers.
+    if (os.cpu_count() or 1) < 2:
+        overlap = "skipped (needs 2 CPUs)"
+        print("exec overlap phase skipped: os.cpu_count() < 2")
+    else:
+        failure = exec_overlap_phase()
+        if failure is not None:
+            print(f"service smoke FAILED: {failure}")
+            return 1
+        overlap = "two exec jobs overlapped"
+
     print(f"service smoke passed: {expected} round trips over the "
           f"wire across {CLIENTS} clients, {shed} retryable "
-          "rejections, clean drain")
+          f"rejections, clean drain, {overlap}")
     return 0
 
 
