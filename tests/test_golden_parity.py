@@ -137,3 +137,33 @@ def test_dictsvc_canned_bitstream(dictsvc_setup, stream: dict) -> None:
     assert hashlib.sha256(result.data).hexdigest() == stream["sha256"]
     # The stream is ordinary DEFLATE: stock zlib must inflate it.
     assert zlib.decompress(result.data, wbits=-15) == buf
+
+
+# -- framed-output goldens: every producer of a wire format ------------------
+
+GOLDEN_CONTAINERS = pathlib.Path(__file__).parent / "data" \
+    / "golden_containers.json"
+_CONTAINERS = json.loads(GOLDEN_CONTAINERS.read_text())
+
+
+def test_container_grid_is_the_recorded_one() -> None:
+    """A producer added to (or dropped from) the recorder needs the
+    golden file re-recorded, on the commit *before* the change."""
+    import tools.record_goldens as record_goldens
+
+    grid = {f"{name}/{payload}"
+            for name in record_goldens.container_producers()
+            for payload in record_goldens.CONTAINER_PAYLOADS}
+    assert grid == set(_CONTAINERS)
+
+
+@pytest.mark.parametrize("case", sorted(_CONTAINERS))
+def test_container_golden_case(case: str) -> None:
+    """Same framed bytes — header, body, trailer — and the same
+    modelled seconds as when the file was recorded."""
+    import tools.record_goldens as record_goldens
+
+    name, payload = case.split("/")
+    producer = record_goldens.container_producers()[name]
+    fresh = record_goldens.record_container_case(producer, _DATA[payload])
+    assert fresh == _CONTAINERS[case]

@@ -14,6 +14,15 @@ lengths and priming bytes — training must be byte-identical run to
 run) plus the SHA-256 of canned-DHT bitstreams the engine emits with
 those tables pushed.  ``tests/test_golden_parity.py`` replays both.
 
+And ``tests/data/golden_containers.json``: SHA-256 and length of the
+*framed* output (gzip / zlib / raw, plus 842 where a producer has it) of
+every code path that writes a wire format — the container helpers, the
+software re-encode, the driver's software fallback, the pool's rescue
+and verify repair, the four backends, and the streaming writers — and
+the modelled seconds of those that charge any.  The grid only goes
+through names that survive a refactor of the framing code, so the file
+recorded before such a change must replay unchanged after it.
+
 Only re-run this when an *intentional* bitstream change lands — the whole
 point of the file is that rewrites keep it byte-identical.
 """
@@ -32,6 +41,7 @@ from repro.workloads.generators import generate
 OUT = (pathlib.Path(__file__).resolve().parent.parent
        / "tests" / "data" / "golden_deflate.json")
 OUT_DICTSVC = OUT.parent / "golden_dictsvc.json"
+OUT_CONTAINERS = OUT.parent / "golden_containers.json"
 
 #: Training grid for the dictsvc goldens (mirrors `repro dict train`).
 DICTSVC_TRAIN = {"corpus": "cloud-like", "scale": 0.25, "seed": 7,
@@ -180,6 +190,200 @@ def record_dictsvc() -> dict:
     }
 
 
+# -- framed outputs: every producer of a wire format --------------------------
+
+CONTAINER_PAYLOADS = ("text", "json", "empty")
+_WIRE_FORMATS = ("gzip", "zlib", "raw")
+_LEVELS = (1, 6, 9)
+_WBITS = {"gzip": 31, "zlib": 15, "raw": -15}
+_STREAM_CHUNK = 8192
+_MTIME = 1_234_567_890
+
+
+def _zdict() -> bytes:
+    return payloads()["json"][:2048]
+
+
+def _chunks(data: bytes) -> list[bytes]:
+    return [data[i:i + _STREAM_CHUNK]
+            for i in range(0, len(data), _STREAM_CHUNK)]
+
+
+def _timed(result) -> tuple[bytes, float]:
+    return result.output, result.stats.elapsed_seconds
+
+
+def _driver_fallback(data: bytes, fmt: str) -> tuple[bytes, float]:
+    """Every translation faults, so the retry budget runs out and the
+    driver finishes the job in software."""
+    from repro.nx.accelerator import NxAccelerator
+    from repro.nx.params import POWER9
+    from repro.sysstack.crb import Op
+    from repro.sysstack.driver import NxDriver
+    from repro.sysstack.mmu import AddressSpace, FaultInjector
+
+    driver = NxDriver(NxAccelerator(POWER9),
+                      AddressSpace(fault_injector=FaultInjector(1.0)),
+                      max_retries=2)
+    op, driver_fmt = ((Op.COMPRESS_842, "raw") if fmt == "842"
+                      else (Op.COMPRESS, fmt))
+    result = driver.run(op, data, fmt=driver_fmt)
+    driver.close()
+    assert result.stats.fallback_to_software, fmt
+    return _timed(result)
+
+
+def _pool_rescue(data: bytes, fmt: str) -> tuple[bytes, float]:
+    """A synchronous job on a chip with an async job pasted is refused
+    by the driver and re-run in software by the pool."""
+    from repro.backend import AcceleratorPool
+    from repro.nx.params import POWER9
+
+    with AcceleratorPool(POWER9, chips=1, backend="nx") as pool:
+        pool.submit_compress(b"in flight" * 64, fmt="raw")
+        result = pool.compress(data, fmt=fmt)
+        pool.wait_all()
+        assert pool.stats().rescues == 1, fmt
+    return _timed(result)
+
+
+def _corrupting(accelerator) -> None:
+    from repro.resilience.faults import FaultInjector, FaultPlan
+
+    FaultInjector([FaultPlan("corrupt_output", probability=1.0)],
+                  seed=3).install(accelerator)
+
+
+def _pool_verify_repair(data: bytes, fmt: str) -> tuple[bytes, float]:
+    from repro.backend import AcceleratorPool
+    from repro.nx.params import POWER9
+
+    with AcceleratorPool(POWER9, chips=1, backend="nx",
+                         verify=True) as pool:
+        _corrupting(pool.backend_for(0).accelerator)
+        result = pool.compress(data, fmt=fmt)
+        assert pool.stats().verify_failures == 1, fmt
+    return _timed(result)
+
+
+def _api_verify_repair(data: bytes, fmt: str) -> tuple[bytes, float]:
+    from repro import NxGzip
+
+    with NxGzip("POWER9", verify=True) as session:
+        _corrupting(session.accelerator)
+        buf = (session.compress_842(data) if fmt == "842"
+               else session.compress(data, fmt=fmt))
+        assert session.verify_failures == 1, fmt
+    return buf.data, buf.modelled_seconds
+
+
+def _backend(name: str, data: bytes, fmt: str, **kwargs
+             ) -> tuple[bytes, float]:
+    from repro.backend import create_backend
+
+    with create_backend(name, **kwargs) as handle:
+        return _timed(handle.compress(data, fmt=fmt))
+
+
+def _nx_stream(data: bytes, fmt: str) -> bytes:
+    from repro import NxGzip
+
+    with NxGzip("POWER9") as session:
+        stream = session.compress_stream(fmt=fmt)
+        return b"".join(stream.write(chunk)
+                        for chunk in _chunks(data)) + stream.finish()
+
+
+def _compressobj(data: bytes, fmt: str) -> bytes:
+    from repro.deflate.zlib_like import compressobj
+
+    obj = compressobj(level=6, wbits=_WBITS[fmt])
+    return b"".join(obj.compress(chunk)
+                    for chunk in _chunks(data)) + obj.flush()
+
+
+def container_producers() -> dict:
+    """``name -> producer(data)``; a producer returns the framed bytes,
+    or ``(bytes, modelled_seconds)`` where the path charges time."""
+    from repro.deflate import containers, zlib_like
+    from repro.nx.params import POWER9
+    from repro.resilience.verify import software_compress
+
+    def body(data):
+        return deflate(data, level=6).data
+
+    grid = {
+        "gzip_compress-mtime": lambda d: containers.gzip_compress(
+            d, level=6, mtime=_MTIME),
+        "zlib_compress-zdict": lambda d: containers.zlib_compress(
+            d, level=6, zdict=_zdict()),
+        "wrap_gzip": lambda d: containers.wrap_gzip(body(d), d),
+        "wrap_gzip-mtime": lambda d: containers.wrap_gzip(body(d), d,
+                                                          mtime=_MTIME),
+        "wrap_zlib": lambda d: containers.wrap_zlib(body(d), d),
+        "zlib_like-zlib-zdict": lambda d: zlib_like.compress(
+            d, wbits=15, zdict=_zdict()),
+        "zlib_like-raw-zdict": lambda d: zlib_like.compress(
+            d, wbits=-15, zdict=_zdict()),
+    }
+    for level in _LEVELS:
+        grid[f"gzip_compress-l{level}"] = (
+            lambda d, level=level: containers.gzip_compress(d, level=level))
+        grid[f"zlib_compress-l{level}"] = (
+            lambda d, level=level: containers.zlib_compress(d, level=level))
+        for fmt in _WIRE_FORMATS:
+            grid[f"zlib_like-l{level}-{fmt}"] = (
+                lambda d, level=level, fmt=fmt: zlib_like.compress(
+                    d, level=level, wbits=_WBITS[fmt]))
+            grid[f"software_compress-l{level}-{fmt}"] = (
+                lambda d, level=level, fmt=fmt: software_compress(
+                    d, fmt=fmt, level=level, machine=POWER9))
+            grid[f"software-l{level}-{fmt}"] = (
+                lambda d, level=level, fmt=fmt: _backend(
+                    "software", d, fmt, level=level))
+            grid[f"software_parallel-l{level}-{fmt}"] = (
+                lambda d, level=level, fmt=fmt: _backend(
+                    "software-parallel", d, fmt, level=level, workers=1,
+                    chunk_size=_STREAM_CHUNK))
+    grid["software_compress-842"] = lambda d: software_compress(
+        d, fmt="842", machine=POWER9)
+    for fmt in _WIRE_FORMATS + ("842",):
+        grid[f"driver_fallback-{fmt}"] = (
+            lambda d, fmt=fmt: _driver_fallback(d, fmt))
+        grid[f"api_verify_repair-{fmt}"] = (
+            lambda d, fmt=fmt: _api_verify_repair(d, fmt))
+        grid[f"nx-{fmt}"] = lambda d, fmt=fmt: _backend("nx", d, fmt)
+    for fmt in _WIRE_FORMATS:
+        grid[f"pool_rescue-{fmt}"] = lambda d, fmt=fmt: _pool_rescue(d, fmt)
+        grid[f"pool_verify_repair-{fmt}"] = (
+            lambda d, fmt=fmt: _pool_verify_repair(d, fmt))
+        grid[f"dfltcc-{fmt}"] = (
+            lambda d, fmt=fmt: _backend("dfltcc", d, fmt, machine="z15"))
+        grid[f"nx_stream-{fmt}"] = lambda d, fmt=fmt: _nx_stream(d, fmt)
+        grid[f"compressobj-{fmt}"] = (
+            lambda d, fmt=fmt: _compressobj(d, fmt))
+    return grid
+
+
+def record_container_case(producer, data: bytes) -> dict:
+    """Fingerprint of one producer's output on one payload."""
+    made = producer(data)
+    framed, seconds = made if isinstance(made, tuple) else (made, None)
+    entry = {"sha256": hashlib.sha256(framed).hexdigest(),
+             "length": len(framed)}
+    if seconds is not None:
+        entry["seconds"] = seconds
+    return entry
+
+
+def record_containers() -> dict:
+    data_by_name = payloads()
+    return {f"{name}/{payload}": record_container_case(
+                producer, data_by_name[payload])
+            for name, producer in container_producers().items()
+            for payload in CONTAINER_PAYLOADS}
+
+
 def main() -> int:
     data_by_name = payloads()
     entries = [record_case(case, data_by_name) for case in cases()]
@@ -190,6 +394,9 @@ def main() -> int:
     OUT_DICTSVC.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {OUT_DICTSVC} ({len(golden['dictionaries'])} "
           f"dictionaries, {len(golden['streams'])} streams)")
+    framed = record_containers()
+    OUT_CONTAINERS.write_text(json.dumps(framed, indent=1) + "\n")
+    print(f"wrote {OUT_CONTAINERS} ({len(framed)} framed outputs)")
     return 0
 
 
