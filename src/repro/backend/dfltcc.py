@@ -12,14 +12,12 @@ check value.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import replace
 
-from ..deflate.checksums import adler32
-from ..deflate.containers import (decompress_target_len, frame_gzip,
-                                  gzip_header_length, wrap_zlib)
-from ..errors import AcceleratorError, ChecksumError, ConfigError, \
-    DeflateError
+from ..deflate.containers import (FORMATS, body_start, checksum,
+                                  decompress_target_len, frame,
+                                  require_format, verify_trailer)
+from ..errors import AcceleratorError
 from ..nx.dht import DhtStrategy, canned_names
 from ..nx.params import Z15, MachineParams, get_machine
 from ..nx.z15 import ConditionCode, Dfltcc, ParameterBlock
@@ -28,8 +26,6 @@ from ..obs.trace import TRACE as _TRACE
 from ..perf.cost import accelerator_effective_gbps
 from ..sysstack.driver import DriverResult, SubmissionStats
 from .base import BackendCapabilities, CompressionBackend
-
-_FORMATS = ("gzip", "zlib", "raw")
 
 
 class DfltccBackend(CompressionBackend):
@@ -47,7 +43,7 @@ class DfltccBackend(CompressionBackend):
         self._facility = Dfltcc(machine=machine, processing_quantum=quantum)
         self._caps = BackendCapabilities(
             name=self.name,
-            formats=_FORMATS,
+            formats=FORMATS,
             strategies=tuple(s.value for s in DhtStrategy),
             synchronous=True,
             hardware=True,
@@ -70,8 +66,7 @@ class DfltccBackend(CompressionBackend):
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
                   history: bytes, final: bool) -> DriverResult:
-        if fmt not in _FORMATS:
-            raise ConfigError(f"dfltcc backend does not produce {fmt!r}")
+        require_format(fmt, history, final)
         block = ParameterBlock(dht_strategy=DhtStrategy(strategy),
                                history=history)
         body = bytearray()
@@ -96,30 +91,20 @@ class DfltccBackend(CompressionBackend):
             _REGISTRY.counter("repro_backend_dfltcc_invocations_total",
                               "DFLTCC instruction issues").inc(
                 invocations, fn="cmpr")
-        if fmt == "raw":
-            output = bytes(body)
-        elif history or not final:
-            raise ConfigError(
-                f"{fmt!r} container requires a whole stream; "
-                "use fmt='raw' for continuation units")
-        elif fmt == "zlib":
-            output = wrap_zlib(bytes(body), data)
-        else:
-            # The facility accumulated the CRC-32 chunk by chunk in the
-            # parameter block: no second pass over the input.
-            output = frame_gzip(bytes(body), block.check_value,
-                                block.total_in)
+        # The facility accumulated the CRC-32 chunk by chunk in the
+        # parameter block: gzip makes no second pass over the input.
+        output = frame(fmt, bytes(body),
+                       checksum(fmt, data, crc=block.check_value),
+                       block.total_in)
         stats = SubmissionStats(submissions=invocations,
                                 elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
 
     def _decompress(self, payload: bytes, fmt: str,
                     history: bytes) -> DriverResult:
-        if fmt not in _FORMATS:
-            raise ConfigError(f"dfltcc backend does not decode {fmt!r}")
-        header = _header_length(payload, fmt)
+        header, window = body_start(fmt, payload, zdict=history)
         body = payload[header:]
-        block = ParameterBlock(history=history)
+        block = ParameterBlock(history=window)
         capacity = decompress_target_len(payload, fmt)
         invocations = 0
         while True:
@@ -134,8 +119,12 @@ class DfltccBackend(CompressionBackend):
                 capacity *= 2
                 continue
             raise AcceleratorError(f"unexpected CC {result.cc!r}")
-        _verify_trailer(payload, header + result.consumed, result.produced,
-                        block.check_value, fmt)
+        # The trailer XPND stopped at, against the check value the
+        # facility accumulated while expanding (gzip: no second pass).
+        verify_trailer(fmt, payload, header + result.consumed,
+                       checksum(fmt, result.produced,
+                                crc=block.check_value),
+                       len(result.produced))
         if _REGISTRY.enabled:
             _REGISTRY.counter("repro_backend_dfltcc_invocations_total",
                               "DFLTCC instruction issues").inc(
@@ -144,36 +133,3 @@ class DfltccBackend(CompressionBackend):
                                 elapsed_seconds=result.seconds)
         return DriverResult(output=result.produced, csb=None, stats=stats)
 
-
-def _header_length(payload: bytes, fmt: str) -> int:
-    """Bytes of container framing in front of the raw deflate body."""
-    if fmt == "raw":
-        return 0
-    if fmt == "zlib":
-        if len(payload) < 6:
-            raise DeflateError("zlib stream too short")
-        return 2
-    return gzip_header_length(payload)
-
-
-def _verify_trailer(payload: bytes, tail: int, output: bytes,
-                    check_value: int, fmt: str) -> None:
-    """Check the container trailer at ``tail`` (where XPND stopped).
-
-    gzip compares the CRC-32 the facility accumulated in the parameter
-    block while expanding — no second pass over the plaintext.
-    """
-    if fmt == "zlib":
-        if tail + 4 > len(payload):
-            raise DeflateError("zlib stream truncated before Adler-32")
-        (expected,) = struct.unpack_from(">I", payload, tail)
-        if adler32(output) != expected:
-            raise ChecksumError("zlib Adler-32 mismatch")
-    elif fmt == "gzip":
-        if tail + 8 > len(payload):
-            raise DeflateError("gzip stream truncated before trailer")
-        expected_crc, isize = struct.unpack_from("<II", payload, tail)
-        if check_value != expected_crc:
-            raise ChecksumError("gzip CRC-32 mismatch")
-        if (len(output) & 0xFFFFFFFF) != isize:
-            raise ChecksumError("gzip ISIZE mismatch")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from ..deflate.containers import FORMATS
 from ..errors import ConfigError
 from ..nx.accelerator import NxAccelerator
 from ..nx.dht import DhtStrategy, canned_names
@@ -29,7 +30,7 @@ from ..sysstack.driver import (DEFAULT_MAX_RETRIES, AsyncNxDriver,
 from ..sysstack.mmu import AddressSpace, FaultInjector
 from .base import BackendCapabilities, CompressionBackend
 
-_FORMATS = ("gzip", "zlib", "raw", "842")
+_FORMATS = FORMATS + ("842",)
 
 _COMPRESS_OPS = {"compress": Op.COMPRESS, "decompress": Op.DECOMPRESS}
 

@@ -50,8 +50,8 @@ from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 from ..perf.routing import MultiChipRouter, RoutingResult, choose_chip
 from ..resilience.health import HealthConfig, HealthTracker
-from ..resilience.verify import (decode_payload, note_mismatch,
-                                 software_compress, verify_payload)
+from ..resilience.verify import (note_mismatch, run_in_software,
+                                 verify_payload)
 from ..sysstack.driver import DriverResult, SubmissionStats
 from .base import CompressionBackend
 from .registry import create_backend, default_backend
@@ -431,7 +431,7 @@ class AcceleratorPool:
             if chip == SOFTWARE:
                 raise
             self._note_health(chip, healthy=False)
-            result = self._rescue(kind, data, fmt, exc)
+            result = self._rescue(kind, data, fmt, exc, history, final)
         else:
             self._note_health(chip, healthy=_hardware_clean(result))
         do_verify = self.verify if verify is None else verify
@@ -450,8 +450,10 @@ class AcceleratorPool:
             self.health.record_failure(chip)
 
     def _rescue(self, kind: str, data: bytes, fmt: str,
-                cause: Exception) -> DriverResult:
-        """Re-run a failed hardware job on the calling core.
+                cause: Exception, history: bytes = b"",
+                final: bool = True) -> DriverResult:
+        """Re-run a failed hardware job on the calling core, as the
+        request it was: same window, same final bit.
 
         Raises the original ``cause`` when rescue is disabled — the
         caller asked for fail-fast semantics.
@@ -468,17 +470,11 @@ class AcceleratorPool:
                 "repro_resilience_rescues_total",
                 "hardware jobs re-run in software after a failure").inc(
                 1, kind=kind)
-        stats = SubmissionStats(fallback_to_software=True)
-        if kind == "compress":
-            output, seconds = software_compress(data, fmt=fmt,
-                                                machine=self.machine)
-        else:
-            from ..perf.cost import SoftwareCostModel
-
-            output = decode_payload(data, fmt)
-            seconds = SoftwareCostModel(self.machine).decompress_seconds(
-                len(output))
-        stats.elapsed_seconds = seconds
+        output, seconds = run_in_software(
+            kind, data, fmt, history=history, final=final,
+            machine=self.machine)
+        stats = SubmissionStats(fallback_to_software=True,
+                                elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
 
     def _verified(self, chip: int, original: bytes, fmt: str,
@@ -494,8 +490,8 @@ class AcceleratorPool:
         with self._lock:
             self.verify_failures += 1
         self._note_health(chip, healthy=False)
-        output, seconds = software_compress(original, fmt=fmt,
-                                            machine=self.machine)
+        output, seconds = run_in_software("compress", original, fmt,
+                                          machine=self.machine)
         with self._lock:
             self.rescues += 1
         stats = result.stats

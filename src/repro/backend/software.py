@@ -10,16 +10,13 @@ same rates the driver's fallback path uses.
 
 from __future__ import annotations
 
-from ..deflate import (deflate, gzip_compress, gzip_decompress,
-                       inflate_with_stats, zlib_compress, zlib_decompress)
-from ..errors import ConfigError
+from ..deflate.containers import FORMATS, require_format
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.trace import TRACE as _TRACE
 from ..perf.cost import SoftwareCostModel
+from ..resilience.verify import run_in_software
 from ..sysstack.driver import DriverResult, SubmissionStats
 from .base import BackendCapabilities, CompressionBackend
-
-_FORMATS = ("gzip", "zlib", "raw")
 
 
 class SoftwareZlibBackend(CompressionBackend):
@@ -37,7 +34,7 @@ class SoftwareZlibBackend(CompressionBackend):
         self._cost = SoftwareCostModel(machine)
         self._caps = BackendCapabilities(
             name=self.name,
-            formats=_FORMATS,
+            formats=FORMATS,
             strategies=("auto",),  # zlib has levels, not DHT strategies
             synchronous=True,
             hardware=False,
@@ -54,41 +51,20 @@ class SoftwareZlibBackend(CompressionBackend):
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
                   history: bytes, final: bool) -> DriverResult:
-        if fmt == "raw":
-            output = deflate(data, level=self.level, history=history,
-                             final=final).data
-        elif fmt == "zlib":
-            self._whole_stream_only(history, final, fmt)
-            output = zlib_compress(data, level=self.level)
-        elif fmt == "gzip":
-            self._whole_stream_only(history, final, fmt)
-            output = gzip_compress(data, level=self.level)
-        else:
-            raise ConfigError(f"software backend does not produce {fmt!r}")
+        require_format(fmt, history, final)
+        output, seconds = run_in_software(
+            "compress", data, fmt, level=self.level, history=history,
+            final=final, machine=self.machine)
         if _TRACE.enabled:
             _TRACE.event("software.deflate", level=self.level)
-        seconds = self._cost.compress_seconds(len(data), level=self.level)
         stats = SubmissionStats(submissions=1, elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
 
     def _decompress(self, payload: bytes, fmt: str,
                     history: bytes) -> DriverResult:
-        if fmt == "raw":
-            output, _stats, _bits = inflate_with_stats(payload,
-                                                       history=history)
-        elif fmt == "zlib":
-            output = zlib_decompress(payload, zdict=history)
-        elif fmt == "gzip":
-            output = gzip_decompress(payload)
-        else:
-            raise ConfigError(f"software backend does not decode {fmt!r}")
-        seconds = self._cost.decompress_seconds(len(output))
+        require_format(fmt)
+        output, seconds = run_in_software(
+            "decompress", payload, fmt, history=history,
+            machine=self.machine)
         stats = SubmissionStats(submissions=1, elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
-
-    @staticmethod
-    def _whole_stream_only(history: bytes, final: bool, fmt: str) -> None:
-        if history or not final:
-            raise ConfigError(
-                f"{fmt!r} container requires a whole stream; "
-                "use fmt='raw' for continuation units")

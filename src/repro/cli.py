@@ -42,6 +42,7 @@ from .backend import (ROUTING_POLICIES, AcceleratorPool,
                       backend_capabilities, backend_names)
 from .core.metrics import Table, human_bytes
 from .core.offload import OffloadAdvisor
+from .deflate.containers import FORMATS, SUFFIXES
 from .errors import ReproError
 from .nx.params import MACHINES, get_machine
 
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("input", type=pathlib.Path)
     p_comp.add_argument("-o", "--output", type=pathlib.Path)
     p_comp.add_argument("--fmt", default="gzip",
-                        choices=["gzip", "zlib", "raw"])
+                        choices=FORMATS)
     p_comp.add_argument("--strategy", default="auto",
                         choices=["auto", "fixed", "dynamic", "canned"])
     p_comp.add_argument("--verify", action="store_true",
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("input", type=pathlib.Path)
     p_dec.add_argument("-o", "--output", type=pathlib.Path)
     p_dec.add_argument("--fmt", default="gzip",
-                       choices=["gzip", "zlib", "raw"])
+                       choices=FORMATS)
     p_dec.add_argument("--deadline-ms", type=float, default=None,
                        help="per-job deadline in modelled milliseconds")
     p_dec.add_argument("--parallel-workers", type=int, default=None,
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("-o", "--output", type=pathlib.Path,
                        help="write bytes here instead of stdout")
     p_cat.add_argument("--fmt", default="gzip",
-                       choices=["gzip", "zlib", "raw"])
+                       choices=FORMATS)
     p_cat.add_argument("--range", default=None, metavar="OFF:LEN",
                        help="uncompressed byte range to serve "
                             "(e.g. 1048576:4096)")
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="QoS class (interactive/batch/bulk)")
     p_sub.add_argument("--tenant", default="")
     p_sub.add_argument("--fmt", default="gzip",
-                       choices=["gzip", "zlib", "raw"])
+                       choices=FORMATS)
     p_sub.add_argument("--deadline-ms", type=float, default=None)
     p_sub.add_argument("--retries", type=int, default=3,
                        help="retry budget for overload rejections "
@@ -372,7 +373,7 @@ def _run_session(args: argparse.Namespace, kind: str,
 def cmd_compress(args: argparse.Namespace) -> int:
     data = args.input.read_bytes()
     payload, seconds = _run_session(args, "compress", data)
-    suffix = {"gzip": ".gz", "zlib": ".zz", "raw": ".deflate"}[args.fmt]
+    suffix = SUFFIXES[args.fmt]
     output = args.output or args.input.with_name(args.input.name + suffix)
     output.write_bytes(payload)
     ratio = len(data) / len(payload) if payload else 0.0
@@ -902,7 +903,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
                                 tenant=args.tenant, fmt=args.fmt,
                                 deadline_s=deadline_s,
                                 retries=args.retries)
-    suffix = {"gzip": ".gz", "zlib": ".zz", "raw": ".deflate"}[args.fmt]
+    suffix = SUFFIXES[args.fmt]
     default = (args.input.with_name(args.input.name + suffix)
                if args.op == "compress"
                else args.input.with_suffix(".out"))

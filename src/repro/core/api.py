@@ -13,15 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..backend.registry import create_backend
-from ..deflate import gzip_decompress, inflate, zlib_decompress
 from ..errors import ConfigError
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import record_job
 from ..obs.trace import TRACE as _TRACE
-from ..resilience.verify import (note_mismatch, software_compress,
-                                 verify_payload)
+from ..resilience.verify import (decode_payload, note_mismatch,
+                                 run_in_software, verify_payload)
 from ..sysstack.driver import DriverResult
 
 
@@ -178,8 +177,8 @@ class NxGzip:
             return result
         self.verify_failures += 1
         note_mismatch(self.backend_name, fmt, len(data))
-        output, seconds = software_compress(data, fmt=fmt,
-                                            machine=self.machine)
+        output, seconds = run_in_software("compress", data, fmt,
+                                          machine=self.machine)
         stats = result.stats
         stats.fallback_to_software = True
         stats.elapsed_seconds += seconds
@@ -284,8 +283,4 @@ class NxGzip:
 
 def software_decompress(payload: bytes, fmt: str = "gzip") -> bytes:
     """Reference software decode of any wire format (for verification)."""
-    if fmt == "gzip":
-        return gzip_decompress(payload)
-    if fmt == "zlib":
-        return zlib_decompress(payload)
-    return inflate(payload)
+    return decode_payload(payload, fmt)

@@ -11,18 +11,10 @@ session driver and assembles the container (gzip/zlib/raw) around it.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
-from ..deflate.checksums import adler32, crc32
-from ..deflate.constants import WINDOW_SIZE
-from ..deflate.containers import (
-    GZIP_MAGIC,
-    GZIP_METHOD_DEFLATE,
-    GZIP_OS_UNKNOWN,
-    ZLIB_CM_DEFLATE,
-    ZLIB_WINDOW_32K,
-)
+from ..deflate.constants import CLOSING_BLOCK, WINDOW_SIZE
+from ..deflate.containers import checksum, header, trailer
 from ..deflate.inflate import inflate_with_stats
 from ..errors import ReproError
 
@@ -56,35 +48,16 @@ class NxCompressStream:
     fmt: str = "gzip"
     stats: StreamStats = field(default_factory=StreamStats)
     _history: bytes = b""
-    _crc: int = 0
-    _adler: int = 1
+    _check: int | None = None
     _isize: int = 0
     _started: bool = False
     _finished: bool = False
-
-    def _header(self) -> bytes:
-        if self.fmt == "gzip":
-            return (GZIP_MAGIC + bytes([GZIP_METHOD_DEFLATE, 0])
-                    + struct.pack("<I", 0)
-                    + bytes([0, GZIP_OS_UNKNOWN]))
-        if self.fmt == "zlib":
-            header = ((ZLIB_WINDOW_32K << 4 | ZLIB_CM_DEFLATE) << 8) | 0x80
-            header += 31 - header % 31
-            return struct.pack(">H", header)
-        return b""
-
-    def _trailer(self) -> bytes:
-        if self.fmt == "gzip":
-            return struct.pack("<II", self._crc, self._isize & 0xFFFFFFFF)
-        if self.fmt == "zlib":
-            return struct.pack(">I", self._adler)
-        return b""
 
     def write(self, chunk: bytes, final: bool = False) -> bytes:
         """Compress one chunk; returns the wire bytes it produced."""
         if self._finished:
             raise StreamStateError("stream already finished")
-        out = b"" if self._started else self._header()
+        out = b"" if self._started else header(self.fmt)
         self._started = True
 
         result = self.session.compress_chunk(
@@ -95,13 +68,12 @@ class NxCompressStream:
         self.stats.bytes_in += len(chunk)
         self.stats.modelled_seconds += result.stats.elapsed_seconds
 
-        self._crc = crc32(chunk, self._crc)
-        self._adler = adler32(chunk, self._adler)
+        self._check = checksum(self.fmt, chunk, self._check)
         self._isize += len(chunk)
         self._history = (self._history + chunk)[-WINDOW_SIZE:]
         if final:
             self._finished = True
-            out += self._trailer()
+            out += trailer(self.fmt, self._check, self._isize)
         self.stats.bytes_out += len(out)
         return out
 
@@ -126,13 +98,9 @@ class NxDecompressStream:
 
     def decode_unit(self, unit: bytes, final: bool = False) -> bytes:
         """Decode one continuation unit and return its plaintext."""
-        if final:
-            payload = unit
-        else:
-            # A non-final unit ends with the sync-flush empty stored
-            # block; close the stream for the one-shot decoder by
-            # rewriting that block's header bit to "final".
-            payload = _mark_final(unit)
+        # A non-final unit ends with the sync-flush empty stored block;
+        # close the stream for the one-shot decoder behind it.
+        payload = unit if final else unit + CLOSING_BLOCK
         out, _stats, _bits = inflate_with_stats(payload,
                                                 history=self._history)
         self._history = (self._history + out)[-WINDOW_SIZE:]
@@ -140,19 +108,6 @@ class NxDecompressStream:
         self.stats.bytes_in += len(unit)
         self.stats.bytes_out += len(out)
         return out
-
-
-def _mark_final(unit: bytes) -> bytes:
-    """Flip the trailing sync-flush stored block into a final block.
-
-    The sync flush is always ``00 00 FF FF`` preceded by the 3 header
-    bits (0 + BTYPE 00) and padding; setting the final bit means making
-    that empty stored block the stream terminator, which for the fixed
-    trailer layout is byte ``unit[-5] | 0x01`` when the flush begins a
-    fresh byte... rather than chase bit offsets, append a final empty
-    stored block instead — decoders accept consecutive empty blocks.
-    """
-    return unit + b"\x01\x00\x00\xff\xff"
 
 
 def reassemble(units: list[bytes]) -> bytes:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import struct
 
-from ..errors import ChecksumError, DeflateError
+from ..errors import ChecksumError, ConfigError, DeflateError
 from .checksums import adler32, crc32
-from .compress import CompressResult, deflate
+from .compress import deflate
 from .inflate import InflateStats, inflate_with_stats
 
 ZLIB_CM_DEFLATE = 8
@@ -25,77 +25,210 @@ DEFLATE_MAX_EXPANSION = 1032
 
 _LEVEL_TO_FLEVEL = {0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3, 9: 3}
 
+#: The wire formats, the order a backend advertises them in.
+FORMATS = ("gzip", "zlib", "raw")
+#: File suffix per wire format.
+SUFFIXES = {"gzip": ".gz", "zlib": ".zz", "raw": ".deflate"}
+
+
+# -- the per-format table ------------------------------------------------------
+#
+# Everything that differs between the formats is in the next six
+# functions; every producer and decoder in the package is built on them.
+
+def require_format(fmt: str, history: bytes = b"",
+                   final: bool = True) -> None:
+    """The precondition every backend shares: a known wire format, and
+    a continuation unit (a carried window, or no final block) only as a
+    raw stream — a container frames one whole stream."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"unsupported wire format {fmt!r}")
+    if fmt != "raw" and (history or not final):
+        raise ConfigError(
+            f"{fmt!r} container requires a whole stream; "
+            "use fmt='raw' for continuation units")
+
+
+def header(fmt: str, level: int | None = None, zdict: bytes = b"",
+           mtime: int = 0) -> bytes:
+    """The bytes in front of the DEFLATE body.
+
+    ``level`` stamps gzip's XFL / zlib's FLEVEL; a producer that has no
+    zlib level (an engine, a stream of engine units) passes ``None`` and
+    gets XFL 0 / FLEVEL 2.  ``zdict`` is a zlib preset dictionary: the
+    header then carries FDICT and the dictionary's Adler-32 (DICTID),
+    matching zlib's ``compressobj``.
+    """
+    if fmt == "gzip":
+        if zdict:
+            raise DeflateError("gzip container does not carry a DICTID")
+        xfl = 0 if level is None else (
+            2 if level >= 8 else (4 if level <= 2 else 0))
+        return GZIP_MAGIC + bytes([GZIP_METHOD_DEFLATE, 0]) + struct.pack(
+            "<I", mtime) + bytes([xfl, GZIP_OS_UNKNOWN])
+    if fmt == "zlib":
+        flevel = 2 if level is None else _LEVEL_TO_FLEVEL.get(level, 2)
+        word = ((ZLIB_WINDOW_32K << 4 | ZLIB_CM_DEFLATE) << 8
+                | flevel << 6 | (0x20 if zdict else 0))
+        word += 31 - word % 31  # FCHECK makes the 16-bit header % 31 == 0
+        return struct.pack(">H", word) + (
+            struct.pack(">I", adler32(zdict)) if zdict else b"")
+    return b""
+
+
+def trailer(fmt: str, check: int, size: int) -> bytes:
+    """The bytes behind the body, from the plaintext's check and size."""
+    if fmt == "gzip":
+        return struct.pack("<II", check, size & 0xFFFFFFFF)
+    if fmt == "zlib":
+        return struct.pack(">I", check)
+    return b""
+
+
+def checksum(fmt: str, data: bytes, running: int | None = None,
+             crc: int | None = None) -> int:
+    """The format's check value over ``data``: CRC-32 for gzip, Adler-32
+    for zlib, nothing (0) for raw.
+
+    ``running`` continues a value this function returned for the bytes
+    before ``data``.  ``crc`` is a CRC-32 of the same bytes somebody
+    already accumulated (the DFLTCC parameter block, a resolver's
+    seek-point state): where that *is* the format's check it is the
+    answer, and no second pass is made.
+    """
+    if fmt == "gzip":
+        return crc32(data, running or 0) if crc is None else crc
+    if fmt == "zlib":
+        return adler32(data, 1 if running is None else running)
+    return 0
+
+
+def body_start(fmt: str, data: bytes, start: int = 0,
+               zdict: bytes = b"") -> tuple[int, bytes]:
+    """Offset of the DEFLATE body of the stream at ``start``, and the
+    window that body starts with.
+
+    The header in front is validated (gzip: magic, method and the
+    optional fields; zlib: CM, FCHECK and, under FDICT, that ``zdict``
+    is the dictionary DICTID names).  ``zdict`` is a raw unit's carried
+    window or a zlib preset dictionary; a stream that does not ask for
+    one starts empty.
+    """
+    if fmt == "gzip":
+        return start + gzip_header_length(data, start), b""
+    if fmt == "zlib":
+        if len(data) - start < 6:
+            raise DeflateError("zlib stream too short")
+        cmf, flg = data[start], data[start + 1]
+        if (cmf & 0x0F) != ZLIB_CM_DEFLATE:
+            raise DeflateError(f"unsupported zlib method {cmf & 0x0F}")
+        if ((cmf << 8) | flg) % 31 != 0:
+            raise DeflateError("zlib header check failed")
+        if not flg & 0x20:
+            return start + 2, b""
+        if not zdict:
+            raise DeflateError("stream needs a preset dictionary")
+        if struct.unpack_from(">I", data, start + 2)[0] != adler32(zdict):
+            raise ChecksumError("DICTID does not match the dictionary")
+        return start + 6, zdict
+    require_format(fmt)
+    return start, zdict
+
+
+def verify_trailer(fmt: str, data: bytes, tail: int, check: int,
+                   size: int) -> int:
+    """Compare the trailer at ``tail`` (where the body ended) with the
+    decoded plaintext's ``check`` and ``size``; returns the offset just
+    past it."""
+    if fmt == "gzip":
+        if tail + 8 > len(data):
+            raise DeflateError("gzip stream truncated before trailer")
+        expected_crc, isize = struct.unpack_from("<II", data, tail)
+        if check != expected_crc:
+            raise ChecksumError("gzip CRC-32 mismatch")
+        if (size & 0xFFFFFFFF) != isize:
+            raise ChecksumError("gzip ISIZE mismatch")
+        return tail + 8
+    if fmt == "zlib":
+        if tail + 4 > len(data):
+            raise DeflateError("zlib stream truncated before Adler-32")
+        if check != struct.unpack_from(">I", data, tail)[0]:
+            raise ChecksumError("Adler-32 mismatch")
+        return tail + 4
+    return tail
+
+
+# -- built on the table --------------------------------------------------------
+
+def frame(fmt: str, body: bytes, check: int, size: int,
+          level: int | None = None, zdict: bytes = b"",
+          mtime: int = 0) -> bytes:
+    """Frame a raw-DEFLATE body, given the check value and length of
+    the plaintext (an engine or a stream accumulates both while it
+    compresses; :func:`checksum` makes the pass otherwise)."""
+    return (header(fmt, level, zdict, mtime) + body
+            + trailer(fmt, check, size))
+
+
+def encode(data: bytes, fmt: str, level: int = 6, history: bytes = b"",
+           final: bool = True) -> bytes:
+    """Compress ``data`` in software and frame it.
+
+    ``history`` primes the match window: the carried window of a raw
+    continuation unit (``final=False`` leaves the stream open), or a
+    zlib stream's preset dictionary.
+    """
+    require_format(fmt, final=final)
+    body = deflate(data, level=level, history=history, final=final).data
+    return frame(fmt, body, checksum(fmt, data), len(data), level,
+                 zdict=history)
+
+
+def decode_with_stats(
+        data: bytes, fmt: str, start: int = 0, history: bytes = b"",
+        max_output: int = 1 << 31,
+) -> tuple[bytes, InflateStats, int]:
+    """Decode the stream at ``start`` in a single inflate pass.
+
+    One header parse, one inflate, one checksum.  Returns ``(output,
+    stats, end)`` with ``end`` the offset just past the trailer;
+    ``max_output`` aborts the decode with :class:`OutputOverflow` at the
+    cap, before any checksum work.  ``history`` is a raw unit's carried
+    window or a zlib preset dictionary (see :func:`body_start`).
+    """
+    body, window = body_start(fmt, data, start, history)
+    out, stats, bits = inflate_with_stats(data, start=body,
+                                          max_output=max_output,
+                                          history=window)
+    tail = (bits + 7) // 8  # bits_consumed is absolute in the buffer
+    end = verify_trailer(fmt, data, tail, checksum(fmt, out), len(out))
+    return out, stats, end
+
 
 def zlib_compress(data: bytes, level: int = 6,
                   zdict: bytes = b"") -> bytes:
-    """Compress into an RFC 1950 (zlib) stream.
-
-    ``zdict`` is a preset dictionary; the header then carries FDICT and
-    the dictionary's Adler-32 (DICTID), matching zlib's ``compressobj``.
-    """
-    result = deflate(data, level=level, history=zdict)
-    cmf = (ZLIB_WINDOW_32K << 4) | ZLIB_CM_DEFLATE
-    flevel = _LEVEL_TO_FLEVEL.get(level, 2)
-    flg = (flevel << 6) | (0x20 if zdict else 0)
-    header = (cmf << 8) | flg
-    header += 31 - header % 31  # FCHECK makes the 16-bit header % 31 == 0
-    out = struct.pack(">H", header)
-    if zdict:
-        out += struct.pack(">I", adler32(zdict))
-    return out + result.data + struct.pack(">I", adler32(data))
+    """Compress into an RFC 1950 (zlib) stream."""
+    return encode(data, "zlib", level, history=zdict)
 
 
 def zlib_decompress_with_stats(
         data: bytes, zdict: bytes = b"", max_output: int = 1 << 31,
 ) -> tuple[bytes, InflateStats, int]:
-    """Decode one RFC 1950 stream in a single inflate pass.
-
-    Returns ``(output, stats, end)`` with ``end`` the offset just past
-    the Adler-32; ``max_output`` aborts the decode with
-    :class:`OutputOverflow` at the cap, before any checksum work.
-    """
-    if len(data) < 6:
-        raise DeflateError("zlib stream too short")
-    cmf, flg = data[0], data[1]
-    if (cmf & 0x0F) != ZLIB_CM_DEFLATE:
-        raise DeflateError(f"unsupported zlib method {cmf & 0x0F}")
-    if ((cmf << 8) | flg) % 31 != 0:
-        raise DeflateError("zlib header check failed")
-    start = 2
-    if flg & 0x20:
-        if not zdict:
-            raise DeflateError("stream needs a preset dictionary")
-        dictid = struct.unpack(">I", data[2:6])[0]
-        if dictid != adler32(zdict):
-            raise ChecksumError("DICTID does not match the dictionary")
-        start = 6
-    out, stats, bits = inflate_with_stats(data, start=start,
-                                          max_output=max_output,
-                                          history=zdict if flg & 0x20
-                                          else b"")
-    tail = (bits + 7) // 8  # bits_consumed is absolute in the buffer
-    if tail + 4 > len(data):
-        raise DeflateError("zlib stream truncated before Adler-32")
-    expected = struct.unpack(">I", data[tail:tail + 4])[0]
-    if adler32(out) != expected:
-        raise ChecksumError("Adler-32 mismatch")
-    return out, stats, tail + 4
+    """:func:`decode_with_stats` of one RFC 1950 stream."""
+    return decode_with_stats(data, "zlib", history=zdict,
+                             max_output=max_output)
 
 
 def zlib_decompress(data: bytes, zdict: bytes = b"") -> bytes:
     """Decompress an RFC 1950 (zlib) stream, verifying Adler-32."""
-    return zlib_decompress_with_stats(data, zdict=zdict)[0]
+    return decode_with_stats(data, "zlib", history=zdict)[0]
 
 
 def gzip_compress(data: bytes, level: int = 6,
                   mtime: int = 0) -> bytes:
     """Compress into an RFC 1952 (gzip) member."""
-    result = deflate(data, level=level)
-    xfl = 2 if level >= 8 else (4 if level <= 2 else 0)
-    header = GZIP_MAGIC + bytes([GZIP_METHOD_DEFLATE, 0]) + struct.pack(
-        "<I", mtime) + bytes([xfl, GZIP_OS_UNKNOWN])
-    trailer = struct.pack("<II", crc32(data), len(data) & 0xFFFFFFFF)
-    return header + result.data + trailer
+    return frame("gzip", deflate(data, level=level).data, crc32(data),
+                 len(data), level, mtime=mtime)
 
 
 def gzip_header_end(data: bytes, start: int = 0) -> int | None:
@@ -142,42 +275,18 @@ def gzip_header_length(data: bytes, start: int = 0) -> int:
 def gzip_decompress_with_stats(
         data: bytes, start: int = 0, max_output: int = 1 << 31,
 ) -> tuple[bytes, InflateStats, int]:
-    """Decode the gzip member at ``start`` in a single inflate pass.
-
-    One header parse, one inflate, one CRC-32.  Returns ``(output,
-    stats, end)`` with ``end`` the offset just past the member's ISIZE;
-    ``max_output`` aborts the decode with :class:`OutputOverflow` at the
-    cap, before any checksum work.
-    """
-    body = start + gzip_header_length(data, start)
-    out, stats, bits = inflate_with_stats(data, start=body,
-                                          max_output=max_output)
-    tail = (bits + 7) // 8
-    if tail + 8 > len(data):
-        raise DeflateError("gzip stream truncated before trailer")
-    expected_crc, isize = struct.unpack_from("<II", data, tail)
-    if crc32(out) != expected_crc:
-        raise ChecksumError("gzip CRC-32 mismatch")
-    if (len(out) & 0xFFFFFFFF) != isize:
-        raise ChecksumError("gzip ISIZE mismatch")
-    return out, stats, tail + 8
+    """:func:`decode_with_stats` of the gzip member at ``start``."""
+    return decode_with_stats(data, "gzip", start, max_output=max_output)
 
 
 def gzip_decompress(data: bytes) -> bytes:
     """Decompress one RFC 1952 (gzip) member, verifying CRC-32 and ISIZE."""
-    return gzip_decompress_with_stats(data)[0]
-
-
-def deflate_result(data: bytes, level: int = 6) -> CompressResult:
-    """Raw-DEFLATE compression returning full statistics."""
-    return deflate(data, level=level)
+    return decode_with_stats(data, "gzip")[0]
 
 
 def gzip_member_length(data: bytes, start: int = 0) -> int:
-    """Length in bytes of the gzip member starting at ``start``."""
-    body = start + gzip_header_length(data, start)
-    _out, _stats, bits = inflate_with_stats(data, start=body)
-    return (bits + 7) // 8 + 8 - start
+    """Length in bytes of the (verified) gzip member at ``start``."""
+    return decode_with_stats(data, "gzip", start)[2] - start
 
 
 def gzip_decompress_members(data: bytes) -> bytes:
@@ -189,7 +298,7 @@ def gzip_decompress_members(data: bytes) -> bytes:
     out = bytearray()
     pos = 0
     while pos < len(data):
-        member, _stats, pos = gzip_decompress_with_stats(data, start=pos)
+        member, _stats, pos = decode_with_stats(data, "gzip", pos)
         out += member
     return bytes(out)
 
@@ -213,24 +322,10 @@ def decompress_target_len(payload: bytes, fmt: str) -> int:
 
 def wrap_zlib(deflate_body: bytes, original: bytes) -> bytes:
     """Frame an existing raw-DEFLATE body as an RFC 1950 stream."""
-    cmf = (ZLIB_WINDOW_32K << 4) | ZLIB_CM_DEFLATE
-    header = (cmf << 8) | (2 << 6)
-    header += 31 - header % 31
-    return struct.pack(">H", header) + deflate_body + struct.pack(
-        ">I", adler32(original))
-
-
-def frame_gzip(deflate_body: bytes, crc: int, size: int,
-               mtime: int = 0) -> bytes:
-    """Frame a raw-DEFLATE body as an RFC 1952 member, given the CRC-32
-    and length of the plaintext (an engine or a stream accumulates both
-    while it compresses)."""
-    header = GZIP_MAGIC + bytes([GZIP_METHOD_DEFLATE, 0]) + struct.pack(
-        "<I", mtime) + bytes([0, GZIP_OS_UNKNOWN])
-    return header + deflate_body + struct.pack("<II", crc,
-                                               size & 0xFFFFFFFF)
+    return frame("zlib", deflate_body, adler32(original), len(original))
 
 
 def wrap_gzip(deflate_body: bytes, original: bytes, mtime: int = 0) -> bytes:
     """Frame an existing raw-DEFLATE body as an RFC 1952 member."""
-    return frame_gzip(deflate_body, crc32(original), len(original), mtime)
+    return frame("gzip", deflate_body, crc32(original), len(original),
+                 mtime=mtime)

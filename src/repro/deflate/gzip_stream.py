@@ -10,12 +10,11 @@ pipeline actually needs.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass, field
 
-from ..errors import ChecksumError, DeflateError
+from ..errors import DeflateError
 from .checksums import crc32
-from .containers import gzip_header_end
+from .containers import gzip_header_end, verify_trailer
 from .inflate_stream import InflateStream
 
 
@@ -116,17 +115,9 @@ class GzipReader:
     def _try_trailer(self) -> bool:
         if len(self._buf) < 8:
             return False
-        expected_crc, isize = struct.unpack_from("<II", self._buf, 0)
-        del self._buf[:8]
-        if expected_crc != self._crc:
-            raise ChecksumError("gzip CRC-32 mismatch")
-        if isize != (self._size & 0xFFFFFFFF):
-            raise ChecksumError("gzip ISIZE mismatch")
+        end = verify_trailer("gzip", self._buf, 0, self._crc, self._size)
+        del self._buf[:end]
         self.members_read += 1
-        if self.allow_multiple_members:
-            self._phase = _Phase.HEADER
-            if not self._buf:
-                self._phase = _Phase.HEADER
-        else:
-            self._phase = _Phase.DONE
+        self._phase = (_Phase.HEADER if self.allow_multiple_members
+                       else _Phase.DONE)
         return True

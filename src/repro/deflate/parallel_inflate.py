@@ -34,17 +34,16 @@ builder and ``read_range`` are the same loop with different stops.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, replace
 
-from ..errors import ChecksumError, DeflateError, ExecError, \
-    OutputOverflow, SeekIndexError
+from ..errors import DeflateError, ExecError, OutputOverflow, \
+    SeekIndexError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 from .bitio import BitReader
-from .checksums import adler32, crc32
+from .checksums import crc32
 from .constants import WINDOW_SIZE
-from .containers import gzip_header_length
+from .containers import FORMATS, body_start, checksum, verify_trailer
 from .inflate import InflateStats, inflate_blocks
 from .seekindex import DEFAULT_SPACING, SeekIndex, SeekPoint
 
@@ -126,26 +125,15 @@ class _Resolver:
         self.used = 0             # member runs spliced
         self.serial = 0           # segments decoded here
 
-    def open(self, history: bytes = b"") -> None:
-        """Start at the top of the stream, checking the container header."""
-        payload = self.payload
-        if self.fmt == "gzip":
-            if len(payload) < 18:
-                raise DeflateError("gzip stream too short")
-            return  # the member loop parses the header at bit 0
-        if self.fmt == "zlib":
-            if len(payload) < 6:
-                raise DeflateError("zlib stream too short")
-            cmf, flg = payload[0], payload[1]
-            if (cmf & 0x0F) != 8:
-                raise DeflateError(f"unsupported zlib method {cmf & 0x0F}")
-            if ((cmf << 8) | flg) % 31 != 0:
-                raise DeflateError("zlib header check failed")
-            if flg & 0x20:
-                raise DeflateError("stream needs a preset dictionary")
-            self.pos_bit = 16
-        else:
-            self.window = history[-_W:]
+    def open(self, history: bytes = b"", header_byte: int = 0) -> None:
+        """Start at the container header at ``header_byte`` — the top of
+        the stream, or a later gzip member — checking it."""
+        body, window = body_start(self.fmt, self.payload, header_byte,
+                                  history)
+        self.pos_bit = body * 8
+        self.window = window[-_W:]
+        self.member_crc = 0
+        self.member_start = len(self.out)
         self.in_member = True
 
     def resume(self, point: SeekPoint) -> None:
@@ -205,25 +193,16 @@ class _Resolver:
 
     def _finish_member(self) -> None:
         """Verify the trailer behind a final block and step past it."""
-        payload = self.payload
-        tail = (self.pos_bit + 7) // 8
-        end = len(payload)  # raw: trailing bytes are the caller's business
-        if self.fmt == "zlib":
-            if tail + 4 > len(payload):
-                raise DeflateError("zlib stream truncated before Adler-32")
-            (expected,) = struct.unpack_from(">I", payload, tail)
-            if adler32(self.out) != expected:
-                raise ChecksumError("Adler-32 mismatch")
-        elif self.fmt == "gzip":
-            if tail + 8 > len(payload):
-                raise DeflateError("gzip stream truncated before trailer")
-            expected_crc, isize = struct.unpack_from("<II", payload, tail)
-            if self.member_crc != expected_crc:
-                raise ChecksumError("gzip CRC-32 mismatch")
-            member_size = len(self.out) - self.member_start
-            if (member_size & 0xFFFFFFFF) != isize:
-                raise ChecksumError("gzip ISIZE mismatch")
-            end = tail + 8
+        # gzip's CRC-32 was kept running for the seek points; zlib's
+        # Adler-32 covers the whole output (its one member).
+        end = verify_trailer(
+            self.fmt, self.payload, (self.pos_bit + 7) // 8,
+            checksum(self.fmt, self.out, crc=self.member_crc),
+            len(self.out) - self.member_start)
+        if self.fmt != "gzip":
+            # Only gzip has members: whatever follows another format's
+            # stream is the caller's business.
+            end = len(self.payload)
         self.members += 1
         self.pos_bit = end * 8
         self.in_member = False
@@ -233,13 +212,7 @@ class _Resolver:
         from here, or parse the header and open the member."""
         rec = self.specs.pop(self.pos_bit, None)
         if rec is None:
-            header_byte = self.pos_bit // 8
-            self.pos_bit = (header_byte + gzip_header_length(
-                self.payload, header_byte)) * 8
-            self.window = b""
-            self.member_crc = 0
-            self.member_start = len(self.out)
-            self.in_member = True
+            self.open(header_byte=self.pos_bit // 8)
             return
         self.used += 1
         base = len(self.out)
@@ -416,7 +389,7 @@ def parallel_inflate(payload: bytes, fmt: str = "gzip", *,
     :class:`SeekIndex` (one point per ``index_spacing`` output bytes)
     for later :func:`read_range` calls.
     """
-    if fmt not in ("gzip", "zlib", "raw"):
+    if fmt not in FORMATS:
         raise DeflateError(f"parallel inflate does not support {fmt!r}")
     if history and fmt != "raw":
         raise DeflateError("history only applies to raw streams")

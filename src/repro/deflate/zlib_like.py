@@ -16,17 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import DeflateError
-from .checksums import adler32, crc32
 from .compress import deflate
-from .constants import WINDOW_SIZE
-from .containers import (
-    frame_gzip,
-    gzip_compress,
-    gzip_decompress,
-    wrap_zlib,
-    zlib_compress,
-    zlib_decompress,
-)
+from .constants import CLOSING_BLOCK, WINDOW_SIZE
+from .containers import checksum, decode_with_stats, encode, frame
 from .inflate import inflate, inflate_with_stats
 
 
@@ -43,26 +35,13 @@ def _container(wbits: int) -> str:
 def compress(data: bytes, level: int = 6, wbits: int = 15,
              zdict: bytes = b"") -> bytes:
     """One-shot compression in the container selected by ``wbits``."""
-    fmt = _container(wbits)
-    if fmt == "zlib":
-        return zlib_compress(data, level=level, zdict=zdict)
-    if fmt == "gzip":
-        if zdict:
-            raise DeflateError("gzip container does not carry a DICTID")
-        return gzip_compress(data, level=level)
-    return deflate(data, level=level, history=zdict).data
+    return encode(data, _container(wbits), level, history=zdict)
 
 
 def decompress(payload: bytes, wbits: int = 15,
                zdict: bytes = b"") -> bytes:
     """One-shot decompression per ``wbits``."""
-    fmt = _container(wbits)
-    if fmt == "zlib":
-        return zlib_decompress(payload, zdict=zdict)
-    if fmt == "gzip":
-        return gzip_decompress(payload)
-    out, _stats, _bits = inflate_with_stats(payload, history=zdict)
-    return out
+    return decode_with_stats(payload, _container(wbits), history=zdict)[0]
 
 
 @dataclass
@@ -79,8 +58,7 @@ class CompressObj:
     zdict: bytes = b""
     strategy: str = "default"
     _history: bytes = field(default=b"", repr=False)
-    _crc: int = 0
-    _adler: int = 1
+    _check: int | None = None
     _size: int = 0
     _started: bool = False
     _finished: bool = False
@@ -109,18 +87,11 @@ class CompressObj:
                        final=True).data
         self._account(last_chunk)
         self._raw_parts.append(unit)
-        body = b"".join(self._raw_parts)
-        if self._fmt == "raw":
-            return body
-        if self._fmt == "zlib":
-            framed = wrap_zlib(body, b"")
-            # Rebuild the trailer from the running Adler-32.
-            return framed[:-4] + self._adler.to_bytes(4, "big")
-        return frame_gzip(body, self._crc, self._size)
+        return frame(self._fmt, b"".join(self._raw_parts), self._check,
+                     self._size)
 
     def _account(self, chunk: bytes) -> None:
-        self._crc = crc32(chunk, self._crc)
-        self._adler = adler32(chunk, self._adler)
+        self._check = checksum(self._fmt, chunk, self._check)
         self._size += len(chunk)
         self._history = (self._history + chunk)[-WINDOW_SIZE:]
 
@@ -141,7 +112,7 @@ class DecompressObj:
         self._history = self.zdict[-WINDOW_SIZE:]
 
     def decompress(self, unit: bytes, final: bool = False) -> bytes:
-        payload = unit if final else unit + b"\x01\x00\x00\xff\xff"
+        payload = unit if final else unit + CLOSING_BLOCK
         out, _stats, _bits = inflate_with_stats(payload,
                                                 history=self._history)
         self._history = (self._history + out)[-WINDOW_SIZE:]

@@ -20,7 +20,7 @@ from ..deflate.compress import (
     token_frequencies,
 )
 from ..deflate.constants import BTYPE_DYNAMIC, BTYPE_FIXED, BTYPE_STORED
-from ..deflate.containers import wrap_gzip, wrap_zlib
+from ..deflate.containers import FORMATS, checksum, frame
 from ..deflate.matcher import MatchStats, Token
 from ..errors import AcceleratorError
 from ..obs.trace import TRACE as _TRACE
@@ -117,7 +117,7 @@ class NxCompressor:
         ``canned_name`` (e.g. the GDHT facility's scan-window pick)
         overrides the per-request :func:`select_canned` classification.
         """
-        if fmt not in ("raw", "gzip", "zlib"):
+        if fmt not in FORMATS:
             raise AcceleratorError(f"unsupported wire format {fmt!r}")
         if not final and fmt != "raw":
             raise AcceleratorError(
@@ -160,12 +160,8 @@ class NxCompressor:
         else:
             body, block_types, dht_sources, dht_cycles = (
                 _emit_planned(plans, final))
-        if fmt == "gzip":
-            payload = wrap_gzip(body, data)
-        elif fmt == "zlib":
-            payload = wrap_zlib(body, data)
-        else:
-            payload = body
+        payload = frame(fmt, body, checksum(fmt, data), len(data),
+                        zdict=history)
 
         encode_cycles = -(-len(body) * 8
                           // self.params.huffman_encode_bits_per_cycle)

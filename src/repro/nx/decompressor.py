@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..deflate.constants import BTYPE_DYNAMIC
-from ..deflate.containers import (gzip_decompress_with_stats,
-                                  zlib_decompress_with_stats)
-from ..deflate.inflate import InflateStats, inflate_with_stats
+from ..deflate.containers import FORMATS, decode_with_stats
+from ..deflate.inflate import InflateStats
 from ..errors import AcceleratorError
 from .params import EngineParams
 
@@ -62,21 +61,12 @@ class NxDecompressor:
         One inflate pass and one checksum pass, whatever the format;
         output past ``max_output`` (the CRB's target size) aborts the
         decode with :class:`OutputOverflow` at the cap.  ``history`` is
-        the preset dictionary / carried window for raw streams (the
-        containers never use one here).
+        the carried window of a raw unit or a zlib preset dictionary.
         """
-        if fmt == "gzip":
-            data, stats, end = gzip_decompress_with_stats(
-                payload, max_output=max_output)
-        elif fmt == "zlib":
-            data, stats, end = zlib_decompress_with_stats(
-                payload, max_output=max_output)
-        elif fmt == "raw":
-            data, stats, bits = inflate_with_stats(
-                payload, max_output=max_output, history=history)
-            end = (bits + 7) // 8
-        else:
+        if fmt not in FORMATS:
             raise AcceleratorError(f"unsupported wire format {fmt!r}")
+        data, stats, end = decode_with_stats(
+            payload, fmt, history=history, max_output=max_output)
 
         cycles = self._cycle_model(len(payload), len(data), stats)
         return NxDecompressResult(data=data, input_bytes=len(payload),

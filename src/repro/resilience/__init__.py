@@ -22,8 +22,8 @@ from .health import (BreakerState, CircuitBreaker, HealthConfig,
 from .netfaults import (NET_FAULT_KINDS, FaultySocket, NetFaultInjector,
                         NetFaultPlan, fault_factory)
 from .policy import RetryPolicy, check_deadline
-from .verify import (decode_payload, note_mismatch, software_compress,
-                     verify_payload)
+from .verify import (decode_payload, note_mismatch, run_in_software,
+                     software_compress, verify_payload)
 
 __all__ = [
     "FAULT_KINDS", "FaultInjector", "FaultPlan",
@@ -31,8 +31,8 @@ __all__ = [
     "FaultySocket", "fault_factory",
     "BreakerState", "CircuitBreaker", "HealthConfig", "HealthTracker",
     "RetryPolicy", "check_deadline",
-    "decode_payload", "note_mismatch", "software_compress",
-    "verify_payload",
+    "decode_payload", "note_mismatch", "run_in_software",
+    "software_compress", "verify_payload",
     "CampaignReport", "ScenarioResult", "default_plans", "run_campaign",
     "run_scenario",
     "NetworkCampaignReport", "NetworkScenarioResult",

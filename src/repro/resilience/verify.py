@@ -1,33 +1,59 @@
-"""Verify-after-compress: inflate the payload and compare the bytes.
+"""The software executor, and verify-after-compress on top of it.
+
+The production libraries keep exactly one software zlib as the last
+resort; :func:`run_in_software` is ours — whoever runs a job on the
+calling core (a software backend, the driver's fallback, the pool's
+rescue, a repair) calls it, charged at the calibrated software rate.
 
 The production zEDC path can re-inflate compressed output and compare
-it before handing the buffer back — a data-integrity backstop
-against a mis-executing engine.  This module provides that check for
-the model plus the software *repair* path: when verification fails the
-job is re-run on the calling core (charged at the calibrated software
-rate) so the caller always receives bytes that round-trip.
+it before handing the buffer back — a data-integrity backstop against a
+mis-executing engine.  :func:`verify_payload` is that check; when it
+fails the job is re-run here, so the caller always receives bytes that
+round-trip.
 """
 
 from __future__ import annotations
 
-from ..deflate import (deflate, gzip_compress, gzip_decompress, inflate,
-                       zlib_compress, zlib_decompress)
+from .. import e842
+from ..deflate.containers import decode_with_stats, encode
 from ..errors import ReproError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
+from ..perf.cost import SoftwareCostModel
+
+
+def run_in_software(kind: str, data: bytes, fmt: str, *, level: int = 6,
+                    history: bytes = b"", final: bool = True,
+                    machine=None) -> tuple[bytes, float]:
+    """Run one job on the calling core: the only software executor.
+
+    Every take-over — the driver's fallback when retries run out, the
+    pool's rescue of a failed chip's job, the re-encode after a failed
+    verify — and the software backends themselves are this function, so
+    a job keeps its ``history`` and ``final`` wherever it ends up and
+    the bytes are what the engine would have written for ``fmt``.
+    Returns the output and the calibrated core seconds on ``machine``
+    (0.0 without one).
+    """
+    if fmt == "842":
+        output = (e842.compress(data).data if kind == "compress"
+                  else e842.decompress(data))
+        level = 1  # software 842 costs roughly a fast-level zlib
+    elif kind == "compress":
+        output = encode(data, fmt, level, history, final)
+    else:
+        output = decode_with_stats(data, fmt, history=history)[0]
+    if machine is None:
+        return output, 0.0
+    cost = SoftwareCostModel(machine)
+    if kind == "compress":
+        return output, cost.compress_seconds(len(data), level=level)
+    return output, cost.decompress_seconds(len(output))
 
 
 def decode_payload(payload: bytes, fmt: str) -> bytes:
     """Reference software decode of any wire format the stack emits."""
-    if fmt == "gzip":
-        return gzip_decompress(payload)
-    if fmt == "zlib":
-        return zlib_decompress(payload)
-    if fmt == "842":
-        from ..e842 import decompress as e842_decompress
-
-        return e842_decompress(payload)
-    return inflate(payload)
+    return run_in_software("decompress", payload, fmt)[0]
 
 
 def verify_payload(original: bytes, payload: bytes, fmt: str = "raw") -> bool:
@@ -37,33 +63,16 @@ def verify_payload(original: bytes, payload: bytes, fmt: str = "raw") -> bool:
     compare decides the rest, so no further checksum pass is made.
     """
     try:
-        restored = decode_payload(payload, fmt)
+        return decode_payload(payload, fmt) == original
     except ReproError:
         return False
-    return restored == original
 
 
 def software_compress(data: bytes, fmt: str = "raw", level: int = 6,
                       machine=None) -> tuple[bytes, float]:
     """Known-good software re-encode plus its modelled core seconds."""
-    if fmt == "gzip":
-        payload = gzip_compress(data, level=level)
-    elif fmt == "zlib":
-        payload = zlib_compress(data, level=level)
-    elif fmt == "842":
-        from ..e842 import compress as e842_compress
-
-        payload = e842_compress(data).data
-        level = 1  # software 842 costs roughly a fast-level zlib
-    else:
-        payload = deflate(data, level=level).data
-    seconds = 0.0
-    if machine is not None:
-        from ..perf.cost import SoftwareCostModel
-
-        seconds = SoftwareCostModel(machine).compress_seconds(
-            len(data), level=level)
-    return payload, seconds
+    return run_in_software("compress", data, fmt, level=level,
+                           machine=machine)
 
 
 def note_mismatch(backend: str, fmt: str, nbytes: int) -> None:

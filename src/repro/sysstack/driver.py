@@ -40,6 +40,7 @@ from ..deflate.containers import decompress_target_len
 from ..errors import DeadlineExceeded, JobError, ReproError
 from ..obs.trace import TRACE as _TRACE
 from ..resilience.policy import RetryPolicy, check_deadline
+from ..resilience.verify import run_in_software
 from ..sysstack.crb import (CRB_FLAG_CONTINUED, CSB_BYTES, CcCode, Crb,
                             Csb, FunctionCode, Op)
 from ..sysstack.dde import Dde
@@ -296,15 +297,25 @@ class NxDriver:
         return DriverResult(output=output, csb=None, stats=stats)
 
     def _fallback(self, crb: Crb) -> tuple[bytes, float]:
-        """Run a staged request in software, from its own buffers."""
+        """Run a staged request in software, from its own buffers.
+
+        The output is wire-compatible with what the engine would have
+        produced — same ``fmt`` framing, same window, same final bit —
+        so callers (and verify-after-compress) cannot tell a fallback
+        from a hardware completion by its bytes.
+        """
         data = self.space.read(crb.source.address, crb.source.length)
         history = (self.space.read(crb.history_dde.address,
                                    crb.history_dde.length)
                    if crb.history_dde is not None else b"")
-        return _software_fallback(crb.function.op, data,
-                                  self.accelerator.machine,
-                                  fmt=crb.function.fmt, history=history,
-                                  final=crb.is_final)
+        op = crb.function.op
+        kind = ("compress" if op in (Op.COMPRESS, Op.COMPRESS_842)
+                else "decompress")
+        fmt = ("842" if op in (Op.COMPRESS_842, Op.DECOMPRESS_842)
+               else crb.function.fmt)
+        return run_in_software(kind, data, fmt, history=history,
+                               final=crb.is_final,
+                               machine=self.accelerator.machine)
 
     # -- paste with bounded backoff ------------------------------------------
 
@@ -632,44 +643,3 @@ class AsyncNxDriver(NxDriver):
                            history=history, final=final,
                            deadline_s=deadline_s)
 
-
-def _software_fallback(op: Op, data: bytes, machine,
-                       fmt: str = "raw", history: bytes = b"",
-                       final: bool = True) -> tuple[bytes, float]:
-    """Run the job in software and charge the calibrated core time.
-
-    The output must be wire-compatible with what the engine would have
-    produced — same ``fmt`` framing — so callers (and verify-after-
-    compress) cannot tell a fallback from a hardware completion by its
-    bytes.
-    """
-    from ..deflate import (deflate, gzip_decompress, inflate,
-                           zlib_decompress)
-    from ..deflate.containers import wrap_gzip, wrap_zlib
-    from ..e842 import compress as e842_compress
-    from ..e842 import decompress as e842_decompress
-    from ..perf.cost import SoftwareCostModel
-
-    cost = SoftwareCostModel(machine)
-    if op is Op.COMPRESS:
-        result = deflate(data, level=6, history=history, final=final)
-        output = result.data
-        if fmt == "zlib":
-            output = wrap_zlib(output, data)
-        elif fmt == "gzip":
-            output = wrap_gzip(output, data)
-        return output, cost.compress_seconds(len(data), level=6)
-    if op is Op.DECOMPRESS:
-        if fmt == "gzip":
-            output = gzip_decompress(data)
-        elif fmt == "zlib":
-            output = zlib_decompress(data)
-        else:
-            output = inflate(data)
-        return output, cost.decompress_seconds(len(output))
-    if op is Op.COMPRESS_842:
-        result = e842_compress(data)
-        # Software 842 is roughly a fast-level zlib in cost.
-        return result.data, cost.compress_seconds(len(data), level=1)
-    output = e842_decompress(data)
-    return output, cost.decompress_seconds(len(output))

@@ -12,10 +12,12 @@ import zlib as stdzlib
 
 import pytest
 
+from repro.backend import AcceleratorPool, create_backend
 from repro.errors import (ChecksumError, DeadlineExceeded, JobError,
                           TranslationFault)
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9
+from repro.resilience import faults
 from repro.sysstack.crb import Op
 from repro.sysstack.driver import AsyncNxDriver, first_target_len
 from repro.sysstack.mmu import PAGE_SIZE, AddressSpace, FaultInjector
@@ -186,6 +188,36 @@ class TestAsyncExitPaths:
         assert inflater.decompress(job.result.output) == text_20k[4096:]
         assert not inflater.eof  # a continuation unit: no final block
         assert not driver.space.pages
+
+    @pytest.mark.parametrize("via", ["driver", "pool"])
+    @pytest.mark.parametrize("fmt,wbits", [("raw", -15), ("zlib", 15)])
+    def test_decompress_takeover_keeps_the_window(self, fmt, wbits, via,
+                                                  text_20k):
+        """The engine expands the unit (the window rides in the history
+        DDE); the software that takes the job over must get it too —
+        from the driver when retries run out, from the pool when the
+        chip refuses the job."""
+        window, plain = text_20k[:8000], text_20k[8000:]
+        packer = stdzlib.compressobj(6, stdzlib.DEFLATED, wbits,
+                                     zdict=window)
+        unit = packer.compress(plain) + packer.flush()
+        if via == "driver":
+            with create_backend("nx") as backend:
+                faults.FaultInjector(
+                    [faults.FaultPlan("spurious_cc", probability=1.0)]
+                ).install(backend.accelerator)
+                result = backend.decompress(unit, fmt=fmt, history=window)
+                assert not backend.space.pages
+        else:
+            with AcceleratorPool(POWER9, chips=1, backend="nx") as pool:
+                # A job pasted on the chip: the driver refuses a
+                # synchronous run until it is collected.
+                pool.submit_compress(b"in flight" * 64, fmt="raw")
+                result = pool.decompress(unit, fmt=fmt, history=window)
+                assert pool.rescues == 1
+                pool.wait_all()
+        assert result.stats.fallback_to_software
+        assert result.output == plain
 
     def test_cancel_pending(self, text_20k):
         driver = make_driver()

@@ -280,3 +280,56 @@ def test_trained_priming_dict_interop(seed):
         unprimed = deflate(traffic[:4096], level=6).data
         primed = deflate(traffic[:4096], level=6, history=zdict).data
         assert len(primed) <= len(unprimed)
+
+
+# -- hostile container headers: every backend refuses alike -------------------
+#
+# The header checks live in one place (``deflate/containers.py``); a
+# backend that framed for itself used to skip some of them.
+
+_HOSTILE_PLAIN = b"hostile header matrix " * 40
+_HOSTILE_DICT = b"header matrix hostile " * 8
+
+
+def _hostile_streams() -> list[tuple[str, str, bytes, bytes]]:
+    """``(name, fmt, payload, zdict)``; stdlib made the good streams."""
+    good = zlib.compress(_HOSTILE_PLAIN)
+    packer = zlib.compressobj(zdict=_HOSTILE_DICT)
+    fdict = packer.compress(_HOSTILE_PLAIN) + packer.flush()
+    packer = zlib.compressobj(wbits=31)
+    member = packer.compress(_HOSTILE_PLAIN) + packer.flush()
+    assert fdict[1] & 0x20 and 0x7709 % 31 == 0
+    return [
+        ("zlib-broken-fcheck", "zlib",
+         good[:1] + bytes([good[1] ^ 1]) + good[2:], b""),
+        ("zlib-cm-not-8", "zlib", b"\x77\x09" + good[2:], b""),
+        ("zlib-fdict-without-dictionary", "zlib", fdict, b""),
+        ("zlib-fdict-wrong-dictid", "zlib", fdict, b"another dictionary"),
+        ("zlib-five-bytes", "zlib", good[:5], b""),
+        ("gzip-bad-magic", "gzip", b"\x1f\x8c" + member[2:], b""),
+        ("gzip-truncated-fextra", "gzip",
+         member[:3] + b"\x04" + member[4:10] + b"\x60\xea" + member[10:],
+         b""),
+        ("gzip-unterminated-fname", "gzip",
+         member[:3] + b"\x08" + member[4:10] + b"name-without-a-nul", b""),
+    ]
+
+
+@pytest.mark.parametrize("backend,kwargs", [
+    ("software", {}), ("software-parallel", {"workers": 1}),
+    ("software-parallel", {"workers": 2}), ("nx", {}),
+    ("dfltcc", {"machine": "z15"})],
+    ids=["software", "parallel-1", "parallel-2", "nx", "dfltcc"])
+@pytest.mark.parametrize("case", _hostile_streams(), ids=lambda c: c[0])
+def test_hostile_header_refused_alike(case, backend, kwargs):
+    from repro.backend import create_backend
+    from repro.deflate.containers import decode_with_stats
+    from repro.errors import DeflateError
+
+    _name, fmt, payload, zdict = case
+    with pytest.raises(DeflateError) as reference:
+        decode_with_stats(payload, fmt, history=zdict)
+    with create_backend(backend, **kwargs) as handle:
+        with pytest.raises(DeflateError) as refused:
+            handle.decompress(payload, fmt=fmt, history=zdict)
+    assert refused.type is reference.type

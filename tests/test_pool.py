@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import gzip as stdlib_gzip
+import zlib as stdlib_zlib
 
 import pytest
 
 from repro.backend import SOFTWARE, AcceleratorPool
-from repro.errors import ConfigError
+from repro.errors import AcceleratorError, ConfigError
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9, Z15
 from repro.sysstack.driver import NxDriver
@@ -119,6 +120,37 @@ def test_wait_all_lists_only_what_is_still_open(text_20k):
         later = [pool.submit_compress(text_20k[:n]) for n in (500, 900)]
         assert pool.wait_all() == [job.result for job in later]
         assert pool.wait_all() == []
+
+
+# -- software rescue runs the request that failed ------------------------------
+
+@pytest.mark.parametrize("backend,machine", [("nx", POWER9),
+                                             ("dfltcc", Z15)])
+def test_rescued_continuation_unit_stays_one(backend, machine, text_20k,
+                                             monkeypatch):
+    """Three continuation units, the middle one rescued in software: it
+    must come back primed with the window and without a final block, or
+    a decoder stops — silently, ``eof`` set — at the end of it."""
+    p1, p2, p3 = text_20k[:7000], text_20k[7000:13000], text_20k[13000:]
+    with AcceleratorPool(machine, chips=1, backend=backend) as pool:
+        u1 = pool.compress(p1, fmt="raw", final=False).output
+        if backend == "nx":
+            # A job pasted on the chip: the driver refuses a
+            # synchronous run (JobError) until it is collected.
+            pool.submit_compress(b"in flight" * 64, fmt="raw")
+        else:
+            def broken(*args, **kwargs):
+                raise AcceleratorError("injected chip failure")
+            monkeypatch.setattr(pool.backend_for(0), "_compress", broken)
+        u2 = pool.compress(p2, fmt="raw", history=p1, final=False)
+        assert pool.rescues == 1 and u2.stats.fallback_to_software
+        monkeypatch.undo()
+        pool.wait_all()
+        u3 = pool.compress(p3, fmt="raw", history=p1 + p2).output
+        assert pool.rescues == 1
+    inflater = stdlib_zlib.decompressobj(-15)
+    assert inflater.decompress(u1 + u2.output + u3) == p1 + p2 + p3
+    assert inflater.eof and inflater.unused_data == b""
 
 
 # -- capacity planning (DES view of the same policies) ------------------------
