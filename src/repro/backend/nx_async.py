@@ -23,8 +23,6 @@ from ..nx.dht import DhtStrategy, canned_names
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..perf.cost import accelerator_effective_gbps
 from ..sysstack.crb import Op
-from ..obs.metrics import REGISTRY as _REGISTRY
-from ..obs.metrics import record_job
 from ..sysstack.driver import (DEFAULT_MAX_RETRIES, AsyncNxDriver,
                                DriverResult, PendingJob)
 from ..sysstack.mmu import AddressSpace, FaultInjector
@@ -123,32 +121,20 @@ class NxAsyncBackend(CompressionBackend):
 
     def poll(self) -> list[PendingJob]:
         """Drain completions; finished jobs are folded into ``stats()``."""
-        finished = self.driver.poll()
-        for job in finished:
-            self._account_async(job)
-        return finished
+        return self._recorded(self.driver.poll())
 
     def wait_all(self) -> list[PendingJob]:
         """Poll until every in-flight job on this backend completes."""
-        finished = self.driver.wait_all()
-        for job in finished:
-            self._account_async(job)
-        return finished
+        return self._recorded(self.driver.wait_all())
 
-    def _account_async(self, job: PendingJob) -> None:
-        """Async completions bypass the base record hook — mirror it."""
-        if job.result is None:  # failed jobs carry no result to account
-            return
-        self._stats.record(job.result, job.data_len)
-        if _REGISTRY.enabled:
-            op = ("compress" if job.op in (Op.COMPRESS, Op.COMPRESS_842)
-                  else "decompress")
-            record_job("backend", op=op, nbytes_in=job.data_len,
-                       nbytes_out=len(job.result.output),
-                       seconds=job.result.stats.elapsed_seconds,
-                       faults=job.result.stats.translation_faults,
-                       fallback=job.result.stats.fallback_to_software,
-                       backend=self.name)
+    def _recorded(self, finished: list[PendingJob]) -> list[PendingJob]:
+        """Async completions bypass the public methods' record hook."""
+        for job in finished:
+            if job.result is not None:  # a failed job has none to account
+                op = ("compress" if job.op in (Op.COMPRESS, Op.COMPRESS_842)
+                      else "decompress")
+                self._record(job.result, job.data_len, op)
+        return finished
 
     def cancel_pending(self) -> list[PendingJob]:
         """Abandon in-flight jobs and reclaim their window credits."""

@@ -25,13 +25,29 @@ part — a shared accelerator fails *per request*, never per tenant):
   consecutive failures quarantine the chip and ``route()`` excludes it,
   half-open chips must pass known-answer probes
   (:func:`~repro.nx.selftest.probe_backend`) before user jobs return;
-* a hardware failure is *rescued* — the job reruns on the calling core
-  so the caller still gets correct bytes — unless
-  ``allow_software_rescue=False``, in which case an all-open pool
-  raises :class:`~repro.errors.ChipUnavailable`;
-* ``verify=True`` re-inflates every compressed payload and CRC-checks
-  it before returning (verify-after-compress); a mismatch counts as a
-  chip failure and the payload is re-encoded in software.
+* every route a job can take — a synchronous call, an inline submit, a
+  driver completion, an exec worker's record, a cancellation — ends in
+  :meth:`AcceleratorPool._settle`, which alone classifies the ending:
+
+  - :class:`~repro.errors.DeadlineExceeded` — a late chip is a sick
+    chip, but the deadline is the caller's contract: breaker penalty,
+    no software rescue behind its back;
+  - any other :class:`~repro.errors.AcceleratorError`, or anything else
+    a worker raised that is not a library error — breaker penalty, and
+    the job is *rescued*: it reruns on the calling core as the request
+    it was (same window, same final bit), unless
+    ``allow_software_rescue=False``;
+  - any other :class:`~repro.errors.ReproError` — the *input* is bad
+    and fails anywhere: no penalty, no rescue, that exact error;
+
+* ``verify=True`` re-inflates every final, history-less compressed
+  payload and CRC-checks it before returning (verify-after-compress); a
+  mismatch counts as a chip failure and the payload is re-encoded in
+  software.
+
+``submit_*`` raises only for routing (:class:`~repro.errors.ChipUnavailable`
+with every breaker open and rescue off, :class:`ConfigError`); a job's
+own failure is always on its handle.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import (AcceleratorError, ChipUnavailable, ConfigError,
-                      DeadlineExceeded, ExecError, WorkerCrash)
+                      DeadlineExceeded, ExecError, ReproError, WorkerCrash)
 from ..nx.params import POWER9, MachineParams, Topology, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -88,9 +104,8 @@ def _hardware_clean(result: DriverResult) -> bool:
     breaker-relevant signals.
     """
     stats = result.stats
-    return not (stats.fallback_to_software
-                or getattr(stats, "engine_hangs", 0)
-                or getattr(stats, "spurious_ccs", 0))
+    return not (stats.fallback_to_software or stats.engine_hangs
+                or stats.spurious_ccs)
 
 
 @dataclass(frozen=True)
@@ -117,48 +132,16 @@ class PoolStats:
     breaker_states: tuple[str, ...] = ()
 
 
-class _ExecPending:
-    """Adapter giving an exec-layer job the driver-pending interface.
-
-    :meth:`AcceleratorPool._finish_pending` consumes driver pendings
-    (``sequence``/``done``/``result``/``error``); wrapping a
-    :class:`~repro.exec.pool.ExecJob` in the same shape lets jobs that
-    ran in a pool worker flow through the *identical* completion path —
-    rescue, breaker accounting, verify-after-compress — as jobs the
-    async hardware drivers resolved.
-    """
-
-    __slots__ = ("sequence", "exec_job", "src_slab", "out_slab",
-                 "result", "error", "nbytes", "kind", "poisoned")
-
-    def __init__(self, sequence: str, exec_job,
-                 src_slab, out_slab) -> None:
-        self.sequence = sequence
-        self.exec_job = exec_job
-        self.src_slab = src_slab
-        self.out_slab = out_slab
-        self.result: DriverResult | None = None
-        self.error: Exception | None = None
-        #: An orphan-failed job's task may still sit in the shared queue;
-        #: its slabs must be unlinked, never recycled, or a worker could
-        #: eventually run the stale task and scribble over whichever job
-        #: reused them.  Unlinking is safe: names are never reissued, so
-        #: the stale run hits FileNotFoundError (or a dead mapping) and
-        #: its completion is ignored.
-        self.poisoned = False
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None or self.error is not None
-
-
 @dataclass
 class PoolJob:
-    """One batch-submitted request and where it was routed.
+    """One routed request, from routing to :meth:`AcceleratorPool._settle`.
 
-    The original payload is retained until completion so a job whose
-    chip fails mid-flight can be rescued in software.  ``error`` is set
-    when the job terminally failed (and no rescue was possible).
+    ``submit_*`` hands it out as the caller's handle; the synchronous
+    calls build one too and raise its ``error``.  The request — payload,
+    window, final bit — is retained until completion so a job whose
+    chip fails mid-flight can be rescued in software as the request it
+    was.  ``error`` is set when the job terminally failed (and no
+    rescue was possible).
     """
 
     index: int
@@ -169,6 +152,14 @@ class PoolJob:
     payload: bytes = field(default=b"", repr=False)
     fmt: str | None = None
     error: Exception | None = None
+    history: bytes = field(default=b"", repr=False)
+    final: bool = True
+    verify: bool = False
+    #: While a lower layer holds the job: that layer's own handle — a
+    #: driver pending or an exec job, both ``done``/``result``/``error``
+    #: — and an exec job's shared-memory slabs (source[, output]).
+    handle: object = field(default=None, repr=False)
+    slabs: tuple = field(default=(), repr=False)
 
     @property
     def done(self) -> bool:
@@ -219,15 +210,13 @@ class AcceleratorPool:
         self.rescues = 0
         self.verify_failures = 0
         self._open: list[PoolJob] = []
-        self._by_pending: dict[tuple[int, object], PoolJob] = {}
-        self._next_index = 0
+        self._by_pending: dict[int, PoolJob] = {}  # held below, by index
+        self._indices = itertools.count()
         # Process-based execution of batch submits on synchronous
         # backends: opt-in via exec_workers (shared warm pool) or an
         # explicitly provided exec_pool.
         self.exec_workers = exec_workers
         self._exec_pool = exec_pool
-        self._exec_seq = itertools.count(1)
-        self._exec_open: list[tuple[int, _ExecPending]] = []
         #: When an exec job last resolved (or the first was submitted
         #: into an idle layer): the orphan verdict's clock.
         self._exec_progress_at = 0.0
@@ -292,11 +281,7 @@ class AcceleratorPool:
             return SOFTWARE
         available = self.health.available_chips()
         if not available:
-            if self.allow_software_rescue:
-                _TRACE.event("pool.all_chips_down")
-                _FLIGHT.auto_dump("all_chips_down", chips=self.chips)
-                return SOFTWARE
-            raise ChipUnavailable(
+            return self._all_chips_down(
                 "every chip's circuit breaker is open")
         policy = ("round_robin" if self.policy == "size_threshold"
                   else self.policy)
@@ -354,11 +339,15 @@ class AcceleratorPool:
             if chip == SOFTWARE or self._probe(chip):
                 return chip
         # Every half-open candidate failed its probe this tick.
-        if self.allow_software_rescue:
-            _TRACE.event("pool.all_chips_down")
-            _FLIGHT.auto_dump("all_chips_down", chips=self.chips)
-            return SOFTWARE
-        raise ChipUnavailable("no chip passed its recovery probe")
+        return self._all_chips_down("no chip passed its recovery probe")
+
+    def _all_chips_down(self, why: str) -> int:
+        """No chip can take the job: software, or shed it (``why``)."""
+        if not self.allow_software_rescue:
+            raise ChipUnavailable(why)
+        _TRACE.event("pool.all_chips_down")
+        _FLIGHT.auto_dump("all_chips_down", chips=self.chips)
+        return SOFTWARE
 
     def _probe(self, chip: int) -> bool:
         """Run known-answer probes while ``chip`` is half-open.
@@ -392,54 +381,94 @@ class AcceleratorPool:
                  deadline_s: float | None = None,
                  verify: bool | None = None) -> DriverResult:
         chip, _ = self._route_spanned(len(data), home)
-        return self._run_on(chip, "compress", data, strategy, fmt, history,
-                            final, deadline_s, verify)
+        job = self._job(-1, chip, "compress", data, fmt, history, final,
+                        verify)
+        return self._run_on(job, strategy, deadline_s)
 
     def decompress(self, payload: bytes, *, fmt: str | None = None,
                    history: bytes = b"", home: int = 0,
                    deadline_s: float | None = None) -> DriverResult:
         chip, _ = self._route_spanned(len(payload), home)
-        return self._run_on(chip, "decompress", payload, "auto", fmt,
-                            history, True, deadline_s, None)
+        job = self._job(-1, chip, "decompress", payload, fmt, history)
+        return self._run_on(job, "auto", deadline_s)
 
-    def _run_on(self, chip: int, kind: str, data: bytes, strategy: object,
-                fmt: str | None, history: bytes, final: bool,
-                deadline_s: float | None,
-                verify: bool | None) -> DriverResult:
-        """Run one routed job on the calling thread, resilience included:
-        breaker accounting, software rescue, verify-after-compress."""
-        backend = self.backend_for(chip)
-        fmt = fmt or backend.capabilities().default_format
+    def _job(self, index: int, chip: int, kind: str, data: bytes,
+             fmt: str | None, history: bytes = b"", final: bool = True,
+             verify: bool | None = None) -> PoolJob:
+        fmt = fmt or self.backend_for(chip).capabilities().default_format
+        return PoolJob(index=index, chip=chip, nbytes=len(data), kind=kind,
+                       payload=data, fmt=fmt, history=history, final=final,
+                       verify=self.verify if verify is None else verify)
+
+    def _run_on(self, job: PoolJob, strategy: object,
+                deadline_s: float | None) -> DriverResult:
+        """A synchronous call: the job ends on the calling thread, and
+        its failure is raised instead of left on a handle."""
+        self._settle(job, *self._call(job, strategy, deadline_s))
+        if job.error is not None:
+            raise job.error
+        return job.result
+
+    def _call(self, job: PoolJob, strategy: object,
+              deadline_s: float | None
+              ) -> tuple[DriverResult | None, ReproError | None]:
+        """Run a job on its chip, on the calling thread; how it ended."""
+        backend = self.backend_for(job.chip)
         try:
-            with self._op_lock(chip):
-                if kind == "compress":
-                    result = backend.compress(
-                        data, strategy=strategy, fmt=fmt, history=history,
-                        final=final, deadline_s=deadline_s)
-                else:
-                    result = backend.decompress(
-                        data, fmt=fmt, history=history,
-                        deadline_s=deadline_s)
-        except DeadlineExceeded:
-            # A late chip is a sick chip, but the deadline is the
-            # caller's contract — no software rescue behind its back.
-            self._note_health(chip, healthy=False)
-            _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
-                              kind=kind, chip=chip, nbytes=len(data))
-            raise
-        except AcceleratorError as exc:
-            if chip == SOFTWARE:
-                raise
-            self._note_health(chip, healthy=False)
-            result = self._rescue(kind, data, fmt, exc, history, final)
-        else:
-            self._note_health(chip, healthy=_hardware_clean(result))
-        do_verify = self.verify if verify is None else verify
-        if kind == "compress" and do_verify and final and not history:
-            result = self._verified(chip, data, fmt, result)
-        return result
+            with self._op_lock(job.chip):
+                if job.kind == "compress":
+                    return backend.compress(
+                        job.payload, strategy=strategy, fmt=job.fmt,
+                        history=job.history, final=job.final,
+                        deadline_s=deadline_s), None
+                return backend.decompress(
+                    job.payload, fmt=job.fmt, history=job.history,
+                    deadline_s=deadline_s), None
+        except ReproError as exc:
+            return None, exc
 
-    # -- resilience plumbing -------------------------------------------------
+    # -- the one ending ------------------------------------------------------
+
+    def _settle(self, job: PoolJob, result: DriverResult | None,
+                error: BaseException | None = None) -> None:
+        """The only place a routed job becomes a result or an error:
+        the books are closed, the ending is classified (the module
+        docstring has the table), and the result, if any, verified."""
+        chip = job.chip
+        if job.handle is not None:
+            with self._lock:
+                if self._by_pending.pop(job.index, None) is None:
+                    return  # another thread settled it first
+                self._pending_bytes[chip] -= job.nbytes
+            self._publish_in_flight()
+        if result is None and error is None:
+            error = AcceleratorError(
+                "job resolved with neither result nor error")
+        if error is None:
+            self._note_health(chip, healthy=_hardware_clean(result))
+        elif (isinstance(error, ReproError)
+                and not isinstance(error, AcceleratorError)):
+            job.error = error  # bad input: the chip did nothing wrong
+            return
+        else:
+            self._note_health(chip, healthy=False)
+            late = isinstance(error, DeadlineExceeded)
+            if late:
+                _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
+                                  kind=job.kind, chip=chip,
+                                  nbytes=job.nbytes)
+            if late or chip == SOFTWARE or not self.allow_software_rescue:
+                job.error = error
+                return
+            try:
+                result = self._rescue(job, error)
+            except Exception as exc:  # bad input: fails in software too
+                job.error = exc
+                return
+        if (job.verify and job.kind == "compress" and job.final
+                and not job.history):
+            result = self._verified(job, result)
+        job.result = result
 
     def _note_health(self, chip: int, healthy: bool) -> None:
         if chip == SOFTWARE:
@@ -449,50 +478,41 @@ class AcceleratorPool:
         else:
             self.health.record_failure(chip)
 
-    def _rescue(self, kind: str, data: bytes, fmt: str,
-                cause: Exception, history: bytes = b"",
-                final: bool = True) -> DriverResult:
+    def _rescue(self, job: PoolJob, cause: BaseException) -> DriverResult:
         """Re-run a failed hardware job on the calling core, as the
-        request it was: same window, same final bit.
-
-        Raises the original ``cause`` when rescue is disabled — the
-        caller asked for fail-fast semantics.
-        """
-        if not self.allow_software_rescue:
-            raise cause
+        request it was: same window, same final bit."""
         with self._lock:
             self.rescues += 1
-        _TRACE.event("pool.rescue", kind=kind, cause=type(cause).__name__)
-        _FLIGHT.record("pool.rescue", kind=kind,
-                       cause=type(cause).__name__, nbytes=len(data))
+        _TRACE.event("pool.rescue", kind=job.kind,
+                     cause=type(cause).__name__)
+        _FLIGHT.record("pool.rescue", kind=job.kind,
+                       cause=type(cause).__name__, nbytes=job.nbytes)
         if _REGISTRY.enabled:
             _REGISTRY.counter(
                 "repro_resilience_rescues_total",
                 "hardware jobs re-run in software after a failure").inc(
-                1, kind=kind)
+                1, kind=job.kind)
         output, seconds = run_in_software(
-            kind, data, fmt, history=history, final=final,
-            machine=self.machine)
+            job.kind, job.payload, job.fmt, history=job.history,
+            final=job.final, machine=self.machine)
         stats = SubmissionStats(fallback_to_software=True,
                                 elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
 
-    def _verified(self, chip: int, original: bytes, fmt: str,
-                  result: DriverResult) -> DriverResult:
+    def _verified(self, job: PoolJob, result: DriverResult) -> DriverResult:
         """Verify-after-compress: CRC-checked round trip or re-encode."""
-        if verify_payload(original, result.output, fmt):
+        if verify_payload(job.payload, result.output, job.fmt):
             return result
-        backend_name = ("software" if chip == SOFTWARE
+        backend_name = ("software" if job.chip == SOFTWARE
                         else self.backend_name)
-        note_mismatch(backend_name, fmt, len(original))
+        note_mismatch(backend_name, job.fmt, job.nbytes)
         _FLIGHT.auto_dump("verify_failure", backend=backend_name,
-                          fmt=fmt, chip=chip, nbytes=len(original))
-        with self._lock:
-            self.verify_failures += 1
-        self._note_health(chip, healthy=False)
-        output, seconds = run_in_software("compress", original, fmt,
+                          fmt=job.fmt, chip=job.chip, nbytes=job.nbytes)
+        self._note_health(job.chip, healthy=False)
+        output, seconds = run_in_software("compress", job.payload, job.fmt,
                                           machine=self.machine)
         with self._lock:
+            self.verify_failures += 1
             self.rescues += 1
         stats = result.stats
         stats.fallback_to_software = True
@@ -518,82 +538,42 @@ class AcceleratorPool:
                 deadline_s: float | None = None) -> PoolJob:
         chip, route_span = self._route_spanned(len(data), home)
         backend = self.backend_for(chip)
-        fmt = fmt or backend.capabilities().default_format
-        with self._lock:
-            job = PoolJob(index=self._next_index, chip=chip,
-                          nbytes=len(data), kind=kind, payload=data,
-                          fmt=fmt)
-            self._next_index += 1
+        job = self._job(next(self._indices), chip, kind, data, fmt)
         if chip != SOFTWARE and hasattr(backend, "submit"):
             with self._op_lock(chip):
                 pending = backend.submit(kind, data, strategy=strategy,
-                                         fmt=fmt, deadline_s=deadline_s)
-            with self._lock:
-                self._pending_bytes[chip] += len(data)
-                self._by_pending[(chip, pending.sequence)] = job
-            self._publish_in_flight()
+                                         fmt=job.fmt, deadline_s=deadline_s)
+            self._file(job, pending)
             # The paste itself may have resolved the job (software
             # fallback on a wedged window, deadline, permanent CC).
             if pending.done:
-                self._finish_pending(chip, pending)
+                self._settle(job, pending.result, pending.error)
         elif (chip != SOFTWARE and isinstance(strategy, str)
                 and self._exec() is not None):
             # Synchronous backend + execution layer: the job runs in a
-            # pool worker process and resolves through the same
-            # _finish_pending path as driver completions, so rescue,
-            # breakers, and verify behave identically.
-            pending = self._submit_exec(chip, kind, data, strategy, fmt,
-                                        deadline_s,
-                                        span_parent=route_span)
-            with self._lock:
-                self._pending_bytes[chip] += len(data)
-                self._by_pending[(chip, pending.sequence)] = job
-                if not self._exec_open:
-                    self._exec_progress_at = time.monotonic()
-                self._exec_open.append((chip, pending))
-            self._publish_in_flight()
+            # pool worker process.
+            self._submit_exec(job, strategy, deadline_s, route_span)
         else:
             # Synchronous backend, no execution layer: the job is done
-            # when submit returns, under the same contract as compress().
-            job.result = self._run_on(chip, kind, data, strategy, fmt,
-                                      b"", True, deadline_s, None)
+            # when submit returns — its failure, too, is on the handle.
+            self._settle(job, *self._call(job, strategy, deadline_s))
         with self._lock:
             self._open.append(job)
         return job
 
-    def _finish_pending(self, chip: int, pending) -> PoolJob | None:
-        """Resolve one driver completion into its pool job.
-
-        Failed hardware jobs are rescued in software (the caller still
-        gets correct bytes) except for deadline failures, which stay
-        failed — rescuing would blow the caller's latency contract.
-        """
+    def _file(self, job: PoolJob, handle: object, slabs: tuple = ()) -> None:
+        """Book a job a lower layer now holds, with that layer's handle."""
+        job.handle, job.slabs = handle, slabs
         with self._lock:
-            job = self._by_pending.pop((chip, pending.sequence), None)
-            if job is None:
-                return None
-            self._pending_bytes[chip] -= job.nbytes
-        if pending.result is None:
-            error = pending.error or AcceleratorError(
-                "pending job resolved with neither result nor error")
-            self._note_health(chip, healthy=False)
-            if (self.allow_software_rescue
-                    and not isinstance(error, DeadlineExceeded)):
-                try:
-                    job.result = self._rescue(job.kind, job.payload,
-                                              job.fmt, error)
-                except Exception as exc:  # bad input: fails anywhere
-                    job.error = exc
-            else:
-                job.error = error
-        else:
-            self._note_health(chip,
-                              healthy=_hardware_clean(pending.result))
-            job.result = pending.result
-            if self.verify and job.kind == "compress":
-                job.result = self._verified(chip, job.payload, job.fmt,
-                                            job.result)
-        return job
+            self._by_pending[job.index] = job
+            self._pending_bytes[job.chip] += job.nbytes
+        self._publish_in_flight()
+
+    def _held(self, by_exec: bool) -> list[PoolJob]:
+        """The jobs exec workers (else the chip drivers) still hold."""
+        with self._lock:
+            return [job for job in self._by_pending.values()
+                    if bool(job.slabs) == by_exec]
 
     # -- process-based execution of sync-backend batches ---------------------
 
@@ -627,10 +607,9 @@ class AcceleratorPool:
                 return None
         return self._exec_pool
 
-    def _submit_exec(self, chip: int, kind: str, data: bytes,
-                     strategy: str, fmt: str,
+    def _submit_exec(self, job: PoolJob, strategy: str,
                      deadline_s: float | None,
-                     span_parent: object = None) -> _ExecPending:
+                     span_parent: object = None) -> None:
         """Ship one job to a pool worker; payload via shared memory.
 
         ``span_parent`` (normally the request's ``pool.route`` span) is
@@ -640,16 +619,15 @@ class AcceleratorPool:
         """
         pool = self._exec_pool
         allocator = pool.allocator
-        src_slab = allocator.acquire(max(1, len(data)))
-        src_slab.write(0, data)
-        out_slab = None
-        out = None
-        if kind == "compress":
+        src_slab = allocator.acquire(max(1, job.nbytes))
+        src_slab.write(0, job.payload)
+        slabs, out = (src_slab,), None
+        if job.kind == "compress":
             # Compressed output fits input + slack; decompressed output
             # is unbounded, so it rides back inline instead.
-            cap = len(data) + len(data) // 4 + 256
-            out_slab = allocator.acquire(cap)
-            out = (out_slab.name, 0, cap)
+            cap = job.nbytes + job.nbytes // 4 + 256
+            slabs += (allocator.acquire(cap),)
+            out = (slabs[1].name, 0, cap)
         ctx = _TRACE.current_ctx()
         exec_job = pool.submit(
             "backend_job",
@@ -659,63 +637,61 @@ class AcceleratorPool:
             backend=self.backend_name,
             machine=self.machine.name,
             backend_kwargs=self._backend_kwargs,
-            kind=kind, fmt=fmt, strategy=strategy,
+            kind=job.kind, fmt=job.fmt, strategy=strategy,
             deadline_s=deadline_s,
-            src=(src_slab.name, 0, len(data)),
+            src=(src_slab.name, 0, job.nbytes),
             out=out)
-        pending = _ExecPending(f"exec:{next(self._exec_seq)}", exec_job,
-                               src_slab, out_slab)
-        pending.nbytes = len(data)
-        pending.kind = kind
-        return pending
+        if not self._held(by_exec=True):
+            self._exec_progress_at = time.monotonic()
+        self._file(job, exec_job, slabs)
 
-    def _resolve_exec(self, chip: int, pending: _ExecPending) -> None:
-        """Translate a finished exec job into a pending result/error."""
-        exec_job = pending.exec_job
+    def _resolve_exec(self, job: PoolJob,
+                      orphaned: bool) -> DriverResult | None:
+        """Read a finished worker's record; the slabs go back.
+
+        An orphan-failed job's task may still sit in the shared queue;
+        its slabs must be unlinked, never recycled, or a worker could
+        eventually run the stale task and scribble over whichever job
+        reused them.  Unlinking is safe: names are never reissued, so
+        the stale run hits FileNotFoundError (or a dead mapping) and its
+        completion is ignored.
+        """
+        record = job.handle.result
         try:
-            if exec_job.error is not None:
-                pending.error = exec_job.error
-            elif exec_job.result is None:
-                pending.error = ExecError(
-                    "exec job resolved with neither result nor error")
-            else:
-                record = exec_job.result
-                output = record.get("inline")
-                if output is None:
-                    output = pending.out_slab.read(0, record["n"])
-                pending.result = DriverResult(output=output, csb=None,
-                                              stats=record["stats"])
-                # The worker instance's accounting died with the job's
-                # process; record once against the parent-side instance
-                # so BackendStats and the registry stay truthful.
-                self.backend_for(chip)._record(pending.result,
-                                               pending.nbytes,
-                                               pending.kind)
+            if job.handle.error is not None or record is None:
+                return None
+            output = record.get("inline")
+            if output is None:
+                output = job.slabs[1].read(0, record["n"])
+            result = DriverResult(output=output, csb=None,
+                                  stats=record["stats"])
+            # The worker instance's accounting died with the job's
+            # process; record once against the parent-side instance so
+            # BackendStats and the registry stay truthful.
+            self.backend_for(job.chip)._record(result, job.nbytes, job.kind)
+            return result
         finally:
-            allocator = self._exec_pool.allocator
-            for slab in (pending.src_slab, pending.out_slab):
-                if slab is None:
-                    continue
-                if pending.poisoned:
+            for slab in job.slabs:
+                if orphaned:
                     slab.destroy()
                 else:
-                    allocator.release(slab)
+                    self._exec_pool.allocator.release(slab)
 
     def _drain_exec(self) -> None:
-        """Resolve finished exec jobs through the completion path.
+        """Settle the jobs whose exec worker has finished.
 
         The execution pool is shared (parallel_deflate batches ride the
         same fleet), so this never trusts the pool's own returned job
         lists — it polls the pool, then checks *its* handles.
         """
-        with self._lock:
-            open_pendings = list(self._exec_open)
-        pool = self._exec_pool
-        if pool is None or not open_pendings:
+        held = self._held(by_exec=True)
+        if not held:
             return
+        pool = self._exec_pool
         pool.poll()
         now = time.monotonic()
-        if any(pending.exec_job.done for _, pending in open_pendings):
+        orphaned = False
+        if any(job.handle.done for job in held):
             self._exec_progress_at = now
         elif now - self._exec_progress_at >= _EXEC_ORPHAN_TIMEOUT_S:
             # A worker killed between popping a task and writing its
@@ -724,17 +700,14 @@ class AcceleratorPool:
             # orphan verdict is progress-based: only when no handle at
             # all resolves for the full window are the stragglers failed
             # (rescue then recomputes them).
-            for _, pending in open_pendings:
-                pending.poisoned = True
-                pool.fail_job(pending.exec_job, WorkerCrash(
+            orphaned = True
+            for job in held:
+                pool.fail_job(job.handle, WorkerCrash(
                     "job orphaned by a dying worker"))
-        for chip, pending in open_pendings:
-            if not pending.exec_job.done:
-                continue
-            self._resolve_exec(chip, pending)
-            with self._lock:
-                self._exec_open.remove((chip, pending))
-            self._finish_pending(chip, pending)
+        for job in held:
+            if job.handle.done:
+                self._settle(job, self._resolve_exec(job, orphaned),
+                             job.handle.error)
 
     def _drain_chips(self, wait: bool) -> None:
         """Poll each chip's async driver once, or (``wait``) until idle.
@@ -742,25 +715,27 @@ class AcceleratorPool:
         The drivers are in-process models — draining one *is* the engine
         doing the work — so waiting never sleeps; a wedged engine raises
         :class:`AcceleratorError` once its poll budget is spent, after
-        the jobs that did complete (``partial``) have been resolved.
+        the jobs that did complete have been settled.
         """
-        for chip, instance in enumerate(self._instances):
-            if instance is None or not hasattr(instance, "poll"):
-                continue
-            wedged = None
-            with self._op_lock(chip):
-                try:
+        try:
+            for chip, instance in enumerate(self._instances):
+                if instance is None or not hasattr(instance, "poll"):
+                    continue
+                with self._op_lock(chip):
                     # An idle driver is still polled once: it may hold
                     # completions a paste-retry loop drained on the side.
-                    resolved = (instance.wait_all()
-                                if wait and instance.in_flight
-                                else instance.poll())
-                except AcceleratorError as exc:
-                    resolved, wedged = getattr(exc, "partial", []), exc
-            for pending in resolved:
-                self._finish_pending(chip, pending)
-            if wedged is not None:
-                raise wedged
+                    if wait and instance.in_flight:
+                        instance.wait_all()
+                    else:
+                        instance.poll()
+        finally:
+            self._settle_done()
+
+    def _settle_done(self) -> None:
+        """Settle every job whose driver pending has resolved."""
+        for job in self._held(by_exec=False):
+            if job.handle.done:
+                self._settle(job, job.handle.result, job.handle.error)
 
     def _take_resolved(self) -> list[PoolJob]:
         """Hand over, and forget, every open job that has resolved."""
@@ -768,8 +743,6 @@ class AcceleratorPool:
             finished = [job for job in self._open if job.done]
             if finished:
                 self._open = [job for job in self._open if not job.done]
-        if finished:
-            self._publish_in_flight()
         return finished
 
     def _sleep(self, wake: tuple = ()) -> None:
@@ -777,7 +750,7 @@ class AcceleratorPool:
         record or a death), a ``wake`` handle is readable, or one tick
         has passed."""
         handles = list(wake)
-        if self._exec_open:
+        if self._held(by_exec=True):
             handles += self._exec_pool.wait_handles()
         if handles:
             poller = select.poll()
@@ -831,13 +804,12 @@ class AcceleratorPool:
         with self._lock:
             results = [job.result for job in self._open]
             self._open = []
-        self._publish_in_flight()
         return results
 
     def _finish_exec(self) -> None:
         """Block until every open exec job has resolved."""
         self._drain_exec()
-        while self._exec_open:
+        while self._held(by_exec=True):
             self._sleep()
             self._drain_exec()
 
@@ -850,22 +822,20 @@ class AcceleratorPool:
         """Abandon every pending batch job (hung-engine recovery).
 
         Each chip's driver flushes its FIFOs, resets hung engines, and
-        reclaims window credits; the abandoned jobs come back through
-        :meth:`_finish_pending`, where the normal failure path applies —
-        so with rescue enabled callers still receive correct bytes,
-        computed on the CPU — and the next :meth:`poll` hands them over.
+        reclaims window credits; the abandoned jobs end in
+        :meth:`_settle` like any other failure — so with rescue enabled
+        callers still receive correct bytes, computed on the CPU — and
+        the next :meth:`poll` hands them over.
         """
         for chip, instance in enumerate(self._instances):
             if instance is None or not hasattr(instance, "cancel_pending"):
                 continue
             with self._op_lock(chip):
-                cancelled = instance.cancel_pending()
-            for pending in cancelled:
-                self._finish_pending(chip, pending)
+                instance.cancel_pending()
+        self._settle_done()
         # Exec jobs are CPU work already running in a worker, not wedged
         # hardware: drain them to completion rather than abandoning.
         self._finish_exec()
-        self._publish_in_flight()
 
     def suggested_batch_depth(self) -> int:
         """How many jobs a caller should keep in flight at once.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import ReproError
 from ..sysstack.crb import CcCode, Crb, Csb, Op
 from ..sysstack.mmu import AddressSpace
 from ..sysstack.vas import PasteRecord, Vas
@@ -20,11 +21,16 @@ from .params import MachineParams
 
 @dataclass
 class CompletedJob:
-    """A drained job: who submitted it, the request, and how it ended."""
+    """A drained job: who submitted it, the request, and how it ended.
+
+    A stream the engine refuses (a data error in *this* job's input)
+    ends with ``error`` set and no ``outcome``.
+    """
 
     window_id: int
-    outcome: JobOutcome
+    outcome: JobOutcome | None
     crb: Crb | None = None
+    error: ReproError | None = None
 
 
 @dataclass
@@ -63,6 +69,9 @@ class NxAccelerator:
         credit stays held until :meth:`recover_hung`), a *dead* chip
         answers every job with an engine-check CC, and a *translation
         storm* fabricates source-side faults the driver must fix up.
+
+        One job's bad input never raises out of the drain: the window is
+        shared, and the completions drained beside it belong to others.
         """
         completed: list[CompletedJob] = []
         chaos = self.chaos
@@ -77,6 +86,7 @@ class NxAccelerator:
             if action == "hang":
                 self.hung.append(record)
                 continue
+            outcome = error = None
             try:
                 if action == "dead":
                     outcome = self._fabricate(crb, space, CcCode.FUNCTION)
@@ -88,12 +98,14 @@ class NxAccelerator:
                     outcome = self.execute(crb, space)
                     if chaos is not None:
                         chaos.on_outcome(crb, outcome, space)
+            except ReproError as exc:
+                error = exc
             finally:
-                # A stream the engine rejects raises out of the drain;
-                # the job is over either way, so its credit comes back.
+                # The job is over either way, so its credit comes back.
                 self.vas.return_credit(record.window_id)
             completed.append(CompletedJob(window_id=record.window_id,
-                                          outcome=outcome, crb=crb))
+                                          outcome=outcome, crb=crb,
+                                          error=error))
         return completed
 
     def recover_hung(self) -> list[PasteRecord]:

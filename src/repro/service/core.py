@@ -475,13 +475,7 @@ class CompressionService:
             self.cache.abort(tenant, key)
             followers = self._cache_followers.pop((tenant, key), [])
         for ticket in followers:
-            with self._lock:
-                self._failed += 1
-                self._per_class[ticket.qos]["failed"] += 1
-            if _REGISTRY.enabled:
-                record_service_request(
-                    op=ticket.op, qos=ticket.qos, outcome="failed",
-                    tenant=ticket.tenant, reason=type(error).__name__)
+            self._count_failure(ticket, "failed", type(error).__name__)
             ticket._fail(error)
 
     def request(self, op: str, payload: bytes, *,
@@ -518,29 +512,25 @@ class CompressionService:
         if drain:
             self.drain(timeout_s)
         with self._lock:
-            self._state = "stopped"
-            abandoned = [req for name in self._queues
-                         for req in self._queues[name]]
-            for queue in self._queues.values():
-                queue.clear()
-            for name in self._queued_bytes:
-                self._queued_bytes[name] = 0
-            for req in abandoned:
-                self._failed += 1
-                self._per_class[req.ticket.qos]["failed"] += 1
+            abandoned = self._stop_locked()
             poke = self._poke_locked()
         if poke:
             self._poke()
         for req in abandoned:
-            error = ServiceClosed("service stopped before dispatch")
-            req.span.set(outcome="failed", error="ServiceClosed")
-            req.span.end()
-            req.ticket._fail(error)
-            if req.cache_key is not None:
-                self._cache_settle_fail(req, error)
+            self._resolve_error(
+                req, ServiceClosed("service stopped before dispatch"))
         self._dispatcher.join(timeout_s)
         if self._own_pool:
             self.pool.close()
+
+    def _stop_locked(self) -> list[_Queued]:
+        """Stop admitting; hand back whatever was still queued."""
+        self._state = "stopped"
+        abandoned = [req for queue in self._queues.values() for req in queue]
+        for name, queue in self._queues.items():
+            queue.clear()
+            self._queued_bytes[name] = 0
+        return abandoned
 
     def __enter__(self) -> "CompressionService":
         return self
@@ -648,6 +638,19 @@ class CompressionService:
                                          batch_size=in_flight)
                     else:
                         self._resolve_error(req, job.error)
+        except BaseException as cause:
+            # Nobody is left to serve them: fail every accepted request
+            # now instead of stranding its client until a timeout.
+            with self._lock:
+                stranded = ([req for req, _ in flying.values()]
+                            + self._stop_locked())
+            _FLIGHT.auto_dump("dispatcher_died", stranded=len(stranded),
+                              error=type(cause).__name__)
+            for req in stranded:
+                error = ServiceClosed(f"dispatcher died: {cause!r}")
+                error.__cause__ = cause
+                self._resolve_error(req, error)
+            raise
         finally:
             with self._lock:
                 if self._wake_state == "poked":
@@ -778,50 +781,32 @@ class CompressionService:
 
     def _resolve_expired(self, req: _Queued, now: float) -> None:
         waited = now - req.enqueued_at
-        with self._lock:
-            self._expired += 1
-            self._per_class[req.ticket.qos]["expired"] += 1
-        if _REGISTRY.enabled:
-            record_service_request(
-                op=req.op, qos=req.ticket.qos, outcome="expired",
-                tenant=req.ticket.tenant, queue_wait_s=waited,
-                reason="deadline_in_queue")
-        _FLIGHT.auto_dump("deadline_exceeded", id=req.ticket.request_id,
-                          op=req.op, qos=req.ticket.qos,
-                          waited_s=round(waited, 6))
-        req.span.set(outcome="expired", queue_wait_s=waited)
-        req.span.end()
-        error = DeadlineExceeded(
+        self._resolve_error(req, DeadlineExceeded(
             f"request {req.ticket.request_id} waited "
             f"{waited * 1e3:.1f} ms in the {req.ticket.qos} queue, "
             f"past its {req.deadline_s * 1e3:.1f} ms deadline",
-            elapsed_s=waited, deadline_s=req.deadline_s)
-        req.ticket._fail(error)
-        if req.cache_key is not None:
-            self._cache_settle_fail(req, error)
+            elapsed_s=waited, deadline_s=req.deadline_s),
+            queue_wait_s=waited, reason="deadline_in_queue")
 
-    def _resolve_error(self, req: _Queued, error: Exception) -> None:
+    def _resolve_error(self, req: _Queued, error: Exception, *,
+                       queue_wait_s: float = 0.0, reason: str = "") -> None:
+        """Every way an admitted request fails ends here: expired in the
+        queue, failed or late on the pool, abandoned at close, stranded
+        by a dead dispatcher."""
         outcome = ("expired" if isinstance(error, DeadlineExceeded)
                    else "failed")
-        reason = type(error).__name__
-        with self._lock:
-            if outcome == "expired":
-                self._expired += 1
-            else:
-                self._failed += 1
-            self._per_class[req.ticket.qos][outcome] += 1
-        if _REGISTRY.enabled:
-            record_service_request(
-                op=req.op, qos=req.ticket.qos, outcome=outcome,
-                tenant=req.ticket.tenant, reason=reason)
+        reason = reason or type(error).__name__
+        self._count_failure(req.ticket, outcome, reason, queue_wait_s)
         if outcome == "expired":
             _FLIGHT.auto_dump("deadline_exceeded",
                               id=req.ticket.request_id, op=req.op,
-                              qos=req.ticket.qos, error=reason)
+                              qos=req.ticket.qos, error=reason,
+                              waited_s=round(queue_wait_s, 6))
         else:
             _FLIGHT.record("service.fail", id=req.ticket.request_id,
                            op=req.op, qos=req.ticket.qos, error=reason)
-        req.span.set(outcome=outcome, error=reason)
+        req.span.set(outcome=outcome, error=reason,
+                     queue_wait_s=queue_wait_s)
         req.span.end()
         if isinstance(error, ChipUnavailable):
             # Every breaker open is a capacity, not a correctness,
@@ -833,3 +818,18 @@ class CompressionService:
         req.ticket._fail(error)
         if req.cache_key is not None:
             self._cache_settle_fail(req, error)
+
+    def _count_failure(self, ticket: ServiceTicket, outcome: str,
+                       reason: str, queue_wait_s: float = 0.0) -> None:
+        """The counting half of a failure: stats and the registry."""
+        with self._lock:
+            if outcome == "expired":
+                self._expired += 1
+            else:
+                self._failed += 1
+            self._per_class[ticket.qos][outcome] += 1
+        if _REGISTRY.enabled:
+            record_service_request(
+                op=ticket.op, qos=ticket.qos, outcome=outcome,
+                tenant=ticket.tenant, queue_wait_s=queue_wait_s,
+                reason=reason)

@@ -25,7 +25,9 @@ Completion codes split into three classes (see ``docs/protocol.md``):
 *handled* (``TRANSLATION``, ``TARGET_SPACE`` — fix up and resubmit),
 *permanent* (``INVALID_CRB``, ``DATA_LENGTH`` — the request itself is
 wrong; raise immediately, no retry), and *spurious* (anything else — a
-misbehaving engine; retry, then fall back to software).
+misbehaving engine; retry, then fall back to software).  A *data error*
+(the engine decoded the stream and found it corrupt) is permanent too,
+and like a permanent CC it ends that one job, never the drain.
 
 Timing is accounted in modelled seconds so experiments can report
 end-to-end latencies including fault fixups and retries.
@@ -222,9 +224,9 @@ class NxDriver:
                 break  # window wedged (credit leak): software fallback
 
             stats.elapsed_seconds += machine.dispatch_overhead_us * 1e-6
-            completed = self.accelerator.drain(self.space)
-            outcome = _match_completion(completed, crb.sequence)
-            if outcome is None:
+            done = _match_completion(
+                self.accelerator.drain(self.space), crb.sequence)
+            if done is None:
                 # The engine swallowed the job: reset it, reclaim the
                 # credit, and charge a backoff before resubmitting.
                 stats.engine_hangs += 1
@@ -235,6 +237,9 @@ class NxDriver:
                                "engine hang recovery")
                 attempt += 1
                 continue
+            if done.error is not None:
+                raise done.error  # the engine refused the stream itself
+            outcome = done.outcome
             stats.elapsed_seconds += outcome.busy_seconds
             stats.elapsed_seconds += CSB_POLL_SECONDS
             stats.elapsed_seconds += machine.completion_overhead_us * 1e-6
@@ -354,10 +359,10 @@ class NxDriver:
 
 
 def _match_completion(completed, sequence: int):
-    """The outcome for our submission, or None if it never completed."""
+    """Our submission's completion, or None if it never completed."""
     for job in completed:
         if job.crb is not None and job.crb.sequence == sequence:
-            return job.outcome
+            return job
     return None
 
 
@@ -372,8 +377,9 @@ class PendingJob:
     data_len: int
     done: bool = False
     result: DriverResult | None = None
-    #: Terminal failure (permanent CC, deadline, cancellation).  A job
-    #: with ``error`` set is ``done`` but has no ``result``.
+    #: Terminal failure (permanent CC, data error, deadline,
+    #: cancellation).  A job with ``error`` set is ``done`` but has no
+    #: ``result``.
     error: Exception | None = None
     deadline_s: float | None = None
 
@@ -489,6 +495,12 @@ class AsyncNxDriver(NxDriver):
             job = self._pending.get(
                 completed.crb.sequence if completed.crb else -1)
             if job is None or job.done:
+                continue
+            if completed.error is not None:
+                # A data error in this job's stream fails this job only;
+                # the rest of the drain belongs to its neighbours.
+                self._fail_job(job, completed.error)
+                finished.append(job)
                 continue
             outcome = completed.outcome
             job.stats.elapsed_seconds += outcome.busy_seconds

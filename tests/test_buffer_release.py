@@ -170,6 +170,24 @@ class TestAsyncExitPaths:
         assert stdzlib.decompress(good.result.output, -15) == text_20k
         assert not driver.space.pages
 
+    def test_decode_error_and_neighbours(self, text_20k):
+        """A corrupt stream between two good jobs on one window fails
+        itself; the drain it shared still delivers its neighbours."""
+        driver = make_driver()
+        member = bytearray(stdgzip.compress(text_20k))
+        member[-6] ^= 0xFF  # inside the CRC-32
+        before = driver.submit(Op.COMPRESS, text_20k)
+        bad = driver.submit(Op.DECOMPRESS, bytes(member), fmt="gzip")
+        after = driver.submit(Op.COMPRESS, text_20k[::-1])
+        driver.wait_all()
+        assert before.done and bad.done and after.done
+        assert isinstance(bad.error, ChecksumError) and bad.result is None
+        assert stdzlib.decompress(before.result.output, -15) == text_20k
+        assert stdzlib.decompress(after.result.output, -15) == text_20k[::-1]
+        assert driver.in_flight == 0
+        assert not driver.space.pages
+        driver.close()  # every credit came back
+
     def test_deadline(self, text_20k):
         driver = make_driver(fault_probability=1.0)
         job = driver.submit(Op.COMPRESS, text_20k, deadline_s=1e-9)

@@ -8,7 +8,9 @@ import zlib as stdlib_zlib
 import pytest
 
 from repro.backend import SOFTWARE, AcceleratorPool
-from repro.errors import AcceleratorError, ConfigError
+from repro.errors import (AcceleratorError, ChecksumError, ConfigError,
+                          DeadlineExceeded, HuffmanError, ReproError)
+from repro.exec.pool import ProcessWorkerPool
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9, Z15
 from repro.sysstack.driver import NxDriver
@@ -151,6 +153,190 @@ def test_rescued_continuation_unit_stays_one(backend, machine, text_20k,
     inflater = stdlib_zlib.decompressobj(-15)
     assert inflater.decompress(u1 + u2.output + u3) == p1 + p2 + p3
     assert inflater.eof and inflater.unused_data == b""
+
+
+# -- one settle: every route classifies an ending alike ----------------------
+
+def _bits(*fields):
+    """Pack ``(value, width)`` fields LSB-first, as DEFLATE reads them."""
+    acc = nbits = 0
+    for value, width in fields:
+        acc |= value << nbits
+        nbits += width
+    return acc.to_bytes((nbits + 7) // 8, "little")
+
+
+def _corrupt_crc(plain):
+    member = bytearray(stdlib_gzip.compress(plain))
+    member[-6] ^= 0xFF
+    return bytes(member)
+
+
+def _oversubscribed(plain):
+    """A gzip member whose one dynamic block declares all nineteen
+    code-length codes one bit long."""
+    body = _bits((1, 1), (2, 2), (0, 5), (0, 5), (15, 4), *[(1, 3)] * 19)
+    good = stdlib_gzip.compress(plain)
+    return good[:10] + body + good[-8:]
+
+
+def _garbled(result):
+    result.output = bytes(len(result.output))
+    return result
+
+
+@pytest.fixture(scope="module")
+def one_worker():
+    with ProcessWorkerPool(1, name="test-one-settle") as exec_pool:
+        exec_pool.warm()
+        yield exec_pool
+
+
+class TestOneSettle:
+    """Five routes, six endings: what a job becomes, and what its ending
+    costs the chip, must not depend on the road it took."""
+
+    ROUTES = {  # name -> (machine, backend, via submit_*, on exec workers)
+        "nx-sync": (POWER9, "nx", False, False),
+        "dfltcc-sync": (Z15, "dfltcc", False, False),
+        "nx-submit": (POWER9, "nx", True, False),
+        "dfltcc-inline": (Z15, "dfltcc", True, False),
+        "dfltcc-exec": (Z15, "dfltcc", True, True),
+    }
+
+    @pytest.fixture(params=list(ROUTES))
+    def route(self, request, monkeypatch):
+        machine, backend, submits, on_exec = self.ROUTES[request.param]
+        exec_pool = (request.getfixturevalue("one_worker") if on_exec
+                     else None)
+        pools = []
+
+        def run(kind, payloads, report=None, **pool_kwargs):
+            """Jobs down this route of one pool, one after the other,
+            the lower layer's report optionally rewritten: each job's
+            ``(result, error)``, then the pool's books."""
+            pool = AcceleratorPool(machine, chips=1, backend=backend,
+                                   exec_pool=exec_pool, **pool_kwargs)
+            pools.append(pool)
+            if report is not None:
+                self._rewrite(pool, monkeypatch, kind, report,
+                              submits, exec_pool)
+            return ([self._end(pool, kind, payload, submits)
+                     for payload in payloads], self._books(pool))
+
+        yield run
+        for pool in pools:
+            pool.close()
+
+    @staticmethod
+    def _rewrite(pool, monkeypatch, kind, report, submits, exec_pool):
+        """The job runs; what the layer below says of it is ``report``:
+        an exception, or a function of the real result."""
+        backend = pool.backend_for(0)
+        if exec_pool is not None:
+            def poll(real=exec_pool.poll):
+                finished = real()
+                for job in finished:
+                    if isinstance(report, Exception):
+                        job.result, job.error = None, report
+                    else:
+                        job.result["inline"] = bytes(job.result["n"])
+                return finished
+            monkeypatch.setattr(exec_pool, "poll", poll)
+        elif submits and hasattr(backend, "submit"):
+            for name in ("poll", "wait_all"):
+                def drain(real=getattr(backend, name)):
+                    finished = real()
+                    for pending in finished:
+                        if isinstance(report, Exception):
+                            pending.result, pending.error = None, report
+                        else:
+                            report(pending.result)
+                    return finished
+                monkeypatch.setattr(backend, name, drain)
+        else:
+            def call(*args, real=getattr(backend, kind), **kwargs):
+                result = real(*args, **kwargs)
+                if isinstance(report, Exception):
+                    raise report
+                return report(result)
+            monkeypatch.setattr(backend, kind, call)
+
+    @staticmethod
+    def _end(pool, kind, payload, submits):
+        result = error = None
+        if submits:
+            job = getattr(pool, "submit_" + kind)(payload, fmt="gzip")
+            pool.wait_all()
+            assert job.done
+            result, error = job.result, job.error
+        else:
+            try:
+                result = getattr(pool, kind)(payload, fmt="gzip")
+            except ReproError as exc:
+                error = exc
+        return result, error
+
+    @staticmethod
+    def _untouched(**moved):
+        """What a pool's books read when nothing but ``moved`` has."""
+        return {"rescues": 0, "verify_failures": 0, "breaker_failures": 0,
+                "breaker": "CLOSED", "in_flight": 0, "pending_bytes": 0,
+                **moved}
+
+    @staticmethod
+    def _books(pool):
+        breaker = pool.health.breakers[0]
+        return {"rescues": pool.rescues,
+                "verify_failures": pool.verify_failures,
+                "breaker_failures": breaker.consecutive_failures,
+                "breaker": breaker.state.name,
+                "in_flight": pool.in_flight,
+                "pending_bytes": sum(pool._pending_bytes)}
+
+    def test_ok(self, route, text_20k):
+        [(result, error)], books = route("compress", [text_20k])
+        assert error is None
+        assert stdlib_zlib.decompress(result.output, 31) == text_20k
+        assert books == self._untouched()
+
+    def test_chip_failure_is_rescued(self, route, text_20k):
+        [(result, error)], books = route(
+            "compress", [text_20k],
+            AcceleratorError("injected chip failure"))
+        assert error is None and result.stats.fallback_to_software
+        assert stdlib_zlib.decompress(result.output, 31) == text_20k
+        assert books == self._untouched(rescues=1, breaker_failures=1)
+
+    def test_chip_failure_without_rescue(self, route, text_20k):
+        injected = AcceleratorError("injected chip failure")
+        [(result, error)], books = route("compress", [text_20k], injected,
+                                         allow_software_rescue=False)
+        assert result is None and error is injected
+        assert books == self._untouched(breaker_failures=1)
+
+    def test_deadline_is_never_rescued(self, route, text_20k):
+        injected = DeadlineExceeded("injected deadline")
+        [(result, error)], books = route("compress", [text_20k], injected)
+        assert result is None and error is injected
+        assert books == self._untouched(breaker_failures=1)
+
+    def test_bad_input_costs_the_chip_nothing(self, route, text_20k):
+        """Eight in a row: twice what would open the breaker."""
+        hostile = [(_corrupt_crc(text_20k), ChecksumError),
+                   (_oversubscribed(text_20k), HuffmanError)] * 4
+        endings, books = route("decompress", [p for p, _ in hostile])
+        for (result, error), (_, expected) in zip(endings, hostile):
+            assert result is None and type(error) is expected
+        assert books == self._untouched()
+
+    def test_verify_mismatch_is_reencoded(self, route, text_20k):
+        [(result, error)], books = route("compress", [text_20k], _garbled,
+                                         verify=True)
+        assert error is None and result.stats.fallback_to_software
+        assert stdlib_zlib.decompress(result.output, 31) == text_20k
+        assert books == self._untouched(rescues=1, verify_failures=1,
+                                    breaker_failures=1)
 
 
 # -- capacity planning (DES view of the same policies) ------------------------

@@ -392,6 +392,35 @@ class TestLifecycle:
         assert pool.compress(b"e" * 1000).output
         pool.close()
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_dead_dispatcher_fails_its_tickets(self, monkeypatch):
+        """A dispatcher that exits abnormally strands nobody: flying and
+        queued requests fail at once, later ones are refused."""
+        svc = CompressionService(chips=1, batching=False)
+        started, release = gate_submits(svc.pool)
+        boom = RuntimeError("reap blew up")
+
+        def broken_reap(wake=()):
+            raise boom
+
+        monkeypatch.setattr(svc.pool, "reap", broken_reap)
+        tickets = [svc.submit("compress", b"s" * 4000) for _ in range(3)]
+        assert started.wait(30)  # one flying, two queued behind it
+        release.set()
+        for ticket in tickets:
+            with pytest.raises(ServiceClosed) as caught:
+                ticket.wait(2)
+            assert caught.value.__cause__ is boom
+        stats = svc.stats()
+        assert stats.state == "stopped"
+        assert (stats.failed, stats.in_service) == (3, 0)
+        with pytest.raises(ServiceClosed):
+            svc.submit("compress", b"nobody is listening")
+        monkeypatch.undo()
+        svc.pool.wait_all()  # the flying job is still pasted on the chip
+        svc.close()
+
 
 class TestDeadlines:
     def test_queue_wait_past_deadline_expires(self):

@@ -132,6 +132,68 @@ class TestIdleTimeout:
             service.close()
 
 
+class TestHostilePayload:
+    """A corrupt stream fails its own request, at once and by name; the
+    requests around it are served, the dispatcher lives, no breaker
+    moves — on every backend the service fronts."""
+
+    @pytest.mark.parametrize("backend", [
+        {"backend": "nx"},
+        {"machine": "z15", "backend": "dfltcc"},
+        {"machine": "z15", "backend": "dfltcc", "exec_workers": 2},
+    ], ids=["nx", "dfltcc", "dfltcc-exec"])
+    def test_corrupt_member_between_good_requests(self, backend, text_20k,
+                                                  json_20k):
+        members = [gzip.compress(text_20k), gzip.compress(json_20k)]
+        corrupt = bytearray(members[0])
+        corrupt[-6] ^= 0xFF  # inside the CRC-32
+        replies: dict[str, tuple[dict, bytes, float]] = {}
+
+        def send(port: int, **payloads: bytes) -> None:
+            sock = _dial(port)
+            for name, payload in payloads.items():
+                sent = time.monotonic()
+                send_message(sock, {"op": "decompress", "fmt": "gzip"},
+                             payload)
+                header, body = recv_message(sock)
+                replies[name] = header, body, time.monotonic() - sent
+            sock.close()
+
+        service = CompressionService(chips=1, **backend)
+        server = serve(service, port=0, request_timeout_s=5.0)
+        try:
+            send(server.port, warmup=members[0])  # exec workers are up
+            clients = [
+                threading.Thread(target=send, args=(server.port,), kwargs={
+                    "first": members[0], "last": members[1]}),
+                threading.Thread(target=send, args=(server.port,), kwargs={
+                    "corrupt": bytes(corrupt)})]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(30)
+            header, _, took = replies["corrupt"]
+            assert (header["status"], header["retryable"],
+                    header["error_type"]) == ("error", False,
+                                              "ChecksumError")
+            assert took < 1.0
+            for name, plain in (("first", text_20k), ("last", json_20k)):
+                header, body, _ = replies[name]
+                assert header["status"] == "ok" and body == plain
+            with ServiceClient(port=server.port) as client:
+                stats = client.stats()
+            assert (stats["completed"], stats["failed"],
+                    stats["state"]) == (3, 1, "running")
+            assert service._dispatcher.is_alive()
+            pool = service.pool.stats()
+            assert set(pool.breaker_states) == {"CLOSED"}
+            assert (pool.in_flight, pool.rescues) == (0, 0)
+            assert service.pool.health.breakers[0].consecutive_failures == 0
+        finally:
+            server.shutdown()
+            service.close()
+
+
 class TestDedupOnTheWire:
     def test_resend_replays_cached_result(self, stack, text_20k):
         _, server = stack

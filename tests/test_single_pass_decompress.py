@@ -70,7 +70,8 @@ class _Backend:
             return self.backend.decompress(payload, fmt="gzip")
         self.backend.submit("decompress", payload, fmt="gzip")
         (job,) = self.backend.wait_all()
-        assert job.result is not None, job.error
+        if job.error is not None:  # a job's failure rides on its handle
+            raise job.error
         return job.result
 
     def close(self) -> None:

@@ -5,6 +5,8 @@ concurrent round trips across every default QoS class through the wire
 protocol, exercises a structured rejection against a tiny queue, and
 finishes with a clean drain, then serves two concurrent clients from a
 server with two exec workers and checks that their jobs overlapped.
+Both live servers are also sent a corrupt gzip member between two good
+requests: it must fail alone, by name, and leave the server serving.
 Functional coverage lives in ``tests/test_service.py``; this script is
 the end-to-end "does the server actually serve over a socket" bit for
 CI.
@@ -59,6 +61,56 @@ def _round_trips(port: int, failures: list[str]) -> None:
         failures.append(f"client crashed: {exc!r}")
 
 
+def hostile_payload_step(port: int) -> str | None:
+    """A corrupt member between two good requests, from two clients.
+
+    Returns a failure message, or None: the corrupt request is answered
+    with a non-retryable ``ChecksumError``, its neighbours with the
+    right bytes, and the ``stats`` op shows exactly one more failure on
+    a server that is still running.
+    """
+    plain = [generate("log_lines", 20000, seed=s) for s in (31, 32)]
+    corrupt = bytearray(gzip.compress(plain[0]))
+    corrupt[-6] ^= 0xFF  # inside the CRC-32
+    replies: dict[str, tuple[dict, bytes]] = {}
+
+    def send(**payloads: bytes) -> None:
+        with ServiceClient("127.0.0.1", port, timeout_s=30.0) as conn:
+            for name, payload in payloads.items():
+                replies[name] = conn.call(
+                    {"op": "decompress", "fmt": "gzip"}, payload)
+
+    with ServiceClient("127.0.0.1", port) as conn:
+        before = conn.stats()
+    threads = [
+        threading.Thread(target=send, kwargs={
+            "first": gzip.compress(plain[0]),
+            "last": gzip.compress(plain[1])}),
+        threading.Thread(target=send, kwargs={"corrupt": bytes(corrupt)})]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60.0)
+    with ServiceClient("127.0.0.1", port) as conn:
+        after = conn.stats()
+    if len(replies) != 3:
+        return f"hostile step: only {sorted(replies)} were answered"
+    header = replies["corrupt"][0]
+    if (header.get("status"), header.get("retryable"),
+            header.get("error_type")) != ("error", False, "ChecksumError"):
+        return f"hostile step: corrupt member answered with {header}"
+    for name, want in zip(("first", "last"), plain):
+        header, body = replies[name]
+        if header.get("status") != "ok" or body != want:
+            return f"hostile step: good request {name!r} answered {header}"
+    moved = {key: after[key] - before[key]
+             for key in ("completed", "failed")}
+    if moved != {"completed": 2, "failed": 1} or after["state"] != "running":
+        return (f"hostile step: stats moved by {moved}, "
+                f"state {after['state']!r}")
+    return None
+
+
 def exec_overlap_phase() -> str | None:
     """Two clients against ``exec_workers=2``: their jobs must overlap.
 
@@ -96,9 +148,12 @@ def exec_overlap_phase() -> str | None:
                 thread.join(60.0)
             with ServiceClient("127.0.0.1", server.port) as conn:
                 stats = conn.stats()
+            hostile = hostile_payload_step(server.port)
         finally:
             exec_pool.default_delay_s = 0.0
             server.shutdown()
+    if hostile is not None:
+        return f"exec phase, {hostile}"
     if len(claimed) < 2:
         return (f"exec workers never held two claims at once "
                 f"(saw workers {sorted(claimed)})")
@@ -140,6 +195,10 @@ def main() -> int:
             if stats.completed != expected:
                 print(f"service smoke FAILED: completed "
                       f"{stats.completed} != {expected}")
+                return 1
+            hostile = hostile_payload_step(server.port)
+            if hostile is not None:
+                print(f"service smoke FAILED: {hostile}")
                 return 1
         finally:
             server.shutdown()
@@ -190,7 +249,8 @@ def main() -> int:
 
     print(f"service smoke passed: {expected} round trips over the "
           f"wire across {CLIENTS} clients, {shed} retryable "
-          f"rejections, clean drain, {overlap}")
+          f"rejections, clean drain, {overlap}; a corrupt member "
+          f"failed alone on every live server")
     return 0
 
 
