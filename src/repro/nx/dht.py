@@ -211,20 +211,22 @@ def canned_names(include_trained: bool = False) -> list[str]:
     return names
 
 
+#: byte -> literal class: 0 control, 1 digits/punctuation, 2 letters,
+#: 3 high.  Classes 1 and 2 together are the printable ASCII range.
+_BYTE_CLASS = bytes(0 if b < 0x20 else 1 if b < 0x41 else 2 if b < 0x7F
+                    else 3 for b in range(256))
+_HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
+
+
 def _byte_class_vector(sample: bytes) -> list[float]:
-    """Coarse 4-bin literal distribution used to pick a canned table."""
-    bins = [0, 0, 0, 0]  # control, digits/punct, letters, high
-    for byte in sample:
-        if byte < 0x20:
-            bins[0] += 1
-        elif byte < 0x41:
-            bins[1] += 1
-        elif byte < 0x7F:
-            bins[2] += 1
-        else:
-            bins[3] += 1
-    total = max(1, len(sample))
-    return [b / total for b in bins]
+    """Coarse 4-bin literal distribution used to pick a canned table.
+
+    One ``translate`` maps every byte to its class and four ``count``
+    calls tally them: the sample is never walked in Python.
+    """
+    classes = bytes(sample).translate(_BYTE_CLASS)
+    total = max(1, len(classes))
+    return [classes.count(c) / total for c in range(4)]
 
 
 _CLASS_CENTROIDS = {
@@ -260,14 +262,13 @@ def sample_signature(sample: bytes, probe: int = 4096) -> tuple[float, ...]:
     this space is scale-free.  The match-density probe samples at most
     ~1024 positions, keeping the signature O(1) on large payloads.
     """
-    s = sample[:probe]
+    s = bytes(sample[:probe])
     total = max(1, len(s))
-    hist16 = [0] * 16
-    for byte in s:
-        hist16[byte >> 4] += 1
-    vec = [h / total for h in hist16]
+    nibbles = s.translate(_HIGH_NIBBLE)
+    vec = [nibbles.count(high) / total for high in range(16)]
     zero = s.count(0) / total
-    printable = sum(1 for b in s if 0x20 <= b < 0x7F) / total
+    classes = s.translate(_BYTE_CLASS)
+    printable = (classes.count(1) + classes.count(2)) / total
     distinct = len(set(s)) / 256.0
     n = max(0, len(s) - 3)
     repeats = 0

@@ -10,16 +10,50 @@ quality versus software's unbounded hash chains.
 Storage is sparse: the silicon has ``banks x sets`` sets, but a job only
 ever touches as many as it hashes positions, so the model keeps a dict of
 the *live* sets and pays nothing for the rest.  The per-access methods
-here are the reference model; :meth:`NxMatchPipeline.scan
-<repro.nx.pipeline.NxMatchPipeline.scan>` drives the same ``entries``
-dict inline and the tests hold the two equal.
+here (:meth:`~BankedHashTable.hash3`, :meth:`~BankedHashTable.lookup_insert`,
+:meth:`~BankedHashTable.charge_group_conflicts`) are the reference model,
+one call per access as the hardware makes them; :meth:`NxMatchPipeline.scan
+<repro.nx.pipeline.NxMatchPipeline.scan>` is the kernel: it takes every
+position's hash of a slab from :func:`hash3_bulk`, drives the same
+``entries`` dict inline, and the tests hold the two equal.
 """
 
 from __future__ import annotations
 
+import sys
+
 from .params import EngineParams
 
 HASH_MULT = 0x9E3779B1  # Fibonacci hashing of the 3-byte prefix
+
+#: Where a prefix's bytes 0/1/2 sit in its native-endian 8-byte lane, and
+#: which 32-bit half of the lane is the low one (``memoryview.cast`` only
+#: reads native order, so :func:`hash3_bulk` lays the lanes out natively).
+_B0, _B1, _B2, _LOW_WORD = ((0, 1, 2, 0) if sys.byteorder == "little"
+                            else (7, 6, 5, 1))
+
+
+def hash3_bulk(data: bytes, lo: int, hi: int) -> list[int]:
+    """:meth:`BankedHashTable.hash3` of every position in ``[lo, hi)``.
+
+    One big-int multiply instead of one per position: each 3-byte prefix
+    is written into the low bytes of its own 8-byte lane, and the whole
+    buffer, read as one integer, is multiplied by
+    :data:`HASH_MULT`.  A 24-bit prefix times a 32-bit multiplier is
+    below 2**56, so no lane's product carries into its neighbour, and
+    the low 32 bits of lane ``k`` are exactly ``hash3(data, lo + k)``.
+    ``data`` must be readable through ``hi + 1``.
+    """
+    count = hi - lo
+    if count <= 0:
+        return []
+    lanes = bytearray(8 * count)
+    lanes[_B0::8] = data[lo:hi]
+    lanes[_B1::8] = data[lo + 1:hi + 1]
+    lanes[_B2::8] = data[lo + 2:hi + 2]
+    product = int.from_bytes(lanes, sys.byteorder) * HASH_MULT
+    words = memoryview(product.to_bytes(8 * count, sys.byteorder)).cast("I")
+    return words[_LOW_WORD::2].tolist()
 
 
 class BankedHashTable:

@@ -14,6 +14,13 @@ ratio/throughput trade-off (all documented properties of the product):
 
 The functional output is a real DEFLATE token stream; the timing output
 is a cycle count for the scan phase.
+
+The model does that per-position work in bulk (see
+:meth:`NxMatchPipeline.scan`): a slab of positions is hashed by one
+big-int multiply, bank conflicts are charged a scan group at a time, and
+the interpreter only steps where a token starts.  The per-access methods
+of :class:`~.hashbank.BankedHashTable` stay the reference it is held
+equal to.
 """
 
 from __future__ import annotations
@@ -22,8 +29,15 @@ from dataclasses import dataclass, field
 
 from ..deflate.constants import MAX_MATCH, MIN_MATCH
 from ..deflate.matcher import MatchStats, Token
-from .hashbank import HASH_MULT, BankedHashTable
+from .hashbank import BankedHashTable, hash3_bulk
 from .params import EngineParams
+
+#: Positions hashed per bulk step (a quarter window; rounded down to whole
+#: scan groups).  Everything a scan builds and drops -- lanes, hashes, set
+#: names, bank ids -- is this long whatever the input, so transient memory
+#: does not grow with the job.  8 K reads the same speed as 32 K and
+#: keeps the served ``peak_rss_mb`` where it was.
+SCAN_SLAB = 8192
 
 
 @dataclass
@@ -60,9 +74,22 @@ class NxMatchPipeline:
         back-references can reach into it.  The load is charged at scan
         width, which is how the hardware brings history in.
 
-        One flat loop drives the table's sparse ``entries`` inline; it is
-        :meth:`BankedHashTable.lookup_insert` and
-        :meth:`~BankedHashTable.charge_group_conflicts` unrolled, and
+        The input is walked in slabs of :data:`SCAN_SLAB` positions, and
+        a slab in two phases.  *Bulk*: :func:`~.hashbank.hash3_bulk`
+        hashes every position at once, one comprehension names their
+        sets, and bank conflicts are charged per scan group — distinct
+        banks per group at C speed, and only a group that lands on few
+        enough banks to overfill one looks at its hashes.  *Token
+        stepping*: candidates are searched only where a token starts;
+        the positions a committed match covers (and the history) only
+        append themselves to their set.  Sets are cut back to ``ways``
+        when a token start reads them, in an amortised sweep as the scan
+        goes, and at the end.  A match that runs past the end of its
+        slab leaves ``next_emit`` beyond it, and the next slab starts by
+        inserting that tail.
+
+        This is :meth:`BankedHashTable.lookup_insert` and
+        :meth:`~BankedHashTable.charge_group_conflicts` in bulk, and
         must stay equal to them field for field.  Three things decide
         golden-pinned numbers: every in-window candidate is counted as a
         probe *before* the scan-end byte may reject it; only a strictly
@@ -80,59 +107,98 @@ class NxMatchPipeline:
         window = self.params.window_bytes
         history = history[-window:]
         start = len(history)
-        if history:
-            data = history + data
+        data = bytes(history) + data  # one immutable buffer, any input type
         n = len(data)
         windowed = n > window  # else every resident position is in reach
         hash_limit = max(0, n - MIN_MATCH + 1)
+        # Whole scan groups only, so no group straddles a slab seam.
+        slab = max(width, SCAN_SLAB - SCAN_SLAB % width)
+        # A bank can only hold more accesses than ports when the group
+        # maps onto this few distinct banks.
+        crowded = width - ports
         tokens: list[Token] = []
         emit = tokens.append
-        matches = match_bytes = candidate_probes = 0
-        next_emit = start  # history positions only hash-and-insert
-        group: list[int] = []  # hashes of the scan group in flight
-        group_end = width
-        prefix = (data[0] << 8) | (data[1] << 16) if hash_limit else 0
+        matches = match_bytes = candidate_probes = stalls = unswept = 0
+        # Where the last match ends, or the history does: positions below
+        # it only hash-and-insert.  A literal leaves it behind.
+        next_emit = start
+        no_match, max_match = MIN_MATCH - 1, MAX_MATCH
+        full_reach = n - max_match  # a match from here on is cut by the end
 
-        for i in range(hash_limit):
-            if i == group_end:
-                # A bank can only hold more accesses than ports when the
-                # group maps onto few enough distinct banks.
-                if len(group) - len({h % banks for h in group}) >= ports:
-                    table.charge_group_conflicts(
-                        [(h % banks, h) for h in group])
-                group.clear()
-                group_end += width
-            prefix = (prefix >> 8) | (data[i + 2] << 16)
-            h = (prefix * HASH_MULT) & 0xFFFFFFFF
-            group.append(h)
-            key = h % slots
-            entry = lookup(key)
-            if i >= next_emit:
-                best_len = MIN_MATCH - 1
+        for lo in range(0, hash_limit, slab):
+            hi = min(lo + slab, hash_limit)
+            hashes = hash3_bulk(data, lo, hi)
+            keys = [h % slots for h in hashes]
+
+            # Conflicts, a scan group at a time.  Same-hash accesses merge,
+            # so the worst bank holds at most (distinct hashes - distinct
+            # banks + 1) of them: most groups are cleared by two counts.
+            bank_ids = [key % banks for key in keys]  # == hash % banks
+            crowded_groups = [
+                (g * width, distinct) for g, distinct in enumerate(
+                    map(len, map(set, zip(*[iter(bank_ids)] * width))))
+                if distinct <= crowded]
+            if (hi - lo) % width:  # zip dropped the final partial group
+                at = (hi - lo) // width * width
+                crowded_groups.append((at, len(set(bank_ids[at:]))))
+            for at, distinct_banks in crowded_groups:
+                merged = set(hashes[at:at + width])
+                if len(merged) - distinct_banks < ports:
+                    continue
+                group_banks = [h % banks for h in merged]
+                worst = max(map(group_banks.count, group_banks))
+                stalls += -(-worst // ports) - 1
+
+            i = lo
+            while i < hi:
+                if i < next_emit:
+                    # History, or the rest of a committed match: insert only.
+                    stop = next_emit if next_emit < hi else hi
+                    for key in keys[i - lo:stop - lo]:
+                        entry = lookup(key)
+                        if entry is None:
+                            entries[key] = [i]
+                        else:
+                            entry.append(i)
+                        i += 1
+                    continue
+                # A token starts at i.
+                key = keys[i - lo]
+                entry = lookup(key)
+                if entry is None:
+                    entries[key] = [i]
+                    emit(data[i])
+                    i += 1
+                    continue
+                if len(entry) > ways:
+                    del entry[:-ways]
+                if windowed:
+                    low_limit = i - window
+                    reach = [pos for pos in entry if pos > low_limit]
+                else:
+                    reach = entry
+                candidate_probes += len(reach)
+                max_len = max_match if i < full_reach else n - i
+                best_len = no_match
                 best_dist = 0
-                if entry:
-                    if windowed:
-                        low_limit = i - window
-                        reach = [pos for pos in entry if pos > low_limit]
-                    else:
-                        reach = entry
-                    candidate_probes += len(reach)
-                    max_len = n - i if n - i < MAX_MATCH else MAX_MATCH
-                    for cand in reversed(reach):
-                        # zlib's scan-end filter: only a candidate that
-                        # also matches just past the best can beat it.
-                        if data[cand + best_len] != data[i + best_len]:
-                            continue
-                        if data[cand:cand + max_len] == data[i:i + max_len]:
-                            best_len = max_len
-                            best_dist = i - cand
-                            break
-                        length = 0  # the slices differ, so this stops
-                        while data[cand + length] == data[i + length]:
-                            length += 1
-                        if length > best_len:
-                            best_len = length
-                            best_dist = i - cand
+                scan_end = data[i + best_len]
+                for cand in reversed(reach):
+                    # zlib's scan-end filter: only a candidate that also
+                    # matches just past the best can beat it.
+                    if data[cand + best_len] != scan_end:
+                        continue
+                    length = best_len + 1
+                    if not data.startswith(data[i:i + length], cand):
+                        continue
+                    while (length < max_len
+                           and data[cand + length] == data[i + length]):
+                        length += 1
+                    best_len = length
+                    best_dist = i - cand
+                    if length == max_len:
+                        break
+                    scan_end = data[i + length]
+                entry.append(i)
                 if best_dist:
                     emit((best_len, best_dist))
                     matches += 1
@@ -140,16 +206,22 @@ class NxMatchPipeline:
                     next_emit = i + best_len
                 else:
                     emit(data[i])
-                    next_emit = i + 1
-            if entry is None:
-                entries[key] = [i]
-            else:
-                entry.append(i)
-                if len(entry) > ways:
-                    del entry[0]
-        if group:
-            table.charge_group_conflicts([(h % banks, h) for h in group])
+                i += 1
+
+            # The insert-only runs let their sets grow.  Cut them back to
+            # the FIFO's capacity once as many positions have gone in as
+            # there are live sets (so a sweep costs at most one step per
+            # position, and the overhang stays below the table's own
+            # size), and at the end, so ``entries`` is the model's.
+            unswept += hi - lo
+            if unswept >= len(entries) or hi == hash_limit:
+                for entry in entries.values():
+                    if len(entry) > ways:
+                        del entry[:-ways]
+                unswept = 0
+
         table.lookups = table.insertions = hash_limit
+        table.conflict_stalls = stalls
 
         # The last MIN_MATCH - 1 positions cannot start a match.
         tokens.extend(data[max(next_emit, hash_limit):])
@@ -158,6 +230,6 @@ class NxMatchPipeline:
                            chain_probes=candidate_probes)
         return ScanResult(tokens=tokens, stats=stats,
                           scan_cycles=(n - start + width - 1) // width,
-                          conflict_stalls=table.conflict_stalls,
+                          conflict_stalls=stalls,
                           candidate_probes=candidate_probes,
                           history_cycles=(start + width - 1) // width)

@@ -1,12 +1,15 @@
 """DHT strategies: generation cost, canned library, classification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.deflate.constants import NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS
 from repro.deflate.huffman import kraft_sum
 from repro.nx.dht import (
     DhtResult,
     DhtStrategy,
+    _byte_class_vector,
     canned_dht,
     canned_names,
     clear_trained_dhts,
@@ -14,6 +17,7 @@ from repro.nx.dht import (
     fixed_dht,
     generate_dynamic,
     register_trained_dht,
+    sample_signature,
     select_canned,
 )
 from repro.nx.params import POWER9, Z15
@@ -165,6 +169,70 @@ class TestSelectCanned:
 
     def test_empty_defaults_to_text(self):
         assert select_canned(b"") in canned_names()
+
+
+def loop_class_vector(sample: bytes) -> list[float]:
+    """The classifier as it was written: one ``if`` ladder per byte."""
+    bins = [0, 0, 0, 0]  # control, digits/punct, letters, high
+    for byte in sample:
+        if byte < 0x20:
+            bins[0] += 1
+        elif byte < 0x41:
+            bins[1] += 1
+        elif byte < 0x7F:
+            bins[2] += 1
+        else:
+            bins[3] += 1
+    total = max(1, len(sample))
+    return [b / total for b in bins]
+
+
+def loop_histogram_and_printable(sample: bytes) -> tuple[float, ...]:
+    """The per-byte parts of ``sample_signature`` as they were written:
+    its first 16 components and its 18th."""
+    total = max(1, len(sample))
+    hist16 = [0] * 16
+    for byte in sample:
+        hist16[byte >> 4] += 1
+    printable = sum(1 for b in sample if 0x20 <= b < 0x7F) / total
+    return (*(h / total for h in hist16), printable)
+
+
+class TestClassifierEqualsTheByteLoop:
+    """``translate`` + ``count`` give the identical floats."""
+
+    @staticmethod
+    def check(sample: bytes) -> None:
+        assert _byte_class_vector(sample) == loop_class_vector(sample)
+        signature = sample_signature(sample)
+        assert (*signature[:16], signature[17]) == \
+            loop_histogram_and_printable(sample[:4096])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=5000))
+    def test_any_bytes(self, sample):
+        self.check(sample)
+
+    def test_every_byte_value(self):
+        every = bytes(range(256))
+        self.check(every)
+        assert _byte_class_vector(every) == [32 / 256, 33 / 256, 62 / 256,
+                                             129 / 256]
+        for value in range(256):  # each class boundary, one byte at a time
+            self.check(bytes([value]))
+
+    @pytest.mark.parametrize("family", ["markov_text", "binary_executable",
+                                        "json_records"])
+    def test_generated_families(self, family):
+        self.check(generate(family, 6000, seed=9))
+
+    def test_other_buffer_types(self):
+        sample = generate("log_lines", 3000, seed=9)
+        want = loop_class_vector(sample)
+        assert _byte_class_vector(bytearray(sample)) == want
+        assert _byte_class_vector(memoryview(sample)) == want
+        assert sample_signature(bytearray(sample)) == \
+            sample_signature(sample)
 
 
 class TestStrategyEnum:

@@ -1,11 +1,14 @@
-"""The flat scan kernel against the per-access reference model.
+"""The bulk scan kernel against the per-access reference model.
 
-``NxMatchPipeline.scan`` inlines the banked hash table for speed; the
-table's own ``lookup_insert`` / ``charge_group_conflicts`` stay as the
-readable model.  ``reference_scan`` below is the scan written against
-those two methods, and every field of ``ScanResult`` must come out
-equal for every input, history and engine.
+``NxMatchPipeline.scan`` hashes a slab of positions at a time and drives
+the banked hash table inline for speed; the table's own
+``lookup_insert`` / ``charge_group_conflicts`` stay as the readable
+model.  ``reference_scan`` below is the scan written against those two
+methods, and every field of ``ScanResult`` must come out equal for every
+input, history and engine.
 """
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,8 @@ from hypothesis import strategies as st
 
 from repro.deflate.constants import MAX_MATCH, MIN_MATCH
 from repro.deflate.matcher import MatchStats
-from repro.nx.hashbank import BankedHashTable
+from repro.nx import pipeline
+from repro.nx.hashbank import BankedHashTable, hash3_bulk
 from repro.nx.params import POWER9, Z15, EngineParams
 from repro.nx.pipeline import NxMatchPipeline, ScanResult
 from repro.workloads.generators import GENERATORS, generate
@@ -104,16 +108,30 @@ def _sizes(width: int) -> list[int]:
                    4099, 32768, 70000})
 
 
+def product_inputs(engine: EngineParams, family: str):
+    """(data, history) of one family for a product engine: size x history."""
+    for size in _sizes(engine.scan_bytes_per_cycle):
+        data = generate(family, size, seed=size % 5)
+        for history in HISTORIES.values():
+            yield data, history
+
+
+def tiny_inputs(family: str):
+    """(data, history) of one family for a tiny engine."""
+    for size in (0, 1, 2, 3, 7, 100, 1500):
+        data = generate(family, size, seed=3)
+        for history in (b"", _HISTORY_SOURCE[:300]):
+            yield data, history
+
+
 class TestDifferential:
     @pytest.mark.parametrize("family", sorted(GENERATORS))
     @pytest.mark.parametrize("machine", [POWER9, Z15],
                              ids=lambda m: m.name)
     def test_product_engines(self, machine, family):
         pipe = NxMatchPipeline(machine.engine)  # reused across scans
-        for size in _sizes(machine.engine.scan_bytes_per_cycle):
-            data = generate(family, size, seed=size % 5)
-            for history in HISTORIES.values():
-                assert_scan_equals_reference(pipe, data, history)
+        for data, history in product_inputs(machine.engine, family):
+            assert_scan_equals_reference(pipe, data, history)
 
     @pytest.mark.parametrize("engine", TINY_ENGINES.values(),
                              ids=TINY_ENGINES.keys())
@@ -121,17 +139,13 @@ class TestDifferential:
         pipe = NxMatchPipeline(engine)
         evicted = filtered = stalled = False
         for family in sorted(GENERATORS):
-            for size in (0, 1, 2, 3, 7, 100, 1500):
-                data = generate(family, size, seed=3)
-                for history in (b"", _HISTORY_SOURCE[:300]):
-                    result = assert_scan_equals_reference(pipe, data,
-                                                          history)
-                    hashed = pipe.table.insertions
-                    resident = sum(map(len, pipe.table.entries.values()))
-                    evicted |= resident < hashed
-                    filtered |= (len(history) + size
-                                 > engine.window_bytes)
-                    stalled |= result.conflict_stalls > 0
+            for data, history in tiny_inputs(family):
+                result = assert_scan_equals_reference(pipe, data, history)
+                hashed = pipe.table.insertions
+                resident = sum(map(len, pipe.table.entries.values()))
+                evicted |= resident < hashed
+                filtered |= len(history) + len(data) > engine.window_bytes
+                stalled |= result.conflict_stalls > 0
         assert evicted and stalled
         assert filtered == (engine.window_bytes < 1800)
 
@@ -191,3 +205,136 @@ class TestSparseTable:
                   history=_HISTORY_SOURCE)
         data = generate("log_lines", 5000, seed=6)
         assert pipe.scan(data) == NxMatchPipeline(POWER9.engine).scan(data)
+
+
+class TestBulkHash:
+    """``hash3_bulk`` is ``hash3`` at every position it is asked for."""
+
+    @staticmethod
+    def per_position(data: bytes, lo: int, hi: int) -> list[int]:
+        return [BankedHashTable.hash3(data, i) for i in range(lo, hi)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=300), st.integers(0, 3), st.integers(0, 40))
+    def test_equals_hash3(self, data, short, lo):
+        # ``short`` = 0 hashes through the last full prefix; 1..3 stop
+        # that many positions early, as a slab that is not the last does.
+        hi = max(0, len(data) - 2 - short)
+        lo = min(lo, hi)
+        assert hash3_bulk(data, lo, hi) == self.per_position(data, lo, hi)
+
+    @pytest.mark.parametrize("length", range(6))
+    def test_short_inputs(self, length):
+        data = bytes(range(250, 250 + length))
+        hashed = max(0, length - 2)
+        assert hash3_bulk(data, 0, hashed) == self.per_position(
+            data, 0, hashed)
+        assert hash3_bulk(data, 0, 0) == []
+
+    def test_lanes_do_not_carry(self):
+        """The largest prefix next to the smallest: 0xFFFFFF * HASH_MULT
+        is the widest a lane's product gets."""
+        data = b"\xff\xff\xff\x00\x00\x00\xff\xff\xff\x00\x00"
+        assert hash3_bulk(data, 0, 9) == self.per_position(data, 0, 9)
+
+    def test_any_buffer_type(self):
+        data = generate("markov_text", 500, seed=8)
+        want = self.per_position(data, 3, 400)
+        assert hash3_bulk(bytearray(data), 3, 400) == want
+        assert hash3_bulk(memoryview(data), 3, 400) == want
+
+
+#: Three z15 scan groups (four at width 5, six on POWER9): with the slab
+#: this short a seam falls every 20-24 bytes.
+SMALL_SLAB = 24
+
+
+@pytest.fixture
+def small_slab(monkeypatch):
+    monkeypatch.setattr(pipeline, "SCAN_SLAB", SMALL_SLAB)
+    return SMALL_SLAB
+
+
+class TestSlabSeams:
+    @pytest.mark.parametrize("family", sorted(GENERATORS))
+    def test_product_engine(self, small_slab, family):
+        pipe = NxMatchPipeline(Z15.engine)
+        for data, history in product_inputs(Z15.engine, family):
+            assert_scan_equals_reference(pipe, data, history)
+
+    def test_tiny_engine(self, small_slab):
+        pipe = NxMatchPipeline(TINY_ENGINES["odd-geometry"])
+        for family in sorted(GENERATORS):
+            for data, history in tiny_inputs(family):
+                assert_scan_equals_reference(pipe, data, history)
+
+    def test_slab_not_a_multiple_of_the_width(self, monkeypatch):
+        """The constant is rounded down to whole scan groups, and never
+        below one."""
+        engine = TINY_ENGINES["odd-geometry"]  # 5 positions a cycle
+        data = generate("log_lines", 700, seed=2)
+        for slab in (1, 4, 5, 7, 13):
+            monkeypatch.setattr(pipeline, "SCAN_SLAB", slab)
+            assert_scan_equals_reference(NxMatchPipeline(engine), data,
+                                         _HISTORY_SOURCE[:33])
+
+    def test_longest_match_starts_in_last_position_of_a_slab(
+            self, small_slab):
+        # A literal run, then a run of one byte: its first byte is a
+        # literal, and the match of distance 1 starts right after it.
+        data = bytes(range(1, small_slab - 1)) + b"\0" * 600 + b"tail"
+        result = assert_scan_equals_reference(
+            NxMatchPipeline(POWER9.engine), data)
+        first_match = result.tokens.index((MAX_MATCH, 1))
+        assert first_match == small_slab - 1  # all literals before it
+        # Its 257 uninserted positions were carried over eleven seams.
+        assert result.tokens[first_match + 1] == (MAX_MATCH, 1)
+
+    def test_history_ends_mid_slab(self, small_slab):
+        data = generate("json_records", 900, seed=4)
+        pipe = NxMatchPipeline(Z15.engine)
+        for history_len in (1, small_slab // 2, small_slab + 5,
+                            5 * small_slab - 1):
+            history = _HISTORY_SOURCE[:history_len]
+            result = assert_scan_equals_reference(pipe, data, history)
+            assert result.history_cycles == -(-history_len // 8)
+
+    def test_partial_group_alone_in_its_slab(self, small_slab):
+        # One single-ported bank: every group stalls on its distinct
+        # hashes, the trailing partial one included.
+        engine = small_params(scan_bytes_per_cycle=8, hash_banks=1)
+        for partial in (1, 3, 7):
+            hashed = 2 * small_slab + partial
+            data = bytes(range(hashed + MIN_MATCH - 1))
+            result = assert_scan_equals_reference(NxMatchPipeline(engine),
+                                                  data)
+            assert result.conflict_stalls == (hashed // 8) * 7 + partial - 1
+
+
+class TestBufferTypes:
+    @pytest.mark.parametrize("history", [b"", _HISTORY_SOURCE[:5000]],
+                             ids=["no-history", "history"])
+    def test_bytearray_and_memoryview_scan_like_bytes(self, history):
+        data = generate("xml_documents", 20000, seed=5)
+        pipe = NxMatchPipeline(POWER9.engine)
+        want = pipe.scan(data, history=history)
+        for cast in (bytearray, memoryview):
+            assert pipe.scan(cast(data), history=history) == want
+            assert pipe.scan(cast(data), history=cast(history)) == want
+        assert all(type(t) in (int, tuple) for t in want.tokens)
+
+
+def test_transient_memory_does_not_grow_with_the_input():
+    """A 1 MB scan peaks within twice what it keeps (tokens + table):
+    the bulk lists are one slab long, and the sets that insert-only runs
+    grow are cut back as the scan goes, not only at the end."""
+    data = generate("json_records", 1 << 20, seed=1)
+    pipe = NxMatchPipeline(Z15.engine)
+    tracemalloc.start()
+    try:
+        result = pipe.scan(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.stats.match_bytes > 0
+    assert peak <= 2 * retained
