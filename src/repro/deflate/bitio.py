@@ -13,6 +13,17 @@ ints make the wide accumulator exact; the hot-path consumers
 (``inflate._inflate_huffman_block``, ``compress._emit_tokens``) keep the
 same ``_bitbuf``/``_bitcount``/``_pos`` fields in locals across symbols
 and write them back once per run.
+
+The reader's own methods test every field against the end of the input
+as it is read (``read_bits`` and ``skip_bits`` raise the one
+``"unexpected end of DEFLATE stream"``; a ``peek_bits`` past the end
+reads zero bits, which is why ``skip_bits`` must test).  The inflate
+block loop does not: while it holds the fields its refills run past the
+end (``pos`` beyond ``len(data)``, the missing bytes counted as zero
+bits), it tests "consumed more than the input holds" once per token, and
+it puts ``_pos``/``_bitcount`` back to exact values before it hands the
+reader back — so ``bits_consumed``, ``align_to_byte`` and
+``read_bytes`` never see the padding.
 """
 
 from __future__ import annotations

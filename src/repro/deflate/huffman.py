@@ -10,26 +10,55 @@ Three pieces live here:
 * :class:`HuffmanEncoder` / :class:`HuffmanDecoder` — bit-level symbol
   encode/decode against a canonical code.
 
-The decoder's fast path is a flat ``array('H')`` lookup table covering
-codes up to ``_ROOT_BITS`` bits, each entry packing ``sym << 5 | length``
-(0 means "not in the table": fall back to the bit-by-bit counting walk of
-Mark Adler's *puff*).  Bit reversal is table-driven, and the table is
-built in a single canonical walk over the ``(length, symbol)``-sorted
-symbols — no second :func:`canonical_codes` pass.  The inflate hot loop
-(``inflate._inflate_huffman_block``) reads ``_fast`` directly and only
-calls back into ``_decode_slow`` for codes longer than the root table.
+The decoder's fast path is a root table: a plain ``list`` of
+``1 << root_bits`` ints, one per pattern of the next ``root_bits``
+stream bits, each ``sym << 4 | code_length`` — so a literal of the
+lit/len alphabet is the only kind of entry below 4096 — or ``MISS`` for
+a pattern whose code is longer than the root (or that no code owns).
+It is built in a single canonical walk over the ``(length,
+symbol)``-sorted symbols, and a symbol's entries are written by one
+extended-slice assignment (``table[prefix::1 << length] = [entry] *
+copies``): a few hundred C-speed stores per block instead of one
+interpreter iteration per table slot.  The length and distance
+alphabets of a block (:func:`block_decoders`) get a parallel list of
+*rows* from the same walk: at the index of every in-table symbol that
+carries a value, ``(code bits, extra-bit mask, base value, code + extra
+bits)``, so the inflate hot loop (``inflate._inflate_huffman_block``)
+turns one probe into a finished length or distance and only calls
+:meth:`HuffmanDecoder.walk`, the bit-by-bit counting walk of Mark
+Adler's *puff*, where a row is ``None``.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 
-from ..errors import HuffmanError
+from ..errors import DeflateError, HuffmanError
 from .bitio import BitReader, BitWriter
+from .constants import (
+    DIST_BASE,
+    DIST_EXTRA_BITS,
+    END_OF_BLOCK,
+    LENGTH_BASE,
+    LENGTH_EXTRA_BITS,
+    MAX_CODELEN_CODE_LENGTH,
+    fixed_dist_lengths,
+    fixed_litlen_lengths,
+)
 
-_ROOT_BITS = 11  # fast decode table covers codes up to this many bits
+_ROOT_BITS = 11  # root table covers codes up to this many bits
 _ROOT_MASK = (1 << _ROOT_BITS) - 1
+
+#: Root-table entry of a bit pattern the table does not resolve; above
+#: every ``sym << 4 | length`` entry.
+MISS = 1 << 20
+
+# (extra bits, base value) of each symbol that carries a value: lengths
+# are symbols 257..285 of the lit/len alphabet, 286/287 and distance
+# symbols 30/31 can be coded (the fixed codes do) but are never valid.
+_LITLEN_EXTRA = ((None,) * (END_OF_BLOCK + 1)
+                 + tuple(zip(LENGTH_EXTRA_BITS, LENGTH_BASE)) + (None, None))
+_DIST_EXTRA = tuple(zip(DIST_EXTRA_BITS, DIST_BASE)) + (None, None)
 
 # 8-bit reversal table; wider reversals compose two byte lookups.
 _REV8 = tuple(
@@ -144,15 +173,26 @@ class HuffmanEncoder:
 class HuffmanDecoder:
     """Decodes one canonical code from a :class:`BitReader`.
 
-    Uses the counting method of Mark Adler's *puff*, fronted by a flat
-    ``2**_ROOT_BITS`` packed-``array`` lookup table for codes short
-    enough to fit.  An *incomplete* code is accepted only in the
-    single-code case, which RFC 1951 tolerates for distance codes.
+    ``table`` is the root table: ``1 << root_bits`` ints indexed by the
+    next ``root_bits`` stream bits, each ``sym << 4 | code_length`` or
+    ``MISS`` (a code longer than the root, or a pattern no code of an
+    incomplete code owns — resolved by :meth:`walk`, the counting method
+    of Mark Adler's *puff*).  A decoder built with ``extra`` — per symbol
+    ``(extra bits, base value)`` or ``None`` — also carries ``rows``, a
+    parallel list holding :meth:`row` at the indexes of the symbols
+    that have one and ``None`` everywhere else.
+
+    An *incomplete* code is accepted only in the single-code case, which
+    RFC 1951 tolerates for distance codes; a code with no symbol at all
+    only with ``allow_empty`` (a block of literals alone may send that
+    as its distance code): every probe of it is a ``MISS``.
     """
 
-    def __init__(self, lengths: Sequence[int]) -> None:
+    def __init__(self, lengths: Sequence[int], root_bits: int = _ROOT_BITS,
+                 extra: Sequence[tuple[int, int] | None] | None = None,
+                 allow_empty: bool = False) -> None:
         self.max_length = max(lengths, default=0)
-        if self.max_length == 0:
+        if self.max_length == 0 and not allow_empty:
             raise HuffmanError("decoder built from an empty code")
         self.count = [0] * (self.max_length + 1)
         ncodes = 0
@@ -179,56 +219,100 @@ class HuffmanDecoder:
                 self.symbols[offsets[length]] = sym
                 offsets[length] += 1
 
-        self._build_fast_table()
+        self.root_bits = root_bits
+        self._extra = extra
+        self._build_root_table()
 
-    def _build_fast_table(self) -> None:
-        """Flat packed root table, built in one canonical walk.
+    def row(self, sym: int, nbits: int) -> tuple[int, int, int, int] | None:
+        """What a probe that lands on ``sym`` (an ``nbits``-bit code)
+        needs to finish the field: ``(code bits, extra-bit mask, base
+        value, code + extra bits)``; ``None`` for a symbol that carries
+        no value (a literal, end-of-block, a reserved symbol)."""
+        extra = self._extra[sym]
+        if extra is None:
+            return None
+        extra_bits, base = extra
+        return nbits, (1 << extra_bits) - 1, base, nbits + extra_bits
+
+    def _build_root_table(self) -> None:
+        """Root table (and rows), built in one canonical walk.
 
         ``self.symbols`` is already in (length, symbol) canonical order,
         so walking it while advancing the canonical code counter yields
-        every code without a second :func:`canonical_codes` pass.  Each
-        entry packs ``sym << 5 | code_length``; 0 marks codes longer
-        than ``_ROOT_BITS`` (or unused patterns of an incomplete code).
+        every code without a second :func:`canonical_codes` pass.  A
+        code of ``length`` bits owns every index whose low ``length``
+        bits are the reversed code: one extended-slice assignment.
         """
-        fast = array("H", bytes(2 << _ROOT_BITS))
+        size = 1 << self.root_bits
+        table = [MISS] * size
+        extra = self._extra
+        rows = None if extra is None else [None] * size
         rev8 = _REV8
         code = 0
         index = 0
-        table_size = 1 << _ROOT_BITS
-        for length in range(1, min(self.max_length, _ROOT_BITS) + 1):
-            for _ in range(self.count[length]):
-                sym = self.symbols[index]
+        for length in range(1, min(self.max_length, self.root_bits) + 1):
+            step = 1 << length
+            copies = size >> length
+            stop = index + self.count[length]
+            for sym in self.symbols[index:stop]:
                 rev16 = (rev8[code & 0xFF] << 8) | rev8[(code >> 8) & 0xFF]
                 prefix = rev16 >> (16 - length)
-                packed = (sym << 5) | length
-                step = 1 << length
-                for fill in range(prefix, table_size, step):
-                    fast[fill] = packed
-                index += 1
+                table[prefix::step] = [(sym << 4) | length] * copies
+                if extra is not None and extra[sym] is not None:
+                    rows[prefix::step] = [self.row(sym, length)] * copies
                 code += 1
+            index = stop
             code <<= 1
-        self._fast = fast
+        self.table = table
+        self.rows = rows
 
     def decode(self, reader: BitReader) -> int:
-        entry = self._fast[reader.peek_bits(_ROOT_BITS)]
-        if entry:
-            reader.skip_bits(entry & 31)
-            return entry >> 5
-        return self._decode_slow(reader)
+        entry = self.table[reader.peek_bits(self.root_bits)]
+        if entry != MISS:
+            reader.skip_bits(entry & 15)
+            return entry >> 4
+        reader.peek_bits(self.max_length)  # buffer all a code can take
+        sym, nbits = self.walk(reader._bitbuf, reader._bitcount)
+        reader.skip_bits(nbits)
+        return sym
 
-    def _decode_slow(self, reader: BitReader) -> int:
+    def walk(self, bitbuf: int, bitcount: int) -> tuple[int, int]:
+        """``(symbol, code length)`` of the code at the low end of
+        ``bitbuf``, found bit by bit; ``bitcount`` is how many of those
+        bits the stream really holds (the rest read as zero)."""
         code = 0
         first = 0
         index = 0
         for length in range(1, self.max_length + 1):
-            code |= reader.read_bits(1)
+            if length > bitcount:
+                raise DeflateError("unexpected end of DEFLATE stream")
+            code |= bitbuf & 1
+            bitbuf >>= 1
             count = self.count[length]
             if code - first < count:
-                return self.symbols[index + (code - first)]
+                return self.symbols[index + (code - first)], length
             index += count
             first = (first + count) << 1
             code <<= 1
         raise HuffmanError("ran out of codes while decoding")
+
+
+def codelen_decoder(lengths: Sequence[int]) -> HuffmanDecoder:
+    """Decoder of a dynamic header's code-length alphabet: its codes
+    are at most 7 bits, so a 128-slot root table holds all of them."""
+    return HuffmanDecoder(lengths, root_bits=MAX_CODELEN_CODE_LENGTH)
+
+
+def block_decoders(lit_lengths: Sequence[int], dist_lengths: Sequence[int]
+                   ) -> tuple[HuffmanDecoder, HuffmanDecoder]:
+    """The lit/len and distance decoders of one block, with rows.
+
+    RFC 1951 section 3.2.7: a block of literals alone may send a
+    distance code with no symbol in it; a lit/len code may not be empty.
+    """
+    return (HuffmanDecoder(lit_lengths, extra=_LITLEN_EXTRA),
+            HuffmanDecoder(dist_lengths, extra=_DIST_EXTRA,
+                           allow_empty=True))
 
 
 _FIXED_DECODERS: tuple[HuffmanDecoder, HuffmanDecoder] | None = None
@@ -239,13 +323,12 @@ def fixed_decoders() -> tuple[HuffmanDecoder, HuffmanDecoder]:
     """Module-level cache of the RFC 1951 fixed-code decoders.
 
     Fixed blocks are common in small streams; rebuilding the 288-symbol
-    decoder (and its 512-entry root table) per block was pure waste.
+    decoder (and its root table) per block was pure waste.
     """
     global _FIXED_DECODERS
     if _FIXED_DECODERS is None:
-        from .constants import fixed_dist_lengths, fixed_litlen_lengths
-        _FIXED_DECODERS = (HuffmanDecoder(fixed_litlen_lengths()),
-                           HuffmanDecoder(fixed_dist_lengths()))
+        _FIXED_DECODERS = block_decoders(fixed_litlen_lengths(),
+                                         fixed_dist_lengths())
     return _FIXED_DECODERS
 
 
@@ -253,7 +336,6 @@ def fixed_encoders() -> tuple[HuffmanEncoder, HuffmanEncoder]:
     """Module-level cache of the RFC 1951 fixed-code encoders."""
     global _FIXED_ENCODERS
     if _FIXED_ENCODERS is None:
-        from .constants import fixed_dist_lengths, fixed_litlen_lengths
         _FIXED_ENCODERS = (HuffmanEncoder(fixed_litlen_lengths()),
                            HuffmanEncoder(fixed_dist_lengths()))
     return _FIXED_ENCODERS

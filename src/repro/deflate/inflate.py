@@ -6,10 +6,22 @@ functional core of the NX decompress engine model.
 
 The Huffman-block loop (:func:`_inflate_huffman_block`) is
 batch-oriented: literal runs spin in an inner loop over the decoder's
-flat table (bit buffer in locals, one append per literal),
-non-overlapping back-references are copied with one slice
+root table (bit buffer in locals, one append per literal, one ``entry <
+4096`` test to classify), a length or a distance with its extra bits
+comes out of one probe of a list of packed rows (``huffman.py`` has the
+layouts), non-overlapping back-references are copied with one slice
 ``extend``, and overlapping runs are materialised by periodic repetition
 of the ``dist``-byte seed instead of a per-byte append loop.
+
+The loop refills past the end of the input (missing bytes read as zero
+bits) and tests for the end of the input and for the output cap once
+per token rather than once per field: where the literal loop refills,
+after every match, at end-of-block.  The end of the input is always
+tested *first*, and on a match before the back-reference is looked at:
+zero padding can decode as a far distance or push ``out`` over the cap,
+and a cut stream must say ``"unexpected end of DEFLATE stream"`` at
+every byte (``tests/test_truncation.py``), not whatever the padding
+happened to mean.
 """
 
 from __future__ import annotations
@@ -24,17 +36,22 @@ from .constants import (
     BTYPE_FIXED,
     BTYPE_STORED,
     CODELEN_ORDER,
-    DIST_BASE,
-    DIST_EXTRA_BITS,
     END_OF_BLOCK,
     LENGTH_BASE,
-    LENGTH_EXTRA_BITS,
     NUM_CODELEN_SYMBOLS,
+    NUM_DIST_SYMBOLS,
     WINDOW_SIZE,
 )
-from .huffman import _ROOT_MASK, HuffmanDecoder, fixed_decoders
+from .huffman import (
+    _ROOT_MASK,
+    MISS,
+    HuffmanDecoder,
+    block_decoders,
+    codelen_decoder,
+    fixed_decoders,
+)
 
-_BIT_MASKS = tuple((1 << n) - 1 for n in range(32))
+_MAX_HLIT = END_OF_BLOCK + 1 + len(LENGTH_BASE)  # 286: symbols 0..285
 
 
 @dataclass
@@ -51,37 +68,84 @@ class InflateStats:
         return self.literals + self.match_bytes
 
 
-def _read_dynamic_header(
-        reader: BitReader) -> tuple[HuffmanDecoder, HuffmanDecoder]:
+def read_dynamic_counts(reader: BitReader) -> tuple[int, int, int]:
+    """``(HLIT, HDIST, HCLEN)`` of a dynamic block header, as counts."""
     hlit = reader.read_bits(5) + 257
     hdist = reader.read_bits(5) + 1
     hclen = reader.read_bits(4) + 4
+    if hlit > _MAX_HLIT or hdist > NUM_DIST_SYMBOLS:
+        raise DeflateError("too many length or distance symbols")
+    return hlit, hdist, hclen
+
+
+def dynamic_decoders(lengths: list[int], hlit: int, hdist: int
+                     ) -> tuple[HuffmanDecoder, HuffmanDecoder]:
+    """The block's two decoders from its decoded code-length run."""
+    if len(lengths) != hlit + hdist:
+        raise DeflateError("code length repeat overflows header")
+    if lengths[END_OF_BLOCK] == 0:
+        raise DeflateError("dynamic block has no end-of-block code")
+    return block_decoders(lengths[:hlit], lengths[hlit:])
+
+
+def _read_dynamic_header(
+        reader: BitReader) -> tuple[HuffmanDecoder, HuffmanDecoder]:
+    """Read a dynamic block's header and build its decoders.
+
+    The code-length run is decoded on locals — one probe of the 7-bit
+    root table, one shift, per length — with every field tested against
+    the bits the input really holds: at most ~320 fields a block, so
+    exactness costs nothing here.
+    """
+    hlit, hdist, hclen = read_dynamic_counts(reader)
     cl_lengths = [0] * NUM_CODELEN_SYMBOLS
     for idx in range(hclen):
         cl_lengths[CODELEN_ORDER[idx]] = reader.read_bits(3)
-    cl_decoder = HuffmanDecoder(cl_lengths)
+    cl_decoder = codelen_decoder(cl_lengths)
 
+    data = reader._data
+    pos = reader._pos
+    bitbuf = reader._bitbuf
+    bitcount = reader._bitcount
+    table = cl_decoder.table
+    root_mask = len(table) - 1
+    total = hlit + hdist
     lengths: list[int] = []
-    while len(lengths) < hlit + hdist:
-        sym = cl_decoder.decode(reader)
+    while len(lengths) < total:
+        if bitcount < 14:  # longest code + longest repeat count
+            chunk = data[pos:pos + 8]
+            bitbuf |= int.from_bytes(chunk, "little") << bitcount
+            pos += len(chunk)
+            bitcount += len(chunk) << 3
+        entry = table[bitbuf & root_mask]
+        if entry == MISS:  # a one-code code and not its bit: an error
+            sym, nb = cl_decoder.walk(bitbuf, bitcount)
+        else:
+            sym, nb = entry >> 4, entry & 15
+            if nb > bitcount:
+                raise DeflateError("unexpected end of DEFLATE stream")
+        bitbuf >>= nb
+        bitcount -= nb
         if sym < 16:
             lengths.append(sym)
-        elif sym == 16:
+            continue
+        if sym == 16:
             if not lengths:
                 raise DeflateError("repeat code with no previous length")
-            lengths.extend([lengths[-1]] * (3 + reader.read_bits(2)))
+            nb, least, value = 2, 3, lengths[-1]
         elif sym == 17:
-            lengths.extend([0] * (3 + reader.read_bits(3)))
+            nb, least, value = 3, 3, 0
         else:
-            lengths.extend([0] * (11 + reader.read_bits(7)))
-    if len(lengths) != hlit + hdist:
-        raise DeflateError("code length repeat overflows header")
-
-    lit_lengths = lengths[:hlit]
-    dist_lengths = lengths[hlit:]
-    if lit_lengths[END_OF_BLOCK] == 0:
-        raise DeflateError("dynamic block has no end-of-block code")
-    return HuffmanDecoder(lit_lengths), HuffmanDecoder(dist_lengths)
+            nb, least, value = 7, 11, 0
+        if nb > bitcount:
+            raise DeflateError("unexpected end of DEFLATE stream")
+        lengths.extend([value] * (least + (bitbuf & ((1 << nb) - 1))))
+        bitbuf >>= nb
+        bitcount -= nb
+    reader._pos = pos
+    reader._bitbuf = bitbuf
+    reader._bitcount = bitcount
+    return dynamic_decoders(lengths, hlit, hdist)
 
 
 def _inflate_huffman_block(reader: BitReader, out: bytearray,
@@ -89,128 +153,104 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
                            stats: InflateStats, max_output: int) -> None:
     """Decode one Huffman block — the decompressor's hot loop.
 
-    Everything lives in locals: the reader's bit buffer (refilled eight
-    bytes per ``int.from_bytes``, at most once per token since a full
-    token needs <= 48 bits), both flat fast tables, and the stats
-    counters (folded into ``stats`` at end-of-block).  Literal runs spin
-    in an inner loop — a single range test on the packed table entry
-    (``0 < entry < 8192``) classifies "in-table literal".  Only codes
-    longer than the root table fall back to the decoders' counting walk.
+    Everything lives in locals: the reader's bit buffer, the lit/len
+    root table (an entry below 4096 is an in-table literal, ``byte << 4
+    | code bits``: one test classifies it) and the two lists of rows,
+    where one subscript yields ``(code bits, extra-bit mask, base,
+    code + extra bits)`` of a length or a distance.  A ``None`` row is
+    everything else — end-of-block, a code longer than the root table,
+    a reserved symbol — and goes to the decoder's bit-by-bit walk.
+
+    A refill always takes ``pos += 8; bitcount += 64``: a slice past
+    the end of the input reads as zero bits, so nothing here tests a
+    single field against the end of the input.  "Consumed more bits
+    than the input holds" is tested once per refill of the literal
+    loop, once per match *before* the back-reference is looked at (a
+    distance made of zero padding must report the truncation, not a bad
+    distance) and, through the real bit count handed to the walk, on
+    every ``None`` row; at end-of-block ``pos`` / ``bitcount`` are put
+    back to exact values for the reader.  The cap is tested at the same
+    places, end of input first, so ``out`` can stand up to 64 literals
+    over ``max_output`` before :class:`OutputOverflow`.  Literals are
+    not counted: they are the output growth that matches do not explain.
     """
     data = reader._data
+    nbytes = len(data)
     pos = reader._pos
     bitbuf = reader._bitbuf
     bitcount = reader._bitcount
-    lit_fast = lit_dec._fast
-    dist_fast = dist_dec._fast
+    lit_table = lit_dec.table
+    len_rows = lit_dec.rows
+    dist_rows = dist_dec.rows
     root_mask = _ROOT_MASK
-    masks = _BIT_MASKS
-    length_base = LENGTH_BASE
-    length_extra = LENGTH_EXTRA_BITS
-    dist_base = DIST_BASE
-    dist_extra = DIST_EXTRA_BITS
     append = out.append
-    budget = max_output - len(out)
-    literals = 0
+    size_before = len(out)
     matches = 0
     match_bytes = 0
     while True:
-        if bitcount < 48:
-            chunk = data[pos:pos + 8]
-            bitbuf |= int.from_bytes(chunk, "little") << bitcount
-            pos += len(chunk)
-            bitcount += len(chunk) << 3
-        entry = lit_fast[bitbuf & root_mask]
-        while 0 < entry < 8192:  # sym < 256: in-table literal
-            nb = entry & 31
-            if nb > bitcount:
-                raise DeflateError("unexpected end of DEFLATE stream")
+        if bitcount < 48:  # the longest token: 15 + 5 + 15 + 13 bits
+            bitbuf |= int.from_bytes(data[pos:pos + 8], "little") << bitcount
+            pos += 8
+            bitcount += 64
+        entry = lit_table[bitbuf & root_mask]
+        while entry < 4096:
+            nb = entry & 15
             bitbuf >>= nb
             bitcount -= nb
-            append(entry >> 5)
-            literals += 1
-            budget -= 1
-            if budget < 0:
-                stats.literals += literals
-                raise OutputOverflow("output exceeds allowed size")
-            if bitcount < 15:
-                chunk = data[pos:pos + 8]
-                bitbuf |= int.from_bytes(chunk, "little") << bitcount
-                pos += len(chunk)
-                bitcount += len(chunk) << 3
-            entry = lit_fast[bitbuf & root_mask]
-        # The inner loop only guarantees 15 buffered bits, a full match
-        # needs up to 40: top up (low bits are untouched, so ``entry``
-        # computed before the refill stays valid).
-        if bitcount < 48:
-            chunk = data[pos:pos + 8]
-            bitbuf |= int.from_bytes(chunk, "little") << bitcount
-            pos += len(chunk)
-            bitcount += len(chunk) << 3
-        if entry:
-            nb = entry & 31
-            if nb > bitcount:
-                raise DeflateError("unexpected end of DEFLATE stream")
-            sym = entry >> 5
-            bitbuf >>= nb
-            bitcount -= nb
-        else:
-            reader._pos = pos
-            reader._bitbuf = bitbuf
-            reader._bitcount = bitcount
-            sym = lit_dec._decode_slow(reader)
-            pos = reader._pos
-            bitbuf = reader._bitbuf
-            bitcount = reader._bitcount
-            if sym < 256:
-                append(sym)
-                literals += 1
-                budget -= 1
-                if budget < 0:
-                    stats.literals += literals
+            append(entry >> 4)
+            if bitcount < 48:
+                bitbuf |= (int.from_bytes(data[pos:pos + 8], "little")
+                           << bitcount)
+                pos += 8
+                bitcount += 64
+                if pos > nbytes and bitcount < (pos - nbytes) << 3:
+                    raise DeflateError("unexpected end of DEFLATE stream")
+                if len(out) > max_output:
                     raise OutputOverflow("output exceeds allowed size")
-                continue
-        if sym == END_OF_BLOCK:
-            reader._pos = pos
-            reader._bitbuf = bitbuf
-            reader._bitcount = bitcount
-            stats.literals += literals
-            stats.matches += matches
-            stats.match_bytes += match_bytes
-            return
-        if sym > 285:
-            raise DeflateError(f"invalid length symbol {sym}")
-        idx = sym - 257
-        eb = length_extra[idx]
-        if eb > bitcount:
+            entry = lit_table[bitbuf & root_mask]
+        row = len_rows[bitbuf & root_mask]
+        if row is None:
+            real = bitcount - ((pos - nbytes) << 3 if pos > nbytes else 0)
+            sym, nb = lit_dec.walk(bitbuf, real)
+            if sym <= END_OF_BLOCK:
+                bitbuf >>= nb
+                bitcount -= nb
+                if sym < END_OF_BLOCK:
+                    append(sym)
+                if len(out) > max_output:
+                    raise OutputOverflow("output exceeds allowed size")
+                if sym < END_OF_BLOCK:
+                    continue
+                if pos > nbytes:
+                    bitcount -= (pos - nbytes) << 3
+                    pos = nbytes
+                reader._pos = pos
+                reader._bitbuf = bitbuf
+                reader._bitcount = bitcount
+                stats.literals += len(out) - size_before - match_bytes
+                stats.matches += matches
+                stats.match_bytes += match_bytes
+                return
+            row = lit_dec.row(sym, nb)
+            if row is None:
+                raise DeflateError(f"invalid length symbol {sym}")
+        nb, mask, base, total = row
+        length = base + (bitbuf >> nb & mask)
+        bitbuf >>= total
+        bitcount -= total
+        row = dist_rows[bitbuf & root_mask]
+        if row is None:
+            real = bitcount - ((pos - nbytes) << 3 if pos > nbytes else 0)
+            sym, nb = dist_dec.walk(bitbuf, real)
+            row = dist_dec.row(sym, nb)
+            if row is None:
+                raise DeflateError(f"invalid distance symbol {sym}")
+        nb, mask, base, total = row
+        dist = base + (bitbuf >> nb & mask)
+        bitbuf >>= total
+        bitcount -= total
+        if pos > nbytes and bitcount < (pos - nbytes) << 3:
             raise DeflateError("unexpected end of DEFLATE stream")
-        length = length_base[idx] + (bitbuf & masks[eb])
-        bitbuf >>= eb
-        bitcount -= eb
-        entry = dist_fast[bitbuf & root_mask]
-        if entry:
-            nb = entry & 31
-            if nb > bitcount:
-                raise DeflateError("unexpected end of DEFLATE stream")
-            dsym = entry >> 5
-            bitbuf >>= nb
-            bitcount -= nb
-        else:
-            reader._pos = pos
-            reader._bitbuf = bitbuf
-            reader._bitcount = bitcount
-            dsym = dist_dec._decode_slow(reader)
-            pos = reader._pos
-            bitbuf = reader._bitbuf
-            bitcount = reader._bitcount
-        if dsym > 29:
-            raise DeflateError(f"invalid distance symbol {dsym}")
-        eb = dist_extra[dsym]
-        if eb > bitcount:
-            raise DeflateError("unexpected end of DEFLATE stream")
-        dist = dist_base[dsym] + (bitbuf & masks[eb])
-        bitbuf >>= eb
-        bitcount -= eb
         start = len(out) - dist
         if start < 0:
             raise DeflateError("back-reference before start of output")
@@ -223,9 +263,7 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
             out += seed * (length // dist) + seed[:length % dist]
         matches += 1
         match_bytes += length
-        budget -= length
-        if budget < 0:
-            stats.literals += literals
+        if len(out) > max_output:
             raise OutputOverflow("output exceeds allowed size")
 
 

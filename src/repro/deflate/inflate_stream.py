@@ -38,7 +38,8 @@ from .constants import (
     LENGTH_EXTRA_BITS,
     NUM_CODELEN_SYMBOLS,
 )
-from .huffman import HuffmanDecoder, fixed_decoders
+from .huffman import HuffmanDecoder, codelen_decoder, fixed_decoders
+from .inflate import dynamic_decoders, read_dynamic_counts
 
 _SAFE_BITS = 64  # > any single element (48) and any header slice
 
@@ -223,9 +224,7 @@ class InflateStream:
         return True
 
     def _do_dyn_counts(self, reader: BitReader) -> bool:
-        self._hlit = reader.read_bits(5) + 257
-        self._hdist = reader.read_bits(5) + 1
-        self._hclen = reader.read_bits(4) + 4
+        self._hlit, self._hdist, self._hclen = read_dynamic_counts(reader)
         self._cl_lengths = [0] * NUM_CODELEN_SYMBOLS
         self._cl_read = 0
         self._lengths = []
@@ -240,7 +239,7 @@ class InflateStream:
             if reader.bits_consumed > len(self._buf) * 8 - _SAFE_BITS:
                 self._bits_consumed = reader.bits_consumed
                 return True
-        self._cl_dec = HuffmanDecoder(self._cl_lengths)
+        self._cl_dec = codelen_decoder(self._cl_lengths)
         self._state = _State.DYN_LENGTHS
         return True
 
@@ -267,14 +266,8 @@ class InflateStream:
                 self._lengths.extend([0] * (11 + reader.read_bits(7)))
             self._bits_consumed = reader.bits_consumed
             progressed = True
-        if len(self._lengths) != target:
-            raise DeflateError("code length repeat overflows header")
-        lit = self._lengths[:self._hlit]
-        dist = self._lengths[self._hlit:]
-        if lit[END_OF_BLOCK] == 0:
-            raise DeflateError("dynamic block has no end-of-block code")
-        self._lit_dec = HuffmanDecoder(lit)
-        self._dist_dec = HuffmanDecoder(dist)
+        self._lit_dec, self._dist_dec = dynamic_decoders(
+            self._lengths, self._hlit, self._hdist)
         self._state = _State.SYMBOLS
         return True
 

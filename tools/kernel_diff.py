@@ -1,0 +1,215 @@
+"""Differential of the two codec kernels between two checkouts.
+
+Usage:  PYTHONPATH=src python tools/kernel_diff.py <other-checkout>
+
+Loads ``NxMatchPipeline`` and ``inflate_core`` from
+``<other-checkout>/src`` next to this tree's and runs both over two
+matrices.  This is the check a kernel rewrite runs against its parent
+commit: the unit tests pin a kernel to its reference model, this pins
+it to what actually shipped.  Prints a case count per matrix; exits 1
+on the first mismatch.
+
+*Scan* — the matrix of ``tests/test_scan_kernel.py``: every generator
+x the ``_sizes`` list x the three histories on the POWER9 and z15
+engines, and every generator x seven small sizes x two histories on
+the five tiny engines.  A case is equal when every field of
+``ScanResult`` (tokens, ``MatchStats``, ``scan_cycles``,
+``conflict_stalls``, ``candidate_probes``, ``history_cycles``), the
+table's ``entries`` and its ``lookups`` / ``insertions`` /
+``conflict_stalls`` counters are.
+
+*Inflate* — every generator x 4 KB / 64 KB / 300 KB x the stdlib's
+levels 1, 6 and 9 and this repo's ``nx`` and ``software`` output, with
+and without a 32 KB history; each stream decoded whole and under three
+``max_output`` caps (exact, one short, 64 KiB short), and three of them
+cut at every 64th byte.  A case is equal on ``(output, literals,
+matches, match_bytes, blocks, bits_consumed)`` or on ``(type(exc)
+.__name__, str(exc))``.  The header cases of
+``tests/test_inflate_kernel.header_fix_cases`` — behaviour PR 20
+changed on purpose — are run last and a difference there is listed as
+expected, not counted as a mismatch.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import pathlib
+import sys
+from types import ModuleType
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # the matrices live in tests/
+
+from repro.deflate.constants import WINDOW_SIZE  # noqa: E402
+from repro.deflate.inflate import inflate_core  # noqa: E402
+from repro.nx.params import POWER9, Z15  # noqa: E402
+from repro.nx.pipeline import NxMatchPipeline  # noqa: E402
+from repro.workloads.generators import GENERATORS, generate  # noqa: E402
+from tests.test_inflate_kernel import (  # noqa: E402
+    header_fix_cases,
+    make_stream,
+)
+from tests.test_scan_kernel import (  # noqa: E402
+    TINY_ENGINES,
+    product_inputs,
+    tiny_inputs,
+)
+
+_INFLATE_SIZES = (4096, 65536, 300_000)
+_INFLATE_PRODUCERS = ([("stdlib", level, "default") for level in (1, 6, 9)]
+                      + [("nx", 6, "default"), ("software", 6, "default")])
+_TRUNCATED_FAMILIES = ("binary_executable", "json_records", "source_code")
+
+
+def _ours(name: str) -> bool:
+    return name == "repro" or name.startswith("repro.")
+
+
+def load_other(checkout: str, module: str) -> ModuleType:
+    """``module`` as the tree at ``checkout`` defines it."""
+    src = pathlib.Path(checkout).resolve() / "src"
+    mine = {name: mod for name, mod in sys.modules.items() if _ours(name)}
+    for name in mine:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        loaded = importlib.import_module(module)
+    finally:
+        sys.path.remove(str(src))
+        for name in [name for name in sys.modules if _ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(mine)
+    if src not in pathlib.Path(loaded.__file__).parents:
+        raise SystemExit(f"{checkout}: imported {loaded.__file__}, "
+                         "which is not in that checkout")
+    return loaded
+
+
+# -- scan ----------------------------------------------------------------------
+
+def scan_cases():
+    """(engine name, engine, family, data, history) over the matrix."""
+    for machine in (POWER9, Z15):
+        for family in sorted(GENERATORS):
+            for data, history in product_inputs(machine.engine, family):
+                yield machine.name, machine.engine, family, data, history
+    for name, engine in TINY_ENGINES.items():
+        for family in sorted(GENERATORS):
+            for data, history in tiny_inputs(family):
+                yield name, engine, family, data, history
+
+
+def observed_scan(pipe, data: bytes, history: bytes) -> dict:
+    """Everything a scan leaves behind, as plain comparable values."""
+    seen = dataclasses.asdict(pipe.scan(data, history=history))
+    table = pipe.table
+    seen["table.entries"] = table.entries
+    seen["table.counters"] = (table.lookups, table.insertions,
+                              table.conflict_stalls)
+    return seen
+
+
+def diff_scan(checkout: str) -> bool:
+    other_cls = load_other(checkout, "repro.nx.pipeline").NxMatchPipeline
+    pipes: dict[str, tuple] = {}  # one pair an engine, reused like a job's
+    count = 0
+    for name, engine, family, data, history in scan_cases():
+        if name not in pipes:
+            pipes[name] = (NxMatchPipeline(engine), other_cls(engine))
+        here, there = (observed_scan(pipe, data, history)
+                       for pipe in pipes[name])
+        count += 1
+        if here != there:
+            fields = [field for field in here if here[field] != there[field]]
+            print(f"MISMATCH in scan case {count} ({name}, {family}, "
+                  f"{len(data)} bytes after {len(history)} of history): "
+                  + ", ".join(fields))
+            return False
+    print(f"kernel_diff: scan: {count} cases, 0 mismatches "
+          f"against {checkout}")
+    return True
+
+
+# -- inflate -------------------------------------------------------------------
+
+def inflate_cases():
+    """(label, stream, ``inflate_core`` keyword arguments)."""
+    for family in sorted(GENERATORS):
+        for size in _INFLATE_SIZES:
+            data = generate(family, size, seed=size % 5)
+            # The same family under another seed shares its vocabulary,
+            # so matches of the primed streams reach into the history.
+            for history in (b"", generate(family, WINDOW_SIZE, seed=9)):
+                for producer in _INFLATE_PRODUCERS:
+                    stream = make_stream(producer, data, history)
+                    label = (f"{family}, {size} bytes after {len(history)} "
+                             f"of history, by {producer[0]} -{producer[1]}")
+                    yield label, stream, {"history": history}
+                    for cap in sorted({size, size - 1, max(0, size - 65536)}):
+                        yield (f"{label}, max_output {cap}", stream,
+                               {"history": history, "max_output": cap})
+    for family in _TRUNCATED_FAMILIES:
+        stream = make_stream(("stdlib", 6, "default"),
+                             generate(family, 65536, seed=1), b"")
+        for cut in range(0, len(stream), 64):
+            yield f"{family}, 65536 bytes, cut at byte {cut}", stream[:cut], {}
+
+
+def observed_inflate(decode, stream: bytes, kwargs: dict) -> tuple:
+    """A decode's result, or whatever it raised, as comparable values.
+
+    The two trees' exception classes are distinct objects, so an error
+    is compared by class name and message; *any* exception is a result
+    here, so that a kernel that crashes on a case is reported as a
+    mismatch with its label instead of ending the run.
+    """
+    try:
+        out, stats, bits = decode(stream, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the error is the datum
+        return type(exc).__name__, str(exc)
+    return (out, stats.literals, stats.matches, stats.match_bytes,
+            stats.blocks, bits)
+
+
+def _brief(seen: tuple) -> str:
+    if len(seen) == 2:
+        return f"{seen[0]}: {seen[1]}"
+    return f"{len(seen[0])} bytes, {seen[-1]} bits"
+
+
+def diff_inflate(checkout: str) -> bool:
+    other = load_other(checkout, "repro.deflate.inflate").inflate_core
+    count = 0
+    for label, stream, kwargs in inflate_cases():
+        here, there = (observed_inflate(decode, stream, kwargs)
+                       for decode in (inflate_core, other))
+        count += 1
+        if here != there:
+            print(f"MISMATCH in inflate case {count} ({label}): "
+                  f"here {_brief(here)}; there {_brief(there)}")
+            return False
+    expected = []
+    for name, raw, _plain in header_fix_cases():
+        here, there = (observed_inflate(decode, raw, {})
+                       for decode in (inflate_core, other))
+        count += 1
+        if here != there:
+            expected.append(f"  expected difference ({name}): "
+                            f"here {_brief(here)}; there {_brief(there)}")
+    print(f"kernel_diff: inflate: {count} cases, 0 mismatches, "
+          f"{len(expected)} expected differences against {checkout}")
+    for line in expected:
+        print(line)
+    return True
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    return 0 if diff_scan(argv[1]) and diff_inflate(argv[1]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
