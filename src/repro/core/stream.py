@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..deflate.constants import CLOSING_BLOCK, WINDOW_SIZE
+from ..deflate.constants import WINDOW_SIZE
 from ..deflate.containers import checksum, header, trailer
-from ..deflate.inflate import inflate_with_stats
+from ..deflate.inflate_stream import InflateStream
 from ..errors import ReproError
 
 
@@ -86,24 +86,21 @@ class NxCompressStream:
 class NxDecompressStream:
     """Chunk-at-a-time raw-DEFLATE decompression with window carry.
 
-    Each call decodes one *complete request's worth* of blocks (i.e. the
-    byte-aligned unit an :class:`NxCompressStream` produced), using the
-    carried window as history — the decompression-side continuation
-    protocol.
+    The decompression-side continuation protocol: each call takes the
+    next bytes of the stream — the byte-aligned unit one request of an
+    :class:`NxCompressStream` produced, or any other cut of it — and
+    returns the plaintext they complete.
     """
 
     session: object
     stats: StreamStats = field(default_factory=StreamStats)
-    _history: bytes = b""
+    _inflater: InflateStream = field(default_factory=InflateStream)
 
     def decode_unit(self, unit: bytes, final: bool = False) -> bytes:
         """Decode one continuation unit and return its plaintext."""
-        # A non-final unit ends with the sync-flush empty stored block;
-        # close the stream for the one-shot decoder behind it.
-        payload = unit if final else unit + CLOSING_BLOCK
-        out, _stats, _bits = inflate_with_stats(payload,
-                                                history=self._history)
-        self._history = (self._history + out)[-WINDOW_SIZE:]
+        out = self._inflater.feed(unit)
+        if final:
+            out += self._inflater.finish()
         self.stats.chunks += 1
         self.stats.bytes_in += len(unit)
         self.stats.bytes_out += len(out)

@@ -191,3 +191,13 @@ class BitReader:
         if self._bitcount & 7:
             raise DeflateError("byte_position requires byte alignment")
         return self._pos - self._bitcount // 8
+
+
+def reader_at(data: bytes, bit: int) -> BitReader:
+    """A :class:`BitReader` positioned at an arbitrary *bit* offset."""
+    reader = BitReader(data, start=bit >> 3)
+    pre = bit & 7
+    if pre:
+        reader._fill(pre)
+        reader.skip_bits(pre)
+    return reader

@@ -19,11 +19,6 @@ WINDOW_SIZE = 32768
 MAX_CODE_LENGTH = 15
 MAX_CODELEN_CODE_LENGTH = 7
 
-#: A final, empty stored block.  Appended to a continuation unit (which
-#: ends byte-aligned on its sync flush) it closes the stream for a
-#: one-shot decoder; decoders accept consecutive empty blocks.
-CLOSING_BLOCK = b"\x01\x00\x00\xff\xff"
-
 # Length codes 257..285: (extra bits, base length).  RFC 1951 section 3.2.5.
 LENGTH_EXTRA_BITS = (
     0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2,

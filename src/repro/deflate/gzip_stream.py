@@ -95,15 +95,11 @@ class GzipReader:
         chunk = bytes(self._buf)
         self._buf.clear()
         produced = self._inflater.feed(chunk)
-        if not self._inflater.finished:
-            if not final:
-                # The 8-byte trailer always follows the body, so the
-                # conservative decoder completes once those bytes pad
-                # the buffer; until then, wait for more input.
-                self._account(produced)
-                return produced, False
+        if final and not self._inflater.finished:
             produced += self._inflater.finish()
         self._account(produced)
+        if not self._inflater.finished:
+            return produced, False  # all of it so far; wait for more
         self._buf[:0] = self._inflater.unused_bytes()
         self._phase = _Phase.TRAILER
         return produced, True

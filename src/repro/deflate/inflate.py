@@ -22,6 +22,12 @@ zero padding can decode as a far distance or push ``out`` over the cap,
 and a cut stream must say ``"unexpected end of DEFLATE stream"`` at
 every byte (``tests/test_truncation.py``), not whatever the padding
 happened to mean.
+
+It is the only Huffman decode loop in the package.  Told that the input
+may still grow (``more``), it stops at a token boundary short of the end
+of what it holds instead of decoding padding, and is called again when
+there is more: ``inflate_stream.InflateStream`` is a loop around
+:func:`read_block_header` and that.
 """
 
 from __future__ import annotations
@@ -68,26 +74,6 @@ class InflateStats:
         return self.literals + self.match_bytes
 
 
-def read_dynamic_counts(reader: BitReader) -> tuple[int, int, int]:
-    """``(HLIT, HDIST, HCLEN)`` of a dynamic block header, as counts."""
-    hlit = reader.read_bits(5) + 257
-    hdist = reader.read_bits(5) + 1
-    hclen = reader.read_bits(4) + 4
-    if hlit > _MAX_HLIT or hdist > NUM_DIST_SYMBOLS:
-        raise DeflateError("too many length or distance symbols")
-    return hlit, hdist, hclen
-
-
-def dynamic_decoders(lengths: list[int], hlit: int, hdist: int
-                     ) -> tuple[HuffmanDecoder, HuffmanDecoder]:
-    """The block's two decoders from its decoded code-length run."""
-    if len(lengths) != hlit + hdist:
-        raise DeflateError("code length repeat overflows header")
-    if lengths[END_OF_BLOCK] == 0:
-        raise DeflateError("dynamic block has no end-of-block code")
-    return block_decoders(lengths[:hlit], lengths[hlit:])
-
-
 def _read_dynamic_header(
         reader: BitReader) -> tuple[HuffmanDecoder, HuffmanDecoder]:
     """Read a dynamic block's header and build its decoders.
@@ -97,7 +83,11 @@ def _read_dynamic_header(
     the bits the input really holds: at most ~320 fields a block, so
     exactness costs nothing here.
     """
-    hlit, hdist, hclen = read_dynamic_counts(reader)
+    hlit = reader.read_bits(5) + 257
+    hdist = reader.read_bits(5) + 1
+    hclen = reader.read_bits(4) + 4
+    if hlit > _MAX_HLIT or hdist > NUM_DIST_SYMBOLS:
+        raise DeflateError("too many length or distance symbols")
     cl_lengths = [0] * NUM_CODELEN_SYMBOLS
     for idx in range(hclen):
         cl_lengths[CODELEN_ORDER[idx]] = reader.read_bits(3)
@@ -145,12 +135,34 @@ def _read_dynamic_header(
     reader._pos = pos
     reader._bitbuf = bitbuf
     reader._bitcount = bitcount
-    return dynamic_decoders(lengths, hlit, hdist)
+    if len(lengths) != total:
+        raise DeflateError("code length repeat overflows header")
+    if lengths[END_OF_BLOCK] == 0:
+        raise DeflateError("dynamic block has no end-of-block code")
+    return block_decoders(lengths[:hlit], lengths[hlit:])
+
+
+def _hand_back(reader: BitReader, pos: int, bitbuf: int, bitcount: int,
+               stats: InflateStats, literals: int, matches: int,
+               match_bytes: int) -> None:
+    """Leave the hot loop: its locals go back into ``reader`` — refill
+    padding dropped, so the position is exact — and into ``stats``."""
+    nbytes = len(reader._data)
+    if pos > nbytes:
+        bitcount -= (pos - nbytes) << 3
+        pos = nbytes
+    reader._pos = pos
+    reader._bitbuf = bitbuf
+    reader._bitcount = bitcount
+    stats.literals += literals
+    stats.matches += matches
+    stats.match_bytes += match_bytes
 
 
 def _inflate_huffman_block(reader: BitReader, out: bytearray,
                            lit_dec: HuffmanDecoder, dist_dec: HuffmanDecoder,
-                           stats: InflateStats, max_output: int) -> None:
+                           stats: InflateStats, max_output: int,
+                           more: bool = False) -> bool:
     """Decode one Huffman block — the decompressor's hot loop.
 
     Everything lives in locals: the reader's bit buffer, the lit/len
@@ -168,15 +180,26 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
     loop, once per match *before* the back-reference is looked at (a
     distance made of zero padding must report the truncation, not a bad
     distance) and, through the real bit count handed to the walk, on
-    every ``None`` row; at end-of-block ``pos`` / ``bitcount`` are put
-    back to exact values for the reader.  The cap is tested at the same
-    places, end of input first, so ``out`` can stand up to 64 literals
-    over ``max_output`` before :class:`OutputOverflow`.  Literals are
-    not counted: they are the output growth that matches do not explain.
+    every ``None`` row.  The cap is tested at the same places, end of
+    input first, so ``out`` can stand up to 64 literals over
+    ``max_output`` before :class:`OutputOverflow`.  Literals are not
+    counted: they are the output growth that matches do not explain.
+
+    Returns True behind the block's end-of-block code.  With ``more``
+    the input is a prefix that may grow, and the same tests ask "within
+    16 bytes of its end?" instead: a token then sits behind at most two
+    refills, both inside the input, so every token decoded is made of
+    real bits — and the loop returns False behind the first one that
+    ends there (at once, when it starts there) for the caller to resume
+    from ``reader`` and ``out`` once it holds more.  Either way
+    ``reader`` is handed back exact.
     """
     data = reader._data
     nbytes = len(data)
     pos = reader._pos
+    limit = nbytes - 16 if more else nbytes
+    if pos > limit:
+        return False
     bitbuf = reader._bitbuf
     bitcount = reader._bitcount
     lit_table = lit_dec.table
@@ -187,6 +210,10 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
     size_before = len(out)
     matches = 0
     match_bytes = 0
+    # What ``out`` may hold behind a match: the cap — or nothing, once a
+    # match ends past ``limit`` with more to come, so that the loop
+    # stops behind its copy without one more test a match.
+    room = max_output
     while True:
         if bitcount < 48:  # the longest token: 15 + 5 + 15 + 13 bits
             bitbuf |= int.from_bytes(data[pos:pos + 8], "little") << bitcount
@@ -203,8 +230,14 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
                            << bitcount)
                 pos += 8
                 bitcount += 64
-                if pos > nbytes and bitcount < (pos - nbytes) << 3:
-                    raise DeflateError("unexpected end of DEFLATE stream")
+                if pos > limit:
+                    if more:
+                        _hand_back(reader, pos, bitbuf, bitcount, stats,
+                                   len(out) - size_before - match_bytes,
+                                   matches, match_bytes)
+                        return False
+                    if bitcount < (pos - nbytes) << 3:
+                        raise DeflateError("unexpected end of DEFLATE stream")
                 if len(out) > max_output:
                     raise OutputOverflow("output exceeds allowed size")
             entry = lit_table[bitbuf & root_mask]
@@ -219,18 +252,12 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
                     append(sym)
                 if len(out) > max_output:
                     raise OutputOverflow("output exceeds allowed size")
-                if sym < END_OF_BLOCK:
+                if sym < END_OF_BLOCK and not (more and pos > limit):
                     continue
-                if pos > nbytes:
-                    bitcount -= (pos - nbytes) << 3
-                    pos = nbytes
-                reader._pos = pos
-                reader._bitbuf = bitbuf
-                reader._bitcount = bitcount
-                stats.literals += len(out) - size_before - match_bytes
-                stats.matches += matches
-                stats.match_bytes += match_bytes
-                return
+                _hand_back(reader, pos, bitbuf, bitcount, stats,
+                           len(out) - size_before - match_bytes,
+                           matches, match_bytes)
+                return sym == END_OF_BLOCK
             row = lit_dec.row(sym, nb)
             if row is None:
                 raise DeflateError(f"invalid length symbol {sym}")
@@ -249,8 +276,11 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
         dist = base + (bitbuf >> nb & mask)
         bitbuf >>= total
         bitcount -= total
-        if pos > nbytes and bitcount < (pos - nbytes) << 3:
-            raise DeflateError("unexpected end of DEFLATE stream")
+        if pos > limit:
+            if more:
+                room = -1
+            elif bitcount < (pos - nbytes) << 3:
+                raise DeflateError("unexpected end of DEFLATE stream")
         start = len(out) - dist
         if start < 0:
             raise DeflateError("back-reference before start of output")
@@ -263,8 +293,13 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
             out += seed * (length // dist) + seed[:length % dist]
         matches += 1
         match_bytes += length
-        if len(out) > max_output:
-            raise OutputOverflow("output exceeds allowed size")
+        if len(out) > room:
+            if len(out) > max_output:
+                raise OutputOverflow("output exceeds allowed size")
+            _hand_back(reader, pos, bitbuf, bitcount, stats,
+                       len(out) - size_before - match_bytes,
+                       matches, match_bytes)
+            return False
 
 
 def inflate_with_stats(data: bytes, start: int = 0,
@@ -286,6 +321,34 @@ def inflate_with_stats(data: bytes, start: int = 0,
     return inflate_core(data, start, max_output, history)
 
 
+def read_block_header(reader: BitReader) -> tuple[
+        int, int, int | tuple[HuffmanDecoder, HuffmanDecoder]]:
+    """``(BFINAL, BTYPE, body)`` of the block that starts at ``reader``.
+
+    ``body`` is what decoding the rest of the block takes: the byte
+    count of a stored block (its LEN/NLEN read and checked), the pair
+    of decoders of a Huffman one.  Every field is tested against the
+    bits the input really holds, so a header that runs out says
+    ``"unexpected end of DEFLATE stream"`` and can be read again from
+    its first bit when there is more.
+    """
+    final = reader.read_bits(1)
+    btype = reader.read_bits(2)
+    if btype == BTYPE_STORED:
+        reader.align_to_byte()
+        header = reader.read_bytes(4)
+        size = header[0] | (header[1] << 8)
+        nsize = header[2] | (header[3] << 8)
+        if size != (~nsize & 0xFFFF):
+            raise DeflateError("stored block LEN/NLEN mismatch")
+        return final, btype, size
+    if btype == BTYPE_FIXED:
+        return final, btype, fixed_decoders()
+    if btype == BTYPE_DYNAMIC:
+        return final, btype, _read_dynamic_header(reader)
+    raise DeflateError("reserved block type 3")
+
+
 def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
                    stats: InflateStats, stop_bit: int | None = None,
                    want_bytes: int | None = None) -> bool:
@@ -302,30 +365,15 @@ def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
     base = len(out)
     limit = base + budget
     while True:
-        final = reader.read_bits(1)
-        btype = reader.read_bits(2)
+        final, btype, body = read_block_header(reader)
         stats.blocks.append(btype)
         if btype == BTYPE_STORED:
-            reader.align_to_byte()
-            header = reader.read_bytes(4)
-            size = header[0] | (header[1] << 8)
-            nsize = header[2] | (header[3] << 8)
-            if size != (~nsize & 0xFFFF):
-                raise DeflateError("stored block LEN/NLEN mismatch")
-            out.extend(reader.read_bytes(size))
-            stats.literals += size
+            out.extend(reader.read_bytes(body))
+            stats.literals += body
             if len(out) > limit:
                 raise OutputOverflow("output exceeds allowed size")
-        elif btype == BTYPE_FIXED:
-            lit_dec, dist_dec = fixed_decoders()
-            _inflate_huffman_block(reader, out, lit_dec, dist_dec,
-                                   stats, limit)
-        elif btype == BTYPE_DYNAMIC:
-            lit_dec, dist_dec = _read_dynamic_header(reader)
-            _inflate_huffman_block(reader, out, lit_dec, dist_dec,
-                                   stats, limit)
         else:
-            raise DeflateError("reserved block type 3")
+            _inflate_huffman_block(reader, out, *body, stats, limit)
         if final:
             return True
         if stop_bit is not None and reader.bits_consumed >= stop_bit:

@@ -40,7 +40,7 @@ from ..errors import DeflateError, ExecError, OutputOverflow, \
     SeekIndexError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
-from .bitio import BitReader
+from .bitio import reader_at
 from .checksums import crc32
 from .constants import WINDOW_SIZE
 from .containers import FORMATS, body_start, checksum, verify_trailer
@@ -82,16 +82,6 @@ class RangeReadResult:
     decoded_bytes: int       # uncompressed bytes actually decoded
     skipped_bytes: int       # prefix bytes the index let us skip
     point_bit_offset: int    # where in the payload the decode resumed
-
-
-def _reader_at(data: bytes, bit: int) -> BitReader:
-    """A :class:`BitReader` positioned at an arbitrary *bit* offset."""
-    reader = BitReader(data, start=bit >> 3)
-    pre = bit & 7
-    if pre:
-        reader._fill(pre)
-        reader.skip_bits(pre)
-    return reader
 
 
 # -- the container walker -----------------------------------------------------
@@ -175,7 +165,7 @@ class _Resolver:
             # not depend on where a worker's run handed over.
             want = self.spacing - (len(self.out)
                                    - self.points[-1].out_offset)
-        reader = _reader_at(self.payload, self.pos_bit)
+        reader = reader_at(self.payload, self.pos_bit)
         buf = bytearray(self.window)
         final = inflate_blocks(reader, buf,
                                self.max_output - len(self.out),

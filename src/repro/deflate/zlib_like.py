@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 from ..errors import DeflateError
 from .compress import deflate
-from .constants import CLOSING_BLOCK, WINDOW_SIZE
+from .constants import WINDOW_SIZE
 from .containers import checksum, decode_with_stats, encode, frame
-from .inflate import inflate, inflate_with_stats
+from .inflate import inflate
+from .inflate_stream import InflateStream
 
 
 def _container(wbits: int) -> str:
@@ -98,25 +99,22 @@ class CompressObj:
 
 @dataclass
 class DecompressObj:
-    """Streaming decompressor over full-flush unit boundaries.
+    """Streaming decompressor of a raw stream, in any chunking.
 
-    ``decompress(unit)`` decodes one unit produced by
-    :class:`CompressObj` (or any encoder that full-flushes at the same
-    boundaries), carrying the window across calls.
+    ``decompress(chunk)`` returns the plaintext the input so far
+    determines — all of a unit :class:`CompressObj` (or any encoder
+    that flushes) produced, once its last byte is in — and carries the
+    window across calls; ``final`` says the stream must end here.
     """
 
     zdict: bytes = b""
-    _history: bytes = field(default=b"", repr=False)
 
     def __post_init__(self) -> None:
-        self._history = self.zdict[-WINDOW_SIZE:]
+        self._stream = InflateStream(history=self.zdict)
 
     def decompress(self, unit: bytes, final: bool = False) -> bytes:
-        payload = unit if final else unit + CLOSING_BLOCK
-        out, _stats, _bits = inflate_with_stats(payload,
-                                                history=self._history)
-        self._history = (self._history + out)[-WINDOW_SIZE:]
-        return out
+        out = self._stream.feed(unit)
+        return out + self._stream.finish() if final else out
 
 
 def compressobj(level: int = 6, wbits: int = -15,

@@ -52,6 +52,19 @@ class TestSingleMember:
         assert early == text_20k[:len(early)]
 
 
+class TestCompleteOnFeed:
+    @pytest.mark.parametrize("size", [0, 1, 20000])
+    def test_a_member_fed_whole_needs_no_finish(self, size, text_20k):
+        """A peer that sends one member and waits for the answer gets
+        all of it from ``feed``: no tail is held back for ``finish``."""
+        data = text_20k[:size]
+        for payload in (gzip_compress(data), stdgzip.compress(data)):
+            reader = GzipReader()
+            assert reader.feed(payload) == data
+            assert reader.members_read == 1
+            assert reader.finish() == b""
+
+
 class TestMultiMember:
     def test_two_members(self, text_20k, json_20k):
         archive = gzip_compress(text_20k) + stdgzip.compress(json_20k)

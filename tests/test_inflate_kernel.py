@@ -1,4 +1,5 @@
-"""The one-shot inflate kernel against a symbol-at-a-time reference.
+"""The inflate kernel, one-shot and streamed, against a symbol-at-a-time
+reference.
 
 ``inflate._inflate_huffman_block`` keeps the bit buffer in locals,
 resolves a length or a distance with one probe of a packed row, refills
@@ -9,15 +10,21 @@ below is the decoder written one field at a time against
 the end of the input and the cap as it is read — and the kernel must
 return the same output, the same ``InflateStats`` and the same bit
 count, or raise the same error with the same message, for every input.
+``InflateStream`` resumes that kernel over chunked input, so every
+comparison is made again through it: the same bytes or the same error
+whatever the feed size.
 """
 
+import ast
 import gzip
+import pathlib
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.backend import create_backend
 from repro.deflate.bitio import BitReader, BitWriter
 from repro.deflate.compress import deflate
@@ -168,9 +175,35 @@ def observed(decode, *args, **kwargs):
     return out, stats, bits
 
 
-def assert_inflate_equals_reference(data, **kwargs):
+def stream_inflate(data, feed=None, start: int = 0, cls=InflateStream,
+                   **kwargs):
+    """The decode through an ``InflateStream``, ``feed`` bytes a call
+    (``None``: all at once) up to the call that ends the stream."""
+    data = bytes(data[start:])
+    stream = cls(**kwargs)
+    out = bytearray()
+    for at in range(0, len(data), feed or max(1, len(data))):
+        out += stream.feed(data[at:at + (feed or len(data))])
+        if stream.finished:
+            break
+    return bytes(out + stream.finish()), None, None
+
+
+#: Bytes a ``feed`` of the streamed decodes: every bit boundary, a size
+#: coprime to everything, one that holds whole blocks, and the lot.
+FEEDS = (1, 7, 4096, None)
+
+
+def assert_inflate_equals_reference(data, feeds=FEEDS, **kwargs):
+    """One-shot and streamed, the kernel says what the reference says:
+    the same bytes, stats and bit count, or the same error."""
     got = observed(inflate_core, data, **kwargs)
-    assert got == observed(reference_inflate, data, **kwargs)
+    want = observed(reference_inflate, data, **kwargs)
+    assert got == want
+    if len(want) == 3:
+        want = want[0], None, None  # a stream reports bytes alone
+    for feed in feeds:
+        assert observed(stream_inflate, data, feed, **kwargs) == want, feed
     return got
 
 
@@ -258,6 +291,19 @@ def header_fix_cases():
     for hlit, hdist in ((287, 2), (288, 2), (257, 31), (257, 32)):
         yield (f"HLIT={hlit} HDIST={hdist}",
                overlong_header_stream(hlit, hdist), None)
+
+
+def repeat_first_stream() -> bytes:
+    """A dynamic header whose first code-length symbol is 16, "repeat
+    the previous length": the one input the streamed decoder before
+    PR 21 worded differently (``tools/kernel_diff.py`` lists it)."""
+    writer = BitWriter()
+    writer.write_bits(0b101, 3)          # final, dynamic
+    writer.write_bits(0, 5 + 5 + 4)      # 257 / 1 / 4 code lengths
+    for length in (1, 1, 0, 0):          # ... of symbols 16, 17, 18, 0
+        writer.write_bits(length, 3)
+    writer.write_bits(0, 1)              # symbol 16
+    return writer.getvalue() + bytes(8)
 
 
 def _long_code_lengths(symbols: list[int], size: int) -> list[int]:
@@ -405,7 +451,10 @@ class TestLongCodes:
         for bit in range(len(stream) * 8):
             damaged = bytearray(stream)
             damaged[bit >> 3] ^= 1 << (bit & 7)
-            assert_inflate_equals_reference(bytes(damaged))
+            # A byte a feed reads the 158-byte header again at every
+            # feed: 19 ms a case, so every ninth bit gets all of FEEDS.
+            assert_inflate_equals_reference(
+                bytes(damaged), feeds=(7, None) if bit % 9 else FEEDS)
 
     def test_long_codes_after_history(self):
         stream = long_code_stream()
@@ -666,9 +715,7 @@ def _as_gzip(raw: bytes, plain: bytes) -> bytes:
 
 
 def _via_stream(raw: bytes) -> bytes:
-    stream = InflateStream()
-    return b"".join(stream.feed(raw[i:i + 1])
-                    for i in range(len(raw))) + stream.finish()
+    return stream_inflate(raw, 1)[0]
 
 
 _HEADER_CASES = list(header_fix_cases())
@@ -737,3 +784,44 @@ class TestHeaderFixes:
         assert zlib.decompress(raw, -15) == payload
         assert assert_inflate_equals_reference(raw)[0] == payload
         assert _via_stream(raw) == payload
+
+    def test_a_repeat_with_nothing_to_repeat(self):
+        assert (assert_inflate_equals_reference(repeat_first_stream())
+                == ("DeflateError", "repeat code with no previous length"))
+
+
+# -- one decoder ---------------------------------------------------------------
+
+#: Every way a module under ``src/`` comes by a ``HuffmanDecoder``.
+_DECODER_SOURCES = {"HuffmanDecoder", "block_decoders", "fixed_decoders",
+                    "codelen_decoder", "read_block_header"}
+
+
+def test_one_function_decodes_huffman_symbols():
+    """A second loop over a decoder's tables is a second decoder: under
+    ``src/`` one function reads the packed ``rows``, and nothing calls
+    the symbol-at-a-time ``HuffmanDecoder.decode`` — that method stays
+    for ``reference_inflate`` above, the oracle."""
+    root = pathlib.Path(repro.__file__).parent
+    row_readers, decode_calls = set(), []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {getattr(node, "id", getattr(node, "name", None))
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.alias))}
+        if not named & _DECODER_SOURCES:
+            continue
+        where = str(path.relative_to(root))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "rows" \
+                        and isinstance(node.ctx, ast.Load):
+                    row_readers.add(f"{where}:{func.name}")
+                elif isinstance(node, ast.Call) and node.args \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "decode":
+                    decode_calls.append(f"{where}:{node.lineno}")
+    assert row_readers == {"deflate/inflate.py:_inflate_huffman_block"}
+    assert not decode_calls, decode_calls

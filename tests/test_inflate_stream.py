@@ -69,6 +69,28 @@ class TestBasics:
         assert early + rest == text_20k
 
 
+class TestCompleteOnFeed:
+    @pytest.mark.parametrize("level", [0, 1, 6])
+    @pytest.mark.parametrize("size", [0, 1, 20, 20000])
+    def test_a_stream_fed_whole_needs_no_finish(self, size, level, text_20k):
+        data = text_20k[:size]
+        stream = InflateStream()
+        assert stream.feed(deflate(data, level).data) == data
+        assert stream.finished
+        assert stream.finish() == b""
+
+    def test_feed_returns_what_the_input_determines(self, text_20k):
+        """Up to a flush point every byte is out, whatever follows."""
+        head, tail = text_20k[:9000], text_20k[9000:]
+        unit = deflate(head, 6, final=False).data
+        stream = InflateStream()
+        assert stream.feed(unit) == head
+        assert not stream.finished
+        rest = deflate(tail, 6, history=head).data
+        assert stream.feed(rest) == tail
+        assert stream.finished
+
+
 class TestWindowAndDict:
     def test_large_output_window_trimming(self):
         data = generate("log_lines", 150000, seed=2)

@@ -200,6 +200,26 @@ class TestDecompressStream:
                                            final=idx == len(units) - 1)
         assert out == stream_data
 
+    def test_a_unit_may_arrive_in_two_pieces(self, stream_data):
+        """A unit cut at any byte and handed over in two calls decodes
+        to what it does whole — first unit (no window yet) and second
+        (matches reach into the carried window) alike."""
+        data = stream_data[:12000]
+        with NxGzip("POWER9") as session:
+            cstream = session.compress_stream(fmt="raw")
+            units = [cstream.write(data[:6000]), cstream.finish(data[6000:])]
+            for split in (0, 1):
+                for cut in range(0, len(units[split]) + 1, 7):
+                    dstream = session.decompress_stream()
+                    out = b""
+                    for idx, unit in enumerate(units):
+                        final = idx == len(units) - 1
+                        if idx == split:
+                            out += dstream.decode_unit(unit[:cut])
+                            unit = unit[cut:]
+                        out += dstream.decode_unit(unit, final=final)
+                    assert out == data
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.binary(min_size=0, max_size=3000), min_size=1,

@@ -125,3 +125,24 @@ class TestDecompressObj:
         unit = deflate(json_20k[5000:], 6, history=d, final=True).data
         dec = zlib_like.decompressobj(zdict=d)
         assert dec.decompress(unit, final=True) == json_20k[5000:]
+
+    @pytest.mark.parametrize("primed", [False, True], ids=["", "zdict"])
+    def test_a_unit_may_arrive_in_two_pieces(self, json_20k, primed):
+        """Any chunking: a unit cut at any byte and fed in two calls
+        gives the plaintext of the unit fed whole."""
+        from repro.deflate.compress import deflate
+
+        zdict = json_20k[:5000] if primed else b""
+        first, last = json_20k[5000:9000], json_20k[9000:12000]
+        units = [deflate(first, 6, history=zdict, final=False).data,
+                 deflate(last, 6, history=zdict + first, final=True).data]
+        for split in (0, 1):
+            for cut in range(len(units[split]) + 1):
+                dec = zlib_like.decompressobj(zdict=zdict)
+                out = b""
+                for idx, unit in enumerate(units):
+                    if idx == split:
+                        out += dec.decompress(unit[:cut])
+                        unit = unit[cut:]
+                    out += dec.decompress(unit, final=idx == 1)
+                assert out == first + last

@@ -26,8 +26,14 @@ cut at every 64th byte.  A case is equal on ``(output, literals,
 matches, match_bytes, blocks, bits_consumed)`` or on ``(type(exc)
 .__name__, str(exc))``.  The header cases of
 ``tests/test_inflate_kernel.header_fix_cases`` — behaviour PR 20
-changed on purpose — are run last and a difference there is listed as
-expected, not counted as a mismatch.
+changed on purpose — and ``repeat_first_stream`` are run last and a
+difference there is listed as expected, not counted as a mismatch.
+
+Every inflate case is also decoded *streamed*: through each tree's
+``InflateStream``, 16 KB a ``feed``.  There a case is equal on the
+output bytes or on the error; two errors that differ are listed as
+expected (before PR 21 the streamed decode was a second decoder with
+its own wording), bytes against an error or other bytes is a mismatch.
 """
 
 from __future__ import annotations
@@ -43,12 +49,15 @@ sys.path.insert(0, str(REPO_ROOT))  # the matrices live in tests/
 
 from repro.deflate.constants import WINDOW_SIZE  # noqa: E402
 from repro.deflate.inflate import inflate_core  # noqa: E402
+from repro.deflate.inflate_stream import InflateStream  # noqa: E402
 from repro.nx.params import POWER9, Z15  # noqa: E402
 from repro.nx.pipeline import NxMatchPipeline  # noqa: E402
 from repro.workloads.generators import GENERATORS, generate  # noqa: E402
 from tests.test_inflate_kernel import (  # noqa: E402
     header_fix_cases,
     make_stream,
+    repeat_first_stream,
+    stream_inflate,
 )
 from tests.test_scan_kernel import (  # noqa: E402
     TINY_ENGINES,
@@ -60,6 +69,7 @@ _INFLATE_SIZES = (4096, 65536, 300_000)
 _INFLATE_PRODUCERS = ([("stdlib", level, "default") for level in (1, 6, 9)]
                       + [("nx", 6, "default"), ("software", 6, "default")])
 _TRUNCATED_FAMILIES = ("binary_executable", "json_records", "source_code")
+_FEED = 16384
 
 
 def _ours(name: str) -> bool:
@@ -156,49 +166,82 @@ def inflate_cases():
             yield f"{family}, 65536 bytes, cut at byte {cut}", stream[:cut], {}
 
 
-def observed_inflate(decode, stream: bytes, kwargs: dict) -> tuple:
-    """A decode's result, or whatever it raised, as comparable values.
+def one_shot(core):
+    """An ``inflate_core`` as a decode returning comparable values."""
+    def decode(stream: bytes, **kwargs) -> tuple:
+        out, stats, bits = core(stream, **kwargs)
+        return (out, stats.literals, stats.matches, stats.match_bytes,
+                stats.blocks, bits)
+    return decode
 
-    The two trees' exception classes are distinct objects, so an error
-    is compared by class name and message; *any* exception is a result
-    here, so that a kernel that crashes on a case is reported as a
-    mismatch with its label instead of ending the run.
+
+def streamed(stream_cls):
+    """An ``InflateStream`` class, fed ``_FEED`` bytes a call, likewise:
+    a stream reports its output bytes alone."""
+    def decode(stream: bytes, **kwargs) -> tuple:
+        return stream_inflate(stream, _FEED, cls=stream_cls, **kwargs)[:1]
+    return decode
+
+
+def observed_inflate(decode, stream: bytes, kwargs: dict) -> tuple:
+    """A decode's result, or whatever it raised as ``(class name,
+    message)``: the two trees' exception classes are distinct objects.
+
+    *Any* exception is a result here, so that a kernel that crashes on
+    a case is reported as a mismatch with its label instead of ending
+    the run.
     """
     try:
-        out, stats, bits = decode(stream, **kwargs)
+        return decode(stream, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the error is the datum
         return type(exc).__name__, str(exc)
-    return (out, stats.literals, stats.matches, stats.match_bytes,
-            stats.blocks, bits)
 
 
 def _brief(seen: tuple) -> str:
     if len(seen) == 2:
         return f"{seen[0]}: {seen[1]}"
+    if len(seen) == 1:
+        return f"{len(seen[0])} bytes"
     return f"{len(seen[0])} bytes, {seen[-1]} bits"
 
 
 def diff_inflate(checkout: str) -> bool:
-    other = load_other(checkout, "repro.deflate.inflate").inflate_core
+    decoders = (one_shot(inflate_core), one_shot(load_other(
+        checkout, "repro.deflate.inflate").inflate_core))
+    streams = (streamed(InflateStream), streamed(load_other(
+        checkout, "repro.deflate.inflate_stream").InflateStream))
     count = 0
+    expected = []
     for label, stream, kwargs in inflate_cases():
         here, there = (observed_inflate(decode, stream, kwargs)
-                       for decode in (inflate_core, other))
+                       for decode in decoders)
         count += 1
         if here != there:
             print(f"MISMATCH in inflate case {count} ({label}): "
                   f"here {_brief(here)}; there {_brief(there)}")
             return False
-    expected = []
-    for name, raw, _plain in header_fix_cases():
-        here, there = (observed_inflate(decode, raw, {})
-                       for decode in (inflate_core, other))
-        count += 1
+        here, there = (observed_inflate(decode, stream, kwargs)
+                       for decode in streams)
         if here != there:
-            expected.append(f"  expected difference ({name}): "
+            if len(here) != 2 or len(there) != 2:  # not error and error
+                print(f"MISMATCH in streamed inflate case {count} "
+                      f"({label}): here {_brief(here)}; "
+                      f"there {_brief(there)}")
+                return False
+            expected.append(f"  expected difference (streamed; {label}): "
                             f"here {_brief(here)}; there {_brief(there)}")
-    print(f"kernel_diff: inflate: {count} cases, 0 mismatches, "
-          f"{len(expected)} expected differences against {checkout}")
+    headers = [(name, raw) for name, raw, _plain in header_fix_cases()]
+    for name, raw in headers + [("repeat code first", repeat_first_stream())]:
+        count += 1
+        for kind, pair in (("", decoders), ("streamed; ", streams)):
+            here, there = (observed_inflate(decode, raw, {})
+                           for decode in pair)
+            if here != there:
+                expected.append(f"  expected difference ({kind}{name}): "
+                                f"here {_brief(here)}; there {_brief(there)}")
+    print(f"kernel_diff: inflate: {count} cases, one-shot and streamed, "
+          f"0 mismatches, {len(expected)} expected differences "
+          f"against {checkout}")
     for line in expected:
         print(line)
     return True
