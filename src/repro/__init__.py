@@ -22,47 +22,26 @@ Packages:
 * :mod:`repro.core` — the high-level session API and reporting helpers.
 """
 
-from .backend import (
-    AcceleratorPool,
-    BackendCapabilities,
-    CompressionBackend,
-    backend_names,
-    create_backend,
-    default_backend,
-    register_backend,
-)
-from .core import (
-    Analysis,
-    CompressedBuffer,
-    NxGzip,
-    OffloadAdvisor,
-    Route,
-    analyze,
-    software_decompress,
-)
-from .nx import POWER9, Z15, DhtStrategy, get_machine, z15_max_config
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .backend import (AcceleratorPool, BackendCapabilities,
+                          CompressionBackend, backend_names,
+                          create_backend, default_backend,
+                          register_backend)
+    from .core import (Analysis, CompressedBuffer, NxGzip, OffloadAdvisor,
+                       Route, analyze, software_decompress)
+    from .nx import POWER9, Z15, DhtStrategy, get_machine, z15_max_config
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "NxGzip",
-    "CompressionBackend",
-    "BackendCapabilities",
-    "AcceleratorPool",
-    "backend_names",
-    "create_backend",
-    "default_backend",
-    "register_backend",
-    "analyze",
-    "Analysis",
-    "CompressedBuffer",
-    "OffloadAdvisor",
-    "Route",
-    "software_decompress",
-    "DhtStrategy",
-    "POWER9",
-    "Z15",
-    "get_machine",
-    "z15_max_config",
-    "__version__",
-]
+__all__ = [*lazy_exports(__name__, {
+    "backend": "AcceleratorPool BackendCapabilities CompressionBackend "
+               "backend_names create_backend default_backend "
+               "register_backend",
+    "core": "Analysis CompressedBuffer NxGzip OffloadAdvisor Route "
+            "analyze software_decompress",
+    "nx": "POWER9 Z15 DhtStrategy get_machine z15_max_config",
+}), "__version__"]

@@ -2,10 +2,10 @@
 
 import sys
 
-from .cli import main
-
-# The guard matters: the process execution layer's spawn-started
-# workers re-import this module as ``__mp_main__``, which must not
-# re-run the CLI inside every worker.
+# Importing this module loads nothing.  (The execution layer's
+# spawn-started workers do not even import it: multiprocessing never
+# re-runs a package's ``__main__.py`` in a child.)
 if __name__ == "__main__":
+    from .cli import main
+
     sys.exit(main())

@@ -5,29 +5,22 @@ workloads, and benchmarks — acquires compression engines here, by name
 from the registry or pooled across chips by :class:`AcceleratorPool`.
 """
 
-from .base import BackendCapabilities, BackendStats, CompressionBackend
-from .pool import ROUTING_POLICIES, SOFTWARE, AcceleratorPool, PoolJob
-from .registry import (
-    backend_capabilities,
-    backend_names,
-    create_backend,
-    default_backend,
-    register_backend,
-    unregister_backend,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CompressionBackend",
-    "BackendCapabilities",
-    "BackendStats",
-    "AcceleratorPool",
-    "PoolJob",
-    "ROUTING_POLICIES",
-    "SOFTWARE",
-    "register_backend",
-    "unregister_backend",
-    "backend_names",
-    "backend_capabilities",
-    "create_backend",
-    "default_backend",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .base import BackendCapabilities, BackendStats, CompressionBackend
+    from .pool import SOFTWARE, AcceleratorPool, PoolJob
+    from .registry import (backend_capabilities, backend_names,
+                           create_backend, default_backend,
+                           register_backend, unregister_backend)
+    from .routing import ROUTING_POLICIES
+
+__all__ = lazy_exports(__name__, {
+    "base": "BackendCapabilities BackendStats CompressionBackend",
+    "pool": "SOFTWARE AcceleratorPool PoolJob",
+    "registry": "backend_capabilities backend_names create_backend "
+                "default_backend register_backend unregister_backend",
+    "routing": "ROUTING_POLICIES",
+})

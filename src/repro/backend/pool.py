@@ -57,6 +57,7 @@ import select
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..errors import (AcceleratorError, ChipUnavailable, ConfigError,
                       DeadlineExceeded, ExecError, ReproError, WorkerCrash)
@@ -64,18 +65,16 @@ from ..nx.params import POWER9, MachineParams, Topology, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
-from ..perf.routing import MultiChipRouter, RoutingResult, choose_chip
 from ..resilience.health import HealthConfig, HealthTracker
 from ..resilience.verify import (note_mismatch, run_in_software,
                                  verify_payload)
 from ..sysstack.driver import DriverResult, SubmissionStats
 from .base import CompressionBackend
 from .registry import create_backend, default_backend
+from .routing import ROUTING_POLICIES, choose_chip
 
-#: Pool routing policies (superset of the DES policies: adds the
-#: software fallback threshold, which has no queueing analogue).
-ROUTING_POLICIES = ("local", "round_robin", "least_loaded",
-                    "size_threshold")
+if TYPE_CHECKING:
+    from ..perf.routing import RoutingResult
 
 #: Pseudo chip index for the software-fallback instance.
 SOFTWARE = -1
@@ -445,7 +444,7 @@ class AcceleratorPool:
             error = AcceleratorError(
                 "job resolved with neither result nor error")
         if error is None:
-            self._note_health(chip, healthy=_hardware_clean(result))
+            healthy = _hardware_clean(result)
         elif (isinstance(error, ReproError)
                 and not isinstance(error, AcceleratorError)):
             job.error = error  # bad input: the chip did nothing wrong
@@ -465,10 +464,16 @@ class AcceleratorPool:
             except Exception as exc:  # bad input: fails in software too
                 job.error = exc
                 return
+        verified = result
         if (job.verify and job.kind == "compress" and job.final
                 and not job.history):
-            result = self._verified(job, result)
-        job.result = result
+            verified = self._verified(job, result)
+        if error is None:
+            # Booked once, after the verify verdict: a success booked
+            # first zeroes the breaker's count, and a chip that corrupts
+            # every output would never open it.
+            self._note_health(chip, healthy and verified is result)
+        job.result = verified
 
     def _note_health(self, chip: int, healthy: bool) -> None:
         if chip == SOFTWARE:
@@ -508,7 +513,6 @@ class AcceleratorPool:
         note_mismatch(backend_name, job.fmt, job.nbytes)
         _FLIGHT.auto_dump("verify_failure", backend=backend_name,
                           fmt=job.fmt, chip=job.chip, nbytes=job.nbytes)
-        self._note_health(job.chip, healthy=False)
         output, seconds = run_in_software("compress", job.payload, job.fmt,
                                           machine=self.machine)
         with self._lock:
@@ -919,6 +923,9 @@ class AcceleratorPool:
             raise ConfigError(
                 "size_threshold has no queueing analogue; simulate with "
                 "local/round_robin/least_loaded")
+        # Imported here: a pool that serves jobs never loads the DES.
+        from ..perf.routing import MultiChipRouter
+
         topology = Topology(machine=self.machine,
                             chips_per_drawer=self.chips, drawers=1,
                             cross_chip_penalty_us=self.cross_chip_penalty_us)

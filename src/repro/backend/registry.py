@@ -12,13 +12,15 @@ acquires engines through :func:`create_backend`.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import ConfigError
 from ..nx.params import MachineParams, get_machine
-from .base import BackendCapabilities, CompressionBackend
 
-Factory = Callable[..., CompressionBackend]
+if TYPE_CHECKING:  # the names are listed without loading a backend stack
+    from .base import BackendCapabilities, CompressionBackend
+
+Factory = Callable[..., "CompressionBackend"]
 
 _BUILTINS: dict[str, str] = {
     "software": "repro.backend.software:SoftwareZlibBackend",

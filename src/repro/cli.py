@@ -38,10 +38,10 @@ import argparse
 import pathlib
 import sys
 
-from .backend import (ROUTING_POLICIES, AcceleratorPool,
-                      backend_capabilities, backend_names)
-from .core.metrics import Table, human_bytes
-from .core.offload import OffloadAdvisor
+# Module level holds what ``build_parser`` needs for its ``choices=``;
+# a handler imports the layers it runs when it is dispatched.
+from .backend.registry import backend_names
+from .backend.routing import ROUTING_POLICIES
 from .deflate.containers import FORMATS, SUFFIXES
 from .errors import ReproError
 from .nx.params import MACHINES, get_machine
@@ -320,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_source(source: str) -> tuple[str, bytes]:
     if source.startswith("generator:"):
+        from .core.metrics import human_bytes
         from .workloads.generators import generate
 
         parts = source.split(":")
@@ -336,6 +337,8 @@ def _run_session(args: argparse.Namespace, kind: str,
     (output bytes, modelled seconds).  A single chip still routes
     through the pool so every CLI job shares one code path (and one
     span taxonomy: pool.route → backend.submit → …)."""
+    from .backend.pool import AcceleratorPool
+
     if getattr(args, "pool_chips", 1) < 1:
         raise ReproError(f"--pool-chips must be >= 1, got {args.pool_chips}")
     deadline_ms = getattr(args, "deadline_ms", None)
@@ -371,6 +374,8 @@ def _run_session(args: argparse.Namespace, kind: str,
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
+    from .core.metrics import human_bytes
+
     data = args.input.read_bytes()
     payload, seconds = _run_session(args, "compress", data)
     suffix = SUFFIXES[args.fmt]
@@ -387,6 +392,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 
 def cmd_decompress(args: argparse.Namespace) -> int:
+    from .core.metrics import human_bytes
+
     payload = args.input.read_bytes()
     args.strategy = "auto"  # decompress has no strategy flag
     data, seconds = _run_session(args, "decompress", payload)
@@ -419,6 +426,7 @@ def cmd_cat(args: argparse.Namespace) -> int:
     index sidecar is *reported and ignored* — the read falls back to a
     full decode, never to wrong bytes.
     """
+    from .core.metrics import human_bytes
     from .deflate.parallel_inflate import read_range
     from .deflate.seekindex import SeekIndex
     from .errors import SeekIndexError
@@ -468,6 +476,7 @@ def cmd_cat(args: argparse.Namespace) -> int:
 
 def _cat_full_decode(args: argparse.Namespace, payload: bytes,
                      index_path: pathlib.Path, note) -> tuple[bytes, object]:
+    from .core.metrics import human_bytes
     from .deflate.parallel_inflate import parallel_inflate
 
     build = not args.no_index
@@ -491,6 +500,7 @@ def _cat_full_decode(args: argparse.Namespace, payload: bytes,
 
 
 def cmd_machines(_args: argparse.Namespace) -> int:
+    from .core.metrics import Table
     from .perf.cost import SoftwareCostModel, accelerator_effective_gbps
 
     table = Table(headers=["machine", "cores", "accel GB/s",
@@ -508,6 +518,9 @@ def cmd_machines(_args: argparse.Namespace) -> int:
 
 
 def cmd_backends(args: argparse.Namespace) -> int:
+    from .backend.registry import backend_capabilities
+    from .core.metrics import Table
+
     machine = get_machine(args.machine)
     table = Table(headers=["backend", "formats", "kind", "comp GB/s",
                            "decomp GB/s", "overhead us"])
@@ -528,6 +541,9 @@ def cmd_backends(args: argparse.Namespace) -> int:
 
 
 def cmd_advise(args: argparse.Namespace) -> int:
+    from .core.metrics import human_bytes
+    from .core.offload import OffloadAdvisor
+
     advisor = OffloadAdvisor(get_machine(args.machine), level=args.level)
     rec = advisor.recommend(args.size)
     print(f"request: {human_bytes(args.size)} on {args.machine} "
@@ -541,7 +557,8 @@ def cmd_advise(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    from .backend import create_backend
+    from .backend.registry import create_backend
+    from .core.metrics import Table
 
     name, data = _load_source(args.source)
     machine = get_machine(args.machine)
@@ -643,6 +660,8 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def render_top(ops: dict, url: str) -> str:
     """The ``repro top`` screen for one ``/ops`` document."""
+    from .core.metrics import Table
+
     lines = [f"repro top — {url}  (uptime "
              f"{ops.get('uptime_s', 0.0):.0f}s)"]
     service = ops.get("service")
@@ -753,6 +772,8 @@ def _train_registry(corpus: str, scale: float, seed: int,
 
 
 def _dict_table(dicts) -> Table:
+    from .core.metrics import Table, human_bytes
+
     table = Table(headers=["name", "epoch", "samples", "priming",
                            "centroid[0:4]"])
     for d in dicts:
@@ -780,6 +801,7 @@ def _cmd_dict_list(args: argparse.Namespace) -> int:
         dicts = registry.load_bundle(str(args.bundle))
         print(_dict_table(dicts).render(f"bundle {args.bundle}"))
         return 0
+    from .core.metrics import Table
     from .nx.dht import canned_names, trained_names
 
     trained = set(trained_names())
@@ -791,6 +813,7 @@ def _cmd_dict_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_dict_push(args: argparse.Namespace) -> int:
+    from .backend.registry import backend_capabilities
     from .dictsvc import DictionaryRegistry
 
     registry = DictionaryRegistry()
@@ -811,8 +834,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import threading
     import time as _time
 
-    from .service import CompressionService, serve
-
     # SIGTERM must drain like ctrl-C does: the default disposition
     # kills the dispatcher without running cleanup, orphaning pool
     # worker processes (which then hold inherited pipes open forever).
@@ -820,6 +841,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise KeyboardInterrupt
 
     _signal.signal(_signal.SIGTERM, _graceful)
+
+    exec_workers = args.exec_workers
+    cpus = os.cpu_count() or 1
+    if exec_workers is not None and exec_workers > cpus:
+        # More workers than cores only adds contention (4 lose to 2 on a
+        # 2-CPU host); library users of ProcessWorkerPool choose freely.
+        print(f"exec-workers: {exec_workers} clamped to the host's "
+              f"{cpus} CPU(s)", flush=True)
+        exec_workers = cpus
+    if exec_workers is not None:
+        # A worker is the slowest part of the tree to come up (a new
+        # interpreter, then its own imports): spawn them first, under
+        # this process's import of the service stack, not after it.
+        from .exec.pool import get_default_pool
+
+        threading.Thread(target=get_default_pool(exec_workers).warm,
+                         name="repro-exec-warm", daemon=True).start()
+    from .service import CompressionService, serve
 
     ops = None
     if args.http_port is not None:
@@ -837,24 +876,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pushed = registry.push()
         print(f"dictionaries: pushed {len(pushed)} trained canned "
               f"tables from {args.dicts}", flush=True)
-    exec_workers = args.exec_workers
-    cpus = os.cpu_count() or 1
-    if exec_workers is not None and exec_workers > cpus:
-        # More workers than cores only adds contention (4 lose to 2 on a
-        # 2-CPU host); library users of ProcessWorkerPool choose freely.
-        print(f"exec-workers: {exec_workers} clamped to the host's "
-              f"{cpus} CPU(s)", flush=True)
-        exec_workers = cpus
     service = CompressionService(machine=args.machine, chips=args.chips,
                                  policy=args.policy,
                                  backend=args.backend,
                                  verify=args.verify,
                                  exec_workers=exec_workers,
                                  cache_mb=args.cache_mb)
-    if exec_workers is not None:
-        # Spawn the workers while the socket binds, not on request 1.
-        threading.Thread(target=service.pool.warm,
-                         name="repro-exec-warm", daemon=True).start()
     server = serve(service, host=args.host, port=args.port)
     print(f"serving on {args.host}:{server.port} "
           f"(machine {args.machine}, {args.chips} chip(s), "
@@ -891,6 +918,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
+    from .core.metrics import human_bytes
     from .service import ServiceClient
 
     data = args.input.read_bytes()

@@ -1,32 +1,23 @@
 """Public API: accelerator sessions, offload policy, reporting."""
 
-from .analyze import Analysis, StrategyEstimate, analyze
-from .api import CompressedBuffer, NxGzip, SessionStats, software_decompress
-from .metrics import Table, gbps, human_bytes, mbps, ratio, speedup
-from .offload import OffloadAdvisor, Recommendation, Route
-from .plot import bar_chart, line_chart
-from .stream import NxCompressStream, NxDecompressStream, StreamStats
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "analyze",
-    "Analysis",
-    "StrategyEstimate",
-    "NxCompressStream",
-    "NxDecompressStream",
-    "StreamStats",
-    "NxGzip",
-    "CompressedBuffer",
-    "SessionStats",
-    "software_decompress",
-    "OffloadAdvisor",
-    "Recommendation",
-    "Route",
-    "Table",
-    "line_chart",
-    "bar_chart",
-    "gbps",
-    "mbps",
-    "ratio",
-    "speedup",
-    "human_bytes",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .analyze import Analysis, StrategyEstimate, analyze
+    from .api import (CompressedBuffer, NxGzip, SessionStats,
+                      software_decompress)
+    from .metrics import Table, gbps, human_bytes, mbps, ratio, speedup
+    from .offload import OffloadAdvisor, Recommendation, Route
+    from .plot import bar_chart, line_chart
+    from .stream import NxCompressStream, NxDecompressStream, StreamStats
+
+__all__ = lazy_exports(__name__, {
+    "analyze": "Analysis StrategyEstimate analyze",
+    "api": "CompressedBuffer NxGzip SessionStats software_decompress",
+    "metrics": "Table gbps human_bytes mbps ratio speedup",
+    "offload": "OffloadAdvisor Recommendation Route",
+    "plot": "bar_chart line_chart",
+    "stream": "NxCompressStream NxDecompressStream StreamStats",
+})

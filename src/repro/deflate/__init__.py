@@ -6,56 +6,37 @@ canonical Huffman coding with optimal length-limited code construction,
 all three RFC 1951 block types, and the RFC 1950/1952 containers.
 """
 
-from .checksums import adler32, crc32
-from .compress import CompressResult, deflate
-from .containers import (
-    gzip_compress,
-    gzip_decompress,
-    zlib_compress,
-    zlib_decompress,
-)
-from .inflate import InflateStats, inflate, inflate_with_stats
-from .gzip_stream import GzipReader
-from .inflate_stream import InflateStream, inflate_incremental
-from .matcher import LEVEL_CONFIGS, MatcherConfig, MatchStats, tokenize
-from .parallel import DEFAULT_CHUNK_SIZE, parallel_deflate
-from .parallel_inflate import (
-    DEFAULT_INFLATE_CHUNK_SIZE,
-    ParallelInflateResult,
-    RangeReadResult,
-    parallel_inflate,
-    read_range,
-)
-from .seekindex import DEFAULT_SPACING, SeekIndex, SeekPoint, build_index
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "adler32",
-    "crc32",
-    "deflate",
-    "inflate",
-    "inflate_with_stats",
-    "InflateStream",
-    "inflate_incremental",
-    "GzipReader",
-    "CompressResult",
-    "InflateStats",
-    "MatchStats",
-    "MatcherConfig",
-    "LEVEL_CONFIGS",
-    "tokenize",
-    "parallel_deflate",
-    "DEFAULT_CHUNK_SIZE",
-    "parallel_inflate",
-    "ParallelInflateResult",
-    "RangeReadResult",
-    "read_range",
-    "DEFAULT_INFLATE_CHUNK_SIZE",
-    "SeekIndex",
-    "SeekPoint",
-    "build_index",
-    "DEFAULT_SPACING",
-    "zlib_compress",
-    "zlib_decompress",
-    "gzip_compress",
-    "gzip_decompress",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .checksums import adler32, crc32
+    from .compress import CompressResult, deflate
+    from .containers import (gzip_compress, gzip_decompress, zlib_compress,
+                             zlib_decompress)
+    from .gzip_stream import GzipReader
+    from .inflate import InflateStats, inflate, inflate_with_stats
+    from .inflate_stream import InflateStream, inflate_incremental
+    from .matcher import LEVEL_CONFIGS, MatcherConfig, MatchStats, tokenize
+    from .parallel import DEFAULT_CHUNK_SIZE, parallel_deflate
+    from .parallel_inflate import (DEFAULT_INFLATE_CHUNK_SIZE,
+                                   ParallelInflateResult, RangeReadResult,
+                                   parallel_inflate, read_range)
+    from .seekindex import (DEFAULT_SPACING, SeekIndex, SeekPoint,
+                            build_index)
+
+__all__ = lazy_exports(__name__, {
+    "checksums": "adler32 crc32",
+    "compress": "CompressResult deflate",
+    "containers": "gzip_compress gzip_decompress zlib_compress "
+                  "zlib_decompress",
+    "gzip_stream": "GzipReader",
+    "inflate": "InflateStats inflate inflate_with_stats",
+    "inflate_stream": "InflateStream inflate_incremental",
+    "matcher": "LEVEL_CONFIGS MatcherConfig MatchStats tokenize",
+    "parallel": "DEFAULT_CHUNK_SIZE parallel_deflate",
+    "parallel_inflate": "DEFAULT_INFLATE_CHUNK_SIZE ParallelInflateResult "
+                        "RangeReadResult parallel_inflate read_range",
+    "seekindex": "DEFAULT_SPACING SeekIndex SeekPoint build_index",
+})

@@ -15,12 +15,15 @@ package productizes that engine feature across tenants:
   one key run exactly one compression.
 """
 
-from .cache import ResultCache, result_key
-from .registry import DictionaryRegistry, TrainedDictionary
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DictionaryRegistry",
-    "TrainedDictionary",
-    "ResultCache",
-    "result_key",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .cache import ResultCache, result_key
+    from .registry import DictionaryRegistry, TrainedDictionary
+
+__all__ = lazy_exports(__name__, {
+    "cache": "ResultCache result_key",
+    "registry": "DictionaryRegistry TrainedDictionary",
+})

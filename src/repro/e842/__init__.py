@@ -1,25 +1,16 @@
 """842-style codec + engine model (the NX unit's memory-compression side)."""
 
-from .codec import (
-    E842Error,
-    E842Overflow,
-    E842Result,
-    E842Stats,
-    compress,
-    decompress,
-    template_cost_bits,
-)
-from .engine import E842JobResult, Engine842, Engine842Params
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "compress",
-    "decompress",
-    "E842Result",
-    "E842Stats",
-    "E842Error",
-    "E842Overflow",
-    "template_cost_bits",
-    "Engine842",
-    "Engine842Params",
-    "E842JobResult",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .codec import (E842Error, E842Overflow, E842Result, E842Stats,
+                        compress, decompress, template_cost_bits)
+    from .engine import E842JobResult, Engine842, Engine842Params
+
+__all__ = lazy_exports(__name__, {
+    "codec": "E842Error E842Overflow E842Result E842Stats compress "
+             "decompress template_cost_bits",
+    "engine": "E842JobResult Engine842 Engine842Params",
+})

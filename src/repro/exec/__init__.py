@@ -6,19 +6,19 @@ pools.  See DESIGN.md "Execution layer" for ownership and failure
 semantics.
 """
 
-from .pool import (ExecJob, ProcessWorkerPool, get_default_pool,
-                   shutdown_default_pool)
-from .shm import Slab, SlabAllocator, live_segments
-from .worker import in_worker, register_worker_fn
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ExecJob",
-    "ProcessWorkerPool",
-    "Slab",
-    "SlabAllocator",
-    "get_default_pool",
-    "in_worker",
-    "live_segments",
-    "register_worker_fn",
-    "shutdown_default_pool",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .pool import (ExecJob, ProcessWorkerPool, get_default_pool,
+                       shutdown_default_pool)
+    from .shm import Slab, SlabAllocator, live_segments
+    from .worker import in_worker, register_worker_fn
+
+__all__ = lazy_exports(__name__, {
+    "pool": "ExecJob ProcessWorkerPool get_default_pool "
+            "shutdown_default_pool",
+    "shm": "Slab SlabAllocator live_segments",
+    "worker": "in_worker register_worker_fn",
+})

@@ -6,63 +6,33 @@ match pipeline, the DHT generator, the job engine with CRB/CSB/DDE
 semantics, and the chip-level accelerator behind the VAS switchboard.
 """
 
-from .accelerator import CompletedJob, NxAccelerator
-from .compressor import CycleBreakdown, NxCompressor, NxCompressResult
-from .decompressor import NxDecompressor, NxDecompressResult
-from .dht import DhtStrategy, canned_dht, canned_names, select_canned
-from .engine import EngineCounters, JobOutcome, NxEngine
-from .params import (
-    MACHINES,
-    POWER9,
-    Z15,
-    EngineParams,
-    MachineParams,
-    Topology,
-    get_machine,
-    z15_max_config,
-)
-from .pipeline import NxMatchPipeline, ScanResult
-from .selftest import SelfTestReport, run_selftest
-from .z15 import (
-    ConditionCode,
-    Dfltcc,
-    DfltccFunction,
-    ParameterBlock,
-    dfltcc_compress,
-    dfltcc_expand,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "NxAccelerator",
-    "CompletedJob",
-    "NxCompressor",
-    "NxCompressResult",
-    "CycleBreakdown",
-    "NxDecompressor",
-    "NxDecompressResult",
-    "DhtStrategy",
-    "canned_dht",
-    "canned_names",
-    "select_canned",
-    "NxEngine",
-    "JobOutcome",
-    "EngineCounters",
-    "NxMatchPipeline",
-    "ScanResult",
-    "EngineParams",
-    "MachineParams",
-    "Topology",
-    "MACHINES",
-    "POWER9",
-    "Z15",
-    "get_machine",
-    "z15_max_config",
-    "Dfltcc",
-    "DfltccFunction",
-    "ConditionCode",
-    "ParameterBlock",
-    "dfltcc_compress",
-    "dfltcc_expand",
-    "run_selftest",
-    "SelfTestReport",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .accelerator import CompletedJob, NxAccelerator
+    from .compressor import CycleBreakdown, NxCompressor, NxCompressResult
+    from .decompressor import NxDecompressor, NxDecompressResult
+    from .dht import DhtStrategy, canned_dht, canned_names, select_canned
+    from .engine import EngineCounters, JobOutcome, NxEngine
+    from .params import (MACHINES, POWER9, Z15, EngineParams, MachineParams,
+                         Topology, get_machine, z15_max_config)
+    from .pipeline import NxMatchPipeline, ScanResult
+    from .selftest import SelfTestReport, run_selftest
+    from .z15 import (ConditionCode, Dfltcc, DfltccFunction, ParameterBlock,
+                      dfltcc_compress, dfltcc_expand)
+
+__all__ = lazy_exports(__name__, {
+    "accelerator": "CompletedJob NxAccelerator",
+    "compressor": "CycleBreakdown NxCompressor NxCompressResult",
+    "decompressor": "NxDecompressor NxDecompressResult",
+    "dht": "DhtStrategy canned_dht canned_names select_canned",
+    "engine": "EngineCounters JobOutcome NxEngine",
+    "params": "MACHINES POWER9 Z15 EngineParams MachineParams Topology "
+              "get_machine z15_max_config",
+    "pipeline": "NxMatchPipeline ScanResult",
+    "selftest": "SelfTestReport run_selftest",
+    "z15": "ConditionCode Dfltcc DfltccFunction ParameterBlock "
+           "dfltcc_compress dfltcc_expand",
+})

@@ -26,82 +26,85 @@ or from the CLI with ``repro --trace compress file`` / ``repro stats``.
 
 from __future__ import annotations
 
-import pathlib
+from typing import TYPE_CHECKING
 
-from .context import TraceContext
-from .export import (spans_to_chrome_trace, spans_to_jsonl,
-                     spans_to_trees, write_chrome_trace,
-                     write_spans_jsonl)
-from .flight import FLIGHT, FlightRecorder
-from .http import OpsServer
-from .metrics import (LATENCY_BUCKETS, RATIO_BUCKETS, SIZE_BUCKETS,
-                      REGISTRY, Counter, Gauge, Histogram, MetricsRegistry,
-                      RollingWindow, record_job, record_service_request)
-from .trace import NULL_SPAN, TRACE, Span, SpanEvent, Tracer
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .context import TraceContext
+    from .export import (export_chrome_trace, export_spans_jsonl,
+                         spans_to_chrome_trace, spans_to_jsonl,
+                         spans_to_trees, write_chrome_trace,
+                         write_spans_jsonl)
+    from .flight import FLIGHT, FlightRecorder
+    from .http import OpsServer
+    from .metrics import (LATENCY_BUCKETS, RATIO_BUCKETS, REGISTRY,
+                          SIZE_BUCKETS, Counter, Gauge, Histogram,
+                          MetricsRegistry, RollingWindow, record_job,
+                          record_service_request)
+    from .trace import NULL_SPAN, TRACE, Span, SpanEvent, Tracer
 
 __all__ = [
     "enable", "disable", "reset", "tracing_enabled", "metrics_enabled",
-    "tracer", "registry", "flight", "export_chrome_trace",
-    "export_spans_jsonl",
-    "Tracer", "Span", "SpanEvent", "MetricsRegistry",
-    "Counter", "Gauge", "Histogram", "RollingWindow", "record_job",
-    "record_service_request",
-    "TraceContext", "FlightRecorder", "FLIGHT", "OpsServer",
-    "TRACE", "REGISTRY", "NULL_SPAN",
-    "spans_to_chrome_trace", "spans_to_jsonl", "spans_to_trees",
-    "write_chrome_trace", "write_spans_jsonl",
-    "LATENCY_BUCKETS", "SIZE_BUCKETS", "RATIO_BUCKETS",
-]
-
-
-def enable(*, trace: bool = True, metrics: bool = True) -> None:
-    """Turn on span collection and/or registry recording, process-wide."""
-    if trace:
-        TRACE.enable()
-    if metrics:
-        REGISTRY.enabled = True
-
-
-def disable() -> None:
-    """Stop collecting; already-collected spans/metrics are retained."""
-    TRACE.disable()
-    REGISTRY.enabled = False
-
-
-def reset() -> None:
-    """Drop collected spans and metric values (keeps enabled flags)."""
-    TRACE.reset()
-    REGISTRY.reset()
-
-
-def tracing_enabled() -> bool:
-    return TRACE.enabled
-
-
-def metrics_enabled() -> bool:
-    return REGISTRY.enabled
+    "tracer", "registry", "flight",
+    *lazy_exports(__name__, {
+        "context": "TraceContext",
+        "export": "export_chrome_trace export_spans_jsonl "
+                  "spans_to_chrome_trace spans_to_jsonl spans_to_trees "
+                  "write_chrome_trace write_spans_jsonl",
+        "flight": "FLIGHT FlightRecorder",
+        "http": "OpsServer",
+        "metrics": "LATENCY_BUCKETS RATIO_BUCKETS REGISTRY SIZE_BUCKETS "
+                   "Counter Gauge Histogram MetricsRegistry RollingWindow "
+                   "record_job record_service_request",
+        "trace": "NULL_SPAN TRACE Span SpanEvent Tracer",
+    })]
 
 
 def tracer() -> Tracer:
     """The process-global tracer the stack instruments against."""
+    from .trace import TRACE
+
     return TRACE
 
 
 def registry() -> MetricsRegistry:
     """The process-global metrics registry."""
+    from .metrics import REGISTRY
+
     return REGISTRY
 
 
 def flight() -> FlightRecorder:
     """The process-global flight recorder (on by default)."""
+    from .flight import FLIGHT
+
     return FLIGHT
 
 
-def export_chrome_trace(path: str | pathlib.Path) -> pathlib.Path:
-    """Write the global tracer's spans as Perfetto-openable JSON."""
-    return write_chrome_trace(TRACE, path)
+def enable(*, trace: bool = True, metrics: bool = True) -> None:
+    """Turn on span collection and/or registry recording, process-wide."""
+    if trace:
+        tracer().enable()
+    if metrics:
+        registry().enabled = True
 
 
-def export_spans_jsonl(path: str | pathlib.Path) -> pathlib.Path:
-    """Write the global tracer's spans as a JSON-lines log."""
-    return write_spans_jsonl(TRACE.finished(), path)
+def disable() -> None:
+    """Stop collecting; already-collected spans/metrics are retained."""
+    tracer().disable()
+    registry().enabled = False
+
+
+def reset() -> None:
+    """Drop collected spans and metric values (keeps enabled flags)."""
+    tracer().reset()
+    registry().reset()
+
+
+def tracing_enabled() -> bool:
+    return tracer().enabled
+
+
+def metrics_enabled() -> bool:
+    return registry().enabled

@@ -13,7 +13,7 @@ import json
 import pathlib
 from typing import Iterable
 
-from .trace import Span, Tracer
+from .trace import TRACE, Span, Tracer
 
 #: Process name Perfetto shows for the repro timeline.
 PROCESS_NAME = "repro"
@@ -152,3 +152,13 @@ def write_chrome_trace(tracer_or_spans: Tracer | Iterable[Span],
     path.write_text(json.dumps(spans_to_chrome_trace(spans, epoch),
                                indent=None, sort_keys=True))
     return path
+
+
+def export_chrome_trace(path: str | pathlib.Path) -> pathlib.Path:
+    """Write the global tracer's spans as Perfetto-openable JSON."""
+    return write_chrome_trace(TRACE, path)
+
+
+def export_spans_jsonl(path: str | pathlib.Path) -> pathlib.Path:
+    """Write the global tracer's spans as a JSON-lines log."""
+    return write_spans_jsonl(TRACE.finished(), path)

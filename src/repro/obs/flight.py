@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from collections import deque
@@ -118,6 +117,8 @@ class FlightRecorder:
 
     @staticmethod
     def dump_dir() -> str:
+        import tempfile  # pulls in shutil and random: only a dump pays
+
         return os.environ.get("REPRO_FLIGHT_DIR") or tempfile.gettempdir()
 
     def dump(self, reason: str, /, path: str | os.PathLike | None = None,

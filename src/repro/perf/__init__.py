@@ -1,55 +1,38 @@
 """Performance models: cost calibration, timing, queueing, system roll-up."""
 
-from .cost import (
-    COMPRESS_CYCLES_PER_BYTE,
-    EFFECTIVE_COMPRESS_GBPS,
-    SoftwareCostModel,
-    accelerator_effective_gbps,
-    measure_effective_gbps,
-)
-from .des import Simulator
-from .energy import AreaComparison, EnergyComparison, EnergyModel
-from .io_adapter import (
-    PcieAdapterModel,
-    PcieAdapterParams,
-    compare_onchip_vs_adapter,
-)
-from .completion import CompletionMode, CompletionModel
-from .priority import PriorityQueueSim
-from .queueing import AcceleratorQueueSim, QueueingResult, load_sweep
-from .routing import MultiChipRouter, RoutingResult, policy_comparison
-from .system import SystemModel, SystemRates, scaling_series
-from .tco import FleetAssumptions, TcoModel, TcoReport
-from .timing import LatencyBreakdown, OffloadTimingModel
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "SoftwareCostModel",
-    "COMPRESS_CYCLES_PER_BYTE",
-    "EFFECTIVE_COMPRESS_GBPS",
-    "accelerator_effective_gbps",
-    "measure_effective_gbps",
-    "Simulator",
-    "OffloadTimingModel",
-    "LatencyBreakdown",
-    "AcceleratorQueueSim",
-    "QueueingResult",
-    "load_sweep",
-    "SystemModel",
-    "SystemRates",
-    "scaling_series",
-    "EnergyModel",
-    "EnergyComparison",
-    "AreaComparison",
-    "PcieAdapterModel",
-    "PcieAdapterParams",
-    "compare_onchip_vs_adapter",
-    "CompletionModel",
-    "CompletionMode",
-    "PriorityQueueSim",
-    "MultiChipRouter",
-    "RoutingResult",
-    "policy_comparison",
-    "TcoModel",
-    "TcoReport",
-    "FleetAssumptions",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .completion import CompletionMode, CompletionModel
+    from .cost import (COMPRESS_CYCLES_PER_BYTE, EFFECTIVE_COMPRESS_GBPS,
+                       SoftwareCostModel, accelerator_effective_gbps,
+                       measure_effective_gbps)
+    from .des import Simulator
+    from .energy import AreaComparison, EnergyComparison, EnergyModel
+    from .io_adapter import (PcieAdapterModel, PcieAdapterParams,
+                             compare_onchip_vs_adapter)
+    from .priority import PriorityQueueSim
+    from .queueing import AcceleratorQueueSim, QueueingResult, load_sweep
+    from .routing import MultiChipRouter, RoutingResult, policy_comparison
+    from .system import SystemModel, SystemRates, scaling_series
+    from .tco import FleetAssumptions, TcoModel, TcoReport
+    from .timing import LatencyBreakdown, OffloadTimingModel
+
+__all__ = lazy_exports(__name__, {
+    "completion": "CompletionMode CompletionModel",
+    "cost": "COMPRESS_CYCLES_PER_BYTE EFFECTIVE_COMPRESS_GBPS "
+            "SoftwareCostModel accelerator_effective_gbps "
+            "measure_effective_gbps",
+    "des": "Simulator",
+    "energy": "AreaComparison EnergyComparison EnergyModel",
+    "io_adapter": "PcieAdapterModel PcieAdapterParams "
+                  "compare_onchip_vs_adapter",
+    "priority": "PriorityQueueSim",
+    "queueing": "AcceleratorQueueSim QueueingResult load_sweep",
+    "routing": "MultiChipRouter RoutingResult policy_comparison",
+    "system": "SystemModel SystemRates scaling_series",
+    "tco": "FleetAssumptions TcoModel TcoReport",
+    "timing": "LatencyBreakdown OffloadTimingModel",
+})

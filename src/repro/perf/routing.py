@@ -20,40 +20,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from ..backend.routing import POLICIES, choose_chip
 from ..errors import ConfigError
 from ..nx.params import Topology
 from .des import Simulator
 from .queueing import JobRecord
 from .timing import OffloadTimingModel
-
-POLICIES = ("local", "round_robin", "least_loaded")
-
-
-def choose_chip(policy: str, home: int, loads: list[float],
-                rr_state: list[int]) -> int:
-    """The shared routing kernel: pick a chip index for one job.
-
-    Used by both the live :class:`repro.backend.pool.AcceleratorPool`
-    and the queueing DES below, so policy studies and production routing
-    cannot drift apart.  ``loads`` is one entry per chip (queued or
-    served bytes); ``rr_state`` is a one-element mutable rotation
-    cursor.
-    """
-    chips = len(loads)
-    if policy == "local":
-        return home
-    if policy == "round_robin":
-        chip = rr_state[0] % chips
-        rr_state[0] = (chip + 1) % chips
-        return chip
-    if policy == "least_loaded":
-        best = home  # prefer local on ties
-        for chip in range(chips):
-            if loads[chip] < loads[best]:
-                best = chip
-        return best
-    raise ConfigError(f"unknown routing policy {policy!r}; "
-                      f"have {POLICIES}")
 
 
 @dataclass

@@ -12,46 +12,38 @@ Four pieces, wired through the whole VAS → CRB → engine → CSB path:
 * :mod:`.netfaults` — seeded wire fault injection (resets, truncation,
   slow-loris, latency spikes, duplicated/stale frames) installable on
   client and server sockets;
-* :mod:`.chaos` — seeded survival campaigns over all of the above
-  (imported lazily: it pulls in the backend pool).
+* :mod:`.chaos` — seeded survival campaigns over all of the above.
 """
 
-from .faults import FAULT_KINDS, FaultInjector, FaultPlan
-from .health import (BreakerState, CircuitBreaker, HealthConfig,
-                     HealthTracker)
-from .netfaults import (NET_FAULT_KINDS, FaultySocket, NetFaultInjector,
-                        NetFaultPlan, fault_factory)
-from .policy import RetryPolicy, check_deadline
-from .verify import (decode_payload, note_mismatch, run_in_software,
-                     software_compress, verify_payload)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "FAULT_KINDS", "FaultInjector", "FaultPlan",
-    "NET_FAULT_KINDS", "NetFaultInjector", "NetFaultPlan",
-    "FaultySocket", "fault_factory",
-    "BreakerState", "CircuitBreaker", "HealthConfig", "HealthTracker",
-    "RetryPolicy", "check_deadline",
-    "decode_payload", "note_mismatch", "run_in_software",
-    "software_compress", "verify_payload",
-    "CampaignReport", "ScenarioResult", "default_plans", "run_campaign",
-    "run_scenario",
-    "NetworkCampaignReport", "NetworkScenarioResult",
-    "default_network_plans", "run_network_campaign",
-    "run_network_scenario",
-]
+from .._lazy import lazy_exports
 
-_CHAOS_NAMES = {"CampaignReport", "ScenarioResult", "default_plans",
-                "run_campaign", "run_scenario",
-                "NetworkCampaignReport", "NetworkScenarioResult",
-                "default_network_plans", "run_network_campaign",
-                "run_network_scenario"}
+if TYPE_CHECKING:
+    from .chaos import (CampaignReport, NetworkCampaignReport,
+                        NetworkScenarioResult, ScenarioResult,
+                        default_network_plans, default_plans, run_campaign,
+                        run_network_campaign, run_network_scenario,
+                        run_scenario)
+    from .faults import FAULT_KINDS, FaultInjector, FaultPlan
+    from .health import (BreakerState, CircuitBreaker, HealthConfig,
+                         HealthTracker)
+    from .netfaults import (NET_FAULT_KINDS, FaultySocket, NetFaultInjector,
+                            NetFaultPlan, fault_factory)
+    from .policy import RetryPolicy, check_deadline
+    from .verify import (decode_payload, note_mismatch, run_in_software,
+                         software_compress, verify_payload)
 
-
-def __getattr__(name: str):
-    # chaos imports the backend pool, which imports this package — load
-    # it on first use instead of at package import.
-    if name in _CHAOS_NAMES:
-        from . import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = lazy_exports(__name__, {
+    "chaos": "CampaignReport NetworkCampaignReport NetworkScenarioResult "
+             "ScenarioResult default_network_plans default_plans "
+             "run_campaign run_network_campaign run_network_scenario "
+             "run_scenario",
+    "faults": "FAULT_KINDS FaultInjector FaultPlan",
+    "health": "BreakerState CircuitBreaker HealthConfig HealthTracker",
+    "netfaults": "NET_FAULT_KINDS FaultySocket NetFaultInjector "
+                 "NetFaultPlan fault_factory",
+    "policy": "RetryPolicy check_deadline",
+    "verify": "decode_payload note_mismatch run_in_software "
+              "software_compress verify_payload",
+})

@@ -32,21 +32,27 @@ Over a socket::
         out = client.compress(b"payload" * 1000, qos="bulk").output
 """
 
-from .client import (ClientResult, RemoteServiceError, RetryBudget,
-                     ServiceClient)
-from .core import (CompressionService, ServiceResult, ServiceStats,
-                   ServiceTicket)
-from .idempotency import IdempotencyCache
-from .protocol import ProtocolError, recv_message, send_message
-from .qos import (DEFAULT_CLASSES, DEFAULT_STARVATION_BOUND, FIFOS,
-                  QosClass, QosPolicy)
-from .server import CompressionServer, serve
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CompressionService", "ServiceResult", "ServiceStats", "ServiceTicket",
-    "QosClass", "QosPolicy", "DEFAULT_CLASSES", "DEFAULT_STARVATION_BOUND",
-    "FIFOS",
-    "CompressionServer", "serve", "IdempotencyCache",
-    "ServiceClient", "ClientResult", "RemoteServiceError", "RetryBudget",
-    "ProtocolError", "send_message", "recv_message",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .client import (ClientResult, RemoteServiceError, RetryBudget,
+                         ServiceClient)
+    from .core import (CompressionService, ServiceResult, ServiceStats,
+                       ServiceTicket)
+    from .idempotency import IdempotencyCache
+    from .protocol import ProtocolError, recv_message, send_message
+    from .qos import (DEFAULT_CLASSES, DEFAULT_STARVATION_BOUND, FIFOS,
+                      QosClass, QosPolicy)
+    from .server import CompressionServer, serve
+
+__all__ = lazy_exports(__name__, {
+    "client": "ClientResult RemoteServiceError RetryBudget ServiceClient",
+    "core": "CompressionService ServiceResult ServiceStats ServiceTicket",
+    "idempotency": "IdempotencyCache",
+    "protocol": "ProtocolError recv_message send_message",
+    "qos": "DEFAULT_CLASSES DEFAULT_STARVATION_BOUND FIFOS QosClass "
+           "QosPolicy",
+    "server": "CompressionServer serve",
+})

@@ -1,47 +1,29 @@
 """Synthetic workloads: corpora, request traces, and the Spark model."""
 
-from .corpus import build_corpus, corpus_bytes, corpus_names
-from .generators import (
-    GENERATORS,
-    generate,
-    shannon_entropy_bits_per_byte,
-)
-from .filesets import FileSetSpec, by_extension, make_fileset, total_bytes
-from .spark import SparkJobModel, SparkJobResult, Stage, tpcds_like_profile
-from .replay import DiurnalSpec, ReplayResult, diurnal_trace, replay
-from .spark_sim import ClusterSpec, SparkDagSim
-from .traces import (
-    TraceSpec,
-    bimodal_size,
-    fixed_size,
-    lognormal_size,
-    standard_traces,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "build_corpus",
-    "corpus_bytes",
-    "corpus_names",
-    "generate",
-    "GENERATORS",
-    "shannon_entropy_bits_per_byte",
-    "SparkJobModel",
-    "SparkJobResult",
-    "SparkDagSim",
-    "ClusterSpec",
-    "DiurnalSpec",
-    "diurnal_trace",
-    "replay",
-    "ReplayResult",
-    "FileSetSpec",
-    "make_fileset",
-    "by_extension",
-    "total_bytes",
-    "Stage",
-    "tpcds_like_profile",
-    "TraceSpec",
-    "fixed_size",
-    "lognormal_size",
-    "bimodal_size",
-    "standard_traces",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .corpus import build_corpus, corpus_bytes, corpus_names
+    from .filesets import (FileSetSpec, by_extension, make_fileset,
+                           total_bytes)
+    from .generators import (GENERATORS, generate,
+                             shannon_entropy_bits_per_byte)
+    from .replay import DiurnalSpec, ReplayResult, diurnal_trace, replay
+    from .spark import (SparkJobModel, SparkJobResult, Stage,
+                        tpcds_like_profile)
+    from .spark_sim import ClusterSpec, SparkDagSim
+    from .traces import (TraceSpec, bimodal_size, fixed_size,
+                         lognormal_size, standard_traces)
+
+__all__ = lazy_exports(__name__, {
+    "corpus": "build_corpus corpus_bytes corpus_names",
+    "filesets": "FileSetSpec by_extension make_fileset total_bytes",
+    "generators": "GENERATORS generate shannon_entropy_bits_per_byte",
+    "replay": "DiurnalSpec ReplayResult diurnal_trace replay",
+    "spark": "SparkJobModel SparkJobResult Stage tpcds_like_profile",
+    "spark_sim": "ClusterSpec SparkDagSim",
+    "traces": "TraceSpec bimodal_size fixed_size lognormal_size "
+              "standard_traces",
+})

@@ -1,14 +1,9 @@
 """CLI: argument handling and end-to-end command behaviour."""
 
 import gzip as stdgzip
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-import repro
 from repro.cli import build_parser, main
 from repro.workloads.generators import generate
 
@@ -209,18 +204,3 @@ class TestChaosNetwork:
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["chaos", "--network", "--scenario", "bogus"]) == 2
         assert "unknown network scenario" in capsys.readouterr().err
-
-
-def test_importing_the_cli_does_not_import_numpy():
-    """The package is stdlib-only.  numpy was once a declared dependency
-    nothing imported; importing it in every server and exec worker would
-    cost ~0.19 s of start-up and ~16 MB a process, more than the stack
-    benchmark's ``setup_s`` and ``peak_rss_mb`` bounds."""
-    src = pathlib.Path(repro.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import repro.cli, sys; print('numpy' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"

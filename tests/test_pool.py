@@ -13,6 +13,7 @@ from repro.errors import (AcceleratorError, ChecksumError, ConfigError,
 from repro.exec.pool import ProcessWorkerPool
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9, Z15
+from repro.resilience.health import HealthConfig
 from repro.sysstack.driver import NxDriver
 from repro.sysstack.mmu import AddressSpace
 from repro.workloads.generators import generate
@@ -185,6 +186,14 @@ def _garbled(result):
     return result
 
 
+def _flipped(result):
+    """One bit of the DEFLATE body, the container around it intact."""
+    output = bytearray(result.output)
+    output[len(output) // 2] ^= 0x01
+    result.output = bytes(output)
+    return result
+
+
 @pytest.fixture(scope="module")
 def one_worker():
     with ProcessWorkerPool(1, name="test-one-settle") as exec_pool:
@@ -337,6 +346,26 @@ class TestOneSettle:
         assert stdlib_zlib.decompress(result.output, 31) == text_20k
         assert books == self._untouched(rescues=1, verify_failures=1,
                                     breaker_failures=1)
+
+    def test_a_chip_that_corrupts_every_output_opens_its_breaker(
+            self, route, text_20k):
+        """Health is booked once, after the verify verdict: booking the
+        clean completion first zeroed the count before every mismatch,
+        and the breaker of a chip that never wrote a right byte stayed
+        closed."""
+        threshold = HealthConfig().failure_threshold
+        payloads = [text_20k[2048 * i:2048 * (i + 1)]
+                    for i in range(threshold)]
+        for jobs, breaker in ((threshold - 1, "CLOSED"),
+                              (threshold, "OPEN")):
+            endings, books = route("compress", payloads[:jobs], _flipped,
+                                   verify=True)
+            for (result, error), payload in zip(endings, payloads):
+                assert error is None
+                assert stdlib_zlib.decompress(result.output, 31) == payload
+            assert books == self._untouched(
+                rescues=jobs, verify_failures=jobs, breaker_failures=jobs,
+                breaker=breaker)
 
 
 # -- capacity planning (DES view of the same policies) ------------------------
