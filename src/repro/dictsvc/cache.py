@@ -4,13 +4,12 @@ A million-user service sees heavy key skew: the same hot objects are
 compressed over and over.  This cache addresses results by content —
 ``sha256(op | fmt | strategy | dict-epoch | payload)`` — so identical
 requests are served from memory at hash cost instead of accelerator
-cost, regardless of which client sent them.
-
-Three guarantees, each carried by an exact counter:
+cost, regardless of which client sent them.  It is
+:mod:`repro.dictsvc.keyed`'s LRU and claim table behind three
+guarantees, each carried by an exact counter:
 
 * **singleflight** — N concurrent misses on one key run exactly one
-  compression (``executions == unique keys``); followers park on the
-  leader's event (the :mod:`repro.service.idempotency` claim pattern);
+  compression (``executions == unique keys``);
 * **partition** — every request is exactly a hit or a miss
   (``hits + misses == requests``); waits are counted separately and
   resolve into one of the two;
@@ -18,20 +17,15 @@ Three guarantees, each carried by an exact counter:
   per-tenant quotas so one chatty tenant cannot wash out the others.
   A blob larger than any applicable byte bound is simply not cached
   (``uncacheable``) rather than evicting the world.
-
-Failure policy: a leader that fails aborts its claim; parked followers
-wake, observe no cached value, and re-claim — so a failed execution
-never poisons a key (at-most-one *successful* execution per key).
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
+from .keyed import Claim as _Claim, KeyedCache  # noqa: F401 (begin's claim)
 
 #: Default bounds: a useful working set, bounded for a fleet.
 DEFAULT_MAX_ENTRIES = 4096
@@ -53,16 +47,7 @@ def result_key(payload: bytes, *, op: str = "compress", fmt: str = "raw",
     return h.hexdigest()
 
 
-class _Claim:
-    """One in-flight execution of a keyed compression."""
-
-    __slots__ = ("event",)
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-
-
-class ResultCache:
+class ResultCache(KeyedCache):
     """Bounded content-addressed LRU + singleflight claim table."""
 
     def __init__(self, *, max_entries: int = DEFAULT_MAX_ENTRIES,
@@ -70,32 +55,20 @@ class ResultCache:
                  tenant_max_entries: int | None = None,
                  tenant_max_bytes: int | None = None,
                  max_tenants: int = DEFAULT_MAX_TENANTS) -> None:
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.tenant_max_entries = tenant_max_entries or max_entries
-        self.tenant_max_bytes = tenant_max_bytes or max_bytes
-        self.max_tenants = max_tenants
-        self._lock = threading.Lock()
-        # tenant -> OrderedDict[key -> blob]; tenant order is LRU too.
-        self._tenants: OrderedDict[str, OrderedDict[str, bytes]] = \
-            OrderedDict()
-        self._tenant_bytes: dict[str, int] = {}
-        # global LRU order across tenants: (tenant, key) -> len(blob)
-        self._order: OrderedDict[tuple[str, str], int] = OrderedDict()
-        self._bytes = 0
-        self._inflight: dict[tuple[str, str], _Claim] = {}
+        super().__init__(
+            max_entries=max_entries, max_bytes=max_bytes,
+            tenant_max_entries=tenant_max_entries or max_entries,
+            tenant_max_bytes=tenant_max_bytes or max_bytes,
+            max_tenants=max_tenants)
         self.requests = 0
-        self.hits = 0
         self.misses = 0
         self.executions = 0
-        self.waits = 0
-        self.evictions = 0
         self.uncacheable = 0
         self.aborts = 0
 
     # -- the dispatch-facing protocol -----------------------------------------
 
-    def begin(self, tenant: str, key: str):
+    def begin(self, tenant: str, key: str, park=None):
         """Start (or join) one keyed compression.
 
         Returns one of::
@@ -105,27 +78,26 @@ class ResultCache:
             ("wait", claim)     # a leader is executing; wait on
                                 # claim.event, then call begin() again
 
-        Exactly one of ``hits``/``misses`` is counted per request at
-        its *resolution* (a wait resolves on the retry), keeping
-        ``hits + misses == requests`` exact.
+        A caller that must not block passes ``park`` and gets
+        ``("wait", park())``, parked with the claim (see
+        :meth:`~repro.dictsvc.keyed.ClaimTable.enter`) for the leader to
+        resolve after its commit or abort.  Exactly one of ``hits`` /
+        ``misses`` is counted per request at its *resolution* (a wait
+        resolves on the retry, a parked follower at the leader's
+        commit), keeping ``hits + misses == requests`` exact.
         """
-        ckey = (tenant, key)
         with self._lock:
-            entries = self._tenants.get(tenant)
-            if entries is not None and key in entries:
-                entries.move_to_end(key)
-                self._tenants.move_to_end(tenant)
-                self._order.move_to_end(ckey)
+            blob = self._lru.get(tenant, key)
+            if blob is not None:
                 self.requests += 1
                 self.hits += 1
                 self._count("hit")
-                return "hit", entries[key]
-            claim = self._inflight.get(ckey)
-            if claim is not None:
+                return "hit", blob
+            leader, claim = self._claims.enter((tenant, key), park)
+            if not leader:
                 self.waits += 1
                 self._count("wait")
                 return "wait", claim
-            claim = self._inflight[ckey] = _Claim()
             self.requests += 1
             self.misses += 1
             self.executions += 1
@@ -139,49 +111,34 @@ class ResultCache:
         cached (followers still wake and will re-execute on retry — the
         cache never blocks progress, it only dedupes it).
         """
-        ckey = (tenant, key)
         with self._lock:
-            cacheable = (len(blob) <= self.max_bytes
-                         and len(blob) <= self.tenant_max_bytes)
+            cacheable = len(blob) <= min(self._lru.max_bytes,
+                                         self._lru.tenant_max_bytes)
             if cacheable:
-                entries = self._tenants.get(tenant)
-                if entries is None:
-                    if len(self._tenants) >= self.max_tenants:
-                        self._evict_tenant_locked()
-                    entries = self._tenants[tenant] = OrderedDict()
-                    self._tenant_bytes[tenant] = 0
-                if key not in entries:
-                    entries[key] = blob
-                    self._tenant_bytes[tenant] += len(blob)
-                    self._order[ckey] = len(blob)
-                    self._bytes += len(blob)
-                    self._tenants.move_to_end(tenant)
-                    self._evict_locked(tenant)
+                before = self._lru.evictions
+                self._lru.put(tenant, key, blob, len(blob))
+                if _REGISTRY.enabled and self._lru.evictions > before:
+                    _REGISTRY.counter(
+                        "repro_cache_evictions_total",
+                        "result-cache entries evicted by LRU bounds").inc(
+                        self._lru.evictions - before)
             else:
                 self.uncacheable += 1
                 _FLIGHT.record("cache.uncacheable", tenant=tenant,
                                nbytes=len(blob))
-            self._release_locked(ckey)
+            # The leader hands each parked follower its own result: for
+            # the accounting every one of them is a hit.
+            for _ in self._claims.release((tenant, key)):
+                self.requests += 1
+                self.hits += 1
+                self._count("hit")
             return cacheable
 
     def abort(self, tenant: str, key: str) -> None:
         """The leader failed: free the key so a follower can re-claim."""
         with self._lock:
             self.aborts += 1
-            self._release_locked((tenant, key))
-
-    def resolve_follower(self) -> None:
-        """Count one parked follower served with the leader's result.
-
-        The service's non-blocking integration fulfils followers
-        directly from the leader's fulfilment instead of retrying
-        ``begin`` — for accounting that *is* a hit, keeping
-        ``hits + misses == requests`` exact in that topology too.
-        """
-        with self._lock:
-            self.requests += 1
-            self.hits += 1
-            self._count("hit")
+            self._claims.release((tenant, key))
 
     def get_or_compute(self, tenant: str, key: str, compute):
         """Blocking convenience: resolve one request to result bytes.
@@ -207,89 +164,38 @@ class ResultCache:
 
     # -- internals ------------------------------------------------------------
 
-    def _release_locked(self, ckey: tuple[str, str]) -> None:
-        claim = self._inflight.pop(ckey, None)
-        if claim is not None:
-            claim.event.set()
-
-    def _drop_locked(self, tenant: str, key: str) -> None:
-        entries = self._tenants[tenant]
-        blob = entries.pop(key)
-        self._tenant_bytes[tenant] -= len(blob)
-        self._order.pop((tenant, key))
-        self._bytes -= len(blob)
-        self.evictions += 1
-        self._count_evict()
-        if not entries:
-            del self._tenants[tenant]
-            del self._tenant_bytes[tenant]
-
-    def _evict_tenant_locked(self) -> None:
-        """Make room for a new tenant: drop the LRU tenant entirely."""
-        tenant = next(iter(self._tenants))
-        for key in list(self._tenants[tenant]):
-            self._drop_locked(tenant, key)
-
-    def _evict_locked(self, tenant: str) -> None:
-        # Per-tenant quota first (oldest of that tenant)...
-        entries = self._tenants.get(tenant)
-        while entries and (len(entries) > self.tenant_max_entries
-                           or self._tenant_bytes[tenant]
-                           > self.tenant_max_bytes):
-            self._drop_locked(tenant, next(iter(entries)))
-            entries = self._tenants.get(tenant)
-        # ...then the global bound (oldest across all tenants).
-        while self._order and (len(self._order) > self.max_entries
-                               or self._bytes > self.max_bytes):
-            t, k = next(iter(self._order))
-            self._drop_locked(t, k)
-
     def _count(self, outcome: str) -> None:
         if _REGISTRY.enabled:
             _REGISTRY.counter(
                 "repro_cache_requests_total",
                 "result-cache lookups by outcome").inc(outcome=outcome)
 
-    def _count_evict(self) -> None:
-        if _REGISTRY.enabled:
-            _REGISTRY.counter(
-                "repro_cache_evictions_total",
-                "result-cache entries evicted by LRU bounds").inc()
-
     # -- introspection --------------------------------------------------------
-
-    def entries(self) -> int:
-        with self._lock:
-            return len(self._order)
-
-    def cached_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
 
     def stats(self) -> dict:
         with self._lock:
             if _REGISTRY.enabled:
                 _REGISTRY.gauge(
                     "repro_cache_entries",
-                    "live result-cache entries").set(len(self._order))
+                    "live result-cache entries").set(len(self._lru.order))
                 _REGISTRY.gauge(
                     "repro_cache_bytes",
-                    "live result-cache payload bytes").set(self._bytes)
+                    "live result-cache payload bytes").set(self._lru.bytes)
             return {
                 "requests": self.requests,
                 "hits": self.hits,
                 "misses": self.misses,
                 "executions": self.executions,
                 "waits": self.waits,
-                "evictions": self.evictions,
+                "evictions": self._lru.evictions,
                 "uncacheable": self.uncacheable,
                 "aborts": self.aborts,
-                "entries": len(self._order),
-                "bytes": self._bytes,
-                "tenants": len(self._tenants),
+                "entries": len(self._lru.order),
+                "bytes": self._lru.bytes,
+                "tenants": len(self._lru.tenants),
             }
 
     def snapshot_keys(self) -> list[tuple[str, str]]:
         """Global LRU order, oldest first (for the property suite)."""
         with self._lock:
-            return list(self._order)
+            return list(self._lru.order)

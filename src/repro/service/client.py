@@ -46,7 +46,7 @@ from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 from ..resilience.policy import _mix
-from .protocol import ProtocolError, recv_message, send_message
+from .protocol import FrameReader, ProtocolError, send_message
 
 #: Reconnect backoff: capped exponential, deterministically jittered.
 _BACKOFF_BASE_S = 0.05
@@ -174,6 +174,9 @@ class ServiceClient:
         if self.socket_wrapper is not None:
             sock = self.socket_wrapper(sock)
         self.sock = sock
+        # A new reader with the new socket: bytes read ahead on the old
+        # connection belong to exchanges that died with it.
+        self._reader = FrameReader(sock)
 
     def close(self) -> None:
         if self.sock is None:
@@ -197,7 +200,7 @@ class ServiceClient:
         if self.sock is None:
             self._connect()
         send_message(self.sock, header, payload)
-        message = recv_message(self.sock)
+        message = self._reader.read()
         if message is None:
             raise ProtocolError("server closed the connection")
         return message
@@ -215,7 +218,7 @@ class ServiceClient:
             self._connect()
         send_message(self.sock, header, payload)
         for _ in range(_MAX_STALE_DROPS):
-            message = recv_message(self.sock)
+            message = self._reader.read()
             if message is None:
                 raise ProtocolError("server closed the connection")
             echoed = message[0].get("request_id")

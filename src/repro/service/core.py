@@ -42,6 +42,7 @@ per-job deadline contract).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 import time
@@ -50,6 +51,7 @@ from dataclasses import dataclass, field
 
 from ..backend.pool import AcceleratorPool, PoolJob
 from ..dictsvc.cache import ResultCache, result_key
+from ..dictsvc.keyed import Claim
 from ..errors import (AcceleratorError, ChipUnavailable, ConfigError,
                       DeadlineExceeded, ReproError, ServiceClosed,
                       ServiceOverloaded)
@@ -73,6 +75,19 @@ _EWMA_SEED_S = 0.002
 _EWMA_WEIGHT = 0.2
 
 
+def finite_seconds(value: object) -> float | None:
+    """``value`` as a finite number of seconds, else None: what a
+    deadline must be for the dispatcher to compare it with a clock
+    (one it cannot compare would kill it, and with it the service)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 @dataclass
 class ServiceResult:
     """One fulfilled request: the bytes plus where the time went."""
@@ -94,23 +109,25 @@ class ServiceTicket:
     __slots__ = ("request_id", "qos", "op", "tenant", "_event", "_result",
                  "_error")
 
-    def __init__(self, request_id: int, qos: str, op: str,
-                 tenant: str) -> None:
+    def __init__(self, request_id: int, qos: str, op: str, tenant: str,
+                 result: ServiceResult | None = None) -> None:
         self.request_id = request_id
         self.qos = qos
         self.op = op
         self.tenant = tenant
-        self._event = threading.Event()
-        self._result: ServiceResult | None = None
+        # A ticket born with its result (a cache hit, resolved at
+        # admission) has nobody to wake: it builds no Event.
+        self._event = threading.Event() if result is None else None
+        self._result = result
         self._error: Exception | None = None
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._event is None or self._event.is_set()
 
     def wait(self, timeout_s: float | None = None) -> ServiceResult:
         """Block until fulfilled; raises the request's failure if any."""
-        if not self._event.wait(timeout_s):
+        if self._event is not None and not self._event.wait(timeout_s):
             raise TimeoutError(
                 f"request {self.request_id} not fulfilled "
                 f"within {timeout_s}s")
@@ -146,8 +163,9 @@ class _Queued:
     dequeued_at: float = 0.0
     span: object = NULL_SPAN
     #: Set when this request leads a result-cache singleflight: its
-    #: fulfilment commits the blob and serves any parked followers.
-    cache_key: tuple[str, str] | None = None
+    #: fulfilment commits the blob and serves the followers parked on
+    #: the claim.
+    cache_claim: Claim | None = None
 
 
 @dataclass(frozen=True)
@@ -223,10 +241,6 @@ class CompressionService:
         #: Dictionary-service epoch folded into every cache key, so a
         #: trained-table push invalidates cached results without flush.
         self.cache_epoch = 0
-        self._cache_lock = threading.Lock()
-        # (tenant, key) -> tickets parked on that key's leader.
-        self._cache_followers: dict[tuple[str, str],
-                                    list[ServiceTicket]] = {}
         self._lock = threading.Lock()
         self._queues: dict[str, deque[_Queued]] = {
             c.name: deque() for c in self.qos.classes}
@@ -288,6 +302,9 @@ class CompressionService:
         """
         if op not in _OPS:
             raise ConfigError(f"unknown op {op!r}; have {_OPS}")
+        if deadline_s is not None and finite_seconds(deadline_s) is None:
+            raise ConfigError("deadline_s must be a finite number of "
+                              f"seconds, got {deadline_s!r}")
         qcls = self.qos.resolve(qos)
         fmt = fmt or "gzip"
         deadline = (deadline_s if deadline_s is not None
@@ -296,30 +313,51 @@ class CompressionService:
             # The class pins a Huffman strategy for auto traffic (e.g.
             # interactive pinning "canned" to skip the DHT bubble).
             strategy = qcls.dht_strategy
-        cache_key = None
+        claim = None
         if (self.cache is not None and op == "compress"
                 and qcls.cache_results):
-            outcome = self._cache_begin(op, qcls, tenant, payload, fmt,
-                                        strategy)
-            if isinstance(outcome, ServiceTicket):
-                return outcome  # served from cache or parked on a leader
-            cache_key = outcome
+            # Consult the content-addressed cache before admission: the
+            # request is a hit, a follower parked on the executing
+            # leader's claim — in the critical section that saw the
+            # claim, so the leader cannot settle between the look and
+            # the park — or the leader itself.
+            key = result_key(payload, op=op, fmt=fmt, strategy=strategy,
+                             epoch=self.cache_epoch)
+            state, value = self.cache.begin(
+                tenant, key, park=lambda: ServiceTicket(
+                    next(self._ids), qcls.name, op, tenant))
+            if state == "wait":
+                with self._lock:
+                    self._count_admitted_locked(qcls.name, tenant,
+                                                len(payload))
+                _FLIGHT.record("service.cache_wait", id=value.request_id,
+                               qos=qcls.name, nbytes=len(payload))
+                return value
+            if state == "hit":
+                request_id = next(self._ids)
+                _FLIGHT.record("service.cache_hit", id=request_id,
+                               qos=qcls.name, nbytes=len(payload))
+                return ServiceTicket(
+                    request_id, qcls.name, op, tenant, self._serve_cached(
+                        op, qcls.name, tenant, len(payload), value,
+                        admit=True))
+            claim = value
         try:
             return self._admit(op, payload, fmt, strategy, qcls, tenant,
                                deadline, traceparent, client_request_id,
-                               cache_key)
+                               claim)
         except ReproError as exc:
-            if cache_key is not None:
+            if claim is not None:
                 # The leader was shed before dispatch: release the
                 # singleflight claim so a retry (or a parked follower's
                 # resend) can re-claim, and fail anyone already parked.
-                self._cache_settle_fail_key(cache_key, exc)
+                self._cache_settle_fail(claim, exc)
             raise
 
     def _admit(self, op: str, payload: bytes, fmt: str, strategy: str,
                qcls, tenant: str, deadline: float | None,
                traceparent: str | None, client_request_id: str | None,
-               cache_key: tuple[str, str] | None) -> ServiceTicket:
+               claim: Claim | None) -> ServiceTicket:
         with self._lock:
             if self._state != "running":
                 raise ServiceClosed(
@@ -366,75 +404,34 @@ class CompressionService:
                                  fmt=fmt, strategy=strategy,
                                  deadline_s=deadline,
                                  enqueued_at=time.perf_counter(),
-                                 span=span, cache_key=cache_key))
+                                 span=span, cache_claim=claim))
             self._queued_bytes[qcls.name] += len(payload)
-            self._accepted += 1
-            self._per_class[qcls.name]["accepted"] += 1
-            if tenant:
-                entry = self._per_tenant.setdefault(
-                    tenant, {"accepted": 0, "bytes_in": 0})
-                entry["accepted"] += 1
-                entry["bytes_in"] += len(payload)
+            self._count_admitted_locked(qcls.name, tenant, len(payload))
             self._publish_depth_locked(qcls.name)
             poke = self._poke_locked()
         if poke:
             self._poke()
         return ticket
 
+    def _count_admitted_locked(self, qos: str, tenant: str,
+                               nbytes: int) -> None:
+        self._accepted += 1
+        self._per_class[qos]["accepted"] += 1
+        if tenant:
+            entry = self._per_tenant.setdefault(
+                tenant, {"accepted": 0, "bytes_in": 0})
+            entry["accepted"] += 1
+            entry["bytes_in"] += nbytes
+
     # -- result-cache integration --------------------------------------------
 
-    def _cache_begin(self, op: str, qcls, tenant: str, payload: bytes,
-                     fmt: str, strategy: str):
-        """Consult the content-addressed cache before admission.
-
-        Returns a :class:`ServiceTicket` when the request is already
-        resolved (hit) or parked on an executing leader (wait), or the
-        ``(tenant, key)`` pair this request must lead.
-        """
-        key = result_key(payload, op=op, fmt=fmt, strategy=strategy,
-                         epoch=self.cache_epoch)
-        ticket = None
-        with self._cache_lock:
-            state, value = self.cache.begin(tenant, key)
-            if state == "wait":
-                # Park inside the same critical section that observed
-                # the in-flight claim, so the leader cannot commit and
-                # collect followers between our begin and our park.
-                ticket = ServiceTicket(next(self._ids), qcls.name, op,
-                                       tenant)
-                self._cache_followers.setdefault(
-                    (tenant, key), []).append(ticket)
-        if state == "leader":
-            return (tenant, key)
-        if state == "hit":
-            ticket = ServiceTicket(next(self._ids), qcls.name, op, tenant)
-        self._count_cache_admission(op, qcls.name, tenant, len(payload))
-        if state == "hit":
-            _FLIGHT.record("service.cache_hit", id=ticket.request_id,
-                           qos=qcls.name, nbytes=len(payload))
-            self._fulfil_from_cache(ticket, op, qcls.name, tenant,
-                                    len(payload), value)
-        else:
-            _FLIGHT.record("service.cache_wait", id=ticket.request_id,
-                           qos=qcls.name, nbytes=len(payload))
-        return ticket
-
-    def _count_cache_admission(self, op: str, qos: str, tenant: str,
-                               nbytes: int) -> None:
+    def _serve_cached(self, op: str, qos: str, tenant: str, nbytes_in: int,
+                      output: bytes, *, admit: bool) -> ServiceResult:
+        """Count one request answered with cached bytes (no dispatch at
+        all); a hit is admitted and completed in the same section."""
         with self._lock:
-            self._accepted += 1
-            self._per_class[qos]["accepted"] += 1
-            if tenant:
-                entry = self._per_tenant.setdefault(
-                    tenant, {"accepted": 0, "bytes_in": 0})
-                entry["accepted"] += 1
-                entry["bytes_in"] += nbytes
-
-    def _fulfil_from_cache(self, ticket: ServiceTicket, op: str, qos: str,
-                           tenant: str, nbytes_in: int,
-                           output: bytes) -> None:
-        """Resolve one request with cached bytes (no dispatch at all)."""
-        with self._lock:
+            if admit:
+                self._count_admitted_locked(qos, tenant, nbytes_in)
             self._completed += 1
             self._bytes_in += nbytes_in
             self._bytes_out += len(output)
@@ -444,37 +441,27 @@ class CompressionService:
                 op=op, qos=qos, outcome="ok", tenant=tenant,
                 nbytes_in=nbytes_in, nbytes_out=len(output),
                 modelled_s=0.0, queue_wait_s=0.0)
-        ticket._fulfil(ServiceResult(
-            output=output, op=op, qos=qos, modelled_seconds=0.0,
-            queue_wait_s=0.0, wall_seconds=0.0))
+        return ServiceResult(output=output, op=op, qos=qos,
+                             modelled_seconds=0.0, queue_wait_s=0.0,
+                             wall_seconds=0.0)
 
     def _cache_settle_ok(self, req: _Queued, output: bytes) -> None:
         """Leader succeeded: publish the blob and serve parked followers."""
-        tenant, key = req.cache_key
-        with self._cache_lock:
-            self.cache.commit(tenant, key, output)
-            followers = self._cache_followers.pop((tenant, key), [])
-        for ticket in followers:
-            self.cache.resolve_follower()
-            self._fulfil_from_cache(ticket, req.op, ticket.qos,
-                                    ticket.tenant, len(req.payload),
-                                    output)
+        claim = req.cache_claim
+        self.cache.commit(*claim.key, output)
+        for ticket in claim.parked:
+            ticket._fulfil(self._serve_cached(
+                req.op, ticket.qos, ticket.tenant, len(req.payload), output,
+                admit=False))
 
-    def _cache_settle_fail(self, req: _Queued, error: Exception) -> None:
-        self._cache_settle_fail_key(req.cache_key, error)
-
-    def _cache_settle_fail_key(self, cache_key: tuple[str, str],
-                               error: Exception) -> None:
+    def _cache_settle_fail(self, claim: Claim, error: Exception) -> None:
         """Leader failed: free the key; parked followers share the error.
 
         The abort means the next request on this key re-claims and
         re-executes — a failed leader never poisons the key.
         """
-        tenant, key = cache_key
-        with self._cache_lock:
-            self.cache.abort(tenant, key)
-            followers = self._cache_followers.pop((tenant, key), [])
-        for ticket in followers:
+        self.cache.abort(*claim.key)
+        for ticket in claim.parked:
             self._count_failure(ticket, "failed", type(error).__name__)
             ticket._fail(error)
 
@@ -776,7 +763,7 @@ class CompressionService:
             output=output, op=req.op, qos=req.ticket.qos,
             modelled_seconds=modelled_s, queue_wait_s=queue_wait,
             wall_seconds=wall, batch_size=batch_size))
-        if req.cache_key is not None:
+        if req.cache_claim is not None:
             self._cache_settle_ok(req, output)
 
     def _resolve_expired(self, req: _Queued, now: float) -> None:
@@ -816,8 +803,8 @@ class CompressionService:
                 "retry after cooldown",
                 retry_after_s=_RETRY_AFTER_MAX_S, qos=req.ticket.qos)
         req.ticket._fail(error)
-        if req.cache_key is not None:
-            self._cache_settle_fail(req, error)
+        if req.cache_claim is not None:
+            self._cache_settle_fail(req.cache_claim, error)
 
     def _count_failure(self, ticket: ServiceTicket, outcome: str,
                        reason: str, queue_wait_s: float = 0.0) -> None:

@@ -2,35 +2,25 @@
 
 The wire protocol has client-generated ``request_id`` idempotency keys
 (see :mod:`repro.service.protocol`); this module is the server-side
-half: a bounded per-tenant LRU of recently completed results plus an
-in-flight claim table, giving one logical request **at most one
-execution** no matter how many times a reconnecting client resends it.
+half: :mod:`repro.dictsvc.keyed`'s LRU of recently completed replies
+and its claim table, keyed by ``(tenant, request_id)``.  A resend after
+the result was computed is a **hit** (the reply is replayed, the job
+never re-executes); one racing the first attempt **waits** for it — the
+double-execute window when a client reconnects faster than the server
+finishes; one after a failure finds the key free and executes.
 
-Three races matter, and each has a distinct answer:
-
-* *resend after the result was computed* — the LRU returns the cached
-  response header + body (a **hit**; the job never re-executes);
-* *resend while the first attempt is still executing* — the second
-  connection **waits** on the owner's completion event instead of
-  executing in parallel (the classic double-execute window when a
-  client reconnects faster than the server finishes);
-* *resend after the first attempt failed* — the owner **aborts** its
-  claim, waiters wake empty-handed and re-claim, so a failed execution
-  never poisons the key (at-most-one *successful* execution).
-
-Bounds: ``max_entries`` results per tenant (LRU eviction) and
-``max_bytes`` of cached payload per tenant (evicting oldest first), so
-a chatty tenant cannot grow server memory without bound or wash out
-other tenants' windows.  ``stats()`` exposes exact counters — ``hits``,
-``stores``, ``duplicate_stores``, ``evictions``, ``waits`` — that the
-network chaos campaign reconciles against client-side success counts:
-``duplicate_stores == 0`` *is* the zero-double-execution proof.
+Bounds: ``max_entries`` results and ``max_bytes`` of reply payload per
+tenant, oldest first, so a chatty tenant cannot grow server memory
+without bound or wash out other tenants' windows.  ``stats()`` exposes
+exact counters — ``hits``, ``stores``, ``duplicate_stores``,
+``evictions``, ``waits`` — that the network chaos campaign reconciles
+against client-side success counts: ``duplicate_stores == 0`` *is* the
+zero-double-execution proof.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from ..dictsvc.keyed import KeyedCache
 
 #: Default bounds: plenty for a reconnect window, bounded for a fleet.
 DEFAULT_MAX_ENTRIES = 256
@@ -38,63 +28,35 @@ DEFAULT_MAX_BYTES = 32 << 20
 DEFAULT_MAX_TENANTS = 64
 
 
-class _Claim:
-    """One in-flight execution of a keyed request."""
-
-    __slots__ = ("event",)
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-
-
-class IdempotencyCache:
+class IdempotencyCache(KeyedCache):
     """Per-tenant LRU of completed results + in-flight claim table."""
 
     def __init__(self, *, max_entries: int = DEFAULT_MAX_ENTRIES,
                  max_bytes: int = DEFAULT_MAX_BYTES,
                  max_tenants: int = DEFAULT_MAX_TENANTS) -> None:
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.max_tenants = max_tenants
-        self._lock = threading.Lock()
-        # tenant -> OrderedDict[request_id -> (header, body)]
-        self._tenants: OrderedDict[str, OrderedDict[str, tuple[dict,
-                                                               bytes]]] = \
-            OrderedDict()
-        self._tenant_bytes: dict[str, int] = {}
-        self._inflight: dict[tuple[str, str], _Claim] = {}
-        self.hits = 0
+        # request_id -> (header, body), charged len(body).
+        super().__init__(tenant_max_entries=max_entries,
+                         tenant_max_bytes=max_bytes, max_tenants=max_tenants)
         self.stores = 0
         self.duplicate_stores = 0
-        self.evictions = 0
-        self.waits = 0
 
     # -- the handler-facing protocol -----------------------------------------
 
     def begin(self, tenant: str, request_id: str):
-        """Start (or join) one keyed execution.
-
-        Returns one of::
-
-            ("hit", (header, body))   # replay, do not execute
-            ("owner", key)            # execute; commit() or abort() after
-            ("wait", claim)           # another connection is executing;
-                                      # wait on claim.event, then retry
-        """
-        key = (tenant, request_id)
+        """Start (or join) one keyed execution: ``("hit", (header,
+        body))`` to replay, ``("owner", key)`` to execute and then
+        :meth:`commit` or :meth:`abort`, or ``("wait", claim)`` to wait
+        on ``claim.event`` and call again."""
         with self._lock:
-            entries = self._tenants.get(tenant)
-            if entries is not None and request_id in entries:
-                entries.move_to_end(request_id)
-                self._tenants.move_to_end(tenant)
+            cached = self._lru.get(tenant, request_id)
+            if cached is not None:
                 self.hits += 1
-                return "hit", entries[request_id]
-            claim = self._inflight.get(key)
-            if claim is not None:
-                self.waits += 1
-                return "wait", claim
-            self._inflight[key] = _Claim()
-            return "owner", key
+                return "hit", cached
+            owner, claim = self._claims.enter((tenant, request_id))
+            if owner:
+                return "owner", claim.key
+            self.waits += 1
+            return "wait", claim
 
     def commit(self, key: tuple[str, str], header: dict,
                body: bytes) -> bool:
@@ -103,58 +65,21 @@ class IdempotencyCache:
         Returns False — and counts a ``duplicate_store`` — if the key
         was already present, which a correct server never produces.
         """
-        tenant, request_id = key
         with self._lock:
-            entries = self._tenants.get(tenant)
-            if entries is None:
-                if len(self._tenants) >= self.max_tenants:
-                    evicted, dropped = self._tenants.popitem(last=False)
-                    self._tenant_bytes.pop(evicted, None)
-                    self.evictions += len(dropped)
-                entries = self._tenants[tenant] = OrderedDict()
-                self._tenant_bytes[tenant] = 0
-            fresh = request_id not in entries
+            fresh = self._lru.put(*key, (header, body), len(body))
             if fresh:
-                entries[request_id] = (header, body)
-                self._tenant_bytes[tenant] += len(body)
                 self.stores += 1
-                self._evict_locked(tenant)
             else:
                 self.duplicate_stores += 1
-            self._release_locked((tenant, request_id))
+            self._claims.release(key)
             return fresh
 
     def abort(self, key: tuple[str, str]) -> None:
         """The owner failed without a result: free the key for retry."""
         with self._lock:
-            self._release_locked(key)
-
-    # -- internals -----------------------------------------------------------
-
-    def _release_locked(self, key: tuple[str, str]) -> None:
-        claim = self._inflight.pop(key, None)
-        if claim is not None:
-            claim.event.set()
-
-    def _evict_locked(self, tenant: str) -> None:
-        entries = self._tenants[tenant]
-        while (len(entries) > self.max_entries
-               or self._tenant_bytes[tenant] > self.max_bytes):
-            if len(entries) <= 1 and len(entries) <= self.max_entries:
-                break  # never evict the entry just stored on bytes alone
-            _, (_, body) = entries.popitem(last=False)
-            self._tenant_bytes[tenant] -= len(body)
-            self.evictions += 1
+            self._claims.release(key)
 
     # -- introspection -------------------------------------------------------
-
-    def entries(self) -> int:
-        with self._lock:
-            return sum(len(e) for e in self._tenants.values())
-
-    def cached_bytes(self) -> int:
-        with self._lock:
-            return sum(self._tenant_bytes.get(t, 0) for t in self._tenants)
 
     def stats(self) -> dict:
         with self._lock:
@@ -162,8 +87,8 @@ class IdempotencyCache:
                 "hits": self.hits,
                 "stores": self.stores,
                 "duplicate_stores": self.duplicate_stores,
-                "evictions": self.evictions,
+                "evictions": self._lru.evictions,
                 "waits": self.waits,
-                "entries": sum(len(e) for e in self._tenants.values()),
-                "tenants": len(self._tenants),
+                "entries": len(self._lru.order),
+                "tenants": len(self._lru.tenants),
             }

@@ -36,9 +36,9 @@ import threading
 from ..errors import ReproError, ServiceOverloaded
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
-from .core import CompressionService
+from .core import CompressionService, finite_seconds
 from .idempotency import IdempotencyCache
-from .protocol import ProtocolError, recv_message, send_message
+from .protocol import FrameReader, ProtocolError, send_message
 
 #: Ops a connection may invoke; anything else is a protocol error.
 _OPS = ("compress", "decompress", "ping", "stats", "drain")
@@ -49,6 +49,31 @@ DEFAULT_IDLE_TIMEOUT_S = 120.0
 #: Bound on begin()/wait loops for one keyed request: an owner always
 #: commits or aborts, so more spins than this means something is wrong.
 _MAX_DEDUP_WAITS = 16
+
+
+#: Optional request header fields that are strings on the wire, and the
+#: ``CompressionService.submit`` argument each becomes.
+_STR_FIELDS = (("fmt", "fmt"), ("strategy", "strategy"), ("qos", "qos"),
+               ("tenant", "tenant"), ("traceparent", "traceparent"),
+               ("request_id", "client_request_id"))
+
+
+def _request_fields(header: dict) -> dict:
+    """The optional fields of a request as ``submit`` arguments.
+
+    A malformed field is ignored, never fatal: one of the wrong type is
+    dropped here, once, before the idempotency table or admission see
+    it (a list is no dict key, a string no deadline).
+    """
+    fields = {}
+    for name, argument in _STR_FIELDS:
+        value = header.get(name)
+        if isinstance(value, str):
+            fields[argument] = value
+    deadline = finite_seconds(header.get("deadline_s"))
+    if deadline is not None:
+        fields["deadline_s"] = deadline
+    return fields
 
 
 def _net_counter(name: str, help_text: str, **labels) -> None:
@@ -64,9 +89,10 @@ class _Handler(socketserver.BaseRequestHandler):
         self.request.settimeout(self.server.idle_timeout_s)
         _net_counter("repro_service_net_connections_total",
                      "connections accepted by the service socket")
+        reader = FrameReader(self.request)
         while True:
             try:
-                message = recv_message(self.request)
+                message = reader.read()
             except TimeoutError:
                 _net_counter("repro_service_net_idle_timeouts_total",
                              "connections closed at the idle deadline")
@@ -145,20 +171,19 @@ class _Handler(socketserver.BaseRequestHandler):
         if op not in ("compress", "decompress"):
             return {"status": "error", "retryable": False,
                     "error": f"unknown op {op!r}; have {_OPS}"}, b""
-        request_id = header.get("request_id")
-        if not isinstance(request_id, str) or not request_id:
-            request_id = None
-        if request_id is None or self.server.dedup is None:
-            return self._execute(service, op, header, payload, None)
-        return self._serve_idempotent(service, op, header, payload,
-                                      request_id)
+        request = _request_fields(header)
+        if not request.get("client_request_id") or self.server.dedup is None:
+            request.pop("client_request_id", None)
+            return self._execute(service, op, payload, request)
+        return self._serve_idempotent(service, op, payload, request)
 
     def _serve_idempotent(self, service: CompressionService, op: str,
-                          header: dict, payload: bytes,
-                          request_id: str) -> tuple[dict, bytes]:
+                          payload: bytes,
+                          request: dict) -> tuple[dict, bytes]:
         """At-most-one execution per ``(tenant, request_id)``."""
         dedup: IdempotencyCache = self.server.dedup
-        tenant = header.get("tenant", "") or ""
+        tenant = request.get("tenant", "")
+        request_id = request["client_request_id"]
         for _ in range(_MAX_DEDUP_WAITS):
             state, token = dedup.begin(tenant, request_id)
             if state == "hit":
@@ -178,9 +203,9 @@ class _Handler(socketserver.BaseRequestHandler):
                 continue
             committed = False
             try:
-                response, body = self._execute(service, op, header,
-                                               payload, request_id)
-                if response.get("status") == "ok":
+                response, body = self._execute(service, op, payload,
+                                               request)
+                if response["status"] == "ok":
                     dedup.commit(token, response, body)
                     committed = True
                 return response, body
@@ -191,21 +216,13 @@ class _Handler(socketserver.BaseRequestHandler):
             f"request {request_id!r} still unresolved after "
             f"{_MAX_DEDUP_WAITS} dedup waits")
 
-    def _execute(self, service: CompressionService, op: str, header: dict,
-                 payload: bytes,
-                 request_id: str | None) -> tuple[dict, bytes]:
+    def _execute(self, service: CompressionService, op: str,
+                 payload: bytes, request: dict) -> tuple[dict, bytes]:
+        request_id = request.get("client_request_id")
         echo = {} if request_id is None else {"request_id": request_id}
         try:
-            ticket = service.submit(
-                op, payload,
-                fmt=header.get("fmt"),
-                strategy=header.get("strategy", "auto"),
-                qos=header.get("qos"),
-                tenant=header.get("tenant", ""),
-                deadline_s=header.get("deadline_s"),
-                traceparent=header.get("traceparent"),
-                client_request_id=request_id)
-            result = ticket.wait(self.server.request_timeout_s)
+            result = service.submit(op, payload, **request).wait(
+                self.server.request_timeout_s)
         except ServiceOverloaded as exc:
             return {"status": "rejected", "retryable": True,
                     "error": str(exc), "qos": exc.qos,
