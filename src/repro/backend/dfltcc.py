@@ -17,12 +17,9 @@ from dataclasses import replace
 from ..deflate.containers import (FORMATS, body_start, checksum,
                                   decompress_target_len, frame,
                                   require_format, verify_trailer)
-from ..errors import AcceleratorError
 from ..nx.dht import DhtStrategy, canned_names
 from ..nx.params import Z15, MachineParams, get_machine
-from ..nx.z15 import ConditionCode, Dfltcc, ParameterBlock
-from ..obs.metrics import REGISTRY as _REGISTRY
-from ..obs.trace import TRACE as _TRACE
+from ..nx.z15 import Dfltcc, ParameterBlock, cmpr_loop, xpnd_loop
 from ..perf.cost import accelerator_effective_gbps
 from ..sysstack.driver import DriverResult, SubmissionStats
 from .base import BackendCapabilities, CompressionBackend
@@ -69,31 +66,11 @@ class DfltccBackend(CompressionBackend):
         require_format(fmt, history, final)
         block = ParameterBlock(dht_strategy=DhtStrategy(strategy),
                                history=history)
-        body = bytearray()
-        seconds = 0.0
-        invocations = 0
-        offset = 0
-        while True:
-            result = self._facility.compress(block, data[offset:],
-                                             last=final)
-            body += result.produced
-            seconds += result.seconds
-            invocations += 1
-            offset += result.consumed
-            if result.cc is ConditionCode.DONE:
-                break
-            if result.cc is not ConditionCode.PARTIAL:
-                raise AcceleratorError(f"unexpected CC {result.cc!r}")
-        if _TRACE.enabled and invocations > 1:
-            # The CC=3 re-issue loop: how many CMPR issues this job took.
-            _TRACE.event("dfltcc.reissue", invocations=invocations)
-        if _REGISTRY.enabled:
-            _REGISTRY.counter("repro_backend_dfltcc_invocations_total",
-                              "DFLTCC instruction issues").inc(
-                invocations, fn="cmpr")
+        body, seconds, invocations = cmpr_loop(self._facility, block, data,
+                                               last=final)
         # The facility accumulated the CRC-32 chunk by chunk in the
         # parameter block: gzip makes no second pass over the input.
-        output = frame(fmt, bytes(body),
+        output = frame(fmt, body,
                        checksum(fmt, data, crc=block.check_value),
                        block.total_in)
         stats = SubmissionStats(submissions=invocations,
@@ -103,32 +80,16 @@ class DfltccBackend(CompressionBackend):
     def _decompress(self, payload: bytes, fmt: str,
                     history: bytes) -> DriverResult:
         header, window = body_start(fmt, payload, zdict=history)
-        body = payload[header:]
         block = ParameterBlock(history=window)
-        capacity = decompress_target_len(payload, fmt)
-        invocations = 0
-        while True:
-            result = self._facility.expand(block, body,
-                                           out_capacity=capacity)
-            invocations += 1
-            if result.cc is ConditionCode.DONE:
-                break
-            if result.cc is ConditionCode.OP1_FULL:
-                if _TRACE.enabled:
-                    _TRACE.event("overflow.target", length=capacity)
-                capacity *= 2
-                continue
-            raise AcceleratorError(f"unexpected CC {result.cc!r}")
+        result, invocations = xpnd_loop(
+            self._facility, block, payload[header:],
+            decompress_target_len(payload, fmt))
         # The trailer XPND stopped at, against the check value the
         # facility accumulated while expanding (gzip: no second pass).
         verify_trailer(fmt, payload, header + result.consumed,
                        checksum(fmt, result.produced,
                                 crc=block.check_value),
                        len(result.produced))
-        if _REGISTRY.enabled:
-            _REGISTRY.counter("repro_backend_dfltcc_invocations_total",
-                              "DFLTCC instruction issues").inc(
-                invocations, fn="xpnd")
         stats = SubmissionStats(submissions=invocations,
                                 elapsed_seconds=result.seconds)
         return DriverResult(output=result.produced, csb=None, stats=stats)

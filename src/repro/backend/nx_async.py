@@ -1,6 +1,6 @@
 """The POWER9 asynchronous NX backend: CRB → VAS paste → drain → CSB.
 
-This wraps the full modelled user/kernel stack (:class:`AsyncNxDriver`
+This wraps the full modelled user/kernel stack (:class:`NxDriver`
 on an :class:`NxAccelerator` with a faultable :class:`AddressSpace`) so
 it exercises exactly what the old ``NxGzip`` construction did: credit
 flow control on the send window, touch-and-resubmit on translation
@@ -23,8 +23,8 @@ from ..nx.dht import DhtStrategy, canned_names
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..perf.cost import accelerator_effective_gbps
 from ..sysstack.crb import Op
-from ..sysstack.driver import (DEFAULT_MAX_RETRIES, AsyncNxDriver,
-                               DriverResult, PendingJob)
+from ..sysstack.driver import (DEFAULT_MAX_RETRIES, DriverResult, NxDriver,
+                               PendingJob)
 from ..sysstack.mmu import AddressSpace, FaultInjector
 from .base import BackendCapabilities, CompressionBackend
 
@@ -60,10 +60,10 @@ class NxAsyncBackend(CompressionBackend):
         self.space = AddressSpace(
             fault_injector=FaultInjector(fault_probability, seed=seed))
         self.accelerator = NxAccelerator(machine)
-        self.driver = AsyncNxDriver(self.accelerator, self.space,
-                                    max_retries=max_retries,
-                                    retry_policy=retry_policy,
-                                    deadline_s=deadline_s)
+        self.driver = NxDriver(self.accelerator, self.space,
+                               max_retries=max_retries,
+                               retry_policy=retry_policy,
+                               deadline_s=deadline_s)
         self.driver.open(credits)
         self._caps = BackendCapabilities(
             name=self.name,
@@ -152,11 +152,7 @@ class NxAsyncBackend(CompressionBackend):
         batch-sizing callers (the pool's ``suggested_batch_depth``, the
         service dispatcher) cap coalescing here.
         """
-        window_id = self.driver._window_id
-        if window_id is None:
-            return 0
-        window = self.accelerator.vas.windows.get(window_id)
-        return window.credits if window is not None else 0
+        return self.driver.credits
 
 
 def _effective_gbps(machine: MachineParams, op: str) -> float:

@@ -696,19 +696,22 @@ def render_top(ops: dict, url: str) -> str:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from .resilience.chaos import default_plans, run_campaign
+    from .resilience.chaos import (default_network_plans, default_plans,
+                                   pick_scenario, run_campaign)
 
+    plans = (default_network_plans() if args.network
+             else default_plans(args.jobs))
+    if args.scenario is not None:
+        try:
+            plans = {args.scenario: pick_scenario(
+                plans, args.scenario, "network" if args.network else "chaos")}
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.network:
         return _cmd_chaos_network(args)
     if args.under_load:
         return _cmd_chaos_under_load(args)
-    plans = default_plans(args.jobs)
-    if args.scenario is not None:
-        if args.scenario not in plans:
-            print(f"error: unknown scenario {args.scenario!r}; "
-                  f"have {sorted(plans)}", file=sys.stderr)
-            return 2
-        plans = {args.scenario: plans[args.scenario]}
     report = run_campaign(seed=args.seed, jobs=args.jobs,
                           chips=args.chips, machine=args.machine,
                           plans=plans, max_size=args.max_size)
@@ -717,13 +720,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_network(args: argparse.Namespace) -> int:
-    from .resilience.chaos import default_network_plans, run_network_campaign
+    from .resilience.chaos import run_network_campaign
 
-    if args.scenario is not None \
-            and args.scenario not in default_network_plans():
-        print(f"error: unknown network scenario {args.scenario!r}; "
-              f"have {sorted(default_network_plans())}", file=sys.stderr)
-        return 2
     jobs = args.jobs if args.jobs != 200 else 40
     report = run_network_campaign(seed=args.seed, jobs=jobs,
                                   clients=args.clients,

@@ -28,6 +28,8 @@ from ..deflate.checksums import crc32
 from ..deflate.constants import WINDOW_SIZE
 from ..deflate.containers import decompress_target_len
 from ..errors import AcceleratorError, OutputOverflow
+from ..obs.metrics import REGISTRY as _REGISTRY
+from ..obs.trace import TRACE as _TRACE
 from .compressor import NxCompressor
 from .decompressor import NxDecompressor
 from .dht import GDHT_SCAN_WINDOW, DhtStrategy, select_canned_windowed
@@ -205,42 +207,73 @@ class Dfltcc:
                 + self.machine.dispatch_overhead_us) * 1e-6
 
 
-def dfltcc_compress(data: bytes, machine: MachineParams = Z15,
-                    strategy: DhtStrategy = DhtStrategy.DYNAMIC,
-                    quantum: int = 1 << 20) -> tuple[bytes, float, int]:
+def cmpr_loop(facility: Dfltcc, block: ParameterBlock, data: bytes,
+              last: bool = True) -> tuple[bytes, float, int]:
     """The software loop around CMPR: re-issue while CC=3.
 
     Returns ``(raw deflate stream, modelled seconds, invocations)``.
     """
-    facility = Dfltcc(machine=machine, processing_quantum=quantum)
-    block = ParameterBlock(dht_strategy=strategy)
     out = bytearray()
     seconds = 0.0
     invocations = 0
     offset = 0
     while True:
-        result = facility.compress(block, data[offset:], last=True)
+        result = facility.compress(block, data[offset:], last=last)
         out += result.produced
         seconds += result.seconds
         invocations += 1
         offset += result.consumed
         if result.cc is ConditionCode.DONE:
-            return bytes(out), seconds, invocations
+            break
         if result.cc is not ConditionCode.PARTIAL:
             raise AcceleratorError(f"unexpected CC {result.cc!r}")
+    if _TRACE.enabled and invocations > 1:
+        # The CC=3 re-issue loop: how many CMPR issues this job took.
+        _TRACE.event("dfltcc.reissue", invocations=invocations)
+    _count_issues(invocations, "cmpr")
+    return bytes(out), seconds, invocations
+
+
+def xpnd_loop(facility: Dfltcc, block: ParameterBlock, body: bytes,
+              capacity: int) -> tuple[DfltccResult, int]:
+    """The software loop around XPND: double the first operand on CC=1.
+
+    Returns the completing invocation's result (its ``seconds`` are
+    that one issue's) and how many issues it took.
+    """
+    invocations = 0
+    while True:
+        result = facility.expand(block, body, out_capacity=capacity)
+        invocations += 1
+        if result.cc is ConditionCode.DONE:
+            break
+        if result.cc is not ConditionCode.OP1_FULL:
+            raise AcceleratorError(f"unexpected CC {result.cc!r}")
+        if _TRACE.enabled:
+            _TRACE.event("overflow.target", length=capacity)
+        capacity *= 2
+    _count_issues(invocations, "xpnd")
+    return result, invocations
+
+
+def _count_issues(invocations: int, fn: str) -> None:
+    if _REGISTRY.enabled:
+        _REGISTRY.counter("repro_backend_dfltcc_invocations_total",
+                          "DFLTCC instruction issues").inc(
+            invocations, fn=fn)
+
+
+def dfltcc_compress(data: bytes, machine: MachineParams = Z15,
+                    strategy: DhtStrategy = DhtStrategy.DYNAMIC,
+                    quantum: int = 1 << 20) -> tuple[bytes, float, int]:
+    """One raw stream through :func:`cmpr_loop` on a fresh facility."""
+    return cmpr_loop(Dfltcc(machine=machine, processing_quantum=quantum),
+                     ParameterBlock(dht_strategy=strategy), data)
 
 
 def dfltcc_expand(payload: bytes, machine: MachineParams = Z15
                   ) -> tuple[bytes, float]:
-    """The software loop around XPND (with output-buffer growth)."""
-    facility = Dfltcc(machine=machine)
-    block = ParameterBlock()
-    capacity = decompress_target_len(payload, "raw")
-    while True:
-        result = facility.expand(block, payload, out_capacity=capacity)
-        if result.cc is ConditionCode.DONE:
-            return result.produced, result.seconds
-        if result.cc is ConditionCode.OP1_FULL:
-            capacity *= 2
-            continue
-        raise AcceleratorError(f"unexpected CC {result.cc!r}")
+    """One raw stream through :func:`xpnd_loop` on a fresh facility."""
+    result, _ = xpnd_loop(Dfltcc(machine=machine), ParameterBlock(), payload,
+                          decompress_target_len(payload, "raw"))
+    return result.produced, result.seconds

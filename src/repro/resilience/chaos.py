@@ -16,6 +16,7 @@ This is the regression harness behind ``repro chaos`` and the CI
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass, field
 
 from ..errors import ChipUnavailable, DeadlineExceeded, ReproError
@@ -27,6 +28,10 @@ from .verify import decode_payload
 
 #: Jobs per scenario unless the caller widens the campaign.
 DEFAULT_JOBS = 200
+
+#: A tight breaker so quarantine/recovery happens inside the run.
+_TIGHT_BREAKER = HealthConfig(failure_threshold=3, cooldown_routes=8,
+                              probe_successes=2)
 
 
 def default_plans(jobs: int = DEFAULT_JOBS) -> dict[str, list[FaultPlan]]:
@@ -128,6 +133,41 @@ def _payload(rng: random.Random, i: int, max_size: int) -> bytes:
     return (block * (size // len(block) + 1))[:size]
 
 
+def _round_trips(output: bytes, data: bytes) -> bool:
+    """Does the reference software decoder turn ``output`` back into
+    ``data``?  Undecodable counts as wrong, like any other mismatch."""
+    try:
+        return decode_payload(output, "gzip") == data
+    except ReproError:
+        return False
+
+
+def _add_fired(total: dict[str, int], injectors) -> None:
+    """Fold each injector's firings, by fault kind, into ``total``."""
+    for injector in injectors:
+        for kind, count in injector.fired.items():
+            total[kind] = total.get(kind, 0) + count
+
+
+def pick_scenario(scenarios: dict, name: str, what: str = "chaos"):
+    """Scenario ``name``'s plans, or a typed error naming the choices."""
+    if name not in scenarios:
+        raise ReproError(f"unknown {what} scenario {name!r}; "
+                         f"have {sorted(scenarios)}")
+    return scenarios[name]
+
+
+def _run_clients(client, clients: int, name: str) -> None:
+    """Run ``client(worker)`` on one thread a worker, to completion."""
+    threads = [threading.Thread(target=client, args=(w,),
+                                name=f"{name}-{w}")
+               for w in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
 def run_scenario(name: str, plans: list[FaultPlan], *,
                  seed: int = 7, jobs: int = DEFAULT_JOBS,
                  chips: int = 2,
@@ -139,13 +179,10 @@ def run_scenario(name: str, plans: list[FaultPlan], *,
 
     if isinstance(machine, str):
         machine = get_machine(machine)
-    # A tight breaker so quarantine/recovery happens inside the run.
-    health = HealthConfig(failure_threshold=3, cooldown_routes=8,
-                          probe_successes=2)
     result = ScenarioResult(name=name, jobs=jobs)
     with AcceleratorPool(machine=machine, chips=chips,
                          policy="round_robin", backend="nx",
-                         health=health, verify=True) as pool:
+                         health=_TIGHT_BREAKER, verify=True) as pool:
         injectors = [
             FaultInjector(plans, seed=seed, chip=chip).install(
                 pool.backend_for(chip).accelerator)
@@ -160,11 +197,7 @@ def run_scenario(name: str, plans: list[FaultPlan], *,
             except (DeadlineExceeded, ChipUnavailable):
                 result.shed += 1
                 continue
-            try:
-                restored = decode_payload(out.output, "gzip")
-            except ReproError:
-                restored = None
-            if restored != data:
+            if not _round_trips(out.output, data):
                 result.wrong_bytes += 1
             result.fallbacks += int(out.stats.fallback_to_software)
             result.modelled_seconds += out.stats.elapsed_seconds
@@ -173,10 +206,7 @@ def run_scenario(name: str, plans: list[FaultPlan], *,
         result.verify_failures = stats.verify_failures
         result.breaker_opens = stats.breaker_opens
         result.breaker_log = pool.health.transition_log()
-        for injector in injectors:
-            for kind, count in injector.fired.items():
-                result.faults_injected[kind] = (
-                    result.faults_injected.get(kind, 0) + count)
+        _add_fired(result.faults_injected, injectors)
     return result
 
 
@@ -282,24 +312,15 @@ def run_service_scenario(*, seed: int = 7, jobs: int = DEFAULT_JOBS,
     worker's job must come back as a software rescue, never as wrong or
     missing bytes.
     """
-    import threading
-
+    from ..backend.pool import AcceleratorPool
     from ..errors import ServiceOverloaded
     from ..service.core import CompressionService
     from ..service.qos import QosClass, QosPolicy
 
     if isinstance(machine, str):
         machine = get_machine(machine)
-    plans_by_name = default_plans(jobs)
     name = scenario or "combined"
-    if name not in plans_by_name:
-        raise ReproError(f"unknown chaos scenario {name!r}; "
-                         f"have {sorted(plans_by_name)}")
-    plans = plans_by_name[name]
-    from ..backend.pool import AcceleratorPool
-
-    health = HealthConfig(failure_threshold=3, cooldown_routes=8,
-                          probe_successes=2)
+    plans = pick_scenario(default_plans(jobs), name)
     queue_limit = 64
     qos = QosPolicy((
         QosClass("interactive", fifo="high", rank=0,
@@ -311,7 +332,7 @@ def run_service_scenario(*, seed: int = 7, jobs: int = DEFAULT_JOBS,
                                    queue_bound=queue_limit)
     pool = AcceleratorPool(machine=machine, chips=chips,
                           policy="round_robin", backend=backend,
-                          health=health, verify=True,
+                          health=_TIGHT_BREAKER, verify=True,
                           exec_workers=exec_workers)
     injectors = []
     if hasattr(pool.backend_for(0), "accelerator"):
@@ -372,25 +393,17 @@ def run_service_scenario(*, seed: int = 7, jobs: int = DEFAULT_JOBS,
                         else:
                             result.failed += 1
                     continue
-                try:
-                    restored = decode_payload(out.output, "gzip")
-                except ReproError:
-                    restored = None
+                intact = _round_trips(out.output, data)
                 with lock:
                     result.served += 1
-                    if restored != data:
+                    if not intact:
                         result.wrong_bytes += 1
                 snapshot = service.stats()
                 with lock:
                     result.max_queue_depth = max(result.max_queue_depth,
                                                  snapshot.queued)
 
-        threads = [threading.Thread(target=client, args=(w,))
-                   for w in range(clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        _run_clients(client, clients, "repro-chaos-client")
         stop_chaos.set()
         if killer is not None:
             killer.join(5.0)
@@ -402,10 +415,7 @@ def run_service_scenario(*, seed: int = 7, jobs: int = DEFAULT_JOBS,
         for transitions in pool.health.transition_log().values():
             result.breaker_closes += sum(
                 1 for state, _ in transitions if state == "CLOSED")
-        for injector in injectors:
-            for kind, count in injector.fired.items():
-                result.faults_injected[kind] = (
-                    result.faults_injected.get(kind, 0) + count)
+        _add_fired(result.faults_injected, injectors)
     return result
 
 
@@ -564,19 +574,13 @@ def run_network_scenario(name: str, *, seed: int = 7, jobs: int = 40,
     reconnect enabled, while seeded injectors mangle both ends of every
     connection.  See :class:`NetworkScenarioResult` for the invariants.
     """
-    import threading
-
     from ..service.client import RetryBudget, ServiceClient
     from ..service.core import CompressionService
     from ..service.idempotency import IdempotencyCache
     from ..service.server import serve
 
-    all_plans = default_network_plans()
     if plans is None:
-        if name not in all_plans:
-            raise ReproError(f"unknown network scenario {name!r}; "
-                             f"have {sorted(all_plans)}")
-        plans = all_plans[name]
+        plans = pick_scenario(default_network_plans(), name, "network")
     result = NetworkScenarioResult(name=name, jobs=jobs, clients=clients)
     dedup = IdempotencyCache()
     server_wrapper = fault_factory(plans.get("server", ()), seed=seed)
@@ -614,30 +618,20 @@ def run_network_scenario(name: str, *, seed: int = 7, jobs: int = 40,
                         with lock:
                             result.gave_up += 1
                         continue
-                    try:
-                        restored = decode_payload(out.output, "gzip")
-                    except ReproError:
-                        restored = None
+                    intact = _round_trips(out.output, data)
                     with lock:
                         result.served += 1
-                        if restored != data:
+                        if not intact:
                             result.wrong_bytes += 1
                         result.reconnects += out.reconnects
                         result.dedup_hits += int(out.deduped)
             finally:
                 with lock:
-                    for kind, count in _factory_fired(client_wrapper):
-                        result.client_faults[kind] = (
-                            result.client_faults.get(kind, 0) + count)
+                    _add_fired(result.client_faults,
+                               client_wrapper.injectors)
                 client.close()
 
-        threads = [threading.Thread(target=run_client, args=(w,),
-                                    name=f"repro-netchaos-client-{w}")
-                   for w in range(clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        _run_clients(run_client, clients, "repro-netchaos-client")
     finally:
         server.shutdown()
         service.close()
@@ -650,18 +644,8 @@ def run_network_scenario(name: str, *, seed: int = 7, jobs: int = 40,
     # Server-side dedup hits are authoritative (a replayed response can
     # be lost on the wire too — the client only sees the last one).
     result.dedup_hits = cache["hits"]
-    for kind, count in _factory_fired(server_wrapper):
-        result.server_faults[kind] = (
-            result.server_faults.get(kind, 0) + count)
+    _add_fired(result.server_faults, server_wrapper.injectors)
     return result
-
-
-def _factory_fired(factory) -> list[tuple[str, int]]:
-    fired: dict[str, int] = {}
-    for injector in getattr(factory, "injectors", ()):
-        for kind, count in injector.fired.items():
-            fired[kind] = fired.get(kind, 0) + count
-    return sorted(fired.items())
 
 
 def run_network_campaign(seed: int = 7, jobs: int = 40, clients: int = 4,
@@ -669,12 +653,9 @@ def run_network_campaign(seed: int = 7, jobs: int = 40, clients: int = 4,
                          scenario: str | None = None
                          ) -> NetworkCampaignReport:
     """Every wire fault scenario, one seeded deterministic campaign."""
-    names = sorted(default_network_plans())
-    if scenario is not None:
-        if scenario not in names:
-            raise ReproError(f"unknown network scenario {scenario!r}; "
-                             f"have {names}")
-        names = [scenario]
+    # An unknown name is refused by the scenario runner itself.
+    names = ([scenario] if scenario is not None
+             else sorted(default_network_plans()))
     report = NetworkCampaignReport(seed=seed, clients=clients)
     for name in names:
         report.scenarios.append(

@@ -11,20 +11,25 @@ This is the software half of the documented submission protocol:
    the same last-resort path the production library (libnxz) takes;
 5. read the output, then free the request's buffers — on every exit.
 
+The POWER9 interface is asynchronous, so the protocol exists once, as
+:meth:`NxDriver.submit` (stage, paste) and :meth:`NxDriver.poll` (drain,
+handle each completion); the synchronous :meth:`NxDriver.run` is
+submit-then-wait over the same lines.
+
 Every wait in the protocol is bounded by a
 :class:`~repro.resilience.policy.RetryPolicy`: the paste loop gives up
 on a wedged window (e.g. a leaked-credit storm) instead of spinning,
 resubmissions stop after ``max_attempts``, and an optional per-job
-deadline in modelled seconds raises
-:class:`~repro.errors.DeadlineExceeded` once a job spends its budget
+deadline in modelled seconds ends the job with
+:class:`~repro.errors.DeadlineExceeded` once it spends its budget
 waiting.  A submission that never completes at all (a hung engine) is
-detected by its missing completion, recovered via
+recovered on the next poll via
 :meth:`~repro.nx.accelerator.NxAccelerator.recover_hung`, and retried.
 
 Completion codes split into three classes (see ``docs/protocol.md``):
 *handled* (``TRANSLATION``, ``TARGET_SPACE`` — fix up and resubmit),
 *permanent* (``INVALID_CRB``, ``DATA_LENGTH`` — the request itself is
-wrong; raise immediately, no retry), and *spurious* (anything else — a
+wrong; fail immediately, no retry), and *spurious* (anything else — a
 misbehaving engine; retry, then fall back to software).  A *data error*
 (the engine decoded the stream and found it corrupt) is permanent too,
 and like a permanent CC it ends that one job, never the drain.
@@ -40,7 +45,7 @@ from typing import TYPE_CHECKING
 
 from ..deflate.containers import decompress_target_len
 from ..errors import DeadlineExceeded, JobError, ReproError
-from ..obs.trace import TRACE as _TRACE
+from ..obs.trace import NULL_SPAN, TRACE as _TRACE
 from ..resilience.policy import RetryPolicy, check_deadline
 from ..resilience.verify import run_in_software
 from ..sysstack.crb import (CRB_FLAG_CONTINUED, CSB_BYTES, CcCode, Crb,
@@ -49,16 +54,20 @@ from ..sysstack.dde import Dde
 from ..sysstack.mmu import AddressSpace
 
 if TYPE_CHECKING:  # avoid a cycle: nx.accelerator imports sysstack.crb
-    from ..nx.accelerator import NxAccelerator
+    from ..nx.accelerator import CompletedJob, NxAccelerator
 
 PAGE_TOUCH_SECONDS = 4e-6       # minor fault service in the OS
 CSB_POLL_SECONDS = 0.2e-6       # one poll iteration
-PASTE_RETRY_SECONDS = 0.5e-6    # back-off after a credit-rejected paste
 DEFAULT_MAX_RETRIES = 8
 COMPRESS_TARGET_FACTOR = 1.3    # worst-case expansion plus framing slack
 
 #: The request itself is malformed — retrying cannot help.
 PERMANENT_CCS = (CcCode.INVALID_CRB, CcCode.DATA_LENGTH)
+
+# ``RetryPolicy.backoff_s`` jitter tokens of the two engine-side waits
+# (a paste backoff is keyed by the attempt it belongs to).
+_HANG_TOKEN = 1
+_SPURIOUS_TOKEN = 2
 
 
 @dataclass
@@ -85,8 +94,30 @@ class DriverResult:
     engine_result: object | None = None
 
 
+@dataclass
+class PendingJob:
+    """One submitted request, in flight or resolved."""
+
+    sequence: int
+    op: Op
+    crb: Crb
+    stats: SubmissionStats
+    data_len: int
+    done: bool = False
+    result: DriverResult | None = None
+    #: Terminal failure (permanent CC, data error, deadline,
+    #: cancellation).  A job with ``error`` set is ``done`` but has no
+    #: ``result``.
+    error: Exception | None = None
+    deadline_s: float | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
+
+
 def first_target_len(op: Op, data: bytes, fmt: str) -> int:
-    """Size of a request's first target buffer, sync and async alike.
+    """Size of a request's first target buffer.
 
     Compression output is bounded by its input; decompression asks the
     payload (:func:`~repro.deflate.containers.decompress_target_len`).
@@ -99,7 +130,20 @@ def first_target_len(op: Op, data: bytes, fmt: str) -> int:
 
 @dataclass
 class NxDriver:
-    """Ties a process address space to one chip's accelerator."""
+    """Ties a process address space to one chip's accelerator.
+
+    A thread keeps several jobs in flight on one window (bounded by its
+    credits) and overlaps its own work with the engine: ``submit``
+    pastes one request; ``poll`` drains the accelerator, finishes
+    successful jobs, and transparently re-pastes jobs that faulted,
+    overflowed or were swallowed by a hung engine.
+
+    Failure containment: a job's own failure — a *permanent* CC, a data
+    error, a blown deadline — is recorded on its :attr:`PendingJob.error`
+    and draining continues, so one bad job never abandons the other
+    in-flight requests.  Retries are bounded per job by the
+    :class:`RetryPolicy`; exhaustion resolves the job in software.
+    """
 
     accelerator: "NxAccelerator"
     space: AddressSpace
@@ -108,6 +152,13 @@ class NxDriver:
     retry_policy: RetryPolicy | None = None
     deadline_s: float | None = None
     _window_id: int | None = field(default=None, init=False)
+    _pending: dict[int, PendingJob] = field(default_factory=dict,
+                                            init=False)
+    _next_sequence: int = field(default=0, init=False)
+    #: Jobs resolved since the last ``poll`` — wherever that happened
+    #: (a drain nested in a paste-retry loop, ``submit`` itself) — so
+    #: no completion is ever silently dropped.
+    _resolved: list[PendingJob] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.retry_policy is None:
@@ -133,6 +184,17 @@ class NxDriver:
             self.accelerator.vas.close_window(self._window_id)
             self._window_id = None
 
+    @property
+    def credits(self) -> int:
+        """The open send window's credit allocation (0 when closed)."""
+        if self._window_id is None:
+            return 0
+        return self.accelerator.vas.windows[self._window_id].credits
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._pending)
+
     # -- request construction ------------------------------------------------
 
     def prepare_buffers(self, data: bytes, target_len: int | None = None
@@ -151,8 +213,8 @@ class NxDriver:
                 Dde.direct(dst_va, target_len), csb_va)
 
     def _stage(self, op: Op, data: bytes, strategy: str, fmt: str,
-               history: bytes, final: bool, sequence: int = 0) -> Crb:
-        """Buffers and CRB of one request — sync and async alike."""
+               history: bytes, final: bool, sequence: int) -> Crb:
+        """Buffers and CRB of one request."""
         source, target, csb_va = self.prepare_buffers(
             data, first_target_len(op, data, fmt))
         history_dde = None
@@ -172,18 +234,24 @@ class NxDriver:
         self.space.free(crb.target.address, crb.target.length)
         crb.target = Dde.direct(self.space.alloc(new_len), new_len)
 
-    def _release(self, crb: Crb) -> None:
-        """Free a finished request's buffers (its output is read by now).
+    def _resolve(self, job: PendingJob, result: DriverResult | None = None,
+                 error: Exception | None = None) -> None:
+        """End a job, whichever way: free its buffers (its output is
+        read by now) and put how it ended on the handle.
 
         Addresses are never reused, so a CRB that outlived its request
         faults instead of scribbling on a later one.
         """
+        crb = job.crb
         for dde in (crb.source, crb.target, crb.history_dde):
             if dde is not None:
                 self.space.free(dde.address, dde.length)
         self.space.free(crb.csb_address, CSB_BYTES)
+        job.result, job.error, job.done = result, error, True
+        self._pending.pop(job.sequence, None)
+        self._resolved.append(job)
 
-    # -- the submit/retry loop -----------------------------------------------
+    # -- submit, poll, and the synchronous call over them --------------------
 
     def run(self, op: Op, data: bytes, strategy: str = "auto",
             fmt: str = "raw", history: bytes = b"",
@@ -196,224 +264,19 @@ class NxDriver:
         continuation request whose output concatenates with later ones.
         ``deadline_s`` bounds the job's *modelled* time spent waiting —
         past it, retries stop and :class:`DeadlineExceeded` is raised.
+        Refuses to interleave with jobs in flight: waiting for this one
+        would take their completions off the caller's next ``poll``.
         """
-        if self._window_id is None:
-            self.open()
-        if deadline_s is None:
-            deadline_s = self.deadline_s
-        stats = SubmissionStats()
-        crb = self._stage(op, data, strategy, fmt, history, final)
-        try:
-            return self._run_staged(crb, stats, deadline_s)
-        finally:
-            self._release(crb)
-
-    def _run_staged(self, crb: Crb, stats: SubmissionStats,
-                    deadline_s: float | None) -> DriverResult:
-        """The submit/poll/fix-up loop over one staged request."""
-        machine = self.accelerator.machine
-        policy = self.retry_policy
-        chaos = self.accelerator.chaos
-        attempt = 0
-        while policy.allows(attempt):
-            crb.sequence = stats.submissions
-            stats.submissions += 1
-            stats.elapsed_seconds += machine.submit_overhead_us * 1e-6
-
-            if not self._paste_sync(crb, stats, attempt, deadline_s):
-                break  # window wedged (credit leak): software fallback
-
-            stats.elapsed_seconds += machine.dispatch_overhead_us * 1e-6
-            done = _match_completion(
-                self.accelerator.drain(self.space), crb.sequence)
-            if done is None:
-                # The engine swallowed the job: reset it, reclaim the
-                # credit, and charge a backoff before resubmitting.
-                stats.engine_hangs += 1
-                self.accelerator.recover_hung()
-                _TRACE.event("fault.hang", attempt=attempt)
-                stats.elapsed_seconds += policy.backoff_s(attempt, token=1)
-                check_deadline(stats.elapsed_seconds, deadline_s,
-                               "engine hang recovery")
-                attempt += 1
-                continue
-            if done.error is not None:
-                raise done.error  # the engine refused the stream itself
-            outcome = done.outcome
-            stats.elapsed_seconds += outcome.busy_seconds
-            stats.elapsed_seconds += CSB_POLL_SECONDS
-            stats.elapsed_seconds += machine.completion_overhead_us * 1e-6
-
-            csb = outcome.csb
-            if chaos is not None:
-                chaos.on_csb(csb)
-            if _TRACE.enabled:
-                with _TRACE.span("csb.complete", attempt=attempt,
-                                 cc=csb.cc.name) as complete_span:
-                    if csb.cc is CcCode.TRANSLATION:
-                        complete_span.event(
-                            "fault.translation",
-                            address=csb.fault_address)
-                        complete_span.event("resubmit",
-                                            attempt=attempt + 1)
-                    elif csb.cc is CcCode.TARGET_SPACE:
-                        complete_span.event("overflow.target",
-                                            length=crb.target.length)
-                        complete_span.event("resubmit",
-                                            attempt=attempt + 1)
-            if csb.cc is CcCode.SUCCESS:
-                output = self.space.read(crb.target.address,
-                                         csb.target_written)
-                return DriverResult(output=output, csb=csb, stats=stats,
-                                    engine_result=outcome.result)
-            if csb.cc is CcCode.TRANSLATION:
-                stats.translation_faults += 1
-                self.space.touch(csb.fault_address)
-                stats.elapsed_seconds += PAGE_TOUCH_SECONDS
-                check_deadline(stats.elapsed_seconds, deadline_s,
-                               "translation fixup")
-                attempt += 1
-                continue
-            if csb.cc is CcCode.TARGET_SPACE:
-                stats.target_overflows += 1
-                self._grow_target(crb)
-                check_deadline(stats.elapsed_seconds, deadline_s,
-                               "target growth")
-                attempt += 1
-                continue
-            if csb.cc in PERMANENT_CCS:
-                raise JobError(f"unexpected CC {csb.cc!r}", cc=int(csb.cc))
-            # A spurious non-success CC: the engine is misbehaving, not
-            # the request.  Back off, retry, and let the budget decide.
-            stats.spurious_ccs += 1
-            _TRACE.event("fault.spurious_cc", cc=csb.cc.name,
-                         attempt=attempt)
-            stats.elapsed_seconds += policy.backoff_s(attempt, token=2)
-            check_deadline(stats.elapsed_seconds, deadline_s,
-                           "spurious CC retry")
-            attempt += 1
-
-        # Retry budget exhausted: the production library falls back to
-        # running zlib on the calling core.
-        stats.fallback_to_software = True
-        _TRACE.event("fallback.software", retries=stats.submissions)
-        output, sw_seconds = self._fallback(crb)
-        stats.elapsed_seconds += sw_seconds
-        return DriverResult(output=output, csb=None, stats=stats)
-
-    def _fallback(self, crb: Crb) -> tuple[bytes, float]:
-        """Run a staged request in software, from its own buffers.
-
-        The output is wire-compatible with what the engine would have
-        produced — same ``fmt`` framing, same window, same final bit —
-        so callers (and verify-after-compress) cannot tell a fallback
-        from a hardware completion by its bytes.
-        """
-        data = self.space.read(crb.source.address, crb.source.length)
-        history = (self.space.read(crb.history_dde.address,
-                                   crb.history_dde.length)
-                   if crb.history_dde is not None else b"")
-        op = crb.function.op
-        kind = ("compress" if op in (Op.COMPRESS, Op.COMPRESS_842)
-                else "decompress")
-        fmt = ("842" if op in (Op.COMPRESS_842, Op.DECOMPRESS_842)
-               else crb.function.fmt)
-        return run_in_software(kind, data, fmt, history=history,
-                               final=crb.is_final,
-                               machine=self.accelerator.machine)
-
-    # -- paste with bounded backoff ------------------------------------------
-
-    def _paste_sync(self, crb: Crb, stats: SubmissionStats, attempt: int,
-                    deadline_s: float | None) -> bool:
-        """Paste one CRB, draining the engine between rejected tries.
-
-        Returns False when :attr:`retry_policy` declares the window
-        wedged (credits never free) — the caller falls back to software
-        instead of spinning forever.
-        """
-        if _TRACE.enabled:
-            rejected_before = stats.paste_rejections
-            with _TRACE.span("vas.paste", attempt=attempt,
-                             window=self._window_id) as paste_span:
-                accepted = self._paste_loop(crb, stats, deadline_s)
-                paste_span.set(rejections=stats.paste_rejections
-                               - rejected_before, accepted=accepted)
-            return accepted
-        return self._paste_loop(crb, stats, deadline_s)
-
-    def _paste_loop(self, crb: Crb, stats: SubmissionStats,
-                    deadline_s: float | None) -> bool:
-        policy = self.retry_policy
-        retries = 0
-        while not self.accelerator.vas.paste(self._window_id, crb):
-            stats.paste_rejections += 1
-            retries += 1
-            if retries > policy.max_paste_retries:
-                return False
-            stats.elapsed_seconds += policy.backoff_s(retries,
-                                                      token=crb.sequence)
-            check_deadline(stats.elapsed_seconds, deadline_s, "vas.paste")
-            self.accelerator.drain(self.space)  # engine catch-up
-        return True
-
-
-def _match_completion(completed, sequence: int):
-    """Our submission's completion, or None if it never completed."""
-    for job in completed:
-        if job.crb is not None and job.crb.sequence == sequence:
-            return job
-    return None
-
-
-@dataclass
-class PendingJob:
-    """One submitted-but-not-completed asynchronous request."""
-
-    sequence: int
-    op: Op
-    crb: Crb
-    stats: SubmissionStats
-    data_len: int
-    done: bool = False
-    result: DriverResult | None = None
-    #: Terminal failure (permanent CC, data error, deadline,
-    #: cancellation).  A job with ``error`` set is ``done`` but has no
-    #: ``result``.
-    error: Exception | None = None
-    deadline_s: float | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
-class AsyncNxDriver(NxDriver):
-    """Batch submission: paste many CRBs, then poll for completions.
-
-    This is what the asynchronous POWER9 interface is *for*: a thread
-    keeps several jobs in flight on one window (bounded by its credits)
-    and overlaps its own work with the engine.  ``submit`` pastes one
-    request; ``poll`` drains the accelerator, finishes successful jobs,
-    and transparently re-pastes jobs that faulted or overflowed.
-
-    Failure containment: a job that completes with a *permanent* CC
-    (malformed request) is marked failed via :attr:`PendingJob.error`
-    and draining continues — one bad job can no longer abandon every
-    other in-flight request.  Retries are bounded per job by the
-    driver's :class:`RetryPolicy`; exhaustion resolves the job in
-    software, and a per-job deadline resolves it with
-    :class:`DeadlineExceeded`.
-    """
-
-    def _init_async(self) -> None:
-        if not hasattr(self, "_pending"):
-            self._pending: dict[int, PendingJob] = {}
-            self._next_sequence = 0
-            #: Jobs completed by a drain nested inside a paste-retry
-            #: loop; handed back on the next ``poll`` so no completion
-            #: is ever silently dropped.
-            self._unclaimed: list[PendingJob] = []
+        if self._pending:
+            raise JobError("synchronous run with async jobs in flight; "
+                           "wait_all() first")
+        job = self.submit(op, data, strategy=strategy, fmt=fmt,
+                          history=history, final=final,
+                          deadline_s=deadline_s)
+        self.wait_all()
+        if job.error is not None:
+            raise job.error
+        return job.result
 
     def submit(self, op: Op, data: bytes, strategy: str = "auto",
                fmt: str = "raw", history: bytes = b"",
@@ -421,179 +284,33 @@ class AsyncNxDriver(NxDriver):
                deadline_s: float | None = None) -> PendingJob:
         """Paste one request; returns a handle to poll on.
 
-        ``history`` and ``final`` mean what they do for :meth:`run`.
+        ``history``, ``final`` and ``deadline_s`` mean what they do for
+        :meth:`run`.  The paste itself may resolve the job (software on
+        a wedged window, a deadline spent backing off): check
+        :attr:`PendingJob.done`.
         """
-        self._init_async()
         if self._window_id is None:
             self.open()
-        machine = self.accelerator.machine
-        stats = SubmissionStats()
         crb = self._stage(op, data, strategy, fmt, history, final,
                           sequence=self._next_sequence)
         job = PendingJob(sequence=self._next_sequence, op=op, crb=crb,
-                         stats=stats, data_len=len(data),
+                         stats=SubmissionStats(), data_len=len(data),
                          deadline_s=(deadline_s if deadline_s is not None
                                      else self.deadline_s))
         self._next_sequence += 1
         self._pending[job.sequence] = job
-        try:
-            accepted = self._paste_with_backoff(job)
-        except DeadlineExceeded as exc:
-            self._fail_job(job, exc)
-            return job
-        if not accepted:
-            self._resolve_software(job)
-        stats.elapsed_seconds += machine.submit_overhead_us * 1e-6
+        self._attempt(job)
         return job
 
-    def _paste_with_backoff(self, job: PendingJob) -> bool:
-        """Bounded paste; drains completions (kept for later polls)
-        while waiting for a credit.  False when the window is wedged."""
-        job.stats.submissions += 1
-        if _TRACE.enabled:
-            rejected_before = job.stats.paste_rejections
-            with _TRACE.span("vas.paste", sequence=job.sequence,
-                             window=self._window_id) as span:
-                accepted = self._async_paste_loop(job)
-                span.set(rejections=job.stats.paste_rejections
-                         - rejected_before, accepted=accepted)
-            return accepted
-        return self._async_paste_loop(job)
-
-    def _async_paste_loop(self, job: PendingJob) -> bool:
-        policy = self.retry_policy
-        retries = 0
-        while not self.accelerator.vas.paste(self._window_id, job.crb):
-            job.stats.paste_rejections += 1
-            retries += 1
-            if retries > policy.max_paste_retries:
-                return False
-            job.stats.elapsed_seconds += policy.backoff_s(
-                retries, token=job.sequence)
-            check_deadline(job.stats.elapsed_seconds, job.deadline_s,
-                           "vas.paste")
-            # Free credits by draining completions; anything finished
-            # here is stashed for the next poll(), not dropped.
-            # (poll() rebinds self._unclaimed, so it must run before
-            # the attribute is read for the extend.)
-            drained = self.poll()
-            self._unclaimed.extend(drained)
-        return True
-
     def poll(self) -> list[PendingJob]:
-        """Drain the engine; returns jobs that resolved on this poll.
+        """Drain the engine; returns jobs that resolved since last poll.
 
         Resolved means completed, failed (:attr:`PendingJob.error`),
         or fallen back to software — every returned job is ``done``.
         """
-        self._init_async()
-        machine = self.accelerator.machine
-        chaos = self.accelerator.chaos
-        finished: list[PendingJob] = self._unclaimed
-        self._unclaimed = []
-        for completed in self.accelerator.drain(self.space):
-            job = self._pending.get(
-                completed.crb.sequence if completed.crb else -1)
-            if job is None or job.done:
-                continue
-            if completed.error is not None:
-                # A data error in this job's stream fails this job only;
-                # the rest of the drain belongs to its neighbours.
-                self._fail_job(job, completed.error)
-                finished.append(job)
-                continue
-            outcome = completed.outcome
-            job.stats.elapsed_seconds += outcome.busy_seconds
-            job.stats.elapsed_seconds += CSB_POLL_SECONDS
-            csb = outcome.csb
-            if chaos is not None:
-                chaos.on_csb(csb)
-            if csb.cc is CcCode.SUCCESS:
-                output = self.space.read(job.crb.target.address,
-                                         csb.target_written)
-                self._release(job.crb)
-                job.stats.elapsed_seconds += (
-                    machine.completion_overhead_us * 1e-6)
-                job.done = True
-                job.result = DriverResult(output=output, csb=csb,
-                                          stats=job.stats,
-                                          engine_result=outcome.result)
-                del self._pending[job.sequence]
-                finished.append(job)
-            elif csb.cc is CcCode.TRANSLATION:
-                job.stats.translation_faults += 1
-                _TRACE.event("fault.translation", sequence=job.sequence,
-                             address=csb.fault_address)
-                self.space.touch(csb.fault_address)
-                job.stats.elapsed_seconds += PAGE_TOUCH_SECONDS
-                self._retry(job, finished)
-            elif csb.cc is CcCode.TARGET_SPACE:
-                job.stats.target_overflows += 1
-                self._grow_target(job.crb)
-                self._retry(job, finished)
-            elif csb.cc in PERMANENT_CCS:
-                # Contain the failure to this job: mark it failed and
-                # keep draining — the other in-flight jobs (and their
-                # window credits, already returned by the drain) are
-                # unaffected.
-                self._fail_job(job, JobError(
-                    f"unexpected CC {csb.cc!r}", cc=int(csb.cc)))
-                finished.append(job)
-            else:
-                job.stats.spurious_ccs += 1
-                _TRACE.event("fault.spurious_cc", sequence=job.sequence,
-                             cc=csb.cc.name)
-                self._retry(job, finished)
-        return finished
-
-    def _retry(self, job: PendingJob, finished: list[PendingJob]) -> None:
-        """Resubmit within budget, else resolve the job terminally."""
-        policy = self.retry_policy
-        if (job.deadline_s is not None
-                and job.stats.elapsed_seconds > job.deadline_s):
-            self._fail_job(job, DeadlineExceeded(
-                f"job {job.sequence}: modelled "
-                f"{job.stats.elapsed_seconds * 1e6:.1f} us exceeds "
-                f"deadline {job.deadline_s * 1e6:.1f} us",
-                elapsed_s=job.stats.elapsed_seconds,
-                deadline_s=job.deadline_s))
-            finished.append(job)
-            return
-        if job.stats.submissions >= policy.max_attempts:
-            self._resolve_software(job)
-            finished.append(job)
-            return
-        try:
-            accepted = self._paste_with_backoff(job)
-        except DeadlineExceeded as exc:
-            self._fail_job(job, exc)
-            finished.append(job)
-            return
-        if not accepted:
-            self._resolve_software(job)
-            finished.append(job)
-
-    def _fail_job(self, job: PendingJob, error: Exception) -> None:
-        self._release(job.crb)
-        job.error = error
-        job.done = True
-        self._pending.pop(job.sequence, None)
-
-    def _resolve_software(self, job: PendingJob) -> None:
-        """Retry budget spent: finish the job on the calling core."""
-        try:
-            output, sw_seconds = self._fallback(job.crb)
-        except ReproError as exc:
-            # The input is bad enough that software can't finish either.
-            self._fail_job(job, exc)
-            return
-        self._release(job.crb)
-        job.stats.fallback_to_software = True
-        job.stats.elapsed_seconds += sw_seconds
-        job.result = DriverResult(output=output, csb=None, stats=job.stats)
-        job.done = True
-        self._pending.pop(job.sequence, None)
-        _TRACE.event("fallback.software", sequence=job.sequence)
+        self._drain()
+        resolved, self._resolved = self._resolved, []
+        return resolved
 
     def wait_all(self, max_polls: int = 1000) -> list[PendingJob]:
         """Poll until every submitted job has resolved.
@@ -603,7 +320,6 @@ class AsyncNxDriver(NxDriver):
         so far) and ``stuck`` (sequences still pending) so the caller
         can salvage completed work and :meth:`cancel_pending` the rest.
         """
-        self._init_async()
         done: list[PendingJob] = []
         for _ in range(max_polls):
             done.extend(self.poll())
@@ -625,33 +341,180 @@ class AsyncNxDriver(NxDriver):
         leaked ones, which only ``close`` reclaims) and the driver can
         submit fresh work.
         """
-        self._init_async()
         if self._window_id is not None:
             self.accelerator.vas.flush_window(self._window_id)
             self.accelerator.recover_hung()
-        cancelled: list[PendingJob] = []
-        for sequence in sorted(self._pending):
-            job = self._pending[sequence]
-            self._fail_job(job, JobError(f"job {sequence} cancelled"))
-            cancelled.append(job)
+        cancelled = [self._pending[sequence]
+                     for sequence in sorted(self._pending)]
+        for job in cancelled:
+            self._resolve(job, error=JobError(
+                f"job {job.sequence} cancelled"))
         return cancelled
 
-    @property
-    def in_flight(self) -> int:
-        self._init_async()
-        return len(self._pending)
+    # -- the state machine behind them ---------------------------------------
 
-    def run(self, op: Op, data: bytes, strategy: str = "auto",
-            fmt: str = "raw", history: bytes = b"",
-            final: bool = True,
-            deadline_s: float | None = None) -> DriverResult:
-        """Synchronous run; refuses to interleave with pending async jobs
-        (its drain would swallow their completions)."""
-        self._init_async()
-        if self._pending:
-            raise JobError("synchronous run with async jobs in flight; "
-                           "wait_all() first")
-        return super().run(op, data, strategy=strategy, fmt=fmt,
-                           history=history, final=final,
-                           deadline_s=deadline_s)
+    def _drain(self) -> None:
+        """Hand every completion the engine has to :meth:`_complete`,
+        then reset the engine if it swallowed any job.
 
+        The recovery is exact in the model: each swallowed paste's CRB
+        sequence names its job, which is charged a backoff and retried.
+        """
+        for completed in self.accelerator.drain(self.space):
+            job = self._pending.get(
+                completed.crb.sequence if completed.crb else -1)
+            if job is not None:
+                self._complete(job, completed)
+        for record in self.accelerator.recover_hung():
+            job = self._pending.get(record.crb().sequence)
+            if job is None:
+                continue
+            attempt = job.stats.submissions - 1
+            job.stats.engine_hangs += 1
+            _TRACE.event("fault.hang", sequence=job.sequence,
+                         attempt=attempt)
+            job.stats.elapsed_seconds += self.retry_policy.backoff_s(
+                attempt, token=_HANG_TOKEN)
+            self._attempt(job)
+
+    def _complete(self, job: PendingJob, completed: "CompletedJob") -> None:
+        """One completion through the table of ``docs/protocol.md``."""
+        if completed.error is not None:
+            # A data error in this job's stream fails this job only;
+            # the rest of the drain belongs to its neighbours.
+            self._resolve(job, error=completed.error)
+            return
+        outcome, stats, crb = completed.outcome, job.stats, job.crb
+        # Three additions, in this order: the goldens pin the sum to
+        # the last float bit, and folding them rounds differently.
+        stats.elapsed_seconds += outcome.busy_seconds
+        stats.elapsed_seconds += CSB_POLL_SECONDS
+        stats.elapsed_seconds += (
+            self.accelerator.machine.completion_overhead_us * 1e-6)
+        csb = outcome.csb
+        if self.accelerator.chaos is not None:
+            self.accelerator.chaos.on_csb(csb)
+        attempt = stats.submissions - 1
+        span = (_TRACE.span("csb.complete", sequence=job.sequence,
+                            attempt=attempt, cc=csb.cc.name)
+                if _TRACE.enabled else NULL_SPAN)
+        with span:
+            if csb.cc is CcCode.SUCCESS:
+                output = self.space.read(crb.target.address,
+                                         csb.target_written)
+                self._resolve(job, DriverResult(
+                    output=output, csb=csb, stats=stats,
+                    engine_result=outcome.result))
+                return
+            if csb.cc in PERMANENT_CCS:
+                # Contain the failure to this job: the other in-flight
+                # jobs (and their window credits, already returned by
+                # the drain) are unaffected.
+                self._resolve(job, error=JobError(
+                    f"unexpected CC {csb.cc!r}", cc=int(csb.cc)))
+                return
+            if csb.cc is CcCode.TRANSLATION:
+                stats.translation_faults += 1
+                span.event("fault.translation", address=csb.fault_address)
+                self.space.touch(csb.fault_address)
+                stats.elapsed_seconds += PAGE_TOUCH_SECONDS
+            elif csb.cc is CcCode.TARGET_SPACE:
+                stats.target_overflows += 1
+                span.event("overflow.target", length=crb.target.length)
+                self._grow_target(crb)
+            else:
+                # A spurious non-success CC: the engine is misbehaving,
+                # not the request.  Back off, retry, and let the budget
+                # decide.
+                stats.spurious_ccs += 1
+                span.event("fault.spurious_cc", cc=csb.cc.name)
+                stats.elapsed_seconds += self.retry_policy.backoff_s(
+                    attempt, token=_SPURIOUS_TOKEN)
+            span.event("resubmit", attempt=attempt + 1)
+        self._attempt(job)
+
+    def _attempt(self, job: PendingJob) -> None:
+        """Paste a job's next attempt — its first included — if deadline
+        and attempt budget allow; else resolve it terminally."""
+        try:
+            check_deadline(job.stats.elapsed_seconds, job.deadline_s,
+                           f"job {job.sequence}")
+            if not (self.retry_policy.allows(job.stats.submissions)
+                    and self._paste(job)):
+                # Budget spent or window wedged (credit leak): the
+                # production library runs zlib on the calling core.
+                self._resolve_software(job)
+        except DeadlineExceeded as exc:
+            self._resolve(job, error=exc)
+
+    def _paste(self, job: PendingJob) -> bool:
+        """Paste one CRB, draining the engine between rejected tries.
+
+        Returns False when :attr:`retry_policy` declares the window
+        wedged (credits never free) — the caller falls back to software
+        instead of spinning forever.
+        """
+        machine, policy, stats = (self.accelerator.machine,
+                                  self.retry_policy, job.stats)
+        attempt = stats.submissions
+        stats.submissions += 1
+        stats.elapsed_seconds += machine.submit_overhead_us * 1e-6
+        span = (_TRACE.span("vas.paste", sequence=job.sequence,
+                            attempt=attempt, window=self._window_id)
+                if _TRACE.enabled else NULL_SPAN)
+        with span:
+            retries = 0
+            while not self.accelerator.vas.paste(self._window_id, job.crb):
+                stats.paste_rejections += 1
+                retries += 1
+                if retries > policy.max_paste_retries:
+                    break
+                stats.elapsed_seconds += policy.backoff_s(retries,
+                                                          token=attempt)
+                check_deadline(stats.elapsed_seconds, job.deadline_s,
+                               "vas.paste")
+                # Free credits by letting the engine catch up; anything
+                # that resolves here is handed back by the next poll().
+                self._drain()
+            accepted = retries <= policy.max_paste_retries
+            span.set(rejections=retries, accepted=accepted)
+        if accepted:
+            stats.elapsed_seconds += machine.dispatch_overhead_us * 1e-6
+        return accepted
+
+    def _resolve_software(self, job: PendingJob) -> None:
+        """Finish a job on the calling core, from its own buffers.
+
+        The output is wire-compatible with what the engine would have
+        produced — same ``fmt`` framing, same window, same final bit —
+        so callers (and verify-after-compress) cannot tell a fallback
+        from a hardware completion by its bytes.
+        """
+        crb = job.crb
+        data = self.space.read(crb.source.address, crb.source.length)
+        history = (self.space.read(crb.history_dde.address,
+                                   crb.history_dde.length)
+                   if crb.history_dde is not None else b"")
+        op = crb.function.op
+        kind = ("compress" if op in (Op.COMPRESS, Op.COMPRESS_842)
+                else "decompress")
+        fmt = ("842" if op in (Op.COMPRESS_842, Op.DECOMPRESS_842)
+               else crb.function.fmt)
+        _TRACE.event("fallback.software", sequence=job.sequence,
+                     retries=job.stats.submissions)
+        try:
+            output, sw_seconds = run_in_software(
+                kind, data, fmt, history=history, final=crb.is_final,
+                machine=self.accelerator.machine)
+        except ReproError as exc:
+            # The input is bad enough that software can't finish either.
+            self._resolve(job, error=exc)
+            return
+        job.stats.fallback_to_software = True
+        job.stats.elapsed_seconds += sw_seconds
+        self._resolve(job, DriverResult(output=output, csb=None,
+                                        stats=job.stats))
+
+
+#: ``benchmarks/stack/ladder.py`` imports the driver under this name.
+AsyncNxDriver = NxDriver

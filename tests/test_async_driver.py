@@ -8,7 +8,7 @@ from repro.errors import JobError
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9
 from repro.sysstack.crb import Op
-from repro.sysstack.driver import AsyncNxDriver
+from repro.sysstack.driver import NxDriver
 from repro.sysstack.mmu import AddressSpace, FaultInjector
 from repro.workloads.generators import generate
 
@@ -16,7 +16,7 @@ from repro.workloads.generators import generate
 def make_async(fault_probability=0.0, seed=0, credits=None):
     space = AddressSpace(
         fault_injector=FaultInjector(fault_probability, seed=seed))
-    driver = AsyncNxDriver(NxAccelerator(POWER9), space)
+    driver = NxDriver(NxAccelerator(POWER9), space)
     driver.open(credits=credits)
     return driver
 

@@ -115,25 +115,26 @@ def test_backend_stats_accumulate(json_20k):
     assert stats.modelled_seconds > 0.0
 
 
-# -- NxGzip parity with the pre-refactor driver path -------------------------
+# -- NxGzip parity with a hand-built driver stack -----------------------------
 
 @pytest.mark.parametrize("machine", [POWER9, Z15], ids=["POWER9", "z15"])
 def test_session_byte_identical_to_direct_driver(machine, payload_suite):
-    """The refactored session must reproduce the old hand-built stack
-    exactly: same bytes out, same modelled seconds."""
+    """A session adds nothing to the modelled job: through API, pool and
+    backend it gives the bytes and modelled seconds of ``NxDriver.run``
+    on an accelerator and address space put together by hand."""
     space = AddressSpace(fault_injector=FaultInjector(0.0, seed=0))
-    legacy = NxDriver(NxAccelerator(machine), space)
-    legacy.open()
+    direct = NxDriver(NxAccelerator(machine), space)
+    direct.open()
     session = NxGzip(machine)
     try:
         for label, data in payload_suite.items():
-            want = legacy.run(Op.COMPRESS, data, strategy="auto",
+            want = direct.run(Op.COMPRESS, data, strategy="auto",
                               fmt="gzip")
             got = session.compress(data)
             assert got.data == want.output, label
             assert got.modelled_seconds == want.stats.elapsed_seconds, label
     finally:
-        legacy.close()
+        direct.close()
         session.close()
 
 

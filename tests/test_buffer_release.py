@@ -19,7 +19,7 @@ from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9
 from repro.resilience import faults
 from repro.sysstack.crb import Op
-from repro.sysstack.driver import AsyncNxDriver, first_target_len
+from repro.sysstack.driver import NxDriver, first_target_len
 from repro.sysstack.mmu import PAGE_SIZE, AddressSpace, FaultInjector
 from repro.workloads.generators import generate
 
@@ -27,8 +27,8 @@ from repro.workloads.generators import generate
 def make_driver(fault_probability=0.0, seed=0, max_retries=8, credits=None):
     space = AddressSpace(
         fault_injector=FaultInjector(fault_probability, seed=seed))
-    driver = AsyncNxDriver(NxAccelerator(POWER9), space,
-                           max_retries=max_retries)
+    driver = NxDriver(NxAccelerator(POWER9), space,
+                      max_retries=max_retries)
     driver.open(credits=credits)
     return driver
 

@@ -5,6 +5,7 @@ byte-exact results (or a clean, typed failure) — never a hang, never
 silent corruption.
 """
 
+import contextlib
 import zlib as stdzlib
 
 import pytest
@@ -23,20 +24,32 @@ from repro.resilience.health import (BreakerState, CircuitBreaker,
 from repro.resilience.policy import RetryPolicy, check_deadline
 from repro.resilience.verify import (software_compress, verify_payload)
 from repro.sysstack.crb import Op
-from repro.sysstack.driver import AsyncNxDriver, NxDriver
+from repro.sysstack.driver import NxDriver
 from repro.sysstack.mmu import AddressSpace
 from repro.workloads.generators import generate
 
 
 def make_driver(plans=(), seed=0, max_retries=8, deadline_s=None,
-                credits=None, cls=NxDriver):
+                credits=None):
     space = AddressSpace()
     accel = NxAccelerator(POWER9)
     injector = FaultInjector(list(plans), seed=seed).install(accel)
-    driver = cls(accel, space, max_retries=max_retries,
-                 deadline_s=deadline_s)
+    driver = NxDriver(accel, space, max_retries=max_retries,
+                      deadline_s=deadline_s)
     driver.open(credits=credits)
     return driver, injector
+
+
+@contextlib.contextmanager
+def reset_finds_nothing(driver):
+    """An engine whose reset recovers no job: ``poll`` retries a hung
+    job by itself, so a *stuck* one needs a hang no reset finds."""
+    accel = driver.accelerator
+    accel.recover_hung = lambda: []
+    try:
+        yield
+    finally:
+        del accel.recover_hung
 
 
 @pytest.fixture()
@@ -213,7 +226,7 @@ class TestDriverResilience:
 
 class TestAsyncResilience:
     def test_bad_job_does_not_abandon_batch(self, text_20k):
-        driver, _ = make_driver(cls=AsyncNxDriver)
+        driver, _ = make_driver()
         good = [driver.submit(Op.COMPRESS, text_20k) for _ in range(3)]
         bad = driver.submit(Op.DECOMPRESS_842, b"\xff" * 64)
         done = driver.wait_all()
@@ -227,8 +240,7 @@ class TestAsyncResilience:
     def test_retry_exhaustion_resolves_in_software(self, text_20k):
         driver, _ = make_driver(
             [FaultPlan("spurious_cc", probability=1.0,
-                       max_fires=10_000)], max_retries=2,
-            cls=AsyncNxDriver)
+                       max_fires=10_000)], max_retries=2)
         job = driver.submit(Op.COMPRESS, text_20k)
         driver.wait_all()
         assert job.done and not job.failed
@@ -238,7 +250,7 @@ class TestAsyncResilience:
     def test_async_deadline_fails_only_that_job(self, text_20k):
         driver, _ = make_driver(
             [FaultPlan("spurious_cc", probability=1.0,
-                       max_fires=10_000)], cls=AsyncNxDriver)
+                       max_fires=10_000)])
         doomed = driver.submit(Op.COMPRESS, text_20k, deadline_s=1e-12)
         driver.wait_all()
         assert doomed.failed
@@ -246,20 +258,20 @@ class TestAsyncResilience:
 
     def test_wait_all_reports_partial_and_stuck(self, text_20k):
         driver, _ = make_driver(
-            [FaultPlan("engine_hang", at_job=2)], cls=AsyncNxDriver)
+            [FaultPlan("engine_hang", at_job=2)])
         ok = driver.submit(Op.COMPRESS, text_20k)
         hung = driver.submit(Op.COMPRESS, text_20k)
-        with pytest.raises(JobError) as info:
+        with reset_finds_nothing(driver), \
+                pytest.raises(JobError) as info:
             driver.wait_all(max_polls=5)
         assert [j.sequence for j in info.value.partial] == [ok.sequence]
         assert info.value.stuck == [hung.sequence]
 
     def test_cancel_pending_reclaims_credits(self, text_20k):
         driver, _ = make_driver(
-            [FaultPlan("engine_hang", at_job=1)], credits=2,
-            cls=AsyncNxDriver)
+            [FaultPlan("engine_hang", at_job=1)], credits=2)
         hung = driver.submit(Op.COMPRESS, text_20k)
-        with pytest.raises(JobError):
+        with reset_finds_nothing(driver), pytest.raises(JobError):
             driver.wait_all(max_polls=3)
         cancelled = driver.cancel_pending()
         assert [j.sequence for j in cancelled] == [hung.sequence]
@@ -274,7 +286,7 @@ class TestAsyncResilience:
     def test_submit_time_completions_not_dropped(self):
         # Credit backpressure makes submit poll internally; completions
         # drained there must still be handed back to the caller.
-        driver, _ = make_driver(cls=AsyncNxDriver, credits=2)
+        driver, _ = make_driver(credits=2)
         payloads = [generate("json_records", 6000, seed=i)
                     for i in range(8)]
         jobs = [driver.submit(Op.COMPRESS, p) for p in payloads]
