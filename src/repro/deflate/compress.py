@@ -9,7 +9,7 @@ way zlib does, by comparing the computed bit costs.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DeflateError, HuffmanError
 from ..obs.trace import TRACE as _TRACE
@@ -41,16 +41,19 @@ from .matcher import (MatchStats, Token, tokenize,
 DEFAULT_BLOCK_TOKENS = 16384
 _MAX_STORED_BLOCK = 65535
 
+#: Extra bits after each repeat symbol of a code-length header.
+_REPEAT_EXTRA_BITS = {16: 2, 17: 3, 18: 7}
+
 
 @dataclass
 class BlockPlan:
-    """One DEFLATE block before emission."""
+    """One DEFLATE block before emission, with its costed header."""
 
     tokens: list[Token]
     raw: bytes  # the original input bytes this block covers
     btype: int = BTYPE_DYNAMIC
-    litlen_lengths: list[int] = field(default_factory=list)
-    dist_lengths: list[int] = field(default_factory=list)
+    header: tuple[list, int, int, list[int]] | None = None
+    encoders: tuple[HuffmanEncoder, HuffmanEncoder] | None = None
     cost_bits: int = 0
 
 
@@ -202,7 +205,7 @@ def dynamic_header_cost_bits(ops: list, cl_lengths: list[int]) -> int:
     for op in ops:
         if isinstance(op, tuple):
             sym = op[0]
-            bits += cl_lengths[sym] + {16: 2, 17: 3, 18: 7}[sym]
+            bits += cl_lengths[sym] + _REPEAT_EXTRA_BITS[sym]
         else:
             bits += cl_lengths[op]
     return bits
@@ -223,7 +226,7 @@ def _emit_dynamic_header(writer: BitWriter, ops: list, hlit: int, hdist: int,
         if isinstance(op, tuple):
             sym, extra = op
             encoder.encode(writer, sym)
-            writer.write_bits(extra, {16: 2, 17: 3, 18: 7}[sym])
+            writer.write_bits(extra, _REPEAT_EXTRA_BITS[sym])
         else:
             encoder.encode(writer, op)
 
@@ -319,10 +322,9 @@ def plan_block(tokens: list[Token], raw: bytes) -> BlockPlan:
     """Choose the cheapest encoding for one block of tokens."""
     lit_freq, dist_freq = token_frequencies(tokens)
     lit_lengths, dist_lengths = build_dynamic_code(lit_freq, dist_freq)
-    ops, _hlit, _hdist, cl_lengths = code_length_header(lit_lengths,
-                                                        dist_lengths)
+    header = code_length_header(lit_lengths, dist_lengths)
 
-    dyn_bits = (dynamic_header_cost_bits(ops, cl_lengths)
+    dyn_bits = (dynamic_header_cost_bits(header[0], header[3])
                 + payload_cost_bits(lit_freq, dist_freq,
                                     lit_lengths, dist_lengths))
     fixed_bits = payload_cost_bits(lit_freq, dist_freq,
@@ -341,8 +343,9 @@ def plan_block(tokens: list[Token], raw: bytes) -> BlockPlan:
     else:
         plan.btype = BTYPE_DYNAMIC
         plan.cost_bits = dyn_bits + 3
-        plan.litlen_lengths = lit_lengths
-        plan.dist_lengths = dist_lengths
+        plan.header = header
+        plan.encoders = (HuffmanEncoder(lit_lengths),
+                         HuffmanEncoder(dist_lengths))
     return plan
 
 
@@ -356,11 +359,8 @@ def emit_block(writer: BitWriter, plan: BlockPlan, final: bool) -> None:
     if plan.btype == BTYPE_FIXED:
         lit_enc, dist_enc = fixed_encoders()
     else:
-        ops, hlit, hdist, cl_lengths = code_length_header(
-            plan.litlen_lengths, plan.dist_lengths)
-        _emit_dynamic_header(writer, ops, hlit, hdist, cl_lengths)
-        lit_enc = HuffmanEncoder(plan.litlen_lengths)
-        dist_enc = HuffmanEncoder(plan.dist_lengths)
+        _emit_dynamic_header(writer, *plan.header)
+        lit_enc, dist_enc = plan.encoders
     _emit_tokens(writer, plan.tokens, lit_enc, dist_enc)
 
 

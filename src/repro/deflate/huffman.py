@@ -31,7 +31,9 @@ Adler's *puff*, where a row is ``None``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from operator import add
 
 from ..errors import DeflateError, HuffmanError
 from .bitio import BitReader, BitWriter
@@ -76,8 +78,12 @@ def _reverse_bits(value: int, nbits: int) -> int:
 def limited_code_lengths(freqs: Sequence[int], max_length: int) -> list[int]:
     """Return optimal code lengths bounded by ``max_length``.
 
-    Implements package-merge.  Symbols with zero frequency get length 0.
-    A single-symbol alphabet gets length 1 (DEFLATE cannot express a
+    Package-merge by counting: a level is a sorted list of weights,
+    leaves (ranked by weight, then symbol) first on a tie; its first
+    ``m`` items are its first ``m - p`` leaves and the first ``2p``
+    items of the level below, packaged, and a symbol's length is how
+    many levels take its leaf.  Symbols with zero frequency get length
+    0; a single-symbol alphabet gets length 1 (DEFLATE cannot express a
     zero-bit code).
     """
     used = [i for i, f in enumerate(freqs) if f > 0]
@@ -91,27 +97,27 @@ def limited_code_lengths(freqs: Sequence[int], max_length: int) -> list[int]:
         raise HuffmanError(
             f"{len(used)} symbols cannot fit in {max_length}-bit codes")
 
-    # Items are (weight, serial, leaf_symbols).  The serial breaks weight
-    # ties deterministically so output is stable across runs.
-    serial = 0
-    leaves = []
-    for sym in used:
-        leaves.append((freqs[sym], serial, (sym,)))
-        serial += 1
-    leaves.sort()
-
-    current = list(leaves)
+    ranked = sorted(used, key=freqs.__getitem__)  # stable: ties by symbol
+    leaves = [freqs[sym] for sym in ranked]
+    levels = [leaves]
     for _ in range(max_length - 1):
-        packages = []
-        for k in range(0, len(current) - 1, 2):
-            a, b = current[k], current[k + 1]
-            packages.append((a[0] + b[0], serial, a[2] + b[2]))
-            serial += 1
-        current = sorted(leaves + packages)
+        below = levels[-1]
+        levels.append(sorted(leaves + list(map(add, below[::2], below[1::2]))))
 
-    for item in current[:2 * len(used) - 2]:
-        for sym in item[2]:
-            lengths[sym] += 1
+    taken = []  # leaves taken at each level, top level first
+    take = 2 * len(used) - 2
+    for level in reversed(levels):
+        # Every item lighter than the last one taken is taken, and of
+        # those as heavy as it the leaves come first (weights are > 0).
+        weight = level[take - 1] if take else 0
+        lighter = bisect_left(leaves, weight)
+        leaf_count = lighter + min(bisect_right(leaves, weight) - lighter,
+                                   take - bisect_left(level, weight))
+        taken.append(leaf_count)
+        take = 2 * (take - leaf_count)
+    taken.sort()  # rank r is taken by every level taking more than r
+    for rank, sym in enumerate(ranked):
+        lengths[sym] = len(taken) - bisect_right(taken, rank)
     return lengths
 
 

@@ -28,7 +28,6 @@ from .dht import (
     DhtResult,
     DhtStrategy,
     canned_dht,
-    dynamic_generation_cycles,
     fixed_dht,
     generate_dynamic,
     select_canned,
@@ -245,13 +244,7 @@ class NxCompressor:
     def _dynamic_plan(tokens: list[Token], raw: bytes,
                       dht: DhtResult) -> BlockPlan:
         return BlockPlan(tokens=tokens, raw=raw, btype=BTYPE_DYNAMIC,
-                         litlen_lengths=list(dht.litlen_lengths),
-                         dist_lengths=list(dht.dist_lengths))
-
-    def dynamic_cycles(self, tokens: list[Token]) -> int:
-        """Expose the DHT cost model for ablation benches."""
-        lit_freq, dist_freq = token_frequencies(tokens)
-        return dynamic_generation_cycles(lit_freq, dist_freq, self.params)
+                         header=dht.header, encoders=dht.encoders)
 
 
 def _demote_uncovered(tokens: list[Token], raw: bytes,
@@ -264,8 +257,11 @@ def _demote_uncovered(tokens: list[Token], raw: bytes,
     literal bytes it would have reproduced — literals 0..255 are always
     covered, so a canned table can encode *any* input at worst as a
     literal stream.  Returns ``tokens`` unchanged (same object) when
-    the table covers everything.
+    nothing was demoted — at once for a table that covers every length
+    and distance code, as every built-in one does.
     """
+    if dht.covers_all:
+        return tokens
     from ..deflate.constants import DIST_TO_CODE, LENGTH_TO_CODE
 
     lit_lengths = dht.litlen_lengths

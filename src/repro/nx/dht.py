@@ -31,7 +31,7 @@ from ..deflate.constants import (
     fixed_dist_lengths,
     fixed_litlen_lengths,
 )
-from ..deflate.huffman import limited_code_lengths
+from ..deflate.huffman import HuffmanEncoder, limited_code_lengths
 from ..errors import ConfigError
 from .params import EngineParams
 
@@ -47,7 +47,8 @@ class DhtStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class DhtResult:
-    """A chosen pair of code-length vectors plus its generation cost."""
+    """A chosen pair of code-length vectors plus its generation cost, and
+    the one header and encoder pair built from them on first use."""
 
     litlen_lengths: tuple[int, ...]
     dist_lengths: tuple[int, ...]
@@ -55,21 +56,29 @@ class DhtResult:
     source: str  # "fixed", "dynamic" or canned template name
 
     @cached_property
+    def header(self) -> tuple[list, int, int, list[int]]:
+        """``(ops, hlit, hdist, cl_lengths)`` of a dynamic block header."""
+        from ..deflate.compress import code_length_header
+
+        return code_length_header(self.litlen_lengths, self.dist_lengths)
+
+    @cached_property
     def header_bits(self) -> int:
-        """Dynamic-header bit cost of shipping this table in a block.
+        """Dynamic-header bit cost of shipping this table in a block."""
+        from ..deflate.compress import dynamic_header_cost_bits
 
-        Worked out once per table object: a canned table serves many
-        requests, and a re-registered trained table is a new object, so
-        no cost can outlive the lengths it was computed from.
-        """
-        from ..deflate.compress import (
-            code_length_header,
-            dynamic_header_cost_bits,
-        )
+        return dynamic_header_cost_bits(self.header[0], self.header[3])
 
-        ops, _hlit, _hdist, cl_lengths = code_length_header(
-            self.litlen_lengths, self.dist_lengths)
-        return dynamic_header_cost_bits(ops, cl_lengths)
+    @cached_property
+    def encoders(self) -> tuple[HuffmanEncoder, HuffmanEncoder]:
+        """The lit/len and distance encoders of this table."""
+        return (HuffmanEncoder(self.litlen_lengths),
+                HuffmanEncoder(self.dist_lengths))
+
+    @cached_property
+    def covers_all(self) -> bool:
+        """Length codes 257..285 and distance codes 0..29 all have codes."""
+        return all(self.litlen_lengths[257:286] + self.dist_lengths[:30])
 
 
 def generate_dynamic(lit_freq: list[int], dist_freq: list[int],

@@ -13,9 +13,9 @@ the *live* sets and pays nothing for the rest.  The per-access methods
 here (:meth:`~BankedHashTable.hash3`, :meth:`~BankedHashTable.lookup_insert`,
 :meth:`~BankedHashTable.charge_group_conflicts`) are the reference model,
 one call per access as the hardware makes them; :meth:`NxMatchPipeline.scan
-<repro.nx.pipeline.NxMatchPipeline.scan>` is the kernel: it takes every
-position's hash of a slab from :func:`hash3_bulk`, drives the same
-``entries`` dict inline, and the tests hold the two equal.
+<repro.nx.pipeline.NxMatchPipeline.scan>` is the kernel: it takes a
+slab's columns from :meth:`~BankedHashTable.slab_columns`, drives the
+same ``entries`` dict inline, and the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -28,32 +28,9 @@ HASH_MULT = 0x9E3779B1  # Fibonacci hashing of the 3-byte prefix
 
 #: Where a prefix's bytes 0/1/2 sit in its native-endian 8-byte lane, and
 #: which 32-bit half of the lane is the low one (``memoryview.cast`` only
-#: reads native order, so :func:`hash3_bulk` lays the lanes out natively).
+#: reads native order, so ``slab_columns`` lays the lanes out natively).
 _B0, _B1, _B2, _LOW_WORD = ((0, 1, 2, 0) if sys.byteorder == "little"
                             else (7, 6, 5, 1))
-
-
-def hash3_bulk(data: bytes, lo: int, hi: int) -> list[int]:
-    """:meth:`BankedHashTable.hash3` of every position in ``[lo, hi)``.
-
-    One big-int multiply instead of one per position: each 3-byte prefix
-    is written into the low bytes of its own 8-byte lane, and the whole
-    buffer, read as one integer, is multiplied by
-    :data:`HASH_MULT`.  A 24-bit prefix times a 32-bit multiplier is
-    below 2**56, so no lane's product carries into its neighbour, and
-    the low 32 bits of lane ``k`` are exactly ``hash3(data, lo + k)``.
-    ``data`` must be readable through ``hi + 1``.
-    """
-    count = hi - lo
-    if count <= 0:
-        return []
-    lanes = bytearray(8 * count)
-    lanes[_B0::8] = data[lo:hi]
-    lanes[_B1::8] = data[lo + 1:hi + 1]
-    lanes[_B2::8] = data[lo + 2:hi + 2]
-    product = int.from_bytes(lanes, sys.byteorder) * HASH_MULT
-    words = memoryview(product.to_bytes(8 * count, sys.byteorder)).cast("I")
-    return words[_LOW_WORD::2].tolist()
 
 
 class BankedHashTable:
@@ -73,6 +50,10 @@ class BankedHashTable:
         self.lookups = 0
         self.insertions = 0
         self.conflict_stalls = 0
+        # ``% slots`` and ``% banks`` are masks: both are powers of two.
+        self._name_lane = ((self.slots - 1) & 0xFFFFFFFF).to_bytes(
+            8, sys.byteorder)
+        self._bank_of_byte = bytes(b & (self.banks - 1) for b in range(256))
 
     def reset(self) -> None:
         """Clear table contents and statistics (new job, new history)."""
@@ -86,6 +67,34 @@ class BankedHashTable:
         """Hash the 3-byte prefix at ``i`` into a 32-bit value."""
         prefix = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
         return (prefix * HASH_MULT) & 0xFFFFFFFF
+
+    def slab_columns(self, data: bytes, lo: int,
+                     hi: int) -> tuple[list[int], bytes, memoryview]:
+        """Set names, bank ids and hashes of every position in ``[lo, hi)``.
+
+        One big-int multiply instead of one :meth:`hash3` per position:
+        each 3-byte prefix is written into the low bytes of its own
+        8-byte lane, and the whole buffer, read as one integer, is
+        multiplied by :data:`HASH_MULT`.  A 24-bit prefix times a 32-bit
+        multiplier is below 2**56, so no lane's product carries into its
+        neighbour, and the low 32 bits of lane ``k`` are exactly
+        ``hash3(data, lo + k)``.  Masked lane-wise, the product is the
+        set names, and the low byte of each lane, masked again, the bank
+        ids; the unmasked low words stay a view of the hashes.  ``data``
+        must be readable through ``hi + 1``.
+        """
+        size = 8 * (hi - lo)
+        lanes = bytearray(size)
+        lanes[_B0::8] = data[lo:hi]
+        lanes[_B1::8] = data[lo + 1:hi + 1]
+        lanes[_B2::8] = data[lo + 2:hi + 2]
+        product = int.from_bytes(lanes, sys.byteorder) * HASH_MULT
+        mask = int.from_bytes(self._name_lane * (hi - lo), sys.byteorder)
+        names = (product & mask).to_bytes(size, sys.byteorder)
+        hashes = memoryview(product.to_bytes(size, sys.byteorder)).cast("I")
+        return (memoryview(names).cast("Q").tolist(),
+                names[_B0::8].translate(self._bank_of_byte),
+                hashes[_LOW_WORD::2])
 
     def lookup_insert(self, data: bytes, i: int) -> tuple[list[int],
                                                           tuple[int, int]]:

@@ -42,6 +42,17 @@ class EngineParams:
     huffman_encode_bits_per_cycle: int = 64
     decomp_dht_setup_cycles: int = 96    # decode-table build per dyn block
 
+    def __post_init__(self) -> None:
+        # The scan masks bank ids out of a hash product; counts in bytes.
+        banks, width = self.hash_banks, self.scan_bytes_per_cycle
+        if (not 1 <= banks <= 256 or banks & (banks - 1)
+                or not 1 <= width <= 256
+                or min(self.hash_ports, self.hash_ways) < 1):
+            raise ConfigError(
+                f"hash_banks must be a power of two and scan_bytes_per_cycle"
+                f" a width, both in [1, 256], hash_ports and hash_ways >= 1:"
+                f" {self}")
+
     @property
     def scan_rate_gbps(self) -> float:
         """Peak scan rate in GB/s (upper bound on compression rate)."""

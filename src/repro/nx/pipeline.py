@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ..deflate.constants import MAX_MATCH, MIN_MATCH
 from ..deflate.matcher import MatchStats, Token
-from .hashbank import BankedHashTable, hash3_bulk
+from .hashbank import BankedHashTable
 from .params import EngineParams
 
 #: Positions hashed per bulk step (a quarter window; rounded down to whole
@@ -38,6 +38,8 @@ from .params import EngineParams
 #: does not grow with the job.  8 K reads the same speed as 32 K and
 #: keeps the served ``peak_rss_mb`` where it was.
 SCAN_SLAB = 8192
+
+_ZERO_FLAG = b"\x01" + bytes(255)  # byte -> 1 if it is 0, else 0
 
 
 @dataclass
@@ -75,11 +77,11 @@ class NxMatchPipeline:
         width, which is how the hardware brings history in.
 
         The input is walked in slabs of :data:`SCAN_SLAB` positions, and
-        a slab in two phases.  *Bulk*: :func:`~.hashbank.hash3_bulk`
-        hashes every position at once, one comprehension names their
-        sets, and bank conflicts are charged per scan group — distinct
-        banks per group at C speed, and only a group that lands on few
-        enough banks to overfill one looks at its hashes.  *Token
+        a slab in two phases.  *Bulk*: one hash product gives set names
+        and a bank column (:meth:`~.hashbank.BankedHashTable.slab_columns`),
+        XORs of the bank column's strided sub-columns count each scan
+        group's repeated banks at C speed, and only a group on few
+        enough banks to overfill one reads its hashes.  *Token
         stepping*: candidates are searched only where a token starts;
         the positions a committed match covers (and the history) only
         append themselves to their set.  Sets are cut back to ``ways``
@@ -101,8 +103,7 @@ class NxMatchPipeline:
         table.reset()
         entries = table.entries
         lookup = entries.get
-        slots, banks, ports, ways = (table.slots, table.banks, table.ports,
-                                     table.ways)
+        banks, ports, ways = table.banks, table.ports, table.ways
         width = self.params.scan_bytes_per_cycle
         window = self.params.window_bytes
         history = history[-window:]
@@ -113,9 +114,6 @@ class NxMatchPipeline:
         hash_limit = max(0, n - MIN_MATCH + 1)
         # Whole scan groups only, so no group straddles a slab seam.
         slab = max(width, SCAN_SLAB - SCAN_SLAB % width)
-        # A bank can only hold more accesses than ports when the group
-        # maps onto this few distinct banks.
-        crowded = width - ports
         tokens: list[Token] = []
         emit = tokens.append
         matches = match_bytes = candidate_probes = stalls = unswept = 0
@@ -127,20 +125,31 @@ class NxMatchPipeline:
 
         for lo in range(0, hash_limit, slab):
             hi = min(lo + slab, hash_limit)
-            hashes = hash3_bulk(data, lo, hi)
-            keys = [h % slots for h in hashes]
+            keys, bank_ids, hashes = table.slab_columns(data, lo, hi)
 
             # Conflicts, a scan group at a time.  Same-hash accesses merge,
             # so the worst bank holds at most (distinct hashes - distinct
-            # banks + 1) of them: most groups are cleared by two counts.
-            bank_ids = [key % banks for key in keys]  # == hash % banks
-            crowded_groups = [
-                (g * width, distinct) for g, distinct in enumerate(
-                    map(len, map(set, zip(*[iter(bank_ids)] * width))))
-                if distinct <= crowded]
-            if (hi - lo) % width:  # zip dropped the final partial group
-                at = (hi - lo) // width * width
-                crowded_groups.append((at, len(set(bank_ids[at:]))))
+            # banks + 1) of them: only a group with ``ports`` or more
+            # repeated banks can stall.  Sub-columns j and k XOR to a zero
+            # byte where a group's positions j and k share a bank; the j
+            # that repeat some k < j number width - distinct banks.
+            groups = (hi - lo) // width
+            whole = groups * width
+            columns = [int.from_bytes(bank_ids[j:whole:width], "little")
+                       for j in range(width)]
+            repeats = 0
+            for j in range(1, width):
+                repeat = 0
+                for k in range(j):
+                    same = (columns[j] ^ columns[k]).to_bytes(
+                        groups, "little").translate(_ZERO_FLAG)
+                    repeat |= int.from_bytes(same, "little")
+                repeats += repeat
+            counts = repeats.to_bytes(groups, "little")
+            crowded_groups = [(g * width, width - count) for g, count
+                              in enumerate(counts) if count >= ports]
+            if whole < hi - lo:  # the final partial group
+                crowded_groups.append((whole, len(set(bank_ids[whole:]))))
             for at, distinct_banks in crowded_groups:
                 merged = set(hashes[at:at + width])
                 if len(merged) - distinct_banks < ports:

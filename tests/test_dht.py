@@ -150,6 +150,120 @@ class TestHeaderCost:
         assert canned_dht(name).header_bits == sparse_bits
 
 
+class TestOneHeaderOneEncoderPair:
+    """What a block shipping a table needs is built once per table."""
+
+    NAME = "tenant.c0.v1"
+
+    @pytest.fixture(autouse=True)
+    def _clean_tables(self):
+        clear_trained_dhts()
+        yield
+        clear_trained_dhts()
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts of header builds and lit/len + distance encoder builds."""
+        from repro.deflate import compress as deflate_compress
+        from repro.nx import dht as dht_module
+
+        counts = {"header": 0, "encoder": 0}
+        real_header = deflate_compress.code_length_header
+        real_encoder = dht_module.HuffmanEncoder
+
+        def header(lit, dist):
+            counts["header"] += 1
+            return real_header(lit, dist)
+
+        def encoder(lengths):
+            counts["encoder"] += 1
+            return real_encoder(lengths)
+
+        monkeypatch.setattr(deflate_compress, "code_length_header", header)
+        monkeypatch.setattr(dht_module, "HuffmanEncoder", encoder)
+        return counts
+
+    def test_canned_table_built_once_across_requests(self, builds):
+        from repro.nx.compressor import NxCompressor
+
+        text = canned_dht("text")
+        register_trained_dht(self.NAME, text.litlen_lengths,
+                             text.dist_lengths, centroid=(0.0,) * 20)
+        comp = NxCompressor(POWER9.engine)
+        outputs = set()
+        for seed in range(6):
+            result = comp.compress(generate("markov_text", 4096, seed=seed),
+                                   strategy=DhtStrategy.CANNED,
+                                   canned_name=self.NAME)
+            assert result.dht_sources == [self.NAME]
+            outputs.add(result.data)
+        assert len(outputs) == 6
+        assert builds == {"header": 1, "encoder": 2}
+
+    def test_dynamic_header_built_once_per_request(self, builds):
+        from repro.nx.compressor import NxCompressor
+
+        comp = NxCompressor(POWER9.engine)
+        data = generate("markov_text", 4096, seed=5)
+        comp.compress(data)  # warms the built-in canned table
+        builds.update(header=0, encoder=0)
+        for _ in range(3):
+            # AUTO costs the request's own table, then ships it.
+            assert comp.compress(data).dht_sources == ["dynamic"]
+        assert builds == {"header": 3, "encoder": 6}
+
+    def test_builtin_tables_cover_every_code(self):
+        for name in canned_names():
+            assert canned_dht(name).covers_all
+
+    def test_covering_table_returns_tokens_untouched(self):
+        from repro.nx.compressor import _demote_uncovered
+
+        tokens = [object()]  # not a token: only a walk would trip on it
+        assert _demote_uncovered(tokens, b"", canned_dht("flat")) is tokens
+
+    @pytest.mark.parametrize("missing", ["length codes", "distance code 29"])
+    def test_trained_table_with_missing_codes_demotes(self, missing):
+        import zlib
+
+        from repro.deflate.constants import DIST_TO_CODE
+        from repro.deflate.huffman import limited_code_lengths
+        from repro.nx.compressor import NxCompressor, _demote_uncovered
+        from repro.nx.pipeline import NxMatchPipeline
+
+        lit_freq, dist_freq = [1] * 286 + [0, 0], [1] * NUM_DIST_SYMBOLS
+        if missing == "length codes":
+            lit_freq[257:286] = [0] * 29
+        else:
+            dist_freq[29] = 0
+        register_trained_dht(self.NAME, limited_code_lengths(lit_freq, 15),
+                             limited_code_lengths(dist_freq, 15),
+                             centroid=(0.0,) * 20)
+        table = canned_dht(self.NAME)
+        assert not table.covers_all
+        # Matches at every distance, the farthest in code 29's range.
+        text = generate("log_lines", 2048, seed=3)
+        data = text + generate("random_bytes", 26000, seed=3) + text
+
+        def far(tokens):
+            return [tok for tok in tokens
+                    if type(tok) is tuple and DIST_TO_CODE[tok[1]] == 29]
+
+        tokens = NxMatchPipeline(POWER9.engine).scan(data).tokens
+        assert far(tokens)
+        demoted = _demote_uncovered(tokens, data, table)
+        if missing == "length codes":
+            assert demoted == list(data)
+        else:
+            assert not far(demoted)
+            assert len(demoted) - len(tokens) == sum(
+                length - 1 for length, _dist in far(tokens))
+        result = NxCompressor(POWER9.engine).compress(
+            data, strategy=DhtStrategy.CANNED, canned_name=self.NAME)
+        assert result.dht_sources == [self.NAME]
+        assert zlib.decompress(result.data, -15) == data
+
+
 class TestSelectCanned:
     def test_text_classified(self):
         sample = generate("markov_text", 4096, seed=5)

@@ -1,5 +1,10 @@
 """Banked hash table: candidate quality, capacity, conflict accounting."""
 
+from dataclasses import replace
+
+import pytest
+
+from repro.errors import ConfigError
 from repro.nx.hashbank import BankedHashTable
 from repro.nx.params import POWER9, EngineParams
 
@@ -96,6 +101,35 @@ class TestConflicts:
         t.charge_group_conflicts([(0, 1), (0, 2)])
         t.charge_group_conflicts([(1, 1), (1, 2)])
         assert t.conflict_stalls == 2
+
+
+class TestGeometryValidation:
+    """A geometry the scan cannot model is refused when it is built, not
+    by a ``ZeroDivisionError`` in the middle of a scan."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"hash_banks": 0}, {"hash_banks": 3}, {"hash_banks": 12},
+        {"hash_banks": 512}, {"hash_banks": -4},
+        {"scan_bytes_per_cycle": 0}, {"scan_bytes_per_cycle": 257},
+        {"hash_ports": 0}, {"hash_ways": 0}, {"hash_ways": -1},
+    ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+    def test_refused(self, overrides):
+        (field, value), = overrides.items()
+        with pytest.raises(ConfigError, match=rf"\b{field}={value}\b"):
+            small_params(**overrides)
+        with pytest.raises(ConfigError):
+            replace(POWER9.engine, **overrides)
+
+    @pytest.mark.parametrize("banks", [1, 2, 64, 128, 256])
+    def test_powers_of_two_up_to_256_accepted(self, banks):
+        assert small_params(hash_banks=banks).hash_banks == banks
+
+    def test_ablation_geometries_accepted(self):
+        """A3 scales banks with the scan width, 16 a byte."""
+        for width in (2, 4, 8, 16):
+            params = replace(POWER9.engine, scan_bytes_per_cycle=width,
+                             hash_banks=16 * width)
+            assert BankedHashTable(params).banks == 16 * width
 
 
 class TestHashFunction:

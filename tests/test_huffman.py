@@ -1,7 +1,7 @@
 """Canonical Huffman construction, encode/decode, and code properties."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deflate.bitio import BitReader, BitWriter
@@ -13,6 +13,106 @@ from repro.deflate.huffman import (
     limited_code_lengths,
 )
 from repro.errors import HuffmanError
+
+
+def reference_code_lengths(freqs, max_length):
+    """Package-merge with every package carrying its leaf symbols: the
+    textbook form ``limited_code_lengths`` must equal, ties included."""
+    used = [i for i, f in enumerate(freqs) if f > 0]
+    lengths = [0] * len(freqs)
+    if not used:
+        return lengths
+    if len(used) == 1:
+        lengths[used[0]] = 1
+        return lengths
+    if len(used) > (1 << max_length):
+        raise HuffmanError(
+            f"{len(used)} symbols cannot fit in {max_length}-bit codes")
+
+    # Items are (weight, serial, leaf_symbols).  The serial breaks weight
+    # ties deterministically: leaves by symbol, then packages by age.
+    serial = 0
+    leaves = []
+    for sym in used:
+        leaves.append((freqs[sym], serial, (sym,)))
+        serial += 1
+    leaves.sort()
+
+    current = list(leaves)
+    for _ in range(max_length - 1):
+        packages = []
+        for k in range(0, len(current) - 1, 2):
+            a, b = current[k], current[k + 1]
+            packages.append((a[0] + b[0], serial, a[2] + b[2]))
+            serial += 1
+        current = sorted(leaves + packages)
+
+    for item in current[:2 * len(used) - 2]:
+        for sym in item[2]:
+            lengths[sym] += 1
+    return lengths
+
+
+def _fibonacci(count):
+    weights = [1, 1]
+    while len(weights) < count:
+        weights.append(weights[-1] + weights[-2])
+    return weights[:count]
+
+
+@st.composite
+def _alphabets(draw):
+    """Frequencies over a DEFLATE alphabet: sparse or dense, few distinct
+    weights (ties everywhere) or Fibonacci weights, whose unbounded
+    Huffman code is as deep as the alphabet is wide, so the limit binds."""
+    size = draw(st.sampled_from([19, 30, 286, 288]))
+    shape = draw(st.sampled_from(["random", "ties", "fibonacci"]))
+    if shape == "random":
+        freqs = draw(st.lists(st.integers(0, 10 ** 6), min_size=size,
+                              max_size=size))
+    elif shape == "ties":
+        freqs = draw(st.lists(st.sampled_from([0, 1, 2, 7]), min_size=size,
+                              max_size=size))
+    else:
+        freqs = _fibonacci(size)
+        freqs = draw(st.permutations(freqs))
+        zeroed = draw(st.sets(st.integers(0, size - 1), max_size=size // 2))
+        freqs = [0 if i in zeroed else f for i, f in enumerate(freqs)]
+    return list(freqs)
+
+
+class TestPackageMergeByCounting:
+    """``limited_code_lengths`` counts leaves per level instead of
+    carrying symbol tuples; it must give the textbook lengths exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_alphabets(), st.sampled_from([7, 15]))
+    def test_equals_reference(self, freqs, limit):
+        if sum(1 for f in freqs if f) > 1 << limit:
+            with pytest.raises(HuffmanError):
+                limited_code_lengths(freqs, limit)
+            return
+        assert (limited_code_lengths(freqs, limit)
+                == reference_code_lengths(freqs, limit))
+
+    @pytest.mark.parametrize("size", [19, 30, 286, 288])
+    @pytest.mark.parametrize("limit", [7, 15])
+    def test_limit_binds(self, size, limit):
+        """Fibonacci weights want a code ``size - 1`` bits deep."""
+        freqs = _fibonacci(size)
+        if size > 1 << limit:
+            pytest.skip("alphabet does not fit the limit")
+        lengths = limited_code_lengths(freqs, limit)
+        assert max(lengths) == limit
+        assert lengths == reference_code_lengths(freqs, limit)
+
+    @pytest.mark.parametrize("limit", range(1, 9))
+    def test_every_limit_small_alphabets(self, limit):
+        for size in range(2, min(1 << limit, 40) + 1):
+            for freqs in ([1] * size, list(range(1, size + 1)),
+                          _fibonacci(size), [size - i for i in range(size)]):
+                assert (limited_code_lengths(freqs, limit)
+                        == reference_code_lengths(freqs, limit))
 
 
 class TestLimitedCodeLengths:

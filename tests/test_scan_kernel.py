@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.deflate.constants import MAX_MATCH, MIN_MATCH
 from repro.deflate.matcher import MatchStats
 from repro.nx import pipeline
-from repro.nx.hashbank import BankedHashTable, hash3_bulk
+from repro.nx.hashbank import BankedHashTable
 from repro.nx.params import POWER9, Z15, EngineParams
 from repro.nx.pipeline import NxMatchPipeline, ScanResult
 from repro.workloads.generators import GENERATORS, generate
@@ -94,7 +94,7 @@ TINY_ENGINES = {
     "window-64": small_params(window_bytes=64),
     "wide-two-port": small_params(scan_bytes_per_cycle=8, hash_ports=2,
                                   window_bytes=256),
-    "odd-geometry": small_params(scan_bytes_per_cycle=5, hash_banks=3,
+    "odd-geometry": small_params(scan_bytes_per_cycle=5, hash_banks=4,
                                  hash_sets_log2=2, hash_ways=3),
 }
 
@@ -165,9 +165,19 @@ _structured = st.builds(
 _bytes = st.one_of(st.binary(max_size=600), _structured)
 
 
+#: Geometry edges of the repeated-bank count: one position a group, more
+#: ports than positions, one bank, 256 banks.
+_EDGE_ENGINES = [small_params(scan_bytes_per_cycle=1),
+                 small_params(scan_bytes_per_cycle=2, hash_ports=3),
+                 small_params(scan_bytes_per_cycle=6, hash_banks=1),
+                 small_params(scan_bytes_per_cycle=16, hash_banks=256,
+                              hash_sets_log2=1, hash_ports=2)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(_bytes, _bytes,
-       st.sampled_from([POWER9.engine, Z15.engine, *TINY_ENGINES.values()]))
+       st.sampled_from([POWER9.engine, Z15.engine, *TINY_ENGINES.values(),
+                        *_EDGE_ENGINES]))
 def test_any_bytes_any_history(data, history, engine):
     assert_scan_equals_reference(NxMatchPipeline(engine), data, history)
 
@@ -207,41 +217,66 @@ class TestSparseTable:
         assert pipe.scan(data) == NxMatchPipeline(POWER9.engine).scan(data)
 
 
+#: Every table geometry the scans above run on, plus one bank and 256.
+_GEOMETRIES = [POWER9.engine, Z15.engine, *TINY_ENGINES.values(),
+               small_params(hash_banks=1, hash_sets_log2=0),
+               small_params(hash_banks=256, hash_sets_log2=9)]
+
+
 class TestBulkHash:
-    """``hash3_bulk`` is ``hash3`` at every position it is asked for."""
+    """``slab_columns`` is ``hash3``, ``hash3 % slots`` and ``hash3 %
+    banks`` at every position it is asked for."""
 
     @staticmethod
-    def per_position(data: bytes, lo: int, hi: int) -> list[int]:
-        return [BankedHashTable.hash3(data, i) for i in range(lo, hi)]
+    def columns(table: BankedHashTable, data: bytes, lo: int,
+                hi: int) -> tuple[list[int], list[int], list[int]]:
+        keys, bank_ids, hashes = table.slab_columns(data, lo, hi)
+        return keys, list(bank_ids), hashes.tolist()
+
+    @staticmethod
+    def per_position(table: BankedHashTable, data: bytes, lo: int,
+                     hi: int) -> tuple[list[int], list[int], list[int]]:
+        hashes = [BankedHashTable.hash3(data, i) for i in range(lo, hi)]
+        return ([h % table.slots for h in hashes],
+                [h % table.banks for h in hashes], hashes)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.binary(max_size=300), st.integers(0, 3), st.integers(0, 40))
-    def test_equals_hash3(self, data, short, lo):
+    @given(st.binary(max_size=300), st.integers(0, 3), st.integers(0, 40),
+           st.sampled_from(_GEOMETRIES))
+    def test_equals_hash3(self, data, short, lo, engine):
         # ``short`` = 0 hashes through the last full prefix; 1..3 stop
         # that many positions early, as a slab that is not the last does.
+        table = BankedHashTable(engine)
         hi = max(0, len(data) - 2 - short)
         lo = min(lo, hi)
-        assert hash3_bulk(data, lo, hi) == self.per_position(data, lo, hi)
+        assert (self.columns(table, data, lo, hi)
+                == self.per_position(table, data, lo, hi))
 
     @pytest.mark.parametrize("length", range(6))
     def test_short_inputs(self, length):
+        table = BankedHashTable(POWER9.engine)
         data = bytes(range(250, 250 + length))
         hashed = max(0, length - 2)
-        assert hash3_bulk(data, 0, hashed) == self.per_position(
-            data, 0, hashed)
-        assert hash3_bulk(data, 0, 0) == []
+        assert (self.columns(table, data, 0, hashed)
+                == self.per_position(table, data, 0, hashed))
+        assert self.columns(table, data, 0, 0) == ([], [], [])
 
     def test_lanes_do_not_carry(self):
         """The largest prefix next to the smallest: 0xFFFFFF * HASH_MULT
-        is the widest a lane's product gets."""
+        is the widest a lane's product gets, and a mask must not let
+        its high bits into a set name."""
         data = b"\xff\xff\xff\x00\x00\x00\xff\xff\xff\x00\x00"
-        assert hash3_bulk(data, 0, 9) == self.per_position(data, 0, 9)
+        for engine in _GEOMETRIES:
+            table = BankedHashTable(engine)
+            assert (self.columns(table, data, 0, 9)
+                    == self.per_position(table, data, 0, 9))
 
     def test_any_buffer_type(self):
+        table = BankedHashTable(Z15.engine)
         data = generate("markov_text", 500, seed=8)
-        want = self.per_position(data, 3, 400)
-        assert hash3_bulk(bytearray(data), 3, 400) == want
-        assert hash3_bulk(memoryview(data), 3, 400) == want
+        want = self.per_position(table, data, 3, 400)
+        assert self.columns(table, bytearray(data), 3, 400) == want
+        assert self.columns(table, memoryview(data), 3, 400) == want
 
 
 #: Three z15 scan groups (four at width 5, six on POWER9): with the slab

@@ -1,9 +1,9 @@
-"""Differential of the two codec kernels between two checkouts.
+"""Differential of the codec kernels between two checkouts.
 
 Usage:  PYTHONPATH=src python tools/kernel_diff.py <other-checkout>
 
-Loads ``NxMatchPipeline`` and ``inflate_core`` from
-``<other-checkout>/src`` next to this tree's and runs both over two
+Loads ``NxMatchPipeline``, ``inflate_core`` and ``NxCompressor`` from
+``<other-checkout>/src`` next to this tree's and runs both over three
 matrices.  This is the check a kernel rewrite runs against its parent
 commit: the unit tests pin a kernel to its reference model, this pins
 it to what actually shipped.  Prints a case count per matrix; exits 1
@@ -34,6 +34,14 @@ Every inflate case is also decoded *streamed*: through each tree's
 output bytes or on the error; two errors that differ are listed as
 expected (before PR 21 the streamed decode was a second decoder with
 its own wording), bytes against an error or other bytes is a mismatch.
+
+*Encode* — ``NxCompressor.compress`` under the FIXED, CANNED, DYNAMIC
+and AUTO strategies x every generator x 0 / 100 / 4 KB / 32 KB / 70 KB
+(two blocks) x the scan matrix's three histories, on the POWER9 and z15
+engines.  A case is equal on the output bytes, ``CycleBreakdown``,
+``block_types``, ``dht_sources`` and ``MatchStats``.  The other tree's
+compressor runs with its own modules swapped in, so an import it makes
+inside a function finds its own tree, not this one.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import dataclasses
 import importlib
 import pathlib
 import sys
+from contextlib import contextmanager
 from types import ModuleType
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -50,6 +59,8 @@ sys.path.insert(0, str(REPO_ROOT))  # the matrices live in tests/
 from repro.deflate.constants import WINDOW_SIZE  # noqa: E402
 from repro.deflate.inflate import inflate_core  # noqa: E402
 from repro.deflate.inflate_stream import InflateStream  # noqa: E402
+from repro.nx.compressor import NxCompressor  # noqa: E402
+from repro.nx.dht import DhtStrategy  # noqa: E402
 from repro.nx.params import POWER9, Z15  # noqa: E402
 from repro.nx.pipeline import NxMatchPipeline  # noqa: E402
 from repro.workloads.generators import GENERATORS, generate  # noqa: E402
@@ -60,6 +71,7 @@ from tests.test_inflate_kernel import (  # noqa: E402
     stream_inflate,
 )
 from tests.test_scan_kernel import (  # noqa: E402
+    HISTORIES,
     TINY_ENGINES,
     product_inputs,
     tiny_inputs,
@@ -70,30 +82,56 @@ _INFLATE_PRODUCERS = ([("stdlib", level, "default") for level in (1, 6, 9)]
                       + [("nx", 6, "default"), ("software", 6, "default")])
 _TRUNCATED_FAMILIES = ("binary_executable", "json_records", "source_code")
 _FEED = 16384
+_ENCODE_SIZES = (0, 100, 4096, 32768, 70000)
+_ENCODE_STRATEGIES = ("fixed", "canned", "dynamic", "auto")
 
 
 def _ours(name: str) -> bool:
     return name == "repro" or name.startswith("repro.")
 
 
+class OtherTree:
+    """The ``repro`` package of another checkout, in this process.
+
+    Its modules sit in ``sys.modules`` (and its ``src`` on ``sys.path``)
+    only inside :meth:`active`; outside, this tree's are there.
+    """
+
+    def __init__(self, checkout: str) -> None:
+        self.checkout = checkout
+        self.src = pathlib.Path(checkout).resolve() / "src"
+        self.modules: dict[str, ModuleType] = {}
+
+    @contextmanager
+    def active(self):
+        mine = {name: mod for name, mod in sys.modules.items() if _ours(name)}
+        for name in mine:
+            del sys.modules[name]
+        sys.modules.update(self.modules)
+        sys.path.insert(0, str(self.src))
+        try:
+            yield
+        finally:
+            sys.path.remove(str(self.src))
+            self.modules = {name: mod for name, mod in sys.modules.items()
+                            if _ours(name)}
+            for name in self.modules:
+                del sys.modules[name]
+            sys.modules.update(mine)
+
+    def load(self, module: str) -> ModuleType:
+        """``module`` as the other tree defines it."""
+        with self.active():
+            loaded = importlib.import_module(module)
+        if self.src not in pathlib.Path(loaded.__file__).parents:
+            raise SystemExit(f"{self.checkout}: imported {loaded.__file__}, "
+                             "which is not in that checkout")
+        return loaded
+
+
 def load_other(checkout: str, module: str) -> ModuleType:
     """``module`` as the tree at ``checkout`` defines it."""
-    src = pathlib.Path(checkout).resolve() / "src"
-    mine = {name: mod for name, mod in sys.modules.items() if _ours(name)}
-    for name in mine:
-        del sys.modules[name]
-    sys.path.insert(0, str(src))
-    try:
-        loaded = importlib.import_module(module)
-    finally:
-        sys.path.remove(str(src))
-        for name in [name for name in sys.modules if _ours(name)]:
-            del sys.modules[name]
-        sys.modules.update(mine)
-    if src not in pathlib.Path(loaded.__file__).parents:
-        raise SystemExit(f"{checkout}: imported {loaded.__file__}, "
-                         "which is not in that checkout")
-    return loaded
+    return OtherTree(checkout).load(module)
 
 
 # -- scan ----------------------------------------------------------------------
@@ -247,11 +285,66 @@ def diff_inflate(checkout: str) -> bool:
     return True
 
 
+# -- encode --------------------------------------------------------------------
+
+def encode_cases():
+    """(engine name, engine, strategy, family, data, history)."""
+    for machine in (POWER9, Z15):
+        for family in sorted(GENERATORS):
+            for size in _ENCODE_SIZES:
+                data = generate(family, size, seed=size % 5)
+                for history in HISTORIES.values():
+                    for strategy in _ENCODE_STRATEGIES:
+                        yield (machine.name, machine.engine, strategy,
+                               family, data, history)
+
+
+def observed_encode(compressor, strategy, data: bytes,
+                    history: bytes) -> dict:
+    """A compress request's output and accounting, as plain values."""
+    result = compressor.compress(data, strategy=strategy, history=history)
+    return {"bytes": result.data,
+            "cycles": dataclasses.astuple(result.cycles),
+            "block_types": result.block_types,
+            "dht_sources": result.dht_sources,
+            "stats": dataclasses.astuple(result.stats)}
+
+
+def diff_encode(checkout: str) -> bool:
+    other = OtherTree(checkout)
+    other_module = other.load("repro.nx.compressor")
+    compressors: dict[str, tuple] = {}  # one pair an engine, as a chip's
+    count = 0
+    for name, engine, strategy, family, data, history in encode_cases():
+        if name not in compressors:
+            with other.active():
+                there_comp = other_module.NxCompressor(engine)
+            compressors[name] = (NxCompressor(engine), there_comp)
+        here_comp, there_comp = compressors[name]
+        here = observed_encode(here_comp, DhtStrategy(strategy), data,
+                               history)
+        with other.active():
+            there = observed_encode(
+                there_comp, other_module.DhtStrategy(strategy), data,
+                history)
+        count += 1
+        if here != there:
+            fields = [field for field in here if here[field] != there[field]]
+            print(f"MISMATCH in encode case {count} ({name}, {strategy}, "
+                  f"{family}, {len(data)} bytes after {len(history)} of "
+                  "history): " + ", ".join(fields))
+            return False
+    print(f"kernel_diff: encode: {count} cases, 0 mismatches "
+          f"against {checkout}")
+    return True
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    return 0 if diff_scan(argv[1]) and diff_inflate(argv[1]) else 1
+    return 0 if all(diff(argv[1]) for diff in (diff_scan, diff_inflate,
+                                                diff_encode)) else 1
 
 
 if __name__ == "__main__":
