@@ -26,7 +26,7 @@ part — a shared accelerator fails *per request*, never per tenant):
   half-open chips must pass known-answer probes
   (:func:`~repro.nx.selftest.probe_backend`) before user jobs return;
 * every route a job can take — a synchronous call, an inline submit, a
-  driver completion, an exec worker's record, a cancellation — ends in
+  driver completion, an exec worker's result, a cancellation — ends in
   :meth:`AcceleratorPool._settle`, which alone classifies the ending:
 
   - :class:`~repro.errors.DeadlineExceeded` — a late chip is a sick
@@ -55,12 +55,11 @@ from __future__ import annotations
 import itertools
 import select
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..errors import (AcceleratorError, ChipUnavailable, ConfigError,
-                      DeadlineExceeded, ExecError, ReproError, WorkerCrash)
+                      DeadlineExceeded, ExecError, ReproError)
 from ..nx.params import POWER9, MachineParams, Topology, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -83,15 +82,9 @@ SOFTWARE = -1
 #: reaches full utilisation on 64 KB jobs); deeper batches only queue.
 SATURATION_DEPTH = 4
 
-#: How long open exec jobs may go with *zero* completions before the
-#: unresolved ones are declared orphaned (worker died in its claim
-#: window) and rescued; any progress restarts the window.
-_EXEC_ORPHAN_TIMEOUT_S = 10.0
-
 #: Longest one sleep in :meth:`AcceleratorPool.reap`.  Completions and
-#: worker deaths wake it at once; the tick only bounds how late the
-#: orphan verdict fires and covers a record that another thread sharing
-#: the exec pool applied on our behalf.
+#: worker deaths wake it at once; the tick only covers a result that
+#: another thread sharing the exec pool applied on our behalf.
 _REAP_TICK_S = 0.1
 
 
@@ -156,9 +149,9 @@ class PoolJob:
     verify: bool = False
     #: While a lower layer holds the job: that layer's own handle — a
     #: driver pending or an exec job, both ``done``/``result``/``error``
-    #: — and an exec job's shared-memory slabs (source[, output]).
+    #: — and whether it is the exec pool's.
     handle: object = field(default=None, repr=False)
-    slabs: tuple = field(default=(), repr=False)
+    on_exec: bool = False
 
     @property
     def done(self) -> bool:
@@ -216,9 +209,6 @@ class AcceleratorPool:
         # explicitly provided exec_pool.
         self.exec_workers = exec_workers
         self._exec_pool = exec_pool
-        #: When an exec job last resolved (or the first was submitted
-        #: into an idle layer): the orphan verdict's clock.
-        self._exec_progress_at = 0.0
         self._lock = threading.Lock()
         # One lock per chip handle (plus software): a chip's send window
         # serves one request context at a time, so concurrent callers
@@ -565,9 +555,10 @@ class AcceleratorPool:
             self._open.append(job)
         return job
 
-    def _file(self, job: PoolJob, handle: object, slabs: tuple = ()) -> None:
+    def _file(self, job: PoolJob, handle: object,
+              on_exec: bool = False) -> None:
         """Book a job a lower layer now holds, with that layer's handle."""
-        job.handle, job.slabs = handle, slabs
+        job.handle, job.on_exec = handle, on_exec
         with self._lock:
             self._by_pending[job.index] = job
             self._pending_bytes[job.chip] += job.nbytes
@@ -577,7 +568,7 @@ class AcceleratorPool:
         """The jobs exec workers (else the chip drivers) still hold."""
         with self._lock:
             return [job for job in self._by_pending.values()
-                    if bool(job.slabs) == by_exec]
+                    if job.on_exec == by_exec]
 
     # -- process-based execution of sync-backend batches ---------------------
 
@@ -614,26 +605,15 @@ class AcceleratorPool:
     def _submit_exec(self, job: PoolJob, strategy: str,
                      deadline_s: float | None,
                      span_parent: object = None) -> None:
-        """Ship one job to a pool worker; payload via shared memory.
+        """Ship one job, payload inline, to a pool worker.
 
         ``span_parent`` (normally the request's ``pool.route`` span) is
         where the worker's folded spans nest; the current wire trace
         context rides along as a ``traceparent`` so the worker's root
         span also joins the originating trace on the wire level.
         """
-        pool = self._exec_pool
-        allocator = pool.allocator
-        src_slab = allocator.acquire(max(1, job.nbytes))
-        src_slab.write(0, job.payload)
-        slabs, out = (src_slab,), None
-        if job.kind == "compress":
-            # Compressed output fits input + slack; decompressed output
-            # is unbounded, so it rides back inline instead.
-            cap = job.nbytes + job.nbytes // 4 + 256
-            slabs += (allocator.acquire(cap),)
-            out = (slabs[1].name, 0, cap)
         ctx = _TRACE.current_ctx()
-        exec_job = pool.submit(
+        exec_job = self._exec_pool.submit(
             "backend_job",
             span_parent=(span_parent if span_parent is not None
                          else _TRACE.current()),
@@ -642,76 +622,36 @@ class AcceleratorPool:
             machine=self.machine.name,
             backend_kwargs=self._backend_kwargs,
             kind=job.kind, fmt=job.fmt, strategy=strategy,
-            deadline_s=deadline_s,
-            src=(src_slab.name, 0, job.nbytes),
-            out=out)
-        if not self._held(by_exec=True):
-            self._exec_progress_at = time.monotonic()
-        self._file(job, exec_job, slabs)
+            deadline_s=deadline_s, data=job.payload)
+        self._file(job, exec_job, on_exec=True)
 
-    def _resolve_exec(self, job: PoolJob,
-                      orphaned: bool) -> DriverResult | None:
-        """Read a finished worker's record; the slabs go back.
-
-        An orphan-failed job's task may still sit in the shared queue;
-        its slabs must be unlinked, never recycled, or a worker could
-        eventually run the stale task and scribble over whichever job
-        reused them.  Unlinking is safe: names are never reissued, so
-        the stale run hits FileNotFoundError (or a dead mapping) and its
-        completion is ignored.
-        """
-        record = job.handle.result
-        try:
-            if job.handle.error is not None or record is None:
-                return None
-            output = record.get("inline")
-            if output is None:
-                output = job.slabs[1].read(0, record["n"])
-            result = DriverResult(output=output, csb=None,
-                                  stats=record["stats"])
-            # The worker instance's accounting died with the job's
-            # process; record once against the parent-side instance so
-            # BackendStats and the registry stay truthful.
-            self.backend_for(job.chip)._record(result, job.nbytes, job.kind)
-            return result
-        finally:
-            for slab in job.slabs:
-                if orphaned:
-                    slab.destroy()
-                else:
-                    self._exec_pool.allocator.release(slab)
+    def _resolve_exec(self, job: PoolJob) -> DriverResult | None:
+        """A finished worker's result, booked against the parent side."""
+        result = job.handle.result
+        if job.handle.error is not None or result is None:
+            return None
+        # The worker instance's accounting stays in the worker; record
+        # once against the parent-side instance so BackendStats and the
+        # registry stay truthful.
+        self.backend_for(job.chip)._record(result, job.nbytes, job.kind)
+        return result
 
     def _drain_exec(self) -> None:
         """Settle the jobs whose exec worker has finished.
 
         The execution pool is shared (parallel_deflate batches ride the
         same fleet), so this never trusts the pool's own returned job
-        lists — it polls the pool, then checks *its* handles.
+        lists — it polls the pool, then checks *its* handles.  A worker
+        that dies fails exactly the job it was given, so every handle
+        resolves.
         """
         held = self._held(by_exec=True)
         if not held:
             return
-        pool = self._exec_pool
-        pool.poll()
-        now = time.monotonic()
-        orphaned = False
-        if any(job.handle.done for job in held):
-            self._exec_progress_at = now
-        elif now - self._exec_progress_at >= _EXEC_ORPHAN_TIMEOUT_S:
-            # A worker killed between popping a task and writing its
-            # claim record leaves a job nothing will ever resolve.  A
-            # long wait can't distinguish that from a long queue, so the
-            # orphan verdict is progress-based: only when no handle at
-            # all resolves for the full window are the stragglers failed
-            # (rescue then recomputes them).
-            orphaned = True
-            for job in held:
-                pool.fail_job(job.handle, WorkerCrash(
-                    "job orphaned by a dying worker"))
+        self._exec_pool.poll()
         for job in held:
             if job.handle.done:
-                self._settle(job, self._resolve_exec(job, orphaned),
-                             job.handle.error)
+                self._settle(job, self._resolve_exec(job), job.handle.error)
 
     def _drain_chips(self, wait: bool) -> None:
         """Poll each chip's async driver once, or (``wait``) until idle.
@@ -751,18 +691,16 @@ class AcceleratorPool:
 
     def _sleep(self, wake: tuple = ()) -> None:
         """Sleep, holding no lock, until an exec worker has news (a
-        record or a death), a ``wake`` handle is readable, or one tick
-        has passed."""
+        result or a death), a ``wake`` handle is readable, or one tick
+        has passed.  A pipe the exec pool closed under us (shutdown, its
+        jobs failed) reads as invalid and ends the sleep at once."""
         handles = list(wake)
         if self._held(by_exec=True):
             handles += self._exec_pool.wait_handles()
         if handles:
             poller = select.poll()
-            try:
-                for handle in handles:
-                    poller.register(handle, select.POLLIN)
-            except OSError:
-                return  # exec pool shut down under us: its jobs are failed
+            for handle in handles:
+                poller.register(handle, select.POLLIN)
             poller.poll(_REAP_TICK_S * 1e3)
 
     def poll(self) -> list[PoolJob]:

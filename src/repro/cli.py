@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--exec-workers", type=int, default=None,
                          help="run served jobs on N persistent worker "
                               "processes, at most one per CPU "
-                              "(zero-copy shared-memory payloads; the "
+                              "(payloads on plain pipes; the "
                               "dispatcher stays an I/O loop)")
     p_serve.add_argument("--http-port", type=int, default=None,
                          help="also serve the HTTP ops plane on this "
@@ -829,12 +829,11 @@ def _cmd_dict_push(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import os
     import signal as _signal
-    import threading
     import time as _time
 
     # SIGTERM must drain like ctrl-C does: the default disposition
-    # kills the dispatcher without running cleanup, orphaning pool
-    # worker processes (which then hold inherited pipes open forever).
+    # kills the dispatcher without running cleanup, abandoning every
+    # request in flight.
     def _graceful(_signum, _frame):
         raise KeyboardInterrupt
 
@@ -850,12 +849,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         exec_workers = cpus
     if exec_workers is not None:
         # A worker is the slowest part of the tree to come up (a new
-        # interpreter, then its own imports): spawn them first, under
-        # this process's import of the service stack, not after it.
+        # interpreter, then its own imports): start them first, so they
+        # boot while this process imports the service stack.
         from .exec.pool import get_default_pool
 
-        threading.Thread(target=get_default_pool(exec_workers).warm,
-                         name="repro-exec-warm", daemon=True).start()
+        get_default_pool(exec_workers).warm()
     from .service import CompressionService, serve
 
     ops = None

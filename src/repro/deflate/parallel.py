@@ -18,15 +18,13 @@ Chunk boundaries depend only on ``chunk_size``, so the output is
 byte-identical for every worker count — parallelism changes wall-clock,
 never bytes.  Chunks run on the execution layer's persistent
 :class:`~repro.exec.pool.ProcessWorkerPool` (the kernels are CPU-bound
-pure Python, so threads would serialise on the GIL): the source buffer
-is written once into a shared-memory slab, workers slice their chunk
-and its one-window history out of it in place, and compressed units
-come back through a second slab — per-call cost is a handful of
-constant-size descriptors, not a pool spin-up plus payload pickling.
-A caller-owned ``concurrent.futures`` executor is still honoured, a
-crashed worker's chunk is resubmitted (chunk compression is a pure
-function of its descriptor), and a broken pool degrades to the inline
-path — bytes out are identical in every case.
+pure Python, so threads would serialise on the GIL): each job carries
+its chunk and its one-window history inline, and its compressed unit
+comes back the same way — per-call cost is a pipe write per chunk, not
+a pool spin-up.  A caller-owned ``concurrent.futures`` executor is
+still honoured, a crashed worker's chunk is resubmitted (chunk
+compression is a pure function of its arguments), and a broken pool
+degrades to the inline path — bytes out are identical in every case.
 """
 
 from __future__ import annotations
@@ -45,56 +43,11 @@ from .matcher import MatchStats
 DEFAULT_CHUNK_SIZE = 1 << 17
 
 
-def _compress_chunk(chunk: bytes, history: bytes, level: int,
-                    strategy: str, final: bool) -> CompressResult:
-    """Chunk kernel; module-level so caller executors can pickle it."""
+def compress_chunk(*, chunk: bytes, history: bytes, level: int,
+                   strategy: str, final: bool) -> CompressResult:
+    """One chunk: the job an executor or a pool worker runs."""
     return deflate(chunk, level=level, history=history,
                    strategy=strategy, final=final)
-
-
-def _out_capacity(nbytes: int) -> int:
-    """Slab budget for one chunk's compressed unit.
-
-    DEFLATE's stored-block worst case is 5 bytes per 64 KB plus the
-    payload; a quarter over input plus a fixed floor covers that with
-    room for the unit's sync-flush tail.  A unit that still overflows
-    (can't happen for these kernels) rides back inline instead.
-    """
-    return nbytes + nbytes // 4 + 256
-
-
-def deflate_chunk_job(*, level: int, strategy: str, final: bool,
-                      src: tuple[str, int, int] | None = None,
-                      data: bytes | None = None,
-                      history_src: tuple[str, int, int] | None = None,
-                      history: bytes = b"",
-                      out: tuple[str, int, int] | None = None) -> dict:
-    """Pool-worker entry: compress one chunk from/to shared memory.
-
-    ``src`` and ``history_src`` are ``(slab, offset, length)`` views of
-    the parent's source slab (the history of every chunk but the first
-    is just the preceding window of the same buffer); ``out`` is the
-    parent-owned destination region.  Returns ``{"n", "stats",
-    "blocks", "inline"?}``.
-    """
-    from ..exec import shm
-    if data is None:
-        name, offset, length = src
-        data = bytes(shm.attach(name).buf[offset:offset + length])
-    if history_src is not None:
-        name, offset, length = history_src
-        history = bytes(shm.attach(name).buf[offset:offset + length])
-    result = deflate(data, level=level, history=history,
-                     strategy=strategy, final=final)
-    record: dict = {"n": len(result.data), "stats": result.stats,
-                    "blocks": result.blocks}
-    if out is not None and len(result.data) <= out[2]:
-        name, offset, _cap = out
-        shm.attach(name).buf[offset:offset + len(result.data)] = \
-            result.data
-    else:
-        record["inline"] = result.data
-    return record
 
 
 def parallel_deflate(data: bytes, level: int = 6, *,
@@ -122,44 +75,42 @@ def parallel_deflate(data: bytes, level: int = 6, *,
     spans = [(start, min(start + chunk_size, len(data)))
              for start in range(0, len(data), chunk_size)] or [(0, 0)]
     last = len(spans) - 1
-
-    def inline_jobs() -> list[tuple]:
-        return [(data[start:end],
-                 history[-WINDOW_SIZE:] if start == 0
-                 else data[max(0, start - WINDOW_SIZE):start],
-                 level, strategy, final and idx == last)
-                for idx, (start, end) in enumerate(spans)]
+    jobs = [{"chunk": data[start:end],
+             "history": (history[-WINDOW_SIZE:] if start == 0
+                         else data[max(0, start - WINDOW_SIZE):start]),
+             "level": level, "strategy": strategy,
+             "final": final and idx == last}
+            for idx, (start, end) in enumerate(spans)]
 
     obs_span = (_TRACE.span("deflate.parallel", nbytes=len(data),
                             level=level, chunks=len(spans))
                 if _TRACE.enabled else None)
     try:
         if executor is not None:
-            results = list(executor.map(_compress_chunk,
-                                        *zip(*inline_jobs())))
+            futures = [executor.submit(compress_chunk, **job)
+                       for job in jobs]
+            results = [future.result() for future in futures]
             if obs_span is not None:
                 obs_span.set(workers="caller-executor")
         else:
             from ..exec.worker import in_worker
             nworkers = min(workers or os.cpu_count() or 1, len(spans))
-            if nworkers <= 1 or in_worker():
-                # Inline path: each chunk's deflate.kernel span nests
-                # here.  Workers also land here — a chunk job must not
-                # recurse into the pool that is running it.
-                if obs_span is not None:
-                    obs_span.set(workers=1)
-                results = [_compress_chunk(*job) for job in inline_jobs()]
-            else:
+            results = None
+            if nworkers > 1 and not in_worker():
+                # Workers never get here: a chunk job must not recurse
+                # into the pool that is running it.
                 if obs_span is not None:
                     obs_span.set(workers=nworkers)
-                results = _pool_compress(data, spans, last, history,
-                                         level, strategy, final,
-                                         nworkers, obs_span)
-                if results is None:  # pool broken: degrade, same bytes
-                    if obs_span is not None:
-                        obs_span.event("exec.pool_fallback")
-                    results = [_compress_chunk(*job)
-                               for job in inline_jobs()]
+                results = _pool_compress(jobs, nworkers, obs_span)
+                if results is None and obs_span is not None:
+                    obs_span.event("exec.pool_fallback")
+            elif obs_span is not None:
+                obs_span.set(workers=1)
+            if results is None:
+                # Inline (one worker, inside a worker, or the pool is
+                # broken: same bytes); each chunk's deflate.kernel span
+                # nests here.
+                results = [compress_chunk(**job) for job in jobs]
     finally:
         if obs_span is not None:
             obs_span.__exit__(None, None, None)
@@ -177,62 +128,16 @@ def parallel_deflate(data: bytes, level: int = 6, *,
     return CompressResult(data=bytes(out), stats=stats, blocks=blocks)
 
 
-def _pool_compress(data: bytes, spans: list[tuple[int, int]], last: int,
-                   history: bytes, level: int, strategy: str,
-                   final: bool, nworkers: int,
+def _pool_compress(jobs: list[dict], nworkers: int,
                    obs_span) -> list[CompressResult] | None:
-    """Run the chunk jobs on the warm execution pool; zero-copy buffers.
-
-    The whole source is written into one slab once; every chunk *and*
-    its cross-seam history are ``(slab, offset, length)`` views of it.
-    Returns ``None`` when the pool cannot take work (the caller then
-    compresses inline — output bytes do not depend on the path).
-    """
+    """Run the chunk jobs on the warm execution pool.  Returns ``None``
+    when the pool cannot take work (the caller then compresses inline —
+    output bytes do not depend on the path)."""
     from ..exec.pool import get_default_pool
 
     try:
         pool = get_default_pool(min_workers=nworkers)
+        return pool.run_batch([("deflate_chunk", job) for job in jobs],
+                              span_parent=obs_span)
     except ExecError:
         return None
-    allocator = pool.allocator
-    src_slab = allocator.acquire(max(1, len(data)))
-    out_caps = [_out_capacity(end - start) for start, end in spans]
-    out_offsets = [0] * len(spans)
-    total = 0
-    for idx, cap in enumerate(out_caps):
-        out_offsets[idx] = total
-        total += cap
-    out_slab = allocator.acquire(total)
-    try:
-        src_slab.write(0, data)
-        calls: list[tuple[str, dict]] = []
-        for idx, (start, end) in enumerate(spans):
-            kwargs: dict = {
-                "level": level, "strategy": strategy,
-                "final": final and idx == last,
-                "src": (src_slab.name, start, end - start),
-                "out": (out_slab.name, out_offsets[idx], out_caps[idx]),
-            }
-            if start == 0:
-                kwargs["history"] = history[-WINDOW_SIZE:]
-            else:
-                hstart = max(0, start - WINDOW_SIZE)
-                kwargs["history_src"] = (src_slab.name, hstart,
-                                         start - hstart)
-            calls.append(("deflate_chunk", kwargs))
-        try:
-            records = pool.run_batch(calls, span_parent=obs_span)
-        except ExecError:
-            return None
-        results = []
-        for idx, record in enumerate(records):
-            unit = record.get("inline")
-            if unit is None:
-                unit = out_slab.read(out_offsets[idx], record["n"])
-            results.append(CompressResult(data=unit,
-                                          stats=record["stats"],
-                                          blocks=record["blocks"]))
-        return results
-    finally:
-        allocator.release(src_slab)
-        allocator.release(out_slab)

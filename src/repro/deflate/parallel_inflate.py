@@ -259,7 +259,8 @@ def _find_member_starts(payload: bytes) -> list[int]:
 def _plan_jobs(payload: bytes, fmt: str, chunk_size: int) -> list[dict]:
     """One member-run job per chunk, past the first, that holds a gzip
     member magic: the run starts at the chunk's first magic and stops at
-    the first member or block boundary past the chunk's end."""
+    the first member or block boundary past the chunk's end.  Each job
+    carries only its own byte range of the payload."""
     if fmt != "gzip":
         return []
     member_starts = _find_member_starts(payload)
@@ -270,32 +271,29 @@ def _plan_jobs(payload: bytes, fmt: str, chunk_size: int) -> list[dict]:
         while mi < len(member_starts) and member_starts[mi] < target:
             mi += 1
         if mi < len(member_starts) and member_starts[mi] < stop_byte:
+            # A single block may overrun the stop target; give the
+            # slice one extra chunk of slack (overruns beyond it fail
+            # the job and the resolver decodes the run).
+            slice_hi = min(len(payload), stop_byte + chunk_size + 65536)
             jobs.append({
                 "header_byte": member_starts[mi],
                 "stop_bit": stop_byte * 8,
-                # A single block may overrun the stop target; give the
-                # slice one extra chunk of slack (overruns beyond it
-                # fail the job and the resolver decodes the run).
-                "slice_hi": min(len(payload),
-                                stop_byte + chunk_size + 65536),
+                "data": payload[member_starts[mi]:slice_hi],
             })
             mi += 1
     return jobs
 
 
-def inflate_chunk_job(*, header_byte: int, stop_bit: int,
-                      slice_hi: int | None = None,
-                      src: tuple[str, int, int] | None = None,
-                      data: bytes | None = None,
+def inflate_chunk_job(*, header_byte: int, stop_bit: int, data: bytes,
                       max_output: int = 1 << 62,
                       spacing: int | None = None) -> dict:
     """Pool-worker entry: decode the member run starting at
     ``header_byte``.
 
-    The payload rides in a shared-memory slab (``src = (slab, offset,
-    length)``); the worker slices only ``[header_byte:slice_hi)`` out
-    of it and walks it with its own :class:`_Resolver`, so every member
-    it completes is trailer-verified.  Bit offsets in the returned
+    ``data`` is the run's own slice of the payload, from
+    ``header_byte`` on; the worker walks it with its own
+    :class:`_Resolver`, so every member it completes is
+    trailer-verified.  Bit offsets in the returned
     record are absolute within the payload; output offsets and member
     numbers are relative to the run.  A run that cannot be decoded —
     a false magic, a slice that ends inside a block, output past
@@ -303,17 +301,10 @@ def inflate_chunk_job(*, header_byte: int, stop_bit: int,
     not an error (the resolver decodes the span itself and surfaces any
     *genuine* stream error, in stream order).
     """
-    if data is None:
-        from ..exec import shm
-        name, offset, length = src
-        hi = length if slice_hi is None else min(slice_hi, length)
-        view = bytes(shm.attach(name).buf[offset + header_byte:offset + hi])
-    else:
-        view = data[header_byte:slice_hi]
     rebase = header_byte * 8
-    span = (_TRACE.span("inflate.chunk", nbytes=len(view))
+    span = (_TRACE.span("inflate.chunk", nbytes=len(data))
             if _TRACE.enabled else None)
-    run = _Resolver(view, "gzip", {}, spacing, max_output)
+    run = _Resolver(data, "gzip", {}, spacing, max_output)
     try:
         run.open()
         run.run(stop_bit=stop_bit - rebase)
@@ -330,29 +321,18 @@ def inflate_chunk_job(*, header_byte: int, stop_bit: int,
                        for point in run.points]}
 
 
-def _pool_speculate(payload: bytes, jobs: list[dict], nworkers: int,
-                    obs_span, **shared) -> list[dict] | None:
+def _pool_speculate(jobs: list[dict], nworkers: int, obs_span,
+                    **shared) -> list[dict] | None:
     """Run the member-run jobs (each with the ``shared`` arguments) on
     the warm pool; ``None`` degrades to the inline decode."""
     from ..exec.pool import get_default_pool
 
     try:
         pool = get_default_pool(min_workers=nworkers)
+        return pool.run_batch([("inflate_chunk", {**job, **shared})
+                               for job in jobs], span_parent=obs_span)
     except ExecError:
         return None
-    allocator = pool.allocator
-    slab = allocator.acquire(max(1, len(payload)))
-    try:
-        slab.write(0, payload)
-        calls = [("inflate_chunk",
-                  {**job, **shared, "src": (slab.name, 0, len(payload))})
-                 for job in jobs]
-        try:
-            return pool.run_batch(calls, span_parent=obs_span)
-        except ExecError:
-            return None
-    finally:
-        allocator.release(slab)
 
 
 # -- public API ---------------------------------------------------------------
@@ -400,7 +380,7 @@ def parallel_inflate(payload: bytes, fmt: str = "gzip", *,
         jobs = (_plan_jobs(payload, fmt, chunk_size)
                 if nworkers > 1 and not in_worker() else [])
         if jobs:
-            records = _pool_speculate(payload, jobs, nworkers, obs_span,
+            records = _pool_speculate(jobs, nworkers, obs_span,
                                       max_output=max_output,
                                       spacing=spacing)
             if records is None:

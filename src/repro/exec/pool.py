@@ -6,72 +6,84 @@ throughput as workers grew), and a per-call ``ProcessPoolExecutor``
 pays worker spin-up plus full payload pickling on every request.  This
 pool is the fix the execution layers share:
 
-* **warm-started once** — workers are spawned lazily on first use and
-  reused for every subsequent job, so steady-state calls pay only a
-  queue hop;
-* **zero-copy payloads** — the pool owns a :class:`~repro.exec.shm.
-  SlabAllocator`; callers put bytes in a slab and submit ``(name,
-  offset, length)`` descriptors that pickle in constant time;
-* **crash containment** — every worker announces which job it claimed
-  before running it, so when a worker dies mid-job the parent knows
-  exactly which job to fail (:class:`~repro.errors.WorkerCrash`),
-  respawns a replacement, and the layers above decide whether to retry
-  (pure kernel chunks) or rescue in software (the accelerator pool's
-  breaker path);
-* **truthful telemetry** — completion records carry the worker's span
-  dicts and metrics snapshot; the parent folds them into the
-  process-global tracer/registry, so traces and counters look the same
-  whether a job ran inline or in a worker.
+* **warm-started once** — workers start lazily on first use and are
+  reused for every later job, so a steady-state call pays two pipe hops;
+* **one job per worker, on plain pipes** — each worker is a
+  ``subprocess`` child with its own task pipe and result pipe carrying
+  length-prefixed pickles (:mod:`.worker`).  The parent hands each job
+  to one idle worker and holds the backlog itself, so neither side ever
+  blocks on a full pipe, and payloads and outputs travel inline;
+* **crash containment** — a worker's death is EOF on its result pipe,
+  and the parent knows which job it gave that worker: exactly that job
+  fails (:class:`~repro.errors.WorkerCrash`), a replacement starts, and
+  the layers above decide whether to retry (pure kernel chunks) or
+  rescue in software (the accelerator pool's breaker path);
+* **truthful telemetry** — results carry the worker's span dicts and
+  metrics snapshot; the parent folds them into the process-global
+  tracer/registry, so traces and counters look the same whether a job
+  ran inline or in a worker.
 
-Start method defaults to ``spawn`` (safe under threaded parents like
-the service dispatcher; override with ``start_method=`` or the
-``REPRO_EXEC_START_METHOD`` environment variable).  The module-level
-default pool (:func:`get_default_pool`) is what ``parallel_deflate``
-and the backends share; it is shut down atexit and by the test suite's
-leak fixture.
+A worker is started with ``python -c`` rather than ``-m`` (which would
+load a second copy of :mod:`.worker`, with its own ``in_worker()`` flag
+and job registry) and with no ``multiprocessing``: no resource-tracker
+process, and nothing re-runs the parent's main module.  It stays in the
+parent's process group and exits at EOF on its task pipe, so a killed
+parent leaves no worker behind.  The module-level default pool
+(:func:`get_default_pool`) is what ``parallel_deflate`` and the
+backends share; it is shut down atexit and by the test suite.
 """
 
 from __future__ import annotations
 
 import atexit
 import itertools
-import multiprocessing as mp
 import os
+import select
+import subprocess
+import sys
 import threading
 import time
-from multiprocessing.connection import wait as _wait_readable
+from collections import deque
 
 from ..errors import ConfigError, ExecError, WorkerCrash
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
-from .shm import SlabAllocator
-from .worker import in_worker, worker_main
+from .worker import frame, in_worker, read_frame, write_frame
 
-#: Default seconds a graceful shutdown waits before terminating workers.
+#: Default seconds a graceful shutdown waits before killing workers.
 SHUTDOWN_TIMEOUT_S = 5.0
 
-_DEFAULT_START_METHOD = "spawn"
+#: The directory this process imported ``repro`` from.  A worker's path
+#: starts there, so it runs the same tree even when the parent put it on
+#: ``sys.path`` by hand rather than through ``PYTHONPATH``.
+_SRC = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+_BOOT = ("import sys; sys.path.insert(0, {src!r}); "
+         "from repro.exec.worker import main; main({tasks}, {results})")
 
 
 class ExecJob:
     """Handle for one submitted job; resolved by the pool's drain."""
 
-    __slots__ = ("job_id", "fn", "done", "result", "error", "claimed_by",
-                 "spans", "metrics", "span_parent", "descriptor")
+    __slots__ = ("job_id", "fn", "done", "result", "error", "worker",
+                 "spans", "metrics", "span_parent", "task")
 
-    def __init__(self, job_id: int, fn: str, descriptor: tuple,
+    def __init__(self, job_id: int, fn: str, task: bytes,
                  span_parent: object = None) -> None:
         self.job_id = job_id
         self.fn = fn
         self.done = False
         self.result: object = None
         self.error: BaseException | None = None
-        self.claimed_by: int | None = None
+        #: The worker running it; None while it waits in the backlog.
+        self.worker: int | None = None
         self.spans: list | None = None
         self.metrics: dict | None = None
         self.span_parent = span_parent
-        self.descriptor = descriptor
+        #: The framed task, kept for a resubmission after a crash.
+        self.task = task
 
     @property
     def crashed(self) -> bool:
@@ -83,8 +95,30 @@ class ExecJob:
         return f"ExecJob({self.job_id}, {self.fn!r}, {state})"
 
 
-#: Every live pool, so the atexit hook can shut them all down before
-#: the shm layer's own atexit unlinks any straggler slabs.
+class _Worker:
+    """One child process, the parent's ends of its two pipes, and the
+    job it is running (None: idle)."""
+
+    __slots__ = ("worker_id", "proc", "tasks", "results", "job")
+
+    def __init__(self, worker_id: int, proc: subprocess.Popen,
+                 tasks: int, results: int) -> None:
+        self.worker_id = worker_id
+        self.proc = proc
+        self.tasks = tasks
+        self.results = results
+        self.job: ExecJob | None = None
+
+
+def _readable(fds: list[int], timeout_s: float) -> list[int]:
+    """The ``fds`` with data or EOF waiting, after at most ``timeout_s``."""
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    return [fd for fd, _ in poller.poll(timeout_s * 1e3)]
+
+
+#: Every live pool, so the atexit hook can shut them all down.
 _POOLS: set["ProcessWorkerPool"] = set()
 _POOLS_LOCK = threading.Lock()
 
@@ -100,11 +134,9 @@ atexit.register(_shutdown_all_pools)
 
 
 class ProcessWorkerPool:
-    """Persistent worker processes behind a claim/complete channel."""
+    """Persistent worker processes, one job in flight on each."""
 
     def __init__(self, workers: int | None = None, *,
-                 start_method: str | None = None,
-                 allocator: SlabAllocator | None = None,
                  name: str = "exec") -> None:
         requested = workers if workers is not None else (
             os.cpu_count() or 1)
@@ -112,16 +144,6 @@ class ProcessWorkerPool:
             raise ConfigError(f"need at least one worker, got {requested}")
         self.requested_workers = requested
         self.name = name
-        method = (start_method
-                  or os.environ.get("REPRO_EXEC_START_METHOD")
-                  or _DEFAULT_START_METHOD)
-        if method not in mp.get_all_start_methods():
-            raise ConfigError(
-                f"start method {method!r} unavailable; "
-                f"have {mp.get_all_start_methods()}")
-        self.start_method = method
-        self._ctx = mp.get_context(method)
-        self.allocator = allocator or SlabAllocator()
         #: Test/chaos hook: every submitted job sleeps this long in the
         #: worker before executing (deterministic crash-mid-job tests).
         self.default_delay_s = 0.0
@@ -132,15 +154,11 @@ class ProcessWorkerPool:
         self.broken = False
         self.jobs_dispatched = 0
         self.jobs_completed = 0
-        self._procs: dict[int, mp.process.BaseProcess] = {}
-        self._claimed: dict[int, ExecJob] = {}       # worker -> job
+        self._workers: dict[int, _Worker] = {}
+        self._backlog: deque[ExecJob] = deque()
         self._jobs: dict[int, ExecJob] = {}          # outstanding
         self._next_job = itertools.count(1)
         self._next_worker = itertools.count(0)
-        self._tasks = None
-        self._rx = None
-        self._tx = None
-        self._wlock = None
         self._started = False
         self._closed = False
         self._lock = threading.RLock()
@@ -160,7 +178,7 @@ class ProcessWorkerPool:
     @property
     def workers(self) -> int:
         with self._lock:
-            return len(self._procs) if self._started \
+            return len(self._workers) if self._started \
                 else self.requested_workers
 
     @property
@@ -177,22 +195,30 @@ class ProcessWorkerPool:
                                 f"(restart cap hit)")
             if self._started:
                 return
-            self._tasks = self._ctx.SimpleQueue()
-            self._rx, self._tx = self._ctx.Pipe(duplex=False)
-            self._wlock = self._ctx.Lock()
             self._started = True
             for _ in range(self.requested_workers):
                 self._spawn_worker()
 
-    def _spawn_worker(self) -> int:
+    def _spawn_worker(self) -> None:
         worker_id = next(self._next_worker)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, self._tasks, self._tx, self._wlock),
-            name=f"repro-{self.name}-{worker_id}", daemon=True)
-        proc.start()
-        self._procs[worker_id] = proc
-        return worker_id
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _BOOT.format(
+                    src=_SRC, tasks=task_r, results=result_w)],
+                stdin=subprocess.DEVNULL, pass_fds=(task_r, result_w))
+        except BaseException:
+            os.close(task_w)
+            os.close(result_r)
+            raise
+        finally:
+            # The child's ends: once only the child holds them, its
+            # death is EOF on the result pipe.
+            os.close(task_r)
+            os.close(result_w)
+        self._workers[worker_id] = _Worker(worker_id, proc, task_w,
+                                           result_r)
 
     def warm(self) -> None:
         """Start the workers now (otherwise they start on first submit)."""
@@ -202,50 +228,39 @@ class ProcessWorkerPool:
         """Grow the fleet to at least ``count`` workers."""
         self._ensure_started()
         with self._lock:
-            while len(self._procs) < count:
+            while len(self._workers) < count:
                 self._spawn_worker()
+            self._dispatch()
 
     def shutdown(self, timeout_s: float = SHUTDOWN_TIMEOUT_S) -> None:
-        """Stop workers, fail outstanding jobs, unlink every slab."""
+        """Stop the workers and reap them; fail outstanding jobs."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            started = self._started
+            workers = list(self._workers.values())
+            self._workers.clear()
+            # EOF on the task pipe ends an idle worker; a busy one ends
+            # when its answer meets the closed result pipe.
+            for worker in workers:
+                os.close(worker.tasks)
+                os.close(worker.results)
+            for job in self._jobs.values():
+                job.error = ExecError(
+                    f"pool {self.name!r} shut down with job "
+                    f"{job.job_id} outstanding")
+                job.done = True
+            self._jobs.clear()
+            self._backlog.clear()
         with _POOLS_LOCK:
             _POOLS.discard(self)
-        if started:
-            for _ in self._procs:
-                try:
-                    self._tasks.put(None)
-                except Exception:  # pragma: no cover - broken queue
-                    break
-            deadline = time.monotonic() + timeout_s
-            for proc in self._procs.values():
-                proc.join(max(0.0, deadline - time.monotonic()))
-            for proc in self._procs.values():
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(1.0)
-            self._procs.clear()
-            for job in list(self._jobs.values()):
-                if not job.done:
-                    job.error = ExecError(
-                        f"pool {self.name!r} shut down with job "
-                        f"{job.job_id} outstanding")
-                    job.done = True
-            self._jobs.clear()
-            self._claimed.clear()
-            for chan in (self._rx, self._tx):
-                try:
-                    chan.close()
-                except Exception:  # pragma: no cover
-                    pass
+        deadline = time.monotonic() + timeout_s
+        for worker in workers:
             try:
-                self._tasks.close()
-            except Exception:  # pragma: no cover
-                pass
-        self.allocator.close()
+                worker.proc.wait(max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                worker.proc.kill()
+                worker.proc.wait()
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self
@@ -267,10 +282,9 @@ class ProcessWorkerPool:
         the global tracer's enabled flag.  ``metrics=True`` additionally
         captures a worker-side metrics snapshot, merged into the global
         registry at completion.  ``traceparent`` (a W3C-style header
-        string) rides in the job descriptor so the worker's root span
-        joins the originating wire trace.
+        string) rides in the task so the worker's root span joins the
+        originating wire trace.
         """
-        self._ensure_started()
         opts = {
             "trace": _TRACE.enabled if trace is None else trace,
             "metrics": metrics,
@@ -278,12 +292,9 @@ class ProcessWorkerPool:
         }
         if traceparent:
             opts["traceparent"] = traceparent
-        with self._lock:
-            job_id = next(self._next_job)
-            job = ExecJob(job_id, fn, (fn, kwargs, opts), span_parent)
-            self._jobs[job_id] = job
-            self.jobs_dispatched += 1
-            self._tasks.put((job_id, fn, (), kwargs, opts))
+        job = ExecJob(next(self._next_job), fn, frame((fn, kwargs, opts)),
+                      span_parent)
+        self._queue(job)
         if _REGISTRY.enabled:
             _REGISTRY.counter("repro_exec_jobs_total",
                               "jobs dispatched to pool workers").inc(
@@ -291,21 +302,40 @@ class ProcessWorkerPool:
             self._publish_gauges()
         return job
 
-    def _resubmit(self, job: ExecJob) -> None:
-        """Re-queue a crashed job's descriptor under the same handle."""
-        fn, kwargs, opts = job.descriptor
+    def _queue(self, job: ExecJob) -> None:
+        """Book ``job`` — new, or crashed and run again under the same
+        handle — and hand it out if a worker is idle."""
         with self._lock:
+            self._ensure_started()
             job.done = False
             job.error = None
-            job.claimed_by = None
+            job.worker = None
             self._jobs[job.job_id] = job
             self.jobs_dispatched += 1
-            self._tasks.put((job.job_id, fn, (), kwargs, opts))
+            self._backlog.append(job)
+            self._dispatch()
+
+    def _dispatch(self) -> None:
+        """Give backlog jobs to idle workers, one each (lock held)."""
+        for worker in self._workers.values():
+            if not self._backlog:
+                return
+            if worker.job is not None:
+                continue
+            job = self._backlog.popleft()
+            try:
+                write_frame(worker.tasks, job.task)
+            except BrokenPipeError:
+                # Died idle: the job never started, and the worker's EOF
+                # is reaped by the next drain.
+                self._backlog.appendleft(job)
+                continue
+            worker.job, job.worker = job, worker.worker_id
 
     # -- completion ----------------------------------------------------------
 
     def poll(self) -> list[ExecJob]:
-        """Drain every available completion; never blocks."""
+        """Apply every result already waiting; never blocks."""
         return self._drain(block_s=0.0)
 
     def wait(self, jobs: list[ExecJob] | None = None,
@@ -332,152 +362,111 @@ class ProcessWorkerPool:
             finished.extend(self._drain(block_s=0.05))
         return finished
 
-    def wait_handles(self) -> list:
-        """What turns readable when this pool has news for its waiter.
-
-        The result pipe (a claim or completion record) and one sentinel
-        per worker (a death).  A caller with wake sources of its own —
-        the service dispatcher and its admission pipe — polls these and
-        its own in one blocking call, then calls :meth:`poll`.
-        """
+    def wait_handles(self) -> list[int]:
+        """What turns readable when this pool has news for its waiter:
+        each worker's result pipe (an answer, or EOF for a death).  A
+        caller with wake sources of its own — the service dispatcher and
+        its admission pipe — polls these and its own in one blocking
+        call, then calls :meth:`poll`."""
         with self._lock:
             if not self._started or self._closed:
                 return []
-            return [self._rx, *(proc.sentinel
-                                for proc in self._procs.values())]
+            return [worker.results for worker in self._workers.values()]
 
     def _drain(self, block_s: float) -> list[ExecJob]:
-        """Process claim/done/err records; reap dead workers.
+        """Apply waiting results and deaths; refill idle workers.
 
         The wait happens before the lock is taken, so a ``submit`` from
-        another thread never queues behind a sleeping waiter; the lock
-        covers only applying the records that are already buffered.
+        another thread never queues behind a sleeping waiter; under the
+        lock the pipes are polled again, so one that another thread
+        drained in between is not read.
         """
         if block_s:
-            try:
-                _wait_readable(self.wait_handles(), block_s)
-            except OSError:  # pragma: no cover - shut down under us
-                pass
+            _readable(self.wait_handles(), block_s)
         finished: list[ExecJob] = []
         with self._lock:
             if not self._started or self._closed:
                 return finished
-            try:
-                while self._rx.poll(0.0):
-                    job = self._handle(self._rx.recv())
-                    if job is not None:
-                        finished.append(job)
-            except (OSError, EOFError):  # pragma: no cover
-                pass
-            self._reap_dead()
+            by_fd = {worker.results: worker
+                     for worker in self._workers.values()}
+            ready = _readable(list(by_fd), 0.0)
+            for fd in ready:
+                job = self._collect(by_fd[fd])
+                if job is not None:
+                    finished.append(job)
+            if ready:
+                self._dispatch()
         for job in finished:
             self._fold_telemetry(job)
         if finished and _REGISTRY.enabled:
             self._publish_gauges()
         return finished
 
-    def _handle(self, record: tuple) -> ExecJob | None:
-        """Apply one channel record; returns the job if it resolved."""
-        kind = record[0]
-        if kind == "claim":
-            _, worker_id, job_id = record
-            job = self._jobs.get(job_id)
-            if job is not None:
-                job.claimed_by = worker_id
-                self._claimed[worker_id] = job
+    def _collect(self, worker: _Worker) -> ExecJob | None:
+        """Read one worker's answer or death; the job it resolved."""
+        try:
+            error, result, spans, metrics = read_frame(worker.results)
+        except EOFError:
+            return self._bury(worker)
+        job, worker.job = worker.job, None
+        if job is None or job.done:  # failed already (pool broke)
             return None
-        if kind == "bye":
-            return None
-        _, job_id, payload, spans, metrics = record
-        job = self._jobs.pop(job_id, None)
-        if job is None:  # resolved already (e.g. failed at shutdown)
-            return None
-        if job.claimed_by is not None:
-            claimed = self._claimed.get(job.claimed_by)
-            if claimed is job:
-                del self._claimed[job.claimed_by]
+        del self._jobs[job.job_id]
         job.spans = spans
         job.metrics = metrics
-        if kind == "err":
-            job.error = payload
-        else:
-            job.result = payload
+        job.error = error
+        job.result = result
         job.done = True
         self.jobs_completed += 1
         return job
 
-    def _reap_dead(self) -> None:
-        """Respawn dead workers; fail the jobs they had claimed.
-
-        Runs after the channel is fully drained, so a claim record that
-        made it out before the crash has already been applied — the
-        claimed-but-unfinished job is attributable to the dead worker.
-        """
-        for worker_id, proc in list(self._procs.items()):
-            if proc.is_alive():
-                continue
-            exitcode = proc.exitcode
-            proc.join()
-            del self._procs[worker_id]
-            job = self._claimed.pop(worker_id, None)
-            if job is not None and not job.done:
-                self._jobs.pop(job.job_id, None)
-                job.error = WorkerCrash(
-                    f"worker {worker_id} died (exit {exitcode}) while "
-                    f"running job {job.job_id} ({job.fn})",
-                    worker=worker_id, exitcode=exitcode)
-                job.done = True
-                self.jobs_completed += 1
-                _FLIGHT.auto_dump("worker_crash", pool=self.name,
-                                  worker=worker_id, exitcode=exitcode,
-                                  job_id=job.job_id, fn=job.fn)
-            else:
-                _FLIGHT.record("exec.worker_exit", pool=self.name,
-                               worker=worker_id, exitcode=exitcode)
-            if self.broken:
-                continue
-            if self.worker_restarts >= self.restart_cap:
-                self.broken = True
-                for stuck in list(self._jobs.values()):
-                    if not stuck.done:
-                        stuck.error = ExecError(
-                            f"pool {self.name!r} broken: "
-                            f"{self.worker_restarts} worker restarts "
-                            f"(last exit {exitcode})")
-                        stuck.done = True
-                self._jobs.clear()
-                continue
-            if not self._closed:
-                self._spawn_worker()
-                self.worker_restarts += 1
-                _TRACE.event("exec.worker_restart", worker=worker_id,
-                             exitcode=exitcode)
-                if _REGISTRY.enabled:
-                    _REGISTRY.counter(
-                        "repro_exec_worker_restarts_total",
-                        "workers respawned after dying").inc(1)
-
-    def fail_job(self, job: ExecJob, error: BaseException) -> None:
-        """Externally resolve an outstanding job as failed.
-
-        Orphan recovery: a worker killed in the instant between popping
-        a task and writing its claim record leaves a job no completion
-        will ever resolve.  Callers that give up waiting use this to
-        fail the handle (and fix the books) so their own rescue path
-        can take over.
-        """
-        with self._lock:
-            self._jobs.pop(job.job_id, None)
-            if job.claimed_by is not None \
-                    and self._claimed.get(job.claimed_by) is job:
-                del self._claimed[job.claimed_by]
-            if not job.done:
-                job.error = error
-                job.done = True
-                self.jobs_completed += 1
+    def _bury(self, worker: _Worker) -> ExecJob | None:
+        """A worker died: fail the job it held, start a replacement."""
+        del self._workers[worker.worker_id]
+        os.close(worker.tasks)
+        os.close(worker.results)
+        exitcode = worker.proc.wait()
+        job = worker.job
+        if job is not None and not job.done:
+            del self._jobs[job.job_id]
+            job.error = WorkerCrash(
+                f"worker {worker.worker_id} died (exit {exitcode}) while "
+                f"running job {job.job_id} ({job.fn})",
+                worker=worker.worker_id, exitcode=exitcode)
+            job.done = True
+            self.jobs_completed += 1
+            _FLIGHT.auto_dump("worker_crash", pool=self.name,
+                              worker=worker.worker_id, exitcode=exitcode,
+                              job_id=job.job_id, fn=job.fn)
+        else:
+            job = None
+            _FLIGHT.record("exec.worker_exit", pool=self.name,
+                           worker=worker.worker_id, exitcode=exitcode)
+        if self.broken:
+            return job
+        if self.worker_restarts >= self.restart_cap:
+            self.broken = True
+            for stuck in self._jobs.values():
+                stuck.error = ExecError(
+                    f"pool {self.name!r} broken: "
+                    f"{self.worker_restarts} worker restarts "
+                    f"(last exit {exitcode})")
+                stuck.done = True
+            self._jobs.clear()
+            self._backlog.clear()
+            return job
+        self._spawn_worker()
+        self.worker_restarts += 1
+        _TRACE.event("exec.worker_restart", worker=worker.worker_id,
+                     exitcode=exitcode)
+        if _REGISTRY.enabled:
+            _REGISTRY.counter(
+                "repro_exec_worker_restarts_total",
+                "workers respawned after dying").inc(1)
+        return job
 
     def _fold_telemetry(self, job: ExecJob) -> None:
-        """Merge a completion record's spans/metrics into the parent."""
+        """Merge a result's spans/metrics into the parent."""
         if job.spans:
             _TRACE.fold(job.spans, parent=job.span_parent)
         if job.metrics:
@@ -503,7 +492,7 @@ class ProcessWorkerPool:
 
         A job whose worker crashed is transparently resubmitted up to
         ``crash_retries`` times — kernel jobs are pure functions of
-        their descriptors, so re-execution is safe.  Any other failure
+        their arguments, so re-execution is safe.  Any other failure
         (or crash-retry exhaustion) raises that job's error.
         """
         jobs = [self.submit(fn, span_parent=span_parent,
@@ -520,7 +509,7 @@ class ProcessWorkerPool:
                 raise crashed[0].error
             retries_left -= 1
             for job in crashed:
-                self._resubmit(job)
+                self._queue(job)
         for job in jobs:
             if job.error is not None:
                 raise job.error

@@ -1,28 +1,23 @@
 """Worker-process side of the execution layer.
 
-Everything here is **spawn-safe**: :func:`worker_main` and every job
-function are module-level callables resolved by name, so a worker
-started with any ``multiprocessing`` start method (``spawn``, ``fork``,
-``forkserver``) can import this module and run jobs without the parent
-pickling code objects.
+A worker is a plain ``python -c`` child started by
+:class:`~repro.exec.pool.ProcessWorkerPool`: :func:`main` reads tasks
+from one pipe and writes results to another, each message one
+length-prefixed pickle (:func:`frame` / :func:`read_frame`).  The parent
+gives a worker one job at a time, so a task is ``(fn_name, kwargs,
+opts)`` and its answer ``(error, result, spans, metrics)`` — no job id,
+no claim: the parent knows which job it handed over.  EOF on the task
+pipe (the parent shut the pool down, or died) ends the worker.
 
 Job functions are published in a string-keyed registry (the same lazy
 ``"module:attr"`` convention as the backend registry) so a worker only
-imports the layers it actually executes.  A task is ``(job_id, fn_name,
-args, kwargs, opts)``; the worker answers with
-
-* ``("claim", worker_id, job_id)`` the moment it picks the task up —
-  written *before* execution so the parent can attribute a mid-job
-  crash to exactly one job;
-* ``("done", job_id, result, spans, metrics)`` or
-  ``("err", job_id, exception, spans, metrics)`` when it finishes.
+imports the layers it actually executes.
 
 Telemetry does not vanish inside workers: when the parent's tracer (or
 a job's opts) asks for it, the job runs under this process's own
 tracer/metrics registry and the finished span dicts plus a metrics
-snapshot ride back on the completion record, where the parent folds
-them into its process-global collectors
-(:meth:`~repro.obs.trace.Tracer.fold`,
+snapshot ride back on the result, where the parent folds them into its
+process-global collectors (:meth:`~repro.obs.trace.Tracer.fold`,
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`).
 """
 
@@ -40,12 +35,14 @@ from ..errors import ExecError
 from ..obs.context import TraceContext
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
-from . import shm
 
 #: True inside a pool worker process; layers that would otherwise
 #: recurse into the pool (``parallel_deflate``) check this and run
 #: inline instead.
 _IN_WORKER = False
+
+#: Bytes of a frame's little-endian length prefix.
+_LENGTH_BYTES = 8
 
 
 def in_worker() -> bool:
@@ -59,7 +56,7 @@ _WORKER_FNS: dict[str, Callable | str] = {
     "crash": "repro.exec.worker:crash",
     "crash_once": "repro.exec.worker:crash_once",
     "backend_job": "repro.exec.worker:backend_job",
-    "deflate_chunk": "repro.deflate.parallel:deflate_chunk_job",
+    "deflate_chunk": "repro.deflate.parallel:compress_chunk",
     "inflate_chunk": "repro.deflate.parallel_inflate:inflate_chunk_job",
 }
 
@@ -77,8 +74,8 @@ def resolve_worker_fn(name: str) -> Callable:
 
     A name spelled ``module:attr`` resolves by import even without a
     prior :func:`register_worker_fn` — registrations made in the
-    submitting process don't propagate to spawned workers, so a fully
-    qualified name is the portable way to ship a custom fn.
+    submitting process don't propagate to the worker processes, so a
+    fully qualified name is the portable way to ship a custom fn.
     """
     try:
         fn = _WORKER_FNS[name]
@@ -96,6 +93,40 @@ def resolve_worker_fn(name: str) -> Callable:
                 f"cannot resolve worker fn {name!r}: {exc}") from exc
         _WORKER_FNS[name] = fn
     return fn
+
+
+# -- framing -----------------------------------------------------------------
+
+def frame(message: object) -> bytes:
+    """``message`` as one length-prefixed pickle."""
+    body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    return len(body).to_bytes(_LENGTH_BYTES, "little") + body
+
+
+def write_frame(fd: int, data: bytes) -> None:
+    """Write a whole :func:`frame` to a pipe."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd: int, size: int) -> bytes:
+    parts: list[bytes] = []
+    left = size
+    while left:
+        part = os.read(fd, left)
+        if not part:
+            raise EOFError("pipe closed")
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
+def read_frame(fd: int) -> object:
+    """The next message on a pipe; :class:`EOFError` once the writer is
+    gone."""
+    size = int.from_bytes(_read_exact(fd, _LENGTH_BYTES), "little")
+    return pickle.loads(_read_exact(fd, size))
 
 
 # -- built-in job functions --------------------------------------------------
@@ -133,30 +164,22 @@ _BACKENDS: dict[tuple, object] = {}
 
 
 def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
-                kind: str, fmt: str, strategy: str = "auto",
+                kind: str, fmt: str, data: bytes, strategy: str = "auto",
                 history: bytes = b"", final: bool = True,
-                deadline_s: float | None = None,
-                src: tuple[str, int, int] | None = None,
-                data: bytes | None = None,
-                out: tuple[str, int, int] | None = None) -> dict:
+                deadline_s: float | None = None):
     """Run one backend compress/decompress in this worker.
 
-    The payload arrives as a shared-memory reference ``src = (slab,
-    offset, length)`` (or inline ``data`` for tiny jobs); the output is
-    written into the parent-owned ``out = (slab, offset, capacity)``
-    region when it fits, otherwise it rides inline on the completion
-    record.  Returns ``{"n", "stats", "inline"?}``.
+    Returns the :class:`~repro.sysstack.driver.DriverResult` without its
+    CSB: the output bytes and the submission stats.
     """
     from ..backend.registry import create_backend
+    from ..sysstack.driver import DriverResult
 
     key = (backend, machine, tuple(sorted(backend_kwargs.items())))
     instance = _BACKENDS.get(key)
     if instance is None:
         instance = _BACKENDS[key] = create_backend(
             backend, machine=machine, **backend_kwargs)
-    if data is None:
-        name, offset, length = src
-        data = bytes(shm.attach(name).buf[offset:offset + length])
     if kind == "compress":
         result = instance.compress(data, strategy=strategy, fmt=fmt,
                                    history=history, final=final,
@@ -164,19 +187,12 @@ def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
     else:
         result = instance.decompress(data, fmt=fmt, history=history,
                                      deadline_s=deadline_s)
-    output = result.output
-    record: dict = {"n": len(output), "stats": result.stats}
-    if out is not None and len(output) <= out[2]:
-        name, offset, _cap = out
-        shm.attach(name).buf[offset:offset + len(output)] = output
-    else:
-        record["inline"] = output
-    return record
+    return DriverResult(output=result.output, csb=None, stats=result.stats)
 
 
 # -- telemetry capture -------------------------------------------------------
 
-def _run_traced(fn: Callable, args: tuple, kwargs: dict,
+def _run_traced(fn: Callable, kwargs: dict,
                 opts: dict) -> tuple[object, BaseException | None,
                                      list | None, dict | None]:
     """Execute one job, capturing this process's spans and metrics.
@@ -209,12 +225,12 @@ def _run_traced(fn: Callable, args: tuple, kwargs: dict,
             with _TRACE.span("worker.job", ctx=ctx, pid=os.getpid()) \
                     as root:
                 try:
-                    result = fn(*args, **kwargs)
+                    result = fn(**kwargs)
                 except BaseException as exc:
                     root.set(error=type(exc).__name__)
                     raise
         else:
-            result = fn(*args, **kwargs)
+            result = fn(**kwargs)
     except BaseException as exc:
         error = exc
     spans = metrics = None
@@ -230,7 +246,7 @@ def _run_traced(fn: Callable, args: tuple, kwargs: dict,
 
 
 def _portable_error(exc: BaseException) -> BaseException:
-    """An exception safe to pickle across the completion channel."""
+    """An exception safe to pickle across the result pipe."""
     try:
         pickle.loads(pickle.dumps(exc))
         return exc
@@ -243,54 +259,34 @@ def _portable_error(exc: BaseException) -> BaseException:
 
 # -- the worker loop ---------------------------------------------------------
 
-def worker_main(worker_id: int, tasks, results, write_lock) -> None:
-    """Entry point of one pool worker process.
+def _answer(fn_name: str, kwargs: dict, opts: dict) -> bytes:
+    """Run one task; its answer, framed."""
+    delay_s = opts.get("delay_s", 0.0)
+    if delay_s:
+        time.sleep(delay_s)
+    try:
+        fn = resolve_worker_fn(fn_name)
+    except ExecError as exc:
+        return frame((exc, None, None, None))
+    result, error, spans, metrics = _run_traced(fn, kwargs, opts)
+    if error is None:
+        try:
+            return frame((None, result, spans, metrics))
+        except Exception as exc:  # unpicklable result
+            error = exc
+    return frame((_portable_error(error), None, spans, metrics))
 
-    ``tasks`` is the shared task queue (``None`` is the shutdown
-    sentinel), ``results`` the shared completion pipe guarded by
-    ``write_lock`` — writes go through the lock so concurrent workers
-    never interleave a record.
-    """
+
+def main(task_fd: int, result_fd: int) -> None:
+    """Entry point of one pool worker process: answer every task on
+    ``task_fd`` on ``result_fd`` until the parent closes either pipe."""
     global _IN_WORKER
     _IN_WORKER = True
-    # A forked worker inherits the parent's telemetry state and even its
-    # collected spans; start from a clean, disabled slate either way.
-    _TRACE.disable()
-    _TRACE.reset()
-    _REGISTRY.enabled = False
-    _REGISTRY.reset()
+    # A ctrl-C reaches the whole process group; the parent decides
+    # what happens to the jobs it gave out.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    def send(record: tuple) -> None:
-        with write_lock:
-            results.send(record)
-
     try:
         while True:
-            task = tasks.get()
-            if task is None:
-                send(("bye", worker_id))
-                return
-            job_id, fn_name, args, kwargs, opts = task
-            send(("claim", worker_id, job_id))
-            delay_s = opts.get("delay_s", 0.0)
-            if delay_s:
-                time.sleep(delay_s)
-            try:
-                fn = resolve_worker_fn(fn_name)
-            except ExecError as exc:
-                send(("err", job_id, exc, None, None))
-                continue
-            result, error, spans, metrics = _run_traced(
-                fn, args, kwargs, opts)
-            if error is not None:
-                send(("err", job_id, _portable_error(error), spans,
-                      metrics))
-            else:
-                try:
-                    send(("done", job_id, result, spans, metrics))
-                except Exception as exc:  # unpicklable result
-                    send(("err", job_id, _portable_error(exc), spans,
-                          metrics))
-    finally:
-        shm.detach_all()
+            write_frame(result_fd, _answer(*read_frame(task_fd)))
+    except (EOFError, BrokenPipeError):
+        return

@@ -362,8 +362,8 @@ def run_service_scenario(*, seed: int = 7, jobs: int = DEFAULT_JOBS,
                 with lock:
                     if result.worker_kills >= kill_budget:
                         return
-                procs = [p for p in exec_pool._procs.values()
-                         if p.is_alive()]
+                procs = [w.proc for w in list(exec_pool._workers.values())
+                         if w.proc.poll() is None]
                 if procs:
                     kill_rng.choice(procs).terminate()
                     with lock:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.nx.params import POWER9, Z15
@@ -43,19 +45,24 @@ def payload_suite(text_20k, json_20k, random_8k, binary_20k) -> dict:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def no_leaked_shm_segments():
-    """The whole suite must leave /dev/shm the way it found it.
+def no_worker_outlives_its_pool():
+    """The whole suite must leave no child process behind.
 
-    Slab ownership is strictly parent-side; any segment still tracked
-    after the default pool shuts down is a leak that would accumulate
-    in a long-lived service.
+    Every exec worker is a child of this process, and shutting a pool
+    down waits for each of them; once the default pool is shut down too,
+    a child still running — or exited but never waited for — is a worker
+    that outlived its pool.
     """
     yield
-    from repro.exec import live_segments, shutdown_default_pool
+    from repro.exec import shutdown_default_pool
 
     shutdown_default_pool()
-    assert live_segments() == (), (
-        f"leaked shared-memory segments: {live_segments()}")
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no children at all
+    what = f"pid {pid} was never reaped" if pid else "one is still running"
+    raise AssertionError(f"a child process outlived its pool: {what}")
 
 
 @pytest.fixture(scope="session")

@@ -1,19 +1,19 @@
-"""Process execution layer: pools, slabs, telemetry relay, crashes."""
+"""Process execution layer: pools, pipes, telemetry relay, crashes."""
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
 
 from repro import obs
 from repro.deflate import inflate, parallel_deflate
-from repro.deflate.parallel import deflate_chunk_job
+from repro.deflate.parallel import compress_chunk
 from repro.errors import ExecError, WorkerCrash
-from repro.exec import (ProcessWorkerPool, SlabAllocator,
-                        get_default_pool, live_segments,
+from repro.exec import (ProcessWorkerPool, get_default_pool,
                         shutdown_default_pool)
-from repro.exec.shm import MIN_SLAB_BYTES, Slab, _round_capacity
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACE
 from repro.workloads.generators import generate
@@ -21,55 +21,11 @@ from repro.workloads.generators import generate
 
 @pytest.fixture(scope="module")
 def pool():
-    """One warm 2-worker spawn pool shared by the module's tests."""
+    """One warm 2-worker pool shared by the module's tests."""
     p = ProcessWorkerPool(2, name="test-exec")
     p.warm()
     yield p
     p.shutdown()
-
-
-# -- shared-memory slabs -----------------------------------------------------
-
-def test_slab_round_capacity():
-    assert _round_capacity(1) == MIN_SLAB_BYTES
-    assert _round_capacity(MIN_SLAB_BYTES) == MIN_SLAB_BYTES
-    assert _round_capacity(MIN_SLAB_BYTES + 1) == MIN_SLAB_BYTES * 2
-
-
-def test_slab_tracked_until_destroyed():
-    before = set(live_segments())
-    slab = Slab(MIN_SLAB_BYTES)
-    assert slab.name in live_segments()
-    slab.write(10, b"hello")
-    assert slab.read(10, 5) == b"hello"
-    slab.destroy()
-    slab.destroy()  # idempotent
-    assert set(live_segments()) == before
-
-
-def test_allocator_reuses_released_slabs():
-    alloc = SlabAllocator()
-    first = alloc.acquire(1000)
-    name = first.name
-    assert first.capacity == MIN_SLAB_BYTES
-    alloc.release(first)
-    assert alloc.retained_bytes == MIN_SLAB_BYTES
-    again = alloc.acquire(2000)
-    assert again.name == name  # same segment, no new shm_open
-    alloc.release(again)
-    alloc.close()
-    assert alloc.retained_bytes == 0
-    assert name not in live_segments()
-
-
-def test_allocator_retention_cap_destroys_overflow():
-    alloc = SlabAllocator(max_retained_bytes=MIN_SLAB_BYTES)
-    a, b = alloc.acquire(100), alloc.acquire(100)
-    alloc.release(a)
-    alloc.release(b)  # over the cap: unlinked, not parked
-    assert alloc.retained_bytes == MIN_SLAB_BYTES
-    assert b.name not in live_segments()
-    alloc.close()
 
 
 # -- pool basics -------------------------------------------------------------
@@ -140,12 +96,8 @@ def test_submit_does_not_queue_behind_a_waiter(pool):
                               kwargs={"timeout_s": 60.0})
     waiter.start()
     try:
-        # The claim record can only have been applied by the waiter's
-        # drain loop: it is inside wait() from here on.
+        time.sleep(0.2)  # the waiter is inside wait() from here on
         deadline = time.monotonic() + 30.0
-        while slow.claimed_by is None:
-            assert time.monotonic() < deadline, "slow job never claimed"
-            time.sleep(0.005)
         took = []
         for _ in range(5):
             started = time.perf_counter()
@@ -165,19 +117,6 @@ def test_submit_does_not_queue_behind_a_waiter(pool):
     assert slow.result == "slow"
 
 
-def test_fail_job_resolves_handle_externally(pool):
-    job = pool.submit("echo", value=1, delay_s=1.0)
-    pool.fail_job(job, WorkerCrash("declared orphaned"))
-    assert job.done
-    assert isinstance(job.error, WorkerCrash)
-    # The worker's eventual (stale) completion must be ignored, and the
-    # pool must stay healthy.
-    probe = pool.submit("echo", value=2)
-    pool.wait([probe], timeout_s=60.0)
-    assert probe.result == 2
-    assert job.error is not None
-
-
 def test_default_pool_recreated_when_broken():
     p1 = get_default_pool(1)
     p1.broken = True
@@ -187,23 +126,17 @@ def test_default_pool_recreated_when_broken():
     shutdown_default_pool()
 
 
-# -- start-method parity -----------------------------------------------------
+# -- worker parity -----------------------------------------------------------
 
-def test_spawn_fork_inline_output_parity():
+def test_worker_inline_output_parity(pool):
+    """A chunk compressed in a worker is the chunk compressed here."""
     chunk = generate("markov_text", 40000, seed=41)
-    kwargs = {"level": 6, "strategy": "default", "final": True,
-              "data": chunk}
-    inline = deflate_chunk_job(**kwargs)["inline"]
-    for method in ("spawn", "fork"):
-        p = ProcessWorkerPool(1, start_method=method,
-                              name=f"test-{method}")
-        try:
-            record, = p.run_batch([("deflate_chunk", dict(kwargs))],
-                                  timeout_s=120.0)
-        finally:
-            p.shutdown()
-        assert record["inline"] == inline, method
-    assert inflate(inline) == chunk
+    kwargs = {"chunk": chunk, "history": b"", "level": 6,
+              "strategy": "default", "final": True}
+    inline = compress_chunk(**kwargs)
+    pooled, = pool.run_batch([("deflate_chunk", kwargs)], timeout_s=120.0)
+    assert pooled == inline
+    assert inflate(pooled.data) == chunk
 
 
 # -- telemetry relay ---------------------------------------------------------
@@ -306,7 +239,8 @@ def test_exec_counter_arithmetic_matches_serial_path():
 # -- backend-surface crash rescue --------------------------------------------
 
 def test_accelerator_pool_rescues_crashed_worker_batch():
-    """A worker killed mid-batch costs retries, never bytes."""
+    """A worker killed mid-batch costs exactly the job it held a rescue,
+    never bytes; the jobs behind it in the backlog run normally."""
     from repro.backend.pool import AcceleratorPool
 
     exec_pool = ProcessWorkerPool(1, name="test-rescue")
@@ -320,21 +254,68 @@ def test_accelerator_pool_rescues_crashed_worker_batch():
             exec_pool.default_delay_s = 0.3  # jobs dwell long enough
             jobs = [ap.submit_compress(p, strategy="auto", fmt="gzip")
                     for p in payloads]
-            # Kill only once a claim record has landed, so the crash
-            # provably takes a claimed job with it (killing earlier just
-            # replays the still-queued descriptors on the respawn).
-            deadline = time.monotonic() + 30.0
-            while not exec_pool._claimed:
-                exec_pool.poll()
-                assert time.monotonic() < deadline, "no claim arrived"
-                time.sleep(0.01)
-            for proc in list(exec_pool._procs.values()):
-                proc.terminate()
-            exec_pool.default_delay_s = None
+            # One worker: the first job is on it from its submit on.
+            assert [j.handle.worker for j in jobs] == [0, None, None]
+            exec_pool._workers[0].proc.terminate()
             ap.wait_all()
             assert [j.result.output for j in jobs] == serial
             assert all(j.error is None for j in jobs)
-            assert ap.stats().rescues >= 1
+            assert jobs[0].handle.crashed
+            assert ap.stats().rescues == 1
     finally:
         exec_pool.shutdown()
-        assert exec_pool.allocator.retained_bytes == 0
+
+
+@pytest.mark.parametrize("moment", ["before_it_reads_the_task",
+                                    "during_its_dwell"])
+def test_a_killed_workers_job_resolves_under_steady_traffic(moment):
+    """A worker killed while it holds a job — even one it has not read
+    yet — fails that job at once: WorkerCrash, then a software rescue
+    with the right bytes, while the other worker keeps finishing jobs.
+    It does not wait for a lull in the traffic."""
+    from repro.backend.pool import AcceleratorPool
+
+    exec_pool = ProcessWorkerPool(2, name="test-killed-busy")
+    exec_pool.warm()
+    payload = generate("markov_text", 6000, seed=10)
+    filler = generate("json_records", 3000, seed=11)
+    try:
+        with AcceleratorPool("POWER9", chips=1, backend="software",
+                             exec_pool=exec_pool) as ap:
+            expected = ap.backend_for(0).compress(
+                payload, strategy="auto", fmt="gzip").output
+            workers = list(exec_pool._workers.values())
+            if moment == "before_it_reads_the_task":
+                for worker in workers:
+                    os.kill(worker.proc.pid, signal.SIGSTOP)
+            exec_pool.default_delay_s = 30.0  # the victim dwells
+            victim = ap.submit_compress(payload, strategy="auto",
+                                        fmt="gzip")
+            exec_pool.default_delay_s = 0.0
+            if moment == "during_its_dwell":
+                time.sleep(0.2)
+            for worker in workers:
+                if worker.job is victim.handle:
+                    worker.proc.kill()
+                else:
+                    os.kill(worker.proc.pid, signal.SIGCONT)
+            killed_at = time.monotonic()
+            job = ap.submit_compress(filler, strategy="auto", fmt="gzip")
+            while not victim.done:
+                assert time.monotonic() - killed_at < 5.0, \
+                    "the killed worker's job never resolved"
+                ap.reap()
+                if job.done:
+                    job = ap.submit_compress(filler, strategy="auto",
+                                             fmt="gzip")
+            resolved_s = time.monotonic() - killed_at
+            ap.wait_all()
+            assert resolved_s < 1.5, resolved_s
+            assert victim.handle.crashed
+            assert victim.error is None
+            assert victim.result.stats.fallback_to_software
+            assert victim.result.output == expected
+            assert job.result is not None and job.error is None
+            assert ap.stats().rescues == 1
+    finally:
+        exec_pool.shutdown()

@@ -87,23 +87,24 @@ def imports_of(argv: list[str]) -> Imports:
 def test_an_exec_worker_loads_one_backend_stack():
     """``import repro.exec.worker`` and one real ``dfltcc`` job: the
     codec, the engine model and the driver types — no service, CLI, ops
-    plane, fault injection, workloads or session API, and of the
-    performance models only the cost calibration."""
+    plane, fault injection, workloads, session API or ``multiprocessing``,
+    and of the performance models only the cost calibration."""
     job = textwrap.dedent("""
         import gzip
         from repro.exec.worker import backend_job
         payload = bytes(range(256)) * 64
-        record = backend_job(backend="dfltcc", machine="z15",
+        result = backend_job(backend="dfltcc", machine="z15",
                              backend_kwargs={}, kind="compress",
                              fmt="gzip", data=payload)
-        assert gzip.decompress(record["inline"]) == payload
+        assert gzip.decompress(result.output) == payload
     """)
     imports = imports_of([sys.executable, "-c", job])
     assert imports.matching("repro.nx.z15"), "the job did not run"
     imports.refuse("repro.service", "repro.cli", "repro.obs.http",
                    "repro.obs.export", "repro.resilience.chaos",
                    "repro.resilience.faults", "repro.resilience.netfaults",
-                   "repro.workloads", "repro.core")
+                   "repro.workloads", "repro.core", "multiprocessing",
+                   "secrets")
     perf = {chain.split(" <- ")[0] for chain in imports.matching("repro.perf")}
     assert perf == {"repro.perf", "repro.perf.cost"}, imports.matching(
         "repro.perf")
@@ -141,13 +142,10 @@ def test_help_loads_the_parser_choices_and_nothing_else(entry):
 
 
 def test_a_spawned_worker_of_the_server_never_loads_the_cli():
-    """Of a ``python -m repro`` server and its spawn-started workers only
-    the server loads ``repro.cli``, while every one of them loads the
-    worker loop.  (multiprocessing re-runs a parent's main module in the
-    child as ``__mp_main__`` — but never a package's ``__main__.py``.
-    Behind the installed ``repro`` script a worker does import
-    ``repro.cli``, pip's launcher naming it above its own guard: one
-    more reason that module's top level stays as small as ``--help``.)"""
+    """Of a ``python -m repro`` server and its workers only the server
+    loads ``repro.cli``, while every one of them loads the worker loop;
+    and no process of the tree loads ``multiprocessing`` or the
+    ``secrets`` module its shared memory needs."""
     imports = imports_of([sys.executable, "-m", "repro", "serve",
                           "--machine", "z15", "--backend", "dfltcc",
                           "--exec-workers", "1", "--duration-s", "0.5"])
@@ -155,6 +153,45 @@ def test_a_spawned_worker_of_the_server_never_loads_the_cli():
         "expected the server and its workers"
     cli = imports.matching("repro.cli")
     assert len(cli) == 1, "\n  ".join(cli)
+    imports.refuse("multiprocessing", "repro.exec.shm", "secrets")
+
+
+def _children(pid: int) -> list[int]:
+    """The processes whose parent is ``pid``, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                text = stat.read()
+        except OSError:
+            continue  # exited while we were reading
+        if int(text[text.rindex(")") + 2:].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_a_server_with_two_exec_workers_is_three_processes():
+    """The tree is the server and one child per worker — no
+    resource-tracker process — and a worker starts nothing of its own."""
+    workers = min(2, os.cpu_count() or 1)
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--machine", "z15", "--backend", "dfltcc",
+         "--exec-workers", "2", "--duration-s", "30"],
+        stdout=subprocess.PIPE, text=True)
+    try:
+        for line in server.stdout:  # after a clamp notice on 1 CPU
+            if "serving on" in line:
+                break
+        kids = _children(server.pid)
+        assert len(kids) == workers, kids
+        assert all(_children(kid) == [] for kid in kids)
+    finally:
+        server.terminate()
+        server.communicate(timeout=60)
 
 
 PACKAGES = ["repro", *(found.name for found in pkgutil.iter_modules(

@@ -4,9 +4,10 @@ The engine has three moving parts — the worker-side member-run decoder,
 the parent-side resolver that splices a run or decodes inline, and the
 container bookkeeping (multi-member gzip, zlib Adler, raw history).
 Most tests drive the machinery *inline* (plan jobs, run
-``inflate_chunk_job`` with ``data=``, resolve) so the splice logic is
+``inflate_chunk_job`` on each, resolve) so the splice logic is
 exercised deterministically; the pooled cases go through the real
-(session-warm) process pool end-to-end.
+(session-warm) process pool end-to-end.  A planned job carries its own
+byte range of the payload, so it runs here exactly as it would there.
 """
 
 import gzip as stdgzip
@@ -32,8 +33,7 @@ def _speculative(payload: bytes, fmt: str = "gzip", *,
     in-process and handed to the resolver exactly as pool records are."""
     jobs = _plan_jobs(payload, fmt, chunk_size)
     spacing = spacing if build_index else None
-    records = [inflate_chunk_job(data=payload, spacing=spacing, **job)
-               for job in jobs]
+    records = [inflate_chunk_job(spacing=spacing, **job) for job in jobs]
     specs = {record["start_bit"]: record
              for record in records if record["ok"]}
     resolver = _Resolver(payload, fmt, specs, spacing, 1 << 62)
@@ -166,8 +166,8 @@ class TestValidation:
         assert jobs
         tracemalloc.start()
         try:
-            records = [inflate_chunk_job(data=archive, max_output=65536,
-                                         **job) for job in jobs]
+            records = [inflate_chunk_job(max_output=65536, **job)
+                       for job in jobs]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -215,7 +215,7 @@ class TestSpeculativeResolve:
         jobs = _plan_jobs(blob, "gzip", 4096)
         assert [job["header_byte"] for job in jobs] \
             == [blob.index(inner)]
-        assert inflate_chunk_job(data=blob, **jobs[0])["ok"] \
+        assert inflate_chunk_job(**jobs[0])["ok"] \
             == (decoy == "whole-member")
         for workers in (1, 2):
             result = parallel_inflate(blob, "gzip", workers=workers,
@@ -289,7 +289,6 @@ class TestPooledPath:
         assert result.chunks_used >= 1
         assert result.chunks_used + result.chunks_failed \
             == result.chunks_speculated
-        # Session-scoped conftest fixture asserts zero leaked segments.
 
     def test_index_points_independent_of_workers(self):
         """Runs that stop inside a member hand over mid-spacing; the

@@ -243,13 +243,15 @@ class TestOneSettle:
         an exception, or a function of the real result."""
         backend = pool.backend_for(0)
         if exec_pool is not None:
-            def poll(real=exec_pool.poll):
-                finished = real()
+            # The class's poll, not the instance's: the fleet outlives
+            # this pool, and a second run must not rewrite twice.
+            def poll(real=type(exec_pool).poll):
+                finished = real(exec_pool)
                 for job in finished:
                     if isinstance(report, Exception):
                         job.result, job.error = None, report
                     else:
-                        job.result["inline"] = bytes(job.result["n"])
+                        report(job.result)
                 return finished
             monkeypatch.setattr(exec_pool, "poll", poll)
         elif submits and hasattr(backend, "submit"):

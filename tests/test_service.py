@@ -197,7 +197,7 @@ class TestDispatchWindow:
 
     Every test holds jobs in their workers with the exec pool's
     ``default_delay_s`` hook, so "in flight" is a state the test can
-    observe (claim records) rather than a race it has to win.
+    observe (busy workers) rather than a race it has to win.
     """
 
     DELAY_S = 0.4
@@ -211,7 +211,6 @@ class TestDispatchWindow:
         exec_pool.default_delay_s = self.DELAY_S
         yield exec_pool
         exec_pool.shutdown()
-        assert exec_pool.allocator.retained_bytes == 0
 
     @pytest.fixture()
     def serve_on(self, fleet):
@@ -230,10 +229,14 @@ class TestDispatchWindow:
             svc.pool.close()
 
     @staticmethod
-    def _await_claims(fleet, count: int, tickets=()) -> None:
+    def _busy(fleet) -> list[int]:
+        return [worker.worker_id for worker in list(fleet._workers.values())
+                if worker.job is not None]
+
+    def _await_busy(self, fleet, count: int, tickets=()) -> None:
         deadline = time.monotonic() + 30.0
-        while len(fleet._claimed) < count:
-            assert time.monotonic() < deadline, "workers never claimed"
+        while len(self._busy(fleet)) < count:
+            assert time.monotonic() < deadline, "workers never got jobs"
             assert not any(ticket.done for ticket in tickets)
             time.sleep(0.005)
 
@@ -241,10 +244,10 @@ class TestDispatchWindow:
         payloads = [generate("json_records", 6000, seed=s) for s in (1, 2)]
         svc = serve_on()
         tickets = [svc.submit("compress", p, qos="bulk") for p in payloads]
-        # Both jobs claimed, by different workers, before either
+        # Both jobs on workers, different ones, before either
         # completes: the window put them in flight together.
-        self._await_claims(fleet, 2, tickets)
-        assert len(set(fleet._claimed)) == 2
+        self._await_busy(fleet, 2, tickets)
+        assert len(set(self._busy(fleet))) == 2
         assert not any(ticket.done for ticket in tickets)
         results = [ticket.wait(30) for ticket in tickets]
         assert [gzip.decompress(r.output) for r in results] == payloads
@@ -267,7 +270,7 @@ class TestDispatchWindow:
             return svc.submit("compress", tag + b"." * 3000, qos=qos)
 
         tickets = [submit(b"b0", "bulk"), submit(b"b1", "bulk")]
-        self._await_claims(fleet, 2, tickets)
+        self._await_busy(fleet, 2, tickets)
         # Window full: one more bulk queues, then three interactive.
         tickets.append(submit(b"b2", "bulk"))
         tickets += [submit(tag, "interactive")
@@ -278,9 +281,6 @@ class TestDispatchWindow:
 
     def test_worker_killed_mid_window(self, fleet, serve_on):
         """Every ticket resolves exactly once, with the right bytes."""
-        import glob
-
-        slabs_before = set(glob.glob("/dev/shm/repro-exec-*"))
         payloads = [generate("markov_text", 5000, seed=s)
                     for s in range(6)]
         svc = serve_on()
@@ -298,9 +298,8 @@ class TestDispatchWindow:
         try:
             for thread in callers:
                 thread.start()
-            self._await_claims(fleet, 2)
-            victim = next(iter(fleet._procs.values()))
-            victim.terminate()
+            self._await_busy(fleet, 2)
+            next(iter(fleet._workers.values())).proc.terminate()
             for thread in callers:
                 thread.join(60)
                 assert not thread.is_alive()
@@ -317,13 +316,12 @@ class TestDispatchWindow:
             server.shutdown()
         svc.close()
         fleet.shutdown()
-        assert set(glob.glob("/dev/shm/repro-exec-*")) <= slabs_before
 
     def test_drain_waits_for_a_full_window(self, fleet, serve_on):
         svc = serve_on()
         tickets = [svc.submit("compress", b"d" * 4000, qos="bulk")
                    for _ in range(3)]
-        self._await_claims(fleet, 2, tickets)
+        self._await_busy(fleet, 2, tickets)
         assert svc.drain(timeout_s=30)
         # drain() returning is the claim: nothing is still in flight.
         assert all(ticket.done for ticket in tickets)
@@ -335,7 +333,7 @@ class TestDispatchWindow:
         svc = serve_on()
         tickets = [svc.submit("compress", b"w" * 4000, qos="bulk")
                    for _ in range(2)]
-        self._await_claims(fleet, 2, tickets)
+        self._await_busy(fleet, 2, tickets)
         doomed = svc.submit("compress", b"late" * 100, qos="bulk",
                             deadline_s=self.DELAY_S / 4)
         with pytest.raises(DeadlineExceeded):

@@ -49,8 +49,8 @@ def crash_once_counting(marker: str, value: object = None) -> object:
     os._exit(13)
 
 
-#: Submitted by its fully qualified ``module:attr`` name — spawn
-#: workers import it themselves; nothing to register.
+#: Submitted by its fully qualified ``module:attr`` name — workers
+#: import it themselves; nothing to register.
 PROBE_FN = "tests.test_service_trace:crash_once_counting"
 
 

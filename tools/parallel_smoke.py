@@ -13,8 +13,9 @@ Five checks, all host-independent (they hold even on a 1-CPU runner):
 * a warm pool beats a cold one on the same call (the whole point of
   persistent workers is not paying spawn per call — this is true on any
   host, unlike multi-core scaling);
-* after shutdown, zero shared-memory segments remain (slab ownership is
-  parent-side only; a leak here means an ``/dev/shm`` leak in prod).
+* no worker process outlives its pool: after shutdown every child of
+  this process has been reaped (a leak here is a stray process per
+  restart in prod).
 
 Usage::
 
@@ -23,14 +24,14 @@ Usage::
 
 from __future__ import annotations
 
+import os
 import time
 
 
 def main() -> int:
     from repro.deflate.inflate import inflate
     from repro.deflate.parallel import parallel_deflate
-    from repro.exec import (get_default_pool, live_segments,
-                            shutdown_default_pool)
+    from repro.exec import get_default_pool, shutdown_default_pool
     from repro.workloads.generators import generate
 
     corpus = generate("markov_text", 262144, seed=33)
@@ -100,9 +101,13 @@ def main() -> int:
     pool = get_default_pool()
     restarts = pool.worker_restarts
     shutdown_default_pool()
-    leaked = live_segments()
-    if leaked:
-        print(f"parallel smoke FAILED: leaked shm segments {leaked}")
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pid = None  # no children at all
+    if pid is not None:
+        what = f"pid {pid} never reaped" if pid else "one still running"
+        print(f"parallel smoke FAILED: a worker outlived its pool ({what})")
         return 1
     print(f"parallel smoke passed: {len(corpus)} bytes, "
           f"2-worker output byte-identical to serial "
@@ -112,7 +117,7 @@ def main() -> int:
           f"{rr.skipped_bytes} prefix bytes; cold {cold_s * 1e3:.1f} ms, "
           f"warm {warm_s * 1e3:.1f} ms "
           f"({cold_s / warm_s:.1f}x); {restarts} worker restarts; "
-          "0 leaked segments")
+          "every worker reaped")
     return 0
 
 

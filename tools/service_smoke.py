@@ -116,7 +116,7 @@ def exec_overlap_phase() -> str | None:
 
     Returns a failure message, or None.  Jobs dwell in their workers
     (the exec pool's ``default_delay_s`` hook), so overlap is read off
-    the workers' claim records while both are held, then cross-checked
+    the workers' assigned jobs while both are held, then cross-checked
     against the ``batch_size`` reply header and the ``stats`` op.
     """
     payloads = [generate("json_records", 32768, seed=s) for s in (1, 2)]
@@ -142,7 +142,9 @@ def exec_overlap_phase() -> str | None:
             deadline = time.monotonic() + 60.0
             while len(claimed) < 2 and time.monotonic() < deadline \
                     and any(thread.is_alive() for thread in threads):
-                claimed = set(exec_pool._claimed)
+                claimed = {worker.worker_id for worker
+                           in list(exec_pool._workers.values())
+                           if worker.job is not None}
                 time.sleep(0.005)
             for thread in threads:
                 thread.join(60.0)
@@ -155,7 +157,7 @@ def exec_overlap_phase() -> str | None:
     if hostile is not None:
         return f"exec phase, {hostile}"
     if len(claimed) < 2:
-        return (f"exec workers never held two claims at once "
+        return (f"exec workers never held two jobs at once "
                 f"(saw workers {sorted(claimed)})")
     if len(replies) != 2 or any(
             gzip.decompress(replies[i].output) != payloads[i]
