@@ -10,26 +10,26 @@ from __future__ import annotations
 
 from repro.core.metrics import Table
 from repro.nx.params import POWER9
-from repro.perf.priority import PriorityQueueSim
+from repro.perf.queueing import AcceleratorQueue, Source
 
 from _common import report
 
 HIGH_RATE = 4000.0   # 8 KB requests/s (light load by bytes)
 BULK_RATE = 1500.0   # 4 MB requests/s -> ~85% engine utilization
 DURATION = 0.3
+SOURCES = [Source(HIGH_RATE, 8192, high_priority=True),
+           Source(BULK_RATE, 4 << 20)]
 
 
 def compute() -> tuple[Table, dict]:
     table = Table(headers=["scheme", "class", "mean us", "p99 us", "jobs"])
     out = {}
-    for use_priority, label in ((False, "single FIFO"),
-                                (True, "priority FIFOs")):
-        sim = PriorityQueueSim(POWER9, use_priority=use_priority, seed=11)
-        results = sim.run(HIGH_RATE, BULK_RATE, DURATION)
-        for cls in ("high", "bulk"):
-            res = results[cls]
+    for bound, label in ((None, "single FIFO"), (8, "priority FIFOs")):
+        model = AcceleratorQueue(POWER9, starvation_bound=bound, seed=11)
+        results = model.run_open(SOURCES, DURATION).by_class()
+        for cls, res in results.items():
             table.add(label, cls, res.mean_latency * 1e6,
-                      res.percentile(99) * 1e6, res.count)
+                      res.percentile(99) * 1e6, res.completed)
         out[label] = results
     return table, out
 
@@ -48,7 +48,7 @@ def test_e14_priority(benchmark):
     # Priority slashes the small-request tail...
     assert prio_high.percentile(99) < 0.5 * fifo_high.percentile(99)
     # ...without starving bulk (same work completed, bounded slowdown).
-    assert prio_bulk.count >= fifo_bulk.count * 0.9
+    assert prio_bulk.completed >= fifo_bulk.completed * 0.9
     assert prio_bulk.mean_latency < 3.0 * fifo_bulk.mean_latency
 
 

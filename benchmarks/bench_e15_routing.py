@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.core.metrics import Table
 from repro.nx.params import POWER9, Topology
-from repro.perf.routing import policy_comparison
+from repro.perf.queueing import policy_comparison
 
 from _common import report
 

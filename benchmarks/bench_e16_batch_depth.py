@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from repro.core.metrics import Table
 from repro.nx.params import POWER9
-from repro.perf.queueing import AcceleratorQueueSim
-from repro.workloads.traces import fixed_size
+from repro.perf.queueing import AcceleratorQueue
 
 from _common import report
 
@@ -25,11 +24,10 @@ def compute() -> tuple[Table, list]:
                            "mean us"])
     rates = []
     for depth in DEPTHS:
-        sim = AcceleratorQueueSim(POWER9, engines=1, seed=5,
-                                  size_sampler=fixed_size(SIZE))
-        result = sim.run_closed(clients=depth, think_seconds=10e-6,
-                                duration_s=DURATION)
-        service = sim.service_seconds(SIZE)
+        model = AcceleratorQueue(POWER9, seed=5)
+        result = model.run_closed(clients=depth, think_seconds=10e-6,
+                                  duration_s=DURATION, size=SIZE)
+        service = model.service_seconds(SIZE)
         util = 100.0 * result.completed * service / result.sim_seconds
         table.add(depth, result.throughput_gbps, min(util, 100.0),
                   result.mean_latency * 1e6)

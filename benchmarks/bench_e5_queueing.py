@@ -26,12 +26,12 @@ def compute() -> tuple[Table, list, str]:
                          clients=16, duration_s=0.25)
     for load, result in results:
         table.add(load, result.mean_latency * 1e6,
-                  result.latency_percentile(95) * 1e6,
-                  result.latency_percentile(99) * 1e6,
+                  result.percentile(95) * 1e6,
+                  result.percentile(99) * 1e6,
                   result.throughput_gbps)
         means.append(result.mean_latency)
         mean_pts.append((load, result.mean_latency * 1e6))
-        p99_pts.append((load, result.latency_percentile(99) * 1e6))
+        p99_pts.append((load, result.percentile(99) * 1e6))
     figure = line_chart({"mean": mean_pts, "p99": p99_pts},
                         title="Figure E5: latency vs offered load",
                         y_label="us", x_label="offered load")

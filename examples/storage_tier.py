@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro import NxGzip, OffloadAdvisor, Route
 from repro.core.metrics import Table, human_bytes
 from repro.nx.params import POWER9
-from repro.perf.queueing import AcceleratorQueueSim
+from repro.perf.queueing import AcceleratorQueue, Source
 from repro.workloads.generators import generate
 from repro.workloads.traces import bimodal_size
 
@@ -42,18 +42,17 @@ def congestion_demo() -> None:
 
 
 def load_demo() -> None:
-    sim = AcceleratorQueueSim(
-        POWER9, engines=1, seed=3,
-        size_sampler=bimodal_size(8192, 4 << 20, small_fraction=0.9))
+    model = AcceleratorQueue(POWER9, seed=3)
+    mix = bimodal_size(8192, 4 << 20, small_fraction=0.9)
     table = Table(headers=["offered load", "mean us", "p99 us", "GB/s"])
     for load in (0.3, 0.6, 0.9):
-        service = sim.service_seconds(8192) * 0.9 + \
-            sim.service_seconds(4 << 20) * 0.1
+        service = model.service_seconds(8192) * 0.9 + \
+            model.service_seconds(4 << 20) * 0.1
         rate = load / service
-        result = sim.run_open(arrival_rate_per_s=rate / 16, clients=16,
-                              duration_s=0.2)
+        result = model.run_open([Source(rate / 16, mix)] * 16,
+                                duration_s=0.2)
         table.add(load, result.mean_latency * 1e6,
-                  result.latency_percentile(99) * 1e6,
+                  result.percentile(99) * 1e6,
                   result.throughput_gbps)
     print(table.render("shared engine under RPC+bulk mix"))
     print()

@@ -1,16 +1,18 @@
-"""The routing kernel: which chip's accelerator serves a request?
+"""The routing kernel: which chip's accelerator, and which of its receive
+FIFOs, serves a request next?
 
-One pure function and the policy names, importing nothing of the stack:
-the live :class:`~repro.backend.pool.AcceleratorPool`, the queueing DES
-in :mod:`repro.perf.routing` and the CLI's ``choices=`` all read them
-here, so policy studies and production routing cannot drift apart.
+Pure functions and the policy names, importing nothing of the stack: the
+live :class:`~repro.backend.pool.AcceleratorPool`, the VAS model, the
+service's QoS dispatch, the queueing model in :mod:`repro.perf.queueing`
+and the CLI's ``choices=`` all read them here, so policy studies and
+production routing cannot drift apart.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigError
 
-#: Policies with a queueing analogue (the DES models exactly these).
+#: Policies with a queueing analogue (the model runs exactly these).
 POLICIES = ("local", "round_robin", "least_loaded")
 
 #: Pool routing policies: adds the software fallback threshold.
@@ -39,3 +41,21 @@ def choose_chip(policy: str, home: int, loads: list[float],
         return best
     raise ConfigError(f"unknown routing policy {policy!r}; "
                       f"have {POLICIES}")
+
+
+def arbitrate(high_waiting: bool, normal_waiting: bool, high_run: int,
+              starvation_bound: int) -> tuple[bool | None, int]:
+    """The VAS grant between the high and the normal receive FIFO.
+
+    High goes first, except that after ``starvation_bound`` consecutive
+    high grants with normal work waiting one normal request is served.
+    ``high_run`` is the count of consecutive high grants so far.  Returns
+    whether the high FIFO is served (``None`` when both are empty) and
+    the new count.
+    """
+    if normal_waiting and (not high_waiting
+                           or high_run >= starvation_bound):
+        return False, 0
+    if high_waiting:
+        return True, high_run + 1
+    return None, high_run

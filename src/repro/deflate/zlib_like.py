@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from ..errors import DeflateError
 from .compress import deflate
 from .constants import WINDOW_SIZE
-from .containers import checksum, decode_with_stats, encode, frame
+from .containers import checksum, decode_with_stats, encode, frame, header
 from .inflate import inflate
 from .inflate_stream import InflateStream
 
@@ -67,6 +67,7 @@ class CompressObj:
 
     def __post_init__(self) -> None:
         self._fmt = _container(self.wbits)
+        header(self._fmt, zdict=self.zdict)  # refuses what it cannot name
         self._history = self.zdict[-WINDOW_SIZE:]
 
     def compress(self, chunk: bytes) -> bytes:
@@ -89,7 +90,7 @@ class CompressObj:
         self._account(last_chunk)
         self._raw_parts.append(unit)
         return frame(self._fmt, b"".join(self._raw_parts), self._check,
-                     self._size)
+                     self._size, zdict=self.zdict)
 
     def _account(self, chunk: bytes) -> None:
         self._check = checksum(self._fmt, chunk, self._check)

@@ -13,9 +13,8 @@ if TYPE_CHECKING:
     from .energy import AreaComparison, EnergyComparison, EnergyModel
     from .io_adapter import (PcieAdapterModel, PcieAdapterParams,
                              compare_onchip_vs_adapter)
-    from .priority import PriorityQueueSim
-    from .queueing import AcceleratorQueueSim, QueueingResult, load_sweep
-    from .routing import MultiChipRouter, RoutingResult, policy_comparison
+    from .queueing import (AcceleratorQueue, Job, QueueResult, Source,
+                           load_sweep, policy_comparison)
     from .system import SystemModel, SystemRates, scaling_series
     from .tco import FleetAssumptions, TcoModel, TcoReport
     from .timing import LatencyBreakdown, OffloadTimingModel
@@ -29,9 +28,8 @@ __all__ = lazy_exports(__name__, {
     "energy": "AreaComparison EnergyComparison EnergyModel",
     "io_adapter": "PcieAdapterModel PcieAdapterParams "
                   "compare_onchip_vs_adapter",
-    "priority": "PriorityQueueSim",
-    "queueing": "AcceleratorQueueSim QueueingResult load_sweep",
-    "routing": "MultiChipRouter RoutingResult policy_comparison",
+    "queueing": "AcceleratorQueue Job QueueResult Source load_sweep "
+                "policy_comparison",
     "system": "SystemModel SystemRates scaling_series",
     "tco": "FleetAssumptions TcoModel TcoReport",
     "timing": "LatencyBreakdown OffloadTimingModel",

@@ -1,23 +1,15 @@
 """A minimal discrete-event simulation kernel.
 
 Deliberately tiny: a time-ordered event heap with deterministic
-tie-breaking.  The queueing experiments build client/server processes on
+tie-breaking.  The queueing model builds client/server processes on
 top of plain callbacks; no coroutines, no global state.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import itertools
 from typing import Callable
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class Simulator:
@@ -25,42 +17,23 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[_Event] = []
-        self._seq = 0
-        self.events_processed = 0
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._seq = itertools.count()
 
-    def schedule(self, delay: float,
-                 action: Callable[[], None]) -> _Event:
-        """Run ``action`` at ``now + delay``; returns a cancellable handle."""
+    def schedule(self, delay: float, action: Callable[[], None]) -> None:
+        """Run ``action`` at ``now + delay``; ties run in schedule order."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        event = _Event(time=self.now + delay, seq=self._seq, action=action)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    @staticmethod
-    def cancel(event: _Event) -> None:
-        event.cancelled = True
+        heapq.heappush(self._heap,
+                       (self.now + delay, next(self._seq), action))
 
     def run(self, until: float | None = None) -> None:
         """Process events until the heap is empty or ``until`` is reached."""
         while self._heap:
-            event = self._heap[0]
-            if until is not None and event.time > until:
+            if until is not None and self._heap[0][0] > until:
                 self.now = until
                 return
-            heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            self.events_processed += 1
-            event.action()
+            self.now, _seq, action = heapq.heappop(self._heap)
+            action()
         if until is not None:
             self.now = max(self.now, until)
-
-    def peek_time(self) -> float | None:
-        """Time of the next pending event, if any."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None

@@ -7,7 +7,7 @@ onto that hardware reality: ``interactive`` rides the high FIFO, while
 bounds and window share.  Starvation is bounded the same way the
 VAS arbitrates: after :data:`DEFAULT_STARVATION_BOUND` consecutive
 high-FIFO picks with normal work waiting, one normal request is served
-(see :class:`repro.perf.priority.PriorityQueueSim`).
+(:func:`repro.backend.routing.arbitrate`, the rule E14 models).
 
 Every class carries its *admission bound* — the queue limits behind the
 reject-with-retry-after backpressure — and its *share of the dispatch
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..backend.routing import arbitrate
 from ..errors import ConfigError
 
 #: The two hardware receive FIFOs behind the VAS front end.
@@ -90,8 +91,8 @@ class QosPolicy:
     ``pick`` chooses the next class to serve given which classes have
     queued work, preferring the high FIFO but bounding starvation: a
     run of ``starvation_bound`` consecutive high picks with normal work
-    waiting forces one normal dispatch, exactly like the modelled VAS
-    arbitration in E14.
+    waiting forces one normal dispatch: the VAS grant rule
+    (:func:`~repro.backend.routing.arbitrate`) that E14 models.
     """
 
     def __init__(self, classes: tuple[QosClass, ...] = DEFAULT_CLASSES,
@@ -127,11 +128,7 @@ class QosPolicy:
             return None
         high = [c for c in ready if c.fifo == "high"]
         normal = [c for c in ready if c.fifo == "normal"]
-        take_normal = normal and (
-            not high or self._consecutive_high >= self.starvation_bound)
-        pool = normal if take_normal else (high or normal)
-        if pool is normal or not high:
-            self._consecutive_high = 0
-        else:
-            self._consecutive_high += 1
-        return min(pool, key=lambda c: c.rank)
+        take_high, self._consecutive_high = arbitrate(
+            bool(high), bool(normal), self._consecutive_high,
+            self.starvation_bound)
+        return min(high if take_high else normal, key=lambda c: c.rank)

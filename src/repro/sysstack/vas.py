@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from ..backend.routing import arbitrate
 from ..errors import VasError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from .crb import CRB_BYTES, Crb
@@ -126,18 +127,13 @@ class Vas:
 
     def pop_request(self) -> PasteRecord | None:
         """Accelerator side: dequeue per the priority arbitration."""
-        take_normal = (self.rx_fifo
-                       and (not self.rx_fifo_high
-                            or self._consecutive_high
-                            >= self.starvation_bound))
-        record = None
-        if take_normal:
-            self._consecutive_high = 0
-            record = self.rx_fifo.popleft()
-        elif self.rx_fifo_high:
-            self._consecutive_high += 1
-            record = self.rx_fifo_high.popleft()
-        if record is not None and _REGISTRY.enabled:
+        take_high, self._consecutive_high = arbitrate(
+            bool(self.rx_fifo_high), bool(self.rx_fifo),
+            self._consecutive_high, self.starvation_bound)
+        if take_high is None:
+            return None
+        record = (self.rx_fifo_high if take_high else self.rx_fifo).popleft()
+        if _REGISTRY.enabled:
             _REGISTRY.gauge("repro_vas_rx_fifo_depth",
                             "pending CRBs in the receive FIFOs").set(
                 len(self.rx_fifo) + len(self.rx_fifo_high))

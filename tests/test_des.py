@@ -55,29 +55,6 @@ class TestSimulator:
         assert fired == [1]
         assert sim.now == 5.0
 
-    def test_cancel(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, lambda: fired.append(1))
-        sim.cancel(handle)
-        sim.run()
-        assert fired == []
-
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().schedule(-1.0, lambda: None)
-
-    def test_peek_time(self):
-        sim = Simulator()
-        assert sim.peek_time() is None
-        handle = sim.schedule(4.0, lambda: None)
-        assert sim.peek_time() == 4.0
-        sim.cancel(handle)
-        assert sim.peek_time() is None
-
-    def test_event_count(self):
-        sim = Simulator()
-        for i in range(5):
-            sim.schedule(float(i), lambda: None)
-        sim.run()
-        assert sim.events_processed == 5

@@ -1,10 +1,10 @@
-"""VAS priority FIFOs and the priority queueing model."""
+"""VAS priority FIFOs, and the queueing model's two-class discipline."""
 
 import pytest
 
 from repro.errors import VasError
 from repro.nx.params import POWER9
-from repro.perf.priority import PriorityQueueSim
+from repro.perf.queueing import AcceleratorQueue, Source
 from repro.sysstack.vas import Vas
 
 from .test_vas import make_crb
@@ -75,15 +75,20 @@ class TestVasPriority:
 
 
 class TestPriorityQueueSim:
+    """8 KB high-priority RPCs and 4 MB bulk on one engine, under one
+    FIFO (``starvation_bound=None``) and under the two VAS FIFOs."""
+
     def _run(self, use_priority: bool):
-        sim = PriorityQueueSim(POWER9, use_priority=use_priority, seed=4)
-        return sim.run(high_rate_per_s=3000, bulk_rate_per_s=1400,
-                       duration_s=0.15)
+        model = AcceleratorQueue(
+            POWER9, starvation_bound=8 if use_priority else None, seed=4)
+        return model.run_open([Source(3000, 8192, high_priority=True),
+                               Source(1400, 4 << 20)],
+                              duration_s=0.15).by_class()
 
     def test_both_classes_complete(self):
         results = self._run(True)
-        assert results["high"].count > 100
-        assert results["bulk"].count >= 1
+        assert results["high"].completed > 100
+        assert results["bulk"].completed >= 1
 
     def test_priority_improves_high_class_tail(self):
         fifo = self._run(False)
@@ -93,7 +98,7 @@ class TestPriorityQueueSim:
     def test_bulk_not_starved(self):
         prio = self._run(True)
         fifo = self._run(False)
-        assert prio["bulk"].count >= fifo["bulk"].count * 0.8
+        assert prio["bulk"].completed >= fifo["bulk"].completed * 0.8
 
     def test_deterministic(self):
         a = self._run(True)

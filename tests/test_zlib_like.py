@@ -89,6 +89,25 @@ class TestCompressObj:
         dec = stdzlib.decompressobj(-15, zdict=d)
         assert dec.decompress(payload) == json_20k[5000:]
 
+    def test_zdict_streaming_zlib(self, json_20k):
+        """The zlib header names the dictionary (FDICT + DICTID), so
+        stdlib can find and check it."""
+        d = json_20k[:5000]
+        obj = zlib_like.compressobj(wbits=15, zdict=d)
+        for chunk in self._chunks(json_20k[5000:]):
+            obj.compress(chunk)
+        payload = obj.flush()
+        dec = stdzlib.decompressobj(15, zdict=d)
+        assert dec.decompress(payload) == json_20k[5000:]
+        assert zlib_like.decompress(payload, wbits=15,
+                                    zdict=d) == json_20k[5000:]
+
+    def test_zdict_gzip_refused_at_construction(self):
+        """gzip has no field to name a dictionary; stdlib refuses the
+        combination when the object is made, and so do we."""
+        with pytest.raises(DeflateError, match="DICTID"):
+            zlib_like.compressobj(wbits=31, zdict=b"dictionary")
+
     def test_window_carry_improves_ratio(self):
         data = generate("log_lines", 80000, seed=19)
         streaming = zlib_like.compressobj(wbits=-15)
