@@ -1,8 +1,8 @@
 """ProcessWorkerPool: a persistent, crash-tolerant process fleet.
 
 The GIL makes thread "parallelism" over the pure-Python codec kernels a
-regression (BENCH_hotpath recorded the parallel sweep *losing*
-throughput as workers grew), and a per-call ``ProcessPoolExecutor``
+regression (thread workers made the parallel sweep *lose* throughput
+as workers grew), and a per-call ``ProcessPoolExecutor``
 pays worker spin-up plus full payload pickling on every request.  This
 pool is the fix the execution layers share:
 

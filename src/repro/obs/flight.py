@@ -8,8 +8,8 @@ flight recorder is that posture in software — a fixed-size
 ``deque(maxlen=...)`` of ``(perf_counter, kind, fields)`` tuples that
 every layer appends compact records to unconditionally (one attribute
 check and one ring append per record; the cost is measured by
-``benchmarks/bench_obs_overhead.py`` and gated by ``perf_gate
---max-obs-overhead`` alongside the span-guard overhead).
+``benchmarks/bench_obs_overhead.py`` and gated by
+``tools/perf_gate.py`` alongside the span-guard overhead).
 
 On the paths where an operator would want the story — an injected
 chaos fault, a breaker opening, a blown deadline, a worker crash — the

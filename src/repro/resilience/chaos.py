@@ -10,7 +10,7 @@ rescue, and verify machinery.  With the resilience layer working it is
 zero for every scenario, under every seed.
 
 This is the regression harness behind ``repro chaos`` and the CI
-``chaos-smoke`` job.
+``smoke (chaos)`` job.
 """
 
 from __future__ import annotations

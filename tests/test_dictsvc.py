@@ -19,6 +19,7 @@ from collections import OrderedDict
 
 import pytest
 
+from repro.backend import backend_capabilities
 from repro.dictsvc import DictionaryRegistry, ResultCache, result_key
 from repro.dictsvc.cache import _Claim
 from repro.errors import ConfigError
@@ -333,6 +334,9 @@ class TestRegistry:
         assert len(canned_names()) == 4
         assert set(canned_names(include_trained=True)) \
             >= {d.name for d in trained}
+        # ... and the backend advertises what was pushed.
+        caps = backend_capabilities("nx", machine="POWER9")
+        assert set(caps.canned_dicts) >= {d.name for d in trained}
 
     def test_push_leaves_no_stale_header_cost(self) -> None:
         registry = DictionaryRegistry(seed=1)

@@ -60,7 +60,7 @@ def _obs_section() -> list[str]:
              f"{meta.get('bytes', '?')} bytes, "
              f"level {meta.get('level', '?')}.  Regenerate with "
              "`python benchmarks/bench_obs_overhead.py`; gated by "
-             "`tools/perf_gate.py --max-obs-overhead`.", "",
+             "`tools/perf_gate.py` (2 % ceiling).", "",
              "| metric | value |",
              "|---|---|"]
     for key, value in report.get("results", {}).items():
