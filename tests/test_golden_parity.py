@@ -202,3 +202,25 @@ def test_experiment_golden(name: str) -> None:
 
     fresh = record_goldens.experiments()[name]()
     assert fresh == _summed_approx(_EXPERIMENTS[name])
+
+
+# -- chaos: offline campaign numbers and wire firing traces ------------------
+
+GOLDEN_CHAOS = pathlib.Path(__file__).parent / "data" / "golden_chaos.json"
+_CHAOS = json.loads(GOLDEN_CHAOS.read_text())
+
+
+def test_chaos_grid_is_the_recorded_one() -> None:
+    import tools.record_goldens as record_goldens
+
+    assert set(record_goldens.chaos_cases()) == set(_CHAOS)
+
+
+@pytest.mark.parametrize("name", sorted(_CHAOS))
+def test_chaos_golden(name: str) -> None:
+    """The offline campaign replays every count, breaker transition and
+    modelled second; each wire injector fires the same kinds on the same
+    operations."""
+    import tools.record_goldens as record_goldens
+
+    assert record_goldens.chaos_cases()[name]() == _CHAOS[name]
