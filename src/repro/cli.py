@@ -43,7 +43,7 @@ import sys
 from .backend.registry import backend_names
 from .backend.routing import ROUTING_POLICIES
 from .deflate.containers import FORMATS, SUFFIXES
-from .errors import ReproError
+from .errors import ConfigError, ReproError
 from .nx.params import MACHINES, get_machine
 
 
@@ -190,26 +190,29 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="seeded fault-injection survival campaign")
     p_chaos.add_argument("--seed", type=int, default=7,
                          help="campaign seed (default: 7)")
-    p_chaos.add_argument("--jobs", type=int, default=200,
-                         help="jobs per scenario (default: 200)")
+    p_chaos.add_argument("--jobs", type=int, default=None,
+                         help="jobs per scenario (default: 200; 40 with "
+                              "--network)")
     p_chaos.add_argument("--chips", type=int, default=2,
                          help="pool size (default: 2)")
     p_chaos.add_argument("--max-size", type=int, default=4096,
                          help="largest job payload in bytes")
     p_chaos.add_argument("--scenario", default=None,
                          help="run only this named scenario")
-    p_chaos.add_argument("--network", action="store_true",
-                         help="wire-fault campaign: seeded socket chaos "
-                              "(resets, truncation, slow-loris, "
-                              "duplicates) vs reconnecting idempotent "
-                              "clients; asserts exactly-once execution")
-    p_chaos.add_argument("--under-load", action="store_true",
-                         help="inject faults while a live service "
-                              "handles concurrent clients (chaos-under-"
-                              "load: payload integrity + breaker checks)")
+    stack = p_chaos.add_mutually_exclusive_group()
+    stack.add_argument("--network", action="store_true",
+                       help="wire-fault campaign: seeded socket chaos "
+                            "(resets, truncation, slow-loris, "
+                            "duplicates) vs reconnecting idempotent "
+                            "clients; asserts exactly-once execution")
+    stack.add_argument("--under-load", action="store_true",
+                       help="inject faults while a live service "
+                            "handles concurrent clients (chaos-under-"
+                            "load: payload integrity, typed refusals, "
+                            "bounded queues)")
     p_chaos.add_argument("--clients", type=int, default=4,
-                         help="concurrent client threads for "
-                              "--under-load (default: 4)")
+                         help="concurrent client threads for --network "
+                              "and --under-load (default: 4)")
     p_chaos.add_argument("--exec-workers", type=int, default=None,
                          help="with --under-load: run jobs on N pool "
                               "worker processes and kill workers "
@@ -696,52 +699,20 @@ def render_top(ops: dict, url: str) -> str:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from .resilience.chaos import (default_network_plans, default_plans,
-                                   pick_scenario, run_campaign)
+    from .resilience.chaos import render, run_campaign
 
-    plans = (default_network_plans() if args.network
-             else default_plans(args.jobs))
-    if args.scenario is not None:
-        try:
-            plans = {args.scenario: pick_scenario(
-                plans, args.scenario, "network" if args.network else "chaos")}
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.network:
-        return _cmd_chaos_network(args)
-    if args.under_load:
-        return _cmd_chaos_under_load(args)
-    report = run_campaign(seed=args.seed, jobs=args.jobs,
-                          chips=args.chips, machine=args.machine,
-                          plans=plans, max_size=args.max_size)
-    print(report.render())
-    return 0 if report.survived else 1
-
-
-def _cmd_chaos_network(args: argparse.Namespace) -> int:
-    from .resilience.chaos import run_network_campaign
-
-    jobs = args.jobs if args.jobs != 200 else 40
-    report = run_network_campaign(seed=args.seed, jobs=jobs,
-                                  clients=args.clients,
-                                  max_size=args.max_size,
-                                  scenario=args.scenario)
-    print(report.render())
-    return 0 if report.survived else 1
-
-
-def _cmd_chaos_under_load(args: argparse.Namespace) -> int:
-    from .resilience.chaos import run_service_scenario
-
-    result = run_service_scenario(
-        seed=args.seed, jobs=args.jobs, chips=args.chips,
-        machine=args.machine, max_size=args.max_size,
-        clients=args.clients, scenario=args.scenario,
-        backend="software" if args.exec_workers else "nx",
-        exec_workers=args.exec_workers)
-    print(result.render())
-    return 0 if result.survived else 1
+    try:
+        results = run_campaign(
+            "tcp" if args.network else
+            "service" if args.under_load else "pool", args.scenario,
+            seed=args.seed, jobs=args.jobs, chips=args.chips,
+            machine=args.machine, max_size=args.max_size,
+            clients=args.clients, exec_workers=args.exec_workers)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(render(results))
+    return 0 if all(result.survived for result in results) else 1
 
 
 def cmd_dict(args: argparse.Namespace) -> int:

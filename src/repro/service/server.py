@@ -259,7 +259,7 @@ class CompressionServer(socketserver.ThreadingTCPServer):
         #: explicitly disabled with ``dedup=None`` via :func:`serve`.
         self.dedup = dedup if dedup is not None else IdempotencyCache()
         #: Test/chaos hook: wrap every accepted connection's socket
-        #: (e.g. :func:`repro.resilience.netfaults.fault_factory`).
+        #: (e.g. :func:`repro.resilience.faults.fault_factory`).
         self.socket_wrapper = socket_wrapper
 
     def get_request(self):

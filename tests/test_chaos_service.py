@@ -2,72 +2,114 @@
 
 The offline chaos campaign (test_resilience) proves the pool survives
 faults in isolation; this suite proves the *serving stack* does — fault
-injectors wired to every chip while concurrent client threads push
-QoS-tagged traffic through one :class:`CompressionService`.  The bar:
-zero wrong payloads among accepted requests, every shed request typed
-retryable, queues bounded, and the breakers actually cycling (open on
-the dead chip, closed again after recovery probes).
+injectors wired to every chip (or killing its exec workers) while
+concurrent client threads push QoS-tagged traffic through one
+:class:`CompressionService`.  The bar: zero wrong payloads among
+accepted requests, every refusal typed retryable, queues bounded, and
+the breakers actually cycling (open on the dead chip, closed again after
+recovery probes).
 """
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.errors import ReproError
-from repro.resilience.chaos import default_plans, run_service_scenario
+from repro.resilience import chaos
+from repro.resilience.chaos import default_plans, render, run_scenario
+from repro.resilience.faults import FAULT_KINDS, NetFaultInjector
+from repro.service.core import CompressionService
+
+
+def served(scenario: str = "combined", **settings):
+    return run_scenario(scenario, stack="service", **settings)
 
 
 class TestChaosUnderLoad:
     @pytest.mark.parametrize("seed", [7, 23])
     def test_combined_storm_no_wrong_bytes(self, seed):
-        result = run_service_scenario(seed=seed, jobs=120, chips=2,
-                                      max_size=4096, clients=4)
-        assert result.survived, result.render()
-        assert result.wrong_bytes == 0
-        assert result.shed_nonretryable == 0
-        assert result.served + result.shed_retryable \
-            + result.failed == result.jobs
-        assert result.faults_injected, "storm injected nothing"
+        result = served(seed=seed, jobs=120, clients=4)
+        assert result.survived, render([result])
+        assert result.wrong == 0
+        assert result.lost == 0
+        assert result.served + result.shed + result.lost == result.jobs
+        assert result.faults, "storm injected nothing"
         assert result.max_queue_depth <= result.queue_bound
 
     def test_chip_death_opens_and_recovers_breaker(self):
-        result = run_service_scenario(seed=11, jobs=160, chips=2,
-                                      max_size=4096, clients=4,
-                                      scenario="chip_death")
-        assert result.survived, result.render()
-        assert result.faults_injected.get("chip_death", 0) >= 1
+        result = served("chip_death", seed=11, jobs=160, clients=4)
+        assert result.survived, render([result])
+        assert result.faults.get("chip_death", 0) >= 1
         # The dead chip's breaker must have opened — and after the
         # plan's recovery point, probe successes must close it again.
-        assert result.breaker_opens >= 1, result.render()
-        assert result.breaker_closes >= 1, result.render()
+        assert result.breaker_opens >= 1, render([result])
+        assert result.breaker_closes >= 1, render([result])
         # Everything accepted still produced correct bytes (rescue or
         # the surviving chip picked up the work).
-        assert result.wrong_bytes == 0
+        assert result.wrong == 0
 
     def test_hang_scenario_served_through_rescue(self):
-        result = run_service_scenario(seed=3, jobs=100, chips=2,
-                                      max_size=4096, clients=4,
-                                      scenario="engine_hang")
-        assert result.survived, result.render()
-        assert result.wrong_bytes == 0
-        if result.faults_injected.get("engine_hang"):
+        result = served("engine_hang", seed=3, jobs=100, clients=4)
+        assert result.survived, render([result])
+        assert result.wrong == 0
+        if result.faults.get("engine_hang"):
             # Hangs were injected: jobs still completed, some through
             # the software-rescue path.
             assert result.served > 0
 
     def test_corruption_never_reaches_clients(self):
-        result = run_service_scenario(seed=5, jobs=100, chips=2,
-                                      max_size=4096, clients=4,
-                                      scenario="corrupt_output")
-        assert result.survived, result.render()
-        assert result.wrong_bytes == 0
-        assert result.faults_injected.get("corrupt_output", 0) >= 1
+        result = served("corrupt_output", seed=5, jobs=100, clients=4)
+        assert result.survived, render([result])
+        assert result.wrong == 0
+        assert result.faults.get("corrupt_output", 0) >= 1
 
     def test_unknown_scenario_is_typed_error(self):
         with pytest.raises(ReproError):
-            run_service_scenario(scenario="not-a-scenario")
+            served("not-a-scenario")
 
-    def test_every_named_scenario_exists(self):
-        # The under-load runner accepts exactly the campaign's plans.
-        for name in default_plans(50):
-            assert name in default_plans(50)
+    def test_a_non_retryable_failure_is_not_survived(self, monkeypatch):
+        calls = itertools.count()
+        request = CompressionService.request
+
+        def fail_once(self, *args, **kwargs):
+            if next(calls) == 3:
+                raise ReproError("injected non-retryable failure")
+            return request(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompressionService, "request", fail_once)
+        result = served("baseline", jobs=8, clients=2)
+        assert (result.served, result.shed, result.lost) == (7, 0, 1)
+        assert result.wrong == 0
+        assert not result.survived
+        assert "FAILED" in render([result])
+
+    def test_worker_kills_are_reported_as_faults(self, monkeypatch):
+        monkeypatch.setattr(chaos, "_KILL_TICK_S", 0.01)
+        result = served("worker_kill", seed=7, jobs=40, clients=2,
+                        exec_workers=2)
+        assert result.survived, render([result])
+        assert result.faults.get("worker_kill", 0) >= 1, render([result])
+        assert result.worker_restarts >= 1
+        assert "'worker_kill'" in render([result])
+
+    def test_every_fault_kind_fires_in_a_default_scenario(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(chaos, "_KILL_TICK_S", 0.01)
+        fired = set()
+        for result in chaos.run_campaign("pool", jobs=100, max_size=1024):
+            fired |= set(result.faults)
+        # Each end of a TCP scenario's connections, 200 operations each.
+        for plans in default_plans("tcp").values():
+            for side in ("client", "server"):
+                injector = NetFaultInjector(
+                    [p for p in plans if p.side in (None, side)], seed=7)
+                for op in range(200):
+                    injector.on_op("recv" if op % 3 == 2 else "send")
+                fired |= set(injector.fired)
+        kills = served("worker_kill", seed=7, jobs=40, clients=2,
+                       exec_workers=2)
+        fired |= set(kills.faults)
+        assert fired == {kind for kinds in FAULT_KINDS.values()
+                         for kind in kinds}

@@ -204,3 +204,40 @@ class TestChaosNetwork:
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["chaos", "--network", "--scenario", "bogus"]) == 2
         assert "unknown network scenario" in capsys.readouterr().err
+
+
+def _row(out: str, scenario: str) -> list[str]:
+    return next(line.split() for line in out.splitlines()
+                if line.startswith(scenario + " "))
+
+
+class TestChaosFlags:
+    def test_network_runs_the_jobs_asked_for(self, capsys):
+        # 200 is the pool's default; it once silently meant 40 here.
+        assert main(["chaos", "--network", "--scenario", "net_baseline",
+                     "--jobs", "200", "--clients", "4"]) == 0
+        row = _row(capsys.readouterr().out, "net_baseline")
+        assert row[1] == "200"  # jobs
+        assert row[5] == "200"  # executions
+
+    def test_network_and_under_load_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["chaos", "--network", "--under-load"])
+        assert info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stack", [[], ["--network"]])
+    def test_exec_workers_needs_under_load(self, capsys, stack):
+        assert main(["chaos", *stack, "--exec-workers", "2"]) == 2
+        assert "(--under-load) only" in capsys.readouterr().err
+
+    def test_under_load_runs_the_scenario_it_checked(self, capsys):
+        assert main(["chaos", "--under-load", "--scenario", "worker_kill"]) \
+            == 2
+        assert "chip faults only" in capsys.readouterr().err
+        assert main(["chaos", "--under-load", "--scenario", "corrupt_output",
+                     "--jobs", "40", "--clients", "2", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "chaos under load" in out
+        assert _row(out, "corrupt_output")[1] == "40"
+        assert "'corrupt_output'" in out

@@ -109,7 +109,7 @@ class TestFaultCapture:
                           backend="model:POWER9")
             accel = NxAccelerator(POWER9)
             FaultInjector(
-                [FaultPlan("corrupt_output", at_job=1)],
+                [FaultPlan("corrupt_output", at=1)],
                 seed=3).install(accel)
             driver = NxDriver(accel, AddressSpace())
             driver.open()

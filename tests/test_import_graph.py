@@ -102,7 +102,7 @@ def test_an_exec_worker_loads_one_backend_stack():
     assert imports.matching("repro.nx.z15"), "the job did not run"
     imports.refuse("repro.service", "repro.cli", "repro.obs.http",
                    "repro.obs.export", "repro.resilience.chaos",
-                   "repro.resilience.faults", "repro.resilience.netfaults",
+                   "repro.resilience.faults",
                    "repro.workloads", "repro.core", "multiprocessing",
                    "secrets")
     perf = {chain.split(" <- ")[0] for chain in imports.matching("repro.perf")}

@@ -24,7 +24,7 @@ import pytest
 
 from repro.dictsvc import ResultCache
 from repro.errors import ConfigError
-from repro.resilience import NetFaultInjector, NetFaultPlan
+from repro.resilience import FaultPlan, FaultySocket, NetFaultInjector
 from repro.service import (CompressionService, IdempotencyCache,
                            ServiceClient, serve)
 from repro.service.protocol import (MAX_HEADER_BYTES, MAX_PAYLOAD_BYTES,
@@ -172,8 +172,8 @@ class TestFrameReader:
         near, far = socket.socketpair()
         try:
             near.sendall(self.stream())
-            faulty = NetFaultInjector(
-                [NetFaultPlan("reset", at_op=2)], seed=1).wrap(far)
+            faulty = FaultySocket(far, NetFaultInjector(
+                [FaultPlan("reset", at=2)], seed=1))
             reader = FrameReader(faulty)
             assert reader.read() == self.MESSAGES[0]
             assert reader.read() == self.MESSAGES[1]  # read ahead

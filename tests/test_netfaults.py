@@ -1,6 +1,6 @@
 """Wire-fault injection, idempotency, and retry-budget units.
 
-The network robustness tier in isolation: :class:`NetFaultPlan`
+The network robustness tier in isolation: wire :class:`FaultPlan`
 validation and the deterministic per-connection injector, each
 :class:`FaultySocket` fault acted out over a real socketpair, the
 :class:`IdempotencyCache` race protocol (hit / owner / wait / abort)
@@ -17,38 +17,45 @@ import threading
 import pytest
 
 from repro.errors import ConfigError
-from repro.resilience import (NET_FAULT_KINDS, FaultySocket,
-                              NetFaultInjector, NetFaultPlan, fault_factory)
+from repro.resilience import (FAULT_KINDS, FaultPlan, FaultySocket,
+                              NetFaultInjector, fault_factory)
 from repro.service import IdempotencyCache, RetryBudget
 
 
 class TestNetFaultPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            NetFaultPlan("gremlins", probability=0.5)
+            FaultPlan("gremlins", probability=0.5)
+        with pytest.raises(ConfigError):
+            FaultPlan("reset", probability=0.5, side="middle")
+        with pytest.raises(ConfigError):
+            NetFaultInjector([FaultPlan("engine_hang", probability=0.5)])
 
     def test_probability_bounds(self):
         with pytest.raises(ConfigError):
-            NetFaultPlan("reset", probability=1.5)
+            FaultPlan("reset", probability=1.5)
 
     def test_unfireable_plan_rejected(self):
         with pytest.raises(ConfigError):
-            NetFaultPlan("reset")
+            FaultPlan("reset")
 
     def test_at_op_defaults_to_one_fire(self):
-        assert NetFaultPlan("reset", at_op=3).fire_cap == 1
-        assert NetFaultPlan("reset", at_op=3, max_fires=2).fire_cap == 2
-        assert NetFaultPlan("reset", probability=0.5).fire_cap \
+        assert FaultPlan("reset", at=3).fire_cap == 1
+        assert FaultPlan("reset", at=3, max_fires=2).fire_cap == 2
+        assert FaultPlan("reset", probability=0.5).fire_cap \
             == float("inf")
 
     def test_every_kind_constructs(self):
-        for kind in NET_FAULT_KINDS:
-            NetFaultPlan(kind, probability=0.1)
+        for kind in FAULT_KINDS["wire"]:
+            for side in (None, "client", "server"):
+                plan = FaultPlan(kind, probability=0.1, side=side)
+                assert plan.source == "wire"
+            NetFaultInjector([FaultPlan(kind, probability=0.1)])
 
 
 class TestNetFaultInjector:
     def test_same_seed_same_timeline(self):
-        plans = [NetFaultPlan("reset", probability=0.3)]
+        plans = [FaultPlan("reset", probability=0.3)]
 
         def timeline(seed, peer):
             injector = NetFaultInjector(plans, seed=seed, peer=peer)
@@ -62,7 +69,7 @@ class TestNetFaultInjector:
     def test_at_op_counts_per_direction(self):
         # truncate is send-only; interleaved recvs must not consume
         # the target op, so "the 2nd send" stays aimable.
-        plans = [NetFaultPlan("truncate", at_op=2)]
+        plans = [FaultPlan("truncate", at=2)]
         injector = NetFaultInjector(plans, seed=1)
         assert injector.on_op("send") is None
         for _ in range(5):
@@ -71,18 +78,18 @@ class TestNetFaultInjector:
         assert fired is not None and fired.kind == "truncate"
 
     def test_send_only_kinds_skip_recv(self):
-        plans = [NetFaultPlan("duplicate", probability=1.0)]
+        plans = [FaultPlan("duplicate", probability=1.0)]
         injector = NetFaultInjector(plans, seed=1)
         assert injector.on_op("recv") is None
         assert injector.on_op("send").kind == "duplicate"
 
     def test_max_fires_caps(self):
-        plans = [NetFaultPlan("latency", probability=1.0, max_fires=2)]
+        plans = [FaultPlan("latency", probability=1.0, max_fires=2)]
         injector = NetFaultInjector(plans, seed=1)
         fires = sum(injector.on_op("send") is not None for _ in range(10))
         assert fires == 2
         assert injector.fired == {"latency": 2}
-        assert injector.total_fired() == 2
+        assert sum(injector.fired.values()) == 2
 
 
 def _pair():
@@ -111,7 +118,7 @@ class TestFaultySocket:
         return FaultySocket(left, injector), right
 
     def test_clean_passthrough(self):
-        faulty, peer = self.wrap([NetFaultPlan("reset", at_op=99)])
+        faulty, peer = self.wrap([FaultPlan("reset", at=99)])
         faulty.sendall(b"hello")
         assert peer.recv(16) == b"hello"
         peer.sendall(b"world")
@@ -120,13 +127,13 @@ class TestFaultySocket:
         peer.close()
 
     def test_reset_on_send(self):
-        faulty, peer = self.wrap([NetFaultPlan("reset", at_op=1)])
+        faulty, peer = self.wrap([FaultPlan("reset", at=1)])
         with pytest.raises(ConnectionResetError):
             faulty.sendall(b"doomed")
         peer.close()
 
     def test_truncate_delivers_prefix_then_dies(self):
-        faulty, peer = self.wrap([NetFaultPlan("truncate", at_op=1,
+        faulty, peer = self.wrap([FaultPlan("truncate", at=1,
                                                magnitude=5.0)])
         frame = b"x" * 100
         with pytest.raises(ConnectionResetError):
@@ -137,14 +144,14 @@ class TestFaultySocket:
         peer.close()
 
     def test_duplicate_sends_frame_twice(self):
-        faulty, peer = self.wrap([NetFaultPlan("duplicate", at_op=1)])
+        faulty, peer = self.wrap([FaultPlan("duplicate", at=1)])
         faulty.sendall(b"frame")
         assert _drain(peer, 10) == b"frameframe"
         faulty.close()
         peer.close()
 
     def test_stale_replays_older_frame(self):
-        faulty, peer = self.wrap([NetFaultPlan("stale", at_op=3)])
+        faulty, peer = self.wrap([FaultPlan("stale", at=3)])
         faulty.sendall(b"AAAA")
         faulty.sendall(b"BBBB")
         faulty.sendall(b"CCCC")  # fires: replays AAAA before CCCC
@@ -153,7 +160,7 @@ class TestFaultySocket:
         peer.close()
 
     def test_slow_send_still_delivers_everything(self):
-        faulty, peer = self.wrap([NetFaultPlan("slow_send", at_op=1,
+        faulty, peer = self.wrap([FaultPlan("slow_send", at=1,
                                                magnitude=4.0)])
         frame = bytes(range(256)) * 4
         done = threading.Event()
@@ -173,7 +180,7 @@ class TestFaultySocket:
         peer.close()
 
     def test_latency_delays_but_delivers(self):
-        faulty, peer = self.wrap([NetFaultPlan("latency", at_op=1,
+        faulty, peer = self.wrap([FaultPlan("latency", at=1,
                                                magnitude=1.0)])
         faulty.sendall(b"late")
         assert peer.recv(8) == b"late"
@@ -181,7 +188,7 @@ class TestFaultySocket:
         peer.close()
 
     def test_passthrough_attributes_delegate(self):
-        faulty, peer = self.wrap([NetFaultPlan("reset", at_op=99)])
+        faulty, peer = self.wrap([FaultPlan("reset", at=99)])
         faulty.settimeout(1.25)
         assert faulty.gettimeout() == 1.25
         faulty.close()
@@ -190,7 +197,7 @@ class TestFaultySocket:
 
 class TestFaultFactory:
     def test_fresh_injector_per_connection(self):
-        factory = fault_factory([NetFaultPlan("reset", at_op=1)], seed=3)
+        factory = fault_factory([FaultPlan("reset", at=1)], seed=3)
         socks = [socket.socketpair() for _ in range(3)]
         wrapped = [factory(left) for left, _ in socks]
         assert len(factory.injectors) == 3
@@ -201,7 +208,7 @@ class TestFaultFactory:
             right.close()
 
     def test_max_connections_passes_rest_through(self):
-        factory = fault_factory([NetFaultPlan("reset", at_op=1)],
+        factory = fault_factory([FaultPlan("reset", at=1)],
                                 seed=3, max_connections=1)
         (l1, r1), (l2, r2) = socket.socketpair(), socket.socketpair()
         assert isinstance(factory(l1), FaultySocket)

@@ -44,12 +44,12 @@ CASES = {
     # outgrows the first target seven times over.
     "target_regrowth": ((), 0.0, {}, None,
                         [(Op.DECOMPRESS, ZEROS_RAW, "raw")]),
-    "spurious_cc": ([FaultPlan("spurious_cc", at_job=1)], 0.0, {}, None,
+    "spurious_cc": ([FaultPlan("spurious_cc", at=1)], 0.0, {}, None,
                     [COMPRESS]),
-    "engine_hang": ([FaultPlan("engine_hang", at_job=1)], 0.0, {}, None,
+    "engine_hang": ([FaultPlan("engine_hang", at=1)], 0.0, {}, None,
                     [COMPRESS]),
     "translation_storm": (
-        [FaultPlan("translation_storm", at_job=1, magnitude=3.0)],
+        [FaultPlan("translation_storm", at=1, magnitude=3.0)],
         0.0, {}, None, [COMPRESS]),
     # Every credit leaks: the third job finds the window wedged, spends
     # its paste budget backing off, and finishes in software.

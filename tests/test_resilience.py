@@ -17,8 +17,10 @@ from repro.errors import (AcceleratorError, ChipUnavailable, ConfigError,
                           ReproError)
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9
-from repro.resilience.chaos import default_plans, run_campaign, run_scenario
-from repro.resilience.faults import FAULT_KINDS, FaultInjector, FaultPlan
+from repro.resilience.chaos import (default_plans, render, run_campaign,
+                                    run_scenario)
+from repro.resilience.faults import (FAULT_KINDS, FaultInjector, FaultPlan,
+                                     NetFaultInjector, WorkerKiller)
 from repro.resilience.health import (BreakerState, CircuitBreaker,
                                      HealthConfig, HealthTracker)
 from repro.resilience.policy import RetryPolicy, check_deadline
@@ -109,52 +111,104 @@ class TestRetryPolicy:
         assert "paste" in str(info.value)
 
 
+class _Proc:
+    """A live worker process, as far as the kill injector can tell."""
+
+    def terminate(self) -> None:
+        pass
+
+
+def _chip_timeline(injector) -> list:
+    return ([injector.on_job_start(None) for _ in range(40)]
+            + [injector.on_credit_return(1) for _ in range(40)])
+
+
+def _kill_timeline(injector) -> list:
+    procs = [_Proc(), _Proc(), _Proc()]
+    return [procs.index(victim) if victim is not None else None
+            for victim in (injector.on_tick(procs) for _ in range(40))]
+
+
+#: Per fault source: its injector from (plans, seed, chip or peer), the
+#: plans of a timeline and that timeline, 40 opportunities long.
+SOURCES = {
+    "chip": (lambda plans, seed, n: FaultInjector(plans, seed=seed, chip=n),
+             ("engine_hang", "credit_leak"), _chip_timeline),
+    "wire": (lambda plans, seed, n: NetFaultInjector(plans, seed=seed,
+                                                     peer=n),
+             ("reset",),
+             lambda injector: [getattr(injector.on_op("send"), "kind", None)
+                               for _ in range(40)]),
+    "worker": (lambda plans, seed, n: WorkerKiller(plans, seed=seed + n),
+               ("worker_kill",), _kill_timeline),
+}
+
+
 class TestFaultInjector:
+    """One plan type and one evaluation loop under all three sources."""
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             FaultPlan("gremlin", probability=0.5)
+        for kind, side in (("reset", "middle"), ("engine_hang", "client")):
+            with pytest.raises(ConfigError):
+                FaultPlan(kind, probability=0.5, side=side)
+        for source, (build, _, _) in SOURCES.items():
+            stranger = next(kinds[0] for other, kinds in FAULT_KINDS.items()
+                            if other != source)
+            with pytest.raises(ConfigError):
+                build([FaultPlan(stranger, probability=0.5)], 0, 0)
 
     def test_bad_probability_rejected(self):
-        with pytest.raises(ConfigError):
-            FaultPlan("engine_hang", probability=1.5)
+        for kinds in FAULT_KINDS.values():
+            for probability in (1.5, -0.1):
+                with pytest.raises(ConfigError):
+                    FaultPlan(kinds[0], probability=probability)
 
     def test_unfireable_plan_rejected(self):
-        with pytest.raises(ConfigError):
-            FaultPlan("engine_hang")  # no at_job, no probability
+        for kinds in FAULT_KINDS.values():
+            with pytest.raises(ConfigError):
+                FaultPlan(kinds[0])  # no at, no probability
 
     def test_install_sets_both_hooks(self):
         accel = NxAccelerator(POWER9)
         injector = FaultInjector(
-            [FaultPlan("engine_hang", at_job=1)]).install(accel)
+            [FaultPlan("engine_hang", at=1)]).install(accel)
         assert accel.chaos is injector
         assert accel.vas.chaos is injector
 
     def test_at_job_fires_exactly_once(self):
-        injector = FaultInjector([FaultPlan("engine_hang", at_job=2)])
+        injector = FaultInjector([FaultPlan("engine_hang", at=2)])
         actions = [injector.on_job_start(None) for _ in range(5)]
         assert actions == [None, "hang", None, None, None]
         assert injector.fired == {"engine_hang": 1}
 
     def test_same_seed_same_timeline(self):
-        plans = [FaultPlan("engine_hang", probability=0.3),
-                 FaultPlan("credit_leak", probability=0.3)]
-        runs = []
-        for _ in range(2):
-            injector = FaultInjector(plans, seed=11, chip=1)
-            actions = [injector.on_job_start(None) for _ in range(40)]
-            leaks = [injector.on_credit_return(1) for _ in range(40)]
-            runs.append((actions, leaks, dict(injector.fired)))
-        assert runs[0] == runs[1]
+        for build, kinds, timeline in SOURCES.values():
+            plans = [FaultPlan(kind, probability=0.3) for kind in kinds]
+
+            def run(seed, n):
+                injector = build(plans, seed, n)
+                return timeline(injector), injector.fired
+
+            assert run(11, 1) == run(11, 1)
+            assert run(11, 1)[1], kinds
+            assert run(11, 1) != run(12, 1)
+            assert run(11, 1) != run(11, 2)
 
     def test_every_kind_is_declarable(self):
-        for kind in FAULT_KINDS:
-            FaultPlan(kind, probability=0.1)
+        for source, kinds in FAULT_KINDS.items():
+            build = SOURCES[source][0]
+            for kind in kinds:
+                plan = FaultPlan(kind, probability=0.1)
+                assert plan.source == source
+                build([plan], 0, 0)
 
 
 class TestDriverResilience:
     def test_hang_recovered_and_retried(self, text_20k):
         driver, injector = make_driver(
-            [FaultPlan("engine_hang", at_job=1)])
+            [FaultPlan("engine_hang", at=1)])
         result = driver.run(Op.COMPRESS, text_20k)
         assert stdzlib.decompress(result.output, -15) == text_20k
         assert result.stats.engine_hangs == 1
@@ -163,7 +217,7 @@ class TestDriverResilience:
 
     def test_spurious_cc_retried_to_success(self, text_20k):
         driver, _ = make_driver(
-            [FaultPlan("spurious_cc", at_job=1)])
+            [FaultPlan("spurious_cc", at=1)])
         result = driver.run(Op.COMPRESS, text_20k)
         assert stdzlib.decompress(result.output, -15) == text_20k
         assert result.stats.spurious_ccs == 1
@@ -258,7 +312,7 @@ class TestAsyncResilience:
 
     def test_wait_all_reports_partial_and_stuck(self, text_20k):
         driver, _ = make_driver(
-            [FaultPlan("engine_hang", at_job=2)])
+            [FaultPlan("engine_hang", at=2)])
         ok = driver.submit(Op.COMPRESS, text_20k)
         hung = driver.submit(Op.COMPRESS, text_20k)
         with reset_finds_nothing(driver), \
@@ -269,7 +323,7 @@ class TestAsyncResilience:
 
     def test_cancel_pending_reclaims_credits(self, text_20k):
         driver, _ = make_driver(
-            [FaultPlan("engine_hang", at_job=1)], credits=2)
+            [FaultPlan("engine_hang", at=1)], credits=2)
         hung = driver.submit(Op.COMPRESS, text_20k)
         with reset_finds_nothing(driver), pytest.raises(JobError):
             driver.wait_all(max_polls=3)
@@ -361,7 +415,7 @@ class TestPoolHealth:
             POWER9, chips=2, backend="nx",
             health=HealthConfig(failure_threshold=2,
                                 cooldown_routes=10_000))
-        FaultInjector([FaultPlan("chip_death", at_job=1)]).install(
+        FaultInjector([FaultPlan("chip_death", at=1)]).install(
             pool.backend_for(0).accelerator)
         for _ in range(10):
             result = pool.compress(text_20k, fmt="gzip")
@@ -380,7 +434,7 @@ class TestPoolHealth:
             health=HealthConfig(failure_threshold=1,
                                 cooldown_routes=10_000),
             allow_software_rescue=False)
-        FaultInjector([FaultPlan("chip_death", at_job=1)]).install(
+        FaultInjector([FaultPlan("chip_death", at=1)]).install(
             pool.backend_for(0).accelerator)
         with pytest.raises(ChipUnavailable):
             for _ in range(5):
@@ -392,7 +446,7 @@ class TestPoolHealth:
             POWER9, chips=1, backend="nx",
             health=HealthConfig(failure_threshold=1,
                                 cooldown_routes=10_000))
-        FaultInjector([FaultPlan("chip_death", at_job=1)]).install(
+        FaultInjector([FaultPlan("chip_death", at=1)]).install(
             pool.backend_for(0).accelerator)
         for _ in range(5):
             result = pool.compress(text_20k, fmt="gzip")
@@ -406,8 +460,8 @@ class TestPoolHealth:
             health=HealthConfig(failure_threshold=2, cooldown_routes=3,
                                 probe_successes=1))
         FaultInjector(
-            [FaultPlan("chip_death", at_job=1,
-                       recover_at_job=30)]).install(
+            [FaultPlan("chip_death", at=1,
+                       recover_at=30)]).install(
             pool.backend_for(0).accelerator)
         for _ in range(40):
             result = pool.compress(text_20k, fmt="gzip")
@@ -483,27 +537,22 @@ class TestVerify:
 
 class TestChaosCampaign:
     def test_campaign_survives_every_plan(self):
-        report = run_campaign(seed=7, jobs=30, chips=2, max_size=2048)
-        names = {s.name for s in report.scenarios}
-        assert names == set(default_plans(30))
-        assert report.survived
-        for scenario in report.scenarios:
-            assert scenario.wrong_bytes == 0, scenario.name
-        assert report.total_faults > 0
-        assert "SURVIVED" in report.render()
+        results = run_campaign(seed=7, jobs=30, chips=2, max_size=2048)
+        assert [r.name for r in results] == list(default_plans("pool", 30))
+        for scenario in results:
+            assert scenario.survived and scenario.wrong == 0, scenario.name
+        assert sum(r.total_faults for r in results) > 0
+        assert "SURVIVED" in render(results)
 
     def test_campaign_is_deterministic(self):
-        a = run_scenario("combined", default_plans(20)["combined"],
-                         seed=3, jobs=20, chips=2, max_size=1024)
-        b = run_scenario("combined", default_plans(20)["combined"],
-                         seed=3, jobs=20, chips=2, max_size=1024)
-        assert a.faults_injected == b.faults_injected
-        assert a.wrong_bytes == b.wrong_bytes == 0
+        a = run_scenario("combined", seed=3, jobs=20, chips=2, max_size=1024)
+        b = run_scenario("combined", seed=3, jobs=20, chips=2, max_size=1024)
+        assert a.faults == b.faults
+        assert a.wrong == b.wrong == 0
         assert a.modelled_seconds == b.modelled_seconds
 
     def test_breaker_transitions_land_in_metrics(self, telemetry):
-        run_scenario("chip_death", default_plans(30)["chip_death"],
-                     seed=7, jobs=30, chips=2, max_size=1024)
+        run_scenario("chip_death", seed=7, jobs=30, chips=2, max_size=1024)
         counter = telemetry.registry().get(
             "repro_resilience_breaker_transitions_total")
         assert counter is not None
@@ -511,6 +560,10 @@ class TestChaosCampaign:
         injected = telemetry.registry().get(
             "repro_resilience_faults_injected_total")
         assert injected.value(kind="chip_death", chip="0") == 1
+
+    def test_a_stack_refuses_plans_it_cannot_fire(self):
+        with pytest.raises(ReproError, match="chip faults only"):
+            run_scenario("wired", [FaultPlan("reset", probability=0.5)])
 
 
 class TestCLI:

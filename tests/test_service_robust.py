@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.errors import RetryBudgetExhausted, ServiceUnreachable
-from repro.resilience import NetFaultPlan, fault_factory
+from repro.resilience import FaultPlan, fault_factory
 from repro.service import (CompressionService, IdempotencyCache,
                            RetryBudget, ServiceClient, serve)
 from repro.service.protocol import (ProtocolError, recv_message,
@@ -254,7 +254,7 @@ class TestReconnectingClient:
         # Exactly the first connection truncates its first response
         # mid-frame; every reconnect gets a clean socket.
         wrapper = fault_factory(
-            [NetFaultPlan("truncate", at_op=1, magnitude=5.0)],
+            [FaultPlan("truncate", at=1, magnitude=5.0)],
             seed=11, max_connections=1)
         server = serve(service, port=0, socket_wrapper=wrapper)
         try:
@@ -276,7 +276,7 @@ class TestReconnectingClient:
         # The client's view: every server response frame is doubled;
         # the request_id echo lets it drop the strays.
         wrapper = fault_factory(
-            [NetFaultPlan("duplicate", probability=1.0)], seed=5)
+            [FaultPlan("duplicate", probability=1.0)], seed=5)
         server.socket_wrapper = wrapper
         try:
             with ServiceClient(port=server.port) as client:
@@ -290,7 +290,7 @@ class TestReconnectingClient:
     def test_reconnect_off_surfaces_the_failure(self, text_20k):
         service = CompressionService(chips=1, backend="software")
         wrapper = fault_factory(
-            [NetFaultPlan("truncate", at_op=1)], seed=11,
+            [FaultPlan("truncate", at=1)], seed=11,
             max_connections=1)
         server = serve(service, port=0, socket_wrapper=wrapper)
         try:
@@ -305,7 +305,7 @@ class TestReconnectingClient:
         service = CompressionService(chips=1, backend="software")
         # Every connection resets on its first operation — the wire is
         # simply dead, and the budget decides when to stop dialling.
-        wrapper = fault_factory([NetFaultPlan("reset", at_op=1)], seed=2)
+        wrapper = fault_factory([FaultPlan("reset", at=1)], seed=2)
         server = serve(service, port=0, socket_wrapper=wrapper)
         budget = RetryBudget(capacity=4.0, deposit=0.0, initial=2.0)
         try:
@@ -362,19 +362,19 @@ class TestDedupRace:
 
 class TestNetworkCampaign:
     def test_seeded_scenario_survives(self):
-        from repro.resilience.chaos import run_network_scenario
+        from repro.resilience.chaos import run_scenario
 
-        result = run_network_scenario("net_combined", seed=7, jobs=16,
-                                      clients=4)
+        result = run_scenario("net_combined", stack="tcp", seed=7, jobs=16,
+                              clients=4)
         assert result.survived
-        assert result.wrong_bytes == 0
+        assert result.wrong == 0
         assert result.duplicate_stores == 0
-        assert result.gave_up == 0
+        assert result.lost == 0
         assert result.executions == result.stores == result.served == 16
 
     def test_unknown_scenario_rejected(self):
         from repro.errors import ReproError
-        from repro.resilience.chaos import run_network_campaign
+        from repro.resilience.chaos import run_campaign
 
         with pytest.raises(ReproError):
-            run_network_campaign(scenario="net_bogus")
+            run_campaign("tcp", "net_bogus")
