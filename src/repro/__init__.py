@@ -32,7 +32,7 @@ if TYPE_CHECKING:
                           create_backend, default_backend,
                           register_backend)
     from .core import (Analysis, CompressedBuffer, NxGzip, OffloadAdvisor,
-                       Route, analyze, software_decompress)
+                       Route, analyze)
     from .nx import POWER9, Z15, DhtStrategy, get_machine, z15_max_config
 
 __version__ = "1.0.0"
@@ -41,7 +41,6 @@ __all__ = [*lazy_exports(__name__, {
     "backend": "AcceleratorPool BackendCapabilities CompressionBackend "
                "backend_names create_backend default_backend "
                "register_backend",
-    "core": "Analysis CompressedBuffer NxGzip OffloadAdvisor Route "
-            "analyze software_decompress",
+    "core": "Analysis CompressedBuffer NxGzip OffloadAdvisor Route analyze",
     "nx": "POWER9 Z15 DhtStrategy get_machine z15_max_config",
 }), "__version__"]

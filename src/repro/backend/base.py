@@ -12,7 +12,7 @@ API in the production stack:
   :class:`SubmissionStats`), so callers account timing, faults, and
   software fallbacks identically regardless of the backend;
 * ``capabilities`` describes what the backend can do — wire formats,
-  Huffman strategies, modelled sustained rates, per-call overhead — so
+  modelled sustained rates, per-call overhead — so
   policy layers (offload advisor, Spark models, the pool) can reason
   about a backend without knowing its concrete class;
 * ``stats`` accumulates session totals across requests.
@@ -48,17 +48,11 @@ class BackendCapabilities:
 
     name: str
     formats: tuple[str, ...]
-    strategies: tuple[str, ...]
     synchronous: bool
     hardware: bool
-    streaming: bool
     compress_gbps: float
     decompress_gbps: float
     per_call_overhead_s: float = 0.0
-    #: Decompression scales with worker count (speculative chunk
-    #: decode à la rapidgzip); schedulers may treat ``decompress_gbps``
-    #: as an aggregate rather than a single-stream rate.
-    parallel_inflate: bool = False
     #: Canned DHT names the engine can fetch for this backend — the
     #: built-in template library plus any tenant-trained tables the
     #: dictionary service has pushed (see :mod:`repro.dictsvc`).
@@ -130,8 +124,8 @@ class CompressionBackend(abc.ABC):
         """Compress ``data``; ``fmt`` defaults to the backend's native one.
 
         ``history`` primes the match window for continuation requests
-        and ``final=False`` asks for a continuable raw stream — only
-        meaningful when ``capabilities().streaming`` is true.
+        and ``final=False`` asks for a continuable raw stream (the
+        ``software``, ``nx`` and ``dfltcc`` backends take both).
         ``deadline_s`` bounds the modelled time the backend may spend
         *waiting* (retries, fault fixups); past it the call raises
         :class:`~repro.errors.DeadlineExceeded`.
@@ -188,7 +182,7 @@ class CompressionBackend(abc.ABC):
 
     @abc.abstractmethod
     def capabilities(self) -> BackendCapabilities:
-        """Static description of formats, strategies, and modelled rates."""
+        """Static description of formats and modelled rates."""
 
     def stats(self) -> BackendStats:
         """Cumulative totals over every request this handle served."""

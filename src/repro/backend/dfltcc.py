@@ -41,10 +41,8 @@ class DfltccBackend(CompressionBackend):
         self._caps = BackendCapabilities(
             name=self.name,
             formats=FORMATS,
-            strategies=tuple(s.value for s in DhtStrategy),
             synchronous=True,
             hardware=True,
-            streaming=True,
             compress_gbps=accelerator_effective_gbps(machine, "compress"),
             decompress_gbps=accelerator_effective_gbps(machine,
                                                        "decompress"),

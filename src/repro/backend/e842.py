@@ -33,10 +33,8 @@ class E842Backend(CompressionBackend):
         self._caps = BackendCapabilities(
             name=self.name,
             formats=("842",),
-            strategies=("auto",),  # template codec: no Huffman strategy
             synchronous=True,
             hardware=True,
-            streaming=False,
             compress_gbps=line_rate,
             decompress_gbps=line_rate,
             per_call_overhead_s=(self.engine.params.pipeline_fill_cycles

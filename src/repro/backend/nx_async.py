@@ -19,7 +19,7 @@ from dataclasses import replace
 from ..deflate.containers import FORMATS
 from ..errors import ConfigError
 from ..nx.accelerator import NxAccelerator
-from ..nx.dht import DhtStrategy, canned_names
+from ..nx.dht import canned_names
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..perf.cost import accelerator_effective_gbps
 from ..sysstack.crb import Op
@@ -68,10 +68,8 @@ class NxAsyncBackend(CompressionBackend):
         self._caps = BackendCapabilities(
             name=self.name,
             formats=_FORMATS,
-            strategies=tuple(s.value for s in DhtStrategy),
             synchronous=False,
             hardware=True,
-            streaming=True,
             compress_gbps=_effective_gbps(machine, "compress"),
             decompress_gbps=_effective_gbps(machine, "decompress"),
             per_call_overhead_s=(machine.submit_overhead_us

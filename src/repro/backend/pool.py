@@ -56,7 +56,6 @@ import itertools
 import select
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..errors import (AcceleratorError, ChipUnavailable, ConfigError,
                       DeadlineExceeded, ExecError, ReproError)
@@ -71,9 +70,6 @@ from ..sysstack.driver import DriverResult, SubmissionStats
 from .base import CompressionBackend
 from .registry import create_backend, default_backend
 from .routing import ROUTING_POLICIES, choose_chip
-
-if TYPE_CHECKING:
-    from ..perf.queueing import QueueResult
 
 #: Pseudo chip index for the software-fallback instance.
 SOFTWARE = -1
@@ -169,7 +165,6 @@ class AcceleratorPool:
                  chips: int = 1, policy: str = "round_robin",
                  backend: str | None = None,
                  software_threshold: int = 16384,
-                 cross_chip_penalty_us: float = 0.5,
                  health: HealthConfig | None = None,
                  verify: bool = False,
                  allow_software_rescue: bool = True,
@@ -188,7 +183,6 @@ class AcceleratorPool:
         self.policy = policy
         self.backend_name = backend or default_backend(machine)
         self.software_threshold = software_threshold
-        self.cross_chip_penalty_us = cross_chip_penalty_us
         self.health = HealthTracker(chips, health)
         self.verify = verify
         self.allow_software_rescue = allow_software_rescue
@@ -845,26 +839,3 @@ class AcceleratorPool:
                 breaker_opens=self.health.total_opens(),
                 breaker_states=tuple(
                     b.state.name for b in self.health.breakers))
-
-    # -- capacity planning ---------------------------------------------------
-
-    def simulate_load(self, per_chip_load: list[float], duration_s: float,
-                      size_bytes: int = 262144,
-                      seed: int = 42) -> QueueResult:
-        """Queueing model of this pool's topology under offered load.
-
-        Answers "what would latency/throughput look like" without
-        executing jobs — the capacity-planning view of the same policy
-        kernel the live ``route`` uses.
-        """
-        if self.policy == "size_threshold":
-            raise ConfigError(
-                "size_threshold has no queueing analogue; simulate with "
-                "local/round_robin/least_loaded")
-        # Imported here: a pool that serves jobs never loads the model.
-        from ..perf.queueing import AcceleratorQueue
-
-        return AcceleratorQueue(
-            self.machine, engines=self.chips, policy=self.policy,
-            cross_chip_penalty_us=self.cross_chip_penalty_us, seed=seed,
-        ).run_loads(per_chip_load, duration_s, size_bytes)

@@ -20,7 +20,7 @@ from ..nx.params import MachineParams, get_machine
 if TYPE_CHECKING:  # the names are listed without loading a backend stack
     from .base import BackendCapabilities, CompressionBackend
 
-Factory = Callable[..., "CompressionBackend"]
+_Factory = Callable[..., "CompressionBackend"]
 
 _BUILTINS: dict[str, str] = {
     "software": "repro.backend.software:SoftwareZlibBackend",
@@ -31,10 +31,10 @@ _BUILTINS: dict[str, str] = {
     "842": "repro.backend.e842:E842Backend",
 }
 
-_REGISTRY: dict[str, Factory | str] = dict(_BUILTINS)
+_REGISTRY: dict[str, _Factory | str] = dict(_BUILTINS)
 
 
-def register_backend(name: str, factory: Factory | str,
+def register_backend(name: str, factory: _Factory | str,
                      replace: bool = False) -> None:
     """Publish a backend under ``name``.
 
@@ -60,7 +60,7 @@ def backend_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def _resolve(name: str) -> Factory:
+def _resolve(name: str) -> _Factory:
     try:
         factory = _REGISTRY[name]
     except KeyError:

@@ -35,10 +35,8 @@ class SoftwareZlibBackend(CompressionBackend):
         self._caps = BackendCapabilities(
             name=self.name,
             formats=FORMATS,
-            strategies=("auto",),  # zlib has levels, not DHT strategies
             synchronous=True,
             hardware=False,
-            streaming=True,
             compress_gbps=self._cost.compress_rate_mbps(level) / 1000.0,
             decompress_gbps=self._cost.decompress_rate_mbps() / 1000.0,
             per_call_overhead_s=0.0,

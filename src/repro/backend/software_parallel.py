@@ -57,16 +57,13 @@ class SoftwareParallelBackend(CompressionBackend):
         self._caps = BackendCapabilities(
             name=self.name,
             formats=FORMATS,
-            strategies=("auto",),
             synchronous=True,
             hardware=False,
-            streaming=False,  # whole-buffer chunking, no incremental feed
             compress_gbps=(self._cost.compress_rate_mbps(level)
                            * self.workers / 1000.0),
             decompress_gbps=(self._cost.decompress_rate_mbps()
                              * self.workers / 1000.0),
             per_call_overhead_s=0.0,
-            parallel_inflate=True,
         )
 
     def capabilities(self) -> BackendCapabilities:

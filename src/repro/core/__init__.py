@@ -6,17 +6,16 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .analyze import Analysis, StrategyEstimate, analyze
-    from .api import (CompressedBuffer, NxGzip, SessionStats,
-                      software_decompress)
-    from .metrics import Table, gbps, human_bytes, mbps, ratio, speedup
+    from .api import CompressedBuffer, NxGzip, SessionStats
+    from .metrics import Table, gbps, human_bytes, ratio, speedup
     from .offload import OffloadAdvisor, Recommendation, Route
     from .plot import bar_chart, line_chart
     from .stream import NxCompressStream, NxDecompressStream, StreamStats
 
 __all__ = lazy_exports(__name__, {
     "analyze": "Analysis StrategyEstimate analyze",
-    "api": "CompressedBuffer NxGzip SessionStats software_decompress",
-    "metrics": "Table gbps human_bytes mbps ratio speedup",
+    "api": "CompressedBuffer NxGzip SessionStats",
+    "metrics": "Table gbps human_bytes ratio speedup",
     "offload": "OffloadAdvisor Recommendation Route",
     "plot": "bar_chart line_chart",
     "stream": "NxCompressStream NxDecompressStream StreamStats",

@@ -52,12 +52,6 @@ class Analysis:
     recommended: DhtStrategy
     worth_compressing: bool
 
-    def estimate_for(self, strategy: DhtStrategy) -> StrategyEstimate:
-        for est in self.estimates:
-            if est.strategy is strategy:
-                return est
-        raise KeyError(strategy)
-
 
 def _sample(data: bytes) -> bytes:
     """Take up to MAX_EXTENTS evenly spaced extents."""

@@ -19,8 +19,8 @@ from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import record_job
 from ..obs.trace import TRACE as _TRACE
-from ..resilience.verify import (decode_payload, note_mismatch,
-                                 run_in_software, verify_payload)
+from ..resilience.verify import (note_mismatch, run_in_software,
+                                 verify_payload)
 from ..sysstack.driver import DriverResult
 
 
@@ -199,20 +199,6 @@ class NxGzip:
                                 modelled_seconds=result.stats.elapsed_seconds,
                                 driver=result)
 
-    def decompress_842(self, payload: bytes) -> CompressedBuffer:
-        """Decompress an 842 stream produced by :meth:`compress_842`."""
-        if _TRACE.enabled:
-            with _TRACE.span("api.decompress", backend=self.backend_name,
-                             fmt="842", nbytes=len(payload)) as span:
-                result = self.backend.decompress(payload, fmt="842")
-                span.set(out_bytes=len(result.output))
-        else:
-            result = self.backend.decompress(payload, fmt="842")
-        self._account(len(payload), len(result.output), result, "decompress")
-        return CompressedBuffer(data=result.output,
-                                modelled_seconds=result.stats.elapsed_seconds,
-                                driver=result)
-
     def compress_chunk(self, chunk: bytes, strategy: str = "auto",
                        history: bytes = b"",
                        final: bool = True) -> DriverResult:
@@ -279,8 +265,3 @@ class NxGzip:
                        faults=result.stats.translation_faults,
                        fallback=result.stats.fallback_to_software,
                        backend=self.backend_name)
-
-
-def software_decompress(payload: bytes, fmt: str = "gzip") -> bytes:
-    """Reference software decode of any wire format (for verification)."""
-    return decode_payload(payload, fmt)

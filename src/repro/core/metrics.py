@@ -15,10 +15,6 @@ def gbps(nbytes: int, seconds: float) -> float:
     return (nbytes / 1e9) / seconds if seconds > 0 else 0.0
 
 
-def mbps(nbytes: int, seconds: float) -> float:
-    return (nbytes / 1e6) / seconds if seconds > 0 else 0.0
-
-
 def speedup(baseline_seconds: float, improved_seconds: float) -> float:
     if improved_seconds <= 0:
         return float("inf")

@@ -17,14 +17,13 @@ if TYPE_CHECKING:
                              zlib_decompress)
     from .gzip_stream import GzipReader
     from .inflate import InflateStats, inflate, inflate_with_stats
-    from .inflate_stream import InflateStream, inflate_incremental
+    from .inflate_stream import InflateStream
     from .matcher import LEVEL_CONFIGS, MatcherConfig, MatchStats, tokenize
     from .parallel import DEFAULT_CHUNK_SIZE, parallel_deflate
     from .parallel_inflate import (DEFAULT_INFLATE_CHUNK_SIZE,
                                    ParallelInflateResult, RangeReadResult,
                                    parallel_inflate, read_range)
-    from .seekindex import (DEFAULT_SPACING, SeekIndex, SeekPoint,
-                            build_index)
+    from .seekindex import DEFAULT_SPACING, SeekIndex, SeekPoint
 
 __all__ = lazy_exports(__name__, {
     "checksums": "adler32 crc32",
@@ -33,10 +32,10 @@ __all__ = lazy_exports(__name__, {
                   "zlib_decompress",
     "gzip_stream": "GzipReader",
     "inflate": "InflateStats inflate inflate_with_stats",
-    "inflate_stream": "InflateStream inflate_incremental",
+    "inflate_stream": "InflateStream",
     "matcher": "LEVEL_CONFIGS MatcherConfig MatchStats tokenize",
     "parallel": "DEFAULT_CHUNK_SIZE parallel_deflate",
     "parallel_inflate": "DEFAULT_INFLATE_CHUNK_SIZE ParallelInflateResult "
                         "RangeReadResult parallel_inflate read_range",
-    "seekindex": "DEFAULT_SPACING SeekIndex SeekPoint build_index",
+    "seekindex": "DEFAULT_SPACING SeekIndex SeekPoint",
 })

@@ -185,13 +185,6 @@ class BitReader:
         """Number of bits consumed from the underlying buffer so far."""
         return self._pos * 8 - self._bitcount
 
-    @property
-    def byte_position(self) -> int:
-        """Byte offset of the next unread byte (after alignment)."""
-        if self._bitcount & 7:
-            raise DeflateError("byte_position requires byte alignment")
-        return self._pos - self._bitcount // 8
-
 
 def reader_at(data: bytes, bit: int) -> BitReader:
     """A :class:`BitReader` positioned at an arbitrary *bit* offset."""

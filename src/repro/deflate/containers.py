@@ -211,14 +211,6 @@ def zlib_compress(data: bytes, level: int = 6,
     return encode(data, "zlib", level, history=zdict)
 
 
-def zlib_decompress_with_stats(
-        data: bytes, zdict: bytes = b"", max_output: int = 1 << 31,
-) -> tuple[bytes, InflateStats, int]:
-    """:func:`decode_with_stats` of one RFC 1950 stream."""
-    return decode_with_stats(data, "zlib", history=zdict,
-                             max_output=max_output)
-
-
 def zlib_decompress(data: bytes, zdict: bytes = b"") -> bytes:
     """Decompress an RFC 1950 (zlib) stream, verifying Adler-32."""
     return decode_with_stats(data, "zlib", history=zdict)[0]
@@ -272,21 +264,9 @@ def gzip_header_length(data: bytes, start: int = 0) -> int:
     return end - start
 
 
-def gzip_decompress_with_stats(
-        data: bytes, start: int = 0, max_output: int = 1 << 31,
-) -> tuple[bytes, InflateStats, int]:
-    """:func:`decode_with_stats` of the gzip member at ``start``."""
-    return decode_with_stats(data, "gzip", start, max_output=max_output)
-
-
 def gzip_decompress(data: bytes) -> bytes:
     """Decompress one RFC 1952 (gzip) member, verifying CRC-32 and ISIZE."""
     return decode_with_stats(data, "gzip")[0]
-
-
-def gzip_member_length(data: bytes, start: int = 0) -> int:
-    """Length in bytes of the (verified) gzip member at ``start``."""
-    return decode_with_stats(data, "gzip", start)[2] - start
 
 
 def gzip_decompress_members(data: bytes) -> bytes:

@@ -69,10 +69,6 @@ class InflateStats:
     match_bytes: int = 0
     blocks: list[int] = field(default_factory=list)
 
-    @property
-    def output_bytes(self) -> int:
-        return self.literals + self.match_bytes
-
 
 def _read_dynamic_header(
         reader: BitReader) -> tuple[HuffmanDecoder, HuffmanDecoder]:

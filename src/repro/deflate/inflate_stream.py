@@ -79,13 +79,6 @@ class InflateStream:
             raise DeflateError("stream not finished")
         return self._pending[(self._bit + 7) // 8:]
 
-    @property
-    def trailing_garbage_bytes(self) -> int:
-        """How many fed bytes lie past the final block (0 while decoding)."""
-        if not self._done:
-            return 0
-        return len(self._pending) - (self._bit + 7) // 8
-
     def _drain(self, more: bool) -> bytes:
         """Decode until the stream ends or, with ``more``, until the
         next step needs input that has not come; without, that raises."""
@@ -133,13 +126,3 @@ class InflateStream:
             del out[:excess]
             self._cap -= excess
         return new
-
-
-def inflate_incremental(chunks: list[bytes], history: bytes = b"") -> bytes:
-    """Convenience: run chunks through an :class:`InflateStream`."""
-    stream = InflateStream(history=history)
-    out = bytearray()
-    for chunk in chunks:
-        out += stream.feed(chunk)
-    out += stream.finish()
-    return bytes(out)

@@ -35,9 +35,9 @@ typed :class:`~repro.errors.SeekIndexError`: an unreadable index must
 never steer a decode toward wrong bytes — callers fall back to a full
 serial decode instead.
 
-:func:`build_index` is the ``workers=1`` case of the one builder: the
-container walker in :mod:`.parallel_inflate` records the points as a
-side effect of any full decode.
+The container walker in :mod:`.parallel_inflate` records the points as
+a side effect of any full decode (``build_index=True``; ``workers=1``
+builds one serially).
 """
 
 from __future__ import annotations
@@ -224,17 +224,3 @@ def _unpack_window(stored: bytes, wkind: int, wlen: int) -> bytes:
         raise SeekIndexError(
             f"seek-index window length {len(window)} != recorded {wlen}")
     return window
-
-
-def build_index(payload: bytes, fmt: str = "gzip",
-                spacing: int = DEFAULT_SPACING) -> SeekIndex:
-    """Serially decode ``payload`` and record seek points every
-    ``spacing`` uncompressed bytes (plus one at every member's body
-    start).  Containers are verified exactly like the one-shot
-    decoders, so a successfully built index implies a valid stream.
-    """
-    if spacing < 1:
-        raise DeflateError(f"spacing must be positive, got {spacing}")
-    from .parallel_inflate import parallel_inflate
-    return parallel_inflate(payload, fmt, workers=1, build_index=True,
-                            index_spacing=spacing).index

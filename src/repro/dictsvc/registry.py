@@ -316,12 +316,6 @@ class DictionaryRegistry:
         _FLIGHT.record("dictsvc.push", tables=len(pushed))
         return sorted(pushed)
 
-    def retire(self) -> None:
-        """Remove every table this registry pushed from the engine."""
-        for name in self._pushed:
-            unregister_trained_dht(name)
-        self._pushed.clear()
-
     # -- introspection / persistence ------------------------------------------
 
     def trained(self, tenant: str | None = None) -> list[TrainedDictionary]:

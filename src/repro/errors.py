@@ -75,10 +75,6 @@ class ChipUnavailable(AcceleratorError):
         self.chip = chip
 
 
-class IntegrityError(ReproError):
-    """Verify-after-compress found output that does not round-trip."""
-
-
 class ExecError(AcceleratorError):
     """The process-based execution layer failed a job or a request."""
 

@@ -14,10 +14,10 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .pool import (ExecJob, ProcessWorkerPool, get_default_pool,
                        shutdown_default_pool)
-    from .worker import in_worker, register_worker_fn
+    from .worker import in_worker
 
 __all__ = lazy_exports(__name__, {
     "pool": "ExecJob ProcessWorkerPool get_default_pool "
             "shutdown_default_pool",
-    "worker": "in_worker register_worker_fn",
+    "worker": "in_worker",
 })

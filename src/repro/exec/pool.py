@@ -96,18 +96,31 @@ class ExecJob:
 
 
 class _Worker:
-    """One child process, the parent's ends of its two pipes, and the
-    job it is running (None: idle)."""
+    """One child process, the parent's ends of its two pipes, the CPU it
+    is pinned to (None: unpinned) and the job it is running (None:
+    idle)."""
 
-    __slots__ = ("worker_id", "proc", "tasks", "results", "job")
+    __slots__ = ("worker_id", "proc", "tasks", "results", "cpu", "job")
 
     def __init__(self, worker_id: int, proc: subprocess.Popen,
-                 tasks: int, results: int) -> None:
+                 tasks: int, results: int, cpu: int | None) -> None:
         self.worker_id = worker_id
         self.proc = proc
         self.tasks = tasks
         self.results = results
+        self.cpu = cpu
         self.job: ExecJob | None = None
+
+
+def _pin(pid: int, cpu: int | None) -> int | None:
+    """Pin ``pid`` to ``cpu``; the CPU it is pinned to, None if it is not."""
+    if cpu is None:
+        return None
+    try:
+        os.sched_setaffinity(pid, {cpu})
+    except OSError:
+        return None
+    return cpu
 
 
 def _readable(fds: list[int], timeout_s: float) -> list[int]:
@@ -159,6 +172,11 @@ class ProcessWorkerPool:
         self._jobs: dict[int, ExecJob] = {}          # outstanding
         self._next_job = itertools.count(1)
         self._next_worker = itertools.count(0)
+        #: The CPUs this process may run on; worker k is pinned to the
+        #: k-th, so the scheduler cannot stack two busy workers on one
+        #: CPU while another idles.
+        self._cpus = (sorted(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity") else [])
         self._started = False
         self._closed = False
         self._lock = threading.RLock()
@@ -199,7 +217,18 @@ class ProcessWorkerPool:
             for _ in range(self.requested_workers):
                 self._spawn_worker()
 
-    def _spawn_worker(self) -> None:
+    def _free_cpu(self) -> int | None:
+        """The first CPU no live worker is pinned to (cycling once every
+        CPU holds one)."""
+        if not self._cpus:
+            return None
+        taken = {worker.cpu for worker in self._workers.values()}
+        free = [cpu for cpu in self._cpus if cpu not in taken]
+        return free[0] if free \
+            else self._cpus[len(self._workers) % len(self._cpus)]
+
+    def _spawn_worker(self, cpu: int | None = None) -> None:
+        """Start one worker, pinned to ``cpu`` (default: a free one)."""
         worker_id = next(self._next_worker)
         task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
@@ -217,8 +246,10 @@ class ProcessWorkerPool:
             # death is EOF on the result pipe.
             os.close(task_r)
             os.close(result_w)
+        if cpu is None:
+            cpu = self._free_cpu()
         self._workers[worker_id] = _Worker(worker_id, proc, task_w,
-                                           result_r)
+                                           result_r, _pin(proc.pid, cpu))
 
     def warm(self) -> None:
         """Start the workers now (otherwise they start on first submit)."""
@@ -455,7 +486,8 @@ class ProcessWorkerPool:
             self._jobs.clear()
             self._backlog.clear()
             return job
-        self._spawn_worker()
+        # The replacement takes its predecessor's CPU.
+        self._spawn_worker(worker.cpu)
         self.worker_restarts += 1
         _TRACE.event("exec.worker_restart", worker=worker.worker_id,
                      exitcode=exitcode)

@@ -61,21 +61,12 @@ _WORKER_FNS: dict[str, Callable | str] = {
 }
 
 
-def register_worker_fn(name: str, fn: Callable | str,
-                       replace: bool = False) -> None:
-    """Publish a job function under ``name`` (both pool sides)."""
-    if not replace and name in _WORKER_FNS:
-        raise ExecError(f"worker fn {name!r} already registered")
-    _WORKER_FNS[name] = fn
-
-
 def resolve_worker_fn(name: str) -> Callable:
     """Resolve a job-fn name to a callable, importing lazily.
 
-    A name spelled ``module:attr`` resolves by import even without a
-    prior :func:`register_worker_fn` — registrations made in the
-    submitting process don't propagate to the worker processes, so a
-    fully qualified name is the portable way to ship a custom fn.
+    A name spelled ``module:attr`` resolves by import even when the
+    registry does not list it: that is how a custom job function
+    reaches a worker.
     """
     try:
         fn = _WORKER_FNS[name]

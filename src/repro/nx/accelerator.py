@@ -144,9 +144,3 @@ class NxAccelerator:
                 count = getattr(dde, "_entry_count", 0)
                 raw = space.read(dde.address, count * DDE_BYTES)
                 dde.entries = Dde.unpack_entries(raw, count)
-
-    @property
-    def total_busy_seconds(self) -> float:
-        return (self.compress_engine.counters.busy_seconds
-                + self.decompress_engine.counters.busy_seconds
-                + self.e842_engine.counters.busy_seconds)

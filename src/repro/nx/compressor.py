@@ -69,10 +69,6 @@ class NxCompressResult:
     clock_ghz: float
 
     @property
-    def compressed_bytes(self) -> int:
-        return len(self.data)
-
-    @property
     def ratio(self) -> float:
         if not self.data:
             return 0.0

@@ -32,10 +32,6 @@ class NxDecompressResult:
     consumed_bytes: int
 
     @property
-    def output_bytes(self) -> int:
-        return len(self.data)
-
-    @property
     def seconds(self) -> float:
         return self.cycles / (self.clock_ghz * 1e9)
 

@@ -53,16 +53,6 @@ class EngineParams:
                 f" a width, both in [1, 256], hash_ports and hash_ways >= 1:"
                 f" {self}")
 
-    @property
-    def scan_rate_gbps(self) -> float:
-        """Peak scan rate in GB/s (upper bound on compression rate)."""
-        return self.scan_bytes_per_cycle * self.clock_ghz
-
-    @property
-    def decomp_rate_gbps(self) -> float:
-        """Peak decompressor output rate in GB/s."""
-        return self.decomp_bytes_per_cycle * self.clock_ghz
-
 
 @dataclass(frozen=True)
 class CoreParams:
@@ -98,12 +88,6 @@ class MachineParams:
     @property
     def area_fraction(self) -> float:
         return self.accelerator_area_mm2 / self.chip_area_mm2
-
-    def validate(self) -> None:
-        if self.accelerators_per_chip < 1 or self.chips < 1:
-            raise ConfigError("machine must have at least one accelerator")
-        if self.area_fraction > 0.05:
-            raise ConfigError("accelerator area fraction implausibly high")
 
 
 _P9_ENGINE = EngineParams(

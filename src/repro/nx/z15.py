@@ -35,9 +35,6 @@ from .decompressor import NxDecompressor
 from .dht import GDHT_SCAN_WINDOW, DhtStrategy, select_canned_windowed
 from .params import Z15, MachineParams
 
-PARAMETER_BLOCK_BYTES = 1536  # architected size
-
-
 class DfltccFunction(enum.IntEnum):
     """DFLTCC function codes (GR0 bits)."""
 

@@ -356,14 +356,6 @@ class Tracer:
             return spans
         return [span for span in spans if span.name == name]
 
-    def trace_tree(self, trace_id: int) -> dict[int | None, list[Span]]:
-        """One trace's spans grouped by parent (children in end order)."""
-        children: dict[int | None, list[Span]] = {}
-        for span in self.finished():
-            if span.trace_id == trace_id:
-                children.setdefault(span.parent_id, []).append(span)
-        return children
-
 
 class _Adoption:
     """Context manager pushing a foreign span onto this thread's stack."""

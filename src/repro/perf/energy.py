@@ -84,8 +84,3 @@ class EnergyModel:
             cores_gbps_per_mm2=chip_sw_rate / core_area,
             area_fraction=machine.area_fraction,
         )
-
-    def cpu_cycles_freed_per_gb(self, level: int = 6) -> float:
-        """Core cycles returned to the application per GB offloaded."""
-        cost = SoftwareCostModel(self.machine)
-        return cost.compress_cycles(10 ** 9, level)

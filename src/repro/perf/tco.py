@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..nx.params import MachineParams
-from .cost import SoftwareCostModel, accelerator_effective_gbps
+from .cost import SoftwareCostModel
 from .io_adapter import PcieAdapterParams
 
 
@@ -97,10 +97,3 @@ class TcoModel:
                 cards * a.adapter.slot_power_w / 1000.0 * 24 * 30
                 * a.power_usd_per_kwh),
         )
-
-    def accelerators_needed(self) -> int:
-        """On-chip engines required for the same load (for context)."""
-        offered_gbps = (self.assumptions.compressed_tb_per_day * 1e12
-                        / 86400.0 / 1e9)
-        rate = accelerator_effective_gbps(self.machine)
-        return max(1, -(-int(offered_gbps * 100) // int(rate * 100)))

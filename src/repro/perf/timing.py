@@ -30,11 +30,6 @@ class LatencyBreakdown:
         return (self.submit + self.dispatch + self.queue_wait
                 + self.service + self.completion)
 
-    @property
-    def overhead(self) -> float:
-        """Everything that is not productive engine service time."""
-        return self.total - self.service
-
 
 @dataclass
 class OffloadTimingModel:
@@ -97,8 +92,3 @@ class OffloadTimingModel:
             return float("inf")
         gap = 1.0 / sw_rate - 1.0 / hw_rate
         return self.fixed_overhead_seconds() / gap
-
-    def ramp(self, sizes: list[int]) -> list[tuple[int, float]]:
-        """(size, effective GB/s) series for the throughput-ramp figure."""
-        return [(size, self.effective_throughput_gbps(size))
-                for size in sizes]

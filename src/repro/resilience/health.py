@@ -167,10 +167,6 @@ class HealthTracker:
         with self._lock:
             return self.breakers[chip].state
 
-    def scores(self) -> list[float]:
-        with self._lock:
-            return [b.score for b in self.breakers]
-
     def transition_log(self) -> dict[int, list[tuple[str, int]]]:
         """Per-chip ``(state, tick)`` history (for survival reports)."""
         with self._lock:

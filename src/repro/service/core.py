@@ -307,15 +307,8 @@ class CompressionService:
                               f"seconds, got {deadline_s!r}")
         qcls = self.qos.resolve(qos)
         fmt = fmt or "gzip"
-        deadline = (deadline_s if deadline_s is not None
-                    else qcls.default_deadline_s)
-        if strategy == "auto" and qcls.dht_strategy is not None:
-            # The class pins a Huffman strategy for auto traffic (e.g.
-            # interactive pinning "canned" to skip the DHT bubble).
-            strategy = qcls.dht_strategy
         claim = None
-        if (self.cache is not None and op == "compress"
-                and qcls.cache_results):
+        if self.cache is not None and op == "compress":
             # Consult the content-addressed cache before admission: the
             # request is a hit, a follower parked on the executing
             # leader's claim — in the critical section that saw the
@@ -344,7 +337,7 @@ class CompressionService:
             claim = value
         try:
             return self._admit(op, payload, fmt, strategy, qcls, tenant,
-                               deadline, traceparent, client_request_id,
+                               deadline_s, traceparent, client_request_id,
                                claim)
         except ReproError as exc:
             if claim is not None:

@@ -39,13 +39,6 @@ class QosClass:
     ``queue_limit``/``queue_bytes_limit`` bound admission;
     ``max_batch`` caps how many of this class's requests are in flight
     on the pool at once.
-
-    Dictionary-service knobs: ``cache_results`` opts this class's
-    compress traffic into the content-addressed result cache (when the
-    service mounts one), and ``dht_strategy`` pins a Huffman strategy
-    for requests that arrive with ``strategy="auto"`` — e.g. an
-    interactive class pinning ``"canned"`` to skip the DHT-generation
-    bubble on its small buffers.
     """
 
     name: str
@@ -54,9 +47,6 @@ class QosClass:
     queue_limit: int = 256
     queue_bytes_limit: int = 64 << 20
     max_batch: int = 4
-    default_deadline_s: float | None = None
-    cache_results: bool = True
-    dht_strategy: str | None = None
 
     def __post_init__(self) -> None:
         if self.fifo not in FIFOS:
@@ -65,11 +55,6 @@ class QosClass:
         if self.queue_limit < 1 or self.max_batch < 1:
             raise ConfigError(f"QoS class {self.name!r}: queue_limit and "
                               "max_batch must be >= 1")
-        if self.dht_strategy is not None and self.dht_strategy not in (
-                "fixed", "dynamic", "canned", "auto"):
-            raise ConfigError(
-                f"QoS class {self.name!r}: unknown dht_strategy "
-                f"{self.dht_strategy!r}")
 
 
 #: The stock three-level policy: RPC-sized latency-sensitive traffic on

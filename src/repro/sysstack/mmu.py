@@ -121,12 +121,6 @@ class AddressSpace:
         state.present = True
         state.touches += 1
 
-    def resident_fraction(self) -> float:
-        if not self.pages:
-            return 1.0
-        resident = sum(1 for p in self.pages.values() if p.present)
-        return resident / len(self.pages)
-
     # -- accelerator-side translation ---------------------------------------
 
     def translate(self, va: int, is_write: bool) -> None:

@@ -76,21 +76,10 @@ class StageTiming:
     software_seconds: float
     offload_seconds: float
     codec_core_seconds: float
-    #: Software runtime when scan-side decompression runs through the
-    #: chunk-parallel inflate engine (equals ``software_seconds`` when
-    #: the backend lacks ``parallel_inflate`` capability).
-    parallel_inflate_seconds: float = 0.0
 
     @property
     def speedup(self) -> float:
         return self.software_seconds / self.offload_seconds
-
-    @property
-    def scan_speedup(self) -> float:
-        """Software-only gain from parallelising the decompress side."""
-        if self.parallel_inflate_seconds <= 0.0:
-            return 1.0
-        return self.software_seconds / self.parallel_inflate_seconds
 
 
 @dataclass
@@ -102,10 +91,6 @@ class SparkJobModel:
     level: int = 6
     request_bytes: int = 1 << 20  # shuffle block granularity
     codec_backend: str | None = None  # default: machine's native hw path
-    #: Pool workers per executor for scan-side (decompress) parallel
-    #: inflate; only takes effect when the codec backend advertises
-    #: the ``parallel_inflate`` capability.
-    inflate_workers: int = 1
 
     def __post_init__(self) -> None:
         self._cost = SoftwareCostModel(self.machine)
@@ -116,7 +101,6 @@ class SparkJobModel:
         self._accel_compress = caps.compress_gbps * 1e9
         self._accel_decompress = caps.decompress_gbps * 1e9
         self._request_overhead_s = caps.per_call_overhead_s
-        self._parallel_inflate = caps.parallel_inflate
 
     # -- per-stage composition --------------------------------------------
 
@@ -143,31 +127,7 @@ class SparkJobModel:
                       self._offload_codec_seconds(stage))
         return StageTiming(stage=stage, software_seconds=software,
                            offload_seconds=offload,
-                           codec_core_seconds=codec,
-                           parallel_inflate_seconds=self
-                           ._parallel_inflate_seconds(stage))
-
-    def _parallel_inflate_seconds(self, stage: Stage) -> float:
-        """Stage runtime with scan-side decode on the inflate pool.
-
-        The compress side still shares the executor cores, but the
-        decompress (scan) side pipelines against query work on its own
-        pool workers — the rapidgzip picture: the stage finishes when
-        the slower of the two does.  Clamped to the backend capability
-        and to the physical cores.
-        """
-        eff = (min(self.inflate_workers, self.executor_cores)
-               if self._parallel_inflate else 1)
-        compress_cs = self._cost.compress_seconds(stage.compress_bytes,
-                                                  self.level)
-        decompress_cs = self._cost.decompress_seconds(
-            stage.decompress_bytes)
-        if eff <= 1:
-            return (stage.query_core_seconds + compress_cs
-                    + decompress_cs) / self.executor_cores
-        return max((stage.query_core_seconds + compress_cs)
-                   / self.executor_cores,
-                   decompress_cs / eff)
+                           codec_core_seconds=codec)
 
     # -- job-level results ----------------------------------------------------
 
@@ -194,16 +154,6 @@ class SparkJobResult:
     @property
     def speedup(self) -> float:
         return self.software_seconds / self.offload_seconds
-
-    @property
-    def parallel_inflate_seconds(self) -> float:
-        return sum(t.parallel_inflate_seconds for t in self.timings)
-
-    @property
-    def scan_speedup(self) -> float:
-        """Job-level software gain from pool-parallel decompression."""
-        total = self.parallel_inflate_seconds
-        return self.software_seconds / total if total > 0 else 1.0
 
     @property
     def codec_share(self) -> float:

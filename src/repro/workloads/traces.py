@@ -65,10 +65,3 @@ def standard_traces() -> list[TraceSpec]:
         TraceSpec("rpc-bulk-mix", bimodal_size(),
                   "90% 8 KB RPCs + 10% 4 MB bulk jobs"),
     ]
-
-
-def poisson_gaps(rate_per_s: float, count: int,
-                 seed: int = 0) -> list[float]:
-    """Pre-drawn exponential inter-arrival gaps (for repeatable tests)."""
-    rng = random.Random(seed)
-    return [rng.expovariate(rate_per_s) for _ in range(count)]

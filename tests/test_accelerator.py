@@ -79,4 +79,4 @@ class TestDrain:
         space = AddressSpace()
         accel = NxAccelerator(POWER9)
         accel.execute(place_job(space, text_20k), space)
-        assert accel.total_busy_seconds > 0
+        assert accel.compress_engine.counters.busy_seconds > 0

@@ -9,6 +9,10 @@ from repro.nx.params import POWER9
 from repro.workloads.generators import generate
 
 
+def by_strategy(report) -> dict:
+    return {estimate.strategy: estimate for estimate in report.estimates}
+
+
 class TestAnalyze:
     def test_empty_input(self):
         report = analyze(b"")
@@ -30,8 +34,8 @@ class TestAnalyze:
 
     def test_estimates_ordering(self, json_20k):
         report = analyze(json_20k)
-        fixed = report.estimate_for(DhtStrategy.FIXED)
-        dynamic = report.estimate_for(DhtStrategy.DYNAMIC)
+        fixed = by_strategy(report)[DhtStrategy.FIXED]
+        dynamic = by_strategy(report)[DhtStrategy.DYNAMIC]
         assert dynamic.estimated_ratio >= fixed.estimated_ratio
         assert dynamic.table_cycles > fixed.table_cycles
 
@@ -40,7 +44,7 @@ class TestAnalyze:
         report = analyze(json_20k)
         actual = NxCompressor(POWER9.engine).compress(
             json_20k, strategy=DhtStrategy.DYNAMIC).ratio
-        estimate = report.estimate_for(DhtStrategy.DYNAMIC).estimated_ratio
+        estimate = by_strategy(report)[DhtStrategy.DYNAMIC].estimated_ratio
         assert estimate == pytest.approx(actual, rel=0.20)
 
     def test_large_input_sampled(self):
@@ -58,7 +62,7 @@ class TestAnalyze:
     def test_missing_estimate_raises(self, text_20k):
         report = analyze(text_20k)
         with pytest.raises(KeyError):
-            report.estimate_for(DhtStrategy.AUTO)
+            by_strategy(report)[DhtStrategy.AUTO]
 
     def test_dna_classified_and_compressible(self):
         data = generate("dna_sequence", 40000, seed=5)

@@ -29,7 +29,7 @@ from repro.nx.dht import (
     clear_trained_dhts,
     trained_names,
 )
-from repro.service import CompressionService, QosClass, QosPolicy
+from repro.service import CompressionService
 from repro.workloads.generators import generate
 
 from .test_dht import fresh_header_bits
@@ -428,39 +428,6 @@ class TestServiceIntegration:
             assert len(set(blobs)) == 1, "cache served divergent bytes"
             import gzip
             assert gzip.decompress(blobs[0]) == payloads[i]
-
-    def test_qos_class_can_opt_out_of_cache(self) -> None:
-        policy = QosPolicy((
-            QosClass("cached", fifo="high", rank=0),
-            QosClass("raw", fifo="normal", rank=1, cache_results=False),
-        ))
-        payload = generate("markov_text", 2048, seed=4)
-        with CompressionService(machine="POWER9", chips=1, qos=policy,
-                                cache_mb=4) as svc:
-            for _ in range(3):
-                svc.submit("compress", payload, qos="raw").wait(10)
-            assert svc.stats().cache["requests"] == 0
-            for _ in range(3):
-                svc.submit("compress", payload, qos="cached").wait(10)
-            cache = svc.stats().cache
-            assert cache["requests"] == 3
-            assert cache["hits"] == 2
-
-    def test_qos_dht_strategy_pin(self) -> None:
-        policy = QosPolicy((
-            QosClass("pinned", fifo="high", rank=0,
-                     dht_strategy="fixed"),
-        ))
-        payload = generate("markov_text", 2048, seed=4)
-        with CompressionService(machine="POWER9", chips=1,
-                                qos=policy) as svc:
-            out = svc.submit("compress", payload, fmt="zlib",
-                             qos="pinned").wait(10).output
-            assert zlib.decompress(out) == payload
-
-    def test_unknown_dht_strategy_rejected(self) -> None:
-        with pytest.raises(ConfigError):
-            QosClass("bad", dht_strategy="zstd")
 
     def test_decompress_bypasses_cache(self) -> None:
         payload = generate("markov_text", 2048, seed=4)

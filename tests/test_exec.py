@@ -65,6 +65,30 @@ def test_worker_crash_detected_and_respawned(pool):
     assert probe.result == "alive"
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_each_worker_is_pinned_to_its_own_cpu_and_a_respawn_keeps_it():
+    cpus = sorted(os.sched_getaffinity(0))
+    pool = ProcessWorkerPool(min(len(cpus), 4), name="test-pinning")
+    try:
+        pool.warm()
+        pinned = {worker.worker_id: os.sched_getaffinity(worker.proc.pid)
+                  for worker in pool._workers.values()}
+        assert all(len(cpu) == 1 for cpu in pinned.values())
+        assert sorted(min(cpu) for cpu in pinned.values()) \
+            == cpus[:len(pinned)]
+        job = pool.submit("crash")
+        pool.wait([job], timeout_s=60.0)
+        assert job.crashed
+        dead = job.error.worker
+        assert dead not in pool._workers
+        (newcomer,) = set(pool._workers) - set(pinned)
+        assert os.sched_getaffinity(pool._workers[newcomer].proc.pid) \
+            == pinned[dead]
+    finally:
+        pool.shutdown()
+
+
 def test_run_batch_raises_when_crash_retries_exhausted(pool):
     with pytest.raises(WorkerCrash):
         pool.run_batch([("crash", {})], crash_retries=0, timeout_s=60.0)

@@ -64,7 +64,7 @@ class TestInflate:
         payload = deflate(text_20k, level=6).data
         out, stats, bits = inflate_with_stats(payload)
         assert out == text_20k
-        assert stats.output_bytes == len(text_20k)
+        assert stats.literals + stats.match_bytes == len(text_20k)
         assert stats.blocks  # at least one block
         assert bits <= len(payload) * 8
 

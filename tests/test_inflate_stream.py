@@ -7,9 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deflate.compress import deflate
-from repro.deflate.inflate_stream import InflateStream, inflate_incremental
+from repro.deflate.inflate_stream import InflateStream
 from repro.errors import DeflateError, OutputOverflow
 from repro.workloads.generators import generate
+
+
+def inflate_incremental(chunks: list[bytes], history: bytes = b"") -> bytes:
+    """Run ``chunks`` through one :class:`InflateStream`."""
+    stream = InflateStream(history=history)
+    out = bytearray()
+    for chunk in chunks:
+        out += stream.feed(chunk)
+    out += stream.finish()
+    return bytes(out)
 
 
 def split_at(payload: bytes, cuts: list[int]) -> list[bytes]:
@@ -168,10 +178,10 @@ class TestTrailingGarbage:
         payload = deflate(text_20k, 6).data
         stream = InflateStream()
         stream.feed(payload[:10])
-        assert stream.trailing_garbage_bytes == 0
+        with pytest.raises(DeflateError, match="not finished"):
+            stream.unused_bytes()
         stream.feed(payload[10:] + b"JUNKJUNK")
         stream.finish()
-        assert stream.trailing_garbage_bytes == 8
         assert stream.unused_bytes() == b"JUNKJUNK"
 
     def test_clean_stream_has_none(self, json_20k):
@@ -179,4 +189,4 @@ class TestTrailingGarbage:
         stream = InflateStream()
         stream.feed(payload)
         stream.finish()
-        assert stream.trailing_garbage_bytes == 0
+        assert stream.unused_bytes() == b""

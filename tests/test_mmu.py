@@ -63,13 +63,6 @@ class TestResidency:
         space.touch(va)
         assert space.read(va, 7) == b"persist"
 
-    def test_resident_fraction(self):
-        space = AddressSpace(page_size=4096)
-        va = space.alloc(4 * 4096)
-        assert space.resident_fraction() == 1.0
-        space.page_out(va)
-        assert space.resident_fraction() == pytest.approx(0.75)
-
 
 class TestTranslation:
     def test_counts(self):

@@ -121,17 +121,6 @@ class TestSpanTree:
         child_names = {s.name for s in _children(tracer, roots[0])}
         assert "backend.submit" in child_names
 
-    def test_trace_tree_groups_by_parent(self, telemetry):
-        with TRACE.span("outer") as outer:
-            with TRACE.span("inner.a"):
-                pass
-            with TRACE.span("inner.b"):
-                pass
-        tree = TRACE.trace_tree(outer.trace_id)
-        assert [s.name for s in tree[None]] == ["outer"]
-        assert sorted(s.name for s in tree[outer.span_id]) \
-            == ["inner.a", "inner.b"]
-
 
 # -- metrics registry --------------------------------------------------------
 

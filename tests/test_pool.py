@@ -370,25 +370,6 @@ class TestOneSettle:
                 breaker=breaker)
 
 
-# -- capacity planning (DES view of the same policies) ------------------------
-
-@pytest.mark.parametrize("policy", ["round_robin", "least_loaded"])
-def test_simulate_load_runs_per_policy(policy):
-    pool = AcceleratorPool(POWER9, chips=4, policy=policy)
-    result = pool.simulate_load([0.9, 0.1, 0.1, 0.1], duration_s=0.05)
-    assert result.jobs
-    assert result.mean_latency > 0.0
-    assert result.throughput_gbps > 0.0
-    pool.close()
-
-
-def test_simulate_load_rejects_size_threshold():
-    pool = AcceleratorPool(POWER9, chips=2, policy="size_threshold")
-    with pytest.raises(ConfigError, match="size_threshold"):
-        pool.simulate_load([0.5, 0.5], duration_s=0.01)
-    pool.close()
-
-
 # -- driver session safety (idempotent open / repeat-safe close) --------------
 
 def test_driver_open_is_idempotent():

@@ -13,8 +13,7 @@ import pytest
 from repro import obs
 from repro.backend.pool import AcceleratorPool
 from repro.errors import (AcceleratorError, ChipUnavailable, ConfigError,
-                          DeadlineExceeded, IntegrityError, JobError,
-                          ReproError)
+                          DeadlineExceeded, JobError, ReproError)
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9
 from repro.resilience.chaos import (default_plans, render, run_campaign,
@@ -65,8 +64,7 @@ def telemetry():
 
 class TestErrors:
     def test_all_derive_from_repro_error(self):
-        for exc_type in (DeadlineExceeded, ChipUnavailable,
-                         IntegrityError):
+        for exc_type in (DeadlineExceeded, ChipUnavailable):
             assert issubclass(exc_type, ReproError)
 
     def test_deadline_carries_budget(self):
@@ -406,7 +404,7 @@ class TestCircuitBreaker:
         tracker = HealthTracker(1)
         for _ in range(5):
             tracker.record_failure(0)
-        assert tracker.scores()[0] < 0.5
+        assert tracker.breakers[0].score < 0.5
 
 
 class TestPoolHealth:

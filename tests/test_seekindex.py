@@ -11,8 +11,7 @@ import pytest
 
 from repro.deflate.containers import gzip_compress, zlib_compress
 from repro.deflate.parallel_inflate import parallel_inflate, read_range
-from repro.deflate.seekindex import (DEFAULT_SPACING, MAGIC, SeekIndex,
-                                     build_index)
+from repro.deflate.seekindex import DEFAULT_SPACING, MAGIC, SeekIndex
 from repro.errors import DeflateError, ReproError, SeekIndexError
 from repro.obs.metrics import REGISTRY
 from repro.workloads.generators import generate
@@ -79,10 +78,8 @@ class TestRoundTrip:
 
     def test_build_index_function(self, archive):
         blob, plain, _ = archive
-        index = build_index(blob, "gzip", spacing=32768)
-        assert index == parallel_inflate(
-            blob, "gzip", workers=1, build_index=True,
-            index_spacing=32768).index  # one builder, two doors
+        index = parallel_inflate(blob, "gzip", workers=1, build_index=True,
+                                 index_spacing=32768).index
         assert index.output_size == len(plain)
         assert index.compressed_size == len(blob)
         rr = read_range(blob, 100000, 3000, index=index)

@@ -438,13 +438,14 @@ class TestDeadlines:
             stats = svc.stats()
             assert stats.expired >= 1
 
-    def test_class_default_deadline_applies(self):
+    def test_a_request_deadline_expires_queued_work(self):
         policy = QosPolicy((
             QosClass("strict", fifo="normal", rank=0, queue_limit=64,
-                     max_batch=1, default_deadline_s=1e-9),))
+                     max_batch=1),))
         with CompressionService(chips=1, qos=policy) as svc:
             tickets = [svc.submit("compress", b"b" * 200_000,
-                                  qos="strict") for _ in range(4)]
+                                  qos="strict", deadline_s=1e-9)
+                       for _ in range(4)]
             expired = 0
             for ticket in tickets:
                 try:
@@ -452,7 +453,7 @@ class TestDeadlines:
                 except DeadlineExceeded as exc:
                     expired += 1
                     assert exc.deadline_s == pytest.approx(1e-9)
-            # The 1 ns class default is unmeetable for any queued wait.
+            # A 1 ns deadline is unmeetable for any queued wait.
             assert expired >= 1
             assert svc.stats().expired == expired
 

@@ -21,10 +21,8 @@ from hypothesis import strategies as st
 from repro.backend import create_backend
 from repro.deflate import checksums
 from repro.deflate.containers import (DEFLATE_MAX_EXPANSION,
-                                      decompress_target_len,
-                                      gzip_decompress_with_stats,
-                                      wrap_gzip,
-                                      zlib_decompress_with_stats)
+                                      decode_with_stats,
+                                      decompress_target_len, wrap_gzip)
 from repro.errors import ChecksumError, DeflateError, OutputOverflow
 from repro.nx.decompressor import NxDecompressor
 from repro.nx.params import POWER9
@@ -270,11 +268,11 @@ class TestCapHonouredForEveryFormat:
 
     def test_container_decoders_take_the_cap(self, text_20k):
         with pytest.raises(OutputOverflow):
-            gzip_decompress_with_stats(stdgzip.compress(text_20k),
-                                       max_output=100)
+            decode_with_stats(stdgzip.compress(text_20k), "gzip",
+                              max_output=100)
         with pytest.raises(OutputOverflow):
-            zlib_decompress_with_stats(stdzlib.compress(text_20k),
-                                       max_output=100)
+            decode_with_stats(stdzlib.compress(text_20k), "zlib",
+                              max_output=100)
 
     def test_xpnd_stops_at_the_first_operand(self, monkeypatch, text_20k):
         raw = stdzlib.compressobj(6, stdzlib.DEFLATED, -15)

@@ -20,8 +20,9 @@ import pytest
 from repro import NxGzip
 from repro.core.stream import StreamStateError, reassemble
 from repro.deflate.inflate import inflate_with_stats
-from repro.deflate.inflate_stream import InflateStream, inflate_incremental
+from repro.deflate.inflate_stream import InflateStream
 from repro.errors import DeflateError
+from tests.test_inflate_stream import inflate_incremental
 from repro.workloads.generators import generate
 
 SEEDS = (3, 17, 101, 424243)

@@ -76,6 +76,3 @@ class TestAdapters:
         assert rep.adapter_capex_usd == pytest.approx(
             rep.adapters_avoided
             * model.assumptions.adapter.card_cost_usd)
-
-    def test_accelerators_needed_context(self, model):
-        assert model.accelerators_needed() >= 1

@@ -77,10 +77,10 @@ def _full_header_member() -> tuple[bytes, int]:
 
 def _gzip_decoders() -> dict:
     from repro.backend import create_backend
-    from repro.deflate.containers import (gzip_decompress,
+    from repro.deflate.containers import (decode_with_stats,
+                                          gzip_decompress,
                                           gzip_decompress_members,
-                                          gzip_header_length,
-                                          gzip_member_length)
+                                          gzip_header_length)
 
     def via(name: str, machine: str):
         def decode(payload: bytes) -> bytes:
@@ -94,7 +94,8 @@ def _gzip_decoders() -> dict:
     return {
         "gzip_decompress": gzip_decompress,
         "gzip_decompress_members": gzip_decompress_members,
-        "gzip_member_length": gzip_member_length,
+        "gzip_member_length": lambda payload: decode_with_stats(
+            payload, "gzip")[2],
         "gzip_header_length": gzip_header_length,
         "nx": via("nx", "POWER9"),
         "dfltcc": via("dfltcc", "z15"),

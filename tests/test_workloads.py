@@ -14,7 +14,6 @@ from repro.workloads.traces import (
     bimodal_size,
     fixed_size,
     lognormal_size,
-    poisson_gaps,
     standard_traces,
 )
 
@@ -128,10 +127,6 @@ class TestTraces:
         names = [t.name for t in standard_traces()]
         assert len(names) == len(set(names))
         assert names
-
-    def test_poisson_gaps_deterministic(self):
-        assert poisson_gaps(100, 10, seed=3) == poisson_gaps(100, 10, seed=3)
-        assert all(g >= 0 for g in poisson_gaps(100, 10, seed=3))
 
 
 class TestSpark:
