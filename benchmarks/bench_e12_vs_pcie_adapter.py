@@ -11,7 +11,8 @@ from __future__ import annotations
 from repro.core.metrics import Table, human_bytes
 from repro.core.plot import line_chart
 from repro.nx.params import POWER9
-from repro.perf.io_adapter import PcieAdapterModel, compare_onchip_vs_adapter
+from repro.perf.io_adapter import (CARD_COST_USD, SLOT_POWER_W,
+                                   compare_onchip_vs_adapter)
 
 from _common import report
 
@@ -37,12 +38,11 @@ def compute() -> tuple[Table, list, str]:
 def test_e12_vs_pcie_adapter(benchmark):
     table, gains, figure = benchmark.pedantic(compute, rounds=3,
                                                iterations=1)
-    adapter = PcieAdapterModel()
     report("e12_vs_pcie_adapter", table,
            "E12: on-chip NX vs PCIe-attached adapter (compression)",
            notes=f"adapter also consumes a PCIe slot, "
-                 f"{adapter.params.slot_power_w:.0f} W and "
-                 f"${adapter.params.card_cost_usd:.0f}; on-chip cost is "
+                 f"{SLOT_POWER_W:.0f} W and "
+                 f"${CARD_COST_USD:.0f}; on-chip cost is "
                  "~zero (abstract)",
            figure=figure)
     assert all(gain > 1.0 for gain in gains)   # on-chip always wins

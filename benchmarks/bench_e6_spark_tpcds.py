@@ -47,7 +47,7 @@ def test_e6_des_cross_validation(benchmark):
     """An independent discrete-event scheduler reproduces the analytic
     end-to-end speedup — tasks, cores, barriers and per-node engine
     queueing included."""
-    from repro.workloads.spark_sim import ClusterSpec, SparkDagSim
+    from repro.workloads.spark import ClusterSpec, SparkDagSim
 
     def run():
         sim = SparkDagSim(machine=POWER9,

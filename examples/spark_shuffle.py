@@ -37,7 +37,7 @@ def show(job_name: str, model: SparkJobModel, stages: list[Stage]) -> None:
               result.speedup)
     print(table.render(
         f"{job_name} on {model.machine.name} "
-        f"({model.executor_cores} cores)"))
+        f"({model.cluster.total_cores} cores)"))
     print(f"codec share of executor CPU: {result.codec_share:.1%}; "
           f"end-to-end gain: {result.speedup - 1:.1%}\n")
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 from repro import NxGzip, OffloadAdvisor, Route
 from repro.core.metrics import Table, human_bytes
 from repro.nx.params import POWER9
-from repro.perf.queueing import AcceleratorQueue, Source
+from repro.perf.queueing import AcceleratorQueue, Source, bimodal_size
 from repro.workloads.generators import generate
-from repro.workloads.traces import bimodal_size
 
 
 def routing_demo() -> None:

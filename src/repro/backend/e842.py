@@ -10,7 +10,8 @@ instead, use the ``nx`` backend with ``fmt="842"``.
 
 from __future__ import annotations
 
-from ..e842.engine import Engine842, Engine842Params
+from ..e842.engine import (BYTES_PER_CYCLE, CLOCK_GHZ, PIPELINE_FILL_CYCLES,
+                          Engine842)
 from ..errors import ConfigError
 from ..obs.trace import TRACE as _TRACE
 from ..sysstack.driver import DriverResult, SubmissionStats
@@ -22,14 +23,12 @@ class E842Backend(CompressionBackend):
 
     name = "842"
 
-    def __init__(self, machine=None,
-                 params: Engine842Params | None = None) -> None:
+    def __init__(self, machine=None) -> None:
         # ``machine`` is accepted (and ignored) so the registry can pass
         # one uniformly; the 842 engine model is machine-independent.
         super().__init__()
-        self.engine = Engine842(params or Engine842Params())
-        line_rate = (self.engine.params.clock_ghz
-                     * self.engine.params.bytes_per_cycle)
+        self.engine = Engine842()
+        line_rate = CLOCK_GHZ * BYTES_PER_CYCLE
         self._caps = BackendCapabilities(
             name=self.name,
             formats=("842",),
@@ -37,8 +36,7 @@ class E842Backend(CompressionBackend):
             hardware=True,
             compress_gbps=line_rate,
             decompress_gbps=line_rate,
-            per_call_overhead_s=(self.engine.params.pipeline_fill_cycles
-                                 / (self.engine.params.clock_ghz * 1e9)),
+            per_call_overhead_s=PIPELINE_FILL_CYCLES / (CLOCK_GHZ * 1e9),
         )
 
     def capabilities(self) -> BackendCapabilities:

@@ -47,10 +47,8 @@ class NxAsyncBackend(CompressionBackend):
 
     def __init__(self, machine: MachineParams | str = POWER9,
                  fault_probability: float = 0.0, seed: int = 0,
-                 engine=None, max_retries: int = DEFAULT_MAX_RETRIES,
-                 credits: int | None = None,
-                 retry_policy=None,
-                 deadline_s: float | None = None) -> None:
+                 engine=None,
+                 max_retries: int = DEFAULT_MAX_RETRIES) -> None:
         super().__init__()
         if isinstance(machine, str):
             machine = get_machine(machine)
@@ -61,10 +59,8 @@ class NxAsyncBackend(CompressionBackend):
             fault_injector=FaultInjector(fault_probability, seed=seed))
         self.accelerator = NxAccelerator(machine)
         self.driver = NxDriver(self.accelerator, self.space,
-                               max_retries=max_retries,
-                               retry_policy=retry_policy,
-                               deadline_s=deadline_s)
-        self.driver.open(credits)
+                               max_retries=max_retries)
+        self.driver.open()
         self._caps = BackendCapabilities(
             name=self.name,
             formats=_FORMATS,

@@ -35,8 +35,7 @@ part — a shared accelerator fails *per request*, never per tenant):
   - any other :class:`~repro.errors.AcceleratorError`, or anything else
     a worker raised that is not a library error — breaker penalty, and
     the job is *rescued*: it reruns on the calling core as the request
-    it was (same window, same final bit), unless
-    ``allow_software_rescue=False``;
+    it was (same window, same final bit);
   - any other :class:`~repro.errors.ReproError` — the *input* is bad
     and fails anywhere: no penalty, no rescue, that exact error;
 
@@ -45,8 +44,7 @@ part — a shared accelerator fails *per request*, never per tenant):
   mismatch counts as a chip failure and the payload is re-encoded in
   software.
 
-``submit_*`` raises only for routing (:class:`~repro.errors.ChipUnavailable`
-with every breaker open and rescue off, :class:`ConfigError`); a job's
+``submit_*`` raises only for routing (:class:`ConfigError`); a job's
 own failure is always on its handle.
 """
 
@@ -57,8 +55,8 @@ import select
 import threading
 from dataclasses import dataclass, field
 
-from ..errors import (AcceleratorError, ChipUnavailable, ConfigError,
-                      DeadlineExceeded, ExecError, ReproError)
+from ..errors import (AcceleratorError, ConfigError, DeadlineExceeded,
+                      ExecError, ReproError)
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -77,6 +75,9 @@ SOFTWARE = -1
 #: E16's finding: a few in-flight requests saturate one engine (depth 4
 #: reaches full utilisation on 64 KB jobs); deeper batches only queue.
 SATURATION_DEPTH = 4
+
+#: ``size_threshold`` sends jobs below this many bytes to software.
+SOFTWARE_THRESHOLD = 16384
 
 #: Longest one sleep in :meth:`AcceleratorPool.reap`.  Completions and
 #: worker deaths wake it at once; the tick only covers a result that
@@ -142,7 +143,6 @@ class PoolJob:
     error: Exception | None = None
     history: bytes = field(default=b"", repr=False)
     final: bool = True
-    verify: bool = False
     #: While a lower layer holds the job: that layer's own handle — a
     #: driver pending or an exec job, both ``done``/``result``/``error``
     #: — and whether it is the exec pool's.
@@ -164,10 +164,8 @@ class AcceleratorPool:
     def __init__(self, machine: MachineParams | str = POWER9,
                  chips: int = 1, policy: str = "round_robin",
                  backend: str | None = None,
-                 software_threshold: int = 16384,
                  health: HealthConfig | None = None,
                  verify: bool = False,
-                 allow_software_rescue: bool = True,
                  exec_workers: int | None = None,
                  exec_pool=None,
                  **backend_kwargs) -> None:
@@ -182,10 +180,8 @@ class AcceleratorPool:
         self.chips = chips
         self.policy = policy
         self.backend_name = backend or default_backend(machine)
-        self.software_threshold = software_threshold
         self.health = HealthTracker(chips, health)
         self.verify = verify
-        self.allow_software_rescue = allow_software_rescue
         self._backend_kwargs = backend_kwargs
         self._instances: list[CompressionBackend | None] = [None] * chips
         self._software: CompressionBackend | None = None
@@ -250,26 +246,23 @@ class AcceleratorPool:
 
     # -- routing -------------------------------------------------------------
 
-    def route(self, nbytes: int, home: int = 0) -> int:
-        """Pick the chip (or :data:`SOFTWARE`) for an ``nbytes`` job.
+    def route(self, nbytes: int) -> int:
+        """Pick the chip (or :data:`SOFTWARE`) for an ``nbytes`` job;
+        every job is submitted from chip 0, the ``local`` policy's home.
 
         Quarantined chips (breaker OPEN) are never returned: the policy
         kernel's pick is remapped deterministically onto the healthy
-        subset.  With every breaker open the job goes to software, or —
-        when ``allow_software_rescue`` is off — :class:`ChipUnavailable`
-        is raised so the caller can shed load instead.
+        subset.  With every breaker open the job goes to software.
         """
-        if (self.policy == "size_threshold"
-                and nbytes < self.software_threshold):
+        if self.policy == "size_threshold" and nbytes < SOFTWARE_THRESHOLD:
             return SOFTWARE
         available = self.health.available_chips()
-        if not available:
-            return self._all_chips_down(
-                "every chip's circuit breaker is open")
+        if not available:  # every chip's circuit breaker is open
+            return self._all_chips_down()
         policy = ("round_robin" if self.policy == "size_threshold"
                   else self.policy)
         with self._lock:
-            chip = choose_chip(policy, home, self._loads(), self._rr_state)
+            chip = choose_chip(policy, 0, self._loads(), self._rr_state)
         if chip not in available:
             chip = available[chip % len(available)]
         return chip
@@ -295,7 +288,7 @@ class AcceleratorPool:
             _REGISTRY.counter("repro_pool_dispatch_total",
                               "jobs routed per chip").inc(1, chip=target)
 
-    def _route_spanned(self, nbytes: int, home: int) -> tuple[int, object]:
+    def _route_spanned(self, nbytes: int) -> tuple[int, object]:
         """Route + probes + dispatch accounting, under a span it returns.
 
         The (closed) ``pool.route`` span is the parent that worker-side
@@ -306,28 +299,26 @@ class AcceleratorPool:
         span = None
         if _TRACE.enabled:
             with _TRACE.span("pool.route", policy=self.policy,
-                             nbytes=nbytes, home=home) as span:
-                chip = self._route_healthy(nbytes, home)
+                             nbytes=nbytes) as span:
+                chip = self._route_healthy(nbytes)
                 span.set(chip="software" if chip == SOFTWARE else chip)
         else:
-            chip = self._route_healthy(nbytes, home)
+            chip = self._route_healthy(nbytes)
         self._dispatch(chip)
         return chip, span
 
-    def _route_healthy(self, nbytes: int, home: int) -> int:
+    def _route_healthy(self, nbytes: int) -> int:
         """One routing tick; half-open picks must pass their probes."""
         self.health.tick()
         for _ in range(self.chips + 1):
-            chip = self.route(nbytes, home)
+            chip = self.route(nbytes)
             if chip == SOFTWARE or self._probe(chip):
                 return chip
         # Every half-open candidate failed its probe this tick.
-        return self._all_chips_down("no chip passed its recovery probe")
+        return self._all_chips_down()
 
-    def _all_chips_down(self, why: str) -> int:
-        """No chip can take the job: software, or shed it (``why``)."""
-        if not self.allow_software_rescue:
-            raise ChipUnavailable(why)
+    def _all_chips_down(self) -> int:
+        """No chip can take the job: software takes it."""
         _TRACE.event("pool.all_chips_down")
         _FLIGHT.auto_dump("all_chips_down", chips=self.chips)
         return SOFTWARE
@@ -360,28 +351,25 @@ class AcceleratorPool:
 
     def compress(self, data: bytes, *, strategy: object = "auto",
                  fmt: str | None = None, history: bytes = b"",
-                 final: bool = True, home: int = 0,
-                 deadline_s: float | None = None,
-                 verify: bool | None = None) -> DriverResult:
-        chip, _ = self._route_spanned(len(data), home)
-        job = self._job(-1, chip, "compress", data, fmt, history, final,
-                        verify)
+                 final: bool = True,
+                 deadline_s: float | None = None) -> DriverResult:
+        chip, _ = self._route_spanned(len(data))
+        job = self._job(-1, chip, "compress", data, fmt, history, final)
         return self._run_on(job, strategy, deadline_s)
 
     def decompress(self, payload: bytes, *, fmt: str | None = None,
-                   history: bytes = b"", home: int = 0,
+                   history: bytes = b"",
                    deadline_s: float | None = None) -> DriverResult:
-        chip, _ = self._route_spanned(len(payload), home)
+        chip, _ = self._route_spanned(len(payload))
         job = self._job(-1, chip, "decompress", payload, fmt, history)
         return self._run_on(job, "auto", deadline_s)
 
     def _job(self, index: int, chip: int, kind: str, data: bytes,
-             fmt: str | None, history: bytes = b"", final: bool = True,
-             verify: bool | None = None) -> PoolJob:
+             fmt: str | None, history: bytes = b"",
+             final: bool = True) -> PoolJob:
         fmt = fmt or self.backend_for(chip).capabilities().default_format
         return PoolJob(index=index, chip=chip, nbytes=len(data), kind=kind,
-                       payload=data, fmt=fmt, history=history, final=final,
-                       verify=self.verify if verify is None else verify)
+                       payload=data, fmt=fmt, history=history, final=final)
 
     def _run_on(self, job: PoolJob, strategy: object,
                 deadline_s: float | None) -> DriverResult:
@@ -440,7 +428,7 @@ class AcceleratorPool:
                 _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
                                   kind=job.kind, chip=chip,
                                   nbytes=job.nbytes)
-            if late or chip == SOFTWARE or not self.allow_software_rescue:
+            if late or chip == SOFTWARE:
                 job.error = error
                 return
             try:
@@ -449,7 +437,7 @@ class AcceleratorPool:
                 job.error = exc
                 return
         verified = result
-        if (job.verify and job.kind == "compress" and job.final
+        if (self.verify and job.kind == "compress" and job.final
                 and not job.history):
             verified = self._verified(job, result)
         if error is None:
@@ -510,21 +498,18 @@ class AcceleratorPool:
     # -- asynchronous batch submission ---------------------------------------
 
     def submit_compress(self, data: bytes, *, strategy: object = "auto",
-                        fmt: str | None = None, home: int = 0,
+                        fmt: str | None = None,
                         deadline_s: float | None = None) -> PoolJob:
-        return self._submit("compress", data, strategy, fmt, home,
-                            deadline_s)
+        return self._submit("compress", data, strategy, fmt, deadline_s)
 
     def submit_decompress(self, payload: bytes, *, fmt: str | None = None,
-                          home: int = 0,
                           deadline_s: float | None = None) -> PoolJob:
-        return self._submit("decompress", payload, "auto", fmt, home,
-                            deadline_s)
+        return self._submit("decompress", payload, "auto", fmt, deadline_s)
 
     def _submit(self, kind: str, data: bytes, strategy: object,
-                fmt: str | None, home: int,
+                fmt: str | None,
                 deadline_s: float | None = None) -> PoolJob:
-        chip, route_span = self._route_spanned(len(data), home)
+        chip, route_span = self._route_spanned(len(data))
         backend = self.backend_for(chip)
         job = self._job(next(self._indices), chip, kind, data, fmt)
         if chip != SOFTWARE and hasattr(backend, "submit"):

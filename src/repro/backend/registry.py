@@ -96,11 +96,10 @@ def default_backend(machine: MachineParams | str) -> str:
     return "dfltcc" if machine.synchronous else "nx"
 
 
-def backend_capabilities(name: str,
-                         machine: MachineParams | str | None = None,
-                         **kwargs) -> BackendCapabilities:
+def backend_capabilities(name: str, machine: MachineParams | str | None = None
+                         ) -> BackendCapabilities:
     """Capabilities of a backend without keeping the instance around."""
-    backend = create_backend(name, machine=machine, **kwargs)
+    backend = create_backend(name, machine=machine)
     try:
         return backend.capabilities()
     finally:

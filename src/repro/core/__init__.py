@@ -7,7 +7,7 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .analyze import Analysis, StrategyEstimate, analyze
     from .api import CompressedBuffer, NxGzip, SessionStats
-    from .metrics import Table, gbps, human_bytes, ratio, speedup
+    from .metrics import Table, human_bytes
     from .offload import OffloadAdvisor, Recommendation, Route
     from .plot import bar_chart, line_chart
     from .stream import NxCompressStream, NxDecompressStream, StreamStats
@@ -15,7 +15,7 @@ if TYPE_CHECKING:
 __all__ = lazy_exports(__name__, {
     "analyze": "Analysis StrategyEstimate analyze",
     "api": "CompressedBuffer NxGzip SessionStats",
-    "metrics": "Table gbps human_bytes ratio speedup",
+    "metrics": "Table human_bytes",
     "offload": "OffloadAdvisor Recommendation Route",
     "plot": "bar_chart line_chart",
     "stream": "NxCompressStream NxDecompressStream StreamStats",

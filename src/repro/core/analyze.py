@@ -22,7 +22,7 @@ from ..deflate.compress import (
 )
 from ..deflate.constants import fixed_dist_lengths, fixed_litlen_lengths
 from ..nx.dht import DhtStrategy, canned_dht, select_canned
-from ..nx.params import POWER9, EngineParams
+from ..nx.params import POWER9
 from ..nx.pipeline import NxMatchPipeline
 from ..workloads.generators import shannon_entropy_bits_per_byte
 
@@ -62,9 +62,9 @@ def _sample(data: bytes) -> bytes:
                     for i in range(MAX_EXTENTS))
 
 
-def analyze(data: bytes,
-            params: EngineParams = POWER9.engine) -> Analysis:
-    """Estimate accelerator behaviour for ``data`` from a sample."""
+def analyze(data: bytes) -> Analysis:
+    """Estimate POWER9 accelerator behaviour for ``data`` from a sample."""
+    params = POWER9.engine
     sample = _sample(data)
     if not sample:
         return Analysis(sample_bytes=0, entropy_bits_per_byte=0.0,

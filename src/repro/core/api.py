@@ -63,9 +63,6 @@ class NxGzip:
     ----------
     machine:
         A :class:`MachineParams` or machine name ("POWER9", "z15").
-    fault_probability:
-        Probability that any accelerator-side page translation faults
-        (exercises the touch-and-resubmit path; ``nx`` backend only).
     backend:
         Registry name of the execution backend ("nx", "dfltcc",
         "software", "842").  Defaults to the NX driver stack, which
@@ -76,32 +73,27 @@ class NxGzip:
         the buffer is re-encoded in software (and the failure is
         published to metrics), so callers always receive bytes that
         round-trip.
-    deadline_s:
-        Default per-job deadline in modelled seconds; bounds the time a
-        request may spend *waiting* (retries, fault fixups) before
-        :class:`~repro.errors.DeadlineExceeded` is raised.
+    backend_kwargs:
+        Passed to the backend; ``fault_probability`` and ``seed`` make
+        the ``nx`` stack fault page translations (the touch-and-resubmit
+        path), which no other backend models.
     """
 
     def __init__(self, machine: MachineParams | str = POWER9,
-                 fault_probability: float = 0.0, seed: int = 0,
                  backend: str | None = None, verify: bool = False,
-                 deadline_s: float | None = None,
                  **backend_kwargs) -> None:
         if isinstance(machine, str):
             machine = get_machine(machine)
         self.machine = machine
         self.backend_name = backend or "nx"
-        if self.backend_name == "nx":
-            backend_kwargs.setdefault("fault_probability", fault_probability)
-            backend_kwargs.setdefault("seed", seed)
-        elif fault_probability:
+        if self.backend_name != "nx" and backend_kwargs.pop(
+                "fault_probability", 0.0):
             raise ConfigError(
                 "fault injection is a property of the 'nx' driver stack; "
                 f"backend {self.backend_name!r} does not model it")
         self.backend = create_backend(self.backend_name, machine=machine,
                                       **backend_kwargs)
         self.verify = verify
-        self.deadline_s = deadline_s
         self.stats = SessionStats()
         self.verify_failures = 0
 
@@ -124,14 +116,13 @@ class NxGzip:
 
     def compress(self, data: bytes, strategy: str = "auto",
                  fmt: str = "gzip",
-                 deadline_s: float | None = None,
-                 verify: bool | None = None) -> CompressedBuffer:
+                 deadline_s: float | None = None) -> CompressedBuffer:
         """Compress ``data``; ``fmt`` is raw | zlib | gzip.
 
-        ``deadline_s`` / ``verify`` override the session defaults for
-        this one call.
+        ``deadline_s`` bounds the modelled seconds this one call may
+        spend waiting (retries, fault fixups) before
+        :class:`~repro.errors.DeadlineExceeded` is raised.
         """
-        deadline_s = deadline_s if deadline_s is not None else self.deadline_s
         if _TRACE.enabled:
             with _TRACE.span("api.compress", backend=self.backend_name,
                              fmt=fmt, nbytes=len(data)) as span:
@@ -143,7 +134,7 @@ class NxGzip:
         else:
             result = self.backend.compress(data, strategy=strategy, fmt=fmt,
                                            deadline_s=deadline_s)
-        result = self._maybe_verify(data, fmt, result, verify)
+        result = self._maybe_verify(data, fmt, result)
         self._account(len(data), len(result.output), result, "compress")
         return CompressedBuffer(data=result.output,
                                 modelled_seconds=result.stats.elapsed_seconds,
@@ -153,7 +144,6 @@ class NxGzip:
                    fmt: str = "gzip",
                    deadline_s: float | None = None) -> CompressedBuffer:
         """Decompress ``payload`` produced in the same wire format."""
-        deadline_s = deadline_s if deadline_s is not None else self.deadline_s
         if _TRACE.enabled:
             with _TRACE.span("api.decompress", backend=self.backend_name,
                              fmt=fmt, nbytes=len(payload)) as span:
@@ -169,11 +159,10 @@ class NxGzip:
                                 modelled_seconds=result.stats.elapsed_seconds,
                                 driver=result)
 
-    def _maybe_verify(self, data: bytes, fmt: str, result: DriverResult,
-                      verify: bool | None) -> DriverResult:
+    def _maybe_verify(self, data: bytes, fmt: str,
+                      result: DriverResult) -> DriverResult:
         """Verify-after-compress; mismatches are re-encoded in software."""
-        do_verify = self.verify if verify is None else verify
-        if not do_verify or verify_payload(data, result.output, fmt):
+        if not self.verify or verify_payload(data, result.output, fmt):
             return result
         self.verify_failures += 1
         note_mismatch(self.backend_name, fmt, len(data))
@@ -193,14 +182,13 @@ class NxGzip:
                 span.set(out_bytes=len(result.output))
         else:
             result = self.backend.compress(data, fmt="842")
-        result = self._maybe_verify(data, "842", result, None)
+        result = self._maybe_verify(data, "842", result)
         self._account(len(data), len(result.output), result, "compress")
         return CompressedBuffer(data=result.output,
                                 modelled_seconds=result.stats.elapsed_seconds,
                                 driver=result)
 
-    def compress_chunk(self, chunk: bytes, strategy: str = "auto",
-                       history: bytes = b"",
+    def compress_chunk(self, chunk: bytes, history: bytes = b"",
                        final: bool = True) -> DriverResult:
         """One continuation-unit compression, session-accounted.
 
@@ -211,23 +199,20 @@ class NxGzip:
             with _TRACE.span("api.compress_chunk",
                              backend=self.backend_name,
                              nbytes=len(chunk), final=final) as span:
-                result = self.backend.compress(chunk, strategy=strategy,
-                                               fmt="raw", history=history,
-                                               final=final)
+                result = self.backend.compress(chunk, fmt="raw",
+                                               history=history, final=final)
                 span.set(out_bytes=len(result.output))
         else:
-            result = self.backend.compress(chunk, strategy=strategy,
-                                           fmt="raw", history=history,
-                                           final=final)
+            result = self.backend.compress(chunk, fmt="raw",
+                                           history=history, final=final)
         self._account(len(chunk), len(result.output), result, "compress")
         return result
 
-    def compress_stream(self, strategy: str = "auto",
-                        fmt: str = "gzip") -> "NxCompressStream":
+    def compress_stream(self, fmt: str = "gzip") -> "NxCompressStream":
         """Open a chunk-at-a-time compression stream on this session."""
         from .stream import NxCompressStream
 
-        return NxCompressStream(session=self, strategy=strategy, fmt=fmt)
+        return NxCompressStream(session=self, fmt=fmt)
 
     def decompress_stream(self) -> "NxDecompressStream":
         """Open a continuation-unit decompression stream."""

@@ -10,22 +10,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-def gbps(nbytes: int, seconds: float) -> float:
-    """Throughput in GB/s (decimal GB, matching the paper's units)."""
-    return (nbytes / 1e9) / seconds if seconds > 0 else 0.0
-
-
-def speedup(baseline_seconds: float, improved_seconds: float) -> float:
-    if improved_seconds <= 0:
-        return float("inf")
-    return baseline_seconds / improved_seconds
-
-
-def ratio(original: int, compressed: int) -> float:
-    """Compression ratio as original/compressed (bigger is better)."""
-    return original / compressed if compressed else 0.0
-
-
 def human_bytes(nbytes: float) -> str:
     """1536 -> '1.5 KB' (decimal units, as the paper reports)."""
     for unit in ("B", "KB", "MB", "GB", "TB"):

@@ -43,18 +43,13 @@ class Recommendation:
 
 @dataclass
 class OffloadAdvisor:
-    """Per-machine offload decisions with a configurable safety margin."""
+    """Per-machine compress offload decisions: hardware when it wins."""
 
     machine: MachineParams
-    op: str = "compress"
     level: int = 6
-    margin: float = 1.0  # require hw to win by this factor
-    hardware_backend: str | None = None  # default: the machine's native path
 
     def __post_init__(self) -> None:
-        self._timing = OffloadTimingModel(self.machine, op=self.op)
-        if self.hardware_backend is None:
-            self.hardware_backend = default_backend(self.machine)
+        self._timing = OffloadTimingModel(self.machine)
 
     def break_even_bytes(self) -> float:
         return self._timing.break_even_bytes(self.level)
@@ -63,12 +58,10 @@ class OffloadAdvisor:
                   queue_wait_s: float = 0.0) -> Recommendation:
         hw = self._timing.offload_latency(nbytes, queue_wait_s).total
         sw = self._timing.software_latency(nbytes, self.level)
-        route = Route.HARDWARE if sw > hw * self.margin else Route.SOFTWARE
-        backend = (self.hardware_backend if route is Route.HARDWARE
+        route = Route.HARDWARE if sw > hw else Route.SOFTWARE
+        backend = (default_backend(self.machine) if route is Route.HARDWARE
                    else "software")
         return Recommendation(route=route, backend=backend,
                               hw_latency_s=hw, sw_latency_s=sw,
                               break_even_bytes=self.break_even_bytes())
 
-    def curve(self, sizes: list[int]) -> list[Recommendation]:
-        return [self.recommend(size) for size in sizes]

@@ -31,10 +31,10 @@ def _scale(value: float, lo: float, hi: float, cells: int,
 
 
 def line_chart(series: dict[str, Sequence[tuple[float, float]]],
-               width: int = 64, height: int = 16,
                log_x: bool = False, title: str = "",
                y_label: str = "", x_label: str = "") -> str:
-    """Render named (x, y) series onto one character grid."""
+    """Render named (x, y) series onto one 64 x 16 character grid."""
+    width, height = 64, 16
     points = [pt for pts in series.values() for pt in pts]
     if not points:
         return "(no data)"
@@ -82,9 +82,10 @@ def line_chart(series: dict[str, Sequence[tuple[float, float]]],
     return "\n".join(lines)
 
 
-def bar_chart(values: dict[str, float], width: int = 50,
-              title: str = "", unit: str = "") -> str:
-    """Render labelled horizontal bars scaled to the maximum value."""
+def bar_chart(values: dict[str, float], title: str = "",
+              unit: str = "") -> str:
+    """Render labelled horizontal bars, the maximum 50 cells long."""
+    width = 50
     if not values:
         return "(no data)"
     peak = max(values.values())

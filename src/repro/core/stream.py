@@ -44,9 +44,8 @@ class NxCompressStream:
     """
 
     session: object  # NxGzip (kept loose to avoid an import cycle)
-    strategy: str = "auto"
     fmt: str = "gzip"
-    stats: StreamStats = field(default_factory=StreamStats)
+    stats: StreamStats = field(default_factory=StreamStats, init=False)
     _history: bytes = b""
     _check: int | None = None
     _isize: int = 0
@@ -61,8 +60,7 @@ class NxCompressStream:
         self._started = True
 
         result = self.session.compress_chunk(
-            chunk, strategy=self.strategy, history=self._history,
-            final=final)
+            chunk, history=self._history, final=final)
         out += result.output
         self.stats.chunks += 1
         self.stats.bytes_in += len(chunk)

@@ -171,10 +171,6 @@ class HuffmanEncoder:
             raise HuffmanError(f"symbol {symbol} has no code")
         writer.write_bits(self.codes[symbol], length)
 
-    def cost(self, symbol: int) -> int:
-        """Bit cost of ``symbol`` (0 means the symbol is not in the code)."""
-        return self.lengths[symbol]
-
 
 class HuffmanDecoder:
     """Decodes one canonical code from a :class:`BitReader`.

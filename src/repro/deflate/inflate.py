@@ -67,7 +67,7 @@ class InflateStats:
     literals: int = 0
     matches: int = 0
     match_bytes: int = 0
-    blocks: list[int] = field(default_factory=list)
+    blocks: list[int] = field(default_factory=list, init=False)
 
 
 def _read_dynamic_header(

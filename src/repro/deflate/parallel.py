@@ -30,7 +30,6 @@ degrades to the inline path — bytes out are identical in every case.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor
 
 from ..errors import DeflateError, ExecError
 from ..obs.trace import TRACE as _TRACE
@@ -44,26 +43,21 @@ DEFAULT_CHUNK_SIZE = 1 << 17
 
 
 def compress_chunk(*, chunk: bytes, history: bytes, level: int,
-                   strategy: str, final: bool) -> CompressResult:
-    """One chunk: the job an executor or a pool worker runs."""
-    return deflate(chunk, level=level, history=history,
-                   strategy=strategy, final=final)
+                   final: bool) -> CompressResult:
+    """One chunk: the job a pool worker runs."""
+    return deflate(chunk, level=level, history=history, final=final)
 
 
 def parallel_deflate(data: bytes, level: int = 6, *,
                      chunk_size: int = DEFAULT_CHUNK_SIZE,
                      workers: int | None = None,
-                     executor: Executor | None = None,
-                     strategy: str = "default",
                      history: bytes = b"",
                      final: bool = True) -> CompressResult:
     """Compress ``data`` as one raw DEFLATE stream using chunk parallelism.
 
     ``workers`` caps how many pool workers the call uses (default:
     ``os.cpu_count()``, never more than the number of chunks; 1
-    compresses inline with no pool at all).  Pass ``executor`` to run
-    chunks on a caller-owned ``concurrent.futures`` executor instead —
-    the caller keeps ownership and ``workers`` is ignored.  ``history``
+    compresses inline with no pool at all).  ``history``
     and ``final`` mean what they mean for :func:`deflate`: a preset
     dictionary priming the first chunk, and whether the stream is
     terminated or left continuable.  Returns the same
@@ -78,39 +72,31 @@ def parallel_deflate(data: bytes, level: int = 6, *,
     jobs = [{"chunk": data[start:end],
              "history": (history[-WINDOW_SIZE:] if start == 0
                          else data[max(0, start - WINDOW_SIZE):start]),
-             "level": level, "strategy": strategy,
-             "final": final and idx == last}
+             "level": level, "final": final and idx == last}
             for idx, (start, end) in enumerate(spans)]
 
     obs_span = (_TRACE.span("deflate.parallel", nbytes=len(data),
                             level=level, chunks=len(spans))
                 if _TRACE.enabled else None)
     try:
-        if executor is not None:
-            futures = [executor.submit(compress_chunk, **job)
-                       for job in jobs]
-            results = [future.result() for future in futures]
+        from ..exec.worker import in_worker
+        nworkers = min(workers or os.cpu_count() or 1, len(spans))
+        results = None
+        if nworkers > 1 and not in_worker():
+            # Workers never get here: a chunk job must not recurse
+            # into the pool that is running it.
             if obs_span is not None:
-                obs_span.set(workers="caller-executor")
-        else:
-            from ..exec.worker import in_worker
-            nworkers = min(workers or os.cpu_count() or 1, len(spans))
-            results = None
-            if nworkers > 1 and not in_worker():
-                # Workers never get here: a chunk job must not recurse
-                # into the pool that is running it.
-                if obs_span is not None:
-                    obs_span.set(workers=nworkers)
-                results = _pool_compress(jobs, nworkers, obs_span)
-                if results is None and obs_span is not None:
-                    obs_span.event("exec.pool_fallback")
-            elif obs_span is not None:
-                obs_span.set(workers=1)
-            if results is None:
-                # Inline (one worker, inside a worker, or the pool is
-                # broken: same bytes); each chunk's deflate.kernel span
-                # nests here.
-                results = [compress_chunk(**job) for job in jobs]
+                obs_span.set(workers=nworkers)
+            results = _pool_compress(jobs, nworkers, obs_span)
+            if results is None and obs_span is not None:
+                obs_span.event("exec.pool_fallback")
+        elif obs_span is not None:
+            obs_span.set(workers=1)
+        if results is None:
+            # Inline (one worker, inside a worker, or the pool is
+            # broken: same bytes); each chunk's deflate.kernel span
+            # nests here.
+            results = [compress_chunk(**job) for job in jobs]
     finally:
         if obs_span is not None:
             obs_span.__exit__(None, None, None)

@@ -432,8 +432,7 @@ def parallel_inflate(payload: bytes, fmt: str = "gzip", *,
 
 
 def read_range(payload: bytes, offset: int, length: int, *,
-               index: SeekIndex, fmt: str | None = None
-               ) -> RangeReadResult:
+               index: SeekIndex) -> RangeReadResult:
     """Serve ``payload[uncompressed offset:offset+length]`` via ``index``.
 
     Decoding resumes at the latest indexed block boundary at/before
@@ -445,10 +444,7 @@ def read_range(payload: bytes, offset: int, length: int, *,
     """
     if offset < 0 or length < 0:
         raise DeflateError("offset and length must be non-negative")
-    fmt = fmt or index.fmt
-    if fmt != index.fmt:
-        raise SeekIndexError(
-            f"index is for {index.fmt!r} payloads, not {fmt!r}")
+    fmt = index.fmt
     if index.compressed_size != len(payload):
         raise SeekIndexError(
             f"index was built for a {index.compressed_size}-byte "

@@ -80,14 +80,13 @@ class CompressObj:
         self._raw_parts.append(unit)
         return b""  # output delivered at flush, like zlib's default mode
 
-    def flush(self, last_chunk: bytes = b"") -> bytes:
+    def flush(self) -> bytes:
         if self._finished:
             raise DeflateError("compressobj already flushed")
         self._finished = True
-        unit = deflate(last_chunk, level=self.level,
-                       history=self._history, strategy=self.strategy,
-                       final=True).data
-        self._account(last_chunk)
+        unit = deflate(b"", level=self.level, history=self._history,
+                       strategy=self.strategy, final=True).data
+        self._account(b"")  # starts the checksum of an empty stream
         self._raw_parts.append(unit)
         return frame(self._fmt, b"".join(self._raw_parts), self._check,
                      self._size, zdict=self.zdict)

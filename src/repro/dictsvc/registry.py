@@ -126,32 +126,18 @@ class _Reservoir:
 class DictionaryRegistry:
     """Samples traffic, trains clustered dictionaries, ships them."""
 
-    def __init__(self, *, max_samples: int = DEFAULT_MAX_SAMPLES,
-                 sample_bytes: int = DEFAULT_SAMPLE_BYTES,
-                 max_clusters: int = 4,
-                 cluster_radius: float = CLUSTER_RADIUS,
-                 priming_bytes: int = WINDOW_SIZE,
-                 seed: int = 0,
-                 engine: "EngineParams | None" = None) -> None:
-        if priming_bytes > WINDOW_SIZE:
-            raise ConfigError(
-                f"priming dictionary cannot exceed the {WINDOW_SIZE}-byte "
-                "DEFLATE window")
-        self.max_samples = max_samples
+    def __init__(self, *, sample_bytes: int = DEFAULT_SAMPLE_BYTES,
+                 max_clusters: int = 4, seed: int = 0) -> None:
         self.sample_bytes = sample_bytes
         self.max_clusters = max_clusters
-        self.cluster_radius = cluster_radius
-        self.priming_bytes = priming_bytes
         self.seed = seed
-        # Tokenize training samples with the engine's own match
+        # Tokenize training samples with the POWER9 engine's own match
         # pipeline (GDHT-on-sample runs on the accelerator), so the
         # trained tables see the same length/distance code mix the
         # engine will emit at compress time.
-        if engine is None:
-            from ..nx.params import POWER9
-            engine = POWER9.engine
+        from ..nx.params import POWER9
         from ..nx.pipeline import NxMatchPipeline
-        self._pipeline = NxMatchPipeline(engine)
+        self._pipeline = NxMatchPipeline(POWER9.engine)
         self._reservoirs: dict[str, _Reservoir] = {}
         self._epochs: dict[str, int] = {}
         self._trained: dict[str, list[TrainedDictionary]] = {}
@@ -169,7 +155,7 @@ class DictionaryRegistry:
             # not perturb any one tenant's reservoir.
             rng = random.Random(f"{self.seed}:{tenant}")
             res = self._reservoirs[tenant] = _Reservoir(
-                rng=rng, capacity=self.max_samples)
+                rng=rng, capacity=DEFAULT_MAX_SAMPLES)
         res.offer(bytes(payload[:self.sample_bytes]))
         if _REGISTRY.enabled:
             _REGISTRY.counter(
@@ -223,7 +209,7 @@ class DictionaryRegistry:
                 d = signature_distance(sig, leader)
                 if d < best_dist:
                     best, best_dist = i, d
-            if best >= 0 and (best_dist <= self.cluster_radius
+            if best >= 0 and (best_dist <= CLUSTER_RADIUS
                               or len(leaders) >= self.max_clusters):
                 clusters[best].append(sample)
             else:
@@ -287,7 +273,7 @@ class DictionaryRegistry:
         out = bytearray()
         for _score, _pos, member in scored:
             out += member
-        return bytes(out[-self.priming_bytes:])
+        return bytes(out[-WINDOW_SIZE:])
 
     # -- ship -----------------------------------------------------------------
 
@@ -318,9 +304,8 @@ class DictionaryRegistry:
 
     # -- introspection / persistence ------------------------------------------
 
-    def trained(self, tenant: str | None = None) -> list[TrainedDictionary]:
-        if tenant is not None:
-            return list(self._trained.get(tenant, []))
+    def trained(self) -> list[TrainedDictionary]:
+        """Every tenant's trained dictionaries, tenants in name order."""
         out: list[TrainedDictionary] = []
         for t in sorted(self._trained):
             out.extend(self._trained[t])

@@ -15,15 +15,10 @@ from dataclasses import dataclass
 from .codec import CHUNK, E842Result, E842Stats, compress, decompress
 
 
-@dataclass(frozen=True)
-class Engine842Params:
-    """One 842 engine."""
-
-    name: str = "nx-842-p9"
-    clock_ghz: float = 2.0
-    bytes_per_cycle: int = 8
-    pipeline_fill_cycles: int = 32
-    engines_per_nx: int = 2
+#: One 842 engine: its clock, scan width and pipeline fill.
+CLOCK_GHZ = 2.0
+BYTES_PER_CYCLE = 8
+PIPELINE_FILL_CYCLES = 32
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,6 @@ class E842JobResult:
     input_bytes: int
     output_bytes: int
     cycles: int
-    clock_ghz: float
     stats: E842Stats | None = None
 
     @property
@@ -46,7 +40,7 @@ class E842JobResult:
 
     @property
     def seconds(self) -> float:
-        return self.cycles / (self.clock_ghz * 1e9)
+        return self.cycles / (CLOCK_GHZ * 1e9)
 
     @property
     def throughput_gbps(self) -> float:
@@ -54,18 +48,14 @@ class E842JobResult:
         return (self.input_bytes / 1e9) / seconds if seconds else 0.0
 
 
-@dataclass
 class Engine842:
     """Compression/decompression through one modelled 842 engine."""
-
-    params: Engine842Params = Engine842Params()
 
     def compress(self, data: bytes) -> E842JobResult:
         result: E842Result = compress(data)
         cycles = self._cycles(len(data))
         return E842JobResult(data=result.data, input_bytes=len(data),
                              output_bytes=len(result.data), cycles=cycles,
-                             clock_ghz=self.params.clock_ghz,
                              stats=result.stats)
 
     def decompress(self, payload: bytes,
@@ -73,11 +63,9 @@ class Engine842:
         out = decompress(payload, max_output=max_output)
         cycles = self._cycles(len(out))
         return E842JobResult(data=out, input_bytes=len(payload),
-                             output_bytes=len(out), cycles=cycles,
-                             clock_ghz=self.params.clock_ghz)
+                             output_bytes=len(out), cycles=cycles)
 
     def _cycles(self, nbytes: int) -> int:
         chunks = -(-max(nbytes, 1) // CHUNK)
-        per_cycle_chunks = max(1, self.params.bytes_per_cycle // CHUNK)
-        return (self.params.pipeline_fill_cycles
-                + -(-chunks // per_cycle_chunks))
+        per_cycle_chunks = max(1, BYTES_PER_CYCLE // CHUNK)
+        return PIPELINE_FILL_CYCLES + -(-chunks // per_cycle_chunks)

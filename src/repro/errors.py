@@ -67,14 +67,6 @@ class DeadlineExceeded(AcceleratorError):
         self.deadline_s = deadline_s
 
 
-class ChipUnavailable(AcceleratorError):
-    """No healthy chip can take the job (circuit breakers open)."""
-
-    def __init__(self, message: str, chip: int | None = None) -> None:
-        super().__init__(message)
-        self.chip = chip
-
-
 class ExecError(AcceleratorError):
     """The process-based execution layer failed a job or a request."""
 

@@ -54,6 +54,9 @@ from .worker import frame, in_worker, read_frame, write_frame
 #: Default seconds a graceful shutdown waits before killing workers.
 SHUTDOWN_TIMEOUT_S = 5.0
 
+#: Times ``run_batch`` resubmits a job whose worker crashed.
+CRASH_RETRIES = 2
+
 #: The directory this process imported ``repro`` from.  A worker's path
 #: starts there, so it runs the same tree even when the parent put it on
 #: ``sys.path`` by hand rather than through ``PYTHONPATH``.
@@ -302,24 +305,23 @@ class ProcessWorkerPool:
     # -- submission ----------------------------------------------------------
 
     def submit(self, fn: str, *, span_parent: object = None,
-               trace: bool | None = None, metrics: bool = False,
-               delay_s: float | None = None,
-               traceparent: str | None = None, **kwargs) -> ExecJob:
+               metrics: bool = False, traceparent: str | None = None,
+               **kwargs) -> ExecJob:
         """Queue one job; returns a handle resolved by poll/wait.
 
         ``fn`` names a registered worker function; ``kwargs`` are its
         (picklable) arguments.  ``span_parent`` is the parent-side span
-        the worker's folded spans will nest under; ``trace`` defaults to
-        the global tracer's enabled flag.  ``metrics=True`` additionally
+        the worker's folded spans will nest under; the worker traces
+        when the global tracer is enabled.  ``metrics=True`` additionally
         captures a worker-side metrics snapshot, merged into the global
         registry at completion.  ``traceparent`` (a W3C-style header
         string) rides in the task so the worker's root span joins the
         originating wire trace.
         """
         opts = {
-            "trace": _TRACE.enabled if trace is None else trace,
+            "trace": _TRACE.enabled,
             "metrics": metrics,
-            "delay_s": self.default_delay_s if delay_s is None else delay_s,
+            "delay_s": self.default_delay_s,
         }
         if traceparent:
             opts["traceparent"] = traceparent
@@ -515,23 +517,21 @@ class ProcessWorkerPool:
     # -- batch convenience ---------------------------------------------------
 
     def run_batch(self, calls: list[tuple[str, dict]], *,
-                  span_parent: object = None, crash_retries: int = 2,
+                  span_parent: object = None,
                   timeout_s: float | None = None,
-                  traceparent: str | None = None,
                   metrics: bool = False) -> list[object]:
         """Run ``calls`` (``(fn, kwargs)`` pairs) and return results in
         order.
 
         A job whose worker crashed is transparently resubmitted up to
-        ``crash_retries`` times — kernel jobs are pure functions of
+        :data:`CRASH_RETRIES` times — kernel jobs are pure functions of
         their arguments, so re-execution is safe.  Any other failure
         (or crash-retry exhaustion) raises that job's error.
         """
-        jobs = [self.submit(fn, span_parent=span_parent,
-                            traceparent=traceparent, metrics=metrics,
+        jobs = [self.submit(fn, span_parent=span_parent, metrics=metrics,
                             **kwargs)
                 for fn, kwargs in calls]
-        retries_left = crash_retries
+        retries_left = CRASH_RETRIES
         while True:
             self.wait(jobs, timeout_s=timeout_s)
             crashed = [job for job in jobs if job.crashed]
@@ -581,10 +581,10 @@ def get_default_pool(min_workers: int | None = None) -> ProcessWorkerPool:
     return pool
 
 
-def shutdown_default_pool(timeout_s: float = SHUTDOWN_TIMEOUT_S) -> None:
+def shutdown_default_pool() -> None:
     """Shut the shared pool down (tests, clean process exit)."""
     global _DEFAULT
     with _DEFAULT_LOCK:
         pool, _DEFAULT = _DEFAULT, None
     if pool is not None:
-        pool.shutdown(timeout_s=timeout_s)
+        pool.shutdown()

@@ -54,7 +54,6 @@ def in_worker() -> bool:
 _WORKER_FNS: dict[str, Callable | str] = {
     "echo": "repro.exec.worker:echo",
     "crash": "repro.exec.worker:crash",
-    "crash_once": "repro.exec.worker:crash_once",
     "backend_job": "repro.exec.worker:backend_job",
     "deflate_chunk": "repro.deflate.parallel:compress_chunk",
     "inflate_chunk": "repro.deflate.parallel_inflate:inflate_chunk_job",
@@ -132,22 +131,6 @@ def crash(exitcode: int = 13) -> None:
     os._exit(exitcode)
 
 
-def crash_once(marker: str, value: object = None,
-               exitcode: int = 13) -> object:
-    """Crash the first time, succeed on resubmission.
-
-    ``marker`` is a filesystem path used as a cross-process latch: the
-    first call creates it and kills the worker; the retry sees it and
-    returns ``value``.  Exercises the exactly-once telemetry-fold
-    guarantee across a crash/resubmit cycle.
-    """
-    if os.path.exists(marker):
-        return value
-    with open(marker, "w"):
-        pass
-    os._exit(exitcode)
-
-
 #: Worker-side backend cache: one instance per (backend, machine,
 #: kwargs) so a warm worker amortises driver-stack construction the
 #: same way the pool's lazily created per-chip instances do.
@@ -156,9 +139,9 @@ _BACKENDS: dict[tuple, object] = {}
 
 def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
                 kind: str, fmt: str, data: bytes, strategy: str = "auto",
-                history: bytes = b"", final: bool = True,
                 deadline_s: float | None = None):
-    """Run one backend compress/decompress in this worker.
+    """Run one final, history-less backend compress (or a decompress)
+    in this worker.
 
     Returns the :class:`~repro.sysstack.driver.DriverResult` without its
     CSB: the output bytes and the submission stats.
@@ -173,11 +156,9 @@ def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
             backend, machine=machine, **backend_kwargs)
     if kind == "compress":
         result = instance.compress(data, strategy=strategy, fmt=fmt,
-                                   history=history, final=final,
                                    deadline_s=deadline_s)
     else:
-        result = instance.decompress(data, fmt=fmt, history=history,
-                                     deadline_s=deadline_s)
+        result = instance.decompress(data, fmt=fmt, deadline_s=deadline_s)
     return DriverResult(output=result.output, csb=None, stats=result.stats)
 
 

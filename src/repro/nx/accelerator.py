@@ -38,7 +38,7 @@ class NxAccelerator:
     """One on-chip accelerator instance: VAS + compress/decompress pipes."""
 
     machine: MachineParams
-    vas: Vas = field(default_factory=Vas)
+    vas: Vas = field(default_factory=Vas, init=False)
     #: Optional resilience fault-injection hook
     #: (:class:`repro.resilience.faults.FaultInjector`).
     chaos: object | None = None

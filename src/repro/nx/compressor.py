@@ -32,7 +32,7 @@ from .dht import (
     generate_dynamic,
     select_canned,
 )
-from .params import EngineParams
+from .params import PIPELINE_FILL_CYCLES, EngineParams
 
 DEFAULT_BLOCK_BYTES = 65536
 
@@ -163,7 +163,7 @@ class NxCompressor:
         scan_total = scan.scan_cycles + scan.conflict_stalls
         encode_exposed = max(0, encode_cycles - scan_total)
         cycles = CycleBreakdown(
-            pipeline_fill=self.params.pipeline_fill_cycles,
+            pipeline_fill=PIPELINE_FILL_CYCLES,
             scan=scan.scan_cycles,
             bank_stalls=scan.conflict_stalls,
             dht_generation=dht_cycles,

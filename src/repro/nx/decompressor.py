@@ -15,7 +15,10 @@ from ..deflate.constants import BTYPE_DYNAMIC
 from ..deflate.containers import FORMATS, decode_with_stats
 from ..deflate.inflate import InflateStats
 from ..errors import AcceleratorError
-from .params import EngineParams
+from .params import DECOMP_DHT_SETUP_CYCLES, PIPELINE_FILL_CYCLES, EngineParams
+
+#: Front-end input consumption rate.
+DECODE_BITS_PER_CYCLE = 32
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class NxDecompressor:
     """Decompression half of one NX/zEDC engine."""
 
     params: EngineParams
-    decode_bits_per_cycle: int = 32  # front-end input consumption rate
 
     def decompress(self, payload: bytes, fmt: str = "raw",
                    max_output: int = 1 << 31,
@@ -73,8 +75,8 @@ class NxDecompressor:
     def _cycle_model(self, in_bytes: int, out_bytes: int,
                      stats: InflateStats) -> int:
         """Compose front-end, copy-engine and table-build cycle costs."""
-        front_end = -(-in_bytes * 8 // self.decode_bits_per_cycle)
+        front_end = -(-in_bytes * 8 // DECODE_BITS_PER_CYCLE)
         copy = -(-out_bytes // self.params.decomp_bytes_per_cycle)
-        tables = (self.params.decomp_dht_setup_cycles
+        tables = (DECOMP_DHT_SETUP_CYCLES
                   * sum(1 for b in stats.blocks if b == BTYPE_DYNAMIC))
-        return self.params.pipeline_fill_cycles + max(front_end, copy) + tables
+        return PIPELINE_FILL_CYCLES + max(front_end, copy) + tables

@@ -264,14 +264,14 @@ TRAINED_MATCH_THRESHOLD = 0.02
 GDHT_SCAN_WINDOW = 512
 
 
-def sample_signature(sample: bytes, probe: int = 4096) -> tuple[float, ...]:
+def sample_signature(sample: bytes) -> tuple[float, ...]:
     """A 20-dim traffic signature for clustering and trained-table pick.
 
     All components are fractions in [0, 1], so Euclidean distance in
     this space is scale-free.  The match-density probe samples at most
     ~1024 positions, keeping the signature O(1) on large payloads.
     """
-    s = bytes(sample[:probe])
+    s = bytes(sample[:4096])
     total = max(1, len(s))
     nibbles = s.translate(_HIGH_NIBBLE)
     vec = [nibbles.count(high) / total for high in range(16)]
@@ -394,8 +394,7 @@ def select_canned(sample: bytes) -> str:
     return best_name
 
 
-def select_canned_windowed(sample: bytes,
-                           window: int = GDHT_SCAN_WINDOW) -> str:
+def select_canned_windowed(sample: bytes) -> str:
     """The GDHT facility's canned pick: vote across full scan windows.
 
     Only *complete* windows are scanned — the caller guards against a
@@ -403,6 +402,7 @@ def select_canned_windowed(sample: bytes,
     DHT rather than index past the sample).  Ties break toward the
     window seen first, keeping the pick deterministic.
     """
+    window = GDHT_SCAN_WINDOW
     if len(sample) < window:
         raise ConfigError(
             f"GDHT sample of {len(sample)} bytes is shorter than the "

@@ -19,7 +19,7 @@ from ..sysstack.mmu import AddressSpace
 from .compressor import NxCompressor, NxCompressResult
 from .decompressor import NxDecompressor, NxDecompressResult
 from .dht import DhtStrategy
-from .params import EngineParams, MachineParams
+from .params import PIPELINE_FILL_CYCLES, EngineParams, MachineParams
 
 _ABORT_OVERHEAD_CYCLES = 500  # suspend + CSB write after a fault
 
@@ -52,7 +52,8 @@ class NxEngine:
     """One compression/decompression engine pair plus its DMA ports."""
 
     machine: MachineParams
-    counters: EngineCounters = field(default_factory=EngineCounters)
+    counters: EngineCounters = field(default_factory=EngineCounters,
+                                     init=False)
 
     def __post_init__(self) -> None:
         from ..e842.engine import Engine842
@@ -197,7 +198,7 @@ class NxEngine:
         return max(compute_seconds, dma_in, dma_out)
 
     def _abort_seconds(self) -> float:
-        cycles = self.params.pipeline_fill_cycles + _ABORT_OVERHEAD_CYCLES
+        cycles = PIPELINE_FILL_CYCLES + _ABORT_OVERHEAD_CYCLES
         return cycles / (self.params.clock_ghz * 1e9)
 
     # -- abnormal completions -----------------------------------------------

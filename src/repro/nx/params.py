@@ -22,6 +22,12 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 
 
+#: Cycles to fill an engine's pipeline, paid once per job.
+PIPELINE_FILL_CYCLES = 64
+#: Decode-table build per dynamic block.
+DECOMP_DHT_SETUP_CYCLES = 96
+
+
 @dataclass(frozen=True)
 class EngineParams:
     """One compression/decompression engine pair inside the nest."""
@@ -36,11 +42,9 @@ class EngineParams:
     hash_ports: int                # lookup/insert ports per bank per cycle
     compare_window: int            # bytes compared per candidate per probe
     window_bytes: int = 32768
-    pipeline_fill_cycles: int = 64
     dht_base_cycles: int = 1500          # DHT generator: fixed cost
     dht_cycles_per_symbol: int = 8       # DHT generator: per used symbol
     huffman_encode_bits_per_cycle: int = 64
-    decomp_dht_setup_cycles: int = 96    # decode-table build per dyn block
 
     def __post_init__(self) -> None:
         # The scan masks bank ids out of a hash product; counts in bytes.
@@ -166,7 +170,6 @@ class Topology:
     machine: MachineParams
     chips_per_drawer: int = 1
     drawers: int = 1
-    cross_chip_penalty_us: float = 0.5
 
     @property
     def total_chips(self) -> int:

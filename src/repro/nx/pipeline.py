@@ -53,10 +53,6 @@ class ScanResult:
     candidate_probes: int
     history_cycles: int = 0  # loading a preset history through the pipe
 
-    @property
-    def total_cycles(self) -> int:
-        return self.scan_cycles + self.conflict_stalls + self.history_cycles
-
 
 @dataclass
 class NxMatchPipeline:

@@ -120,14 +120,13 @@ class Dfltcc:
                             produced=b"", seconds=seconds)
 
     def compress(self, block: ParameterBlock, data: bytes,
-                 out_capacity: int = 1 << 62,
                  last: bool = True) -> DfltccResult:
         """CMPR: one synchronous compression invocation.
 
         Processes at most ``processing_quantum`` input bytes; returns
         CC=3 with the partial output if input remains (the caller
-        re-issues with the rest), CC=1 if the output buffer cannot hold
-        the produced bytes.
+        re-issues with the rest).  The output buffer is sized to hold
+        what the engine produces, so CMPR never ends in CC=1.
         """
         block.size_check()
         chunk = data[:self.processing_quantum]
@@ -152,11 +151,6 @@ class Dfltcc:
             history=block.history, final=chunk_last,
             canned_name=canned_name)
         produced = result.data
-        if len(produced) > out_capacity:
-            return DfltccResult(cc=ConditionCode.OP1_FULL, consumed=0,
-                                produced=b"",
-                                seconds=self._issue_seconds())
-
         block.history = (block.history + chunk)[-WINDOW_SIZE:]
         block.check_value = crc32(chunk, block.check_value)
         block.total_in += len(chunk)
@@ -260,17 +254,16 @@ def _count_issues(invocations: int, fn: str) -> None:
             invocations, fn=fn)
 
 
-def dfltcc_compress(data: bytes, machine: MachineParams = Z15,
-                    strategy: DhtStrategy = DhtStrategy.DYNAMIC,
+def dfltcc_compress(data: bytes,
                     quantum: int = 1 << 20) -> tuple[bytes, float, int]:
-    """One raw stream through :func:`cmpr_loop` on a fresh facility."""
-    return cmpr_loop(Dfltcc(machine=machine, processing_quantum=quantum),
-                     ParameterBlock(dht_strategy=strategy), data)
+    """One raw stream with a dynamic DHT through :func:`cmpr_loop` on a
+    fresh z15 facility."""
+    return cmpr_loop(Dfltcc(processing_quantum=quantum),
+                     ParameterBlock(dht_strategy=DhtStrategy.DYNAMIC), data)
 
 
-def dfltcc_expand(payload: bytes, machine: MachineParams = Z15
-                  ) -> tuple[bytes, float]:
-    """One raw stream through :func:`xpnd_loop` on a fresh facility."""
-    result, _ = xpnd_loop(Dfltcc(machine=machine), ParameterBlock(), payload,
+def dfltcc_expand(payload: bytes) -> tuple[bytes, float]:
+    """One raw stream through :func:`xpnd_loop` on a fresh z15 facility."""
+    result, _ = xpnd_loop(Dfltcc(), ParameterBlock(), payload,
                           decompress_target_len(payload, "raw"))
     return result.produced, result.seconds

@@ -48,16 +48,11 @@ MAX_DUMPS_PER_PROCESS = 8
 class FlightRecorder:
     """Fixed-size ring of compact event records with throttled dumps."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, *,
-                 min_dump_interval_s: float = MIN_DUMP_INTERVAL_S,
-                 max_dumps: int = MAX_DUMPS_PER_PROCESS) -> None:
+    def __init__(self) -> None:
         self.enabled = os.environ.get("REPRO_FLIGHT", "1") != "0"
-        self.capacity = capacity
-        self.min_dump_interval_s = min_dump_interval_s
-        self.max_dumps = max_dumps
         self.dumps_written = 0
         self.dumps_suppressed = 0
-        self._ring: deque = deque(maxlen=capacity)
+        self._ring: deque = deque(maxlen=DEFAULT_CAPACITY)
         self._epoch_time_s = time.time()
         self._epoch_perf_s = time.perf_counter()
         self._last_dump_s = float("-inf")
@@ -137,7 +132,7 @@ class FlightRecorder:
             "reason": reason,
             "pid": os.getpid(),
             "time_s": time.time(),
-            "capacity": self.capacity,
+            "capacity": DEFAULT_CAPACITY,
             "records": self.snapshot(),
         }
         if fields:
@@ -164,8 +159,8 @@ class FlightRecorder:
         self.record(f"dump.{reason}", **fields)
         with self._dump_lock:
             now = time.perf_counter()
-            if (self.dumps_written >= self.max_dumps
-                    or now - self._last_dump_s < self.min_dump_interval_s):
+            if (self.dumps_written >= MAX_DUMPS_PER_PROCESS
+                    or now - self._last_dump_s < MIN_DUMP_INTERVAL_S):
                 self.dumps_suppressed += 1
                 return None
             self._last_dump_s = now

@@ -28,7 +28,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .export import spans_to_trees
-from .flight import FLIGHT
+from .flight import DEFAULT_CAPACITY, FLIGHT
 from .metrics import REGISTRY, RollingWindow
 from .trace import TRACE
 
@@ -163,7 +163,7 @@ class OpsServer:
         if path == "/flight":
             return 200, "application/json", _json({
                 "enabled": FLIGHT.enabled,
-                "capacity": FLIGHT.capacity,
+                "capacity": DEFAULT_CAPACITY,
                 "dumps_written": FLIGHT.dumps_written,
                 "records": FLIGHT.snapshot(),
             })

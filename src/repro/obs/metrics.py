@@ -205,11 +205,13 @@ class RollingWindow(_Metric):
 
     kind = "window"
 
-    def __init__(self, name: str, help: str, lock: threading.Lock,
-                 window_s: float = 60.0, max_samples: int = 2048) -> None:
+    #: Seconds of samples a summary considers, and samples kept per
+    #: label set.
+    window_s = 60.0
+    max_samples = 2048
+
+    def __init__(self, name: str, help: str, lock: threading.Lock) -> None:
         super().__init__(name, help, lock)
-        self.window_s = float(window_s)
-        self.max_samples = max_samples
 
     def observe(self, value: float, **labels: str) -> None:
         key = _label_key(labels)
@@ -308,15 +310,12 @@ class MetricsRegistry:
             raise TypeError(f"{name!r} is a {metric.kind}, not a histogram")
         return metric
 
-    def window(self, name: str, help: str = "",
-               window_s: float = 60.0,
-               max_samples: int = 2048) -> RollingWindow:
+    def window(self, name: str, help: str = "") -> RollingWindow:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
                 metric = self._metrics[name] = RollingWindow(
-                    name, help, self._lock, window_s=window_s,
-                    max_samples=max_samples)
+                    name, help, self._lock)
         if not isinstance(metric, RollingWindow):
             raise TypeError(f"{name!r} is a {metric.kind}, not a window")
         return metric
@@ -405,8 +404,8 @@ class MetricsRegistry:
                         state.sum += value["sum"]
                         state.count += value["count"]
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (0.0.4)."""

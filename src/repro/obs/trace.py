@@ -148,9 +148,8 @@ class Tracer:
     recorder) are fully supported and never touch global state.
     """
 
-    def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
+    def __init__(self) -> None:
         self.enabled = False
-        self.max_spans = max_spans
         self.spans: list[Span] = []
         self.dropped = 0
         self.epoch_time_s = 0.0       # time.time() at enable
@@ -207,8 +206,7 @@ class Tracer:
         stack.append(span)
         return span
 
-    def span_detached(self, name: str, parent: "Span | None" = None,
-                      ctx: TraceContext | None = None,
+    def span_detached(self, name: str, ctx: TraceContext | None = None,
                       **attrs: object) -> Span | _NullSpan:
         """A span that is *not* bound to any thread's stack.
 
@@ -216,23 +214,19 @@ class Tracer:
         on a client-handler thread and fulfilled on the dispatcher —
         cannot use the per-thread nesting model: the span must open on
         one thread and close on another.  A detached span has an
-        explicit ``parent`` (or starts a fresh trace) and never appears
-        on a stack; finishing it only files it with the collected spans.
+        fresh trace (joined to the wire trace through ``ctx``) and never
+        appears on a stack; finishing it only files it with the collected
+        spans.
         """
         if not self.enabled:
             return NULL_SPAN
         with self._lock:
             span_id = self._next_span
             self._next_span += 1
-            if parent is not None and isinstance(parent, Span):
-                trace_id = parent.trace_id
-                parent_id = parent.span_id
-            else:
-                trace_id = self._next_trace
-                self._next_trace += 1
-                parent_id = None
+            trace_id = self._next_trace
+            self._next_trace += 1
         span = Span(name=name, trace_id=trace_id, span_id=span_id,
-                    parent_id=parent_id, start_s=time.perf_counter(),
+                    parent_id=None, start_s=time.perf_counter(),
                     tracer=self, ctx=ctx)
         if attrs:
             span.attrs.update(attrs)
@@ -284,7 +278,7 @@ class Tracer:
             while stack and stack.pop() is not span:
                 pass
         with self._lock:
-            if len(self.spans) >= self.max_spans:
+            if len(self.spans) >= DEFAULT_MAX_SPANS:
                 del self.spans[0]
                 self.dropped += 1
             self.spans.append(span)
@@ -340,7 +334,7 @@ class Tracer:
             folded.append(span)
         with self._lock:
             for span in folded:
-                if len(self.spans) >= self.max_spans:
+                if len(self.spans) >= DEFAULT_MAX_SPANS:
                     del self.spans[0]
                     self.dropped += 1
                 self.spans.append(span)
@@ -348,13 +342,10 @@ class Tracer:
 
     # -- inspection --------------------------------------------------------
 
-    def finished(self, name: str | None = None) -> list[Span]:
-        """Completed spans, optionally filtered by name."""
+    def finished(self) -> list[Span]:
+        """Completed spans."""
         with self._lock:
-            spans = list(self.spans)
-        if name is None:
-            return spans
-        return [span for span in spans if span.name == name]
+            return list(self.spans)
 
 
 class _Adoption:

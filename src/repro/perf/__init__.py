@@ -11,10 +11,9 @@ if TYPE_CHECKING:
                        measure_effective_gbps)
     from .des import Simulator
     from .energy import AreaComparison, EnergyComparison, EnergyModel
-    from .io_adapter import (PcieAdapterModel, PcieAdapterParams,
-                             compare_onchip_vs_adapter)
+    from .io_adapter import PcieAdapterModel, compare_onchip_vs_adapter
     from .queueing import (AcceleratorQueue, Job, QueueResult, Source,
-                           load_sweep, policy_comparison)
+                           bimodal_size, load_sweep, policy_comparison)
     from .system import SystemModel, SystemRates, scaling_series
     from .tco import FleetAssumptions, TcoModel, TcoReport
     from .timing import LatencyBreakdown, OffloadTimingModel
@@ -26,10 +25,9 @@ __all__ = lazy_exports(__name__, {
             "measure_effective_gbps",
     "des": "Simulator",
     "energy": "AreaComparison EnergyComparison EnergyModel",
-    "io_adapter": "PcieAdapterModel PcieAdapterParams "
-                  "compare_onchip_vs_adapter",
-    "queueing": "AcceleratorQueue Job QueueResult Source load_sweep "
-                "policy_comparison",
+    "io_adapter": "PcieAdapterModel compare_onchip_vs_adapter",
+    "queueing": "AcceleratorQueue Job QueueResult Source bimodal_size "
+                "load_sweep policy_comparison",
     "system": "SystemModel SystemRates scaling_series",
     "tco": "FleetAssumptions TcoModel TcoReport",
     "timing": "LatencyBreakdown OffloadTimingModel",

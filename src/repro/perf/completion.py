@@ -48,9 +48,10 @@ class CompletionCost:
     latency_seconds: float      # submit -> caller resumes with the result
     cpu_burn_seconds: float     # core time unavailable to other work
 
-    def weighted_cost(self, cpu_weight: float = 1.0) -> float:
-        """Scalar objective: latency + weighted CPU burn."""
-        return self.latency_seconds + cpu_weight * self.cpu_burn_seconds
+    def weighted_cost(self) -> float:
+        """Scalar objective: latency + CPU burn, a core-second priced
+        like a second of latency."""
+        return self.latency_seconds + self.cpu_burn_seconds
 
 
 @dataclass
@@ -58,10 +59,9 @@ class CompletionModel:
     """Evaluates the three notification modes for one machine."""
 
     machine: MachineParams
-    op: str = "compress"
 
     def __post_init__(self) -> None:
-        self._timing = OffloadTimingModel(self.machine, op=self.op)
+        self._timing = OffloadTimingModel(self.machine)
 
     def costs(self, nbytes: int) -> dict[CompletionMode, CompletionCost]:
         base = self._timing.offload_latency(nbytes)
@@ -89,20 +89,17 @@ class CompletionModel:
         )
         return {c.mode: c for c in (poll, interrupt, wait)}
 
-    def best_mode(self, nbytes: int,
-                  cpu_weight: float = 1.0) -> CompletionMode:
-        """Mode minimizing latency + weighted CPU burn."""
-        costs = self.costs(nbytes)
-        return min(costs.values(),
-                   key=lambda c: c.weighted_cost(cpu_weight)).mode
+    def best_mode(self, nbytes: int) -> CompletionMode:
+        """Mode minimizing latency + CPU burn."""
+        return min(self.costs(nbytes).values(),
+                   key=CompletionCost.weighted_cost).mode
 
-    def crossover_bytes(self, cpu_weight: float = 1.0,
-                        from_mode: CompletionMode = CompletionMode.WAIT,
-                        lo: int = 256, hi: int = 64 << 20) -> int:
-        """Smallest size at which ``from_mode`` stops being best."""
-        size = lo
+    def crossover_bytes(self) -> int:
+        """Smallest power-of-two size, from 256 B up to 64 MB, at which
+        WAIT stops being the best mode."""
+        size, hi = 256, 64 << 20
         while size < hi:
-            if self.best_mode(size, cpu_weight) is not from_mode:
+            if self.best_mode(size) is not CompletionMode.WAIT:
                 return size
             size *= 2
         return hi

@@ -47,7 +47,6 @@ class SoftwareCostModel:
     """Time/energy cost of running the codec on general-purpose cores."""
 
     machine: MachineParams
-    compressibility_factor: float = 1.0  # >1 for match-heavy (slower) data
 
     def _core_hz(self) -> float:
         return self.machine.cores.clock_ghz * 1e9
@@ -55,8 +54,7 @@ class SoftwareCostModel:
     def compress_cycles(self, nbytes: int, level: int = 6) -> float:
         if level not in COMPRESS_CYCLES_PER_BYTE:
             raise ValueError(f"no calibration for level {level}")
-        cpb = COMPRESS_CYCLES_PER_BYTE[level] * self.compressibility_factor
-        return nbytes * cpb
+        return nbytes * COMPRESS_CYCLES_PER_BYTE[level]
 
     def compress_seconds(self, nbytes: int, level: int = 6) -> float:
         return self.compress_cycles(nbytes, level) / self._core_hz()
@@ -85,10 +83,6 @@ class SoftwareCostModel:
     def chip_compress_rate_gbps(self, level: int = 6) -> float:
         """All cores of the chip compressing independent streams."""
         return (self.compress_rate_mbps(level)
-                * self.chip_threads_speedup()) / 1000.0
-
-    def chip_decompress_rate_gbps(self) -> float:
-        return (self.decompress_rate_mbps()
                 * self.chip_threads_speedup()) / 1000.0
 
 

@@ -46,35 +46,29 @@ class AreaComparison:
 
 @dataclass
 class EnergyModel:
-    """Energy/area accounting for one machine."""
+    """Compression energy/area accounting for one machine, against
+    software zlib -6."""
 
     machine: MachineParams
-    op: str = "compress"
 
     def accelerator_energy_nj_per_byte(self) -> float:
-        rate = accelerator_effective_gbps(self.machine, self.op) * 1e9
+        rate = accelerator_effective_gbps(self.machine) * 1e9
         return self.machine.accelerator_power_w / rate * 1e9
 
-    def software_energy_nj_per_byte(self, level: int = 6) -> float:
-        cost = SoftwareCostModel(self.machine)
-        seconds_per_byte = (cost.compress_seconds(1, level)
-                            if self.op == "compress"
-                            else cost.decompress_seconds(1))
+    def software_energy_nj_per_byte(self) -> float:
+        seconds_per_byte = SoftwareCostModel(self.machine).compress_seconds(1)
         return self.machine.core_power_w * seconds_per_byte * 1e9
 
-    def energy_comparison(self, level: int = 6) -> EnergyComparison:
+    def energy_comparison(self) -> EnergyComparison:
         return EnergyComparison(
             accelerator_nj_per_byte=self.accelerator_energy_nj_per_byte(),
-            software_nj_per_byte=self.software_energy_nj_per_byte(level),
+            software_nj_per_byte=self.software_energy_nj_per_byte(),
         )
 
-    def area_comparison(self, level: int = 6) -> AreaComparison:
+    def area_comparison(self) -> AreaComparison:
         machine = self.machine
-        accel_rate = accelerator_effective_gbps(machine, self.op)
-        cost = SoftwareCostModel(machine)
-        chip_sw_rate = (cost.chip_compress_rate_gbps(level)
-                        if self.op == "compress"
-                        else cost.chip_decompress_rate_gbps())
+        accel_rate = accelerator_effective_gbps(machine)
+        chip_sw_rate = SoftwareCostModel(machine).chip_compress_rate_gbps()
         # Charge the cores the whole chip area minus the accelerator: the
         # compression-software alternative occupies the core complex.
         core_area = machine.chip_area_mm2 - machine.accelerator_area_mm2

@@ -10,50 +10,40 @@ comparison E12 regenerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..nx.params import MachineParams
 from .timing import LatencyBreakdown, OffloadTimingModel
 
 
-@dataclass(frozen=True)
-class PcieAdapterParams:
-    """An I/O-attached accelerator card."""
-
-    name: str = "pcie-fpga-adapter"
-    engine_rate_gbps: float = 8.0     # engine itself is competitive
-    pcie_gbps: float = 12.0           # PCIe Gen4 x8 effective
-    driver_overhead_us: float = 18.0  # syscall + ring doorbell
-    interrupt_overhead_us: float = 12.0
-    dma_setup_us: float = 4.0
-    slot_power_w: float = 25.0
-    card_cost_usd: float = 2500.0
+#: The I/O-attached accelerator card.
+ENGINE_RATE_GBPS = 8.0     # engine itself is competitive
+PCIE_GBPS = 12.0           # PCIe Gen4 x8 effective
+DRIVER_OVERHEAD_US = 18.0  # syscall + ring doorbell
+INTERRUPT_OVERHEAD_US = 12.0
+DMA_SETUP_US = 4.0
+SLOT_POWER_W = 25.0
+CARD_COST_USD = 2500.0
 
 
-@dataclass
 class PcieAdapterModel:
     """Latency model of the adapter path, comparable to OffloadTimingModel."""
 
-    params: PcieAdapterParams = PcieAdapterParams()
-
-    def offload_latency(self, nbytes: int, ratio: float = 2.5,
-                        queue_wait: float = 0.0) -> LatencyBreakdown:
+    def offload_latency(self, nbytes: int,
+                        ratio: float = 2.5) -> LatencyBreakdown:
         """One compression job: host -> card -> host.
 
         Input crosses PCIe at full size; output returns at
         ``nbytes / ratio``.  Engine compute overlaps neither transfer
         (store-and-forward DMA), which is the common adapter design.
         """
-        p = self.params
-        transfer_in = nbytes / (p.pcie_gbps * 1e9)
-        transfer_out = (nbytes / ratio) / (p.pcie_gbps * 1e9)
-        compute = nbytes / (p.engine_rate_gbps * 1e9)
+        transfer_in = nbytes / (PCIE_GBPS * 1e9)
+        transfer_out = (nbytes / ratio) / (PCIE_GBPS * 1e9)
+        compute = nbytes / (ENGINE_RATE_GBPS * 1e9)
         return LatencyBreakdown(
-            submit=(p.driver_overhead_us + p.dma_setup_us) * 1e-6,
+            submit=(DRIVER_OVERHEAD_US + DMA_SETUP_US) * 1e-6,
             dispatch=transfer_in,
-            queue_wait=queue_wait,
+            queue_wait=0.0,
             service=compute + transfer_out,
-            completion=p.interrupt_overhead_us * 1e-6,
+            completion=INTERRUPT_OVERHEAD_US * 1e-6,
         )
 
     def effective_throughput_gbps(self, nbytes: int) -> float:
@@ -61,11 +51,10 @@ class PcieAdapterModel:
         return (nbytes / 1e9) / latency if latency else 0.0
 
 
-def compare_onchip_vs_adapter(machine: MachineParams, sizes: list[int],
-                              adapter: PcieAdapterModel | None = None
+def compare_onchip_vs_adapter(machine: MachineParams, sizes: list[int]
                               ) -> list[tuple[int, float, float]]:
     """(size, on-chip GB/s, adapter GB/s) series across buffer sizes."""
-    adapter = adapter or PcieAdapterModel()
+    adapter = PcieAdapterModel()
     onchip = OffloadTimingModel(machine)
     return [
         (size,

@@ -13,7 +13,7 @@ Every queueing experiment (E5, E14, E15, E16, E19) is a configuration of
 * **placement** — one queue over ``engines`` engines (``policy=None``),
   or a queue and engine per chip picked by the live pool's
   :func:`~repro.backend.routing.choose_chip`, a remote pick paying
-  ``cross_chip_penalty_us``.
+  :data:`CROSS_CHIP_PENALTY_US`.
 
 Draw and event order are the contract (``golden_experiments.json``): a
 size is drawn before the next gap, sources start in list order, the
@@ -34,8 +34,21 @@ from ..nx.params import MachineParams, Topology
 from .des import Simulator
 from .timing import OffloadTimingModel
 
+#: Fabric cost of serving a job on another chip's engine.
+CROSS_CHIP_PENALTY_US = 0.5
+
 #: A request size: fixed, or drawn from the run's random stream.
 Size = int | Callable[[random.Random], int]
+
+
+def bimodal_size(small_bytes: int, large_bytes: int,
+                 small_fraction: float) -> Size:
+    """RPC-vs-bulk mix: mostly small requests, occasional huge ones."""
+    def sample(rng: random.Random) -> int:
+        if rng.random() < small_fraction:
+            return small_bytes
+        return large_bytes
+    return sample
 
 
 @dataclass
@@ -125,7 +138,6 @@ class AcceleratorQueue:
     engines: int = 1
     starvation_bound: int | None = None
     policy: str | None = None
-    cross_chip_penalty_us: float = 0.5
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -248,7 +260,7 @@ class _Loop:
             self.serving[engine] = job
             delay = self.model.service_seconds(job.size_bytes)
             if job.remote:
-                delay += self.model.cross_chip_penalty_us * 1e-6
+                delay += CROSS_CHIP_PENALTY_US * 1e-6
             self.sim.schedule(delay, lambda job=job, engine=engine:
                               self.finish(job, engine))
 
@@ -268,30 +280,27 @@ class _Loop:
 
 def load_sweep(machine: MachineParams, loads: list[float],
                size_bytes: int = 65536, clients: int = 16,
-               duration_s: float = 0.2, engines: int = 1,
-               seed: int = 42) -> list[tuple[float, QueueResult]]:
-    """E5: sweep offered load as a fraction of engine capacity.
+               duration_s: float = 0.2) -> list[tuple[float, QueueResult]]:
+    """E5: sweep offered load as a fraction of one engine's capacity.
 
     ``loads`` are utilization targets (0..1+); arrival rates are derived
     from the per-job service time so the sweep brackets the knee.
     """
     results = []
     for load in loads:
-        model = AcceleratorQueue(machine, engines=engines, seed=seed)
-        rate = load * engines / model.service_seconds(size_bytes) / clients
+        model = AcceleratorQueue(machine, seed=42)
+        rate = load / model.service_seconds(size_bytes) / clients
         results.append((load, model.run_open(
             [Source(rate, size_bytes)] * clients, duration_s)))
     return results
 
 
 def policy_comparison(topology: Topology, per_chip_load: list[float],
-                      duration_s: float = 0.3,
-                      size_bytes: int = 262144,
-                      seed: int = 42) -> dict[str, QueueResult]:
-    """E15: every routing policy on the same per-chip offered load."""
+                      duration_s: float = 0.3) -> dict[str, QueueResult]:
+    """E15: every routing policy on the same per-chip offered load of
+    256 KB jobs."""
     return {policy: AcceleratorQueue(
                 topology.machine, engines=topology.total_chips,
-                policy=policy, seed=seed,
-                cross_chip_penalty_us=topology.cross_chip_penalty_us,
-            ).run_loads(per_chip_load, duration_s, size_bytes)
+                policy=policy, seed=42,
+            ).run_loads(per_chip_load, duration_s, 262144)
             for policy in POLICIES}

@@ -31,42 +31,36 @@ class SystemRates:
 
 @dataclass
 class SystemModel:
-    """Throughput roll-up for a machine topology."""
+    """Compression throughput roll-up for a machine topology, every
+    engine at its sustained rate, against software zlib -6."""
 
     topology: Topology
-    op: str = "compress"
-    utilization: float = 1.0  # sustained fraction of per-engine rate
 
     @property
     def machine(self) -> MachineParams:
         return self.topology.machine
 
     def per_accelerator_gbps(self) -> float:
-        return accelerator_effective_gbps(self.machine, self.op) \
-            * self.utilization
+        return accelerator_effective_gbps(self.machine)
 
     def aggregate_accelerator_gbps(self) -> float:
         return self.per_accelerator_gbps() \
             * self.topology.total_accelerators
 
-    def aggregate_software_gbps(self, level: int = 6) -> float:
-        cost = SoftwareCostModel(self.machine)
-        per_chip = (cost.chip_compress_rate_gbps(level)
-                    if self.op == "compress"
-                    else cost.chip_decompress_rate_gbps())
+    def aggregate_software_gbps(self) -> float:
+        per_chip = SoftwareCostModel(self.machine).chip_compress_rate_gbps()
         return per_chip * self.topology.total_chips
 
-    def rates(self, level: int = 6) -> SystemRates:
+    def rates(self) -> SystemRates:
         return SystemRates(
             chips=self.topology.total_chips,
             accelerator_gbps=self.aggregate_accelerator_gbps(),
-            software_gbps=self.aggregate_software_gbps(level),
+            software_gbps=self.aggregate_software_gbps(),
         )
 
 
 def scaling_series(machine: MachineParams, max_chips: int,
-                   chips_per_drawer: int = 4,
-                   op: str = "compress") -> list[SystemRates]:
+                   chips_per_drawer: int = 4) -> list[SystemRates]:
     """Aggregate rate as the system grows one chip at a time."""
     series = []
     for chips in range(1, max_chips + 1):
@@ -79,5 +73,5 @@ def scaling_series(machine: MachineParams, max_chips: int,
         if topo.total_chips != chips:
             topo = Topology(machine=machine, chips_per_drawer=chips,
                             drawers=1)
-        series.append(SystemModel(topo, op=op).rates())
+        series.append(SystemModel(topo).rates())
     return series

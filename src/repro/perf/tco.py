@@ -11,8 +11,9 @@ into a small, explicit fleet-level model:
 * adapter cost avoided = cards + slots + watts the PCIe alternative
   would need for the same offered load.
 
-Every input has a visible default and can be overridden, so the output
-is an auditable estimate, not an oracle.
+Every input is a named constant here or a field of
+:class:`FleetAssumptions`, so the output is an auditable estimate, not
+an oracle.
 """
 
 from __future__ import annotations
@@ -21,19 +22,21 @@ from dataclasses import dataclass
 
 from ..nx.params import MachineParams
 from .cost import SoftwareCostModel
-from .io_adapter import PcieAdapterParams
+from .io_adapter import (CARD_COST_USD, ENGINE_RATE_GBPS, PCIE_GBPS,
+                         SLOT_POWER_W)
+
+#: Prices.
+STORAGE_USD_PER_TB_MONTH = 20.0
+CORE_HOUR_USD = 0.04            # amortized server core-hour
+POWER_USD_PER_KWH = 0.12
 
 
 @dataclass(frozen=True)
 class FleetAssumptions:
-    """Fleet-level workload and price inputs."""
+    """Fleet-level workload inputs."""
 
     compressed_tb_per_day: float = 100.0   # data volume through the codec
     compression_ratio: float = 3.0
-    storage_usd_per_tb_month: float = 20.0
-    core_hour_usd: float = 0.04            # amortized server core-hour
-    power_usd_per_kwh: float = 0.12
-    adapter: PcieAdapterParams = PcieAdapterParams()
 
 
 @dataclass(frozen=True)
@@ -59,19 +62,18 @@ class TcoModel:
 
     machine: MachineParams
     assumptions: FleetAssumptions = FleetAssumptions()
-    level: int = 6
 
     def storage_savings_usd_per_month(self) -> float:
         a = self.assumptions
         stored_tb = a.compressed_tb_per_day * 30.0
         saved_tb = stored_tb * (1.0 - 1.0 / a.compression_ratio)
-        return saved_tb * a.storage_usd_per_tb_month
+        return saved_tb * STORAGE_USD_PER_TB_MONTH
 
     def core_hours_returned_per_month(self) -> float:
-        """Core time the software codec would have burned."""
+        """Core time the software codec (zlib -6) would have burned."""
         a = self.assumptions
         cost = SoftwareCostModel(self.machine)
-        seconds_per_byte = cost.compress_seconds(1, self.level)
+        seconds_per_byte = cost.compress_seconds(1)
         bytes_per_month = a.compressed_tb_per_day * 1e12 * 30.0
         return bytes_per_month * seconds_per_byte / 3600.0
 
@@ -79,21 +81,19 @@ class TcoModel:
         """PCIe cards needed to carry the same offered load."""
         a = self.assumptions
         offered_gbps = a.compressed_tb_per_day * 1e12 / 86400.0 / 1e9
-        per_card = min(a.adapter.engine_rate_gbps,
-                       a.adapter.pcie_gbps / 1.4)  # in + compressed out
+        per_card = min(ENGINE_RATE_GBPS, PCIE_GBPS / 1.4)  # in + out
         return max(1, -(-int(offered_gbps * 100) // int(per_card * 100)))
 
     def report(self) -> TcoReport:
-        a = self.assumptions
         cards = self.adapters_avoided()
         core_hours = self.core_hours_returned_per_month()
         return TcoReport(
             storage_usd_per_month=self.storage_savings_usd_per_month(),
             core_hours_per_month=core_hours,
-            core_usd_per_month=core_hours * a.core_hour_usd,
+            core_usd_per_month=core_hours * CORE_HOUR_USD,
             adapters_avoided=cards,
-            adapter_capex_usd=cards * a.adapter.card_cost_usd,
+            adapter_capex_usd=cards * CARD_COST_USD,
             adapter_power_usd_per_month=(
-                cards * a.adapter.slot_power_w / 1000.0 * 24 * 30
-                * a.power_usd_per_kwh),
+                cards * SLOT_POWER_W / 1000.0 * 24 * 30
+                * POWER_USD_PER_KWH),
         )

@@ -33,13 +33,12 @@ class LatencyBreakdown:
 
 @dataclass
 class OffloadTimingModel:
-    """Latency/throughput of accelerator offload for one machine."""
+    """Latency/throughput of compression offload for one machine."""
 
     machine: MachineParams
-    op: str = "compress"
 
     def __post_init__(self) -> None:
-        self.rate_gbps = accelerator_effective_gbps(self.machine, self.op)
+        self.rate_gbps = accelerator_effective_gbps(self.machine)
         self._cost = SoftwareCostModel(self.machine)
 
     def fixed_overhead_seconds(self) -> float:
@@ -64,9 +63,7 @@ class OffloadTimingModel:
         )
 
     def software_latency(self, nbytes: int, level: int = 6) -> float:
-        if self.op == "compress":
-            return self._cost.compress_seconds(nbytes, level)
-        return self._cost.decompress_seconds(nbytes)
+        return self._cost.compress_seconds(nbytes, level)
 
     def effective_throughput_gbps(self, nbytes: int) -> float:
         """Including invocation overheads: the 'ramp' the paper shows."""
@@ -84,9 +81,7 @@ class OffloadTimingModel:
         Solves ``overhead + n/hw = n/sw``; returns ``inf`` if software
         is never slower (it always is for real levels).
         """
-        sw_rate = (self._cost.compress_rate_mbps(level) * 1e6
-                   if self.op == "compress"
-                   else self._cost.decompress_rate_mbps() * 1e6)
+        sw_rate = self._cost.compress_rate_mbps(level) * 1e6
         hw_rate = self.rate_gbps * 1e9
         if hw_rate <= sw_rate:
             return float("inf")

@@ -19,8 +19,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ..errors import (ChipUnavailable, ConfigError, DeadlineExceeded,
-                      ReproError)
+from ..errors import ConfigError, DeadlineExceeded, ReproError
 from ..nx.params import POWER9, MachineParams, get_machine
 from .faults import FaultInjector, FaultPlan, WorkerKiller, fault_factory
 from .health import HealthConfig
@@ -183,26 +182,23 @@ def _side(plans: list[FaultPlan], side: str) -> list[FaultPlan]:
     return [plan for plan in plans if plan.side in (None, side)]
 
 
-def run_scenario(name: str, plans: list[FaultPlan] | None = None, *,
-                 stack: str = "pool", seed: int = 7,
+def run_scenario(name: str, *, stack: str = "pool", seed: int = 7,
                  jobs: int | None = None, chips: int = 2,
                  machine: MachineParams | str = POWER9,
                  max_size: int = 4096, clients: int = 4,
                  exec_workers: int | None = None) -> ScenarioResult:
-    """Run scenario ``name`` — ``plans``, else the stack's default of
-    that name — on ``stack``.  An unknown name, or a plan the stack has
-    no injector for, is a :class:`ConfigError`."""
+    """Run the stack's scenario ``name`` on ``stack``.  An unknown name,
+    or a plan the stack has no injector for, is a :class:`ConfigError`."""
     if exec_workers and stack != "service":
         raise ConfigError("exec workers run on the service stack "
                           "(--under-load) only")
     jobs = jobs or DEFAULT_JOBS[stack]
-    if plans is None:
-        scenarios = default_plans(stack, jobs)
-        if name not in scenarios:
-            what = "network" if stack == "tcp" else "chaos"
-            raise ConfigError(f"unknown {what} scenario {name!r}; "
-                              f"have {sorted(scenarios)}")
-        plans = scenarios[name]
+    scenarios = default_plans(stack, jobs)
+    if name not in scenarios:
+        what = "network" if stack == "tcp" else "chaos"
+        raise ConfigError(f"unknown {what} scenario {name!r}; "
+                          f"have {sorted(scenarios)}")
+    plans = scenarios[name]
     fires = {"pool": "chip", "tcp": "wire",
              "service": "worker" if exec_workers else "chip"}[stack]
     stray = sorted({plan.kind for plan in plans if plan.source != fires})
@@ -317,7 +313,7 @@ def _run_pool(result, plans, chips, machine, max_size, clients,
             _drive(result, 1, max_size,
                    lambda worker: lambda data, qos: pool.compress(
                        data, fmt="gzip"),
-                   account, (DeadlineExceeded, ChipUnavailable))
+                   account, (DeadlineExceeded,))
     else:
         result.queue_bound = 64
         service = CompressionService(pool, qos=QosPolicy((

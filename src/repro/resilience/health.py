@@ -40,6 +40,10 @@ class BreakerState(enum.IntEnum):
     OPEN = 2
 
 
+#: EWMA weight on a breaker's score history.
+SCORE_DECAY = 0.8
+
+
 @dataclass(frozen=True)
 class HealthConfig:
     """Tunables for one pool's breakers."""
@@ -47,7 +51,6 @@ class HealthConfig:
     failure_threshold: int = 4     # consecutive failures to open
     cooldown_routes: int = 16      # routing ticks OPEN before HALF_OPEN
     probe_successes: int = 2       # passing probes to close again
-    score_decay: float = 0.8       # EWMA weight on history
 
 
 @dataclass
@@ -63,12 +66,12 @@ class CircuitBreaker:
     opens: int = 0
     #: EWMA success score in [0, 1]; 1.0 is perfectly healthy.
     score: float = 1.0
-    transitions: list[tuple[str, int]] = field(default_factory=list)
+    transitions: list[tuple[str, int]] = field(default_factory=list,
+                                               init=False)
 
     def record_success(self, tick: int) -> None:
         self.consecutive_failures = 0
-        self.score = (self.config.score_decay * self.score
-                      + (1.0 - self.config.score_decay))
+        self.score = SCORE_DECAY * self.score + (1.0 - SCORE_DECAY)
         if self.state is BreakerState.HALF_OPEN:
             self.probe_passes += 1
             if self.probe_passes >= self.config.probe_successes:
@@ -76,7 +79,7 @@ class CircuitBreaker:
 
     def record_failure(self, tick: int) -> None:
         self.consecutive_failures += 1
-        self.score *= self.config.score_decay
+        self.score *= SCORE_DECAY
         if self.state is BreakerState.HALF_OPEN:
             self._transition(BreakerState.OPEN, tick)
         elif (self.state is BreakerState.CLOSED

@@ -5,7 +5,7 @@ span until a credit freed (never, under an injected credit leak) and the
 driver's ad-hoc ``max_retries`` counting.  :class:`RetryPolicy` replaces
 both with one declarative budget — bounded attempts, exponential backoff
 with *deterministic* jitter (the model must replay byte- and
-cycle-exactly under a fixed seed), and an optional per-job deadline
+cycle-exactly), and an optional per-job deadline
 expressed in modelled seconds.
 
 Deadline semantics: a deadline bounds *waiting* — paste retries, fault
@@ -30,6 +30,13 @@ DEFAULT_MAX_ATTEMPTS = 9
 #: backpressure clears in a handful of drains; only a leak gets here.
 DEFAULT_MAX_PASTE_RETRIES = 4096
 
+#: Backoff before the first retry, its growth per retry, its cap, and
+#: the +- share of it the jitter spans.
+BASE_BACKOFF_S = 0.5e-6
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_S = 64e-6
+JITTER_FRACTION = 0.25
+
 
 def _mix(*parts: int) -> int:
     """Cheap deterministic integer mix (splitmix64 finalizer)."""
@@ -47,23 +54,18 @@ class RetryPolicy:
     """How many times to try, and how long to back off between tries.
 
     ``backoff_s`` grows exponentially per retry and carries a
-    deterministic jitter derived from ``(seed, attempt, token)`` — two
-    runs with the same seed replay the exact same modelled timeline,
-    which the chaos regression suite relies on.
+    deterministic jitter derived from ``(attempt, token)`` — two runs
+    replay the exact same modelled timeline, which the chaos regression
+    suite relies on.
     """
 
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     max_paste_retries: int = DEFAULT_MAX_PASTE_RETRIES
-    base_backoff_s: float = 0.5e-6
-    backoff_multiplier: float = 2.0
-    max_backoff_s: float = 64e-6
-    jitter_fraction: float = 0.25
-    seed: int = 0
 
     @classmethod
-    def from_max_retries(cls, max_retries: int, **overrides) -> "RetryPolicy":
+    def from_max_retries(cls, max_retries: int) -> "RetryPolicy":
         """Adapter for the driver's historic ``max_retries`` knob."""
-        return cls(max_attempts=max_retries + 1, **overrides)
+        return cls(max_attempts=max_retries + 1)
 
     def allows(self, attempt: int) -> bool:
         """May a 0-indexed ``attempt`` still run?"""
@@ -73,13 +75,11 @@ class RetryPolicy:
         """Deterministically jittered backoff before retry ``retry``."""
         # Clamp the exponent: deep paste-retry counts would overflow the
         # float power long after the cap has taken over anyway.
-        base = min(self.base_backoff_s
-                   * self.backoff_multiplier ** min(retry, 64),
-                   self.max_backoff_s)
-        if not self.jitter_fraction:
-            return base
-        unit = _mix(self.seed, retry, token) / 2.0 ** 64  # [0, 1)
-        return base * (1.0 + self.jitter_fraction * (2.0 * unit - 1.0))
+        base = min(BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** min(retry, 64),
+                   MAX_BACKOFF_S)
+        # The leading 0 is part of the backoff stream the goldens pin.
+        unit = _mix(0, retry, token) / 2.0 ** 64  # [0, 1)
+        return base * (1.0 + JITTER_FRACTION * (2.0 * unit - 1.0))
 
 
 def check_deadline(elapsed_s: float, deadline_s: float | None,

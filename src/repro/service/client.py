@@ -195,11 +195,12 @@ class ServiceClient:
 
     # -- raw exchange --------------------------------------------------------
 
-    def call(self, header: dict, payload: bytes = b"") -> tuple[dict, bytes]:
-        """One request/response round trip; raises on a dead socket."""
+    def call(self, header: dict) -> tuple[dict, bytes]:
+        """One payload-less request/response round trip (``ping``,
+        ``stats``, ``drain``); raises on a dead socket."""
         if self.sock is None:
             self._connect()
-        send_message(self.sock, header, payload)
+        send_message(self.sock, header, b"")
         message = self._reader.read()
         if message is None:
             raise ProtocolError("server closed the connection")
@@ -356,8 +357,7 @@ class ServiceClient:
                         kind=response.get("kind", "protocol"))
                 if response.get("retryable"):
                     raise ServiceOverloaded(message)
-                if error_type in ("DeadlineExceeded", "ChipUnavailable",
-                                  "JobError"):
+                if error_type in ("DeadlineExceeded", "JobError"):
                     raise AcceleratorError(message)
                 raise RemoteServiceError(message, error_type=error_type)
 

@@ -52,16 +52,14 @@ from dataclasses import dataclass, field
 from ..backend.pool import AcceleratorPool, PoolJob
 from ..dictsvc.cache import ResultCache, result_key
 from ..dictsvc.keyed import Claim
-from ..errors import (AcceleratorError, ChipUnavailable, ConfigError,
-                      DeadlineExceeded, ReproError, ServiceClosed,
-                      ServiceOverloaded)
-from ..nx.params import POWER9, MachineParams
+from ..errors import (AcceleratorError, ConfigError, DeadlineExceeded,
+                      ReproError, ServiceClosed, ServiceOverloaded)
 from ..obs.context import TraceContext
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import record_service_request
 from ..obs.trace import NULL_SPAN, TRACE as _TRACE
-from .qos import DEFAULT_CLASSES, DEFAULT_STARVATION_BOUND, QosPolicy
+from .qos import DEFAULT_CLASSES, QosPolicy
 
 _OPS = ("compress", "decompress")
 
@@ -204,40 +202,24 @@ class CompressionService:
     """
 
     def __init__(self, pool: AcceleratorPool | None = None, *,
-                 machine: MachineParams | str = POWER9,
-                 chips: int = 1, backend: str | None = None,
-                 policy: str = "round_robin",
                  qos: QosPolicy | None = None,
-                 starvation_bound: int = DEFAULT_STARVATION_BOUND,
-                 batching: bool = True,
-                 verify: bool = False,
-                 exec_workers: int | None = None,
-                 result_cache: ResultCache | None = None,
                  cache_mb: float | None = None,
                  **pool_kwargs) -> None:
-        if pool is not None:
-            self.pool = pool
-            self._own_pool = False
-        else:
-            # exec_workers enables the process-based execution layer on
-            # the service's pool: batch submits on synchronous backends
-            # run in persistent worker processes instead of on this
-            # dispatcher thread, so the dispatcher stays an I/O loop.
-            self.pool = AcceleratorPool(machine=machine, chips=chips,
-                                        policy=policy, backend=backend,
-                                        verify=verify,
-                                        exec_workers=exec_workers,
-                                        **pool_kwargs)
-            self._own_pool = True
-        self.qos = qos or QosPolicy(DEFAULT_CLASSES,
-                                    starvation_bound=starvation_bound)
-        self.batching = batching
+        # ``pool_kwargs`` build the service's own pool.  exec_workers=
+        # enables the process-based execution layer on it: batch submits
+        # on synchronous backends run in persistent worker processes
+        # instead of on this dispatcher thread, so the dispatcher stays
+        # an I/O loop.
+        if pool is not None and pool_kwargs:
+            raise ConfigError(
+                f"pool arguments {', '.join(sorted(pool_kwargs))} given "
+                "with a pool: set them on the pool")
+        self._own_pool = pool is None
+        self.pool = AcceleratorPool(**pool_kwargs) if pool is None else pool
+        self.qos = qos or QosPolicy(DEFAULT_CLASSES)
         # The content-addressed result cache (dictionary service).
-        # ``cache_mb`` is the serve-time knob; an explicit cache wins.
-        if result_cache is None and cache_mb is not None:
-            result_cache = ResultCache(
-                max_bytes=max(1, int(cache_mb * (1 << 20))))
-        self.cache = result_cache
+        self.cache = None if cache_mb is None else ResultCache(
+            max_bytes=max(1, int(cache_mb * (1 << 20))))
         #: Dictionary-service epoch folded into every cache key, so a
         #: trained-table push invalidates cached results without flush.
         self.cache_epoch = 0
@@ -486,9 +468,11 @@ class CompressionService:
         self._dispatcher.join(timeout_s)
         return not self._dispatcher.is_alive()
 
-    def close(self, drain: bool = True, timeout_s: float = 30.0) -> None:
+    def close(self, drain: bool = True) -> None:
         """Shut down; with ``drain`` queued work is served first,
-        otherwise it is failed with :class:`ServiceClosed`."""
+        otherwise it is failed with :class:`ServiceClosed`.  The drain,
+        then the dispatcher's exit, are each waited on up to 30 s."""
+        timeout_s = 30.0
         if drain:
             self.drain(timeout_s)
         with self._lock:
@@ -655,7 +639,7 @@ class CompressionService:
             if not any(self._queues.values()):
                 self._wake_state = "armed"
                 return None
-        window = self.pool.suggested_batch_depth() if self.batching else 1
+        window = self.pool.suggested_batch_depth()
         while True:
             with self._lock:
                 busy = [req.ticket.qos for req, _ in flying.values()]
@@ -788,13 +772,6 @@ class CompressionService:
         req.span.set(outcome=outcome, error=reason,
                      queue_wait_s=queue_wait_s)
         req.span.end()
-        if isinstance(error, ChipUnavailable):
-            # Every breaker open is a capacity, not a correctness,
-            # problem: tell the client to come back.
-            error = ServiceOverloaded(
-                f"no healthy chip for request {req.ticket.request_id}; "
-                "retry after cooldown",
-                retry_after_s=_RETRY_AFTER_MAX_S, qos=req.ticket.qos)
         req.ticket._fail(error)
         if req.cache_claim is not None:
             self._cache_settle_fail(req.cache_claim, error)

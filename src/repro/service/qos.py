@@ -75,13 +75,13 @@ class QosPolicy:
 
     ``pick`` chooses the next class to serve given which classes have
     queued work, preferring the high FIFO but bounding starvation: a
-    run of ``starvation_bound`` consecutive high picks with normal work
-    waiting forces one normal dispatch: the VAS grant rule
+    run of :data:`DEFAULT_STARVATION_BOUND` consecutive high picks with
+    normal work waiting forces one normal dispatch: the VAS grant rule
     (:func:`~repro.backend.routing.arbitrate`) that E14 models.
     """
 
-    def __init__(self, classes: tuple[QosClass, ...] = DEFAULT_CLASSES,
-                 starvation_bound: int = DEFAULT_STARVATION_BOUND) -> None:
+    def __init__(self,
+                 classes: tuple[QosClass, ...] = DEFAULT_CLASSES) -> None:
         if not classes:
             raise ConfigError("need at least one QoS class")
         names = [c.name for c in classes]
@@ -89,7 +89,6 @@ class QosPolicy:
             raise ConfigError(f"duplicate QoS class names in {names}")
         self.classes = tuple(classes)
         self.by_name = {c.name: c for c in classes}
-        self.starvation_bound = starvation_bound
         self._consecutive_high = 0
 
     @property
@@ -115,5 +114,5 @@ class QosPolicy:
         normal = [c for c in ready if c.fifo == "normal"]
         take_high, self._consecutive_high = arbitrate(
             bool(high), bool(normal), self._consecutive_high,
-            self.starvation_bound)
+            DEFAULT_STARVATION_BOUND)
         return min(high if take_high else normal, key=lambda c: c.rank)

@@ -148,7 +148,6 @@ class NxDriver:
     accelerator: "NxAccelerator"
     space: AddressSpace
     max_retries: int = DEFAULT_MAX_RETRIES
-    pid: int = 1
     retry_policy: RetryPolicy | None = None
     deadline_s: float | None = None
     _window_id: int | None = field(default=None, init=False)
@@ -174,8 +173,7 @@ class NxDriver:
         """
         if self._window_id is not None:
             return
-        window = self.accelerator.vas.open_window(pid=self.pid,
-                                                  credits=credits)
+        window = self.accelerator.vas.open_window(credits=credits)
         self._window_id = window.window_id
 
     def close(self) -> None:

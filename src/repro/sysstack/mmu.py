@@ -47,14 +47,13 @@ class FaultInjector:
 class AddressSpace:
     """A sparse 64-bit virtual address space backed by page dict."""
 
-    def __init__(self, page_size: int = PAGE_SIZE,
-                 fault_injector: FaultInjector | None = None) -> None:
-        self.page_size = page_size
+    def __init__(self, fault_injector: FaultInjector | None = None) -> None:
+        self.page_size = PAGE_SIZE
         self.pages: dict[int, PageState] = {}
         self.fault_injector = fault_injector or FaultInjector()
         self.translations = 0
         self.faults = 0
-        self._next_va = page_size  # keep 0 unmapped (null page)
+        self._next_va = PAGE_SIZE  # keep 0 unmapped (null page)
 
     # -- allocation and plain access --------------------------------------
 

@@ -19,6 +19,13 @@ from ..errors import VasError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from .crb import CRB_BYTES, Crb
 
+#: Depth of each receive FIFO, in CRBs.
+RX_FIFO_DEPTH = 64
+#: Credits of a window opened without an explicit allocation.
+DEFAULT_CREDITS = 16
+#: Consecutive high-priority grants before a normal request is served.
+STARVATION_BOUND = 8
+
 
 @dataclass
 class PasteRecord:
@@ -37,7 +44,6 @@ class SendWindow:
 
     window_id: int
     credits: int
-    pid: int = 0
     priority: str = "normal"  # "high" routes to the priority RX FIFO
     outstanding: int = 0
     pastes_accepted: int = 0
@@ -55,16 +61,11 @@ class Vas:
     The accelerator front end implements two receive queues: *high*
     priority for latency-sensitive requests and *normal* for bulk.
     Arbitration is priority-first with an anti-starvation bound — after
-    ``starvation_bound`` consecutive high-priority grants, one normal
+    :data:`STARVATION_BOUND` consecutive high-priority grants, one normal
     request is served even if high work is pending.
     """
 
-    def __init__(self, rx_fifo_depth: int = 64,
-                 default_credits: int = 16,
-                 starvation_bound: int = 8) -> None:
-        self.rx_fifo_depth = rx_fifo_depth
-        self.default_credits = default_credits
-        self.starvation_bound = starvation_bound
+    def __init__(self) -> None:
         #: Optional resilience fault-injection hook
         #: (:class:`repro.resilience.faults.FaultInjector`).
         self.chaos = None
@@ -74,14 +75,14 @@ class Vas:
         self._consecutive_high = 0
         self._next_window_id = 1
 
-    def open_window(self, pid: int = 0, credits: int | None = None,
+    def open_window(self, credits: int | None = None,
                     priority: str = "normal") -> SendWindow:
         """Allocate a send window (the driver's winopen path)."""
         if priority not in ("normal", "high"):
             raise VasError(f"bad window priority {priority!r}")
         window = SendWindow(window_id=self._next_window_id,
-                            credits=credits or self.default_credits,
-                            pid=pid, priority=priority)
+                            credits=credits or DEFAULT_CREDITS,
+                            priority=priority)
         self.windows[window.window_id] = window
         self._next_window_id += 1
         return window
@@ -105,7 +106,7 @@ class Vas:
             raise VasError("paste payload must be one cache line pair")
         fifo = (self.rx_fifo_high if window.priority == "high"
                 else self.rx_fifo)
-        if window.credits_available <= 0 or len(fifo) >= self.rx_fifo_depth:
+        if window.credits_available <= 0 or len(fifo) >= RX_FIFO_DEPTH:
             window.pastes_rejected += 1
             if _REGISTRY.enabled:
                 _REGISTRY.counter(
@@ -129,7 +130,7 @@ class Vas:
         """Accelerator side: dequeue per the priority arbitration."""
         take_high, self._consecutive_high = arbitrate(
             bool(self.rx_fifo_high), bool(self.rx_fifo),
-            self._consecutive_high, self.starvation_bound)
+            self._consecutive_high, STARVATION_BOUND)
         if take_high is None:
             return None
         record = (self.rx_fifo_high if take_high else self.rx_fifo).popleft()

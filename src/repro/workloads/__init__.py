@@ -1,4 +1,5 @@
-"""Synthetic workloads: corpora, request traces, and the Spark model."""
+"""Synthetic workloads: corpora, file sets, diurnal traces, and the Spark
+model."""
 
 from typing import TYPE_CHECKING
 
@@ -6,24 +7,18 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .corpus import build_corpus, corpus_bytes, corpus_names
-    from .filesets import (FileSetSpec, by_extension, make_fileset,
-                           total_bytes)
+    from .filesets import FileSetSpec, make_fileset, total_bytes
     from .generators import (GENERATORS, generate,
                              shannon_entropy_bits_per_byte)
     from .replay import DiurnalSpec, ReplayResult, diurnal_trace, replay
-    from .spark import (SparkJobModel, SparkJobResult, Stage,
-                        tpcds_like_profile)
-    from .spark_sim import ClusterSpec, SparkDagSim
-    from .traces import (TraceSpec, bimodal_size, fixed_size,
-                         lognormal_size, standard_traces)
+    from .spark import (ClusterSpec, SparkDagSim, SparkJobModel,
+                        SparkJobResult, Stage, tpcds_like_profile)
 
 __all__ = lazy_exports(__name__, {
     "corpus": "build_corpus corpus_bytes corpus_names",
-    "filesets": "FileSetSpec by_extension make_fileset total_bytes",
+    "filesets": "FileSetSpec make_fileset total_bytes",
     "generators": "GENERATORS generate shannon_entropy_bits_per_byte",
     "replay": "DiurnalSpec ReplayResult diurnal_trace replay",
-    "spark": "SparkJobModel SparkJobResult Stage tpcds_like_profile",
-    "spark_sim": "ClusterSpec SparkDagSim",
-    "traces": "TraceSpec bimodal_size fixed_size lognormal_size "
-              "standard_traces",
+    "spark": "ClusterSpec SparkDagSim SparkJobModel SparkJobResult Stage "
+             "tpcds_like_profile",
 })

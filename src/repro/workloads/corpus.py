@@ -66,6 +66,6 @@ def build_corpus(name: str, scale: float = 1.0,
     return out
 
 
-def corpus_bytes(name: str, scale: float = 1.0, seed: int = 1234) -> bytes:
+def corpus_bytes(name: str) -> bytes:
     """All components of a corpus concatenated (for throughput runs)."""
-    return b"".join(build_corpus(name, scale=scale, seed=seed).values())
+    return b"".join(build_corpus(name).values())

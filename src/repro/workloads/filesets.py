@@ -25,15 +25,18 @@ _TYPE_MIX: list[tuple[str, str, float]] = [
 ]
 
 
+#: File sizes: lognormal around the median, clamped to the bounds.
+MEDIAN_BYTES = 32768
+SIGMA = 1.1
+MIN_BYTES = 256
+MAX_BYTES = 1 << 22
+
+
 @dataclass(frozen=True)
 class FileSetSpec:
     """Shape of a synthetic file set."""
 
     files: int = 50
-    median_bytes: int = 32768
-    sigma: float = 1.1
-    min_bytes: int = 256
-    max_bytes: int = 1 << 22
     seed: int = 0
 
 
@@ -42,7 +45,7 @@ def make_fileset(spec: FileSetSpec = FileSetSpec()) -> dict[str, bytes]:
     import math
 
     rng = random.Random(spec.seed)
-    mu = math.log(spec.median_bytes)
+    mu = math.log(MEDIAN_BYTES)
     extensions = [t[0] for t in _TYPE_MIX]
     generators = {t[0]: t[1] for t in _TYPE_MIX}
     weights = [t[2] for t in _TYPE_MIX]
@@ -50,8 +53,8 @@ def make_fileset(spec: FileSetSpec = FileSetSpec()) -> dict[str, bytes]:
     out: dict[str, bytes] = {}
     for idx in range(spec.files):
         ext = rng.choices(extensions, weights=weights)[0]
-        size = int(rng.lognormvariate(mu, spec.sigma))
-        size = max(spec.min_bytes, min(spec.max_bytes, size))
+        size = int(rng.lognormvariate(mu, SIGMA))
+        size = max(MIN_BYTES, min(MAX_BYTES, size))
         name = f"data/{idx:04d}{ext}"
         out[name] = generate(generators[ext], size,
                              seed=spec.seed * 1000 + idx)
@@ -62,10 +65,3 @@ def total_bytes(fileset: dict[str, bytes]) -> int:
     return sum(len(v) for v in fileset.values())
 
 
-def by_extension(fileset: dict[str, bytes]) -> dict[str, list[str]]:
-    """Group file names by extension (for per-type reporting)."""
-    groups: dict[str, list[str]] = {}
-    for name in sorted(fileset):
-        ext = name[name.rfind("."):]
-        groups.setdefault(ext, []).append(name)
-    return groups

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass
 
 _WORD_ALPHABET = string.ascii_lowercase
 
@@ -32,14 +31,14 @@ def zero_bytes(size: int) -> bytes:
     return bytes(size)
 
 
-def markov_text(size: int, seed: int = 0, vocabulary: int = 2000,
-                zipf_s: float = 1.3) -> bytes:
+def markov_text(size: int, seed: int = 0) -> bytes:
     """English-like text: Zipf-distributed words, sentence structure.
 
     Matches the statistics that make natural text compress ~2.5-3.5x:
     skewed literal distribution plus frequent short-to-medium matches.
     """
     rng = _rng(seed)
+    vocabulary, zipf_s = 2000, 1.3
     words = []
     for _ in range(vocabulary):
         length = max(2, min(12, int(rng.gauss(5.2, 2.2))))
@@ -100,10 +99,10 @@ def json_records(size: int, seed: int = 0) -> bytes:
     return ("".join(out)).encode("ascii")[:size]
 
 
-def database_pages(size: int, seed: int = 0, page_size: int = 8192,
-                   row_bytes: int = 120) -> bytes:
+def database_pages(size: int, seed: int = 0) -> bytes:
     """DB-page-like: fixed-layout rows, low-cardinality columns, padding."""
     rng = _rng(seed)
+    page_size, row_bytes = 8192, 120
     cities = [b"ROCHESTER", b"POUGHKEEPSIE", b"AUSTIN", b"YORKTOWN",
               b"BOEBLINGEN", b"TOKYO", b"HAIFA", b"ZURICH"]
     out = bytearray()
@@ -168,36 +167,28 @@ def binary_executable(size: int, seed: int = 0) -> bytes:
     return bytes(out[:size])
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    """A component of a mixed-entropy stream."""
-
-    generator: str
-    weight: float
+#: A mixed-entropy stream's components: (generator, weight).
+_MIX = (("markov_text", 0.4), ("json_records", 0.3),
+        ("binary_executable", 0.2), ("random_bytes", 0.1))
 
 
-def mixed_stream(size: int, seed: int = 0,
-                 mix: tuple[MixSpec, ...] = (
-                     MixSpec("markov_text", 0.4),
-                     MixSpec("json_records", 0.3),
-                     MixSpec("binary_executable", 0.2),
-                     MixSpec("random_bytes", 0.1))) -> bytes:
+def mixed_stream(size: int, seed: int = 0) -> bytes:
     """Interleave generator outputs in 16 KB extents by weight."""
     rng = _rng(seed)
     extent = 16384
-    total_weight = sum(spec.weight for spec in mix)
+    total_weight = sum(weight for _, weight in _MIX)
     out = bytearray()
     idx = 0
     while len(out) < size:
         pick = rng.random() * total_weight
         acc = 0.0
-        chosen = mix[-1]
-        for spec in mix:
-            acc += spec.weight
+        chosen = _MIX[-1][0]
+        for generator, weight in _MIX:
+            acc += weight
             if pick <= acc:
-                chosen = spec
+                chosen = generator
                 break
-        chunk = generate(chosen.generator, extent, seed=seed + idx)
+        chunk = generate(chosen, extent, seed=seed + idx)
         out += chunk
         idx += 1
     return bytes(out[:size])
@@ -220,9 +211,10 @@ def xml_documents(size: int, seed: int = 0) -> bytes:
     return ("".join(out)).encode("ascii")[:size]
 
 
-def csv_table(size: int, seed: int = 0, columns: int = 8) -> bytes:
+def csv_table(size: int, seed: int = 0) -> bytes:
     """CSV rows: low-cardinality columns, repeated separators."""
     rng = _rng(seed)
+    columns = 8
     categories = ["alpha", "beta", "gamma", "delta"]
     header = ",".join(f"col{i}" for i in range(columns)) + "\n"
     out = [header]

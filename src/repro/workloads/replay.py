@@ -24,23 +24,27 @@ class TracePoint(NamedTuple):
     size_bytes: int
 
 
+#: The day's shape: base load swings +- this share around its mean.
+AMPLITUDE = 0.6
+#: Base requests, and the bulk window's requests and its slice of the day.
+REQUEST_BYTES = 32768
+BULK_BYTES = 4 << 20
+BULK_START_FRAC = 0.70
+BULK_END_FRAC = 0.85
+
+
 @dataclass(frozen=True)
 class DiurnalSpec:
     """A day-like load profile, compressed into ``duration_s`` seconds.
 
-    Base Poisson load follows ``1 + amplitude x sin`` over one period;
+    Base Poisson load follows ``1 + AMPLITUDE x sin`` over one period;
     a bulk window (backup / batch ETL) adds large requests for a slice
     of the period.
     """
 
     duration_s: float = 2.0
     base_rate_per_s: float = 20000.0
-    amplitude: float = 0.6
-    request_bytes: int = 32768
-    bulk_start_frac: float = 0.70
-    bulk_end_frac: float = 0.85
     bulk_rate_per_s: float = 400.0
-    bulk_bytes: int = 4 << 20
     seed: int = 0
 
 
@@ -51,17 +55,16 @@ def diurnal_trace(spec: DiurnalSpec = DiurnalSpec()) -> list[TracePoint]:
     t = 0.0
     while t < spec.duration_s:
         phase = 2 * math.pi * t / spec.duration_s
-        rate = spec.base_rate_per_s * (1 + spec.amplitude
-                                       * math.sin(phase))
+        rate = spec.base_rate_per_s * (1 + AMPLITUDE * math.sin(phase))
         t += rng.expovariate(max(rate, 1e-6))
         if t < spec.duration_s:
-            points.append(TracePoint(t, spec.request_bytes))
-    t = spec.bulk_start_frac * spec.duration_s
-    end = spec.bulk_end_frac * spec.duration_s
+            points.append(TracePoint(t, REQUEST_BYTES))
+    t = BULK_START_FRAC * spec.duration_s
+    end = BULK_END_FRAC * spec.duration_s
     while t < end:
         t += rng.expovariate(spec.bulk_rate_per_s)
         if t < end:
-            points.append(TracePoint(t, spec.bulk_bytes))
+            points.append(TracePoint(t, BULK_BYTES))
     points.sort(key=lambda p: p.time_s)
     return points
 

@@ -46,8 +46,9 @@ class TestCosts:
 
 class TestPolicy:
     def test_latency_critical_small_jobs_prefer_poll(self, model):
-        assert model.best_mode(1024,
-                               cpu_weight=0.0) is CompletionMode.POLL
+        costs = model.costs(1024).values()
+        assert min(costs, key=lambda c: c.latency_seconds).mode \
+            is CompletionMode.POLL
 
     def test_wait_wins_small_jobs_at_equal_weight(self, model):
         """The wait facility is poll-latency at near-interrupt burn."""
@@ -56,21 +57,15 @@ class TestPolicy:
     def test_large_jobs_prefer_interrupt(self, model):
         assert model.best_mode(64 << 20) is CompletionMode.INTERRUPT
 
-    def test_crossover_monotone_in_cpu_weight(self, model):
-        """Pricier CPU pushes the wait->interrupt switch to smaller
-        jobs (the wait hold burns a fraction of the service time)."""
-        equal = model.crossover_bytes(cpu_weight=1.0)
-        dear_cpu = model.crossover_bytes(cpu_weight=10.0)
-        assert dear_cpu <= equal
-
     def test_latency_only_weight_prefers_poll_everywhere(self, model):
-        assert model.best_mode(64 << 20,
-                               cpu_weight=0.0) is CompletionMode.POLL
+        costs = model.costs(64 << 20).values()
+        assert min(costs, key=lambda c: c.latency_seconds).mode \
+            is CompletionMode.POLL
 
     def test_weighted_cost_formula(self, model):
         cost = model.costs(65536)[CompletionMode.WAIT]
-        assert cost.weighted_cost(2.0) == pytest.approx(
-            cost.latency_seconds + 2.0 * cost.cpu_burn_seconds)
+        assert cost.weighted_cost() == pytest.approx(
+            cost.latency_seconds + cost.cpu_burn_seconds)
 
     def test_z15_sync_path_still_modelable(self):
         """The model runs for z15 too (its DFLTCC path is effectively

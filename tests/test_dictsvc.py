@@ -20,6 +20,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.backend import backend_capabilities
+from repro.deflate.constants import WINDOW_SIZE
 from repro.dictsvc import DictionaryRegistry, ResultCache, result_key
 from repro.dictsvc.cache import _Claim
 from repro.errors import ConfigError
@@ -377,12 +378,10 @@ class TestRegistry:
             registry.load_bundle(str(wrong))
 
     def test_priming_bounded_by_window(self) -> None:
-        registry = DictionaryRegistry(seed=3, priming_bytes=1024)
+        registry = DictionaryRegistry(seed=3)
         _feed(registry, "t", seed=9)
         for dictionary in registry.train("t"):
-            assert len(dictionary.priming) <= 1024
-        with pytest.raises(ConfigError):
-            DictionaryRegistry(priming_bytes=40000)
+            assert 0 < len(dictionary.priming) <= WINDOW_SIZE
 
 
 # -- the cache mounted in the service -----------------------------------------

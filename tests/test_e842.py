@@ -13,7 +13,7 @@ from repro.e842.codec import (
     decompress,
     template_cost_bits,
 )
-from repro.e842.engine import Engine842, Engine842Params
+from repro.e842.engine import PIPELINE_FILL_CYCLES, Engine842
 from repro.workloads.generators import generate
 
 
@@ -128,9 +128,8 @@ class TestVsGzip:
 
 class TestEngine:
     def test_cycles_track_width(self):
-        engine = Engine842(Engine842Params(bytes_per_cycle=8))
-        result = engine.compress(bytes(8000))
-        assert result.cycles == engine.params.pipeline_fill_cycles + 1000
+        result = Engine842().compress(bytes(8000))  # 8 bytes a cycle
+        assert result.cycles == PIPELINE_FILL_CYCLES + 1000
 
     def test_decompress_roundtrip(self):
         engine = Engine842()

@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
 
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9
-from repro.obs.flight import FLIGHT, FlightRecorder
+from repro.obs.flight import DEFAULT_CAPACITY, FLIGHT, FlightRecorder
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.sysstack.crb import Op
 from repro.sysstack.driver import NxDriver
 from repro.sysstack.mmu import AddressSpace
 from repro.workloads.generators import generate
 
+# The module itself: ``repro.obs.flight`` the attribute is its accessor.
+flight = importlib.import_module("repro.obs.flight")
+
 
 class TestRing:
     def test_record_and_snapshot(self):
-        rec = FlightRecorder(capacity=16)
+        rec = FlightRecorder()
         rec.record("api.compress", nbytes=100)
         rec.record("pool.rescue", kind="retry")
         snap = rec.snapshot()
@@ -30,14 +34,16 @@ class TestRing:
         assert snap[1]["f_kind"] == "retry"
 
     def test_ring_is_bounded_at_capacity(self):
-        rec = FlightRecorder(capacity=8)
-        for i in range(100):
+        rec = FlightRecorder()
+        for i in range(DEFAULT_CAPACITY + 92):
             rec.record("tick", i=i)
-        assert len(rec) == 8
-        assert [r["i"] for r in rec.snapshot()] == list(range(92, 100))
+        assert len(rec) == DEFAULT_CAPACITY
+        assert [r["i"] for r in rec.snapshot()][-8:] == \
+            list(range(DEFAULT_CAPACITY + 84, DEFAULT_CAPACITY + 92))
+        assert rec.snapshot()[0]["i"] == 92
 
     def test_disable_stops_recording(self):
-        rec = FlightRecorder(capacity=8)
+        rec = FlightRecorder()
         rec.disable()
         rec.record("tick")
         assert len(rec) == 0
@@ -47,7 +53,7 @@ class TestRing:
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT", "0")
-        rec = FlightRecorder(capacity=8)
+        rec = FlightRecorder()
         assert not rec.enabled
         rec.record("tick")
         assert len(rec) == 0
@@ -55,13 +61,13 @@ class TestRing:
 
 class TestDump:
     def test_dump_writes_ring_and_detail(self, tmp_path):
-        rec = FlightRecorder(capacity=8)
+        rec = FlightRecorder()
         rec.record("engine.run", chip=0)
         path = rec.dump("verify_failure", path=tmp_path / "d.json",
                         chip=0, err=ValueError("boom"))
         doc = json.loads(open(path).read())
         assert doc["reason"] == "verify_failure"
-        assert doc["capacity"] == 8
+        assert doc["capacity"] == DEFAULT_CAPACITY
         assert [r["kind"] for r in doc["records"]] == ["engine.run"]
         assert doc["detail"]["chip"] == 0
         assert "boom" in doc["detail"]["err"]  # repr'd, stays JSON-able
@@ -70,8 +76,8 @@ class TestDump:
     def test_auto_dump_throttles_interval_and_cap(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        rec = FlightRecorder(capacity=8, min_dump_interval_s=3600.0,
-                             max_dumps=8)
+        monkeypatch.setattr(flight, "MIN_DUMP_INTERVAL_S", 3600.0)
+        rec = FlightRecorder()
         assert rec.auto_dump("breaker_open", chip=1) is not None
         # Second dump inside the interval is suppressed but still
         # recorded in the ring for a later dump to pick up.
@@ -83,14 +89,15 @@ class TestDump:
 
     def test_auto_dump_per_process_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        rec = FlightRecorder(capacity=8, min_dump_interval_s=0.0,
-                             max_dumps=2)
+        monkeypatch.setattr(flight, "MIN_DUMP_INTERVAL_S", 0.0)
+        monkeypatch.setattr(flight, "MAX_DUMPS_PER_PROCESS", 2)
+        rec = FlightRecorder()
         written = [rec.auto_dump("fault_x_y", i=i) for i in range(5)]
         assert sum(1 for p in written if p) == 2
         assert rec.dumps_suppressed == 3
 
     def test_dump_never_raises_on_bad_dir(self, tmp_path):
-        rec = FlightRecorder(capacity=8)
+        rec = FlightRecorder()
         path = rec.dump("x", path=tmp_path / "no" / "such" / "dir.json")
         assert path is None
         assert rec.dumps_suppressed == 1
@@ -131,7 +138,7 @@ class TestFaultCapture:
 
     def test_global_recorder_default_on(self):
         assert isinstance(FLIGHT, FlightRecorder)
-        assert FLIGHT.capacity >= 1024
+        assert DEFAULT_CAPACITY >= 1024
 
 
 if __name__ == "__main__":

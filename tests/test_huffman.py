@@ -252,12 +252,6 @@ class TestEncoderDecoder:
         r = BitReader(bytes([0b0]))
         assert dec.decode(r) == 1
 
-    def test_cost_reports_lengths(self):
-        enc = HuffmanEncoder([3, 0, 2])
-        assert enc.cost(0) == 3
-        assert enc.cost(1) == 0
-        assert enc.cost(2) == 2
-
     @given(st.lists(st.integers(min_value=0, max_value=500),
                     min_size=2, max_size=48).filter(
                         lambda f: sum(1 for x in f if x) >= 2),

@@ -26,11 +26,11 @@ class TestAllocation:
         assert space.read(va, 11) == b"hello world"
 
     def test_cross_page_write_read(self):
-        space = AddressSpace(page_size=4096)
-        va = space.alloc(3 * 4096)
-        data = bytes(range(256)) * 40  # 10240 bytes across 3 pages
-        space.write(va + 100, data)
-        assert space.read(va + 100, len(data)) == data
+        space = AddressSpace()
+        va = space.alloc(3 * PAGE_SIZE)
+        data = bytes(range(256)) * 40  # 10240 bytes across 2 pages
+        space.write(va + PAGE_SIZE - 100, data)
+        assert space.read(va + PAGE_SIZE - 100, len(data)) == data
 
     def test_unmapped_access_faults(self):
         space = AddressSpace()
@@ -66,9 +66,9 @@ class TestResidency:
 
 class TestTranslation:
     def test_counts(self):
-        space = AddressSpace(page_size=4096)
-        va = space.alloc(3 * 4096)
-        space.translate_range(va, 3 * 4096, is_write=False)
+        space = AddressSpace()
+        va = space.alloc(3 * PAGE_SIZE)
+        space.translate_range(va, 3 * PAGE_SIZE, is_write=False)
         assert space.translations == 3
         assert space.faults == 0
 

@@ -30,10 +30,6 @@ class TestCsvTable:
         first = data.split(b"\n", 1)[0]
         assert first.startswith(b"col0,col1")
 
-    def test_column_count_configurable(self):
-        data = csv_table(2000, seed=1, columns=5)
-        first = data.split(b"\n", 1)[0]
-        assert first.count(b",") == 4
 
     def test_compresses_well(self):
         data = generate("csv_table", 30000, seed=3)

@@ -16,7 +16,7 @@ from repro import obs
 from repro.cli import main, render_top
 from repro.deflate.inflate import inflate
 from repro.obs.context import TraceContext
-from repro.obs.flight import FLIGHT
+from repro.obs.flight import DEFAULT_CAPACITY, FLIGHT
 from repro.obs.http import OpsServer
 from repro.obs.trace import TRACE
 from repro.service import ServiceClient
@@ -126,7 +126,7 @@ class TestEndpoints:
             doc = json.loads(body)
             assert status == 200
             assert doc["enabled"] is True
-            assert doc["capacity"] == FLIGHT.capacity
+            assert doc["capacity"] == DEFAULT_CAPACITY
             assert any(r["kind"] == "service.ok"
                        for r in doc["records"])
         finally:

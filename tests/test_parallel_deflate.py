@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -32,14 +31,6 @@ def test_identical_bytes_for_every_worker_count(corpus):
     outs = [parallel_deflate(corpus, level=6, chunk_size=CHUNK,
                              workers=w).data for w in (1, 2, 4)]
     assert outs[0] == outs[1] == outs[2]
-
-
-def test_caller_owned_executor(corpus):
-    serial = parallel_deflate(corpus, level=6, chunk_size=CHUNK, workers=1)
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        pooled = parallel_deflate(corpus, level=6, chunk_size=CHUNK,
-                                  executor=pool)
-    assert pooled.data == serial.data
 
 
 def test_empty_and_tiny_inputs():

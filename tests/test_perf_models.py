@@ -133,12 +133,6 @@ class TestSystemModel:
         assert series[7].accelerator_gbps == pytest.approx(
             8 * series[0].accelerator_gbps)
 
-    def test_utilization_scales(self):
-        full = SystemModel(Topology(machine=POWER9), utilization=1.0)
-        half = SystemModel(Topology(machine=POWER9), utilization=0.5)
-        assert half.aggregate_accelerator_gbps() == pytest.approx(
-            0.5 * full.aggregate_accelerator_gbps())
-
 
 class TestEnergyModel:
     def test_area_fraction_below_half_percent(self):

@@ -27,7 +27,7 @@ class TestLineChart:
         """A strictly rising series never has a later point drawn on a
         lower row than an earlier one."""
         pts = [(x, x * x) for x in range(1, 9)]
-        chart = line_chart({"sq": pts}, width=40, height=10)
+        chart = line_chart({"sq": pts})
         rows = [line for line in chart.splitlines() if "|" in line]
         positions = []
         for row_idx, row in enumerate(rows):
@@ -52,11 +52,11 @@ class TestBarChart:
         assert bar_chart({}) == "(no data)"
 
     def test_longest_bar_is_max(self):
-        chart = bar_chart({"small": 1.0, "big": 4.0}, width=40)
+        chart = bar_chart({"small": 1.0, "big": 8.0})
         lines = {line.split("|")[0].strip(): line.count("#")
                  for line in chart.splitlines() if "|" in line}
-        assert lines["big"] == 40
-        assert lines["small"] == 10
+        assert lines["big"] == 50
+        assert lines["small"] == 6
 
     def test_values_printed(self):
         chart = bar_chart({"x": 3.25}, unit=" GB/s")

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import VasError
 from repro.nx.params import POWER9
 from repro.perf.queueing import AcceleratorQueue, Source
-from repro.sysstack.vas import Vas
+from repro.sysstack.vas import RX_FIFO_DEPTH, STARVATION_BOUND, Vas
 
 from .test_vas import make_crb
 
@@ -30,28 +30,28 @@ class TestVasPriority:
         assert vas.pop_request().window_id == normal.window_id
 
     def test_anti_starvation(self):
-        vas = Vas(starvation_bound=2, default_credits=64)
+        vas = Vas()
         high = vas.open_window(priority="high", credits=64)
         normal = vas.open_window(credits=64)
         vas.paste(normal.window_id, make_crb(99))
-        for seq in range(6):
+        for seq in range(STARVATION_BOUND + 2):
             vas.paste(high.window_id, make_crb(seq))
-        # Two high grants, then the normal one must get through.
-        order = [vas.pop_request().window_id for _ in range(4)]
-        assert order[0] == high.window_id
-        assert order[1] == high.window_id
-        assert order[2] == normal.window_id
-        assert order[3] == high.window_id
+        # STARVATION_BOUND high grants, then the normal one gets through.
+        order = [vas.pop_request().window_id
+                 for _ in range(STARVATION_BOUND + 2)]
+        assert order == [high.window_id] * STARVATION_BOUND \
+            + [normal.window_id, high.window_id]
 
     def test_bad_priority_rejected(self):
         with pytest.raises(VasError):
             Vas().open_window(priority="urgent")
 
     def test_fifo_depths_independent(self):
-        vas = Vas(rx_fifo_depth=1, default_credits=8)
+        vas = Vas()
         high = vas.open_window(priority="high")
-        normal = vas.open_window()
-        assert vas.paste(normal.window_id, make_crb(0))
+        normal = vas.open_window(credits=RX_FIFO_DEPTH + 1)
+        for seq in range(RX_FIFO_DEPTH):
+            assert vas.paste(normal.window_id, make_crb(seq))
         assert vas.paste(high.window_id, make_crb(1))  # own FIFO
         assert not vas.paste(normal.window_id, make_crb(2))
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.backend.pool import SATURATION_DEPTH
 from repro.nx.params import POWER9
-from repro.perf.queueing import AcceleratorQueue, Source, load_sweep
-from repro.workloads.traces import bimodal_size
+from repro.perf.queueing import (AcceleratorQueue, Source, bimodal_size,
+                                  load_sweep)
 
 
 def make_sim(seed=7, **kwargs):
@@ -50,12 +50,14 @@ class TestOpenLoop:
         assert results[0][1].throughput_gbps <= capacity_gbps * 1.05
 
     def test_two_engines_double_capacity(self):
-        one = load_sweep(POWER9, loads=[1.5], clients=8,
-                         duration_s=0.1, engines=1)[0][1]
-        two = load_sweep(POWER9, loads=[1.5], clients=8,
-                         duration_s=0.1, engines=2)[0][1]
+        def overloaded(engines: int):
+            model = AcceleratorQueue(POWER9, engines=engines, seed=42)
+            rate = 1.5 * engines / model.service_seconds(65536) / 8
+            return model.run_open([Source(rate, 65536)] * 8, 0.1)
+
         # Same offered load per engine; two engines finish ~2x the bytes.
-        assert two.throughput_gbps > 1.6 * one.throughput_gbps
+        assert overloaded(2).throughput_gbps \
+            > 1.6 * overloaded(1).throughput_gbps
 
     def test_deterministic_given_seed(self):
         a = make_sim(seed=5).run_open(clients(300, 4), 0.05)

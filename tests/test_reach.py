@@ -1,11 +1,11 @@
-"""The reachability census: the tree has no unreached public name, and
-the walk's rules hold on small synthetic trees."""
+"""The reachability census: the tree has no unreached public name and
+no unset knob, and the walk's rules hold on small synthetic trees."""
 
 from __future__ import annotations
 
 import textwrap
 
-from tools.reach import ALLOW, census, main
+from tools.reach import ALLOW, ALLOW_KNOBS, census, main
 
 CLI = """
     from .lib import serve
@@ -15,7 +15,7 @@ CLI = """
 
     _COMMANDS = {"run": cmd_run}
 
-    def main(argv=None):
+    def main(argv):
         return _COMMANDS["run"](argv)
 """
 
@@ -48,12 +48,111 @@ def tree(tmp_path, files: dict[str, str]):
     return tmp_path
 
 
+KNOBS = """
+    from dataclasses import dataclass
+
+    def by_keyword(data, level=6):
+        return data, level
+
+    def by_position(data, level=6):
+        return data, level
+
+    def tested_only(data, level=6):
+        return data, level
+
+    def make_backend(machine="p9", credits=16):
+        return machine, credits
+
+    class Pool:
+        def __init__(self, chips=1, **backend_kwargs):
+            self.backend = make_backend(**backend_kwargs)
+
+    @dataclass
+    class Config:
+        depth: int = 4
+        count: int = 0
+
+    def bump(config):
+        config.count += 1
+"""
+
+DEMO = """
+    from repro.knobs import (Config, Pool, bump, by_keyword, by_position,
+                             tested_only)
+
+    by_keyword(b"", level=9)
+    by_position(b"", 9)
+    Pool(credits=8)
+    bump(Config())
+    tested_only(b"")
+"""
+
+
+def knob_tree(tmp_path):
+    return tree(tmp_path, {
+        "src/repro/knobs.py": KNOBS, "examples/demo.py": DEMO,
+        "tests/test_knobs.py": """
+            from repro.knobs import tested_only
+
+            def test_it():
+                assert tested_only(b"", level=1)[1] == 1
+        """})
+
+
 def test_every_public_name_is_reached_or_allow_listed(capsys):
+    """Every knob, too: set by a root or allow-listed."""
     assert main() == 0
     out, err = capsys.readouterr()
     assert err == ""
-    for name, reason in ALLOW.items():
+    for name, reason in {**ALLOW, **ALLOW_KNOBS}.items():
         assert f"  {name}: {reason}\n" in out
+    assert " knobs: " in out and ", 0 unset\n" in out
+
+
+def test_a_knob_only_a_unit_test_sets_is_reported(tmp_path):
+    result = census(knob_tree(tmp_path), allow={}, allow_knobs={})
+    assert "repro.knobs.tested_only(level=)" in result.unset
+    assert "unset knob: repro.knobs.tested_only(level=)" in result.problems
+
+
+def test_a_knob_a_root_passes_is_set(tmp_path):
+    result = census(knob_tree(tmp_path), allow={}, allow_knobs={})
+    demo = {"example:demo"}
+    assert result.knobs["repro.knobs.by_keyword(level=)"] == demo
+    assert result.knobs["repro.knobs.by_position(level=)"] == demo
+    # Pool(credits=) reaches make_backend through Pool's **backend_kwargs.
+    assert result.knobs["repro.knobs.make_backend(credits=)"] == demo
+    assert set(result.unset) >= {"repro.knobs.make_backend(machine=)",
+                                 "repro.knobs.Pool(chips=)",
+                                 "repro.knobs.Config(depth=)"}
+
+
+def test_a_dataclass_field_the_code_writes_is_not_a_knob(tmp_path):
+    result = census(knob_tree(tmp_path), allow={}, allow_knobs={})
+    assert "repro.knobs.Config(depth=)" in result.knobs
+    assert "repro.knobs.Config(count=)" not in result.knobs
+
+
+def test_a_knob_allow_list_entry_with_no_reason_fails(tmp_path):
+    result = census(knob_tree(tmp_path), allow={}, allow_knobs={
+        "repro.knobs.tested_only(level=)": " "})
+    assert "knob allow-list entry repro.knobs.tested_only(level=) gives " \
+        "no reason" in result.problems
+    assert "repro.knobs.tested_only(level=)" not in result.unset
+
+
+def test_a_knob_allow_list_entry_for_a_missing_knob_fails(tmp_path):
+    result = census(knob_tree(tmp_path), allow={}, allow_knobs={
+        "repro.knobs.by_keyword(gone=)": "reason"})
+    assert "knob allow-list entry repro.knobs.by_keyword(gone=) names " \
+        "nothing" in result.problems
+
+
+def test_a_knob_allow_list_entry_for_a_set_knob_fails(tmp_path):
+    result = census(knob_tree(tmp_path), allow={}, allow_knobs={
+        "repro.knobs.by_keyword(level=)": "reason"})
+    assert "knob allow-list entry repro.knobs.by_keyword(level=) is set " \
+        "from example:demo" in result.problems
 
 
 def test_a_name_only_a_unit_test_calls_is_reported(tmp_path):
@@ -109,7 +208,8 @@ def test_an_allow_listed_class_keeps_the_methods_reached_code_reads(tmp_path):
     result = census(tree(tmp_path, files), allow=allow)
     assert result.unreached == ["repro.lib.Thing.never_read"]
     result = census(tree(tmp_path, files), allow={
-        **allow, "repro.lib.Thing.never_read": "kept for a reason"})
+        **allow, "repro.lib.Thing.never_read": "kept for a reason"},
+        allow_knobs={})
     assert result.problems == []
 
 

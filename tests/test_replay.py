@@ -4,6 +4,10 @@ import pytest
 
 from repro.nx.params import POWER9
 from repro.workloads.replay import (
+    BULK_BYTES,
+    BULK_END_FRAC,
+    BULK_START_FRAC,
+    REQUEST_BYTES,
     DiurnalSpec,
     TracePoint,
     diurnal_trace,
@@ -29,16 +33,16 @@ class TestDiurnalTrace:
 
     def test_bulk_window_present(self, small_spec):
         trace = diurnal_trace(small_spec)
-        bulk = [p for p in trace if p.size_bytes == small_spec.bulk_bytes]
+        bulk = [p for p in trace if p.size_bytes == BULK_BYTES]
         assert bulk
-        lo = small_spec.bulk_start_frac * small_spec.duration_s
-        hi = small_spec.bulk_end_frac * small_spec.duration_s
+        lo = BULK_START_FRAC * small_spec.duration_s
+        hi = BULK_END_FRAC * small_spec.duration_s
         assert all(lo <= p.time_s <= hi for p in bulk)
 
     def test_sinusoidal_modulation(self, small_spec):
         """First half (rising sine) carries more RPCs than second half."""
         trace = [p for p in diurnal_trace(small_spec)
-                 if p.size_bytes == small_spec.request_bytes]
+                 if p.size_bytes == REQUEST_BYTES]
         half = small_spec.duration_s / 2
         first = sum(1 for p in trace if p.time_s < half)
         second = len(trace) - first

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.nx.params import POWER9, Topology
+from repro.perf import queueing
 from repro.perf.queueing import AcceleratorQueue, policy_comparison
 
 
@@ -12,9 +13,9 @@ def topo(chips=4):
 
 
 def route(chips, per_chip_load, duration_s, policy="local", seed=42,
-          penalty_us=0.5, size=262144):
+          size=262144):
     model = AcceleratorQueue(POWER9, engines=chips, policy=policy,
-                             cross_chip_penalty_us=penalty_us, seed=seed)
+                             seed=seed)
     return model.run_loads(per_chip_load, duration_s, size)
 
 
@@ -55,16 +56,15 @@ class TestPolicies:
 
     def test_least_loaded_beats_local_under_imbalance(self):
         results = policy_comparison(topo(4), [1.6, 0.1, 0.1, 0.1],
-                                    duration_s=0.15, seed=3)
+                                    duration_s=0.15)
         assert (results["least_loaded"].mean_latency
                 < results["local"].mean_latency)
 
-    def test_remote_jobs_pay_penalty(self):
+    def test_remote_jobs_pay_penalty(self, monkeypatch):
         """With an exaggerated fabric penalty, round-robin's remote hops
         dominate the latency difference under light balanced load."""
-        local = route(4, [0.2] * 4, 0.1, policy="local", seed=5,
-                      penalty_us=50.0)
-        rr = route(4, [0.2] * 4, 0.1, policy="round_robin", seed=5,
-                   penalty_us=50.0)
+        monkeypatch.setattr(queueing, "CROSS_CHIP_PENALTY_US", 50.0)
+        local = route(4, [0.2] * 4, 0.1, policy="local", seed=5)
+        rr = route(4, [0.2] * 4, 0.1, policy="round_robin", seed=5)
         assert rr.remote_fraction > 0.5
         assert rr.mean_latency > local.mean_latency

@@ -143,11 +143,6 @@ class TestCorruption:
         with pytest.raises(SeekIndexError):
             read_range(blob[:-1], 0, 10, index=index)
 
-    def test_mismatched_fmt_rejected(self, archive):
-        blob, _, index = archive
-        with pytest.raises(SeekIndexError):
-            read_range(blob, 0, 10, index=index, fmt="zlib")
-
 
 class TestReadRange:
     @pytest.mark.parametrize("kind", ["markov_text", "json_records",

@@ -13,6 +13,7 @@ trace + metrics snapshot describing the whole run.
 from __future__ import annotations
 
 import gzip
+import importlib
 import json
 import threading
 import time
@@ -28,6 +29,9 @@ from repro.service import (CompressionService, QosClass, QosPolicy,
 from repro.service.protocol import (ProtocolError, recv_message,
                                     send_message)
 from repro.workloads.generators import generate
+
+# The module: its starvation bound is what a test shrinks.
+qos = importlib.import_module("repro.service.qos")
 
 
 @pytest.fixture()
@@ -180,17 +184,6 @@ class TestBatching:
             result = svc.compress(b"q" * 5000)
             assert result.batch_size <= max(depth, 1)
 
-    def test_batching_disabled_still_serves(self):
-        with CompressionService(chips=1, batching=False,
-                                qos=small_policy(8)) as svc:
-            data = b"v" * 20000
-            tickets = [svc.submit("compress", data, qos="bulk")
-                       for _ in range(4)]
-            for ticket in tickets:
-                result = ticket.wait(30)
-                assert gzip.decompress(result.output) == data
-                assert result.batch_size == 1
-
 
 class TestDispatchWindow:
     """The dispatcher keeps a window of jobs in flight on exec workers.
@@ -253,10 +246,12 @@ class TestDispatchWindow:
         assert [gzip.decompress(r.output) for r in results] == payloads
         assert [r.batch_size for r in results] == [1, 2]
 
-    def test_interactive_takes_next_free_slot(self, fleet, serve_on):
+    def test_interactive_takes_next_free_slot(self, fleet, serve_on,
+                                              monkeypatch):
         """High FIFO first at every free slot; the starvation bound
         still forces a normal pick while high work keeps waiting."""
-        svc = serve_on(starvation_bound=2)
+        monkeypatch.setattr(qos, "DEFAULT_STARVATION_BOUND", 2)
+        svc = serve_on()
         order: list[bytes] = []
         real_submit = svc.pool.submit_compress
 
@@ -367,7 +362,7 @@ class TestLifecycle:
                                           qos="bulk"))
             except ServiceOverloaded:
                 break
-        svc.close(drain=False, timeout_s=10)
+        svc.close(drain=False)
         outcomes = {"ok": 0, "closed": 0}
         for ticket in tickets:
             try:
@@ -390,12 +385,22 @@ class TestLifecycle:
         assert pool.compress(b"e" * 1000).output
         pool.close()
 
+    def test_pool_arguments_with_a_pool_are_refused(self):
+        """A service over a given pool takes that pool as it is: pool
+        arguments beside it would be silently dropped, so they fail."""
+        with AcceleratorPool(chips=1, backend="software") as pool:
+            with pytest.raises(ConfigError, match="chips, exec_workers, "
+                               "verify given with a pool"):
+                CompressionService(pool, verify=True, chips=4,
+                                   exec_workers=2)
+            assert pool.verify is False and pool.chips == 1
+
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_dead_dispatcher_fails_its_tickets(self, monkeypatch):
         """A dispatcher that exits abnormally strands nobody: flying and
         queued requests fail at once, later ones are refused."""
-        svc = CompressionService(chips=1, batching=False)
+        svc = CompressionService(chips=1)
         started, release = gate_submits(svc.pool)
         boom = RuntimeError("reap blew up")
 
@@ -498,12 +503,13 @@ class TestTimingBreakdown:
 
 class TestQosScheduling:
     def test_high_fifo_preferred(self):
-        policy = QosPolicy(starvation_bound=8)
+        policy = QosPolicy()
         picked = policy.pick({"interactive": 3, "bulk": 3})
         assert picked.name == "interactive"
 
-    def test_starvation_bound_forces_normal(self):
-        policy = QosPolicy(starvation_bound=3)
+    def test_starvation_bound_forces_normal(self, monkeypatch):
+        monkeypatch.setattr(qos, "DEFAULT_STARVATION_BOUND", 3)
+        policy = QosPolicy()
         picks = [policy.pick({"interactive": 1, "bulk": 1}).name
                  for _ in range(8)]
         assert "bulk" in picks, f"normal FIFO starved: {picks}"
@@ -702,7 +708,8 @@ class TestAcceptanceLoad:
                         f"uncontended {quiet_p99:.4f}s")
 
             # The whole run is visible as telemetry: spans + metrics.
-            spans = obs.tracer().finished("service.request")
+            spans = [s for s in obs.tracer().finished()
+                     if s.name == "service.request"]
             assert len(spans) >= len(accepted)
             trace_path = obs.export_chrome_trace(
                 tmp_path / "e20.trace.json")

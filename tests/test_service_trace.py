@@ -119,9 +119,9 @@ class TestFoldExactlyOnce:
             (value,) = pool.run_batch(
                 [(PROBE_FN,
                   {"marker": str(tmp_path / "latch"), "value": 42})],
-                crash_retries=2, timeout_s=120.0, metrics=True)
+                timeout_s=120.0, metrics=True)
             assert value == 42
-            jobs = TRACE.finished("worker.job")
+            jobs = [s for s in TRACE.finished() if s.name == "worker.job"]
             assert len(jobs) == 1, \
                 f"expected one folded worker.job, got {len(jobs)}"
             counter = obs.registry().get("repro_exec_probe_calls_total")

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.nx.params import POWER9, Z15
-from repro.workloads.spark import SparkJobModel, Stage, tpcds_like_profile
-from repro.workloads.spark_sim import ClusterSpec, SparkDagSim
+from repro.workloads.spark import (TASKS_PER_CORE, ClusterSpec, SparkDagSim,
+                                   SparkJobModel, Stage, tpcds_like_profile)
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,7 @@ class TestScheduling:
         stages = tpcds_like_profile()
         outcome = sim.run(stages, offload=True)
         expected = len(stages) * sim.cluster.total_cores \
-            * sim.cluster.tasks_per_stage_per_core
+            * TASKS_PER_CORE
         assert outcome.tasks_run == expected
 
     def test_offload_beats_software(self, sim):
@@ -48,14 +48,12 @@ class TestCrossValidation:
     def test_matches_analytic_model(self, sim):
         """The DES makespan ratio lands within a few percent of the
         Amdahl-composed analytic speedup — the E6 cross-check."""
-        analytic = SparkJobModel(machine=POWER9,
-                                 executor_cores=40).run().speedup
+        analytic = SparkJobModel(machine=POWER9).run().speedup
         simulated = sim.speedup()
         assert simulated == pytest.approx(analytic, rel=0.05)
 
     def test_software_makespan_matches_analytic(self, sim):
-        analytic = SparkJobModel(machine=POWER9,
-                                 executor_cores=40).run()
+        analytic = SparkJobModel(machine=POWER9).run()
         sw = sim.run(offload=False)
         assert sw.makespan_seconds == pytest.approx(
             analytic.software_seconds, rel=0.05)

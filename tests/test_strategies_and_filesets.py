@@ -16,12 +16,8 @@ from repro.deflate.containers import (
 from repro.deflate.inflate import inflate
 from repro.deflate.matcher import tokenize_huffman_only, tokenize_rle
 from repro.errors import DeflateError
-from repro.workloads.filesets import (
-    FileSetSpec,
-    by_extension,
-    make_fileset,
-    total_bytes,
-)
+from repro.workloads.filesets import (MAX_BYTES, MIN_BYTES, FileSetSpec,
+                                     make_fileset, total_bytes)
 from repro.workloads.generators import generate
 
 
@@ -138,25 +134,17 @@ class TestFilesets:
         assert a != b
 
     def test_file_count_and_bounds(self):
-        spec = FileSetSpec(files=30, min_bytes=512, max_bytes=65536,
-                           seed=1)
-        fileset = make_fileset(spec)
+        fileset = make_fileset(FileSetSpec(files=30, seed=1))
         assert len(fileset) == 30
-        assert all(512 <= len(v) <= 65536 for v in fileset.values())
+        assert all(MIN_BYTES <= len(v) <= MAX_BYTES
+                   for v in fileset.values())
 
     def test_total_bytes(self):
         fileset = make_fileset(FileSetSpec(files=5, seed=2))
         assert total_bytes(fileset) == sum(len(v)
                                            for v in fileset.values())
 
-    def test_by_extension_partitions(self):
-        fileset = make_fileset(FileSetSpec(files=25, seed=5))
-        groups = by_extension(fileset)
-        assert sum(len(names) for names in groups.values()) == 25
-        for ext, names in groups.items():
-            assert all(name.endswith(ext) for name in names)
-
     def test_type_mix_present(self):
         fileset = make_fileset(FileSetSpec(files=80, seed=6))
-        groups = by_extension(fileset)
-        assert len(groups) >= 4  # a healthy mix at this size
+        extensions = {name[name.rfind("."):] for name in fileset}
+        assert len(extensions) >= 4  # a healthy mix at this size

@@ -141,14 +141,14 @@ class TestCompressStream:
     def test_stream_beats_independent_chunks(self, stream_data):
         """Window carry across chunks buys ratio vs. isolated requests."""
         with NxGzip("POWER9") as session:
-            stream = session.compress_stream(fmt="raw", strategy="dynamic")
+            stream = session.compress_stream(fmt="raw")
             wire = b""
             for chunk in chunked(stream_data, 8192):
                 wire += stream.write(chunk)
             wire += stream.finish()
         comp = NxCompressor(POWER9.engine)
         isolated = sum(
-            len(comp.compress(c, strategy=DhtStrategy.DYNAMIC).data)
+            len(comp.compress(c).data)
             for c in chunked(stream_data, 8192))
         assert len(wire) < isolated
 

@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 
 from repro.nx.params import POWER9, Z15
-from repro.perf.tco import FleetAssumptions, TcoModel
+from repro.perf.io_adapter import CARD_COST_USD
+from repro.perf.tco import (STORAGE_USD_PER_TB_MONTH, FleetAssumptions,
+                            TcoModel)
 
 
 @pytest.fixture
@@ -18,7 +20,7 @@ class TestStorageSavings:
         a = model.assumptions
         expected = (a.compressed_tb_per_day * 30
                     * (1 - 1 / a.compression_ratio)
-                    * a.storage_usd_per_tb_month)
+                    * STORAGE_USD_PER_TB_MONTH)
         assert model.storage_savings_usd_per_month() == pytest.approx(
             expected)
 
@@ -75,4 +77,4 @@ class TestAdapters:
             + rep.adapter_power_usd_per_month)
         assert rep.adapter_capex_usd == pytest.approx(
             rep.adapters_avoided
-            * model.assumptions.adapter.card_cost_usd)
+            * CARD_COST_USD)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import VasError
 from repro.sysstack.crb import Crb, FunctionCode, Op
 from repro.sysstack.dde import Dde
-from repro.sysstack.vas import Vas
+from repro.sysstack.vas import RX_FIFO_DEPTH, Vas
 
 
 def make_crb(seq: int = 0) -> Crb:
@@ -43,16 +43,16 @@ class TestWindows:
 
 class TestCredits:
     def test_paste_consumes_credit(self):
-        vas = Vas(default_credits=2)
-        w = vas.open_window()
+        vas = Vas()
+        w = vas.open_window(credits=2)
         assert vas.paste(w.window_id, make_crb(0))
         assert vas.paste(w.window_id, make_crb(1))
         assert not vas.paste(w.window_id, make_crb(2))  # out of credits
         assert w.pastes_rejected == 1
 
     def test_return_credit_allows_more(self):
-        vas = Vas(default_credits=1)
-        w = vas.open_window()
+        vas = Vas()
+        w = vas.open_window(credits=1)
         assert vas.paste(w.window_id, make_crb())
         vas.pop_request()
         vas.return_credit(w.window_id)
@@ -85,11 +85,11 @@ class TestFifo:
         assert seqs == [0, 1, 2, 3]
 
     def test_fifo_depth_backpressure(self):
-        vas = Vas(rx_fifo_depth=2, default_credits=10)
-        w = vas.open_window()
-        assert vas.paste(w.window_id, make_crb(0))
-        assert vas.paste(w.window_id, make_crb(1))
-        assert not vas.paste(w.window_id, make_crb(2))  # FIFO full
+        vas = Vas()
+        w = vas.open_window(credits=RX_FIFO_DEPTH + 1)
+        for seq in range(RX_FIFO_DEPTH):
+            assert vas.paste(w.window_id, make_crb(seq))
+        assert not vas.paste(w.window_id, make_crb())  # FIFO full
 
     def test_pop_empty_returns_none(self):
         assert Vas().pop_request() is None

@@ -10,12 +10,7 @@ from repro.workloads.generators import (
     generate,
     shannon_entropy_bits_per_byte,
 )
-from repro.workloads.traces import (
-    bimodal_size,
-    fixed_size,
-    lognormal_size,
-    standard_traces,
-)
+from repro.perf.queueing import bimodal_size
 
 
 class TestGenerators:
@@ -98,35 +93,12 @@ class TestCorpus:
 
 
 class TestTraces:
-    def test_fixed(self):
-        rng = random.Random(0)
-        assert fixed_size(4096)(rng) == 4096
-
-    def test_lognormal_bounds(self):
-        rng = random.Random(0)
-        sampler = lognormal_size(65536, sigma=2.0, min_bytes=1024,
-                                 max_bytes=1 << 20)
-        values = [sampler(rng) for _ in range(1000)]
-        assert all(1024 <= v <= 1 << 20 for v in values)
-
-    def test_lognormal_median_near_target(self):
-        rng = random.Random(1)
-        sampler = lognormal_size(65536, sigma=1.0)
-        values = sorted(sampler(rng) for _ in range(4001))
-        median = values[len(values) // 2]
-        assert 0.7 * 65536 < median < 1.4 * 65536
-
     def test_bimodal_fractions(self):
         rng = random.Random(2)
         sampler = bimodal_size(100, 1000, small_fraction=0.9)
         values = [sampler(rng) for _ in range(2000)]
         small = sum(1 for v in values if v == 100)
         assert 0.85 < small / len(values) < 0.95
-
-    def test_standard_traces_named(self):
-        names = [t.name for t in standard_traces()]
-        assert len(names) == len(set(names))
-        assert names
 
 
 class TestSpark:

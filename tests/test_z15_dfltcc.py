@@ -77,14 +77,6 @@ class TestCmpr:
         assert block.check_value == stdzlib.crc32(payload_200k)
         assert block.total_in == len(payload_200k)
 
-    def test_op1_full(self):
-        facility = Dfltcc()
-        block = ParameterBlock()
-        result = facility.compress(block, b"abc" * 1000, out_capacity=4)
-        assert result.cc is ConditionCode.OP1_FULL
-        assert result.consumed == 0
-        assert block.total_in == 0  # nothing committed
-
     def test_history_too_large_rejected(self):
         facility = Dfltcc()
         block = ParameterBlock(history=bytes(40000))
@@ -106,13 +98,12 @@ class TestGdht:
         assert block.dht_strategy is DhtStrategy.DYNAMIC
 
     def test_gdht_improves_ratio(self, payload_200k):
-        fixed_stream, _s, _i = dfltcc_compress(
-            payload_200k, strategy=DhtStrategy.FIXED)
+        fixed = Dfltcc().compress(ParameterBlock(), payload_200k)
         facility = Dfltcc()
         block = ParameterBlock()
         facility.generate_dht(block, payload_200k[:4096])
         result = facility.compress(block, payload_200k)
-        assert len(result.produced) < len(fixed_stream)
+        assert len(result.produced) < len(fixed.produced)
 
     def test_short_dht_sample_degrades_to_dynamic(self, payload_200k):
         """Regression: a sub-window sample must not drive the canned

@@ -433,7 +433,7 @@ def _e6() -> dict:
     """``benchmarks/bench_e6_spark_tpcds.py``'s DES cross-check: the
     CPU -> engine tandem keeps no job list, so its outcome is the pin."""
     from repro.nx.params import POWER9
-    from repro.workloads.spark_sim import ClusterSpec, SparkDagSim
+    from repro.workloads.spark import ClusterSpec, SparkDagSim
 
     sim = SparkDagSim(machine=POWER9,
                       cluster=ClusterSpec(nodes=4, cores_per_node=10))
