@@ -27,17 +27,17 @@ part — a shared accelerator fails *per request*, never per tenant):
   (:func:`~repro.nx.selftest.probe_backend`) before user jobs return;
 * every route a job can take — a synchronous call, an inline submit, a
   driver completion, an exec worker's result, a cancellation — ends in
-  :meth:`AcceleratorPool._settle`, which alone classifies the ending:
+  :meth:`AcceleratorPool._settle`, which reads the error's failure
+  class (:mod:`repro.errors` has the table):
 
-  - :class:`~repro.errors.DeadlineExceeded` — a late chip is a sick
-    chip, but the deadline is the caller's contract: breaker penalty,
-    no software rescue behind its back;
-  - any other :class:`~repro.errors.AcceleratorError`, or anything else
-    a worker raised that is not a library error — breaker penalty, and
-    the job is *rescued*: it reruns on the calling core as the request
-    it was (same window, same final bit);
-  - any other :class:`~repro.errors.ReproError` — the *input* is bad
-    and fails anywhere: no penalty, no rescue, that exact error;
+  - ``deadline`` — a late chip is a sick chip, but the deadline is the
+    caller's contract: breaker penalty, no software rescue behind its
+    back;
+  - ``chip`` — breaker penalty, and the job is *rescued*: it reruns on
+    the calling core as the request it was (same window, same final
+    bit);
+  - any other — the *input* is bad and fails anywhere: no penalty, no
+    rescue, that exact error;
 
 * ``verify=True`` re-inflates every final, history-less compressed
   payload and CRC-checks it before returning (verify-after-compress); a
@@ -55,8 +55,8 @@ import select
 import threading
 from dataclasses import dataclass, field
 
-from ..errors import (AcceleratorError, ConfigError, DeadlineExceeded,
-                      ExecError, ReproError)
+from ..errors import (AcceleratorError, ConfigError, ExecError, ReproError,
+                      failure_of)
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -415,20 +415,19 @@ class AcceleratorPool:
         if result is None and error is None:
             error = AcceleratorError(
                 "job resolved with neither result nor error")
+        failure = None if error is None else failure_of(error)
         if error is None:
             healthy = _hardware_clean(result)
-        elif (isinstance(error, ReproError)
-                and not isinstance(error, AcceleratorError)):
+        elif failure not in ("chip", "deadline"):
             job.error = error  # bad input: the chip did nothing wrong
             return
         else:
             self._note_health(chip, healthy=False)
-            late = isinstance(error, DeadlineExceeded)
-            if late:
+            if failure == "deadline":
                 _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
                                   kind=job.kind, chip=chip,
                                   nbytes=job.nbytes)
-            if late or chip == SOFTWARE:
+            if failure == "deadline" or chip == SOFTWARE:
                 job.error = error
                 return
             try:

@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 from ..deflate.constants import WINDOW_SIZE
 from ..deflate.containers import checksum, header, trailer
 from ..deflate.inflate_stream import InflateStream
-from ..errors import ReproError
-
-
-class StreamStateError(ReproError):
-    """The stream was used after finish() or out of order."""
+from ..errors import StreamStateError
 
 
 @dataclass

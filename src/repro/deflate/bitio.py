@@ -16,7 +16,7 @@ and write them back once per run.
 
 The reader's own methods test every field against the end of the input
 as it is read (``read_bits`` and ``skip_bits`` raise the one
-``"unexpected end of DEFLATE stream"``; a ``peek_bits`` past the end
+:class:`~repro.errors.InputTruncated`; a ``peek_bits`` past the end
 reads zero bits, which is why ``skip_bits`` must test).  The inflate
 block loop does not: while it holds the fields its refills run past the
 end (``pos`` beyond ``len(data)``, the missing bytes counted as zero
@@ -28,7 +28,7 @@ reader back — so ``bits_consumed``, ``align_to_byte`` and
 
 from __future__ import annotations
 
-from ..errors import DeflateError
+from ..errors import DeflateError, InputTruncated
 
 _LOW64 = (1 << 64) - 1
 
@@ -106,7 +106,7 @@ class BitReader:
         while bitcount < need:
             chunk = self._data[self._pos:self._pos + 8]
             if not chunk:
-                raise DeflateError("unexpected end of DEFLATE stream")
+                raise InputTruncated("unexpected end of DEFLATE stream")
             self._bitbuf |= int.from_bytes(chunk, "little") << bitcount
             self._pos += len(chunk)
             bitcount += len(chunk) << 3
@@ -121,7 +121,7 @@ class BitReader:
             self._pos += len(chunk)
             bitcount += len(chunk) << 3
             if bitcount < nbits:
-                raise DeflateError("unexpected end of DEFLATE stream")
+                raise InputTruncated("unexpected end of DEFLATE stream")
         value = self._bitbuf & ((1 << nbits) - 1)
         self._bitbuf >>= nbits
         self._bitcount = bitcount - nbits
@@ -149,7 +149,7 @@ class BitReader:
         the uniform end-of-stream one.
         """
         if nbits > self._bitcount:
-            raise DeflateError("unexpected end of DEFLATE stream")
+            raise InputTruncated("unexpected end of DEFLATE stream")
         self._bitbuf >>= nbits
         self._bitcount -= nbits
 
@@ -174,8 +174,8 @@ class BitReader:
             n -= buffered
         if n > 0:
             if self._pos + n > len(self._data):
-                raise DeflateError("unexpected end of DEFLATE stream "
-                                   "in stored data")
+                raise InputTruncated("unexpected end of DEFLATE stream "
+                                     "in stored data")
             out += self._data[self._pos:self._pos + n]
             self._pos += n
         return bytes(out)

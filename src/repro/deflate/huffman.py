@@ -35,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from operator import add
 
-from ..errors import DeflateError, HuffmanError
+from ..errors import HuffmanError, InputTruncated
 from .bitio import BitReader, BitWriter
 from .constants import (
     DIST_BASE,
@@ -287,7 +287,7 @@ class HuffmanDecoder:
         index = 0
         for length in range(1, self.max_length + 1):
             if length > bitcount:
-                raise DeflateError("unexpected end of DEFLATE stream")
+                raise InputTruncated("unexpected end of DEFLATE stream")
             code |= bitbuf & 1
             bitbuf >>= 1
             count = self.count[length]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import DeflateError, OutputOverflow
+from ..errors import DeflateError, InputTruncated, OutputOverflow
 from ..obs.trace import TRACE as _TRACE
 from .bitio import BitReader
 from .constants import (
@@ -109,7 +109,7 @@ def _read_dynamic_header(
         else:
             sym, nb = entry >> 4, entry & 15
             if nb > bitcount:
-                raise DeflateError("unexpected end of DEFLATE stream")
+                raise InputTruncated("unexpected end of DEFLATE stream")
         bitbuf >>= nb
         bitcount -= nb
         if sym < 16:
@@ -124,7 +124,7 @@ def _read_dynamic_header(
         else:
             nb, least, value = 7, 11, 0
         if nb > bitcount:
-            raise DeflateError("unexpected end of DEFLATE stream")
+            raise InputTruncated("unexpected end of DEFLATE stream")
         lengths.extend([value] * (least + (bitbuf & ((1 << nb) - 1))))
         bitbuf >>= nb
         bitcount -= nb
@@ -233,7 +233,7 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
                                    matches, match_bytes)
                         return False
                     if bitcount < (pos - nbytes) << 3:
-                        raise DeflateError("unexpected end of DEFLATE stream")
+                        raise InputTruncated("unexpected end of DEFLATE stream")
                 if len(out) > max_output:
                     raise OutputOverflow("output exceeds allowed size")
             entry = lit_table[bitbuf & root_mask]
@@ -276,7 +276,7 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
             if more:
                 room = -1
             elif bitcount < (pos - nbytes) << 3:
-                raise DeflateError("unexpected end of DEFLATE stream")
+                raise InputTruncated("unexpected end of DEFLATE stream")
         start = len(out) - dist
         if start < 0:
             raise DeflateError("back-reference before start of output")
@@ -324,8 +324,8 @@ def read_block_header(reader: BitReader) -> tuple[
     ``body`` is what decoding the rest of the block takes: the byte
     count of a stored block (its LEN/NLEN read and checked), the pair
     of decoders of a Huffman one.  Every field is tested against the
-    bits the input really holds, so a header that runs out says
-    ``"unexpected end of DEFLATE stream"`` and can be read again from
+    bits the input really holds, so a header that runs out raises
+    :class:`~repro.errors.InputTruncated` and can be read again from
     its first bit when there is more.
     """
     final = reader.read_bits(1)

@@ -19,7 +19,7 @@ few hundred bytes at most); *stored* data is copied as it arrives; a
 returns at a token boundary 16 bytes short of the end of the input
 instead of decoding zero padding.  Those last bytes are then decoded
 speculatively by the same loop in its one-shot form: kept if it reaches
-end-of-block, undone if it says "unexpected end" — which it tests
+end-of-block, undone if it raises ``InputTruncated`` — which it tests
 before anything else, so no other verdict can come from padding.  A
 complete stream is therefore complete on ``feed`` alone, and a peer
 that sends one message and waits for the answer is never held up by a
@@ -30,15 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DeflateError, OutputOverflow
+from ..errors import DeflateError, InputTruncated, OutputOverflow
 from .bitio import reader_at
 from .constants import BTYPE_STORED, WINDOW_SIZE
 from .inflate import InflateStats, _inflate_huffman_block, read_block_header
-
-
-def _ran_out(exc: DeflateError) -> bool:
-    """Did the decode stop for want of input, not for what it read?"""
-    return str(exc).startswith("unexpected end of DEFLATE stream")
 
 
 @dataclass
@@ -107,8 +102,8 @@ class InflateStream:
                     mark, size = reader.bits_consumed, len(out)
                     _inflate_huffman_block(reader, out, *body, self._stats,
                                            self._cap)
-            except DeflateError as exc:
-                if not (more and _ran_out(exc)):
+            except InputTruncated:
+                if not more:
                     raise
                 del out[size:]
                 reader = reader_at(data, mark)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..deflate.bitio import BitReader, BitWriter
-from ..errors import ReproError
+from ..errors import E842Error, E842Overflow
 
 CHUNK = 8
 
@@ -78,14 +78,6 @@ _ACTION_BYTES = {"D8": 8, "D4": 4, "D2": 2, "I8": 8, "I4": 4, "I2": 2}
 
 _REPEAT_BITS = 6
 _SHORT_BITS = 3
-
-
-class E842Error(ReproError):
-    """Malformed 842 stream."""
-
-
-class E842Overflow(E842Error):
-    """Decoded output exceeds the caller's buffer capacity."""
 
 
 def template_cost_bits(actions: tuple[str, ...]) -> int:

@@ -70,8 +70,8 @@ _BOOT = ("import sys; sys.path.insert(0, {src!r}); "
 class ExecJob:
     """Handle for one submitted job; resolved by the pool's drain."""
 
-    __slots__ = ("job_id", "fn", "done", "result", "error", "worker",
-                 "spans", "metrics", "span_parent", "task")
+    __slots__ = ("job_id", "fn", "done", "result", "error", "crashed",
+                 "worker", "spans", "metrics", "span_parent", "task")
 
     def __init__(self, job_id: int, fn: str, task: bytes,
                  span_parent: object = None) -> None:
@@ -80,6 +80,8 @@ class ExecJob:
         self.done = False
         self.result: object = None
         self.error: BaseException | None = None
+        #: Its worker died under it (``error`` is the WorkerCrash).
+        self.crashed = False
         #: The worker running it; None while it waits in the backlog.
         self.worker: int | None = None
         self.spans: list | None = None
@@ -87,10 +89,6 @@ class ExecJob:
         self.span_parent = span_parent
         #: The framed task, kept for a resubmission after a crash.
         self.task = task
-
-    @property
-    def crashed(self) -> bool:
-        return isinstance(self.error, WorkerCrash)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("done" if self.done and self.error is None
@@ -342,6 +340,7 @@ class ProcessWorkerPool:
             self._ensure_started()
             job.done = False
             job.error = None
+            job.crashed = False
             job.worker = None
             self._jobs[job.job_id] = job
             self.jobs_dispatched += 1
@@ -466,7 +465,7 @@ class ProcessWorkerPool:
                 f"worker {worker.worker_id} died (exit {exitcode}) while "
                 f"running job {job.job_id} ({job.fn})",
                 worker=worker.worker_id, exitcode=exitcode)
-            job.done = True
+            job.crashed = job.done = True
             self.jobs_completed += 1
             _FLIGHT.auto_dump("worker_crash", pool=self.name,
                               worker=worker.worker_id, exitcode=exitcode,

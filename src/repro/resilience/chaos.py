@@ -19,7 +19,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, DeadlineExceeded, ReproError
+from ..errors import ConfigError, ReproError, failure_of
 from ..nx.params import POWER9, MachineParams, get_machine
 from .faults import FaultInjector, FaultPlan, WorkerKiller, fault_factory
 from .health import HealthConfig
@@ -103,9 +103,9 @@ def default_plans(stack: str = "pool",
 class ScenarioResult:
     """What one scenario did to its stack — and whether it survived.
 
-    Every job is ``served``, ``shed`` (a retryable refusal) or ``lost``
-    (a non-retryable error, or a TCP client that gave up); fields a
-    stack has no such thing for stay zero.  On TCP, ``executions``,
+    Every job is ``served``, ``shed`` (an overload or a missed deadline)
+    or ``lost`` (any other error, or a TCP client that gave up); fields
+    a stack has no such thing for stay zero.  On TCP, ``executions``,
     ``stores`` and ``duplicate_stores`` (a double execution) reconcile
     exactly-once delivery; ``dedup_hits`` counts the replays it took.
     """
@@ -235,12 +235,13 @@ def run_campaign(stack: str = "pool", scenario: str | None = None, *,
 
 
 def _drive(result: ScenarioResult, clients: int, max_size: int, connect,
-           account, shed: tuple = ()) -> None:
+           account) -> None:
     """``clients`` threads send their shares of the seeded payloads.
 
     ``connect(worker)`` gives a client its ``request(data, qos)``;
     ``account(answer)`` runs under the result's lock per answer.  A
-    refusal of a ``shed`` type is shed; any other job is lost.
+    refusal whose failure class is ``overload`` or ``deadline`` is
+    shed; any other job is lost.
     """
     share = result.jobs // clients
     lock = threading.Lock()
@@ -257,12 +258,11 @@ def _drive(result: ScenarioResult, clients: int, max_size: int, connect,
             data = _payload(rng, worker * 1000 + i, max_size)
             try:
                 out = request(data, qos)
-            except shed:
-                with lock:
-                    result.shed += 1
-                continue
-            except ReproError:
-                continue  # lost
+            except ReproError as exc:
+                if failure_of(exc) in ("overload", "deadline"):
+                    with lock:
+                        result.shed += 1
+                continue  # else lost
             intact = _round_trips(out.output, data)
             with lock:
                 result.served += 1
@@ -286,7 +286,6 @@ def _run_pool(result, plans, chips, machine, max_size, clients,
     behind a live service shared by client threads (``service``), where
     every refusal must be an overload and the queues stay in bound."""
     from ..backend.pool import AcceleratorPool
-    from ..errors import ServiceOverloaded
     from ..service.core import CompressionService
     from ..service.qos import QosClass, QosPolicy
 
@@ -313,7 +312,7 @@ def _run_pool(result, plans, chips, machine, max_size, clients,
             _drive(result, 1, max_size,
                    lambda worker: lambda data, qos: pool.compress(
                        data, fmt="gzip"),
-                   account, (DeadlineExceeded,))
+                   account)
     else:
         result.queue_bound = 64
         service = CompressionService(pool, qos=QosPolicy((
@@ -331,7 +330,7 @@ def _run_pool(result, plans, chips, machine, max_size, clients,
                    lambda worker: lambda data, qos: service.request(
                        "compress", data, fmt="gzip", qos=qos,
                        timeout_s=60.0),
-                   account, (ServiceOverloaded,))
+                   account)
             stop.set()
             if exec_workers:
                 result.worker_restarts = pool._exec().worker_restarts

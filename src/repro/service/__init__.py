@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .client import (ClientResult, RemoteServiceError, RetryBudget,
-                         ServiceClient)
+    from .client import ClientResult, RetryBudget, ServiceClient
     from .core import (CompressionService, ServiceResult, ServiceStats,
                        ServiceTicket)
     from .idempotency import IdempotencyCache
@@ -48,7 +47,7 @@ if TYPE_CHECKING:
     from .server import CompressionServer, serve
 
 __all__ = lazy_exports(__name__, {
-    "client": "ClientResult RemoteServiceError RetryBudget ServiceClient",
+    "client": "ClientResult RetryBudget ServiceClient",
     "core": "CompressionService ServiceResult ServiceStats ServiceTicket",
     "idempotency": "IdempotencyCache",
     "protocol": "ProtocolError recv_message send_message",

@@ -39,8 +39,8 @@ import socket
 import threading
 import time
 
-from ..errors import (AcceleratorError, RetryBudgetExhausted, ServiceError,
-                      ServiceOverloaded, ServiceUnreachable)
+from ..errors import (RetryBudgetExhausted, ServiceOverloaded,
+                      ServiceUnreachable, from_wire)
 from ..obs.context import TraceContext
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -56,14 +56,6 @@ _BACKOFF_JITTER = 0.25
 #: Drop at most this many mismatched responses per call before giving
 #: up on the connection — a peer spraying stale frames is a dead peer.
 _MAX_STALE_DROPS = 16
-
-
-class RemoteServiceError(ServiceError):
-    """The server reported a non-retryable failure for this request."""
-
-    def __init__(self, message: str, error_type: str = "") -> None:
-        super().__init__(message)
-        self.error_type = error_type
 
 
 class RetryBudget:
@@ -286,10 +278,11 @@ class ServiceClient:
                 retries: int = 0) -> ClientResult:
         """Submit one job; retry overload sheds and connection losses.
 
-        ``retries`` bounds how many times an overload rejection is
-        retried, sleeping the server's ``retry_after_s`` hint between
-        attempts.  The final rejection (or any non-retryable error)
-        raises.  With ``reconnect`` enabled, a connection lost mid-call
+        ``retries`` bounds how many times a retryable failure (an
+        overload rejection) is retried, sleeping the server's
+        ``retry_after_s`` hint between attempts.  The final one, or any
+        other failure, raises as the class the reply names.  With
+        ``reconnect`` enabled, a connection lost mid-call
         is redialled (up to ``max_reconnects``, spending the shared
         retry budget) and the request resent under the **same**
         ``request_id``, so the server executes it at most once.
@@ -335,31 +328,24 @@ class ServiceClient:
                                         traceparent=ctx.to_traceparent(),
                                         request_id=request_id,
                                         reconnects=reconnects)
+                retry_after_s = float(response.get("retry_after_s", 0.0))
                 if status == "rejected":
-                    if attempts <= retries \
-                            and self.retry_budget.try_withdraw():
-                        span.event("client.retry", attempt=attempts)
-                        time.sleep(max(0.0, float(
-                            response.get("retry_after_s", 0.0))))
-                        continue
-                    span.set(status="rejected", attempts=attempts)
-                    raise ServiceOverloaded(
+                    error = ServiceOverloaded(
                         response.get("error", "request shed"),
-                        retry_after_s=float(
-                            response.get("retry_after_s", 0.0)),
+                        retry_after_s=retry_after_s,
                         qos=response.get("qos"))
-                error_type = response.get("error_type", "")
-                message = response.get("error", "request failed")
-                span.set(status="error", error=error_type or "unknown")
-                if error_type == "bad_frame":
-                    raise ProtocolError(
-                        f"server rejected frame: {message}",
-                        kind=response.get("kind", "protocol"))
-                if response.get("retryable"):
-                    raise ServiceOverloaded(message)
-                if error_type in ("DeadlineExceeded", "JobError"):
-                    raise AcceleratorError(message)
-                raise RemoteServiceError(message, error_type=error_type)
+                else:
+                    error = from_wire(response.get("error_type", ""),
+                                      response.get("error",
+                                                   "request failed"))
+                if error.retryable and attempts <= retries \
+                        and self.retry_budget.try_withdraw():
+                    span.event("client.retry", attempt=attempts)
+                    time.sleep(max(0.0, retry_after_s))
+                    continue
+                span.set(status=status, attempts=attempts,
+                         error=type(error).__name__)
+                raise error
 
     def compress(self, payload: bytes, **kwargs) -> ClientResult:
         return self.request("compress", payload, **kwargs)

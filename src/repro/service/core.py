@@ -53,7 +53,8 @@ from ..backend.pool import AcceleratorPool, PoolJob
 from ..dictsvc.cache import ResultCache, result_key
 from ..dictsvc.keyed import Claim
 from ..errors import (AcceleratorError, ConfigError, DeadlineExceeded,
-                      ReproError, ServiceClosed, ServiceOverloaded)
+                      ReproError, ServiceClosed, ServiceOverloaded,
+                      failure_of)
 from ..obs.context import TraceContext
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -62,6 +63,9 @@ from ..obs.trace import NULL_SPAN, TRACE as _TRACE
 from .qos import DEFAULT_CLASSES, QosPolicy
 
 _OPS = ("compress", "decompress")
+
+#: A QoS class's books: requests admitted, shed, and the three endings.
+_BOOKS = ("accepted", "rejected", "completed", "expired", "failed")
 
 #: Floor/ceiling on the retry-after hint handed to shed clients.
 _RETRY_AFTER_MIN_S = 0.001
@@ -170,11 +174,11 @@ class _Queued:
 class ServiceStats:
     """One consistent snapshot of service activity."""
 
-    accepted: int = 0
-    rejected: int = 0
-    expired: int = 0
-    completed: int = 0
-    failed: int = 0
+    accepted: int
+    rejected: int
+    expired: int
+    completed: int
+    failed: int
     queued: int = 0
     queued_bytes: int = 0
     bytes_in: int = 0
@@ -231,20 +235,14 @@ class CompressionService:
         self._state = "running"
         self._ids = itertools.count(1)
         self._ewma_job_s = _EWMA_SEED_S
-        # Counters (all mutated under self._lock).
-        self._accepted = 0
-        self._rejected = 0
-        self._expired = 0
-        self._completed = 0
-        self._failed = 0
+        # Counters (all mutated under self._lock); the totals are the sums
+        # of the per-class books.
         self._batches = 0
         self._bytes_in = 0
         self._bytes_out = 0
         self._modelled_s = 0.0
         self._per_class: dict[str, dict[str, int]] = {
-            c.name: {"accepted": 0, "rejected": 0, "completed": 0,
-                     "expired": 0, "failed": 0}
-            for c in self.qos.classes}
+            c.name: dict.fromkeys(_BOOKS, 0) for c in self.qos.classes}
         self._per_tenant: dict[str, dict[str, int]] = {}
         # The dispatcher sleeps in one wait on the pool's completion
         # handles plus this pipe; see _poke_locked.
@@ -342,7 +340,6 @@ class CompressionService:
                     or self._queued_bytes[qcls.name] + len(payload)
                     > qcls.queue_bytes_limit):
                 retry_after = self._retry_after_locked()
-                self._rejected += 1
                 self._per_class[qcls.name]["rejected"] += 1
                 if _REGISTRY.enabled:
                     record_service_request(
@@ -390,7 +387,6 @@ class CompressionService:
 
     def _count_admitted_locked(self, qos: str, tenant: str,
                                nbytes: int) -> None:
-        self._accepted += 1
         self._per_class[qos]["accepted"] += 1
         if tenant:
             entry = self._per_tenant.setdefault(
@@ -407,7 +403,6 @@ class CompressionService:
         with self._lock:
             if admit:
                 self._count_admitted_locked(qos, tenant, nbytes_in)
-            self._completed += 1
             self._bytes_in += nbytes_in
             self._bytes_out += len(output)
             self._per_class[qos]["completed"] += 1
@@ -507,18 +502,17 @@ class CompressionService:
     def stats(self) -> ServiceStats:
         """One mutually consistent snapshot (single critical section)."""
         with self._lock:
+            per_class = {name: dict(c) for name, c in self._per_class.items()}
             return ServiceStats(
-                accepted=self._accepted, rejected=self._rejected,
-                expired=self._expired, completed=self._completed,
-                failed=self._failed,
+                **{book: sum(c[book] for c in per_class.values())
+                   for book in _BOOKS},
                 queued=sum(len(q) for q in self._queues.values()),
                 queued_bytes=sum(self._queued_bytes.values()),
                 bytes_in=self._bytes_in, bytes_out=self._bytes_out,
                 batches=self._batches,
                 modelled_seconds=self._modelled_s,
                 state=self._state,
-                per_class={name: dict(c)
-                           for name, c in self._per_class.items()},
+                per_class=per_class,
                 per_tenant={name: dict(t)
                             for name, t in self._per_tenant.items()},
                 cache=(self.cache.stats() if self.cache is not None
@@ -707,7 +701,6 @@ class CompressionService:
         wall = time.perf_counter() - req.enqueued_at
         queue_wait = req.dequeued_at - req.enqueued_at
         with self._lock:
-            self._completed += 1
             self._bytes_in += len(req.payload)
             self._bytes_out += len(output)
             self._modelled_s += modelled_s
@@ -757,8 +750,7 @@ class CompressionService:
         """Every way an admitted request fails ends here: expired in the
         queue, failed or late on the pool, abandoned at close, stranded
         by a dead dispatcher."""
-        outcome = ("expired" if isinstance(error, DeadlineExceeded)
-                   else "failed")
+        outcome = "expired" if failure_of(error) == "deadline" else "failed"
         reason = reason or type(error).__name__
         self._count_failure(req.ticket, outcome, reason, queue_wait_s)
         if outcome == "expired":
@@ -780,10 +772,6 @@ class CompressionService:
                        reason: str, queue_wait_s: float = 0.0) -> None:
         """The counting half of a failure: stats and the registry."""
         with self._lock:
-            if outcome == "expired":
-                self._expired += 1
-            else:
-                self._failed += 1
             self._per_class[ticket.qos][outcome] += 1
         if _REGISTRY.enabled:
             record_service_request(

@@ -33,7 +33,8 @@ from __future__ import annotations
 import socketserver
 import threading
 
-from ..errors import ReproError, ServiceOverloaded
+from ..errors import (RETRYABLE, ConfigError, ReproError, failure_of,
+                      wire_name)
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from .core import CompressionService, finite_seconds
@@ -136,10 +137,7 @@ class _Handler(socketserver.BaseRequestHandler):
         if not exc.answerable:
             return
         try:
-            send_message(self.request, {
-                "status": "error", "retryable": False,
-                "error_type": "bad_frame", "kind": exc.kind,
-                "error": str(exc)})
+            send_message(self.request, _error_reply(exc, kind=exc.kind))
         except OSError:
             pass
 
@@ -169,8 +167,8 @@ class _Handler(socketserver.BaseRequestHandler):
             threading.Thread(target=service.drain, daemon=True).start()
             return {"status": "ok", "op": "drain"}, b""
         if op not in ("compress", "decompress"):
-            return {"status": "error", "retryable": False,
-                    "error": f"unknown op {op!r}; have {_OPS}"}, b""
+            return _error_reply(ConfigError(
+                f"unknown op {op!r}; have {_OPS}")), b""
         request = _request_fields(header)
         if not request.get("client_request_id") or self.server.dedup is None:
             request.pop("client_request_id", None)
@@ -223,20 +221,26 @@ class _Handler(socketserver.BaseRequestHandler):
         try:
             result = service.submit(op, payload, **request).wait(
                 self.server.request_timeout_s)
-        except ServiceOverloaded as exc:
-            return {"status": "rejected", "retryable": True,
-                    "error": str(exc), "qos": exc.qos,
-                    "retry_after_s": exc.retry_after_s, **echo}, b""
         except (ReproError, TimeoutError) as exc:
-            retryable = bool(getattr(exc, "retryable", False))
-            return {"status": "error", "retryable": retryable,
-                    "error": str(exc),
-                    "error_type": type(exc).__name__, **echo}, b""
+            return _error_reply(exc, **echo), b""
         return {"status": "ok", "op": op, "qos": result.qos,
                 "modelled_s": result.modelled_seconds,
                 "queue_wait_s": result.queue_wait_s,
                 "batch_size": result.batch_size,
                 **echo}, result.output
+
+
+def _error_reply(exc: BaseException, **fields: object) -> dict:
+    """The reply header for a request that ended in ``exc``: a shed is
+    ``rejected`` with the server's retry hint, any other failure an
+    ``error`` naming its class in ``error_type`` (:mod:`repro.errors`)."""
+    failure = failure_of(exc)
+    if failure == "overload":
+        return {"status": "rejected", "retryable": True, "error": str(exc),
+                "qos": exc.qos, "retry_after_s": exc.retry_after_s,
+                **fields}
+    return {"status": "error", "retryable": failure in RETRYABLE,
+            "error_type": wire_name(exc), "error": str(exc), **fields}
 
 
 class CompressionServer(socketserver.ThreadingTCPServer):

@@ -18,6 +18,12 @@ from ..errors import TranslationFault
 PAGE_SIZE = 65536  # 64 KB pages, the common POWER configuration
 
 
+def _fault(va: int, is_write: bool) -> TranslationFault:
+    kind = "write" if is_write else "read"
+    return TranslationFault(f"translation fault on {kind} at 0x{va:x}",
+                            address=va, is_write=is_write)
+
+
 @dataclass
 class PageState:
     """Residency and content of one virtual page."""
@@ -105,7 +111,7 @@ class AddressSpace:
 
     def _page(self, page: int) -> PageState:
         if page not in self.pages:
-            raise TranslationFault(page * self.page_size, is_write=False)
+            raise _fault(page * self.page_size, is_write=False)
         return self.pages[page]
 
     # -- residency control -------------------------------------------------
@@ -134,14 +140,14 @@ class AddressSpace:
         state = self.pages.get(page)
         if state is None or not state.present:
             self.faults += 1
-            raise TranslationFault(va, is_write)
+            raise _fault(va, is_write)
         if is_write and not state.writable:
             self.faults += 1
-            raise TranslationFault(va, is_write)
+            raise _fault(va, is_write)
         if self.fault_injector.should_fault():
             state.present = False
             self.faults += 1
-            raise TranslationFault(va, is_write)
+            raise _fault(va, is_write)
 
     def translate_range(self, va: int, length: int, is_write: bool) -> None:
         """Translate every page of a [va, va+length) access."""

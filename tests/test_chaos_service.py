@@ -13,10 +13,11 @@ recovery probes).
 from __future__ import annotations
 
 import itertools
+import threading
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ServiceOverloaded
 from repro.resilience import chaos
 from repro.resilience.chaos import default_plans, render, run_scenario
 from repro.resilience.faults import FAULT_KINDS, NetFaultInjector
@@ -84,6 +85,29 @@ class TestChaosUnderLoad:
         assert result.wrong == 0
         assert not result.survived
         assert "FAILED" in render([result])
+
+    def test_a_final_overload_over_tcp_is_shed(self, monkeypatch):
+        """The server sheds every attempt of one request: the client's
+        last ``ServiceOverloaded`` is a refusal to retry, not a loss."""
+        submit = CompressionService.submit
+        lock = threading.Lock()
+        doomed = []
+
+        def shed_one_request(self, op, payload, **kwargs):
+            key = kwargs.get("client_request_id")
+            with lock:
+                doomed[:] = doomed or [key]
+            if key == doomed[0]:
+                raise ServiceOverloaded("injected overload",
+                                        qos=kwargs.get("qos"))
+            return submit(self, op, payload, **kwargs)
+
+        monkeypatch.setattr(CompressionService, "submit", shed_one_request)
+        result = run_scenario("net_baseline", stack="tcp", seed=7, jobs=8,
+                              clients=2)
+        assert (result.served, result.shed, result.lost) == (7, 1, 0)
+        assert result.executions == result.stores == 7
+        assert result.survived, render([result])
 
     def test_worker_kills_are_reported_as_faults(self, monkeypatch):
         monkeypatch.setattr(chaos, "_KILL_TICK_S", 0.01)
