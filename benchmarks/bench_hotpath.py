@@ -1,4 +1,4 @@
-"""Hot-path kernel throughput: deflate, inflate, matcher, checksums.
+"""Hot-path kernel throughput: deflate, inflate, matcher, checksums, NX scan.
 
 Unlike the e-series benches (which report *modelled* accelerator rates),
 this bench measures the **wall-clock** throughput of the pure-Python
@@ -36,6 +36,8 @@ from repro.deflate.checksums import adler32, crc32
 from repro.deflate.compress import deflate
 from repro.deflate.inflate import inflate
 from repro.deflate.matcher import tokenize
+from repro.nx.params import POWER9, Z15
+from repro.nx.pipeline import NxMatchPipeline
 from repro.workloads.corpus import corpus_bytes
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -75,6 +77,14 @@ def run_bench(level: int = 6,
                                        "tokenize_l6")
     results["crc32_mbps"] = mbps(lambda: crc32(corpus), "crc32")
     results["adler32_mbps"] = mbps(lambda: adler32(corpus), "adler32")
+    # The NX scan kernel in the served scan sizes: 4 KB on the POWER9
+    # engine (rpc_small, hot_cache), 32 KB on the z15 one (bulk_exec).
+    for name, machine, size in (("nx_scan_p9", POWER9, 4096),
+                                ("nx_scan_z15", Z15, 32768)):
+        pipe = NxMatchPipeline(machine.engine)
+        scans = [corpus[at:at + size] for at in range(0, len(corpus), size)]
+        results[f"{name}_mbps"] = mbps(
+            lambda: [pipe.scan(scan) for scan in scans], name)
 
     # Chunked-parallel compressor scaling (absent on pre-kernel trees).
     # Two numbers per worker count: *cold* includes spinning up the

@@ -14,23 +14,24 @@ here (:meth:`~BankedHashTable.hash3`, :meth:`~BankedHashTable.lookup_insert`,
 :meth:`~BankedHashTable.charge_group_conflicts`) are the reference model,
 one call per access as the hardware makes them; :meth:`NxMatchPipeline.scan
 <repro.nx.pipeline.NxMatchPipeline.scan>` is the kernel: it takes a
-slab's columns from :meth:`~BankedHashTable.slab_columns`, drives the
-same ``entries`` dict inline, and the tests hold the two equal.
+slab's set names from :meth:`~BankedHashTable.slab_columns` and its
+stalls from :meth:`~BankedHashTable.slab_stalls`, drives the same
+``entries`` dict inline, and the tests hold the two equal.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 from .params import EngineParams
 
 HASH_MULT = 0x9E3779B1  # Fibonacci hashing of the 3-byte prefix
 
-#: Where a prefix's bytes 0/1/2 sit in its native-endian 8-byte lane, and
-#: which 32-bit half of the lane is the low one (``memoryview.cast`` only
-#: reads native order, so ``slab_columns`` lays the lanes out natively).
-_B0, _B1, _B2, _LOW_WORD = ((0, 1, 2, 0) if sys.byteorder == "little"
-                            else (7, 6, 5, 1))
+#: Where a prefix's bytes 0/1/2 sit in its native-endian 8-byte lane
+#: (``memoryview.cast`` only reads native order, so ``slab_columns`` lays
+#: the lanes out natively).
+_B0, _B1, _B2 = (0, 1, 2) if sys.byteorder == "little" else (7, 6, 5)
 
 
 class BankedHashTable:
@@ -39,6 +40,7 @@ class BankedHashTable:
     def __init__(self, params: EngineParams) -> None:
         self.banks = params.hash_banks
         self.ports = params.hash_ports
+        self.width = params.scan_bytes_per_cycle
         self.ways = params.hash_ways
         self.sets = 1 << params.hash_sets_log2
         self.window = params.window_bytes
@@ -50,10 +52,9 @@ class BankedHashTable:
         self.lookups = 0
         self.insertions = 0
         self.conflict_stalls = 0
-        # ``% slots`` and ``% banks`` are masks: both are powers of two.
+        # ``% slots`` is a mask: it is a power of two.
         self._name_lane = ((self.slots - 1) & 0xFFFFFFFF).to_bytes(
             8, sys.byteorder)
-        self._bank_of_byte = bytes(b & (self.banks - 1) for b in range(256))
 
     def reset(self) -> None:
         """Clear table contents and statistics (new job, new history)."""
@@ -68,9 +69,8 @@ class BankedHashTable:
         prefix = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
         return (prefix * HASH_MULT) & 0xFFFFFFFF
 
-    def slab_columns(self, data: bytes, lo: int,
-                     hi: int) -> tuple[list[int], bytes, memoryview]:
-        """Set names, bank ids and hashes of every position in ``[lo, hi)``.
+    def slab_columns(self, data: bytes, lo: int, hi: int) -> list[int]:
+        """The set name, ``hash3 % slots``, of every position in ``[lo, hi)``.
 
         One big-int multiply instead of one :meth:`hash3` per position:
         each 3-byte prefix is written into the low bytes of its own
@@ -79,9 +79,7 @@ class BankedHashTable:
         multiplier is below 2**56, so no lane's product carries into its
         neighbour, and the low 32 bits of lane ``k`` are exactly
         ``hash3(data, lo + k)``.  Masked lane-wise, the product is the
-        set names, and the low byte of each lane, masked again, the bank
-        ids; the unmasked low words stay a view of the hashes.  ``data``
-        must be readable through ``hi + 1``.
+        set names.  ``data`` must be readable through ``hi + 1``.
         """
         size = 8 * (hi - lo)
         lanes = bytearray(size)
@@ -91,10 +89,57 @@ class BankedHashTable:
         product = int.from_bytes(lanes, sys.byteorder) * HASH_MULT
         mask = int.from_bytes(self._name_lane * (hi - lo), sys.byteorder)
         names = (product & mask).to_bytes(size, sys.byteorder)
-        hashes = memoryview(product.to_bytes(size, sys.byteorder)).cast("I")
-        return (memoryview(names).cast("Q").tolist(),
-                names[_B0::8].translate(self._bank_of_byte),
-                hashes[_LOW_WORD::2])
+        return memoryview(names).cast("Q").tolist()
+
+    def slab_stalls(self, data: bytes, lo: int, hi: int) -> int:
+        """:meth:`charge_group_conflicts` for every scan group of ``[lo, hi)``.
+
+        One 16-bit lane a whole group; column ``m`` holds the groups'
+        bytes at offset ``m``.  Positions share a prefix (so a hash:
+        ``HASH_MULT`` is odd) where three columns XOR to zero, and a bank
+        where their first bytes do under ``banks - 1``.  ``flag - x``
+        (``flag`` = 0x100 a lane, ``x`` <= 0xFF) keeps bit 8 where ``x``
+        is 0.  A position not preceded by its prefix is *new*; its bank
+        holds one more distinct hash than ``count``, the sum of <= 255
+        flags of the other new ones on it (<= 0xFF00, so no lane carries
+        at any width).  A count plus ``0x8000 - t * ports`` sets bit 15
+        where the group stalls a ``t``-th cycle.  The partial group left
+        goes to the model itself.  ``data`` is read through ``hi + 1``.
+        """
+        width, ports = self.width, self.ports
+        groups = (hi - lo) // width
+        whole = groups * width
+        lanes = bytearray(2 * groups)
+        columns = []
+        for m in range(width + 2):
+            lanes[::2] = data[lo + m:lo + m + whole:width]
+            columns.append(int.from_bytes(lanes, "little"))
+        flag = int.from_bytes(b"\0\1" * groups, "little")
+        bank_mask = (flag >> 8) * (self.banks - 1)
+        pairs = list(itertools.combinations(range(width), 2))
+        repeated = [0] * width
+        for k, j in pairs:
+            repeated[j] |= flag - (columns[j] ^ columns[k]
+                                 | columns[j + 1] ^ columns[k + 1]
+                                 | columns[j + 2] ^ columns[k + 2])
+        new = [r & flag ^ flag for r in repeated]
+        counts = [0] * width
+        for k, j in pairs:
+            same = flag - ((columns[j] ^ columns[k]) & bank_mask) & flag
+            counts[j] += same & new[k]
+            counts[k] += same & new[j]
+        counts = [(c & n * 255) >> 8 for c, n in zip(counts, new)]
+        stalls = 0
+        for t in range(1, (width - 1) // ports + 1):
+            bias = (flag >> 8) * (0x8000 - t * ports)
+            over = 0
+            for count in counts:
+                over |= count + bias
+            stalls += (over & flag << 7).bit_count()
+        self.conflict_stalls += stalls
+        tail = [self.hash3(data, i) for i in range(lo + whole, hi)]
+        return stalls + self.charge_group_conflicts(
+            [(h % self.banks, h) for h in tail])
 
     def lookup_insert(self, data: bytes, i: int) -> tuple[list[int],
                                                           tuple[int, int]]:

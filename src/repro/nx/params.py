@@ -47,7 +47,8 @@ class EngineParams:
     huffman_encode_bits_per_cycle: int = 64
 
     def __post_init__(self) -> None:
-        # The scan masks bank ids out of a hash product; counts in bytes.
+        # The scan masks set names out of a hash product, and its stall
+        # lanes (16 bits) hold the counts of up to 256 positions.
         banks, width = self.hash_banks, self.scan_bytes_per_cycle
         if (not 1 <= banks <= 256 or banks & (banks - 1)
                 or not 1 <= width <= 256

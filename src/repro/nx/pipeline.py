@@ -17,10 +17,11 @@ is a cycle count for the scan phase.
 
 The model does that per-position work in bulk (see
 :meth:`NxMatchPipeline.scan`): a slab of positions is hashed by one
-big-int multiply, bank conflicts are charged a scan group at a time, and
-the interpreter only steps where a token starts.  The per-access methods
-of :class:`~.hashbank.BankedHashTable` stay the reference it is held
-equal to.
+big-int multiply, the bank-conflict stalls of all its scan groups are
+counted at once in lanes of a few big ints, and the interpreter only
+steps where a token starts.  The per-access methods of
+:class:`~.hashbank.BankedHashTable` stay the reference it is held equal
+to.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ from .hashbank import BankedHashTable
 from .params import EngineParams
 
 #: Positions hashed per bulk step (a quarter window; rounded down to whole
-#: scan groups).  Everything a scan builds and drops -- lanes, hashes, set
-#: names, bank ids -- is this long whatever the input, so transient memory
-#: does not grow with the job.  8 K reads the same speed as 32 K and
-#: keeps the served ``peak_rss_mb`` where it was.
+#: scan groups).  Everything a scan builds and drops -- lanes, the hash
+#: product, set names, stall columns -- is this long whatever the input,
+#: so transient memory does not grow with the job.  8 K reads the same
+#: speed as 32 K and keeps the served ``peak_rss_mb`` where it was.
 SCAN_SLAB = 8192
-
-_ZERO_FLAG = b"\x01" + bytes(255)  # byte -> 1 if it is 0, else 0
 
 
 @dataclass
@@ -73,11 +72,10 @@ class NxMatchPipeline:
         width, which is how the hardware brings history in.
 
         The input is walked in slabs of :data:`SCAN_SLAB` positions, and
-        a slab in two phases.  *Bulk*: one hash product gives set names
-        and a bank column (:meth:`~.hashbank.BankedHashTable.slab_columns`),
-        XORs of the bank column's strided sub-columns count each scan
-        group's repeated banks at C speed, and only a group on few
-        enough banks to overfill one reads its hashes.  *Token
+        a slab in two phases.  *Bulk*: one hash product gives the set
+        names (:meth:`~.hashbank.BankedHashTable.slab_columns`), and
+        :meth:`~.hashbank.BankedHashTable.slab_stalls` charges the
+        stalls of every scan group at once, a lane per group.  *Token
         stepping*: candidates are searched only where a token starts;
         the positions a committed match covers (and the history) only
         append themselves to their set.  Sets are cut back to ``ways``
@@ -99,7 +97,7 @@ class NxMatchPipeline:
         table.reset()
         entries = table.entries
         lookup = entries.get
-        banks, ports, ways = table.banks, table.ports, table.ways
+        ways = table.ways
         width = self.params.scan_bytes_per_cycle
         window = self.params.window_bytes
         history = history[-window:]
@@ -112,7 +110,7 @@ class NxMatchPipeline:
         slab = max(width, SCAN_SLAB - SCAN_SLAB % width)
         tokens: list[Token] = []
         emit = tokens.append
-        matches = match_bytes = candidate_probes = stalls = unswept = 0
+        matches = match_bytes = candidate_probes = unswept = 0
         # Where the last match ends, or the history does: positions below
         # it only hash-and-insert.  A literal leaves it behind.
         next_emit = start
@@ -121,38 +119,8 @@ class NxMatchPipeline:
 
         for lo in range(0, hash_limit, slab):
             hi = min(lo + slab, hash_limit)
-            keys, bank_ids, hashes = table.slab_columns(data, lo, hi)
-
-            # Conflicts, a scan group at a time.  Same-hash accesses merge,
-            # so the worst bank holds at most (distinct hashes - distinct
-            # banks + 1) of them: only a group with ``ports`` or more
-            # repeated banks can stall.  Sub-columns j and k XOR to a zero
-            # byte where a group's positions j and k share a bank; the j
-            # that repeat some k < j number width - distinct banks.
-            groups = (hi - lo) // width
-            whole = groups * width
-            columns = [int.from_bytes(bank_ids[j:whole:width], "little")
-                       for j in range(width)]
-            repeats = 0
-            for j in range(1, width):
-                repeat = 0
-                for k in range(j):
-                    same = (columns[j] ^ columns[k]).to_bytes(
-                        groups, "little").translate(_ZERO_FLAG)
-                    repeat |= int.from_bytes(same, "little")
-                repeats += repeat
-            counts = repeats.to_bytes(groups, "little")
-            crowded_groups = [(g * width, width - count) for g, count
-                              in enumerate(counts) if count >= ports]
-            if whole < hi - lo:  # the final partial group
-                crowded_groups.append((whole, len(set(bank_ids[whole:]))))
-            for at, distinct_banks in crowded_groups:
-                merged = set(hashes[at:at + width])
-                if len(merged) - distinct_banks < ports:
-                    continue
-                group_banks = [h % banks for h in merged]
-                worst = max(map(group_banks.count, group_banks))
-                stalls += -(-worst // ports) - 1
+            keys = table.slab_columns(data, lo, hi)
+            table.slab_stalls(data, lo, hi)
 
             i = lo
             while i < hi:
@@ -226,7 +194,6 @@ class NxMatchPipeline:
                 unswept = 0
 
         table.lookups = table.insertions = hash_limit
-        table.conflict_stalls = stalls
 
         # The last MIN_MATCH - 1 positions cannot start a match.
         tokens.extend(data[max(next_emit, hash_limit):])
@@ -235,6 +202,6 @@ class NxMatchPipeline:
                            chain_probes=candidate_probes)
         return ScanResult(tokens=tokens, stats=stats,
                           scan_cycles=(n - start + width - 1) // width,
-                          conflict_stalls=stalls,
+                          conflict_stalls=table.conflict_stalls,
                           candidate_probes=candidate_probes,
                           history_cycles=(start + width - 1) // width)

@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.nx.hashbank import BankedHashTable
@@ -101,6 +103,53 @@ class TestConflicts:
         t.charge_group_conflicts([(0, 1), (0, 2)])
         t.charge_group_conflicts([(1, 1), (1, 2)])
         assert t.conflict_stalls == 2
+
+
+def group_by_group(table: BankedHashTable, data: bytes, lo: int,
+                   hi: int) -> int:
+    """The stalls of ``[lo, hi)``, one :meth:`charge_group_conflicts` a
+    scan group, as the hardware charges them."""
+    stalls = 0
+    for at in range(lo, hi, table.width):
+        hashes = [BankedHashTable.hash3(data, i)
+                  for i in range(at, min(at + table.width, hi))]
+        stalls += table.charge_group_conflicts(
+            [(h % table.banks, h) for h in hashes])
+    return stalls
+
+
+class TestSlabStalls:
+    """``slab_stalls`` is ``charge_group_conflicts`` summed group by
+    group, at every width ``EngineParams`` admits: its lanes must hold a
+    count of 256 distinct hashes on one bank."""
+
+    @pytest.mark.parametrize("banks", [1, 256])
+    @pytest.mark.parametrize("width", [1, 2, 127, 128, 129, 256])
+    @settings(max_examples=25, deadline=None)
+    @given(ports=st.sampled_from(["one", "wider"]), lo=st.integers(0, 3),
+           byte_mask=st.sampled_from([0x01, 0x0F, 0xFF]), draw=st.data())
+    def test_equals_group_by_group(self, width, banks, ports, lo, byte_mask,
+                                   draw):
+        engine = small_params(scan_bytes_per_cycle=width, hash_banks=banks,
+                              hash_ports=1 if ports == "one" else width + 1)
+        # Up to two whole groups, then a partial one of any length.
+        hi = lo + draw.draw(st.integers(0, 3 * width - 1), label="positions")
+        data = draw.draw(st.binary(min_size=hi + 2, max_size=hi + 2).map(
+            lambda raw: bytes(b & byte_mask for b in raw)), label="data")
+        bulk, model = BankedHashTable(engine), BankedHashTable(engine)
+        assert bulk.slab_stalls(data, lo, hi) == group_by_group(
+            model, data, lo, hi)
+        assert bulk.conflict_stalls == model.conflict_stalls
+
+    @pytest.mark.parametrize("width", [127, 128, 129, 200, 256])
+    def test_every_position_on_one_bank(self, width):
+        """One single-ported bank and no repeated prefix: ``width - 1``
+        stalls a group, 255 at width 256, and the partial group's own."""
+        table = BankedHashTable(small_params(scan_bytes_per_cycle=width,
+                                             hash_banks=1))
+        hashed = 2 * width + 5
+        data = bytes(range(256)) * 3
+        assert table.slab_stalls(data, 0, hashed) == 2 * (width - 1) + 4
 
 
 class TestGeometryValidation:

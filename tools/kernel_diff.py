@@ -12,7 +12,7 @@ on the first mismatch.
 *Scan* — the matrix of ``tests/test_scan_kernel.py``: every generator
 x the ``_sizes`` list x the three histories on the POWER9 and z15
 engines, and every generator x seven small sizes x two histories on
-the five tiny engines.  A case is equal when every field of
+the six tiny engines.  A case is equal when every field of
 ``ScanResult`` (tokens, ``MatchStats``, ``scan_cycles``,
 ``conflict_stalls``, ``candidate_probes``, ``history_cycles``), the
 table's ``entries`` and its ``lookups`` / ``insertions`` /

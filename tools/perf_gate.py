@@ -72,6 +72,8 @@ TABLE = (
     Row("tokenize_l6_mbps", "hotpath", "higher", DRIFT),
     Row("crc32_mbps", "hotpath", "higher", DRIFT),
     Row("adler32_mbps", "hotpath", "higher", DRIFT),
+    Row("nx_scan_p9_mbps", "hotpath", "higher", DRIFT),
+    Row("nx_scan_z15_mbps", "hotpath", "higher", DRIFT),
     Row("parallel_deflate_mbps.1", "hotpath", "higher", DRIFT),
     Row("parallel_deflate_mbps.2", "hotpath", "higher", DRIFT, 2),
     Row("parallel_deflate_mbps.4", "hotpath", "higher", DRIFT, 2),

@@ -77,9 +77,6 @@ ALLOW: dict[str, str] = {
     "repro.nx.hashbank.BankedHashTable.lookup_insert":
         "per-access model tests/test_scan_kernel.py holds "
         "NxMatchPipeline.scan equal to",
-    "repro.nx.hashbank.BankedHashTable.charge_group_conflicts":
-        "per-access bank-conflict model tests/test_scan_kernel.py holds "
-        "the scan's stall count equal to",
     "repro.deflate.huffman.kraft_sum":
         "completeness oracle tests/test_huffman.py, test_dht.py and "
         "test_constants.py apply to every code the builders emit",
