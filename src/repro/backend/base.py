@@ -27,7 +27,6 @@ import abc
 from dataclasses import dataclass
 from typing import ClassVar
 
-from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import record_job
 from ..obs.trace import TRACE as _TRACE
 from ..sysstack.driver import DriverResult
@@ -65,7 +64,8 @@ class BackendCapabilities:
 
 @dataclass
 class BackendStats:
-    """Running totals across one backend handle's requests."""
+    """Running totals across one handle's requests: a backend's, or an
+    ``NxGzip`` session's (``repro.core.SessionStats`` is this class)."""
 
     requests: int = 0
     bytes_in: int = 0
@@ -133,16 +133,12 @@ class CompressionBackend(abc.ABC):
         fmt = fmt or self.capabilities().default_format
         self._call_deadline_s = deadline_s
         try:
-            if _TRACE.enabled:
-                with _TRACE.span("backend.submit", backend=self.name,
-                                 op="compress", fmt=fmt,
-                                 nbytes=len(data)) as span:
-                    result = self._compress(data, _strategy_value(strategy),
-                                            fmt, history, final)
-                    _annotate(span, result)
-            else:
-                result = self._compress(data, _strategy_value(strategy), fmt,
-                                        history, final)
+            with _TRACE.span("backend.submit", backend=self.name,
+                             op="compress", fmt=fmt,
+                             nbytes=len(data)) as span:
+                result = self._compress(data, _strategy_value(strategy),
+                                        fmt, history, final)
+                _annotate(span, result)
         finally:
             self._call_deadline_s = None
         self._record(result, len(data), "compress")
@@ -155,14 +151,11 @@ class CompressionBackend(abc.ABC):
         fmt = fmt or self.capabilities().default_format
         self._call_deadline_s = deadline_s
         try:
-            if _TRACE.enabled:
-                with _TRACE.span("backend.submit", backend=self.name,
-                                 op="decompress", fmt=fmt,
-                                 nbytes=len(payload)) as span:
-                    result = self._decompress(payload, fmt, history)
-                    _annotate(span, result)
-            else:
+            with _TRACE.span("backend.submit", backend=self.name,
+                             op="decompress", fmt=fmt,
+                             nbytes=len(payload)) as span:
                 result = self._decompress(payload, fmt, history)
+                _annotate(span, result)
         finally:
             self._call_deadline_s = None
         self._record(result, len(payload), "decompress")
@@ -170,15 +163,14 @@ class CompressionBackend(abc.ABC):
 
     def _record(self, result: DriverResult, nbytes_in: int,
                 op: str) -> None:
-        """Session accounting plus (when enabled) the global registry."""
+        """Session accounting plus the global registry."""
         self._stats.record(result, nbytes_in)
-        if _REGISTRY.enabled:
-            record_job("backend", op=op, nbytes_in=nbytes_in,
-                       nbytes_out=len(result.output),
-                       seconds=result.stats.elapsed_seconds,
-                       faults=result.stats.translation_faults,
-                       fallback=result.stats.fallback_to_software,
-                       backend=self.name)
+        record_job("backend", op=op, nbytes_in=nbytes_in,
+                   nbytes_out=len(result.output),
+                   seconds=result.stats.elapsed_seconds,
+                   faults=result.stats.translation_faults,
+                   fallback=result.stats.fallback_to_software,
+                   backend=self.name)
 
     @abc.abstractmethod
     def capabilities(self) -> BackendCapabilities:

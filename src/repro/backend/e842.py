@@ -48,9 +48,7 @@ class E842Backend(CompressionBackend):
                   history: bytes, final: bool) -> DriverResult:
         self._check(fmt, history, final)
         result = self.engine.compress(data)
-        if _TRACE.enabled:
-            _TRACE.event("e842.pipe", op="compress",
-                         seconds=result.seconds)
+        _TRACE.event("e842.pipe", op="compress", seconds=result.seconds)
         stats = SubmissionStats(submissions=1,
                                 elapsed_seconds=result.seconds)
         return DriverResult(output=result.data, csb=None, stats=stats,

@@ -62,8 +62,7 @@ from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 from ..resilience.health import HealthConfig, HealthTracker
-from ..resilience.verify import (note_mismatch, run_in_software,
-                                 verify_payload)
+from ..resilience.verify import run_in_software, verify_or_reencode
 from ..sysstack.driver import DriverResult, SubmissionStats
 from .base import CompressionBackend
 from .registry import create_backend, default_backend
@@ -283,10 +282,9 @@ class AcceleratorPool:
                 self.software_jobs += 1
             else:
                 self.dispatch_counts[chip] += 1
-        if _REGISTRY.enabled:
-            target = "software" if chip == SOFTWARE else str(chip)
-            _REGISTRY.counter("repro_pool_dispatch_total",
-                              "jobs routed per chip").inc(1, chip=target)
+        target = "software" if chip == SOFTWARE else str(chip)
+        _REGISTRY.counter("repro_pool_dispatch_total",
+                          "jobs routed per chip").inc(1, chip=target)
 
     def _route_spanned(self, nbytes: int) -> tuple[int, object]:
         """Route + probes + dispatch accounting, under a span it returns.
@@ -296,14 +294,10 @@ class AcceleratorPool:
         only reads its identifiers, so handing out a finished span is
         fine.
         """
-        span = None
-        if _TRACE.enabled:
-            with _TRACE.span("pool.route", policy=self.policy,
-                             nbytes=nbytes) as span:
-                chip = self._route_healthy(nbytes)
-                span.set(chip="software" if chip == SOFTWARE else chip)
-        else:
+        with _TRACE.span("pool.route", policy=self.policy,
+                         nbytes=nbytes) as span:
             chip = self._route_healthy(nbytes)
+            span.set(chip="software" if chip == SOFTWARE else chip)
         self._dispatch(chip)
         return chip, span
 
@@ -463,11 +457,10 @@ class AcceleratorPool:
                      cause=type(cause).__name__)
         _FLIGHT.record("pool.rescue", kind=job.kind,
                        cause=type(cause).__name__, nbytes=job.nbytes)
-        if _REGISTRY.enabled:
-            _REGISTRY.counter(
-                "repro_resilience_rescues_total",
-                "hardware jobs re-run in software after a failure").inc(
-                1, kind=job.kind)
+        _REGISTRY.counter(
+            "repro_resilience_rescues_total",
+            "hardware jobs re-run in software after a failure").inc(
+            1, kind=job.kind)
         output, seconds = run_in_software(
             job.kind, job.payload, job.fmt, history=job.history,
             final=job.final, machine=self.machine)
@@ -476,23 +469,16 @@ class AcceleratorPool:
         return DriverResult(output=output, csb=None, stats=stats)
 
     def _verified(self, job: PoolJob, result: DriverResult) -> DriverResult:
-        """Verify-after-compress: CRC-checked round trip or re-encode."""
-        if verify_payload(job.payload, result.output, job.fmt):
-            return result
-        backend_name = ("software" if job.chip == SOFTWARE
-                        else self.backend_name)
-        note_mismatch(backend_name, job.fmt, job.nbytes)
-        _FLIGHT.auto_dump("verify_failure", backend=backend_name,
-                          fmt=job.fmt, chip=job.chip, nbytes=job.nbytes)
-        output, seconds = run_in_software("compress", job.payload, job.fmt,
-                                          machine=self.machine)
-        with self._lock:
-            self.verify_failures += 1
-            self.rescues += 1
-        stats = result.stats
-        stats.fallback_to_software = True
-        stats.elapsed_seconds += seconds
-        return DriverResult(output=output, csb=None, stats=stats)
+        """Verify-after-compress: the result, or its software re-encode."""
+        verified = verify_or_reencode(
+            job.payload, result, job.fmt,
+            backend="software" if job.chip == SOFTWARE else self.backend_name,
+            machine=self.machine, chip=job.chip)
+        if verified is not result:
+            with self._lock:
+                self.verify_failures += 1
+                self.rescues += 1
+        return verified
 
     # -- asynchronous batch submission ---------------------------------------
 
@@ -581,20 +567,18 @@ class AcceleratorPool:
         return self._exec_pool
 
     def _submit_exec(self, job: PoolJob, strategy: str,
-                     deadline_s: float | None,
-                     span_parent: object = None) -> None:
+                     deadline_s: float | None, span_parent: object) -> None:
         """Ship one job, payload inline, to a pool worker.
 
-        ``span_parent`` (normally the request's ``pool.route`` span) is
-        where the worker's folded spans nest; the current wire trace
+        ``span_parent`` (the request's ``pool.route`` span) is where the
+        worker's folded spans nest; the current wire trace
         context rides along as a ``traceparent`` so the worker's root
         span also joins the originating trace on the wire level.
         """
         ctx = _TRACE.current_ctx()
         exec_job = self._exec_pool.submit(
             "backend_job",
-            span_parent=(span_parent if span_parent is not None
-                         else _TRACE.current()),
+            span_parent=span_parent,
             traceparent=ctx.to_traceparent() if ctx else None,
             backend=self.backend_name,
             machine=self.machine.name,
@@ -782,10 +766,9 @@ class AcceleratorPool:
         return max(1, depth)
 
     def _publish_in_flight(self) -> None:
-        if _REGISTRY.enabled:
-            _REGISTRY.gauge("repro_pool_in_flight",
-                            "batch jobs awaiting completion").set(
-                self.in_flight)
+        _REGISTRY.gauge("repro_pool_in_flight",
+                        "batch jobs awaiting completion").set(
+            self.in_flight)
 
     # -- aggregate accounting ------------------------------------------------
 

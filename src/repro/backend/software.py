@@ -53,8 +53,7 @@ class SoftwareZlibBackend(CompressionBackend):
         output, seconds = run_in_software(
             "compress", data, fmt, level=self.level, history=history,
             final=final, machine=self.machine)
-        if _TRACE.enabled:
-            _TRACE.event("software.deflate", level=self.level)
+        _TRACE.event("software.deflate", level=self.level)
         stats = SubmissionStats(submissions=1, elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
 

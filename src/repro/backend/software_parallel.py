@@ -82,8 +82,7 @@ class SoftwareParallelBackend(CompressionBackend):
                        self.level)
         nchunks = max(1, -(-len(data) // self.chunk_size))
         used = min(self.workers, nchunks)
-        if _TRACE.enabled:
-            _TRACE.event("parallel.chunks", chunks=nchunks, workers=used)
+        _TRACE.event("parallel.chunks", chunks=nchunks, workers=used)
         seconds = self._cost.compress_seconds(
             len(data), level=self.level) / used
         stats = SubmissionStats(submissions=nchunks, elapsed_seconds=seconds)

@@ -12,28 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..backend.base import BackendStats
 from ..backend.registry import create_backend
 from ..errors import ConfigError
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
-from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import record_job
 from ..obs.trace import TRACE as _TRACE
-from ..resilience.verify import (note_mismatch, run_in_software,
-                                 verify_payload)
+from ..resilience.verify import verify_or_reencode
 from ..sysstack.driver import DriverResult
 
 
-@dataclass
-class SessionStats:
-    """Running totals across one session's requests."""
-
-    requests: int = 0
-    bytes_in: int = 0
-    bytes_out: int = 0
-    modelled_seconds: float = 0.0
-    faults: int = 0
-    fallbacks: int = 0
+#: Running totals across one session's requests: the same totals, and
+#: the same fold, as every backend handle keeps.
+SessionStats = BackendStats
 
 
 @dataclass
@@ -123,19 +115,14 @@ class NxGzip:
         spend waiting (retries, fault fixups) before
         :class:`~repro.errors.DeadlineExceeded` is raised.
         """
-        if _TRACE.enabled:
-            with _TRACE.span("api.compress", backend=self.backend_name,
-                             fmt=fmt, nbytes=len(data)) as span:
-                result = self.backend.compress(data, strategy=strategy,
-                                               fmt=fmt,
-                                               deadline_s=deadline_s)
-                span.set(out_bytes=len(result.output),
-                         modelled_s=result.stats.elapsed_seconds)
-        else:
+        with _TRACE.span("api.compress", backend=self.backend_name,
+                         fmt=fmt, nbytes=len(data)) as span:
             result = self.backend.compress(data, strategy=strategy, fmt=fmt,
                                            deadline_s=deadline_s)
+            span.set(out_bytes=len(result.output),
+                     modelled_s=result.stats.elapsed_seconds)
         result = self._maybe_verify(data, fmt, result)
-        self._account(len(data), len(result.output), result, "compress")
+        self._account(len(data), result, "compress")
         return CompressedBuffer(data=result.output,
                                 modelled_seconds=result.stats.elapsed_seconds,
                                 driver=result)
@@ -144,17 +131,13 @@ class NxGzip:
                    fmt: str = "gzip",
                    deadline_s: float | None = None) -> CompressedBuffer:
         """Decompress ``payload`` produced in the same wire format."""
-        if _TRACE.enabled:
-            with _TRACE.span("api.decompress", backend=self.backend_name,
-                             fmt=fmt, nbytes=len(payload)) as span:
-                result = self.backend.decompress(payload, fmt=fmt,
-                                                 deadline_s=deadline_s)
-                span.set(out_bytes=len(result.output),
-                         modelled_s=result.stats.elapsed_seconds)
-        else:
+        with _TRACE.span("api.decompress", backend=self.backend_name,
+                         fmt=fmt, nbytes=len(payload)) as span:
             result = self.backend.decompress(payload, fmt=fmt,
                                              deadline_s=deadline_s)
-        self._account(len(payload), len(result.output), result, "decompress")
+            span.set(out_bytes=len(result.output),
+                     modelled_s=result.stats.elapsed_seconds)
+        self._account(len(payload), result, "decompress")
         return CompressedBuffer(data=result.output,
                                 modelled_seconds=result.stats.elapsed_seconds,
                                 driver=result)
@@ -162,28 +145,23 @@ class NxGzip:
     def _maybe_verify(self, data: bytes, fmt: str,
                       result: DriverResult) -> DriverResult:
         """Verify-after-compress; mismatches are re-encoded in software."""
-        if not self.verify or verify_payload(data, result.output, fmt):
+        if not self.verify:
             return result
-        self.verify_failures += 1
-        note_mismatch(self.backend_name, fmt, len(data))
-        output, seconds = run_in_software("compress", data, fmt,
-                                          machine=self.machine)
-        stats = result.stats
-        stats.fallback_to_software = True
-        stats.elapsed_seconds += seconds
-        return DriverResult(output=output, csb=None, stats=stats)
+        verified = verify_or_reencode(data, result, fmt,
+                                      backend=self.backend_name,
+                                      machine=self.machine)
+        if verified is not result:
+            self.verify_failures += 1
+        return verified
 
     def compress_842(self, data: bytes) -> CompressedBuffer:
         """Compress through the 842 pipes (memory-compression format)."""
-        if _TRACE.enabled:
-            with _TRACE.span("api.compress", backend=self.backend_name,
-                             fmt="842", nbytes=len(data)) as span:
-                result = self.backend.compress(data, fmt="842")
-                span.set(out_bytes=len(result.output))
-        else:
+        with _TRACE.span("api.compress", backend=self.backend_name,
+                         fmt="842", nbytes=len(data)) as span:
             result = self.backend.compress(data, fmt="842")
+            span.set(out_bytes=len(result.output))
         result = self._maybe_verify(data, "842", result)
-        self._account(len(data), len(result.output), result, "compress")
+        self._account(len(data), result, "compress")
         return CompressedBuffer(data=result.output,
                                 modelled_seconds=result.stats.elapsed_seconds,
                                 driver=result)
@@ -195,17 +173,12 @@ class NxGzip:
         The streaming layer calls this per chunk so faults/fallbacks on
         streaming requests land in :attr:`stats` like every other path.
         """
-        if _TRACE.enabled:
-            with _TRACE.span("api.compress_chunk",
-                             backend=self.backend_name,
-                             nbytes=len(chunk), final=final) as span:
-                result = self.backend.compress(chunk, fmt="raw",
-                                               history=history, final=final)
-                span.set(out_bytes=len(result.output))
-        else:
+        with _TRACE.span("api.compress_chunk", backend=self.backend_name,
+                         nbytes=len(chunk), final=final) as span:
             result = self.backend.compress(chunk, fmt="raw",
                                            history=history, final=final)
-        self._account(len(chunk), len(result.output), result, "compress")
+            span.set(out_bytes=len(result.output))
+        self._account(len(chunk), result, "compress")
         return result
 
     def compress_stream(self, fmt: str = "gzip") -> "NxCompressStream":
@@ -231,22 +204,16 @@ class NxGzip:
 
     # -- helpers -----------------------------------------------------------
 
-    def _account(self, nin: int, nout: int, result: DriverResult,
-                 op: str = "compress") -> None:
-        self.stats.requests += 1
-        self.stats.bytes_in += nin
-        self.stats.bytes_out += nout
-        self.stats.modelled_seconds += result.stats.elapsed_seconds
-        self.stats.faults += result.stats.translation_faults
-        self.stats.fallbacks += int(result.stats.fallback_to_software)
+    def _account(self, nin: int, result: DriverResult, op: str) -> None:
+        self.stats.record(result, nin)
+        nout = len(result.output)
         # One compact ring append per job: the always-on black box.
         _FLIGHT.record("api." + op, nbytes=nin, out=nout,
                        backend=self.backend_name)
-        if _REGISTRY.enabled:
-            # SessionStats stays the per-session view; the registry is
-            # the cross-session aggregate fed from the same point.
-            record_job("api", op=op, nbytes_in=nin, nbytes_out=nout,
-                       seconds=result.stats.elapsed_seconds,
-                       faults=result.stats.translation_faults,
-                       fallback=result.stats.fallback_to_software,
-                       backend=self.backend_name)
+        # SessionStats stays the per-session view; the registry is
+        # the cross-session aggregate fed from the same point.
+        record_job("api", op=op, nbytes_in=nin, nbytes_out=nout,
+                   seconds=result.stats.elapsed_seconds,
+                   faults=result.stats.translation_faults,
+                   fallback=result.stats.fallback_to_software,
+                   backend=self.backend_name)

@@ -396,16 +396,14 @@ def deflate(data: bytes, level: int = 6,
     ``final=False`` emits a continuable unit: non-final blocks followed
     by an empty stored block (zlib's Z_FULL_FLUSH byte alignment).
     """
-    if _TRACE.enabled:
-        with _TRACE.span("deflate.kernel", nbytes=len(data),
-                         level=level) as span:
-            result = deflate_core(data, level, block_tokens, history,
-                                  strategy, final)
-            span.set(out_bytes=len(result.data),
-                     literals=result.stats.literals,
-                     matches=result.stats.matches)
-            return result
-    return deflate_core(data, level, block_tokens, history, strategy, final)
+    with _TRACE.span("deflate.kernel", nbytes=len(data),
+                     level=level) as span:
+        result = deflate_core(data, level, block_tokens, history,
+                              strategy, final)
+        span.set(out_bytes=len(result.data),
+                 literals=result.stats.literals,
+                 matches=result.stats.matches)
+        return result
 
 
 def deflate_core(data: bytes, level: int = 6,

@@ -309,12 +309,10 @@ def inflate_with_stats(data: bytes, start: int = 0,
     Returns ``(output, stats, bits_consumed)`` so container layers can
     find the trailing checksum.
     """
-    if _TRACE.enabled:
-        with _TRACE.span("inflate.kernel", nbytes=len(data)) as span:
-            result = inflate_core(data, start, max_output, history)
-            span.set(out_bytes=len(result[0]))
-            return result
-    return inflate_core(data, start, max_output, history)
+    with _TRACE.span("inflate.kernel", nbytes=len(data)) as span:
+        result = inflate_core(data, start, max_output, history)
+        span.set(out_bytes=len(result[0]))
+        return result
 
 
 def read_block_header(reader: BitReader) -> tuple[

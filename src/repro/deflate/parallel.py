@@ -75,31 +75,25 @@ def parallel_deflate(data: bytes, level: int = 6, *,
              "level": level, "final": final and idx == last}
             for idx, (start, end) in enumerate(spans)]
 
-    obs_span = (_TRACE.span("deflate.parallel", nbytes=len(data),
-                            level=level, chunks=len(spans))
-                if _TRACE.enabled else None)
-    try:
+    with _TRACE.span("deflate.parallel", nbytes=len(data), level=level,
+                     chunks=len(spans)) as obs_span:
         from ..exec.worker import in_worker
         nworkers = min(workers or os.cpu_count() or 1, len(spans))
         results = None
         if nworkers > 1 and not in_worker():
             # Workers never get here: a chunk job must not recurse
             # into the pool that is running it.
-            if obs_span is not None:
-                obs_span.set(workers=nworkers)
+            obs_span.set(workers=nworkers)
             results = _pool_compress(jobs, nworkers, obs_span)
-            if results is None and obs_span is not None:
+            if results is None:
                 obs_span.event("exec.pool_fallback")
-        elif obs_span is not None:
+        else:
             obs_span.set(workers=1)
         if results is None:
             # Inline (one worker, inside a worker, or the pool is
             # broken: same bytes); each chunk's deflate.kernel span
             # nests here.
             results = [compress_chunk(**job) for job in jobs]
-    finally:
-        if obs_span is not None:
-            obs_span.__exit__(None, None, None)
 
     out = bytearray()
     stats = MatchStats()

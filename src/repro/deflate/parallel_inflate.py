@@ -302,17 +302,13 @@ def inflate_chunk_job(*, header_byte: int, stop_bit: int, data: bytes,
     *genuine* stream error, in stream order).
     """
     rebase = header_byte * 8
-    span = (_TRACE.span("inflate.chunk", nbytes=len(data))
-            if _TRACE.enabled else None)
     run = _Resolver(data, "gzip", {}, spacing, max_output)
     try:
-        run.open()
-        run.run(stop_bit=stop_bit - rebase)
+        with _TRACE.span("inflate.chunk", nbytes=len(data)):
+            run.open()
+            run.run(stop_bit=stop_bit - rebase)
     except DeflateError:
         return {"ok": False}
-    finally:
-        if span is not None:
-            span.__exit__(None, None, None)
     return {"ok": True, "start_bit": rebase,
             "end_bit": run.pos_bit + rebase, "out": bytes(run.out),
             "members": run.members, "open": run.in_member,
@@ -372,11 +368,9 @@ def parallel_inflate(payload: bytes, fmt: str = "gzip", *,
                    max(1, njobs_possible))
     spacing = index_spacing if build_index else None
     speculated = 0
-    obs_span = (_TRACE.span("inflate.parallel", nbytes=len(payload),
-                            fmt=fmt, workers=nworkers)
-                if _TRACE.enabled else None)
     specs: dict[int, dict] = {}
-    try:
+    with _TRACE.span("inflate.parallel", nbytes=len(payload), fmt=fmt,
+                     workers=nworkers) as obs_span:
         jobs = (_plan_jobs(payload, fmt, chunk_size)
                 if nworkers > 1 and not in_worker() else [])
         if jobs:
@@ -384,8 +378,7 @@ def parallel_inflate(payload: bytes, fmt: str = "gzip", *,
                                       max_output=max_output,
                                       spacing=spacing)
             if records is None:
-                if obs_span is not None:
-                    obs_span.event("exec.pool_fallback")
+                obs_span.event("exec.pool_fallback")
             else:
                 speculated = len(jobs)
                 specs = {record["start_bit"]: record
@@ -397,15 +390,10 @@ def parallel_inflate(payload: bytes, fmt: str = "gzip", *,
         counters = {"used": resolver.used,
                     "failed": speculated - resolver.used,
                     "serial": resolver.serial}
-        if obs_span is not None:
-            obs_span.set(out_bytes=len(resolver.out),
-                         members=resolver.members,
-                         chunks_used=counters["used"],
-                         chunks_failed=counters["failed"],
-                         serial_segments=counters["serial"])
-    finally:
-        if obs_span is not None:
-            obs_span.__exit__(None, None, None)
+        obs_span.set(out_bytes=len(resolver.out), members=resolver.members,
+                     chunks_used=counters["used"],
+                     chunks_failed=counters["failed"],
+                     serial_segments=counters["serial"])
 
     index = None
     if build_index:
@@ -413,17 +401,16 @@ def parallel_inflate(payload: bytes, fmt: str = "gzip", *,
                           output_size=len(resolver.out),
                           members=resolver.members,
                           points=resolver.points)
-    if _REGISTRY.enabled:
-        chunks = _REGISTRY.counter(
-            "repro_inflate_chunks_total",
-            "parallel-inflate chunk outcomes by disposition")
-        for outcome, count in counters.items():
-            if count:
-                chunks.inc(count, outcome=outcome)
-        _REGISTRY.counter(
-            "repro_inflate_parallel_bytes_total",
-            "bytes decoded through parallel_inflate").inc(
-                len(resolver.out))
+    chunks = _REGISTRY.counter(
+        "repro_inflate_chunks_total",
+        "parallel-inflate chunk outcomes by disposition")
+    for outcome, count in counters.items():
+        if count:
+            chunks.inc(count, outcome=outcome)
+    _REGISTRY.counter(
+        "repro_inflate_parallel_bytes_total",
+        "bytes decoded through parallel_inflate").inc(
+            len(resolver.out))
     return ParallelInflateResult(
         data=bytes(resolver.out), fmt=fmt, members=resolver.members,
         workers=nworkers, chunks_speculated=speculated,
@@ -450,30 +437,24 @@ def read_range(payload: bytes, offset: int, length: int, *,
             f"index was built for a {index.compressed_size}-byte "
             f"payload, got {len(payload)} bytes")
     point = index.locate(offset)
-    span = (_TRACE.span("inflate.range", offset=offset, length=length,
-                        resume_bit=point.bit_offset)
-            if _TRACE.enabled else None)
     # A zlib body is walked as raw: no Adler-32 check from a midpoint.
     resolver = _Resolver(payload, "gzip" if fmt == "gzip" else "raw", {},
                          None, 1 << 62)
     resolver.resume(point)
-    try:
+    with _TRACE.span("inflate.range", offset=offset, length=length,
+                     resume_bit=point.bit_offset):
         resolver.run(want=offset + length - point.out_offset)
-    finally:
-        if span is not None:
-            span.__exit__(None, None, None)
     out = resolver.out
     start = offset - point.out_offset
     data = bytes(out[start:start + length])
-    if _REGISTRY.enabled:
-        _REGISTRY.counter("repro_inflate_random_reads_total",
-                          "range reads served through a seek index").inc()
-        _REGISTRY.counter("repro_inflate_range_decoded_bytes_total",
-                          "bytes decoded while serving range reads").inc(
-                              len(out))
-        _REGISTRY.counter("repro_inflate_range_skipped_bytes_total",
-                          "prefix bytes skipped thanks to the index").inc(
-                              point.out_offset)
+    _REGISTRY.counter("repro_inflate_random_reads_total",
+                      "range reads served through a seek index").inc()
+    _REGISTRY.counter("repro_inflate_range_decoded_bytes_total",
+                      "bytes decoded while serving range reads").inc(
+                          len(out))
+    _REGISTRY.counter("repro_inflate_range_skipped_bytes_total",
+                      "prefix bytes skipped thanks to the index").inc(
+                          point.out_offset)
     return RangeReadResult(data=data, offset=offset, length=length,
                            decoded_bytes=len(out),
                            skipped_bytes=point.out_offset,

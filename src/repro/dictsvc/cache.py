@@ -117,7 +117,7 @@ class ResultCache(KeyedCache):
             if cacheable:
                 before = self._lru.evictions
                 self._lru.put(tenant, key, blob, len(blob))
-                if _REGISTRY.enabled and self._lru.evictions > before:
+                if self._lru.evictions > before:
                     _REGISTRY.counter(
                         "repro_cache_evictions_total",
                         "result-cache entries evicted by LRU bounds").inc(
@@ -165,22 +165,20 @@ class ResultCache(KeyedCache):
     # -- internals ------------------------------------------------------------
 
     def _count(self, outcome: str) -> None:
-        if _REGISTRY.enabled:
-            _REGISTRY.counter(
-                "repro_cache_requests_total",
-                "result-cache lookups by outcome").inc(outcome=outcome)
+        _REGISTRY.counter(
+            "repro_cache_requests_total",
+            "result-cache lookups by outcome").inc(outcome=outcome)
 
     # -- introspection --------------------------------------------------------
 
     def stats(self) -> dict:
         with self._lock:
-            if _REGISTRY.enabled:
-                _REGISTRY.gauge(
-                    "repro_cache_entries",
-                    "live result-cache entries").set(len(self._lru.order))
-                _REGISTRY.gauge(
-                    "repro_cache_bytes",
-                    "live result-cache payload bytes").set(self._lru.bytes)
+            _REGISTRY.gauge(
+                "repro_cache_entries",
+                "live result-cache entries").set(len(self._lru.order))
+            _REGISTRY.gauge(
+                "repro_cache_bytes",
+                "live result-cache payload bytes").set(self._lru.bytes)
             return {
                 "requests": self.requests,
                 "hits": self.hits,

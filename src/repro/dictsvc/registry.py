@@ -157,11 +157,10 @@ class DictionaryRegistry:
             res = self._reservoirs[tenant] = _Reservoir(
                 rng=rng, capacity=DEFAULT_MAX_SAMPLES)
         res.offer(bytes(payload[:self.sample_bytes]))
-        if _REGISTRY.enabled:
-            _REGISTRY.counter(
-                "repro_dictsvc_samples_total",
-                "payload samples offered to dictionary reservoirs").inc(
-                    tenant=tenant)
+        _REGISTRY.counter(
+            "repro_dictsvc_samples_total",
+            "payload samples offered to dictionary reservoirs").inc(
+                tenant=tenant)
 
     # -- train ----------------------------------------------------------------
 
@@ -186,14 +185,13 @@ class DictionaryRegistry:
                 litlen_lengths=lit, dist_lengths=dist,
                 priming=priming, samples=len(members)))
         self._trained[tenant] = trained
-        if _REGISTRY.enabled:
-            _REGISTRY.counter(
-                "repro_dictsvc_train_runs_total",
-                "dictionary training runs").inc(tenant=tenant)
-            _REGISTRY.gauge(
-                "repro_dictsvc_clusters",
-                "clusters trained in the latest epoch").set(
-                    len(trained), tenant=tenant)
+        _REGISTRY.counter(
+            "repro_dictsvc_train_runs_total",
+            "dictionary training runs").inc(tenant=tenant)
+        _REGISTRY.gauge(
+            "repro_dictsvc_clusters",
+            "clusters trained in the latest epoch").set(
+                len(trained), tenant=tenant)
         _FLIGHT.record("dictsvc.train", tenant=tenant, epoch=epoch,
                        clusters=len(trained), samples=len(res.samples))
         return trained
@@ -295,10 +293,9 @@ class DictionaryRegistry:
                                      replace=True)
                 self._pushed.add(d.name)
                 pushed.append(d.name)
-        if _REGISTRY.enabled:
-            _REGISTRY.gauge(
-                "repro_dictsvc_pushed_tables",
-                "trained canned tables live in the engine").set(len(pushed))
+        _REGISTRY.gauge(
+            "repro_dictsvc_pushed_tables",
+            "trained canned tables live in the engine").set(len(pushed))
         _FLIGHT.record("dictsvc.push", tables=len(pushed))
         return sorted(pushed)
 

@@ -326,11 +326,10 @@ class ProcessWorkerPool:
         job = ExecJob(next(self._next_job), fn, frame((fn, kwargs, opts)),
                       span_parent)
         self._queue(job)
-        if _REGISTRY.enabled:
-            _REGISTRY.counter("repro_exec_jobs_total",
-                              "jobs dispatched to pool workers").inc(
-                1, fn=fn)
-            self._publish_gauges()
+        _REGISTRY.counter("repro_exec_jobs_total",
+                          "jobs dispatched to pool workers").inc(
+            1, fn=fn)
+        self._publish_gauges()
         return job
 
     def _queue(self, job: ExecJob) -> None:
@@ -430,7 +429,7 @@ class ProcessWorkerPool:
                 self._dispatch()
         for job in finished:
             self._fold_telemetry(job)
-        if finished and _REGISTRY.enabled:
+        if finished:
             self._publish_gauges()
         return finished
 
@@ -492,10 +491,9 @@ class ProcessWorkerPool:
         self.worker_restarts += 1
         _TRACE.event("exec.worker_restart", worker=worker.worker_id,
                      exitcode=exitcode)
-        if _REGISTRY.enabled:
-            _REGISTRY.counter(
-                "repro_exec_worker_restarts_total",
-                "workers respawned after dying").inc(1)
+        _REGISTRY.counter(
+            "repro_exec_worker_restarts_total",
+            "workers respawned after dying").inc(1)
         return job
 
     def _fold_telemetry(self, job: ExecJob) -> None:

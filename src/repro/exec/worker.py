@@ -170,8 +170,8 @@ def _run_traced(fn: Callable, kwargs: dict,
     """Execute one job, capturing this process's spans and metrics.
 
     The worker's *global* tracer/registry are enabled for the duration
-    so the ordinary ``TRACE.enabled`` guards inside the kernels fire;
-    both are reset afterwards, leaving nothing behind between jobs.
+    so the kernels' own span and metric calls record; both are reset
+    afterwards, leaving nothing behind between jobs.
 
     Traced jobs run under a ``worker.job`` root span.  When the
     descriptor carries a wire trace context (``opts["traceparent"]``,
@@ -191,18 +191,15 @@ def _run_traced(fn: Callable, kwargs: dict,
     result: object = None
     error: BaseException | None = None
     try:
-        if want_trace:
-            parsed = TraceContext.parse(opts.get("traceparent"))
-            ctx = parsed.child() if parsed else None
-            with _TRACE.span("worker.job", ctx=ctx, pid=os.getpid()) \
-                    as root:
-                try:
-                    result = fn(**kwargs)
-                except BaseException as exc:
-                    root.set(error=type(exc).__name__)
-                    raise
-        else:
-            result = fn(**kwargs)
+        # Only a traced job's descriptor carries a traceparent.
+        parsed = TraceContext.parse(opts.get("traceparent"))
+        with _TRACE.span("worker.job", ctx=parsed.child() if parsed else None,
+                         pid=os.getpid()) as root:
+            try:
+                result = fn(**kwargs)
+            except BaseException as exc:
+                root.set(error=type(exc).__name__)
+                raise
     except BaseException as exc:
         error = exc
     spans = metrics = None

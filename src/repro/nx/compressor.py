@@ -118,15 +118,11 @@ class NxCompressor:
             raise AcceleratorError(
                 "container formats require a final (complete) stream")
 
-        traced = _TRACE.enabled
-        if traced:
-            with _TRACE.span("engine.match", nbytes=len(data)) as span:
-                scan = self._pipeline.scan(data, history=history)
-                span.set(matches=scan.stats.matches,
-                         literals=scan.stats.literals,
-                         stalls=scan.conflict_stalls)
-        else:
+        with _TRACE.span("engine.match", nbytes=len(data)) as span:
             scan = self._pipeline.scan(data, history=history)
+            span.set(matches=scan.stats.matches,
+                     literals=scan.stats.literals,
+                     stalls=scan.conflict_stalls)
         blocks = _split_by_input_bytes(scan.tokens, data, self.block_bytes)
 
         if canned_name is None and strategy in (DhtStrategy.CANNED,
@@ -135,26 +131,16 @@ class NxCompressor:
 
         # Plan every block first, then emit the planned stream — the two
         # hardware phases (DHT selection/generation vs encoder drain).
-        if traced:
-            with _TRACE.span("engine.huffman", blocks=len(blocks),
-                             strategy=strategy.value) as span:
-                plans = [self._plan_block(tokens, raw, strategy, canned_name)
-                         for tokens, raw in blocks]
-                span.set(dht_cycles=sum(
-                    dht.generation_cycles if dht else 0
-                    for _, dht in plans))
-        else:
+        with _TRACE.span("engine.huffman", blocks=len(blocks),
+                         strategy=strategy.value) as span:
             plans = [self._plan_block(tokens, raw, strategy, canned_name)
                      for tokens, raw in blocks]
-
-        if traced:
-            with _TRACE.span("engine.emit", blocks=len(plans)) as span:
-                body, block_types, dht_sources, dht_cycles = (
-                    _emit_planned(plans, final))
-                span.set(out_bytes=len(body))
-        else:
-            body, block_types, dht_sources, dht_cycles = (
-                _emit_planned(plans, final))
+            dht_cycles = sum(dht.generation_cycles if dht else 0
+                             for _, dht in plans)
+            span.set(dht_cycles=dht_cycles)
+        with _TRACE.span("engine.emit", blocks=len(plans)) as span:
+            body, block_types, dht_sources = _emit_planned(plans, final)
+            span.set(out_bytes=len(body))
         payload = frame(fmt, body, checksum(fmt, data), len(data),
                         zdict=history)
 
@@ -283,25 +269,23 @@ def _demote_uncovered(tokens: list[Token], raw: bytes,
 
 
 def _emit_planned(plans: list[tuple[BlockPlan, DhtResult | None]],
-                  final: bool) -> tuple[bytes, list[int], list[str], int]:
+                  final: bool) -> tuple[bytes, list[int], list[str]]:
     """Encode a planned block sequence into one DEFLATE body."""
     writer = BitWriter()
     block_types: list[int] = []
     dht_sources: list[str] = []
-    dht_cycles = 0
     for idx, (plan, dht) in enumerate(plans):
         last = idx == len(plans) - 1
         emit_block(writer, plan, final=final and last)
         block_types.append(plan.btype)
         dht_sources.append(dht.source if dht else "stored")
-        dht_cycles += dht.generation_cycles if dht else 0
     if not final:
         # Z_FULL_FLUSH: empty stored block byte-aligns the stream.
         writer.write_bits(0, 1)
         writer.write_bits(0, 2)
         writer.align_to_byte()
         writer.write_bytes(b"\x00\x00\xff\xff")
-    return writer.getvalue(), block_types, dht_sources, dht_cycles
+    return writer.getvalue(), block_types, dht_sources
 
 
 def _split_by_input_bytes(tokens: list[Token], raw: bytes,

@@ -65,17 +65,15 @@ class NxEngine:
 
     def execute(self, crb: Crb, space: AddressSpace) -> JobOutcome:
         """Run one coprocessor job to completion, fault, or overflow."""
-        if _TRACE.enabled:
-            with _TRACE.span("engine.run", op=crb.function.op.name,
-                             nbytes=crb.source.total_length) as span:
-                outcome = self._execute(crb, space)
-                span.set(cc=outcome.csb.cc.name,
-                         busy_s=outcome.busy_seconds)
-                if outcome.faulted_address is not None:
-                    span.event("fault.translation",
-                               address=outcome.faulted_address)
-                return outcome
-        return self._execute(crb, space)
+        with _TRACE.span("engine.run", op=crb.function.op.name,
+                         nbytes=crb.source.total_length) as span:
+            outcome = self._execute(crb, space)
+            span.set(cc=outcome.csb.cc.name,
+                     busy_s=outcome.busy_seconds)
+            if outcome.faulted_address is not None:
+                span.event("fault.translation",
+                           address=outcome.faulted_address)
+            return outcome
 
     def _execute(self, crb: Crb, space: AddressSpace) -> JobOutcome:
         self.counters.jobs += 1

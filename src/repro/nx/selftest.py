@@ -70,14 +70,13 @@ def run_selftest(machine: MachineParams,
                 else:
                     decompress_ok = False
     passed = not failures
-    if _REGISTRY.enabled:
-        gauge = _REGISTRY.gauge(
-            "repro_nx_selftest_pass",
-            "1 if the engine's known-answer vectors round-trip")
-        gauge.set(float(compress_ok), machine=machine.name,
-                  engine="compress")
-        gauge.set(float(decompress_ok), machine=machine.name,
-                  engine="decompress")
+    gauge = _REGISTRY.gauge(
+        "repro_nx_selftest_pass",
+        "1 if the engine's known-answer vectors round-trip")
+    gauge.set(float(compress_ok), machine=machine.name,
+              engine="compress")
+    gauge.set(float(decompress_ok), machine=machine.name,
+              engine="decompress")
     if not passed and raise_on_failure:
         raise AcceleratorError(
             f"self-test failed on {machine.name}: {failures}")
@@ -118,9 +117,8 @@ def probe_backend(backend) -> bool:
             ok = verify_payload(_PROBE_VECTOR, result.output, fmt)
         else:
             ok = False
-    if _REGISTRY.enabled:
-        _REGISTRY.counter(
-            "repro_nx_probe_total",
-            "half-open breaker probes by outcome").inc(
-            1, backend=backend.name, outcome="pass" if ok else "fail")
+    _REGISTRY.counter(
+        "repro_nx_probe_total",
+        "half-open breaker probes by outcome").inc(
+        1, backend=backend.name, outcome="pass" if ok else "fail")
     return ok

@@ -218,7 +218,7 @@ def cmpr_loop(facility: Dfltcc, block: ParameterBlock, data: bytes,
             break
         if result.cc is not ConditionCode.PARTIAL:
             raise AcceleratorError(f"unexpected CC {result.cc!r}")
-    if _TRACE.enabled and invocations > 1:
+    if invocations > 1:
         # The CC=3 re-issue loop: how many CMPR issues this job took.
         _TRACE.event("dfltcc.reissue", invocations=invocations)
     _count_issues(invocations, "cmpr")
@@ -240,18 +240,15 @@ def xpnd_loop(facility: Dfltcc, block: ParameterBlock, body: bytes,
             break
         if result.cc is not ConditionCode.OP1_FULL:
             raise AcceleratorError(f"unexpected CC {result.cc!r}")
-        if _TRACE.enabled:
-            _TRACE.event("overflow.target", length=capacity)
+        _TRACE.event("overflow.target", length=capacity)
         capacity *= 2
     _count_issues(invocations, "xpnd")
     return result, invocations
 
 
 def _count_issues(invocations: int, fn: str) -> None:
-    if _REGISTRY.enabled:
-        _REGISTRY.counter("repro_backend_dfltcc_invocations_total",
-                          "DFLTCC instruction issues").inc(
-            invocations, fn=fn)
+    _REGISTRY.counter("repro_backend_dfltcc_invocations_total",
+                      "DFLTCC instruction issues").inc(invocations, fn=fn)
 
 
 def dfltcc_compress(data: bytes,

@@ -6,10 +6,10 @@ production posture is the opposite: the NX counters are always live, so
 a post-mortem starts from data that was already being collected.  The
 flight recorder is that posture in software — a fixed-size
 ``deque(maxlen=...)`` of ``(perf_counter, kind, fields)`` tuples that
-every layer appends compact records to unconditionally (one attribute
-check and one ring append per record; the cost is measured by
+every layer appends compact records to unconditionally (one call and
+one ring append per record; the cost is measured by
 ``benchmarks/bench_obs_overhead.py`` and gated by
-``tools/perf_gate.py`` alongside the span-guard overhead).
+``tools/perf_gate.py`` alongside the null-span overhead).
 
 On the paths where an operator would want the story — an injected
 chaos fault, a breaker opening, a blown deadline, a worker crash — the

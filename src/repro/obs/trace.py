@@ -10,13 +10,19 @@ fallbacks, and paste rejections attach to the innermost open span as
 engineers attributed per-job latency to queueing, DMA, and fault
 service.
 
-Cost model: the module-level :data:`TRACE` singleton starts disabled.
-Hot paths guard instrumentation behind its ``enabled`` attribute — one
-attribute load — and non-hot paths may call :meth:`Tracer.span`
-unconditionally, which returns the shared allocation-free
-:data:`NULL_SPAN` while disabled.  Timing uses ``perf_counter`` so span
-durations are wall-clock and monotonic; a paired epoch captured at
-enable time lets exporters reconstruct absolute timestamps.
+Cost model: the module-level :data:`TRACE` singleton starts disabled,
+and the switch is the tracer's alone: every site calls :meth:`Tracer.span`
+(``with TRACE.span(...) as span``) or :meth:`Tracer.event`
+unconditionally, and while disabled ``span`` returns the shared
+allocation-free :data:`NULL_SPAN` and ``event`` returns at once.  A
+disabled span with keyword attributes and one ``set`` costs ~1.1 us
+against ~0.02 us for the attribute test it replaced (Python 3.11.7,
+median of ``timeit`` repeats on a 2-CPU x86-64 VM); work only a trace
+reads, such as parsing a wire ``traceparent``, happens inside the
+tracer, so a disabled site does none of it.  Timing uses
+``perf_counter`` so span durations are wall-clock and monotonic; a
+paired epoch captured at enable time lets exporters reconstruct
+absolute timestamps.
 """
 
 from __future__ import annotations
@@ -206,7 +212,7 @@ class Tracer:
         stack.append(span)
         return span
 
-    def span_detached(self, name: str, ctx: TraceContext | None = None,
+    def span_detached(self, name: str, traceparent: str | None = None,
                       **attrs: object) -> Span | _NullSpan:
         """A span that is *not* bound to any thread's stack.
 
@@ -214,12 +220,16 @@ class Tracer:
         on a client-handler thread and fulfilled on the dispatcher —
         cannot use the per-thread nesting model: the span must open on
         one thread and close on another.  A detached span has an
-        fresh trace (joined to the wire trace through ``ctx``) and never
-        appears on a stack; finishing it only files it with the collected
-        spans.
+        fresh trace and never appears on a stack; finishing it only
+        files it with the collected spans.  It joins the wire trace the
+        caller's ``traceparent`` header names (as a child context of
+        it), or roots a fresh one when that is absent or malformed.
+        An attribute given as None is left off.
         """
         if not self.enabled:
             return NULL_SPAN
+        parsed = TraceContext.parse(traceparent)
+        ctx = parsed.child() if parsed else TraceContext.new()
         with self._lock:
             span_id = self._next_span
             self._next_span += 1
@@ -228,8 +238,8 @@ class Tracer:
         span = Span(name=name, trace_id=trace_id, span_id=span_id,
                     parent_id=None, start_s=time.perf_counter(),
                     tracer=self, ctx=ctx)
-        if attrs:
-            span.attrs.update(attrs)
+        span.attrs.update((key, value) for key, value in attrs.items()
+                          if value is not None)
         return span
 
     def adopt(self, span: "Span | _NullSpan") -> "_Adoption":
@@ -250,10 +260,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         if stack:
             stack[-1].event(name, **attrs)
-
-    def current(self) -> Span | None:
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
 
     def current_ctx(self) -> TraceContext | None:
         """The nearest enclosing span's wire context, if any.
@@ -377,5 +383,5 @@ class _Adoption:
                 stack.remove(self._span)
 
 
-#: The process-global tracer every instrumented layer guards against.
+#: The process-global tracer every instrumented layer calls.
 TRACE = Tracer()

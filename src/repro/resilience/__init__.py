@@ -27,8 +27,9 @@ if TYPE_CHECKING:
     from .health import (BreakerState, CircuitBreaker, HealthConfig,
                          HealthTracker)
     from .policy import RetryPolicy, check_deadline
-    from .verify import (decode_payload, note_mismatch, run_in_software,
-                         software_compress, verify_payload)
+    from .verify import (decode_payload, run_in_software,
+                         software_compress, verify_or_reencode,
+                         verify_payload)
 
 __all__ = lazy_exports(__name__, {
     "chaos": "ScenarioResult default_plans render run_campaign "
@@ -37,6 +38,6 @@ __all__ = lazy_exports(__name__, {
               "NetFaultInjector fault_factory",
     "health": "BreakerState CircuitBreaker HealthConfig HealthTracker",
     "policy": "RetryPolicy check_deadline",
-    "verify": "decode_payload note_mismatch run_in_software "
-              "software_compress verify_payload",
+    "verify": "decode_payload run_in_software software_compress "
+              "verify_or_reencode verify_payload",
 })

@@ -177,15 +177,13 @@ class FaultInjector(Injector):
         return self
 
     def _record(self, kind: str) -> None:
-        if _TRACE.enabled:
-            _TRACE.event("fault.injected", kind=kind, chip=self.chip)
+        _TRACE.event("fault.injected", kind=kind, chip=self.chip)
         _FLIGHT.auto_dump("fault_" + kind, chip=self.chip,
                           job=self.job_counter)
-        if _REGISTRY.enabled:
-            _REGISTRY.counter(
-                "repro_resilience_faults_injected_total",
-                "chaos faults fired by the injector").inc(
-                1, kind=kind, chip=str(self.chip))
+        _REGISTRY.counter(
+            "repro_resilience_faults_injected_total",
+            "chaos faults fired by the injector").inc(
+            1, kind=kind, chip=str(self.chip))
 
     def _fires(self, kind: str) -> FaultPlan | None:
         return self.fire(self.job_counter, (kind,))
@@ -265,17 +263,15 @@ class NetFaultInjector(Injector):
                          None if direction == "send" else _RECV_KINDS)
 
     def _record(self, kind: str) -> None:
-        if _TRACE.enabled:
-            _TRACE.event("net.fault", kind=kind, peer=self.peer,
-                         direction=self._direction)
+        _TRACE.event("net.fault", kind=kind, peer=self.peer,
+                     direction=self._direction)
         _FLIGHT.record("net.fault", kind=kind, peer=self.peer,
                        direction=self._direction,
                        op=sum(self._counters.values()))
-        if _REGISTRY.enabled:
-            _REGISTRY.counter(
-                "repro_resilience_net_faults_injected_total",
-                "wire chaos faults fired by the injector").inc(
-                1, kind=kind)
+        _REGISTRY.counter(
+            "repro_resilience_net_faults_injected_total",
+            "wire chaos faults fired by the injector").inc(
+            1, kind=kind)
 
 
 class WorkerKiller(Injector):

@@ -107,9 +107,8 @@ class CircuitBreaker:
         if to is BreakerState.OPEN:
             self.opens += 1
             self.opened_at_tick = tick
-            if _TRACE.enabled:
-                _TRACE.event("breaker.open", chip=self.chip,
-                             failures=self.consecutive_failures)
+            _TRACE.event("breaker.open", chip=self.chip,
+                         failures=self.consecutive_failures)
             _FLIGHT.auto_dump("breaker_open", chip=self.chip,
                               failures=self.consecutive_failures,
                               tick=tick)
@@ -120,15 +119,14 @@ class CircuitBreaker:
             self.probe_passes = 0
         self.state = to
         self.transitions.append((to.name, tick))
-        if _REGISTRY.enabled:
-            _REGISTRY.gauge(
-                "repro_resilience_breaker_state",
-                "per-chip breaker (0 closed, 1 half-open, 2 open)").set(
-                int(to), chip=str(self.chip))
-            _REGISTRY.counter(
-                "repro_resilience_breaker_transitions_total",
-                "breaker state transitions").inc(
-                1, chip=str(self.chip), to=to.name)
+        _REGISTRY.gauge(
+            "repro_resilience_breaker_state",
+            "per-chip breaker (0 closed, 1 half-open, 2 open)").set(
+            int(to), chip=str(self.chip))
+        _REGISTRY.counter(
+            "repro_resilience_breaker_transitions_total",
+            "breaker state transitions").inc(
+            1, chip=str(self.chip), to=to.name)
 
 
 class HealthTracker:

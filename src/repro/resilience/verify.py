@@ -7,16 +7,20 @@ rescue, a repair) calls it, charged at the calibrated software rate.
 
 The production zEDC path can re-inflate compressed output and compare
 it before handing the buffer back — a data-integrity backstop against a
-mis-executing engine.  :func:`verify_payload` is that check; when it
-fails the job is re-run here, so the caller always receives bytes that
-round-trip.
+mis-executing engine.  :func:`verify_payload` is that check, and
+:func:`verify_or_reencode` — the one verify step of the session API and
+the pool — re-runs a job that fails it here, so the caller always
+receives bytes that round-trip.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .. import e842
 from ..deflate.containers import decode_with_stats, encode
 from ..errors import ReproError
+from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 from ..perf.cost import SoftwareCostModel
@@ -75,13 +79,30 @@ def software_compress(data: bytes, fmt: str = "raw", level: int = 6,
                            machine=machine)
 
 
-def note_mismatch(backend: str, fmt: str, nbytes: int) -> None:
-    """Publish one verify failure into metrics and the open span."""
-    if _TRACE.enabled:
-        _TRACE.event("verify.mismatch", backend=backend, fmt=fmt,
-                     nbytes=nbytes)
-    if _REGISTRY.enabled:
-        _REGISTRY.counter(
-            "repro_resilience_verify_mismatch_total",
-            "compressed payloads that failed verify-after-compress").inc(
-            1, backend=backend, fmt=fmt)
+def verify_or_reencode(data: bytes, result, fmt: str, *, backend: str,
+                       machine, **where: object):
+    """Verify-after-compress of one job's ``DriverResult``.
+
+    Returns ``result`` itself when its output decodes back to ``data``.
+    Otherwise the mismatch is published (a ``verify.mismatch`` event on
+    the open span, the mismatch counter, a throttled ``verify_failure``
+    flight dump whose detail ``where`` extends) and a software re-encode
+    is returned, its core seconds on ``machine`` added to the job's, so
+    a caller counts its failures as ``returned is not result``.
+    """
+    if verify_payload(data, result.output, fmt):
+        return result
+    _TRACE.event("verify.mismatch", backend=backend, fmt=fmt,
+                 nbytes=len(data))
+    _REGISTRY.counter(
+        "repro_resilience_verify_mismatch_total",
+        "compressed payloads that failed verify-after-compress").inc(
+        1, backend=backend, fmt=fmt)
+    _FLIGHT.auto_dump("verify_failure", backend=backend, fmt=fmt, **where,
+                      nbytes=len(data))
+    output, seconds = run_in_software("compress", data, fmt,
+                                      machine=machine)
+    stats = result.stats
+    stats.fallback_to_software = True
+    stats.elapsed_seconds += seconds
+    return replace(result, output=output, csb=None, engine_result=None)

@@ -96,10 +96,9 @@ class RetryBudget:
                 self.granted += 1
                 return True
             self.denied += 1
-            if _REGISTRY.enabled:
-                _REGISTRY.counter(
-                    "repro_service_net_retry_denied_total",
-                    "retries refused by the client retry budget").inc(1)
+            _REGISTRY.counter(
+                "repro_service_net_retry_denied_total",
+                "retries refused by the client retry budget").inc(1)
             return False
 
 
@@ -218,11 +217,10 @@ class ServiceClient:
             if echoed is None or echoed == request_id:
                 return message
             span.event("client.stale_drop", got=echoed)
-            if _REGISTRY.enabled:
-                _REGISTRY.counter(
-                    "repro_service_net_stale_drops_total",
-                    "stale/duplicated responses discarded by the "
-                    "client").inc(1)
+            _REGISTRY.counter(
+                "repro_service_net_stale_drops_total",
+                "stale/duplicated responses discarded by the "
+                "client").inc(1)
         raise ProtocolError(
             f"no response for {request_id!r} within "
             f"{_MAX_STALE_DROPS} frames")
@@ -249,10 +247,9 @@ class ServiceClient:
         self.reconnects_total += 1
         span.event("client.reconnect", attempt=reconnects,
                    cause=type(cause).__name__)
-        if _REGISTRY.enabled:
-            _REGISTRY.counter(
-                "repro_service_net_reconnects_total",
-                "connections redialled after a wire failure").inc(1)
+        _REGISTRY.counter(
+            "repro_service_net_reconnects_total",
+            "connections redialled after a wire failure").inc(1)
         _FLIGHT.record("net.reconnect", request_id=request_id,
                        attempt=reconnects, cause=type(cause).__name__)
         time.sleep(self._backoff_s(request_id, reconnects))

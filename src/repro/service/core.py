@@ -55,7 +55,6 @@ from ..dictsvc.keyed import Claim
 from ..errors import (AcceleratorError, ConfigError, DeadlineExceeded,
                       ReproError, ServiceClosed, ServiceOverloaded,
                       failure_of)
-from ..obs.context import TraceContext
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import record_service_request
@@ -341,14 +340,13 @@ class CompressionService:
                     > qcls.queue_bytes_limit):
                 retry_after = self._retry_after_locked()
                 self._per_class[qcls.name]["rejected"] += 1
-                if _REGISTRY.enabled:
-                    record_service_request(
-                        op=op, qos=qcls.name, outcome="rejected",
-                        tenant=tenant, reason="queue_full")
-                    _REGISTRY.window(
-                        "repro_service_shed_window_ratio",
-                        "shed fraction of recent admissions").observe(
-                        1.0, qos=qcls.name)
+                record_service_request(
+                    op=op, qos=qcls.name, outcome="rejected",
+                    tenant=tenant, reason="queue_full")
+                _REGISTRY.window(
+                    "repro_service_shed_window_ratio",
+                    "shed fraction of recent admissions").observe(
+                    1.0, qos=qcls.name)
                 _FLIGHT.record("service.reject", op=op, qos=qcls.name,
                                nbytes=len(payload), depth=len(queue))
                 raise ServiceOverloaded(
@@ -357,21 +355,12 @@ class CompressionService:
                     f"{retry_after * 1e3:.1f} ms",
                     retry_after_s=retry_after, qos=qcls.name)
             ticket = ServiceTicket(next(self._ids), qcls.name, op, tenant)
-            span = NULL_SPAN
-            if _TRACE.enabled:
-                parsed = TraceContext.parse(traceparent)
-                ctx = parsed.child() if parsed else TraceContext.new()
-                extra: dict[str, object] = {}
-                if tenant:
-                    extra["tenant"] = tenant
-                if client_request_id:
-                    # The wire idempotency key: one logical client
-                    # request keeps one id across reconnect resends.
-                    extra["wire_request_id"] = client_request_id
-                span = _TRACE.span_detached(
-                    "service.request", ctx=ctx, op=op, qos=qcls.name,
-                    nbytes=len(payload), request_id=ticket.request_id,
-                    **extra)
+            # wire_request_id is the wire idempotency key: one logical
+            # client request keeps one id across reconnect resends.
+            span = _TRACE.span_detached(
+                "service.request", traceparent, op=op, qos=qcls.name,
+                nbytes=len(payload), request_id=ticket.request_id,
+                tenant=tenant or None, wire_request_id=client_request_id)
             queue.append(_Queued(ticket=ticket, op=op, payload=payload,
                                  fmt=fmt, strategy=strategy,
                                  deadline_s=deadline,
@@ -406,11 +395,10 @@ class CompressionService:
             self._bytes_in += nbytes_in
             self._bytes_out += len(output)
             self._per_class[qos]["completed"] += 1
-        if _REGISTRY.enabled:
-            record_service_request(
-                op=op, qos=qos, outcome="ok", tenant=tenant,
-                nbytes_in=nbytes_in, nbytes_out=len(output),
-                modelled_s=0.0, queue_wait_s=0.0)
+        record_service_request(
+            op=op, qos=qos, outcome="ok", tenant=tenant,
+            nbytes_in=nbytes_in, nbytes_out=len(output),
+            modelled_s=0.0, queue_wait_s=0.0)
         return ServiceResult(output=output, op=op, qos=qos,
                              modelled_seconds=0.0, queue_wait_s=0.0,
                              wall_seconds=0.0)
@@ -527,13 +515,12 @@ class CompressionService:
                    max(_RETRY_AFTER_MIN_S, backlog * self._ewma_job_s))
 
     def _publish_depth_locked(self, name: str) -> None:
-        if _REGISTRY.enabled:
-            _REGISTRY.gauge("repro_service_queue_depth",
-                            "requests waiting per QoS class").set(
-                len(self._queues[name]), qos=name)
-            _REGISTRY.gauge("repro_service_queued_bytes",
-                            "payload bytes waiting per QoS class").set(
-                self._queued_bytes[name], qos=name)
+        _REGISTRY.gauge("repro_service_queue_depth",
+                        "requests waiting per QoS class").set(
+            len(self._queues[name]), qos=name)
+        _REGISTRY.gauge("repro_service_queued_bytes",
+                        "payload bytes waiting per QoS class").set(
+            self._queued_bytes[name], qos=name)
 
     # -- the dispatcher ------------------------------------------------------
 
@@ -578,11 +565,10 @@ class CompressionService:
                 if took:
                     with self._lock:
                         self._batches += 1
-                    if _REGISTRY.enabled:
-                        _REGISTRY.histogram(
-                            "repro_service_batch_size",
-                            "requests dispatched per round",
-                            buckets=(1, 2, 4, 8, 16, 32)).observe(took)
+                    _REGISTRY.histogram(
+                        "repro_service_batch_size",
+                        "requests dispatched per round",
+                        buckets=(1, 2, 4, 8, 16, 32)).observe(took)
                 elif (not flying and self._state != "running"
                         and not any(self._queues.values())):
                     # Admission closed before the queues read empty, so
@@ -709,20 +695,19 @@ class CompressionService:
             # time, so the cost one more queued request adds is its share.
             per_job = wall / max(1, batch_size)
             self._ewma_job_s += _EWMA_WEIGHT * (per_job - self._ewma_job_s)
-        if _REGISTRY.enabled:
-            record_service_request(
-                op=req.op, qos=req.ticket.qos, outcome="ok",
-                tenant=req.ticket.tenant, nbytes_in=len(req.payload),
-                nbytes_out=len(output), modelled_s=modelled_s,
-                queue_wait_s=queue_wait)
-            _REGISTRY.window(
-                "repro_service_latency_window_seconds",
-                "request wall latency (admission to fulfilment)").observe(
-                wall, qos=req.ticket.qos)
-            _REGISTRY.window(
-                "repro_service_shed_window_ratio",
-                "shed fraction of recent admissions").observe(
-                0.0, qos=req.ticket.qos)
+        record_service_request(
+            op=req.op, qos=req.ticket.qos, outcome="ok",
+            tenant=req.ticket.tenant, nbytes_in=len(req.payload),
+            nbytes_out=len(output), modelled_s=modelled_s,
+            queue_wait_s=queue_wait)
+        _REGISTRY.window(
+            "repro_service_latency_window_seconds",
+            "request wall latency (admission to fulfilment)").observe(
+            wall, qos=req.ticket.qos)
+        _REGISTRY.window(
+            "repro_service_shed_window_ratio",
+            "shed fraction of recent admissions").observe(
+            0.0, qos=req.ticket.qos)
         _FLIGHT.record("service.ok", id=req.ticket.request_id, op=req.op,
                        qos=req.ticket.qos, nbytes=len(req.payload),
                        wall_s=round(wall, 6), batch=batch_size)
@@ -773,8 +758,7 @@ class CompressionService:
         """The counting half of a failure: stats and the registry."""
         with self._lock:
             self._per_class[ticket.qos][outcome] += 1
-        if _REGISTRY.enabled:
-            record_service_request(
-                op=ticket.op, qos=ticket.qos, outcome=outcome,
-                tenant=ticket.tenant, queue_wait_s=queue_wait_s,
-                reason=reason)
+        record_service_request(
+            op=ticket.op, qos=ticket.qos, outcome=outcome,
+            tenant=ticket.tenant, queue_wait_s=queue_wait_s,
+            reason=reason)

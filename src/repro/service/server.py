@@ -78,8 +78,7 @@ def _request_fields(header: dict) -> dict:
 
 
 def _net_counter(name: str, help_text: str, **labels) -> None:
-    if _REGISTRY.enabled:
-        _REGISTRY.counter(name, help_text).inc(1, **labels)
+    _REGISTRY.counter(name, help_text).inc(1, **labels)
 
 
 class _Handler(socketserver.BaseRequestHandler):

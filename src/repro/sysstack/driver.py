@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 from ..deflate.containers import decompress_target_len
 from ..errors import DeadlineExceeded, JobError, ReproError
-from ..obs.trace import NULL_SPAN, TRACE as _TRACE
+from ..obs.trace import TRACE as _TRACE
 from ..resilience.policy import RetryPolicy, check_deadline
 from ..resilience.verify import run_in_software
 from ..sysstack.crb import (CRB_FLAG_CONTINUED, CSB_BYTES, CcCode, Crb,
@@ -393,10 +393,8 @@ class NxDriver:
         if self.accelerator.chaos is not None:
             self.accelerator.chaos.on_csb(csb)
         attempt = stats.submissions - 1
-        span = (_TRACE.span("csb.complete", sequence=job.sequence,
-                            attempt=attempt, cc=csb.cc.name)
-                if _TRACE.enabled else NULL_SPAN)
-        with span:
+        with _TRACE.span("csb.complete", sequence=job.sequence,
+                         attempt=attempt, cc=csb.cc.name) as span:
             if csb.cc is CcCode.SUCCESS:
                 output = self.space.read(crb.target.address,
                                          csb.target_written)
@@ -457,10 +455,8 @@ class NxDriver:
         attempt = stats.submissions
         stats.submissions += 1
         stats.elapsed_seconds += machine.submit_overhead_us * 1e-6
-        span = (_TRACE.span("vas.paste", sequence=job.sequence,
-                            attempt=attempt, window=self._window_id)
-                if _TRACE.enabled else NULL_SPAN)
-        with span:
+        with _TRACE.span("vas.paste", sequence=job.sequence,
+                         attempt=attempt, window=self._window_id) as span:
             retries = 0
             while not self.accelerator.vas.paste(self._window_id, job.crb):
                 stats.paste_rejections += 1

@@ -108,22 +108,20 @@ class Vas:
                 else self.rx_fifo)
         if window.credits_available <= 0 or len(fifo) >= RX_FIFO_DEPTH:
             window.pastes_rejected += 1
-            if _REGISTRY.enabled:
-                _REGISTRY.counter(
-                    "repro_vas_paste_rejections_total",
-                    "credit/FIFO-rejected pastes (CR0 busy)").inc(
-                    1, priority=window.priority)
+            _REGISTRY.counter(
+                "repro_vas_paste_rejections_total",
+                "credit/FIFO-rejected pastes (CR0 busy)").inc(
+                1, priority=window.priority)
             return False
         window.outstanding += 1
         window.pastes_accepted += 1
         fifo.append(PasteRecord(window_id=window_id, raw_crb=raw))
-        if _REGISTRY.enabled:
-            _REGISTRY.counter("repro_vas_pastes_total",
-                              "accepted CRB pastes").inc(
-                1, priority=window.priority)
-            _REGISTRY.gauge("repro_vas_rx_fifo_depth",
-                            "pending CRBs in the receive FIFOs").set(
-                len(self.rx_fifo) + len(self.rx_fifo_high))
+        _REGISTRY.counter("repro_vas_pastes_total",
+                          "accepted CRB pastes").inc(
+            1, priority=window.priority)
+        _REGISTRY.gauge("repro_vas_rx_fifo_depth",
+                        "pending CRBs in the receive FIFOs").set(
+            len(self.rx_fifo) + len(self.rx_fifo_high))
         return True
 
     def pop_request(self) -> PasteRecord | None:
@@ -134,10 +132,9 @@ class Vas:
         if take_high is None:
             return None
         record = (self.rx_fifo_high if take_high else self.rx_fifo).popleft()
-        if _REGISTRY.enabled:
-            _REGISTRY.gauge("repro_vas_rx_fifo_depth",
-                            "pending CRBs in the receive FIFOs").set(
-                len(self.rx_fifo) + len(self.rx_fifo_high))
+        _REGISTRY.gauge("repro_vas_rx_fifo_depth",
+                        "pending CRBs in the receive FIFOs").set(
+            len(self.rx_fifo) + len(self.rx_fifo_high))
         return record
 
     def return_credit(self, window_id: int) -> None:

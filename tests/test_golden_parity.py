@@ -224,3 +224,26 @@ def test_chaos_golden(name: str) -> None:
     import tools.record_goldens as record_goldens
 
     assert record_goldens.chaos_cases()[name]() == _CHAOS[name]
+
+
+# -- telemetry: spans and metric families of one served request ---------------
+
+GOLDEN_TELEMETRY = (pathlib.Path(__file__).parent / "data"
+                    / "golden_telemetry.json")
+_TELEMETRY = json.loads(GOLDEN_TELEMETRY.read_text())
+
+
+def test_telemetry_grid_is_the_recorded_one() -> None:
+    import tools.record_goldens as record_goldens
+
+    assert set(record_goldens.telemetry_cases()) == set(_TELEMETRY)
+
+
+@pytest.mark.parametrize("name", sorted(_TELEMETRY))
+def test_telemetry_golden(name: str) -> None:
+    """One traced, metrics-on request on each served path leaves the
+    recorded spans (name, parent, attributes) and metric families (name,
+    kind, label sets, counter values) behind, no more and no fewer."""
+    import tools.record_goldens as record_goldens
+
+    assert record_goldens.telemetry_cases()[name]() == _TELEMETRY[name]

@@ -171,11 +171,13 @@ class TestMetrics:
             reg.gauge("repro_x_total")
 
     def test_record_job_folds_all_families(self):
-        # record_job writes to the global registry; swap a fresh family
-        # dict in so the test observes exactly what one call creates.
+        # record_job writes to the global registry (only while it is
+        # on); swap a fresh family dict in so the test observes exactly
+        # what one call creates.
         registry = obs.registry()
-        saved = registry._metrics
+        saved = registry._metrics, registry.enabled
         registry._metrics = {}
+        registry.enabled = True
         try:
             record_job("backend", op="compress", nbytes_in=1000,
                        nbytes_out=250, seconds=1e-3, faults=2,
@@ -186,7 +188,7 @@ class TestMetrics:
             ratio = registry.get("repro_backend_ratio")
             assert ratio.state(backend="nx").count == 1
         finally:
-            registry._metrics = saved
+            registry._metrics, registry.enabled = saved
         assert "repro_backend_requests_total" in names
         assert "repro_backend_bytes_in_total" in names
         assert "repro_backend_job_seconds" in names

@@ -506,7 +506,9 @@ class TestVerify:
 
     def test_api_verify_repairs(self, telemetry, text_20k):
         from repro.core.api import NxGzip
+        from repro.obs.flight import FLIGHT
 
+        FLIGHT.reset()
         with NxGzip(POWER9, verify=True) as session:
             FaultInjector(
                 [FaultPlan("corrupt_output", probability=1.0,
@@ -518,6 +520,12 @@ class TestVerify:
             "repro_resilience_verify_mismatch_total")
         assert counter is not None
         assert counter.value(backend="nx", fmt="gzip") == 1
+        # The same verify step as the pool's: a mismatch leaves its
+        # flight-recorder trigger in the ring.
+        dumps = [record for record in FLIGHT.snapshot()
+                 if record["kind"] == "dump.verify_failure"]
+        assert [(r["backend"], r["fmt"], r["nbytes"]) for r in dumps] == [
+            ("nx", "gzip", len(text_20k))]
 
 
 class TestChaosCampaign:

@@ -107,8 +107,8 @@ class TestSpansToTrees:
         client_ctx = TraceContext.new()
         with TRACE.span("client.request", ctx=client_ctx):
             pass
-        server_span = TRACE.span_detached("service.request",
-                                          ctx=client_ctx.child())
+        server_span = TRACE.span_detached(
+            "service.request", traceparent=client_ctx.to_traceparent())
         with TRACE.adopt(server_span):
             with TRACE.span("pool.route"):
                 pass
@@ -134,7 +134,8 @@ class TestSpansToTrees:
         """Worker span dicts folded under a local parent join the same
         wire tree as the request that spawned them (the exec path)."""
         req_ctx = TraceContext.new()
-        req = TRACE.span_detached("service.request", ctx=req_ctx.child())
+        req = TRACE.span_detached("service.request",
+                                  traceparent=req_ctx.to_traceparent())
         with TRACE.adopt(req):
             with TRACE.span("pool.route") as route:
                 pass

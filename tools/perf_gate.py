@@ -87,7 +87,7 @@ TABLE = (
         "higher", 1.0, 2),
     Row("parallel_inflate_mbps.2/parallel_inflate_mbps.1", "hotpath",
         "higher", 1.0, 2),
-    # The disabled tracer's guards and the flight recorder cost < 2 %.
+    # The disabled tracer's null spans and the flight recorder cost < 2 %.
     Row("deflate_l6_off_overhead_pct", "obs", "lower", 2.0),
     Row("inflate_off_overhead_pct", "obs", "lower", 2.0),
     Row("api_flight_off_overhead_pct", "obs", "lower", 2.0),

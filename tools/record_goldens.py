@@ -37,12 +37,21 @@ client and server plans on peers 0-3 over a fixed send/recv pattern.
 The chip seed ``seed * 1_000_003 + chip`` and the wire seed
 ``seed * 9_999_991 + peer`` are part of that contract.
 
+And ``tests/data/golden_telemetry.json``: the spans and metric families
+one traced, metrics-on request leaves behind on each served workload's
+path (an nx compress, a dfltcc compress on exec workers, a decompress,
+a result-cache hit), sent over loopback through ``ServiceClient``.  A
+span is its name, its parent's name, and its attributes; a family its
+name, kind, label sets and counter values.  Ids, pids and wall-clock
+times are left out: they change run to run.
+
 Only re-run this when an *intentional* bitstream change lands — the whole
 point of the file is that rewrites keep it byte-identical.
 """
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import pathlib
@@ -58,6 +67,7 @@ OUT_DICTSVC = OUT.parent / "golden_dictsvc.json"
 OUT_CONTAINERS = OUT.parent / "golden_containers.json"
 OUT_EXPERIMENTS = OUT.parent / "golden_experiments.json"
 OUT_CHAOS = OUT.parent / "golden_chaos.json"
+OUT_TELEMETRY = OUT.parent / "golden_telemetry.json"
 
 #: Training grid for the dictsvc goldens (mirrors `repro dict train`).
 DICTSVC_TRAIN = {"corpus": "cloud-like", "scale": 0.25, "seed": 7,
@@ -595,6 +605,102 @@ def record_chaos() -> dict:
     return {name: record() for name, record in chaos_cases().items()}
 
 
+# -- telemetry: what one served request records, span by span ---------------
+
+#: ``name -> (service arguments, op, QoS class, payload maker, requests
+#: sent)``; the last request of each is the one recorded.  The service
+#: arguments and QoS classes are those of the stack benchmark's four
+#: workloads (``benchmarks/stack/payloads.py``).
+TELEMETRY_CASES = {
+    "nx_compress": (
+        {"machine": "POWER9", "backend": "nx", "cache_mb": 16},
+        "compress", "interactive",
+        lambda: generate("markov_text", 4096, seed=21), 1),
+    "dfltcc_exec_compress": (
+        {"machine": "z15", "backend": "dfltcc", "exec_workers": 2},
+        "compress", "bulk",
+        lambda: generate("json_records", 32768, seed=22), 1),
+    "decompress": (
+        {"machine": "POWER9", "backend": "nx"}, "decompress", "batch",
+        lambda: gzip.compress(generate("log_lines", 65536, seed=23),
+                              mtime=0), 1),
+    "cache_hit": (
+        {"machine": "POWER9", "backend": "nx", "cache_mb": 16},
+        "compress", "interactive",
+        lambda: generate("markov_text", 4096, seed=24), 2),
+}
+
+#: Span attributes on these paths that differ run to run: ids and pids.
+_VOLATILE_ATTRS = {"request_id", "wire_request_id", "pid"}
+
+
+def _span_record(span, by_id: dict) -> dict:
+    parent = by_id.get(span.parent_id)
+    return {"name": span.name,
+            "parent": parent.name if parent is not None else None,
+            "attrs": {key: value for key, value in sorted(span.attrs.items())
+                      if key not in _VOLATILE_ATTRS}}
+
+
+def _family_record(name: str, entry: dict) -> dict:
+    values = entry["values"]
+    record = {"name": name, "kind": entry["type"],
+              "labels": [value["labels"] for value in values]}
+    if entry["type"] == "counter":
+        record["values"] = [value["value"] for value in values]
+    return record
+
+
+def _telemetry_case(kwargs: dict, op: str, qos: str, payload: bytes,
+                    requests: int) -> dict:
+    from repro import obs
+    from repro.service import ServiceClient
+    from repro.service.core import CompressionService
+    from repro.service.server import serve
+
+    service = CompressionService(chips=2, **kwargs)
+    server = serve(service)
+    try:
+        with ServiceClient(port=server.port) as client:
+            for sent in range(requests):
+                if sent == requests - 1:
+                    obs.reset()
+                    obs.enable()
+                client.request(op, payload, qos=qos, fmt="gzip")
+    finally:
+        # Closed before telemetry goes off: what the server records
+        # after its reply is sent belongs to the request too.
+        server.shutdown()
+        server.server_close()
+        service.close()
+        obs.disable()
+    spans = obs.tracer().finished()
+    by_id = {span.span_id: span for span in spans}
+    families = obs.registry().snapshot()
+    obs.reset()
+    return {"spans": sorted((_span_record(span, by_id) for span in spans),
+                            key=lambda r: json.dumps(r, sort_keys=True)),
+            "metrics": [_family_record(name, entry)
+                        for name, entry in sorted(families.items())]}
+
+
+def telemetry_cases() -> dict:
+    """``name -> recorder()`` of every pinned served request."""
+    return {name: (lambda case=case: _telemetry_case(
+                case[0], case[1], case[2], case[3](), case[4]))
+            for name, case in TELEMETRY_CASES.items()}
+
+
+def record_telemetry() -> dict:
+    from repro.exec import shutdown_default_pool
+
+    try:
+        return {name: record()
+                for name, record in telemetry_cases().items()}
+    finally:
+        shutdown_default_pool()
+
+
 def main() -> int:
     data_by_name = payloads()
     entries = [record_case(case, data_by_name) for case in cases()]
@@ -614,6 +720,9 @@ def main() -> int:
     chaos = record_chaos()
     OUT_CHAOS.write_text(json.dumps(chaos, indent=1) + "\n")
     print(f"wrote {OUT_CHAOS} ({len(chaos)} chaos cases)")
+    telemetry = record_telemetry()
+    OUT_TELEMETRY.write_text(json.dumps(telemetry, indent=1) + "\n")
+    print(f"wrote {OUT_TELEMETRY} ({len(telemetry)} served requests)")
     return 0
 
 
