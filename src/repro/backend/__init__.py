@@ -11,7 +11,7 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .base import BackendCapabilities, BackendStats, CompressionBackend
-    from .pool import SOFTWARE, AcceleratorPool, PoolJob
+    from .pool import SOFTWARE, AcceleratorPool, Job
     from .registry import (backend_capabilities, backend_names,
                            create_backend, default_backend,
                            register_backend, unregister_backend)
@@ -19,7 +19,7 @@ if TYPE_CHECKING:
 
 __all__ = lazy_exports(__name__, {
     "base": "BackendCapabilities BackendStats CompressionBackend",
-    "pool": "SOFTWARE AcceleratorPool PoolJob",
+    "pool": "SOFTWARE AcceleratorPool Job",
     "registry": "backend_capabilities backend_names create_backend "
                 "default_backend register_backend unregister_backend",
     "routing": "ROUTING_POLICIES",

@@ -44,23 +44,23 @@ part — a shared accelerator fails *per request*, never per tenant):
   mismatch counts as a chip failure and the payload is re-encoded in
   software.
 
-``submit_*`` raises only for routing (:class:`ConfigError`); a job's
-own failure is always on its handle.
+``submit`` raises only for routing (:class:`ConfigError`); a job's
+own failure is always on its :class:`Job`.
 """
 
 from __future__ import annotations
 
-import itertools
 import select
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 from ..errors import (AcceleratorError, ConfigError, ExecError, ReproError,
                       failure_of)
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
-from ..obs.trace import TRACE as _TRACE
+from ..obs.trace import NULL_SPAN, TRACE as _TRACE
 from ..resilience.health import HealthConfig, HealthTracker
 from ..resilience.verify import run_in_software, verify_or_reencode
 from ..sysstack.driver import DriverResult, SubmissionStats
@@ -120,41 +120,81 @@ class PoolStats:
     breaker_states: tuple[str, ...] = ()
 
 
-@dataclass
-class PoolJob:
-    """One routed request, from routing to :meth:`AcceleratorPool._settle`.
+class Job:
+    """One request from admission to settle: a CRB in, a CSB out.
 
-    ``submit_*`` hands it out as the caller's handle; the synchronous
-    calls build one too and raise its ``error``.  The request — payload,
-    window, final bit — is retained until completion so a job whose
-    chip fails mid-flight can be rescued in software as the request it
-    was.  ``error`` is set when the job terminally failed (and no
-    rescue was possible).
+    The service builds it at admission and hands that same object to
+    :meth:`AcceleratorPool.submit`; ``submit_*`` and the synchronous
+    calls build one for a bare pool.  The request is kept to the end,
+    so a job whose chip fails mid-flight is rescued in software as the
+    request it was.  :meth:`AcceleratorPool._settle` writes its ending
+    once, ``result`` or ``error``; a service job is then fulfilled: its
+    reply fields are written from ``stamps`` (``admit`` / ``dequeue`` /
+    ``settle``) and its ``event`` set.  Unwritten, a field reads as its
+    class default.
     """
 
-    index: int
-    chip: int
-    nbytes: int
-    kind: str
+    # The service's side: who asked, the span, a result-cache
+    # singleflight this request leads, and the event a waiter sleeps on.
+    request_id = 0
+    qos = ""
+    tenant = ""
+    span: object = NULL_SPAN
+    cache_claim = None
+    event: threading.Event | None = None
+    # A streaming call's window and final bit.
+    history = b""
+    final = True
+    # The pool's side: the chip, and while a lower layer holds the job
+    # that layer's own handle (a driver pending or an exec job, both
+    # ``done``/``result``/``error``) and whether it is the exec pool's.
+    chip = SOFTWARE
+    handle: object = None
+    on_exec = False
+    # The ending, then the reply: admit -> dequeue is the queue wait,
+    # admit -> settle the wall time; batch_size counts the jobs in
+    # flight, this one included, when it was dispatched.
     result: DriverResult | None = None
-    payload: bytes = field(default=b"", repr=False)
-    fmt: str | None = None
     error: Exception | None = None
-    history: bytes = field(default=b"", repr=False)
-    final: bool = True
-    #: While a lower layer holds the job: that layer's own handle — a
-    #: driver pending or an exec job, both ``done``/``result``/``error``
-    #: — and whether it is the exec pool's.
-    handle: object = field(default=None, repr=False)
-    on_exec: bool = False
+    output: bytes | None = None
+    modelled_seconds = 0.0
+    queue_wait_s = 0.0
+    wall_seconds = 0.0
+    batch_size = 1
+
+    def __init__(self, op: str, payload: bytes, fmt: str | None,
+                 strategy: object, deadline_s: float | None) -> None:
+        self.op = op
+        self.payload = payload
+        self.fmt = fmt
+        self.strategy = strategy
+        self.deadline_s = deadline_s
+        self.stamps: dict[str, float] = {}
+
+    @property
+    def settled(self) -> bool:
+        return self.result is not None or self.error is not None
 
     @property
     def done(self) -> bool:
-        return self.result is not None or self.error is not None
+        """Fulfilled, when somebody waits on it; else settled (or
+        answered from the result cache at admission)."""
+        if self.event is not None:
+            return self.event.is_set()
+        return self.settled or self.output is not None
 
     @property
     def failed(self) -> bool:
         return self.error is not None
+
+    def wait(self, timeout_s: float | None = None) -> "Job":
+        """Block until fulfilled; the job, or its failure raised."""
+        if self.event is not None and not self.event.wait(timeout_s):
+            raise TimeoutError(f"request {self.request_id} not fulfilled "
+                               f"within {timeout_s}s")
+        if self.error is not None:
+            raise self.error
+        return self
 
 
 class AcceleratorPool:
@@ -190,9 +230,8 @@ class AcceleratorPool:
         self.software_jobs = 0
         self.rescues = 0
         self.verify_failures = 0
-        self._open: list[PoolJob] = []
-        self._by_pending: dict[int, PoolJob] = {}  # held below, by index
-        self._indices = itertools.count()
+        self._open: list[Job] = []
+        self._below: dict[Job, None] = {}  # held by a lower layer
         # Process-based execution of batch submits on synchronous
         # backends: opt-in via exec_workers (shared warm pool) or an
         # explicitly provided exec_pool.
@@ -286,20 +325,24 @@ class AcceleratorPool:
         _REGISTRY.counter("repro_pool_dispatch_total",
                           "jobs routed per chip").inc(1, chip=target)
 
-    def _route_spanned(self, nbytes: int) -> tuple[int, object]:
-        """Route + probes + dispatch accounting, under a span it returns.
+    def _route_spanned(self, job: Job) -> object:
+        """Route + probes + dispatch accounting, under a span it returns;
+        the job gets its chip, and that chip's format if it has none.
 
         The (closed) ``pool.route`` span is the parent that worker-side
         spans folded back from the execution layer nest under — fold
         only reads its identifiers, so handing out a finished span is
         fine.
         """
+        nbytes = len(job.payload)
         with _TRACE.span("pool.route", policy=self.policy,
                          nbytes=nbytes) as span:
-            chip = self._route_healthy(nbytes)
+            job.chip = chip = self._route_healthy(nbytes)
             span.set(chip="software" if chip == SOFTWARE else chip)
         self._dispatch(chip)
-        return chip, span
+        job.fmt = (job.fmt
+                   or self.backend_for(chip).capabilities().default_format)
+        return span
 
     def _route_healthy(self, nbytes: int) -> int:
         """One routing tick; half-open picks must pass their probes."""
@@ -347,65 +390,60 @@ class AcceleratorPool:
                  fmt: str | None = None, history: bytes = b"",
                  final: bool = True,
                  deadline_s: float | None = None) -> DriverResult:
-        chip, _ = self._route_spanned(len(data))
-        job = self._job(-1, chip, "compress", data, fmt, history, final)
-        return self._run_on(job, strategy, deadline_s)
+        job = Job("compress", data, fmt, strategy, deadline_s)
+        job.history, job.final = history, final
+        return self._run_on(job)
 
     def decompress(self, payload: bytes, *, fmt: str | None = None,
                    history: bytes = b"",
                    deadline_s: float | None = None) -> DriverResult:
-        chip, _ = self._route_spanned(len(payload))
-        job = self._job(-1, chip, "decompress", payload, fmt, history)
-        return self._run_on(job, "auto", deadline_s)
+        job = Job("decompress", payload, fmt, "auto", deadline_s)
+        job.history = history
+        return self._run_on(job)
 
-    def _job(self, index: int, chip: int, kind: str, data: bytes,
-             fmt: str | None, history: bytes = b"",
-             final: bool = True) -> PoolJob:
-        fmt = fmt or self.backend_for(chip).capabilities().default_format
-        return PoolJob(index=index, chip=chip, nbytes=len(data), kind=kind,
-                       payload=data, fmt=fmt, history=history, final=final)
-
-    def _run_on(self, job: PoolJob, strategy: object,
-                deadline_s: float | None) -> DriverResult:
+    def _run_on(self, job: Job) -> DriverResult:
         """A synchronous call: the job ends on the calling thread, and
-        its failure is raised instead of left on a handle."""
-        self._settle(job, *self._call(job, strategy, deadline_s))
+        its failure is raised instead of left on the job."""
+        self._route_spanned(job)
+        self._settle(job, *self._call(job))
         if job.error is not None:
             raise job.error
         return job.result
 
-    def _call(self, job: PoolJob, strategy: object,
-              deadline_s: float | None
+    def _call(self, job: Job
               ) -> tuple[DriverResult | None, ReproError | None]:
         """Run a job on its chip, on the calling thread; how it ended."""
         backend = self.backend_for(job.chip)
         try:
             with self._op_lock(job.chip):
-                if job.kind == "compress":
+                if job.op == "compress":
                     return backend.compress(
-                        job.payload, strategy=strategy, fmt=job.fmt,
+                        job.payload, strategy=job.strategy, fmt=job.fmt,
                         history=job.history, final=job.final,
-                        deadline_s=deadline_s), None
+                        deadline_s=job.deadline_s), None
                 return backend.decompress(
                     job.payload, fmt=job.fmt, history=job.history,
-                    deadline_s=deadline_s), None
+                    deadline_s=job.deadline_s), None
         except ReproError as exc:
             return None, exc
 
     # -- the one ending ------------------------------------------------------
 
-    def _settle(self, job: PoolJob, result: DriverResult | None,
+    def _settle(self, job: Job, result: DriverResult | None,
                 error: BaseException | None = None) -> None:
         """The only place a routed job becomes a result or an error:
-        the books are closed, the ending is classified (the module
-        docstring has the table), and the result, if any, verified."""
+        the books are closed, the ending is stamped and classified (the
+        module docstring has the table), and the result, if any,
+        verified."""
         chip = job.chip
         if job.handle is not None:
             with self._lock:
-                if self._by_pending.pop(job.index, None) is None:
+                if job not in self._below:
                     return  # another thread settled it first
-                self._pending_bytes[chip] -= job.nbytes
+                del self._below[job]
+                self._pending_bytes[chip] -= len(job.payload)
             self._publish_in_flight()
+        job.stamps["settle"] = time.perf_counter()
         if result is None and error is None:
             error = AcceleratorError(
                 "job resolved with neither result nor error")
@@ -419,8 +457,8 @@ class AcceleratorPool:
             self._note_health(chip, healthy=False)
             if failure == "deadline":
                 _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
-                                  kind=job.kind, chip=chip,
-                                  nbytes=job.nbytes)
+                                  kind=job.op, chip=chip,
+                                  nbytes=len(job.payload))
             if failure == "deadline" or chip == SOFTWARE:
                 job.error = error
                 return
@@ -430,7 +468,7 @@ class AcceleratorPool:
                 job.error = exc
                 return
         verified = result
-        if (self.verify and job.kind == "compress" and job.final
+        if (self.verify and job.op == "compress" and job.final
                 and not job.history):
             verified = self._verified(job, result)
         if error is None:
@@ -448,27 +486,27 @@ class AcceleratorPool:
         else:
             self.health.record_failure(chip)
 
-    def _rescue(self, job: PoolJob, cause: BaseException) -> DriverResult:
+    def _rescue(self, job: Job, cause: BaseException) -> DriverResult:
         """Re-run a failed hardware job on the calling core, as the
         request it was: same window, same final bit."""
         with self._lock:
             self.rescues += 1
-        _TRACE.event("pool.rescue", kind=job.kind,
+        _TRACE.event("pool.rescue", kind=job.op,
                      cause=type(cause).__name__)
-        _FLIGHT.record("pool.rescue", kind=job.kind,
-                       cause=type(cause).__name__, nbytes=job.nbytes)
+        _FLIGHT.record("pool.rescue", kind=job.op,
+                       cause=type(cause).__name__, nbytes=len(job.payload))
         _REGISTRY.counter(
             "repro_resilience_rescues_total",
             "hardware jobs re-run in software after a failure").inc(
-            1, kind=job.kind)
+            1, kind=job.op)
         output, seconds = run_in_software(
-            job.kind, job.payload, job.fmt, history=job.history,
+            job.op, job.payload, job.fmt, history=job.history,
             final=job.final, machine=self.machine)
         stats = SubmissionStats(fallback_to_software=True,
                                 elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
 
-    def _verified(self, job: PoolJob, result: DriverResult) -> DriverResult:
+    def _verified(self, job: Job, result: DriverResult) -> DriverResult:
         """Verify-after-compress: the result, or its software re-encode."""
         verified = verify_or_reencode(
             job.payload, result, job.fmt,
@@ -483,56 +521,54 @@ class AcceleratorPool:
     # -- asynchronous batch submission ---------------------------------------
 
     def submit_compress(self, data: bytes, *, strategy: object = "auto",
-                        fmt: str | None = None,
-                        deadline_s: float | None = None) -> PoolJob:
-        return self._submit("compress", data, strategy, fmt, deadline_s)
+                        fmt: str | None = None) -> Job:
+        return self.submit(Job("compress", data, fmt, strategy, None))
 
-    def submit_decompress(self, payload: bytes, *, fmt: str | None = None,
-                          deadline_s: float | None = None) -> PoolJob:
-        return self._submit("decompress", payload, "auto", fmt, deadline_s)
+    def submit_decompress(self, payload: bytes, *,
+                          fmt: str | None = None) -> Job:
+        return self.submit(Job("decompress", payload, fmt, "auto", None))
 
-    def _submit(self, kind: str, data: bytes, strategy: object,
-                fmt: str | None,
-                deadline_s: float | None = None) -> PoolJob:
-        chip, route_span = self._route_spanned(len(data))
+    def submit(self, job: Job) -> Job:
+        """Route ``job`` and start it without waiting for it; its ending
+        lands on it, and ``poll`` / ``reap`` / ``wait_all`` hand it back."""
+        route_span = self._route_spanned(job)
+        chip = job.chip
         backend = self.backend_for(chip)
-        job = self._job(next(self._indices), chip, kind, data, fmt)
         if chip != SOFTWARE and hasattr(backend, "submit"):
             with self._op_lock(chip):
-                pending = backend.submit(kind, data, strategy=strategy,
-                                         fmt=job.fmt, deadline_s=deadline_s)
+                pending = backend.submit(
+                    job.op, job.payload, strategy=job.strategy, fmt=job.fmt,
+                    deadline_s=job.deadline_s)
             self._file(job, pending)
             # The paste itself may have resolved the job (software
             # fallback on a wedged window, deadline, permanent CC).
             if pending.done:
                 self._settle(job, pending.result, pending.error)
-        elif (chip != SOFTWARE and isinstance(strategy, str)
+        elif (chip != SOFTWARE and isinstance(job.strategy, str)
                 and self._exec() is not None):
             # Synchronous backend + execution layer: the job runs in a
             # pool worker process.
-            self._submit_exec(job, strategy, deadline_s, route_span)
+            self._submit_exec(job, route_span)
         else:
             # Synchronous backend, no execution layer: the job is done
-            # when submit returns — its failure, too, is on the handle.
-            self._settle(job, *self._call(job, strategy, deadline_s))
+            # when submit returns — its failure, too, is on the job.
+            self._settle(job, *self._call(job))
         with self._lock:
             self._open.append(job)
         return job
 
-    def _file(self, job: PoolJob, handle: object,
-              on_exec: bool = False) -> None:
+    def _file(self, job: Job, handle: object, on_exec: bool = False) -> None:
         """Book a job a lower layer now holds, with that layer's handle."""
         job.handle, job.on_exec = handle, on_exec
         with self._lock:
-            self._by_pending[job.index] = job
-            self._pending_bytes[job.chip] += job.nbytes
+            self._below[job] = None
+            self._pending_bytes[job.chip] += len(job.payload)
         self._publish_in_flight()
 
-    def _held(self, by_exec: bool) -> list[PoolJob]:
+    def _held(self, by_exec: bool) -> list[Job]:
         """The jobs exec workers (else the chip drivers) still hold."""
         with self._lock:
-            return [job for job in self._by_pending.values()
-                    if job.on_exec == by_exec]
+            return [job for job in self._below if job.on_exec == by_exec]
 
     # -- process-based execution of sync-backend batches ---------------------
 
@@ -566,8 +602,7 @@ class AcceleratorPool:
                 return None
         return self._exec_pool
 
-    def _submit_exec(self, job: PoolJob, strategy: str,
-                     deadline_s: float | None, span_parent: object) -> None:
+    def _submit_exec(self, job: Job, span_parent: object) -> None:
         """Ship one job, payload inline, to a pool worker.
 
         ``span_parent`` (the request's ``pool.route`` span) is where the
@@ -583,11 +618,11 @@ class AcceleratorPool:
             backend=self.backend_name,
             machine=self.machine.name,
             backend_kwargs=self._backend_kwargs,
-            kind=job.kind, fmt=job.fmt, strategy=strategy,
-            deadline_s=deadline_s, data=job.payload)
+            kind=job.op, fmt=job.fmt, strategy=job.strategy,
+            deadline_s=job.deadline_s, data=job.payload)
         self._file(job, exec_job, on_exec=True)
 
-    def _resolve_exec(self, job: PoolJob) -> DriverResult | None:
+    def _resolve_exec(self, job: Job) -> DriverResult | None:
         """A finished worker's result, booked against the parent side."""
         result = job.handle.result
         if job.handle.error is not None or result is None:
@@ -595,7 +630,7 @@ class AcceleratorPool:
         # The worker instance's accounting stays in the worker; record
         # once against the parent-side instance so BackendStats and the
         # registry stay truthful.
-        self.backend_for(job.chip)._record(result, job.nbytes, job.kind)
+        self.backend_for(job.chip)._record(result, len(job.payload), job.op)
         return result
 
     def _drain_exec(self) -> None:
@@ -643,12 +678,12 @@ class AcceleratorPool:
             if job.handle.done:
                 self._settle(job, job.handle.result, job.handle.error)
 
-    def _take_resolved(self) -> list[PoolJob]:
-        """Hand over, and forget, every open job that has resolved."""
+    def _take_resolved(self) -> list[Job]:
+        """Hand over, and forget, every open job that has settled."""
         with self._lock:
-            finished = [job for job in self._open if job.done]
+            finished = [job for job in self._open if job.settled]
             if finished:
-                self._open = [job for job in self._open if not job.done]
+                self._open = [job for job in self._open if not job.settled]
         return finished
 
     def _sleep(self, wake: tuple = ()) -> None:
@@ -665,7 +700,7 @@ class AcceleratorPool:
                 poller.register(handle, select.POLLIN)
             poller.poll(_REAP_TICK_S * 1e3)
 
-    def poll(self) -> list[PoolJob]:
+    def poll(self) -> list[Job]:
         """Drain every chip once, never blocking.
 
         Returns each job that resolved since the last ``poll`` /
@@ -677,7 +712,7 @@ class AcceleratorPool:
         self._drain_exec()
         return self._take_resolved()
 
-    def reap(self, wake: tuple = ()) -> list[PoolJob]:
+    def reap(self, wake: tuple = ()) -> list[Job]:
         """Like :meth:`poll`, but when nothing has resolved yet, wait.
 
         Chip jobs are run to completion; for exec jobs the caller sleeps
@@ -700,7 +735,7 @@ class AcceleratorPool:
 
         A job that terminally failed (deadline, unrescuable input)
         yields ``None`` in its slot; its exception is on the
-        :class:`PoolJob` handle returned at submit time.  Jobs a
+        :class:`Job` returned at submit time.  Jobs a
         ``poll``/``reap`` already handed over are not repeated.
         """
         self._drain_chips(wait=True)
@@ -720,7 +755,7 @@ class AcceleratorPool:
     @property
     def in_flight(self) -> int:
         with self._lock:
-            return len(self._by_pending)
+            return len(self._below)
 
     def cancel_in_flight(self) -> None:
         """Abandon every pending batch job (hung-engine recovery).
@@ -800,7 +835,7 @@ class AcceleratorPool:
                 fallbacks=fallbacks,
                 dispatch_counts=tuple(self.dispatch_counts),
                 software_jobs=self.software_jobs,
-                in_flight=len(self._by_pending),
+                in_flight=len(self._below),
                 rescues=self.rescues,
                 verify_failures=self.verify_failures,
                 breaker_opens=self.health.total_opens(),

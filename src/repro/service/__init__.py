@@ -38,8 +38,7 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .client import ClientResult, RetryBudget, ServiceClient
-    from .core import (CompressionService, ServiceResult, ServiceStats,
-                       ServiceTicket)
+    from .core import CompressionService, ServiceStats
     from .idempotency import IdempotencyCache
     from .protocol import ProtocolError, recv_message, send_message
     from .qos import (DEFAULT_CLASSES, DEFAULT_STARVATION_BOUND, FIFOS,
@@ -48,7 +47,7 @@ if TYPE_CHECKING:
 
 __all__ = lazy_exports(__name__, {
     "client": "ClientResult RetryBudget ServiceClient",
-    "core": "CompressionService ServiceResult ServiceStats ServiceTicket",
+    "core": "CompressionService ServiceStats",
     "idempotency": "IdempotencyCache",
     "protocol": "ProtocolError recv_message send_message",
     "qos": "DEFAULT_CLASSES DEFAULT_STARVATION_BOUND FIFOS QosClass "

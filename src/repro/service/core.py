@@ -2,9 +2,10 @@
 
 This is the traffic-facing layer the pool lacks.  Client threads call
 :meth:`CompressionService.submit` (or the blocking ``compress`` /
-``decompress`` conveniences); requests land in bounded per-QoS-class
-queues and a single dispatcher thread drives them through the shared
-:class:`~repro.backend.pool.AcceleratorPool`:
+``decompress`` conveniences); each request is one
+:class:`~repro.backend.pool.Job`, queued in a bounded per-QoS-class
+queue, which a single dispatcher thread hands to the shared
+:class:`~repro.backend.pool.AcceleratorPool` and fulfils:
 
 * **Admission control** — each class's queue has request and byte
   bounds.  A full queue sheds the request immediately with
@@ -49,7 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..backend.pool import AcceleratorPool, PoolJob
+from ..backend.pool import AcceleratorPool, Job
 from ..dictsvc.cache import ResultCache, result_key
 from ..dictsvc.keyed import Claim
 from ..errors import (AcceleratorError, ConfigError, DeadlineExceeded,
@@ -87,86 +88,6 @@ def finite_seconds(value: object) -> float | None:
     except OverflowError:
         return None
     return value if math.isfinite(value) else None
-
-
-@dataclass
-class ServiceResult:
-    """One fulfilled request: the bytes plus where the time went."""
-
-    output: bytes
-    op: str
-    qos: str
-    modelled_seconds: float
-    queue_wait_s: float   # admission -> taken off the queue by the dispatcher
-    wall_seconds: float   # admission -> fulfilment (wait + service)
-    #: Jobs in flight on the pool, this one included, when it was
-    #: dispatched: 1 means it had the engines to itself.
-    batch_size: int = 1
-
-
-class ServiceTicket:
-    """Handle for one accepted request; fulfilled by the dispatcher."""
-
-    __slots__ = ("request_id", "qos", "op", "tenant", "_event", "_result",
-                 "_error")
-
-    def __init__(self, request_id: int, qos: str, op: str, tenant: str,
-                 result: ServiceResult | None = None) -> None:
-        self.request_id = request_id
-        self.qos = qos
-        self.op = op
-        self.tenant = tenant
-        # A ticket born with its result (a cache hit, resolved at
-        # admission) has nobody to wake: it builds no Event.
-        self._event = threading.Event() if result is None else None
-        self._result = result
-        self._error: Exception | None = None
-
-    @property
-    def done(self) -> bool:
-        return self._event is None or self._event.is_set()
-
-    def wait(self, timeout_s: float | None = None) -> ServiceResult:
-        """Block until fulfilled; raises the request's failure if any."""
-        if self._event is not None and not self._event.wait(timeout_s):
-            raise TimeoutError(
-                f"request {self.request_id} not fulfilled "
-                f"within {timeout_s}s")
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
-
-    # -- dispatcher side -----------------------------------------------------
-
-    def _fulfil(self, result: ServiceResult) -> None:
-        self._result = result
-        self._event.set()
-
-    def _fail(self, error: Exception) -> None:
-        self._error = error
-        self._event.set()
-
-
-@dataclass
-class _Queued:
-    """One admitted request waiting for dispatch."""
-
-    ticket: ServiceTicket
-    op: str
-    payload: bytes
-    fmt: str
-    strategy: str
-    deadline_s: float | None
-    enqueued_at: float
-    #: When the dispatcher took the request off its queue; everything
-    #: before is queue wait, everything after is service.
-    dequeued_at: float = 0.0
-    span: object = NULL_SPAN
-    #: Set when this request leads a result-cache singleflight: its
-    #: fulfilment commits the blob and serves the followers parked on
-    #: the claim.
-    cache_claim: Claim | None = None
 
 
 @dataclass(frozen=True)
@@ -227,7 +148,7 @@ class CompressionService:
         #: trained-table push invalidates cached results without flush.
         self.cache_epoch = 0
         self._lock = threading.Lock()
-        self._queues: dict[str, deque[_Queued]] = {
+        self._queues: dict[str, deque[Job]] = {
             c.name: deque() for c in self.qos.classes}
         self._queued_bytes: dict[str, int] = {
             c.name: 0 for c in self.qos.classes}
@@ -258,8 +179,8 @@ class CompressionService:
                strategy: str = "auto", qos: str | None = None,
                tenant: str = "", deadline_s: float | None = None,
                traceparent: str | None = None,
-               client_request_id: str | None = None) -> ServiceTicket:
-        """Admit one request; returns a ticket to ``wait`` on.
+               client_request_id: str | None = None) -> Job:
+        """Admit one request; returns its :class:`Job` to ``wait`` on.
 
         Raises :class:`ServiceOverloaded` (retryable, with a
         ``retry_after_s`` hint) when the class's queue is full, and
@@ -285,94 +206,85 @@ class CompressionService:
             raise ConfigError("deadline_s must be a finite number of "
                               f"seconds, got {deadline_s!r}")
         qcls = self.qos.resolve(qos)
-        fmt = fmt or "gzip"
-        claim = None
+        job = Job(op, payload, fmt or "gzip", strategy, deadline_s)
+        job.qos, job.tenant = qcls.name, tenant
         if self.cache is not None and op == "compress":
             # Consult the content-addressed cache before admission: the
             # request is a hit, a follower parked on the executing
             # leader's claim — in the critical section that saw the
             # claim, so the leader cannot settle between the look and
             # the park — or the leader itself.
-            key = result_key(payload, op=op, fmt=fmt, strategy=strategy,
+            key = result_key(payload, op=op, fmt=job.fmt, strategy=strategy,
                              epoch=self.cache_epoch)
             state, value = self.cache.begin(
-                tenant, key, park=lambda: ServiceTicket(
-                    next(self._ids), qcls.name, op, tenant))
+                tenant, key, park=lambda: self._park(job))
             if state == "wait":
                 with self._lock:
                     self._count_admitted_locked(qcls.name, tenant,
                                                 len(payload))
-                _FLIGHT.record("service.cache_wait", id=value.request_id,
+                _FLIGHT.record("service.cache_wait", id=job.request_id,
                                qos=qcls.name, nbytes=len(payload))
-                return value
+                return job
             if state == "hit":
-                request_id = next(self._ids)
-                _FLIGHT.record("service.cache_hit", id=request_id,
+                job.request_id = next(self._ids)
+                _FLIGHT.record("service.cache_hit", id=job.request_id,
                                qos=qcls.name, nbytes=len(payload))
-                return ServiceTicket(
-                    request_id, qcls.name, op, tenant, self._serve_cached(
-                        op, qcls.name, tenant, len(payload), value,
-                        admit=True))
-            claim = value
+                self._serve_cached(job, value, admit=True)
+                return job
+            job.cache_claim = value
         try:
-            return self._admit(op, payload, fmt, strategy, qcls, tenant,
-                               deadline_s, traceparent, client_request_id,
-                               claim)
+            return self._admit(job, qcls, traceparent, client_request_id)
         except ReproError as exc:
-            if claim is not None:
+            if job.cache_claim is not None:
                 # The leader was shed before dispatch: release the
                 # singleflight claim so a retry (or a parked follower's
                 # resend) can re-claim, and fail anyone already parked.
-                self._cache_settle_fail(claim, exc)
+                self._cache_settle_fail(job.cache_claim, exc)
             raise
 
-    def _admit(self, op: str, payload: bytes, fmt: str, strategy: str,
-               qcls, tenant: str, deadline: float | None,
-               traceparent: str | None, client_request_id: str | None,
-               claim: Claim | None) -> ServiceTicket:
+    def _admit(self, job: Job, qcls, traceparent: str | None,
+               client_request_id: str | None) -> Job:
+        nbytes = len(job.payload)
         with self._lock:
             if self._state != "running":
                 raise ServiceClosed(
                     f"service is {self._state}; not accepting work")
             queue = self._queues[qcls.name]
             if (len(queue) >= qcls.queue_limit
-                    or self._queued_bytes[qcls.name] + len(payload)
+                    or self._queued_bytes[qcls.name] + nbytes
                     > qcls.queue_bytes_limit):
                 retry_after = self._retry_after_locked()
                 self._per_class[qcls.name]["rejected"] += 1
                 record_service_request(
-                    op=op, qos=qcls.name, outcome="rejected",
-                    tenant=tenant, reason="queue_full")
+                    op=job.op, qos=qcls.name, outcome="rejected",
+                    tenant=job.tenant, reason="queue_full")
                 _REGISTRY.window(
                     "repro_service_shed_window_ratio",
                     "shed fraction of recent admissions").observe(
                     1.0, qos=qcls.name)
-                _FLIGHT.record("service.reject", op=op, qos=qcls.name,
-                               nbytes=len(payload), depth=len(queue))
+                _FLIGHT.record("service.reject", op=job.op, qos=qcls.name,
+                               nbytes=nbytes, depth=len(queue))
                 raise ServiceOverloaded(
                     f"QoS class {qcls.name!r} queue full "
                     f"({len(queue)} requests); retry in "
                     f"{retry_after * 1e3:.1f} ms",
                     retry_after_s=retry_after, qos=qcls.name)
-            ticket = ServiceTicket(next(self._ids), qcls.name, op, tenant)
+            job.request_id, job.event = next(self._ids), threading.Event()
             # wire_request_id is the wire idempotency key: one logical
             # client request keeps one id across reconnect resends.
-            span = _TRACE.span_detached(
-                "service.request", traceparent, op=op, qos=qcls.name,
-                nbytes=len(payload), request_id=ticket.request_id,
-                tenant=tenant or None, wire_request_id=client_request_id)
-            queue.append(_Queued(ticket=ticket, op=op, payload=payload,
-                                 fmt=fmt, strategy=strategy,
-                                 deadline_s=deadline,
-                                 enqueued_at=time.perf_counter(),
-                                 span=span, cache_claim=claim))
-            self._queued_bytes[qcls.name] += len(payload)
-            self._count_admitted_locked(qcls.name, tenant, len(payload))
+            job.span = _TRACE.span_detached(
+                "service.request", traceparent, op=job.op, qos=qcls.name,
+                nbytes=nbytes, request_id=job.request_id,
+                tenant=job.tenant or None, wire_request_id=client_request_id)
+            job.stamps["admit"] = time.perf_counter()
+            queue.append(job)
+            self._queued_bytes[qcls.name] += nbytes
+            self._count_admitted_locked(qcls.name, job.tenant, nbytes)
             self._publish_depth_locked(qcls.name)
             poke = self._poke_locked()
         if poke:
             self._poke()
-        return ticket
+        return job
 
     def _count_admitted_locked(self, qos: str, tenant: str,
                                nbytes: int) -> None:
@@ -385,54 +297,58 @@ class CompressionService:
 
     # -- result-cache integration --------------------------------------------
 
-    def _serve_cached(self, op: str, qos: str, tenant: str, nbytes_in: int,
-                      output: bytes, *, admit: bool) -> ServiceResult:
-        """Count one request answered with cached bytes (no dispatch at
-        all); a hit is admitted and completed in the same section."""
+    def _park(self, job: Job) -> Job:
+        """``job`` as a follower left on a leader's claim: admitted, and
+        ended by the leader's ending."""
+        job.request_id, job.event = next(self._ids), threading.Event()
+        job.stamps["admit"] = time.perf_counter()
+        return job
+
+    def _serve_cached(self, job: Job, output: bytes, *, admit: bool) -> None:
+        """Answer one request with cached bytes (no dispatch at all); a
+        hit is admitted and completed in the same section."""
+        nbytes_in = len(job.payload)
         with self._lock:
             if admit:
-                self._count_admitted_locked(qos, tenant, nbytes_in)
+                self._count_admitted_locked(job.qos, job.tenant, nbytes_in)
             self._bytes_in += nbytes_in
             self._bytes_out += len(output)
-            self._per_class[qos]["completed"] += 1
+            self._per_class[job.qos]["completed"] += 1
         record_service_request(
-            op=op, qos=qos, outcome="ok", tenant=tenant,
+            op=job.op, qos=job.qos, outcome="ok", tenant=job.tenant,
             nbytes_in=nbytes_in, nbytes_out=len(output),
             modelled_s=0.0, queue_wait_s=0.0)
-        return ServiceResult(output=output, op=op, qos=qos,
-                             modelled_seconds=0.0, queue_wait_s=0.0,
-                             wall_seconds=0.0)
+        job.output = output
 
-    def _cache_settle_ok(self, req: _Queued, output: bytes) -> None:
+    def _cache_settle_ok(self, job: Job) -> None:
         """Leader succeeded: publish the blob and serve parked followers."""
-        claim = req.cache_claim
-        self.cache.commit(*claim.key, output)
-        for ticket in claim.parked:
-            ticket._fulfil(self._serve_cached(
-                req.op, ticket.qos, ticket.tenant, len(req.payload), output,
-                admit=False))
+        claim = job.cache_claim
+        self.cache.commit(*claim.key, job.output)
+        for follower in claim.parked:
+            self._serve_cached(follower, job.output, admit=False)
+            follower.event.set()
 
     def _cache_settle_fail(self, claim: Claim, error: Exception) -> None:
-        """Leader failed: free the key; parked followers share the error.
+        """Leader failed: free the key; parked followers share the error,
+        each booked by its failure class.
 
         The abort means the next request on this key re-claims and
         re-executes — a failed leader never poisons the key.
         """
         self.cache.abort(*claim.key)
-        for ticket in claim.parked:
-            self._count_failure(ticket, "failed", type(error).__name__)
-            ticket._fail(error)
+        for follower in claim.parked:
+            self._resolve_error(follower, error)
 
     def request(self, op: str, payload: bytes, *,
                 timeout_s: float | None = 60.0,
-                **kwargs) -> ServiceResult:
+                **kwargs) -> Job:
         """Blocking convenience: submit and wait for fulfilment."""
         return self.submit(op, payload, **kwargs).wait(timeout_s)
 
-    def compress(self, payload: bytes, **kwargs) -> ServiceResult:
+    def compress(self, payload: bytes, **kwargs) -> Job:
         return self.request("compress", payload, **kwargs)
 
-    def decompress(self, payload: bytes, **kwargs) -> ServiceResult:
+    def decompress(self, payload: bytes, **kwargs) -> Job:
         return self.request("decompress", payload, **kwargs)
 
     # -- lifecycle -----------------------------------------------------------
@@ -463,17 +379,17 @@ class CompressionService:
             poke = self._poke_locked()
         if poke:
             self._poke()
-        for req in abandoned:
+        for job in abandoned:
             self._resolve_error(
-                req, ServiceClosed("service stopped before dispatch"))
+                job, ServiceClosed("service stopped before dispatch"))
         self._dispatcher.join(timeout_s)
         if self._own_pool:
             self.pool.close()
 
-    def _stop_locked(self) -> list[_Queued]:
+    def _stop_locked(self) -> list[Job]:
         """Stop admitting; hand back whatever was still queued."""
         self._state = "stopped"
-        abandoned = [req for queue in self._queues.values() for req in queue]
+        abandoned = [job for queue in self._queues.values() for job in queue]
         for name, queue in self._queues.items():
             queue.clear()
             self._queued_bytes[name] = 0
@@ -552,15 +468,14 @@ class CompressionService:
         in-process backends are done when submit/reap returns, so they
         pass through the same loop and leave nothing in flight.
         """
-        #: PoolJob.index -> (request, jobs in flight once it joined them)
-        flying: dict[int, tuple[_Queued, int]] = {}
+        #: job -> jobs in flight once it joined them
+        flying: dict[Job, int] = {}
         try:
             while True:
                 took = 0
-                while (req := self._take(flying)) is not None:
-                    job = self._submit(req)
-                    if job is not None:
-                        flying[job.index] = (req, len(flying) + 1)
+                while (job := self._take(flying)) is not None:
+                    if self._submit(job):
+                        flying[job] = len(flying) + 1
                         took += 1
                 if took:
                     with self._lock:
@@ -575,25 +490,22 @@ class CompressionService:
                     # nothing can arrive behind this unlocked look.
                     return
                 for job in self._reap(flying):
-                    req, in_flight = flying.pop(job.index)
-                    if job.result is not None:
-                        self._resolve_ok(req, job.result.output,
-                                         job.result.stats.elapsed_seconds,
-                                         batch_size=in_flight)
+                    job.batch_size = flying.pop(job)
+                    if job.error is None:
+                        self._resolve_ok(job)
                     else:
-                        self._resolve_error(req, job.error)
+                        self._resolve_error(job, job.error)
         except BaseException as cause:
             # Nobody is left to serve them: fail every accepted request
             # now instead of stranding its client until a timeout.
             with self._lock:
-                stranded = ([req for req, _ in flying.values()]
-                            + self._stop_locked())
+                stranded = list(flying) + self._stop_locked()
             _FLIGHT.auto_dump("dispatcher_died", stranded=len(stranded),
                               error=type(cause).__name__)
-            for req in stranded:
+            for job in stranded:
                 error = ServiceClosed(f"dispatcher died: {cause!r}")
                 error.__cause__ = cause
-                self._resolve_error(req, error)
+                self._resolve_error(job, error)
             raise
         finally:
             with self._lock:
@@ -603,7 +515,7 @@ class CompressionService:
             os.close(self._wake_r)
             os.close(self._wake_w)
 
-    def _take(self, flying: dict) -> _Queued | None:
+    def _take(self, flying: dict) -> Job | None:
         """The next live request for a free window slot, in QoS order.
 
         None when nothing can be dispatched right now: nothing is
@@ -622,7 +534,7 @@ class CompressionService:
         window = self.pool.suggested_batch_depth()
         while True:
             with self._lock:
-                busy = [req.ticket.qos for req, _ in flying.values()]
+                busy = [job.qos for job in flying]
                 qcls = None
                 if len(busy) < window:
                     qcls = self.qos.pick({
@@ -633,40 +545,42 @@ class CompressionService:
                 if qcls is None:
                     self._wake_state = "armed"
                     return None
-                req = self._queues[qcls.name].popleft()
-                req.dequeued_at = now = time.perf_counter()
-                self._queued_bytes[qcls.name] -= len(req.payload)
+                job = self._queues[qcls.name].popleft()
+                job.stamps["dequeue"] = now = time.perf_counter()
+                self._queued_bytes[qcls.name] -= len(job.payload)
                 self._publish_depth_locked(qcls.name)
-            if (req.deadline_s is None
-                    or now - req.enqueued_at <= req.deadline_s):
-                return req
-            self._resolve_expired(req, now)
+            waited = now - job.stamps["admit"]
+            if job.deadline_s is None or waited <= job.deadline_s:
+                return job
+            self._resolve_error(job, DeadlineExceeded(
+                f"request {job.request_id} waited {waited * 1e3:.1f} ms "
+                f"in the {job.qos} queue, past its "
+                f"{job.deadline_s * 1e3:.1f} ms deadline",
+                elapsed_s=waited, deadline_s=job.deadline_s),
+                reason="deadline_in_queue")
 
-    def _submit(self, req: _Queued) -> PoolJob | None:
-        """Hand one request to the pool without waiting for it."""
+    def _submit(self, job: Job) -> bool:
+        """Hand one request to the pool without waiting for it; False
+        when it failed on the way in."""
         # Under the request's own span: pool.route / backend.submit and
         # the worker spans folded back from the exec layer nest there.
-        with _TRACE.adopt(req.span):
+        with _TRACE.adopt(job.span):
             try:
-                if req.op == "compress":
-                    return self.pool.submit_compress(
-                        req.payload, strategy=req.strategy,
-                        fmt=req.fmt, deadline_s=req.deadline_s)
-                return self.pool.submit_decompress(
-                    req.payload, fmt=req.fmt, deadline_s=req.deadline_s)
+                self.pool.submit(job)
+                return True
             except ReproError as exc:
                 # Any library failure — accelerator trouble, but also a
                 # malformed payload (DeflateError on garbage input) —
                 # fails this job; it must never fail the dispatcher.
-                self._resolve_error(req, exc)
-                return None
+                self._resolve_error(job, exc)
+                return False
 
-    def _reap(self, flying: dict) -> list[PoolJob]:
-        """Sleep until a completion or an admission; our resolved jobs."""
+    def _reap(self, flying: dict) -> list[Job]:
+        """Sleep until a completion or an admission; our settled jobs."""
         # Pool work in a reap is window-scoped (one accelerator drain
         # serves every pasted job), so it hangs off the oldest in-flight
         # request's span — its own whenever the window holds one job.
-        oldest = next(iter(flying.values()))[0].span if flying else NULL_SPAN
+        oldest = next(iter(flying)).span if flying else NULL_SPAN
         with _TRACE.adopt(oldest):
             try:
                 finished = self.pool.reap(wake=(self._wake_r,))
@@ -678,87 +592,72 @@ class CompressionService:
                 finished = self.pool.poll()
         # A pool that was handed in may also be resolving someone
         # else's jobs; those are not ours to fulfil.
-        return [job for job in finished if job.index in flying]
+        return [job for job in finished if job in flying]
 
     # -- fulfilment ----------------------------------------------------------
 
-    def _resolve_ok(self, req: _Queued, output: bytes, modelled_s: float,
-                    batch_size: int) -> None:
-        wall = time.perf_counter() - req.enqueued_at
-        queue_wait = req.dequeued_at - req.enqueued_at
+    def _resolve_ok(self, job: Job) -> None:
+        stamps, result = job.stamps, job.result
+        job.output = output = result.output
+        job.modelled_seconds = modelled_s = result.stats.elapsed_seconds
+        job.queue_wait_s = stamps["dequeue"] - stamps["admit"]
+        job.wall_seconds = wall = stamps["settle"] - stamps["admit"]
         with self._lock:
-            self._bytes_in += len(req.payload)
+            self._bytes_in += len(job.payload)
             self._bytes_out += len(output)
             self._modelled_s += modelled_s
-            self._per_class[req.ticket.qos]["completed"] += 1
+            self._per_class[job.qos]["completed"] += 1
             # The jobs it shared the pool with ran during the same wall
             # time, so the cost one more queued request adds is its share.
-            per_job = wall / max(1, batch_size)
+            per_job = wall / job.batch_size
             self._ewma_job_s += _EWMA_WEIGHT * (per_job - self._ewma_job_s)
         record_service_request(
-            op=req.op, qos=req.ticket.qos, outcome="ok",
-            tenant=req.ticket.tenant, nbytes_in=len(req.payload),
-            nbytes_out=len(output), modelled_s=modelled_s,
-            queue_wait_s=queue_wait)
+            op=job.op, qos=job.qos, outcome="ok", tenant=job.tenant,
+            nbytes_in=len(job.payload), nbytes_out=len(output),
+            modelled_s=modelled_s, queue_wait_s=job.queue_wait_s)
         _REGISTRY.window(
             "repro_service_latency_window_seconds",
             "request wall latency (admission to fulfilment)").observe(
-            wall, qos=req.ticket.qos)
+            wall, qos=job.qos)
         _REGISTRY.window(
             "repro_service_shed_window_ratio",
-            "shed fraction of recent admissions").observe(
-            0.0, qos=req.ticket.qos)
-        _FLIGHT.record("service.ok", id=req.ticket.request_id, op=req.op,
-                       qos=req.ticket.qos, nbytes=len(req.payload),
-                       wall_s=round(wall, 6), batch=batch_size)
-        req.span.set(outcome="ok", out_bytes=len(output),
-                     modelled_s=modelled_s, batch_size=batch_size)
-        req.span.end()
-        req.ticket._fulfil(ServiceResult(
-            output=output, op=req.op, qos=req.ticket.qos,
-            modelled_seconds=modelled_s, queue_wait_s=queue_wait,
-            wall_seconds=wall, batch_size=batch_size))
-        if req.cache_claim is not None:
-            self._cache_settle_ok(req, output)
+            "shed fraction of recent admissions").observe(0.0, qos=job.qos)
+        _FLIGHT.record("service.ok", id=job.request_id, op=job.op,
+                       qos=job.qos, nbytes=len(job.payload),
+                       wall_s=round(wall, 6), batch=job.batch_size)
+        job.span.set(outcome="ok", out_bytes=len(output),
+                     modelled_s=modelled_s, batch_size=job.batch_size)
+        job.span.end()
+        job.event.set()
+        if job.cache_claim is not None:
+            self._cache_settle_ok(job)
 
-    def _resolve_expired(self, req: _Queued, now: float) -> None:
-        waited = now - req.enqueued_at
-        self._resolve_error(req, DeadlineExceeded(
-            f"request {req.ticket.request_id} waited "
-            f"{waited * 1e3:.1f} ms in the {req.ticket.qos} queue, "
-            f"past its {req.deadline_s * 1e3:.1f} ms deadline",
-            elapsed_s=waited, deadline_s=req.deadline_s),
-            queue_wait_s=waited, reason="deadline_in_queue")
-
-    def _resolve_error(self, req: _Queued, error: Exception, *,
-                       queue_wait_s: float = 0.0, reason: str = "") -> None:
+    def _resolve_error(self, job: Job, error: Exception, *,
+                       reason: str = "") -> None:
         """Every way an admitted request fails ends here: expired in the
         queue, failed or late on the pool, abandoned at close, stranded
-        by a dead dispatcher."""
+        by a dead dispatcher, parked behind a leader that failed.  Its
+        queue wait runs to its dequeue, or to now if it had none."""
+        stamps = job.stamps
+        job.error = error
+        job.queue_wait_s = waited = (stamps.get("dequeue")
+                                     or time.perf_counter()) - stamps["admit"]
         outcome = "expired" if failure_of(error) == "deadline" else "failed"
         reason = reason or type(error).__name__
-        self._count_failure(req.ticket, outcome, reason, queue_wait_s)
-        if outcome == "expired":
-            _FLIGHT.auto_dump("deadline_exceeded",
-                              id=req.ticket.request_id, op=req.op,
-                              qos=req.ticket.qos, error=reason,
-                              waited_s=round(queue_wait_s, 6))
-        else:
-            _FLIGHT.record("service.fail", id=req.ticket.request_id,
-                           op=req.op, qos=req.ticket.qos, error=reason)
-        req.span.set(outcome=outcome, error=reason,
-                     queue_wait_s=queue_wait_s)
-        req.span.end()
-        req.ticket._fail(error)
-        if req.cache_claim is not None:
-            self._cache_settle_fail(req.cache_claim, error)
-
-    def _count_failure(self, ticket: ServiceTicket, outcome: str,
-                       reason: str, queue_wait_s: float = 0.0) -> None:
-        """The counting half of a failure: stats and the registry."""
         with self._lock:
-            self._per_class[ticket.qos][outcome] += 1
+            self._per_class[job.qos][outcome] += 1
         record_service_request(
-            op=ticket.op, qos=ticket.qos, outcome=outcome,
-            tenant=ticket.tenant, queue_wait_s=queue_wait_s,
-            reason=reason)
+            op=job.op, qos=job.qos, outcome=outcome, tenant=job.tenant,
+            queue_wait_s=waited, reason=reason)
+        if outcome == "expired":
+            _FLIGHT.auto_dump("deadline_exceeded", id=job.request_id,
+                              op=job.op, qos=job.qos, error=reason,
+                              waited_s=round(waited, 6))
+        else:
+            _FLIGHT.record("service.fail", id=job.request_id, op=job.op,
+                           qos=job.qos, error=reason)
+        job.span.set(outcome=outcome, error=reason, queue_wait_s=waited)
+        job.span.end()
+        job.event.set()
+        if job.cache_claim is not None:
+            self._cache_settle_fail(job.cache_claim, error)

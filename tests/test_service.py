@@ -22,8 +22,8 @@ import pytest
 
 from repro import obs
 from repro.backend.pool import AcceleratorPool
-from repro.errors import (ConfigError, DeadlineExceeded, ServiceClosed,
-                          ServiceOverloaded)
+from repro.errors import (ConfigError, DeadlineExceeded, ReproError,
+                          ServiceClosed, ServiceOverloaded)
 from repro.service import (CompressionService, QosClass, QosPolicy,
                            ServiceClient, serve)
 from repro.service.protocol import (ProtocolError, recv_message,
@@ -42,7 +42,7 @@ def service():
 
 
 def gate_submits(pool: AcceleratorPool):
-    """Hold the dispatcher inside its next ``pool.submit_compress``.
+    """Hold the dispatcher inside its next ``pool.submit``.
 
     Returns ``(started, release)`` events: ``started`` is set once the
     dispatcher has dequeued a request and is about to submit it; it
@@ -50,14 +50,14 @@ def gate_submits(pool: AcceleratorPool):
     between provably waits in the queue.
     """
     started, release = threading.Event(), threading.Event()
-    real_submit = pool.submit_compress
+    real_submit = pool.submit
 
-    def gated_submit(*args, **kwargs):
+    def gated_submit(job):
         started.set()
         assert release.wait(30)
-        return real_submit(*args, **kwargs)
+        return real_submit(job)
 
-    pool.submit_compress = gated_submit
+    pool.submit = gated_submit
     return started, release
 
 
@@ -253,13 +253,13 @@ class TestDispatchWindow:
         monkeypatch.setattr(qos, "DEFAULT_STARVATION_BOUND", 2)
         svc = serve_on()
         order: list[bytes] = []
-        real_submit = svc.pool.submit_compress
+        real_submit = svc.pool.submit
 
-        def recording_submit(data, **kwargs):
-            order.append(data[:2])
-            return real_submit(data, **kwargs)
+        def recording_submit(job):
+            order.append(job.payload[:2])
+            return real_submit(job)
 
-        svc.pool.submit_compress = recording_submit
+        svc.pool.submit = recording_submit
 
         def submit(tag: bytes, qos: str):
             return svc.submit("compress", tag + b"." * 3000, qos=qos)
@@ -499,6 +499,118 @@ class TestTimingBreakdown:
         assert hit.output == miss.output
         assert miss.wall_seconds > 0
         assert (hit.queue_wait_s, hit.wall_seconds) == (0.0, 0.0)
+
+    def test_failure_reports_its_real_queue_wait(self):
+        """A request that waited, then failed on the pool, books the
+        wait it had, on its span and on the job."""
+        pool = AcceleratorPool(chips=1)
+        started, release = gate_submits(pool)
+        obs.reset()
+        obs.enable()
+        try:
+            with CompressionService(pool) as svc:
+                held = svc.submit("compress", b"h" * 2000)
+                assert started.wait(30)
+                garbage = svc.submit("decompress", b"not a gzip member")
+                time.sleep(0.01)
+                release.set()
+                held.wait(30)
+                with pytest.raises(ReproError):
+                    garbage.wait(30)
+        finally:
+            obs.disable()
+            pool.close()
+        spans = [span for span in obs.tracer().finished()
+                 if span.name == "service.request"
+                 and span.attrs.get("outcome") == "failed"]
+        obs.reset()
+        assert len(spans) == 1
+        assert spans[0].attrs["queue_wait_s"] >= 0.01
+        assert garbage.queue_wait_s == spans[0].attrs["queue_wait_s"]
+
+    def test_parked_follower_books_its_failure_class(self):
+        """A leader that expires in the queue ends its follower as
+        expired too: one DeadlineExceeded, two expired requests."""
+        pool = AcceleratorPool(chips=1)
+        started, release = gate_submits(pool)
+        try:
+            with CompressionService(pool, cache_mb=1) as svc:
+                held = svc.submit("compress", b"h" * 2000)
+                assert started.wait(30)
+                leader = svc.submit("compress", b"k" * 2000,
+                                    deadline_s=1e-3)
+                follower = svc.submit("compress", b"k" * 2000)
+                time.sleep(0.01)
+                release.set()
+                held.wait(30)
+                for job in (leader, follower):
+                    with pytest.raises(DeadlineExceeded):
+                        job.wait(30)
+                stats = svc.stats()
+        finally:
+            pool.close()
+        assert (stats.expired, stats.failed) == (2, 0)
+        assert follower.queue_wait_s >= 0.01
+
+
+class TestOneJob:
+    """The job ``submit`` returns is the object the pool receives and
+    settles; a cache hit never reaches the pool."""
+
+    @staticmethod
+    def _spy(pool: AcceleratorPool) -> list:
+        seen = []
+        real_submit, real_settle = pool.submit, pool._settle
+
+        def submit(job):
+            seen.append(("submit", job))
+            return real_submit(job)
+
+        def settle(job, *args):
+            seen.append(("settle", job))
+            return real_settle(job, *args)
+
+        pool.submit, pool._settle = submit, settle
+        return seen
+
+    def _served(self, pool: AcceleratorPool, payload: bytes):
+        seen = self._spy(pool)
+        try:
+            with CompressionService(pool) as svc:
+                job = svc.submit("compress", payload)
+                assert job.wait(30) is job
+        finally:
+            pool.close()
+        assert {step for step, _ in seen} == {"submit", "settle"}
+        assert all(seen_job is job for _, seen_job in seen)
+        assert gzip.decompress(job.output) == payload
+        return job
+
+    def test_nx_request(self, text_20k):
+        job = self._served(AcceleratorPool("POWER9", chips=1, backend="nx"),
+                           text_20k)
+        assert job.result.output == job.output and not job.on_exec
+
+    def test_dfltcc_request_on_exec_workers(self, text_20k):
+        from repro.exec import ProcessWorkerPool
+
+        with ProcessWorkerPool(1, name="test-one-job") as fleet:
+            job = self._served(AcceleratorPool(
+                "z15", chips=1, backend="dfltcc", exec_pool=fleet), text_20k)
+        assert job.on_exec
+
+    def test_cache_hit_never_reaches_the_pool(self, text_20k):
+        pool = AcceleratorPool("POWER9", chips=1, backend="nx")
+        seen = self._spy(pool)
+        try:
+            with CompressionService(pool, cache_mb=1) as svc:
+                miss = svc.submit("compress", text_20k).wait(30)
+                hit = svc.submit("compress", text_20k)
+                assert hit.done and hit.wait(30) is hit
+        finally:
+            pool.close()
+        assert hit.output == miss.output
+        assert all(seen_job is miss for _, seen_job in seen)
 
 
 class TestQosScheduling:
