@@ -3,14 +3,14 @@
 Every bench renders its paper-style table through here: printed to
 stdout (visible with ``pytest -s`` or when run as a script) and written
 to ``benchmarks/results/<experiment>.txt`` so the table survives pytest's
-output capture.  EXPERIMENTS.md is assembled from these files.
+output capture.  EXPERIMENTS.md is written by hand from these files.
 
 Timing goes through :class:`StageRecorder` — the span API from
 :mod:`repro.obs.trace` on a *private* tracer, so benches get the same
 nested per-stage attribution the production telemetry produces without
 ever touching the process-global ``TRACE`` switch.  ``report`` persists
 the recorder's per-stage summary as ``<experiment>.stages.json`` next to
-the table; ``tools/collect_results.py`` renders the breakdown.
+the table.
 
 The wall-clock benches that write a ``BENCH_*.json`` baseline run
 through :func:`measure`, which stamps the host on the document; the

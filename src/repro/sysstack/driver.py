@@ -405,9 +405,11 @@ class NxDriver:
             if csb.cc in PERMANENT_CCS:
                 # Contain the failure to this job: the other in-flight
                 # jobs (and their window credits, already returned by
-                # the drain) are unaffected.
+                # the drain) are unaffected.  The engine refused the
+                # request, so no breaker is charged and nothing rescued.
                 self._resolve(job, error=JobError(
-                    f"unexpected CC {csb.cc!r}", cc=int(csb.cc)))
+                    f"unexpected CC {csb.cc!r}", cc=int(csb.cc),
+                    failure="refused"))
                 return
             if csb.cc is CcCode.TRANSLATION:
                 stats.translation_faults += 1

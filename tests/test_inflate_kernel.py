@@ -282,9 +282,8 @@ def overlong_header_stream(hlit: int, hdist: int) -> bytes:
     return writer.getvalue()
 
 
-#: ``(name, raw stream, plain text or None if stdlib refuses it)`` of the
-#: two header behaviours that differ from the commits before PR 20;
-#: ``tools/kernel_diff.py`` lists them as its expected differences.
+#: ``(name, raw stream, plain text or None if stdlib refuses it)`` of two
+#: header behaviours: no distance code, and too many symbols.
 def header_fix_cases():
     payload = b"all literals, no distance code at all"
     for hdist in (1, 2):
@@ -297,8 +296,7 @@ def header_fix_cases():
 
 def repeat_first_stream() -> bytes:
     """A dynamic header whose first code-length symbol is 16, "repeat
-    the previous length": the one input the streamed decoder before
-    PR 21 worded differently (``tools/kernel_diff.py`` lists it)."""
+    the previous length", with no previous length to repeat."""
     writer = BitWriter()
     writer.write_bits(0b101, 3)          # final, dynamic
     writer.write_bits(0, 5 + 5 + 4)      # 257 / 1 / 4 code lengths

@@ -56,33 +56,3 @@ class TestSensorSamples:
     def test_exact_odd_size(self):
         assert len(sensor_samples(1001, seed=1)) == 1001
 
-
-class TestCollectResults:
-    def test_report_builds(self, tmp_path, monkeypatch):
-        import importlib.util
-        import pathlib
-
-        spec = importlib.util.spec_from_file_location(
-            "collect_results",
-            pathlib.Path("tools/collect_results.py"))
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-
-        # Point at a temp results dir with one table.
-        monkeypatch.setattr(module, "RESULTS", tmp_path)
-        (tmp_path / "e1_demo.txt").write_text("demo table\n1 2 3\n")
-        report = module.build_report()
-        assert "## e1_demo" in report
-        assert "demo table" in report
-
-    def test_empty_results_dir(self, tmp_path, monkeypatch):
-        import importlib.util
-        import pathlib
-
-        spec = importlib.util.spec_from_file_location(
-            "collect_results",
-            pathlib.Path("tools/collect_results.py"))
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.setattr(module, "RESULTS", tmp_path / "missing")
-        assert "no results yet" in module.build_report()

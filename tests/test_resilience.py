@@ -486,6 +486,24 @@ class TestPoolHealth:
             assert verify_payload(text_20k, job.result.output, "gzip")
         pool.close()
 
+    @pytest.mark.parametrize("bad,fmt", [(b"", "gzip"),
+                                         (b"\xff" * 64, "842")],
+                             ids=["empty_gzip", "bad_842"])
+    def test_bad_input_never_moves_the_breaker(self, bad, fmt):
+        """The engine refuses both inputs with a permanent CC: the job
+        fails as ``JobError``, the chip is not charged, nothing is
+        rescued, and a valid request after them still runs on the chip."""
+        plain = b"hello world " * 100
+        with AcceleratorPool(POWER9, chips=1, backend="nx") as pool:
+            for _ in range(6):
+                with pytest.raises(JobError):
+                    pool.decompress(bad, fmt=fmt)
+            stats = pool.stats()
+            assert stats.breaker_states == ("CLOSED",)
+            assert (stats.breaker_opens, stats.rescues) == (0, 0)
+            valid = pool.compress(plain, fmt=fmt).output
+            assert pool.decompress(valid, fmt=fmt).output == plain
+
 
 class TestVerify:
     def test_round_trip_passes(self, text_20k):

@@ -1,13 +1,13 @@
-"""Differential of the codec kernels between two checkouts.
+"""Differential of the codec kernels against the parent commit.
 
-Usage:  PYTHONPATH=src python tools/kernel_diff.py <other-checkout>
+Usage:  PYTHONPATH=src python tools/kernel_diff.py <parent-checkout>
 
-Loads ``NxMatchPipeline``, ``inflate_core`` and ``NxCompressor`` from
-``<other-checkout>/src`` next to this tree's and runs both over three
-matrices.  This is the check a kernel rewrite runs against its parent
-commit: the unit tests pin a kernel to its reference model, this pins
-it to what actually shipped.  Prints a case count per matrix; exits 1
-on the first mismatch.
+Loads ``NxMatchPipeline``, ``inflate_core``, ``InflateStream`` and
+``NxCompressor`` from ``<parent-checkout>/src`` next to this tree's and
+runs both over three matrices.  The unit tests pin a kernel to its
+reference model; this pins it to what its parent shipped.  Prints a
+case count per matrix; any difference is a mismatch: the first one is
+printed with its case, and the exit status is 1.
 
 *Scan* — the matrix of ``tests/test_scan_kernel.py``: every generator
 x the ``_sizes`` list x the three histories on the POWER9 and z15
@@ -24,18 +24,11 @@ and without a 32 KB history; each stream decoded whole and under three
 ``max_output`` caps (exact, one short, 64 KiB short), and three of them
 cut at every 64th byte.  A case is equal on ``(output, literals,
 matches, match_bytes, blocks, bits_consumed)`` or on ``(type(exc)
-.__name__, str(exc))``.  The header cases of
-``tests/test_inflate_kernel.header_fix_cases`` — behaviour PR 20
-changed on purpose — and ``repeat_first_stream`` are run last and a
-difference there is listed as expected, not counted as a mismatch.
-
-Every inflate case is also decoded *streamed*: through each tree's
-``InflateStream``, 16 KB a ``feed``.  There a case is equal on the
-output bytes or on the error; two errors that differ are listed as
-expected (before PR 21 the streamed decode was a second decoder with
-its own wording), bytes against an error or other bytes is a mismatch.
-Errors that differ in class name alone are counted, one line per pair
-of names.
+.__name__, str(exc))``.  The malformed headers of
+``tests/test_inflate_kernel.header_fix_cases`` and
+``repeat_first_stream`` close the matrix.  Every inflate case is also
+decoded *streamed*, through each tree's ``InflateStream`` 16 KB a
+``feed``, and is equal there on the output bytes or on the error.
 
 *Encode* — ``NxCompressor.compress`` under the FIXED, CANNED, DYNAMIC
 and AUTO strategies x every generator x 0 / 100 / 4 KB / 32 KB / 70 KB
@@ -52,7 +45,6 @@ import dataclasses
 import importlib
 import pathlib
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from types import ModuleType
 
@@ -205,6 +197,9 @@ def inflate_cases():
                              generate(family, 65536, seed=1), b"")
         for cut in range(0, len(stream), 64):
             yield f"{family}, 65536 bytes, cut at byte {cut}", stream[:cut], {}
+    for name, raw, _plain in header_fix_cases():
+        yield name, raw, {}
+    yield "repeat code first", repeat_first_stream(), {}
 
 
 def one_shot(core):
@@ -247,60 +242,24 @@ def _brief(seen: tuple) -> str:
 
 
 def diff_inflate(checkout: str) -> bool:
-    decoders = (one_shot(inflate_core), one_shot(load_other(
-        checkout, "repro.deflate.inflate").inflate_core))
-    streams = (streamed(InflateStream), streamed(load_other(
-        checkout, "repro.deflate.inflate_stream").InflateStream))
+    other_core = load_other(checkout, "repro.deflate.inflate").inflate_core
+    other_stream = load_other(checkout,
+                              "repro.deflate.inflate_stream").InflateStream
+    pairs = (("", one_shot(inflate_core), one_shot(other_core)),
+             ("streamed ", streamed(InflateStream), streamed(other_stream)))
     count = 0
-    expected = []
-    renamed: Counter = Counter()  # (class here, class there): cases
     for label, stream, kwargs in inflate_cases():
-        here, there = (observed_inflate(decode, stream, kwargs)
-                       for decode in decoders)
         count += 1
-        if _renamed(here, there):
-            renamed[here[0], there[0]] += 1
-        elif here != there:
-            print(f"MISMATCH in inflate case {count} ({label}): "
-                  f"here {_brief(here)}; there {_brief(there)}")
-            return False
-        here, there = (observed_inflate(decode, stream, kwargs)
-                       for decode in streams)
-        if _renamed(here, there):
-            renamed[here[0], there[0]] += 1
-        elif here != there:
-            if len(here) != 2 or len(there) != 2:  # not error and error
-                print(f"MISMATCH in streamed inflate case {count} "
-                      f"({label}): here {_brief(here)}; "
-                      f"there {_brief(there)}")
-                return False
-            expected.append(f"  expected difference (streamed; {label}): "
-                            f"here {_brief(here)}; there {_brief(there)}")
-    headers = [(name, raw) for name, raw, _plain in header_fix_cases()]
-    for name, raw in headers + [("repeat code first", repeat_first_stream())]:
-        count += 1
-        for kind, pair in (("", decoders), ("streamed; ", streams)):
-            here, there = (observed_inflate(decode, raw, {})
-                           for decode in pair)
+        for kind, *decoders in pairs:
+            here, there = (observed_inflate(decode, stream, kwargs)
+                           for decode in decoders)
             if here != there:
-                expected.append(f"  expected difference ({kind}{name}): "
-                                f"here {_brief(here)}; there {_brief(there)}")
-    expected += [f"  expected difference ({cases} decodes): here "
-                 f"{names[0]}, there {names[1]}, the same message"
-                 for names, cases in sorted(renamed.items())]
+                print(f"MISMATCH in {kind}inflate case {count} ({label}): "
+                      f"here {_brief(here)}; there {_brief(there)}")
+                return False
     print(f"kernel_diff: inflate: {count} cases, one-shot and streamed, "
-          f"0 mismatches, {len(expected)} expected differences "
-          f"against {checkout}")
-    for line in expected:
-        print(line)
+          f"0 mismatches against {checkout}")
     return True
-
-
-def _renamed(here: tuple, there: tuple) -> bool:
-    """Two errors that differ in class name only: a cut stream raises
-    ``InputTruncated`` where an older tree raised its base class."""
-    return (len(here) == len(there) == 2 and here != there
-            and here[1] == there[1])
 
 
 # -- encode --------------------------------------------------------------------

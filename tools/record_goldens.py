@@ -1,56 +1,56 @@
-"""Record golden DEFLATE streams + stats for kernel parity testing.
+"""Record the golden files under ``tests/data/`` from one table.
 
 Usage:  PYTHONPATH=src python tools/record_goldens.py
 
-Writes ``tests/data/golden_deflate.json``: SHA-256 of the exact bitstream
-and every ``MatchStats``/``InflateStats`` field for a grid of payloads,
-levels, strategies, and streaming modes.  ``tests/test_golden_parity.py``
-pins the current codec against this file, so any kernel rewrite that
-changes a single emitted byte (or a single chain probe) fails loudly.
+:data:`SECTIONS` maps each golden file to ``cases()``, a map from case
+name to the recorder of that case.  This script writes every file from
+it; ``tests/test_golden_parity.py`` replays every case and compares it
+with :func:`recorded`, so a rewrite that changes one emitted byte, one
+chain probe or one modelled second fails by case name.  Only re-run this
+when an *intentional* change lands, on the commit before it.
 
-Also writes ``tests/data/golden_dictsvc.json``: fingerprints of every
+``golden_deflate.json`` — SHA-256 of the exact bitstream and every
+``MatchStats`` / ``InflateStats`` field for a grid of payloads, levels,
+strategies and streaming modes: a list, each case named by
+:func:`case_id`.
+
+``golden_dictsvc.json`` — the training grid; fingerprints of every
 dictionary the registry trains from the seeded cloud-like corpus (code
-lengths and priming bytes — training must be byte-identical run to
-run) plus the SHA-256 of canned-DHT bitstreams the engine emits with
-those tables pushed.  ``tests/test_golden_parity.py`` replays both.
+lengths and priming bytes: training is byte-identical run to run); and
+the canned-DHT bitstreams the engine emits with those tables pushed,
+each of which stock zlib must inflate.
 
-And ``tests/data/golden_containers.json``: SHA-256 and length of the
-*framed* output (gzip / zlib / raw, plus 842 where a producer has it) of
-every code path that writes a wire format — the container helpers, the
-software re-encode, the driver's software fallback, the pool's rescue
-and verify repair, the four backends, and the streaming writers — and
-the modelled seconds of those that charge any.  The grid only goes
-through names that survive a refactor of the framing code, so the file
-recorded before such a change must replay unchanged after it.
+``golden_containers.json`` — SHA-256 and length of the *framed* output
+(gzip / zlib / raw, plus 842 where a producer has it) of every code path
+that writes a wire format — the container helpers, the software
+re-encode, the driver's software fallback, the pool's rescue and verify
+repair, the four backends, the streaming writers — and the modelled
+seconds of those that charge any.  The grid only goes through names that
+survive a refactor of the framing code.
 
-And ``tests/data/golden_experiments.json``: the modelled queueing tables
-(E5, E6's DES cross-check, E14, E15, E16, E19) at their bench seeds and
-parameters, every value at full precision, plus a digest of each
-configuration's job-by-job start and finish times — the random draw
-order and the event order are part of the contract.
+``golden_experiments.json`` — the modelled queueing tables (E5, E6's DES
+cross-check, E14, E15, E16, E19) at their bench seeds, every value at
+full precision, plus a digest of each configuration's job-by-job start
+and finish times: the draw order and the event order are the contract.
 
-And ``tests/data/golden_chaos.json``: every number of the default
-offline chaos campaign at seeds 7 and 3 (faults by kind, breaker opens
-and log, rescues, verify failures, shed, fallbacks, wrong payloads,
-modelled seconds), and the firing trace of every default wire scenario's
-client and server plans on peers 0-3 over a fixed send/recv pattern.
-The chip seed ``seed * 1_000_003 + chip`` and the wire seed
-``seed * 9_999_991 + peer`` are part of that contract.
+``golden_chaos.json`` — every number of the default offline chaos
+campaign at seeds 7 and 3 (faults by kind, breaker opens and log,
+rescues, verify failures, shed, fallbacks, wrong payloads, modelled
+seconds), and the firing trace of every default wire scenario's client
+and server plans on peers 0-3 over a fixed send/recv pattern.  The chip
+seed ``seed * 1_000_003 + chip`` and the wire seed ``seed * 9_999_991 +
+peer`` are part of that contract.
 
-And ``tests/data/golden_telemetry.json``: the spans and metric families
-one traced, metrics-on request leaves behind on each served workload's
-path (an nx compress, a dfltcc compress on exec workers, a decompress,
-a result-cache hit), sent over loopback through ``ServiceClient``.  A
-span is its name, its parent's name, and its attributes; a family its
-name, kind, label sets and counter values.  Ids, pids and wall-clock
-times are left out: they change run to run.
-
-Only re-run this when an *intentional* bitstream change lands — the whole
-point of the file is that rewrites keep it byte-identical.
+``golden_telemetry.json`` — the spans (name, parent, attributes) and
+metric families (name, kind, label sets, counter values) one traced,
+metrics-on request leaves behind on each served workload's path, sent
+over loopback through ``ServiceClient``.  Ids, pids and wall-clock times
+change run to run and are left out.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 import json
@@ -61,19 +61,20 @@ from repro.deflate.compress import deflate
 from repro.deflate.inflate import inflate_with_stats
 from repro.workloads.generators import generate
 
-OUT = (pathlib.Path(__file__).resolve().parent.parent
-       / "tests" / "data" / "golden_deflate.json")
-OUT_DICTSVC = OUT.parent / "golden_dictsvc.json"
-OUT_CONTAINERS = OUT.parent / "golden_containers.json"
-OUT_EXPERIMENTS = OUT.parent / "golden_experiments.json"
-OUT_CHAOS = OUT.parent / "golden_chaos.json"
-OUT_TELEMETRY = OUT.parent / "golden_telemetry.json"
+DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+#: The one golden file that is a list: each of its cases names itself.
+DEFLATE = "golden_deflate.json"
 
 #: Training grid for the dictsvc goldens (mirrors `repro dict train`).
 DICTSVC_TRAIN = {"corpus": "cloud-like", "scale": 0.25, "seed": 7,
                  "sample_bytes": 4096, "max_clusters": 4}
 
 
+def _sha256(data) -> str:
+    return hashlib.sha256(bytes(data)).hexdigest()
+
+
+@functools.cache
 def payloads() -> dict[str, bytes]:
     return {
         "empty": b"",
@@ -89,8 +90,17 @@ def payloads() -> dict[str, bytes]:
     }
 
 
-def cases() -> list[dict]:
-    """The (payload, deflate-kwargs) grid the parity suite replays."""
+def case_id(case: dict) -> str:
+    """A deflate case's name: its payload, level and other arguments."""
+    parts = [case["payload"], f"l{case['level']}"]
+    for key in ("strategy", "block_tokens", "final", "history"):
+        if key in case:
+            parts.append(f"{key}={case[key]}")
+    return "-".join(parts)
+
+
+def deflate_cases() -> dict:
+    """``case id -> recorder()`` over the (payload, deflate-kwargs) grid."""
     grid: list[dict] = []
     for name in payloads():
         for level in (1, 4, 6, 9):
@@ -103,10 +113,12 @@ def cases() -> list[dict]:
     grid.append({"payload": "text", "level": 6, "final": False})
     grid.append({"payload": "json", "level": 6, "history": "text"})
     grid.append({"payload": "text", "level": 0})
-    return grid
+    return {case_id(case): functools.partial(record_case, case)
+            for case in grid}
 
 
-def record_case(case: dict, data_by_name: dict[str, bytes]) -> dict:
+def record_case(case: dict) -> dict:
+    data_by_name = payloads()
     kwargs = {k: v for k, v in case.items() if k != "payload"}
     if "history" in kwargs:
         kwargs["history"] = data_by_name[kwargs["history"]]
@@ -115,7 +127,7 @@ def record_case(case: dict, data_by_name: dict[str, bytes]) -> dict:
     stats = result.stats
     entry = {
         **case,
-        "sha256": hashlib.sha256(result.data).hexdigest(),
+        "sha256": _sha256(result.data),
         "compressed_len": len(result.data),
         "blocks": result.blocks,
         "stats": {
@@ -125,11 +137,9 @@ def record_case(case: dict, data_by_name: dict[str, bytes]) -> dict:
             "chain_probes": stats.chain_probes,
         },
     }
-    history = case.get("history")
-    hist_bytes = data_by_name[history] if history else b""
     if case.get("final", True):
-        out, istats, bits = inflate_with_stats(result.data,
-                                               history=hist_bytes)
+        out, istats, bits = inflate_with_stats(
+            result.data, history=kwargs.get("history", b""))
         assert out == data, case
         entry["inflate_stats"] = {
             "literals": istats.literals,
@@ -141,8 +151,10 @@ def record_case(case: dict, data_by_name: dict[str, bytes]) -> dict:
     return entry
 
 
-def train_dictsvc_registry():
-    """Train the golden registry (deterministic under DICTSVC_TRAIN)."""
+@functools.cache
+def trained_registry():
+    """The golden registry and its corpus, trained once a process
+    (deterministic under DICTSVC_TRAIN)."""
     from repro.dictsvc import DictionaryRegistry
     from repro.workloads.corpus import build_corpus
 
@@ -160,32 +172,25 @@ def train_dictsvc_registry():
     return registry, corpus
 
 
-def dictionary_fingerprints(registry) -> list[dict]:
+def dictionary_fingerprints() -> list[dict]:
     """Byte-level fingerprints of every trained dictionary."""
-    entries = []
-    for dictionary in registry.trained():
-        entries.append({
-            "name": dictionary.name,
-            "tenant": dictionary.tenant,
-            "samples": dictionary.samples,
-            "litlen_sha256": hashlib.sha256(
-                bytes(dictionary.litlen_lengths)).hexdigest(),
-            "dist_sha256": hashlib.sha256(
-                bytes(dictionary.dist_lengths)).hexdigest(),
-            "priming_sha256": hashlib.sha256(
-                dictionary.priming).hexdigest(),
-            "priming_len": len(dictionary.priming),
-        })
-    return entries
+    return [{"name": dictionary.name,
+             "tenant": dictionary.tenant,
+             "samples": dictionary.samples,
+             "litlen_sha256": _sha256(dictionary.litlen_lengths),
+             "dist_sha256": _sha256(dictionary.dist_lengths),
+             "priming_sha256": _sha256(dictionary.priming),
+             "priming_len": len(dictionary.priming)}
+            for dictionary in trained_registry()[0].trained()]
 
 
-def record_dictsvc() -> dict:
-    """Golden canned-DHT bitstreams with the trained tables pushed."""
+def canned_streams() -> list[dict]:
+    """Canned-DHT bitstreams with the trained tables pushed."""
     from repro.nx.compressor import NxCompressor
     from repro.nx.dht import DhtStrategy, clear_trained_dhts, select_canned
     from repro.nx.params import POWER9
 
-    registry, corpus = train_dictsvc_registry()
+    registry, corpus = trained_registry()
     clear_trained_dhts()
     registry.push()
     try:
@@ -204,16 +209,19 @@ def record_dictsvc() -> dict:
                     "offset": offset,
                     "length": len(buf),
                     "pick": select_canned(buf),
-                    "sha256": hashlib.sha256(result.data).hexdigest(),
+                    "sha256": _sha256(result.data),
                     "compressed_len": len(result.data),
                 })
     finally:
         clear_trained_dhts()
-    return {
-        "train": dict(DICTSVC_TRAIN),
-        "dictionaries": dictionary_fingerprints(registry),
-        "streams": streams,
-    }
+    return streams
+
+
+def dictsvc_cases() -> dict:
+    """The training grid, what it trains, and the canned bitstreams."""
+    return {"train": lambda: dict(DICTSVC_TRAIN),
+            "dictionaries": dictionary_fingerprints,
+            "streams": canned_streams}
 
 
 # -- framed outputs: every producer of a wire format --------------------------
@@ -391,21 +399,20 @@ def container_producers() -> dict:
     return grid
 
 
-def record_container_case(producer, data: bytes) -> dict:
+def record_container_case(producer, payload: str) -> dict:
     """Fingerprint of one producer's output on one payload."""
-    made = producer(data)
+    made = producer(payloads()[payload])
     framed, seconds = made if isinstance(made, tuple) else (made, None)
-    entry = {"sha256": hashlib.sha256(framed).hexdigest(),
-             "length": len(framed)}
+    entry = {"sha256": _sha256(framed), "length": len(framed)}
     if seconds is not None:
         entry["seconds"] = seconds
     return entry
 
 
-def record_containers() -> dict:
-    data_by_name = payloads()
-    return {f"{name}/{payload}": record_container_case(
-                producer, data_by_name[payload])
+def container_cases() -> dict:
+    """``producer/payload -> recorder()`` of every framed output."""
+    return {f"{name}/{payload}": functools.partial(
+                record_container_case, producer, payload)
             for name, producer in container_producers().items()
             for payload in CONTAINER_PAYLOADS}
 
@@ -536,10 +543,6 @@ def experiments() -> dict:
             "e19": _e19}
 
 
-def record_experiments() -> dict:
-    return {name: record() for name, record in experiments().items()}
-
-
 # -- chaos: the offline campaign's numbers and every wire firing trace -------
 
 #: Seeds of the pinned offline campaigns.
@@ -599,10 +602,6 @@ def chaos_cases() -> dict:
     for name, plans in default_plans("tcp").items():
         cases[f"wire/{name}"] = lambda plans=plans: _wire_scenario(plans)
     return cases
-
-
-def record_chaos() -> dict:
-    return {name: record() for name, record in chaos_cases().items()}
 
 
 # -- telemetry: what one served request records, span by span ---------------
@@ -691,38 +690,31 @@ def telemetry_cases() -> dict:
             for name, case in TELEMETRY_CASES.items()}
 
 
-def record_telemetry() -> dict:
-    from repro.exec import shutdown_default_pool
+#: ``golden file -> cases()``: every file under ``tests/data/`` the
+#: suite replays, and the recorders of its cases by name.
+SECTIONS = {
+    DEFLATE: deflate_cases,
+    "golden_dictsvc.json": dictsvc_cases,
+    "golden_containers.json": container_cases,
+    "golden_experiments.json": experiments,
+    "golden_chaos.json": chaos_cases,
+    "golden_telemetry.json": telemetry_cases,
+}
 
-    try:
-        return {name: record()
-                for name, record in telemetry_cases().items()}
-    finally:
-        shutdown_default_pool()
+
+def recorded(name: str) -> dict:
+    """The golden file ``name`` as written, keyed by case name."""
+    golden = json.loads((DATA / name).read_text())
+    return ({case_id(entry): entry for entry in golden} if name == DEFLATE
+            else golden)
 
 
 def main() -> int:
-    data_by_name = payloads()
-    entries = [record_case(case, data_by_name) for case in cases()]
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(entries, indent=1) + "\n")
-    print(f"wrote {OUT} ({len(entries)} cases)")
-    golden = record_dictsvc()
-    OUT_DICTSVC.write_text(json.dumps(golden, indent=1) + "\n")
-    print(f"wrote {OUT_DICTSVC} ({len(golden['dictionaries'])} "
-          f"dictionaries, {len(golden['streams'])} streams)")
-    framed = record_containers()
-    OUT_CONTAINERS.write_text(json.dumps(framed, indent=1) + "\n")
-    print(f"wrote {OUT_CONTAINERS} ({len(framed)} framed outputs)")
-    tables = record_experiments()
-    OUT_EXPERIMENTS.write_text(json.dumps(tables, indent=1) + "\n")
-    print(f"wrote {OUT_EXPERIMENTS} ({len(tables)} experiments)")
-    chaos = record_chaos()
-    OUT_CHAOS.write_text(json.dumps(chaos, indent=1) + "\n")
-    print(f"wrote {OUT_CHAOS} ({len(chaos)} chaos cases)")
-    telemetry = record_telemetry()
-    OUT_TELEMETRY.write_text(json.dumps(telemetry, indent=1) + "\n")
-    print(f"wrote {OUT_TELEMETRY} ({len(telemetry)} served requests)")
+    for name, cases in SECTIONS.items():
+        record = {case: recorder() for case, recorder in cases().items()}
+        golden = list(record.values()) if name == DEFLATE else record
+        (DATA / name).write_text(json.dumps(golden, indent=1) + "\n")
+        print(f"wrote {DATA / name} ({len(record)} cases)")
     return 0
 
 
