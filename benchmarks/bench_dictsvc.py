@@ -38,7 +38,7 @@ import sys
 from _common import StageRecorder, measure
 from repro.dictsvc import DictionaryRegistry, ResultCache, result_key
 from repro.nx.compressor import NxCompressor
-from repro.nx.dht import DhtStrategy, clear_trained_dhts
+from repro.nx.dht import DhtStrategy, clear_trained_dhts, trained_generation
 from repro.nx.params import POWER9
 from repro.workloads.corpus import build_corpus
 
@@ -118,7 +118,7 @@ def run_bench() -> dict:
 
         # -- cache hit vs miss (wall time; miss = hash + engine compress)
         cache = ResultCache(max_bytes=64 << 20)
-        epoch = registry.epoch(next(iter(corpus)))
+        epoch = trained_generation()
         payloads = [buf for _family, buf in buffers]
 
         def _fill(target: ResultCache) -> None:

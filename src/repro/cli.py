@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_arg(p_chaos)
 
     p_dict = sub.add_parser(
-        "dict", help="dictionary service: train, list, and push "
-                     "tenant canned DHTs + priming dictionaries")
+        "dict", help="dictionary service: train and list tenant canned "
+                     "DHTs (serve --dicts pushes a bundle)")
     dict_sub = p_dict.add_subparsers(dest="dict_command", required=True)
     p_dtrain = dict_sub.add_parser(
         "train", help="train per-family dictionaries on a seeded corpus")
@@ -247,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dlist.add_argument("--bundle", type=pathlib.Path, default=None,
                          help="bundle to inspect (default: the "
                               "in-process canned library)")
-    p_dpush = dict_sub.add_parser(
-        "push", help="load a bundle and publish its tables to the "
-                     "engine's canned library")
-    p_dpush.add_argument("bundle", type=pathlib.Path)
-    _add_machine_arg(p_dpush)
-    _add_backend_args(p_dpush)
 
     p_serve = sub.add_parser(
         "serve", help="compression job server (QoS queues, batching)")
@@ -718,9 +712,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_dict(args: argparse.Namespace) -> int:
     if args.dict_command == "train":
         return _cmd_dict_train(args)
-    if args.dict_command == "list":
-        return _cmd_dict_list(args)
-    return _cmd_dict_push(args)
+    return _cmd_dict_list(args)
 
 
 def _train_registry(corpus: str, scale: float, seed: int,
@@ -741,12 +733,11 @@ def _train_registry(corpus: str, scale: float, seed: int,
 
 
 def _dict_table(dicts) -> Table:
-    from .core.metrics import Table, human_bytes
+    from .core.metrics import Table
 
-    table = Table(headers=["name", "epoch", "samples", "priming",
-                           "centroid[0:4]"])
+    table = Table(headers=["name", "epoch", "samples", "centroid[0:4]"])
     for d in dicts:
-        table.add(d.name, d.epoch, d.samples, human_bytes(len(d.priming)),
+        table.add(d.name, d.epoch, d.samples,
                   "/".join(f"{x:.2f}" for x in d.centroid[:4]))
     return table
 
@@ -778,22 +769,6 @@ def _cmd_dict_list(args: argparse.Namespace) -> int:
     for name in canned_names(include_trained=True):
         table.add(name, "trained" if name in trained else "built-in")
     print(table.render("canned DHT library (this process)"))
-    return 0
-
-
-def _cmd_dict_push(args: argparse.Namespace) -> int:
-    from .backend.registry import backend_capabilities
-    from .dictsvc import DictionaryRegistry
-
-    registry = DictionaryRegistry()
-    registry.load_bundle(str(args.bundle))
-    pushed = registry.push()
-    print(f"pushed {len(pushed)} trained tables: {', '.join(pushed)}")
-    caps = backend_capabilities(args.backend or "nx",
-                                machine=get_machine(args.machine))
-    print(f"backend {caps.name!r} now advertises "
-          f"{len(caps.canned_dicts)} canned dicts via "
-          "capabilities().canned_dicts")
     return 0
 
 

@@ -89,20 +89,10 @@ class NxGzip:
         self.stats = SessionStats()
         self.verify_failures = 0
 
-    # -- backward-compatible views of the nx driver stack --------------------
-
-    @property
-    def driver(self):
-        """The underlying driver (``nx`` backend only)."""
-        return self.backend.driver
-
     @property
     def accelerator(self):
+        """The underlying accelerator (``nx`` backend only)."""
         return self.backend.accelerator
-
-    @property
-    def space(self):
-        return self.backend.space
 
     # -- public operations ---------------------------------------------------
 

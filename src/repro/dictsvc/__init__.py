@@ -7,8 +7,8 @@ package productizes that engine feature across tenants:
 
 * :class:`DictionaryRegistry` samples per-tenant traffic, clusters it
   by byte-histogram/match-density signature, and trains one canned DHT
-  plus one 32 KB LZ77 priming dictionary per cluster, versioned and
-  pushed to backends through ``BackendCapabilities.canned_dicts``.
+  per cluster, versioned and pushed to backends through
+  ``BackendCapabilities.canned_dicts``.
 * :class:`ResultCache` is a content-addressed compressed-result cache
   (sha256 of payload + codec parameters), bounded by entries and bytes
   with per-tenant quotas, with singleflight so N concurrent misses on

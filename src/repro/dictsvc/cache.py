@@ -2,7 +2,7 @@
 
 A million-user service sees heavy key skew: the same hot objects are
 compressed over and over.  This cache addresses results by content —
-``sha256(op | fmt | strategy | dict-epoch | payload)`` — so identical
+``sha256(op | fmt | strategy | table generation | payload)`` — so identical
 requests are served from memory at hash cost instead of accelerator
 cost, regardless of which client sent them.  It is
 :mod:`repro.dictsvc.keyed`'s LRU and claim table behind three
@@ -38,8 +38,9 @@ def result_key(payload: bytes, *, op: str = "compress", fmt: str = "raw",
     """Content address of one codec result.
 
     Every parameter that changes the output bytes must be part of the
-    key; ``epoch`` is the dictionary-service epoch, so pushing newly
-    trained tables invalidates cached results without any flush.
+    key; the service passes the engine's trained-table generation
+    (:func:`repro.nx.dht.trained_generation`) as ``epoch``, so a push
+    re-keys every result cached under the old tables, without a flush.
     """
     h = hashlib.sha256()
     h.update(f"{op}|{fmt}|{strategy}|{epoch}|".encode("ascii"))

@@ -1,33 +1,28 @@
-"""Per-tenant dictionary training: sample → cluster → canned DHT + zdict.
+"""Per-tenant dictionary training: sample → cluster → canned DHT.
 
 The registry ingests traffic samples per tenant (or workload family),
 clusters them on the 20-dimension :func:`repro.nx.dht.sample_signature`
-(byte histogram + match-density probe), and trains two artifacts per
-cluster:
+(byte histogram + match-density probe), and trains one **canned DHT**
+per cluster: length-limited canonical code lengths built from the
+cluster's pooled LZ token statistics, covering every literal so any
+input stays encodable.
 
-* a **canned DHT** — length-limited canonical code lengths built from
-  the cluster's pooled LZ token statistics, covering every symbol so
-  any input stays encodable;
-* a **32 KB LZ77 priming dictionary** — representative sample content,
-  most valuable bytes last (zlib ``zdict`` semantics: the tail of the
-  dictionary is the closest history).
-
-Training is fully deterministic under a fixed seed: reservoir sampling,
-cluster assignment, and priming-content scoring all derive from the
-registry seed, so two runs over the same traffic produce byte-identical
-dictionaries — the property the golden-parity suite pins.
+Training is fully deterministic under a fixed seed: reservoir sampling
+and cluster assignment derive from the registry seed, so two runs over
+the same traffic produce byte-identical tables — the property the
+golden-parity suite pins.
 
 Versioning: every :meth:`DictionaryRegistry.train` call for a tenant
 bumps that tenant's epoch, and dictionary names embed it
 (``tenant.c0.v2``).  Pushing a new epoch replaces the engine tables
 under fresh names and retires the previous epoch's, so a stale name can
-never silently serve a new table — and cache keys that include the
-dictionary epoch invalidate naturally.
+never silently serve a new table; the push also advances the engine's
+table generation (:func:`repro.nx.dht.trained_generation`), which the
+service folds into every result-cache key.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import random
 from dataclasses import dataclass, field
@@ -37,7 +32,6 @@ from ..deflate.constants import (
     MAX_CODE_LENGTH,
     NUM_DIST_SYMBOLS,
     NUM_LITLEN_SYMBOLS,
-    WINDOW_SIZE,
 )
 from ..deflate.huffman import limited_code_lengths
 from ..errors import ConfigError
@@ -64,7 +58,7 @@ CLUSTER_RADIUS = 0.02
 
 @dataclass(frozen=True)
 class TrainedDictionary:
-    """One versioned, shippable dictionary for one traffic cluster."""
+    """One versioned, shippable canned DHT for one traffic cluster."""
 
     name: str                         # "<tenant>.c<idx>.v<epoch>"
     tenant: str
@@ -73,7 +67,6 @@ class TrainedDictionary:
     centroid: tuple[float, ...]
     litlen_lengths: tuple[int, ...]
     dist_lengths: tuple[int, ...]
-    priming: bytes                    # ≤ 32 KB zdict
     samples: int                      # reservoir samples in the cluster
 
     def to_json(self) -> dict:
@@ -85,7 +78,6 @@ class TrainedDictionary:
             "centroid": list(self.centroid),
             "litlen_lengths": list(self.litlen_lengths),
             "dist_lengths": list(self.dist_lengths),
-            "priming_b64": base64.b64encode(self.priming).decode("ascii"),
             "samples": self.samples,
         }
 
@@ -99,7 +91,6 @@ class TrainedDictionary:
             centroid=tuple(float(x) for x in obj["centroid"]),
             litlen_lengths=tuple(int(x) for x in obj["litlen_lengths"]),
             dist_lengths=tuple(int(x) for x in obj["dist_lengths"]),
-            priming=base64.b64decode(obj["priming_b64"]),
             samples=int(obj["samples"]),
         )
 
@@ -177,13 +168,11 @@ class DictionaryRegistry:
         for idx, members in enumerate(clusters):
             centroid = _mean_signature([sample_signature(m) for m in members])
             lit, dist = self._train_dht(members)
-            priming = self._build_priming(members)
             trained.append(TrainedDictionary(
                 name=f"{tenant}.c{idx}.v{epoch}",
                 tenant=tenant, cluster=idx, epoch=epoch,
-                centroid=centroid,
-                litlen_lengths=lit, dist_lengths=dist,
-                priming=priming, samples=len(members)))
+                centroid=centroid, litlen_lengths=lit, dist_lengths=dist,
+                samples=len(members)))
         self._trained[tenant] = trained
         _REGISTRY.counter(
             "repro_dictsvc_train_runs_total",
@@ -250,29 +239,6 @@ class DictionaryRegistry:
         dist = tuple(limited_code_lengths(dist_freq, MAX_CODE_LENGTH))
         return lit, dist
 
-    def _build_priming(self, members: list[bytes]) -> bytes:
-        """Concatenate the most representative samples, best last.
-
-        zlib zdict semantics put the *end* of the dictionary nearest the
-        data, so the highest-scoring sample goes last.  Scoring is
-        cross-sample 8-byte shingle overlap — content many cluster
-        members share primes the most matches.
-        """
-        shingle_counts: dict[bytes, int] = {}
-        for member in members:
-            for sh in _shingles(member):
-                shingle_counts[sh] = shingle_counts.get(sh, 0) + 1
-        scored = []
-        for pos, member in enumerate(members):
-            shs = _shingles(member)
-            score = sum(shingle_counts[sh] for sh in shs) / max(1, len(shs))
-            scored.append((score, pos, member))
-        scored.sort()  # ascending: best content ends up last
-        out = bytearray()
-        for _score, _pos, member in scored:
-            out += member
-        return bytes(out[-WINDOW_SIZE:])
-
     # -- ship -----------------------------------------------------------------
 
     def push(self) -> list[str]:
@@ -308,9 +274,6 @@ class DictionaryRegistry:
             out.extend(self._trained[t])
         return out
 
-    def epoch(self, tenant: str) -> int:
-        return self._epochs.get(tenant, 0)
-
     def save_bundle(self, path: str) -> None:
         """Serialize every trained dictionary to a JSON bundle."""
         bundle = {
@@ -342,15 +305,6 @@ class DictionaryRegistry:
             self._epochs[d.tenant] = max(self._epochs.get(d.tenant, 0),
                                          d.epoch)
         return self.trained()
-
-
-def _shingles(member: bytes, width: int = 8, limit: int = 512) -> list[bytes]:
-    """Up to ``limit`` evenly spaced ``width``-byte shingles of a sample."""
-    n = len(member) - width + 1
-    if n <= 0:
-        return [member] if member else []
-    step = max(1, n // limit)
-    return [bytes(member[i:i + width]) for i in range(0, n, step)]
 
 
 def _mean_signature(signatures: list[tuple[float, ...]]

@@ -311,6 +311,15 @@ class TrainedCanned:
 
 _TRAINED: dict[str, TrainedCanned] = {}
 
+#: Advanced by every change to the trained library; result caches key on
+#: it, so a push re-keys every result compressed under the old tables.
+_generation = 0
+
+
+def trained_generation() -> int:
+    """How many times the trained library has changed in this process."""
+    return _generation
+
 
 def register_trained_dht(name: str, litlen_lengths, dist_lengths,
                          centroid, replace: bool = False) -> None:
@@ -347,17 +356,23 @@ def register_trained_dht(name: str, litlen_lengths, dist_lengths,
             f"trained DHT {name!r} shadows a built-in template")
     if not replace and name in _TRAINED:
         raise ConfigError(f"trained DHT {name!r} already registered")
+    global _generation
     _TRAINED[name] = TrainedCanned(
         dht=DhtResult(lit, dist, CANNED_LOOKUP_CYCLES, source=name),
         centroid=tuple(float(x) for x in centroid))
+    _generation += 1
 
 
 def unregister_trained_dht(name: str) -> None:
+    global _generation
     _TRAINED.pop(name, None)
+    _generation += 1
 
 
 def clear_trained_dhts() -> None:
+    global _generation
     _TRAINED.clear()
+    _generation += 1
 
 
 def trained_names() -> list[str]:

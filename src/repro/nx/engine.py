@@ -41,7 +41,6 @@ class EngineCounters:
     jobs: int = 0
     completed: int = 0
     faulted: int = 0
-    overflowed: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
     busy_seconds: float = 0.0
@@ -214,7 +213,6 @@ class NxEngine:
 
     def _overflow_outcome(self, crb: Crb, space: AddressSpace,
                           processed: int, result) -> JobOutcome:
-        self.counters.overflowed += 1
         busy = self._abort_seconds()
         self.counters.busy_seconds += busy
         csb = Csb(valid=True, cc=CcCode.TARGET_SPACE,

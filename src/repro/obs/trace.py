@@ -20,9 +20,8 @@ against ~0.02 us for the attribute test it replaced (Python 3.11.7,
 median of ``timeit`` repeats on a 2-CPU x86-64 VM); work only a trace
 reads, such as parsing a wire ``traceparent``, happens inside the
 tracer, so a disabled site does none of it.  Timing uses
-``perf_counter`` so span durations are wall-clock and monotonic; a
-paired epoch captured at enable time lets exporters reconstruct
-absolute timestamps.
+``perf_counter`` so span durations are wall-clock and monotonic; the
+``perf_counter`` captured at enable time is the exporters' zero.
 """
 
 from __future__ import annotations
@@ -158,8 +157,7 @@ class Tracer:
         self.enabled = False
         self.spans: list[Span] = []
         self.dropped = 0
-        self.epoch_time_s = 0.0       # time.time() at enable
-        self.epoch_perf_s = 0.0       # matching perf_counter()
+        self.epoch_perf_s = 0.0       # perf_counter() at enable
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_trace = 1
@@ -168,7 +166,6 @@ class Tracer:
     # -- lifecycle ---------------------------------------------------------
 
     def enable(self) -> None:
-        self.epoch_time_s = time.time()
         self.epoch_perf_s = time.perf_counter()
         self.enabled = True
 

@@ -150,7 +150,6 @@ class ServiceClient:
         #: Chaos/test hook: wraps every socket this client dials.
         self.socket_wrapper = socket_wrapper
         self.sock: socket.socket | None = None
-        self.reconnects_total = 0
         self._connect()
 
     def _connect(self) -> None:
@@ -244,7 +243,6 @@ class ServiceClient:
                 f"retry budget empty after connection failure: "
                 f"{cause}") from cause
         self.close()
-        self.reconnects_total += 1
         span.event("client.reconnect", attempt=reconnects,
                    cause=type(cause).__name__)
         _REGISTRY.counter(

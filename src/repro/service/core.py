@@ -56,6 +56,7 @@ from ..dictsvc.keyed import Claim
 from ..errors import (AcceleratorError, ConfigError, DeadlineExceeded,
                       ReproError, ServiceClosed, ServiceOverloaded,
                       failure_of)
+from ..nx.dht import trained_generation
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import record_service_request
@@ -144,9 +145,6 @@ class CompressionService:
         # The content-addressed result cache (dictionary service).
         self.cache = None if cache_mb is None else ResultCache(
             max_bytes=max(1, int(cache_mb * (1 << 20))))
-        #: Dictionary-service epoch folded into every cache key, so a
-        #: trained-table push invalidates cached results without flush.
-        self.cache_epoch = 0
         self._lock = threading.Lock()
         self._queues: dict[str, deque[Job]] = {
             c.name: deque() for c in self.qos.classes}
@@ -215,7 +213,7 @@ class CompressionService:
             # claim, so the leader cannot settle between the look and
             # the park — or the leader itself.
             key = result_key(payload, op=op, fmt=job.fmt, strategy=strategy,
-                             epoch=self.cache_epoch)
+                             epoch=trained_generation())
             state, value = self.cache.begin(
                 tenant, key, park=lambda: self._park(job))
             if state == "wait":

@@ -31,7 +31,6 @@ class PageState:
     data: bytearray
     present: bool = True
     writable: bool = True
-    touches: int = 0
 
 
 @dataclass
@@ -122,9 +121,7 @@ class AddressSpace:
 
     def touch(self, va: int) -> None:
         """Make the page containing ``va`` resident (driver fault fixup)."""
-        state = self._page(va // self.page_size)
-        state.present = True
-        state.touches += 1
+        self._page(va // self.page_size).present = True
 
     # -- accelerator-side translation ---------------------------------------
 

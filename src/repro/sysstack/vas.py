@@ -46,7 +46,6 @@ class SendWindow:
     credits: int
     priority: str = "normal"  # "high" routes to the priority RX FIFO
     outstanding: int = 0
-    pastes_accepted: int = 0
     pastes_rejected: int = 0
     credits_leaked: int = 0
 
@@ -114,7 +113,6 @@ class Vas:
                 1, priority=window.priority)
             return False
         window.outstanding += 1
-        window.pastes_accepted += 1
         fifo.append(PasteRecord(window_id=window_id, raw_crb=raw))
         _REGISTRY.counter("repro_vas_pastes_total",
                           "accepted CRB pastes").inc(

@@ -12,7 +12,9 @@ the cache mounted.
 
 from __future__ import annotations
 
+import pathlib
 import random
+import signal
 import threading
 import zlib
 from collections import OrderedDict
@@ -20,7 +22,6 @@ from collections import OrderedDict
 import pytest
 
 from repro.backend import backend_capabilities
-from repro.deflate.constants import WINDOW_SIZE
 from repro.dictsvc import DictionaryRegistry, ResultCache, result_key
 from repro.dictsvc.cache import _Claim
 from repro.errors import ConfigError
@@ -28,6 +29,7 @@ from repro.nx.dht import (
     canned_dht,
     canned_names,
     clear_trained_dhts,
+    select_canned,
     trained_names,
 )
 from repro.service import CompressionService
@@ -35,6 +37,7 @@ from repro.workloads.generators import generate
 
 from .test_dht import fresh_header_bits
 
+DATA = pathlib.Path(__file__).parent / "data"
 
 @pytest.fixture(autouse=True)
 def _clean_tables():
@@ -294,7 +297,6 @@ class TestRegistry:
         for a, b in zip(first, second):
             assert a.litlen_lengths == b.litlen_lengths
             assert a.dist_lengths == b.dist_lengths
-            assert a.priming == b.priming
 
     def test_observe_order_between_tenants_irrelevant(self) -> None:
         r1 = DictionaryRegistry(seed=11)
@@ -303,21 +305,23 @@ class TestRegistry:
         r2 = DictionaryRegistry(seed=11)
         _feed(r2, "b", seed=6)
         _feed(r2, "a", seed=5)
-        assert [d.priming for d in r1.train("a")] \
-            == [d.priming for d in r2.train("a")]
+        assert [(d.name, d.litlen_lengths, d.dist_lengths, d.centroid)
+                for d in r1.train("a")] \
+            == [(d.name, d.litlen_lengths, d.dist_lengths, d.centroid)
+                for d in r2.train("a")]
 
     def test_epoch_bump_and_push_retire(self) -> None:
         registry = DictionaryRegistry(seed=1)
         _feed(registry, "t", seed=9)
         first = registry.train("t")
-        assert registry.epoch("t") == 1
+        assert {d.epoch for d in first} == {1}
         registry.push()
         v1_names = set(trained_names())
         assert {d.name for d in first} == v1_names
         assert all(name.endswith(".v1") for name in v1_names)
 
         second = registry.train("t")
-        assert registry.epoch("t") == 2
+        assert {d.epoch for d in second} == {2}
         registry.push()
         v2_names = set(trained_names())
         assert {d.name for d in second} == v2_names
@@ -357,10 +361,29 @@ class TestRegistry:
         registry.save_bundle(bundle)
         loaded = DictionaryRegistry(seed=2)
         loaded.load_bundle(bundle)
-        assert [(d.name, d.litlen_lengths, d.priming)
+        assert [(d.name, d.litlen_lengths, d.dist_lengths)
                 for d in loaded.trained()] \
-            == [(d.name, d.litlen_lengths, d.priming)
+            == [(d.name, d.litlen_lengths, d.dist_lengths)
                 for d in registry.trained()]
+
+    def test_bundle_with_priming_still_loads(self) -> None:
+        """A bundle from before priming dictionaries were dropped (each
+        row still carries ``priming_b64``) loads, and holds what the same
+        training gives now."""
+        loaded = DictionaryRegistry().load_bundle(
+            str(DATA / "bundle_with_priming.json"))
+        registry = DictionaryRegistry(seed=3, sample_bytes=256,
+                                      max_clusters=2)
+        for family in ("json_records", "markov_text"):
+            data = generate(family, 1024, seed=5)
+            for offset in range(0, len(data), 256):
+                registry.observe("mixed", data[offset:offset + 256])
+        registry.train("mixed")
+        trained = registry.train("mixed")
+        assert [(d.name, d.epoch, d.litlen_lengths, d.dist_lengths)
+                for d in loaded] \
+            == [(d.name, d.epoch, d.litlen_lengths, d.dist_lengths)
+                for d in trained] != []
 
     def test_bad_bundle_is_a_typed_error(self, tmp_path) -> None:
         # A missing or garbage bundle file must surface as ConfigError
@@ -377,11 +400,25 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             registry.load_bundle(str(wrong))
 
-    def test_priming_bounded_by_window(self) -> None:
-        registry = DictionaryRegistry(seed=3)
+    def test_serve_dicts_pushes_the_bundle(self, tmp_path, capsys) -> None:
+        """``repro serve --dicts`` publishes a bundle's tables for as long
+        as the server runs."""
+        from repro.cli import main
+
+        registry = DictionaryRegistry(seed=1)
         _feed(registry, "t", seed=9)
-        for dictionary in registry.train("t"):
-            assert 0 < len(dictionary.priming) <= WINDOW_SIZE
+        names = {d.name for d in registry.train("t")}
+        bundle = tmp_path / "dicts.json"
+        registry.save_bundle(bundle)
+        sigterm = signal.getsignal(signal.SIGTERM)
+        try:
+            assert main(["serve", "--dicts", str(bundle), "--port", "0",
+                         "--duration-s", "0.2"]) == 0
+        finally:
+            signal.signal(signal.SIGTERM, sigterm)
+        assert (f"dictionaries: pushed {len(names)} trained canned tables "
+                f"from {bundle}") in capsys.readouterr().out
+        assert set(trained_names()) == names
 
 
 # -- the cache mounted in the service -----------------------------------------
@@ -427,6 +464,35 @@ class TestServiceIntegration:
             assert len(set(blobs)) == 1, "cache served divergent bytes"
             import gzip
             assert gzip.decompress(blobs[0]) == payloads[i]
+
+    def test_push_rekeys_cached_results(self) -> None:
+        """A result cached before a push is not served after it: the
+        request runs again, under the pushed table."""
+        payload = generate("json_records", 4096, seed=21)
+        with CompressionService(machine="POWER9", chips=1,
+                                cache_mb=4) as svc:
+            def compress() -> bytes:
+                return svc.submit("compress", payload, strategy="canned",
+                                  tenant="acme").wait(10).output
+
+            before = compress()
+            assert compress() == before
+            assert svc.stats().cache["executions"] == 1
+
+            registry = DictionaryRegistry(seed=1)
+            registry.observe("acme", payload)
+            registry.train("acme")
+            pushed = registry.push()
+            assert select_canned(payload) in pushed
+
+            after = compress()
+            cache = svc.stats().cache
+            assert cache["executions"] == 2
+            assert (cache["hits"], cache["misses"]) == (1, 2)
+        with CompressionService(machine="POWER9", chips=1) as uncached:
+            fresh = uncached.submit("compress", payload, strategy="canned",
+                                    tenant="acme").wait(10).output
+        assert after == fresh != before
 
     def test_decompress_bypasses_cache(self) -> None:
         payload = generate("markov_text", 2048, seed=4)

@@ -176,12 +176,11 @@ def test_fuzz_multimember_speculative_resolve(seed):
 
 # -- priming-dictionary (zdict) differential ---------------------------------
 #
-# The dictionary service ships 32 KB LZ77 priming dictionaries; the
-# engine applies them as preset history.  That path must be bit-exact
-# with zlib's zdict semantics in both directions, including the window
-# boundaries: an empty dict, a single byte, one byte short of the
-# window, exactly the window, one past it (zlib keeps only the last
-# 32768 bytes), and double the window.
+# The codec takes a preset history (``history=``), zlib's ``zdict``.
+# That path must be bit-exact with zlib's semantics in both directions,
+# including the window boundaries: an empty dict, a single byte, one
+# byte short of the window, exactly the window, one past it (zlib keeps
+# only the last 32768 bytes), and double the window.
 
 _DICT_SIZES = [0, 1, 32767, 32768, 32769, 65536]
 _WINDOW = 32768
@@ -250,36 +249,26 @@ def test_priming_dict_stdlib_to_ours(level, size):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_trained_priming_dict_interop(seed):
-    """Registry-trained priming dictionaries work as zlib zdicts."""
-    from repro.dictsvc import DictionaryRegistry
+    """A zdict cut from a tenant's own traffic works both ways, and
+    primes traffic that resembles it."""
+    from repro.deflate.inflate import inflate_with_stats
     from repro.workloads.generators import generate
 
     traffic = generate("json_records", 65536, seed=seed)
-    registry = DictionaryRegistry(seed=seed)
-    for offset in range(0, len(traffic), 4096):
-        registry.observe("tenant", traffic[offset:offset + 4096])
-    trained = registry.train("tenant")
-    assert trained
-
+    zdict = traffic[-_WINDOW:]
     data = generate("json_records", 8192, seed=seed + 100)
-    for dictionary in trained:
-        zdict = dictionary.priming
-        assert 0 < len(zdict) <= _WINDOW
-        ours = deflate(data, level=6, history=zdict).data
-        decoder = zlib.decompressobj(wbits=-15, zdict=zdict)
-        assert decoder.decompress(ours) + decoder.flush() == data
+    ours = deflate(data, level=6, history=zdict).data
+    decoder = zlib.decompressobj(wbits=-15, zdict=zdict)
+    assert decoder.decompress(ours) + decoder.flush() == data
 
-        comp = zlib.compressobj(6, zlib.DEFLATED, -15, zdict=zdict)
-        theirs = comp.compress(data) + comp.flush()
-        from repro.deflate.inflate import inflate_with_stats
-        out, _stats, _bits = inflate_with_stats(theirs, history=zdict)
-        assert out == data
+    comp = zlib.compressobj(6, zlib.DEFLATED, -15, zdict=zdict)
+    theirs = comp.compress(data) + comp.flush()
+    out, _stats, _bits = inflate_with_stats(theirs, history=zdict)
+    assert out == data
 
-        # A primed stream is smaller than an unprimed one for traffic
-        # resembling the training distribution.
-        unprimed = deflate(traffic[:4096], level=6).data
-        primed = deflate(traffic[:4096], level=6, history=zdict).data
-        assert len(primed) <= len(unprimed)
+    unprimed = deflate(traffic[:4096], level=6).data
+    primed = deflate(traffic[:4096], level=6, history=zdict).data
+    assert len(primed) <= len(unprimed)
 
 
 # -- hostile container headers: every backend refuses alike -------------------

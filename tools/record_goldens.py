@@ -16,7 +16,7 @@ strategies and streaming modes: a list, each case named by
 
 ``golden_dictsvc.json`` — the training grid; fingerprints of every
 dictionary the registry trains from the seeded cloud-like corpus (code
-lengths and priming bytes: training is byte-identical run to run); and
+lengths: training is byte-identical run to run); and
 the canned-DHT bitstreams the engine emits with those tables pushed,
 each of which stock zlib must inflate.
 
@@ -178,9 +178,7 @@ def dictionary_fingerprints() -> list[dict]:
              "tenant": dictionary.tenant,
              "samples": dictionary.samples,
              "litlen_sha256": _sha256(dictionary.litlen_lengths),
-             "dist_sha256": _sha256(dictionary.dist_lengths),
-             "priming_sha256": _sha256(dictionary.priming),
-             "priming_len": len(dictionary.priming)}
+             "dist_sha256": _sha256(dictionary.dist_lengths)}
             for dictionary in trained_registry()[0].trained()]
 
 
