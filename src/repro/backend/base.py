@@ -27,6 +27,7 @@ import abc
 from dataclasses import dataclass
 from typing import ClassVar
 
+from ..nx.dht import BUILTIN, CannedLibrary
 from ..obs.metrics import record_job
 from ..obs.trace import TRACE as _TRACE
 from ..sysstack.driver import DriverResult
@@ -52,10 +53,6 @@ class BackendCapabilities:
     compress_gbps: float
     decompress_gbps: float
     per_call_overhead_s: float = 0.0
-    #: Canned DHT names the engine can fetch for this backend — the
-    #: built-in template library plus any tenant-trained tables the
-    #: dictionary service has pushed (see :mod:`repro.dictsvc`).
-    canned_dicts: tuple[str, ...] = ()
 
     @property
     def default_format(self) -> str:
@@ -120,7 +117,8 @@ class CompressionBackend(abc.ABC):
     def compress(self, data: bytes, *, strategy: object = "auto",
                  fmt: str | None = None, history: bytes = b"",
                  final: bool = True,
-                 deadline_s: float | None = None) -> DriverResult:
+                 deadline_s: float | None = None,
+                 library: CannedLibrary = BUILTIN) -> DriverResult:
         """Compress ``data``; ``fmt`` defaults to the backend's native one.
 
         ``history`` primes the match window for continuation requests
@@ -128,7 +126,8 @@ class CompressionBackend(abc.ABC):
         ``software``, ``nx`` and ``dfltcc`` backends take both).
         ``deadline_s`` bounds the modelled time the backend may spend
         *waiting* (retries, fault fixups); past it the call raises
-        :class:`~repro.errors.DeadlineExceeded`.
+        :class:`~repro.errors.DeadlineExceeded`.  ``library`` is the
+        canned tables the request carries to the engine.
         """
         fmt = fmt or self.capabilities().default_format
         self._call_deadline_s = deadline_s
@@ -137,7 +136,7 @@ class CompressionBackend(abc.ABC):
                              op="compress", fmt=fmt,
                              nbytes=len(data)) as span:
                 result = self._compress(data, _strategy_value(strategy),
-                                        fmt, history, final)
+                                        fmt, history, final, library)
                 _annotate(span, result)
         finally:
             self._call_deadline_s = None
@@ -172,9 +171,10 @@ class CompressionBackend(abc.ABC):
                    fallback=result.stats.fallback_to_software,
                    backend=self.name)
 
-    @abc.abstractmethod
     def capabilities(self) -> BackendCapabilities:
-        """Static description of formats and modelled rates."""
+        """Static description of formats and modelled rates: the
+        ``_caps`` each backend's constructor sets."""
+        return self._caps
 
     def stats(self) -> BackendStats:
         """Cumulative totals over every request this handle served."""
@@ -187,7 +187,8 @@ class CompressionBackend(abc.ABC):
 
     @abc.abstractmethod
     def _compress(self, data: bytes, strategy: str, fmt: str,
-                  history: bytes, final: bool) -> DriverResult:
+                  history: bytes, final: bool,
+                  library: CannedLibrary) -> DriverResult:
         ...
 
     @abc.abstractmethod

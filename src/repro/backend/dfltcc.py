@@ -12,12 +12,10 @@ check value.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..deflate.containers import (FORMATS, body_start, checksum,
                                   decompress_target_len, frame,
                                   require_format, verify_trailer)
-from ..nx.dht import DhtStrategy, canned_names
+from ..nx.dht import CannedLibrary, DhtStrategy
 from ..nx.params import Z15, MachineParams, get_machine
 from ..nx.z15 import Dfltcc, ParameterBlock, cmpr_loop, xpnd_loop
 from ..perf.cost import accelerator_effective_gbps
@@ -50,20 +48,14 @@ class DfltccBackend(CompressionBackend):
                                  + machine.dispatch_overhead_us) * 1e-6,
         )
 
-    def capabilities(self) -> BackendCapabilities:
-        # Recomputed per call: the dictionary service may push trained
-        # canned tables after this backend was constructed.
-        return replace(self._caps,
-                       canned_dicts=tuple(
-                           canned_names(include_trained=True)))
-
     # -- implementation ------------------------------------------------------
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
-                  history: bytes, final: bool) -> DriverResult:
+                  history: bytes, final: bool,
+                  library: CannedLibrary) -> DriverResult:
         require_format(fmt, history, final)
         block = ParameterBlock(dht_strategy=DhtStrategy(strategy),
-                               history=history)
+                               history=history, library=library)
         body, seconds, invocations = cmpr_loop(self._facility, block, data,
                                                last=final)
         # The facility accumulated the CRC-32 chunk by chunk in the

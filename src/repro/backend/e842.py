@@ -13,6 +13,7 @@ from __future__ import annotations
 from ..e842.engine import (BYTES_PER_CYCLE, CLOCK_GHZ, PIPELINE_FILL_CYCLES,
                           Engine842)
 from ..errors import ConfigError
+from ..nx.dht import CannedLibrary
 from ..obs.trace import TRACE as _TRACE
 from ..sysstack.driver import DriverResult, SubmissionStats
 from .base import BackendCapabilities, CompressionBackend
@@ -39,13 +40,11 @@ class E842Backend(CompressionBackend):
             per_call_overhead_s=PIPELINE_FILL_CYCLES / (CLOCK_GHZ * 1e9),
         )
 
-    def capabilities(self) -> BackendCapabilities:
-        return self._caps
-
     # -- implementation ------------------------------------------------------
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
-                  history: bytes, final: bool) -> DriverResult:
+                  history: bytes, final: bool,
+                  library: CannedLibrary) -> DriverResult:
         self._check(fmt, history, final)
         result = self.engine.compress(data)
         _TRACE.event("e842.pipe", op="compress", seconds=result.seconds)

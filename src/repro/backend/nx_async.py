@@ -19,7 +19,7 @@ from dataclasses import replace
 from ..deflate.containers import FORMATS
 from ..errors import ConfigError
 from ..nx.accelerator import NxAccelerator
-from ..nx.dht import canned_names
+from ..nx.dht import BUILTIN, CannedLibrary
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..perf.cost import accelerator_effective_gbps
 from ..sysstack.crb import Op
@@ -73,24 +73,19 @@ class NxAsyncBackend(CompressionBackend):
                                  + machine.completion_overhead_us) * 1e-6,
         )
 
-    def capabilities(self) -> BackendCapabilities:
-        # Recomputed per call: the dictionary service may push trained
-        # canned tables after this backend was constructed.
-        return replace(self._caps,
-                       canned_dicts=tuple(
-                           canned_names(include_trained=True)))
-
     def close(self) -> None:
         self.driver.close()
 
     # -- synchronous protocol ------------------------------------------------
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
-                  history: bytes, final: bool) -> DriverResult:
+                  history: bytes, final: bool,
+                  library: CannedLibrary) -> DriverResult:
         op, _, driver_fmt = _ops_for(fmt)
         return self.driver.run(op, data, strategy=strategy, fmt=driver_fmt,
                                history=history, final=final,
-                               deadline_s=self._call_deadline_s)
+                               deadline_s=self._call_deadline_s,
+                               library=library)
 
     def _decompress(self, payload: bytes, fmt: str,
                     history: bytes) -> DriverResult:
@@ -102,7 +97,8 @@ class NxAsyncBackend(CompressionBackend):
 
     def submit(self, kind: str, data: bytes, *, strategy: object = "auto",
                fmt: str | None = None,
-               deadline_s: float | None = None) -> PendingJob:
+               deadline_s: float | None = None,
+               library: CannedLibrary = BUILTIN) -> PendingJob:
         """Paste one request without waiting; poll for its completion."""
         if kind not in _COMPRESS_OPS:
             raise ConfigError(f"unknown job kind {kind!r}")
@@ -111,7 +107,8 @@ class NxAsyncBackend(CompressionBackend):
         op = cop if kind == "compress" else dop
         strategy = getattr(strategy, "value", strategy)
         return self.driver.submit(op, data, strategy=strategy,
-                                  fmt=driver_fmt, deadline_s=deadline_s)
+                                  fmt=driver_fmt, deadline_s=deadline_s,
+                                  library=library)
 
     def poll(self) -> list[PendingJob]:
         """Drain completions; finished jobs are folded into ``stats()``."""

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 from ..errors import (AcceleratorError, ConfigError, ExecError, ReproError,
                       failure_of)
+from ..nx.dht import BUILTIN
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -142,9 +143,10 @@ class Job:
     span: object = NULL_SPAN
     cache_claim = None
     event: threading.Event | None = None
-    # A streaming call's window and final bit.
+    # A streaming call's window and final bit; the canned tables it carries.
     history = b""
     final = True
+    library = BUILTIN
     # The pool's side: the chip, and while a lower layer holds the job
     # that layer's own handle (a driver pending or an exec job, both
     # ``done``/``result``/``error``) and whether it is the exec pool's.
@@ -420,7 +422,8 @@ class AcceleratorPool:
                     return backend.compress(
                         job.payload, strategy=job.strategy, fmt=job.fmt,
                         history=job.history, final=job.final,
-                        deadline_s=job.deadline_s), None
+                        deadline_s=job.deadline_s,
+                        library=job.library), None
                 return backend.decompress(
                     job.payload, fmt=job.fmt, history=job.history,
                     deadline_s=job.deadline_s), None
@@ -538,7 +541,7 @@ class AcceleratorPool:
             with self._op_lock(chip):
                 pending = backend.submit(
                     job.op, job.payload, strategy=job.strategy, fmt=job.fmt,
-                    deadline_s=job.deadline_s)
+                    deadline_s=job.deadline_s, library=job.library)
             self._file(job, pending)
             # The paste itself may have resolved the job (software
             # fallback on a wedged window, deadline, permanent CC).
@@ -619,7 +622,8 @@ class AcceleratorPool:
             machine=self.machine.name,
             backend_kwargs=self._backend_kwargs,
             kind=job.op, fmt=job.fmt, strategy=job.strategy,
-            deadline_s=job.deadline_s, data=job.payload)
+            deadline_s=job.deadline_s, data=job.payload,
+            library=None if job.library is BUILTIN else job.library)
         self._file(job, exec_job, on_exec=True)
 
     def _resolve_exec(self, job: Job) -> DriverResult | None:

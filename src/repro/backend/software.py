@@ -11,6 +11,7 @@ same rates the driver's fallback path uses.
 from __future__ import annotations
 
 from ..deflate.containers import FORMATS, require_format
+from ..nx.dht import CannedLibrary
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.trace import TRACE as _TRACE
 from ..perf.cost import SoftwareCostModel
@@ -42,13 +43,11 @@ class SoftwareZlibBackend(CompressionBackend):
             per_call_overhead_s=0.0,
         )
 
-    def capabilities(self) -> BackendCapabilities:
-        return self._caps
-
     # -- implementation ------------------------------------------------------
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
-                  history: bytes, final: bool) -> DriverResult:
+                  history: bytes, final: bool,
+                  library: CannedLibrary) -> DriverResult:
         require_format(fmt, history, final)
         output, seconds = run_in_software(
             "compress", data, fmt, level=self.level, history=history,

@@ -29,6 +29,7 @@ import os
 from ..deflate.containers import FORMATS, checksum, frame, require_format
 from ..deflate.parallel import DEFAULT_CHUNK_SIZE, parallel_deflate
 from ..deflate.parallel_inflate import parallel_inflate
+from ..nx.dht import CannedLibrary
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.trace import TRACE as _TRACE
 from ..perf.cost import SoftwareCostModel
@@ -66,13 +67,11 @@ class SoftwareParallelBackend(CompressionBackend):
             per_call_overhead_s=0.0,
         )
 
-    def capabilities(self) -> BackendCapabilities:
-        return self._caps
-
     # -- implementation ------------------------------------------------------
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
-                  history: bytes, final: bool) -> DriverResult:
+                  history: bytes, final: bool,
+                  library: CannedLibrary) -> DriverResult:
         require_format(fmt, history, final)
         body = parallel_deflate(data, level=self.level,
                                 chunk_size=self.chunk_size,

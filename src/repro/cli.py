@@ -242,11 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default=pathlib.Path("dicts.json"),
                           help="bundle output path (default: dicts.json)")
     p_dlist = dict_sub.add_parser(
-        "list", help="list a bundle's dictionaries, or the engine's "
-                     "canned library")
-    p_dlist.add_argument("--bundle", type=pathlib.Path, default=None,
-                         help="bundle to inspect (default: the "
-                              "in-process canned library)")
+        "list", help="list a bundle's dictionaries")
+    p_dlist.add_argument("--bundle", type=pathlib.Path, required=True,
+                         help="bundle to inspect")
 
     p_serve = sub.add_parser(
         "serve", help="compression job server (QoS queues, batching)")
@@ -754,21 +752,10 @@ def _cmd_dict_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_dict_list(args: argparse.Namespace) -> int:
-    if args.bundle is not None:
-        from .dictsvc import DictionaryRegistry
+    from .dictsvc import DictionaryRegistry
 
-        registry = DictionaryRegistry()
-        dicts = registry.load_bundle(str(args.bundle))
-        print(_dict_table(dicts).render(f"bundle {args.bundle}"))
-        return 0
-    from .core.metrics import Table
-    from .nx.dht import canned_names, trained_names
-
-    trained = set(trained_names())
-    table = Table(headers=["name", "kind"])
-    for name in canned_names(include_trained=True):
-        table.add(name, "trained" if name in trained else "built-in")
-    print(table.render("canned DHT library (this process)"))
+    dicts = DictionaryRegistry().load_bundle(str(args.bundle))
+    print(_dict_table(dicts).render(f"bundle {args.bundle}"))
     return 0
 
 
@@ -810,20 +797,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from .obs.http import OpsServer
 
         obs.enable(trace=True, metrics=True)
+    registry = None
     if args.dicts is not None:
+        # Read before the service starts, so a bad bundle starts nothing.
         from .dictsvc import DictionaryRegistry
 
         registry = DictionaryRegistry()
         registry.load_bundle(str(args.dicts))
-        pushed = registry.push()
-        print(f"dictionaries: pushed {len(pushed)} trained canned "
-              f"tables from {args.dicts}", flush=True)
     service = CompressionService(machine=args.machine, chips=args.chips,
                                  policy=args.policy,
                                  backend=args.backend,
                                  verify=args.verify,
                                  exec_workers=exec_workers,
                                  cache_mb=args.cache_mb)
+    if registry is not None:
+        pushed = registry.push(service)
+        print(f"dictionaries: pushed {len(pushed)} trained canned "
+              f"tables from {args.dicts}", flush=True)
     server = serve(service, host=args.host, port=args.port)
     print(f"serving on {args.host}:{server.port} "
           f"(machine {args.machine}, {args.chips} chip(s), "

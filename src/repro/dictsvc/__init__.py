@@ -7,10 +7,11 @@ package productizes that engine feature across tenants:
 
 * :class:`DictionaryRegistry` samples per-tenant traffic, clusters it
   by byte-histogram/match-density signature, and trains one canned DHT
-  per cluster, versioned and pushed to backends through
-  ``BackendCapabilities.canned_dicts``.
+  per cluster, versioned; a push swaps a service's immutable
+  :class:`~repro.nx.dht.CannedLibrary`, which each job carries.
 * :class:`ResultCache` is a content-addressed compressed-result cache
-  (sha256 of payload + codec parameters), bounded by entries and bytes
+  (sha256 of payload, codec parameters and the job's library key),
+  bounded by entries and bytes
   with per-tenant quotas, with singleflight so N concurrent misses on
   one key run exactly one compression.
 """

@@ -2,7 +2,7 @@
 
 A million-user service sees heavy key skew: the same hot objects are
 compressed over and over.  This cache addresses results by content —
-``sha256(op | fmt | strategy | table generation | payload)`` — so identical
+``sha256(op | fmt | strategy | canned library | payload)`` — so identical
 requests are served from memory at hash cost instead of accelerator
 cost, regardless of which client sent them.  It is
 :mod:`repro.dictsvc.keyed`'s LRU and claim table behind three
@@ -34,13 +34,13 @@ DEFAULT_MAX_TENANTS = 64
 
 
 def result_key(payload: bytes, *, op: str = "compress", fmt: str = "raw",
-               strategy: str = "auto", epoch: int = 0) -> str:
+               strategy: str = "auto", epoch: int | str = 0) -> str:
     """Content address of one codec result.
 
     Every parameter that changes the output bytes must be part of the
-    key; the service passes the engine's trained-table generation
-    (:func:`repro.nx.dht.trained_generation`) as ``epoch``, so a push
-    re-keys every result cached under the old tables, without a flush.
+    key; the service passes the key of the canned library the job
+    carries to the engine (:attr:`repro.nx.dht.CannedLibrary.key`) as
+    ``epoch``, so a push re-keys every result, without a flush.
     """
     h = hashlib.sha256()
     h.update(f"{op}|{fmt}|{strategy}|{epoch}|".encode("ascii"))

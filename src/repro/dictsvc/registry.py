@@ -14,18 +14,18 @@ golden-parity suite pins.
 
 Versioning: every :meth:`DictionaryRegistry.train` call for a tenant
 bumps that tenant's epoch, and dictionary names embed it
-(``tenant.c0.v2``).  Pushing a new epoch replaces the engine tables
-under fresh names and retires the previous epoch's, so a stale name can
-never silently serve a new table; the push also advances the engine's
-table generation (:func:`repro.nx.dht.trained_generation`), which the
-service folds into every result-cache key.
+(``tenant.c0.v2``).  :meth:`DictionaryRegistry.push` swaps a service's
+canned library (an immutable :class:`~repro.nx.dht.CannedLibrary`) for
+the current tables; a job takes it at admission and carries it to the
+engine, in process or in an exec worker, and the result cache keys on
+its content hash, so a push re-keys every result without a flush.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..deflate.compress import token_frequencies
 from ..deflate.constants import (
@@ -35,12 +35,7 @@ from ..deflate.constants import (
 )
 from ..deflate.huffman import limited_code_lengths
 from ..errors import ConfigError
-from ..nx.dht import (
-    register_trained_dht,
-    sample_signature,
-    signature_distance,
-    unregister_trained_dht,
-)
+from ..nx.dht import CannedLibrary, sample_signature, signature_distance
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 
@@ -68,18 +63,7 @@ class TrainedDictionary:
     litlen_lengths: tuple[int, ...]
     dist_lengths: tuple[int, ...]
     samples: int                      # reservoir samples in the cluster
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "tenant": self.tenant,
-            "cluster": self.cluster,
-            "epoch": self.epoch,
-            "centroid": list(self.centroid),
-            "litlen_lengths": list(self.litlen_lengths),
-            "dist_lengths": list(self.dist_lengths),
-            "samples": self.samples,
-        }
+    sample_bytes: int                 # the longest sample trained on
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainedDictionary":
@@ -92,6 +76,7 @@ class TrainedDictionary:
             litlen_lengths=tuple(int(x) for x in obj["litlen_lengths"]),
             dist_lengths=tuple(int(x) for x in obj["dist_lengths"]),
             samples=int(obj["samples"]),
+            sample_bytes=int(obj.get("sample_bytes", DEFAULT_SAMPLE_BYTES)),
         )
 
 
@@ -132,7 +117,6 @@ class DictionaryRegistry:
         self._reservoirs: dict[str, _Reservoir] = {}
         self._epochs: dict[str, int] = {}
         self._trained: dict[str, list[TrainedDictionary]] = {}
-        self._pushed: set[str] = set()
 
     # -- ingest ---------------------------------------------------------------
 
@@ -172,7 +156,7 @@ class DictionaryRegistry:
                 name=f"{tenant}.c{idx}.v{epoch}",
                 tenant=tenant, cluster=idx, epoch=epoch,
                 centroid=centroid, litlen_lengths=lit, dist_lengths=dist,
-                samples=len(members)))
+                samples=len(members), sample_bytes=self.sample_bytes))
         self._trained[tenant] = trained
         _REGISTRY.counter(
             "repro_dictsvc_train_runs_total",
@@ -241,29 +225,23 @@ class DictionaryRegistry:
 
     # -- ship -----------------------------------------------------------------
 
-    def push(self) -> list[str]:
-        """Register every trained table with the engine's canned library.
+    def library(self) -> CannedLibrary:
+        """Every tenant's current tables as one canned library."""
+        return CannedLibrary({
+            d.name: (d.litlen_lengths, d.dist_lengths, d.centroid,
+                     d.sample_bytes) for d in self.trained()})
 
-        Retires any previously pushed names first, so exactly the
-        current epoch's tables are live; backends expose the result via
-        ``BackendCapabilities.canned_dicts``.
-        """
-        for name in self._pushed:
-            unregister_trained_dht(name)
-        self._pushed.clear()
-        pushed: list[str] = []
-        for dicts in self._trained.values():
-            for d in dicts:
-                register_trained_dht(d.name, d.litlen_lengths,
-                                     d.dist_lengths, d.centroid,
-                                     replace=True)
-                self._pushed.add(d.name)
-                pushed.append(d.name)
+    def push(self, service) -> list[str]:
+        """Swap ``service``'s canned library for :meth:`library`, whose
+        table names it returns: jobs admitted from now on carry exactly
+        the current epoch's tables."""
+        pushed = sorted(d.name for d in self.trained())
+        service.library = self.library()
         _REGISTRY.gauge(
             "repro_dictsvc_pushed_tables",
             "trained canned tables live in the engine").set(len(pushed))
         _FLIGHT.record("dictsvc.push", tables=len(pushed))
-        return sorted(pushed)
+        return pushed
 
     # -- introspection / persistence ------------------------------------------
 
@@ -279,7 +257,7 @@ class DictionaryRegistry:
         bundle = {
             "version": 1,
             "seed": self.seed,
-            "dictionaries": [d.to_json() for d in self.trained()],
+            "dictionaries": [asdict(d) for d in self.trained()],
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(bundle, fh, indent=1, sort_keys=True)

@@ -136,17 +136,22 @@ def crash(exitcode: int = 13) -> None:
 #: same way the pool's lazily created per-chip instances do.
 _BACKENDS: dict[tuple, object] = {}
 
+#: The last trained canned library a job brought: a job bringing the
+#: same content (by key) reuses the tables it built.
+_LIBRARY: dict = {}
+
 
 def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
                 kind: str, fmt: str, data: bytes, strategy: str = "auto",
-                deadline_s: float | None = None):
+                deadline_s: float | None = None, library=None):
     """Run one final, history-less backend compress (or a decompress)
-    in this worker.
+    in this worker, under the job's canned ``library`` (None: built-in).
 
     Returns the :class:`~repro.sysstack.driver.DriverResult` without its
     CSB: the output bytes and the submission stats.
     """
     from ..backend.registry import create_backend
+    from ..nx.dht import BUILTIN
     from ..sysstack.driver import DriverResult
 
     key = (backend, machine, tuple(sorted(backend_kwargs.items())))
@@ -154,9 +159,14 @@ def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
     if instance is None:
         instance = _BACKENDS[key] = create_backend(
             backend, machine=machine, **backend_kwargs)
+    if library is not None:
+        if library.key not in _LIBRARY:
+            _LIBRARY.clear()
+        library = _LIBRARY.setdefault(library.key, library)
     if kind == "compress":
         result = instance.compress(data, strategy=strategy, fmt=fmt,
-                                   deadline_s=deadline_s)
+                                   deadline_s=deadline_s,
+                                   library=library or BUILTIN)
     else:
         result = instance.decompress(data, fmt=fmt, deadline_s=deadline_s)
     return DriverResult(output=result.output, csb=None, stats=result.stats)

@@ -25,12 +25,12 @@ from ..deflate.matcher import MatchStats, Token
 from ..errors import AcceleratorError
 from ..obs.trace import TRACE as _TRACE
 from .dht import (
+    BUILTIN,
+    CannedLibrary,
     DhtResult,
     DhtStrategy,
-    canned_dht,
     fixed_dht,
     generate_dynamic,
-    select_canned,
 )
 from .params import PIPELINE_FILL_CYCLES, EngineParams
 
@@ -101,16 +101,18 @@ class NxCompressor:
                  strategy: DhtStrategy = DhtStrategy.AUTO,
                  fmt: str = "raw", history: bytes = b"",
                  final: bool = True,
-                 canned_name: str | None = None) -> NxCompressResult:
+                 canned_name: str | None = None,
+                 library: CannedLibrary = BUILTIN) -> NxCompressResult:
         """Run one compression request through the engine model.
 
         ``history`` primes the match window with prior plaintext (the NX
         history DDE).  ``final=False`` produces a *continuable* stream:
         no final block bit, terminated by an empty stored block that
         byte-aligns the output (zlib's Z_FULL_FLUSH), so per-request
-        outputs concatenate into one valid DEFLATE stream.  An explicit
+        outputs concatenate into one valid DEFLATE stream.  ``library``
+        is the canned tables the request carries; an explicit
         ``canned_name`` (e.g. the GDHT facility's scan-window pick)
-        overrides the per-request :func:`select_canned` classification.
+        overrides its per-request :meth:`~CannedLibrary.select`.
         """
         if fmt not in FORMATS:
             raise AcceleratorError(f"unsupported wire format {fmt!r}")
@@ -125,15 +127,16 @@ class NxCompressor:
                      stalls=scan.conflict_stalls)
         blocks = _split_by_input_bytes(scan.tokens, data, self.block_bytes)
 
-        if canned_name is None and strategy in (DhtStrategy.CANNED,
-                                                DhtStrategy.AUTO):
-            canned_name = select_canned(data)
+        canned = None
+        if strategy in (DhtStrategy.CANNED, DhtStrategy.AUTO):
+            canned = library.dht(canned_name
+                                 or library.select(data, len(data)))
 
         # Plan every block first, then emit the planned stream — the two
         # hardware phases (DHT selection/generation vs encoder drain).
         with _TRACE.span("engine.huffman", blocks=len(blocks),
                          strategy=strategy.value) as span:
-            plans = [self._plan_block(tokens, raw, strategy, canned_name)
+            plans = [self._plan_block(tokens, raw, strategy, canned)
                      for tokens, raw in blocks]
             dht_cycles = sum(dht.generation_cycles if dht else 0
                              for _, dht in plans)
@@ -171,8 +174,8 @@ class NxCompressor:
 
     def _plan_block(self, tokens: list[Token], raw: bytes,
                     strategy: DhtStrategy,
-                    canned_name: str | None) -> tuple[BlockPlan,
-                                                      DhtResult | None]:
+                    canned: DhtResult | None) -> tuple[BlockPlan,
+                                                       DhtResult | None]:
         lit_freq, dist_freq = token_frequencies(tokens)
 
         if strategy is DhtStrategy.FIXED:
@@ -184,14 +187,12 @@ class NxCompressor:
             return self._dynamic_plan(tokens, raw, dht), dht
 
         if strategy is DhtStrategy.CANNED:
-            dht = canned_dht(canned_name or select_canned(raw))
-            tokens = _demote_uncovered(tokens, raw, dht)
-            return self._dynamic_plan(tokens, raw, dht), dht
+            tokens = _demote_uncovered(tokens, raw, canned)
+            return self._dynamic_plan(tokens, raw, canned), canned
 
         # AUTO: evaluate all options by real bit cost, preferring cheaper
         # generation on near-ties (within 1 %).
         fixed = fixed_dht()
-        canned = canned_dht(canned_name or select_canned(raw))
         canned_tokens = _demote_uncovered(tokens, raw, canned)
         canned_lit_freq, canned_dist_freq = (
             (lit_freq, dist_freq) if canned_tokens is tokens

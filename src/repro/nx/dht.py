@@ -20,7 +20,7 @@ sorting-network implementation the product documentation describes.
 from __future__ import annotations
 
 import enum
-import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -202,22 +202,13 @@ def _builtin_canned(name: str) -> DhtResult:
 
 
 def canned_dht(name: str) -> DhtResult:
-    """Fetch one canned DHT: tenant-trained tables first, then built-ins."""
-    trained = _TRAINED.get(name)
-    if trained is not None:
-        return trained.dht
-    if name not in _CANNED_PROFILES:
-        raise ConfigError(
-            f"unknown canned DHT {name!r}; have "
-            f"{canned_names(include_trained=True)}")
-    return _builtin_canned(name)
+    """One built-in canned DHT by template name."""
+    return BUILTIN.dht(name)
 
 
-def canned_names(include_trained: bool = False) -> list[str]:
-    names = sorted(_CANNED_PROFILES)
-    if include_trained:
-        names += trained_names()
-    return names
+def canned_names() -> list[str]:
+    """The built-in template names."""
+    return sorted(_CANNED_PROFILES)
 
 
 #: byte -> literal class: 0 control, 1 digits/punctuation, 2 letters,
@@ -303,114 +294,129 @@ def signature_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
 
 @dataclass(frozen=True)
 class TrainedCanned:
-    """One tenant-trained canned table registered with the engine."""
+    """One tenant-trained table of a :class:`CannedLibrary`."""
 
     dht: DhtResult
     centroid: tuple[float, ...]
+    sample_bytes: int  # the longest sample it was trained on
 
 
-_TRAINED: dict[str, TrainedCanned] = {}
+class CannedLibrary:
+    """The canned DHTs a job may use, as one immutable value.
 
-#: Advanced by every change to the trained library; result caches key on
-#: it, so a push re-keys every result compressed under the old tables.
-_generation = 0
+    The built-in templates are always in it; ``tables`` adds
+    tenant-trained ones, mapping a name to ``(litlen_lengths,
+    dist_lengths, centroid, sample_bytes)``.  A job carries its library
+    from admission to the engine, the way an NX compress CRB's parameter
+    block carries the DHT, so which table compresses a payload never
+    depends on which process runs it.  Its :attr:`key` is the same in
+    every process and after a restart, so the result cache keys on it.
 
-
-def trained_generation() -> int:
-    """How many times the trained library has changed in this process."""
-    return _generation
-
-
-def register_trained_dht(name: str, litlen_lengths, dist_lengths,
-                         centroid, replace: bool = False) -> None:
-    """Publish a trained canned DHT under ``name``.
-
-    The table must cover every *literal* (0..255) plus end-of-block —
-    that guarantees any input can be encoded, because the engine demotes
-    a match whose length/distance code is missing back to literals (see
-    :meth:`repro.nx.compressor.NxCompressor`).  Length codes 257..285
-    and distance codes may therefore be zero: a trained table only
-    carries the codes its cluster's traffic actually used, which keeps
-    the per-block table header small.  Reserved litlen symbols 286/287
-    must stay at length zero.
+    A trained table must cover every *literal* (0..255) plus
+    end-of-block — that guarantees any input can be encoded, because
+    the engine demotes a match whose length/distance code is missing
+    back to literals (see :meth:`repro.nx.compressor.NxCompressor`).
+    Length codes 257..285 and distance codes may therefore be zero: a
+    trained table only carries the codes its cluster's traffic used,
+    which keeps the per-block table header small.  Reserved litlen
+    symbols 286/287 must stay at length zero.
     """
-    lit = tuple(int(x) for x in litlen_lengths)
-    dist = tuple(int(x) for x in dist_lengths)
-    if len(lit) != NUM_LITLEN_SYMBOLS or len(dist) != NUM_DIST_SYMBOLS:
-        raise ConfigError(
-            f"trained DHT {name!r}: length vectors must cover "
-            f"{NUM_LITLEN_SYMBOLS}/{NUM_DIST_SYMBOLS} symbols")
-    if lit[286] or lit[287]:
-        raise ConfigError(
-            f"trained DHT {name!r}: reserved symbols 286/287 must be 0")
-    if any(length == 0 for length in lit[:257]):
-        raise ConfigError(
-            f"trained DHT {name!r}: every literal and end-of-block needs "
-            "a code (the literal fallback must encode any input)")
-    if any(not 0 <= x <= MAX_CODE_LENGTH for x in lit + dist):
-        raise ConfigError(
-            f"trained DHT {name!r}: code lengths must be in "
-            f"[0, {MAX_CODE_LENGTH}]")
-    if name in _CANNED_PROFILES:
-        raise ConfigError(
-            f"trained DHT {name!r} shadows a built-in template")
-    if not replace and name in _TRAINED:
-        raise ConfigError(f"trained DHT {name!r} already registered")
-    global _generation
-    _TRAINED[name] = TrainedCanned(
-        dht=DhtResult(lit, dist, CANNED_LOOKUP_CYCLES, source=name),
-        centroid=tuple(float(x) for x in centroid))
-    _generation += 1
+
+    def __init__(self, tables: Mapping[str, tuple] | None = None) -> None:
+        self._trained: dict[str, TrainedCanned] = {}
+        content = []
+        for name in sorted(tables or {}):
+            lit, dist, centroid, sample_bytes = tables[name]
+            lit = tuple(int(x) for x in lit)
+            dist = tuple(int(x) for x in dist)
+            if (len(lit) != NUM_LITLEN_SYMBOLS
+                    or len(dist) != NUM_DIST_SYMBOLS):
+                raise ConfigError(
+                    f"trained DHT {name!r}: length vectors must cover "
+                    f"{NUM_LITLEN_SYMBOLS}/{NUM_DIST_SYMBOLS} symbols")
+            if lit[286] or lit[287]:
+                raise ConfigError(f"trained DHT {name!r}: reserved "
+                                  "symbols 286/287 must be 0")
+            if any(length == 0 for length in lit[:257]):
+                raise ConfigError(
+                    f"trained DHT {name!r}: every literal and end-of-block "
+                    "needs a code (the literal fallback must encode any "
+                    "input)")
+            if any(not 0 <= x <= MAX_CODE_LENGTH for x in lit + dist):
+                raise ConfigError(
+                    f"trained DHT {name!r}: code lengths must be in "
+                    f"[0, {MAX_CODE_LENGTH}]")
+            if name in _CANNED_PROFILES:
+                raise ConfigError(
+                    f"trained DHT {name!r} shadows a built-in template")
+            centroid = tuple(float(x) for x in centroid)
+            sample_bytes = int(sample_bytes)
+            content.append((name, lit, dist, centroid, sample_bytes))
+            self._trained[name] = TrainedCanned(
+                DhtResult(lit, dist, CANNED_LOOKUP_CYCLES, source=name),
+                centroid, sample_bytes)
+        self._content = tuple(content)
+
+    @cached_property
+    def key(self) -> str:
+        """sha256 of the content; hashlib (OpenSSL) loads where it is read."""
+        import hashlib
+
+        return hashlib.sha256(repr(self._content).encode()).hexdigest()
+
+    def __reduce__(self):
+        # Only the content crosses a process boundary: the receiver
+        # builds each table's header and encoders on first use.
+        return CannedLibrary, ({name: rest for name, *rest in self._content},)
+
+    def dht(self, name: str) -> DhtResult:
+        """One canned DHT by name: trained tables first, then built-ins."""
+        trained = self._trained.get(name)
+        if trained is not None:
+            return trained.dht
+        if name not in _CANNED_PROFILES:
+            raise ConfigError(f"unknown canned DHT {name!r}; have "
+                              f"{canned_names() + list(self._trained)}")
+        return _builtin_canned(name)
+
+    def select(self, sample: bytes, nbytes: int) -> str:
+        """Classify a source sample of an ``nbytes`` payload onto the
+        nearest canned table.
+
+        A trained table may claim only a payload no longer than the
+        samples it was trained on, and wins when its centroid is within
+        :data:`TRAINED_MATCH_THRESHOLD` of the sample's signature;
+        otherwise the built-in templates decide
+        (:func:`select_canned`), so trained tables can only specialize
+        classification, never break it.
+        """
+        candidates = [(name, table) for name, table in self._trained.items()
+                      if nbytes <= table.sample_bytes]
+        if candidates:
+            sig = sample_signature(sample)
+            best_dist, best_name = min(
+                (signature_distance(sig, table.centroid), name)
+                for name, table in candidates)
+            if best_dist <= TRAINED_MATCH_THRESHOLD:
+                return best_name
+        return select_canned(sample)
 
 
-def unregister_trained_dht(name: str) -> None:
-    global _generation
-    _TRAINED.pop(name, None)
-    _generation += 1
-
-
-def clear_trained_dhts() -> None:
-    global _generation
-    _TRAINED.clear()
-    _generation += 1
-
-
-def trained_names() -> list[str]:
-    return sorted(_TRAINED)
+#: The library with no trained tables.
+BUILTIN = CannedLibrary()
 
 
 def select_canned(sample: bytes) -> str:
-    """Classify a source sample onto the nearest canned template.
-
-    Tenant-trained tables win when one's centroid is within
-    :data:`TRAINED_MATCH_THRESHOLD` of the sample's signature;
-    otherwise the built-in 4-class library decides, so pushing trained
-    dictionaries can only specialize classification, never break it.
-    """
-    if _TRAINED:
-        sig = sample_signature(sample)
-        best_name = None
-        best_dist = math.inf
-        for name in sorted(_TRAINED):
-            dist = signature_distance(sig, _TRAINED[name].centroid)
-            if dist < best_dist:
-                best_dist = dist
-                best_name = name
-        if best_name is not None and best_dist <= TRAINED_MATCH_THRESHOLD:
-            return best_name
+    """Classify a source sample onto the nearest built-in template."""
     vec = _byte_class_vector(sample[:4096])
-    best_name = "text"
-    best_dist = math.inf
-    for name, centroid in _CLASS_CENTROIDS.items():
-        dist = sum((a - b) ** 2 for a, b in zip(vec, centroid))
-        if dist < best_dist:
-            best_dist = dist
-            best_name = name
-    return best_name
+    return min(_CLASS_CENTROIDS, key=lambda name: sum(
+        (a - b) ** 2 for a, b in zip(vec, _CLASS_CENTROIDS[name])))
 
 
-def select_canned_windowed(sample: bytes) -> str:
-    """The GDHT facility's canned pick: vote across full scan windows.
+def select_canned_windowed(sample: bytes, library: CannedLibrary,
+                           nbytes: int) -> str:
+    """The GDHT facility's canned pick for an ``nbytes`` payload: vote
+    across full scan windows of its sample.
 
     Only *complete* windows are scanned — the caller guards against a
     sample shorter than one window (that case must degrade to a dynamic
@@ -425,7 +431,7 @@ def select_canned_windowed(sample: bytes) -> str:
     votes: dict[str, int] = {}
     order: list[str] = []
     for off in range(0, len(sample) - window + 1, window):
-        pick = select_canned(sample[off:off + window])
+        pick = library.select(sample[off:off + window], nbytes)
         if pick not in votes:
             votes[pick] = 0
             order.append(pick)

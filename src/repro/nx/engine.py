@@ -95,7 +95,7 @@ class NxEngine:
             result = self._compressor.compress(
                 source, strategy=DhtStrategy(crb.function.strategy),
                 fmt=crb.function.fmt, history=history,
-                final=crb.is_final)
+                final=crb.is_final, library=crb.library)
             output = result.data
             compute_seconds = result.seconds
         elif crb.function.op is Op.DECOMPRESS:

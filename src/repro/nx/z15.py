@@ -32,7 +32,8 @@ from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 from .compressor import NxCompressor
 from .decompressor import NxDecompressor
-from .dht import GDHT_SCAN_WINDOW, DhtStrategy, select_canned_windowed
+from .dht import (BUILTIN, GDHT_SCAN_WINDOW, CannedLibrary, DhtStrategy,
+                  select_canned_windowed)
 from .params import Z15, MachineParams
 
 class DfltccFunction(enum.IntEnum):
@@ -63,6 +64,7 @@ class ParameterBlock:
     check_value: int = 0
     dht_strategy: DhtStrategy = DhtStrategy.FIXED
     dht_sample: bytes = b""  # set by GDHT; CMPR uses it for canned pick
+    library: CannedLibrary = BUILTIN  # the canned tables CMPR may use
     total_in: int = 0
     total_out: int = 0
 
@@ -144,12 +146,13 @@ class Dfltcc:
             if len(block.dht_sample) < GDHT_SCAN_WINDOW:
                 strategy = DhtStrategy.DYNAMIC
             else:
-                canned_name = select_canned_windowed(block.dht_sample)
+                canned_name = select_canned_windowed(
+                    block.dht_sample, block.library, len(data))
 
         result = self._compressor.compress(
             chunk, strategy=strategy, fmt="raw",
             history=block.history, final=chunk_last,
-            canned_name=canned_name)
+            canned_name=canned_name, library=block.library)
         produced = result.data
         block.history = (block.history + chunk)[-WINDOW_SIZE:]
         block.check_value = crc32(chunk, block.check_value)

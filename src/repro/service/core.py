@@ -56,7 +56,7 @@ from ..dictsvc.keyed import Claim
 from ..errors import (AcceleratorError, ConfigError, DeadlineExceeded,
                       ReproError, ServiceClosed, ServiceOverloaded,
                       failure_of)
-from ..nx.dht import trained_generation
+from ..nx.dht import BUILTIN
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import record_service_request
@@ -145,6 +145,8 @@ class CompressionService:
         # The content-addressed result cache (dictionary service).
         self.cache = None if cache_mb is None else ResultCache(
             max_bytes=max(1, int(cache_mb * (1 << 20))))
+        # The canned tables a job takes at admission; a push swaps them.
+        self.library = BUILTIN
         self._lock = threading.Lock()
         self._queues: dict[str, deque[Job]] = {
             c.name: deque() for c in self.qos.classes}
@@ -205,15 +207,16 @@ class CompressionService:
                               f"seconds, got {deadline_s!r}")
         qcls = self.qos.resolve(qos)
         job = Job(op, payload, fmt or "gzip", strategy, deadline_s)
-        job.qos, job.tenant = qcls.name, tenant
+        job.qos, job.tenant, job.library = qcls.name, tenant, self.library
         if self.cache is not None and op == "compress":
             # Consult the content-addressed cache before admission: the
             # request is a hit, a follower parked on the executing
             # leader's claim — in the critical section that saw the
             # claim, so the leader cannot settle between the look and
-            # the park — or the leader itself.
+            # the park — or the leader itself.  The key names the job's
+            # own library, the one the engine will compress with.
             key = result_key(payload, op=op, fmt=job.fmt, strategy=strategy,
-                             epoch=trained_generation())
+                             epoch=job.library.key)
             state, value = self.cache.begin(
                 tenant, key, park=lambda: self._park(job))
             if state == "wait":

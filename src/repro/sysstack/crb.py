@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass, field
 
 from ..errors import JobError
+from ..nx.dht import BUILTIN, CannedLibrary
 from .dde import Dde
 
 CRB_BYTES = 128
@@ -116,6 +117,9 @@ class Crb:
     sequence: int = 0
     flags: int = 0
     history_dde: Dde | None = None  # preset dictionary / carried window
+    # The parameter block it points at: the canned DHTs the job may use.
+    # Not packed: the real CRB carries only the block's address.
+    library: CannedLibrary = field(default=BUILTIN, repr=False)
     _pad: bytes = field(default=b"", repr=False)
 
     @property
@@ -139,7 +143,8 @@ class Crb:
         return body + b"\x00" * (CRB_BYTES - len(body))
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "Crb":
+    def unpack(cls, raw: bytes,
+               library: CannedLibrary = BUILTIN) -> "Crb":
         if len(raw) != CRB_BYTES:
             raise JobError(f"CRB must be {CRB_BYTES} bytes, got {len(raw)}")
         fc, flags, csb_address = struct.unpack_from("<IIQ", raw, 0)
@@ -151,4 +156,5 @@ class Crb:
             history, _offset = Dde.unpack(raw, offset)
         return cls(function=FunctionCode.decode(fc), source=source,
                    target=target, csb_address=csb_address,
-                   sequence=sequence, flags=flags, history_dde=history)
+                   sequence=sequence, flags=flags, history_dde=history,
+                   library=library)

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 
 from ..deflate.containers import decompress_target_len
 from ..errors import DeadlineExceeded, JobError, ReproError
+from ..nx.dht import BUILTIN, CannedLibrary
 from ..obs.trace import TRACE as _TRACE
 from ..resilience.policy import RetryPolicy, check_deadline
 from ..resilience.verify import run_in_software
@@ -211,7 +212,8 @@ class NxDriver:
                 Dde.direct(dst_va, target_len), csb_va)
 
     def _stage(self, op: Op, data: bytes, strategy: str, fmt: str,
-               history: bytes, final: bool, sequence: int) -> Crb:
+               history: bytes, final: bool, sequence: int,
+               library: CannedLibrary) -> Crb:
         """Buffers and CRB of one request."""
         source, target, csb_va = self.prepare_buffers(
             data, first_target_len(op, data, fmt))
@@ -224,7 +226,7 @@ class NxDriver:
                    source=source, target=target, csb_address=csb_va,
                    sequence=sequence,
                    flags=0 if final else CRB_FLAG_CONTINUED,
-                   history_dde=history_dde)
+                   history_dde=history_dde, library=library)
 
     def _grow_target(self, crb: Crb) -> None:
         """``CC=TARGET_SPACE``: swap in a target twice the size."""
@@ -254,7 +256,8 @@ class NxDriver:
     def run(self, op: Op, data: bytes, strategy: str = "auto",
             fmt: str = "raw", history: bytes = b"",
             final: bool = True,
-            deadline_s: float | None = None) -> DriverResult:
+            deadline_s: float | None = None,
+            library: CannedLibrary = BUILTIN) -> DriverResult:
         """Execute one compress/decompress request end to end.
 
         ``history`` seeds the engine's match window (or the inflate
@@ -262,6 +265,7 @@ class NxDriver:
         continuation request whose output concatenates with later ones.
         ``deadline_s`` bounds the job's *modelled* time spent waiting —
         past it, retries stop and :class:`DeadlineExceeded` is raised.
+        ``library`` is the canned tables the CRB's parameter block names.
         Refuses to interleave with jobs in flight: waiting for this one
         would take their completions off the caller's next ``poll``.
         """
@@ -270,7 +274,7 @@ class NxDriver:
                            "wait_all() first")
         job = self.submit(op, data, strategy=strategy, fmt=fmt,
                           history=history, final=final,
-                          deadline_s=deadline_s)
+                          deadline_s=deadline_s, library=library)
         self.wait_all()
         if job.error is not None:
             raise job.error
@@ -279,18 +283,19 @@ class NxDriver:
     def submit(self, op: Op, data: bytes, strategy: str = "auto",
                fmt: str = "raw", history: bytes = b"",
                final: bool = True,
-               deadline_s: float | None = None) -> PendingJob:
+               deadline_s: float | None = None,
+               library: CannedLibrary = BUILTIN) -> PendingJob:
         """Paste one request; returns a handle to poll on.
 
-        ``history``, ``final`` and ``deadline_s`` mean what they do for
-        :meth:`run`.  The paste itself may resolve the job (software on
-        a wedged window, a deadline spent backing off): check
-        :attr:`PendingJob.done`.
+        ``history``, ``final``, ``deadline_s`` and ``library`` mean what
+        they do for :meth:`run`.  The paste itself may resolve the job
+        (software on a wedged window, a deadline spent backing off):
+        check :attr:`PendingJob.done`.
         """
         if self._window_id is None:
             self.open()
         crb = self._stage(op, data, strategy, fmt, history, final,
-                          sequence=self._next_sequence)
+                          self._next_sequence, library)
         job = PendingJob(sequence=self._next_sequence, op=op, crb=crb,
                          stats=SubmissionStats(), data_len=len(data),
                          deadline_s=(deadline_s if deadline_s is not None

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from ..backend.routing import arbitrate
 from ..errors import VasError
+from ..nx.dht import CannedLibrary
 from ..obs.metrics import REGISTRY as _REGISTRY
 from .crb import CRB_BYTES, Crb
 
@@ -29,13 +30,15 @@ STARVATION_BOUND = 8
 
 @dataclass
 class PasteRecord:
-    """One accepted paste: the raw CRB plus its originating window."""
+    """One accepted paste: the raw CRB, its originating window, and the
+    canned library its parameter block names."""
 
     window_id: int
     raw_crb: bytes
+    library: CannedLibrary
 
     def crb(self) -> Crb:
-        return Crb.unpack(self.raw_crb)
+        return Crb.unpack(self.raw_crb, self.library)
 
 
 @dataclass
@@ -113,7 +116,8 @@ class Vas:
                 1, priority=window.priority)
             return False
         window.outstanding += 1
-        fifo.append(PasteRecord(window_id=window_id, raw_crb=raw))
+        fifo.append(PasteRecord(window_id=window_id, raw_crb=raw,
+                                library=crb.library))
         _REGISTRY.counter("repro_vas_pastes_total",
                           "accepted CRB pastes").inc(
             1, priority=window.priority)

@@ -6,17 +6,18 @@ from hypothesis import strategies as st
 
 from repro.deflate.constants import NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS
 from repro.deflate.huffman import kraft_sum
+from repro.errors import ConfigError
 from repro.nx.dht import (
+    BUILTIN,
+    CannedLibrary,
     DhtResult,
     DhtStrategy,
     _byte_class_vector,
     canned_dht,
     canned_names,
-    clear_trained_dhts,
     dynamic_generation_cycles,
     fixed_dht,
     generate_dynamic,
-    register_trained_dht,
     sample_signature,
     select_canned,
 )
@@ -110,12 +111,6 @@ class TestHeaderCost:
     SPARSE = ((9,) * 257 + (0,) * 31, (0,) * NUM_DIST_SYMBOLS)
     FULL = ((8,) * 256 + (9,) + (7,) * 29 + (0, 0), (5,) * NUM_DIST_SYMBOLS)
 
-    @pytest.fixture(autouse=True)
-    def _clean_tables(self):
-        clear_trained_dhts()
-        yield
-        clear_trained_dhts()
-
     def test_canned_cost_not_recomputed_per_request(self, monkeypatch):
         from repro.deflate import compress as deflate_compress
         from repro.nx.compressor import NxCompressor
@@ -138,28 +133,25 @@ class TestHeaderCost:
         assert dht.header_bits == fresh_header_bits(dht)
 
     def test_replaced_and_cleared_tables_drop_their_cost(self):
+        """A library that replaces a name's table, or one without it,
+        keeps none of the old table's cost."""
         name = "tenant.c0.v1"
-        register_trained_dht(name, *self.SPARSE, centroid=(0.0,) * 20)
-        sparse_bits = canned_dht(name).header_bits
-        register_trained_dht(name, *self.FULL, centroid=(0.0,) * 20,
-                             replace=True)
-        full = canned_dht(name)
+
+        def library(lit, dist):
+            return CannedLibrary({name: (lit, dist, (0.0,) * 20, 4096)})
+
+        sparse_bits = library(*self.SPARSE).dht(name).header_bits
+        full = library(*self.FULL).dht(name)
         assert full.header_bits == fresh_header_bits(full) != sparse_bits
-        clear_trained_dhts()
-        register_trained_dht(name, *self.SPARSE, centroid=(0.0,) * 20)
-        assert canned_dht(name).header_bits == sparse_bits
+        with pytest.raises(ConfigError):
+            BUILTIN.dht(name)
+        assert library(*self.SPARSE).dht(name).header_bits == sparse_bits
 
 
 class TestOneHeaderOneEncoderPair:
     """What a block shipping a table needs is built once per table."""
 
     NAME = "tenant.c0.v1"
-
-    @pytest.fixture(autouse=True)
-    def _clean_tables(self):
-        clear_trained_dhts()
-        yield
-        clear_trained_dhts()
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -187,14 +179,14 @@ class TestOneHeaderOneEncoderPair:
         from repro.nx.compressor import NxCompressor
 
         text = canned_dht("text")
-        register_trained_dht(self.NAME, text.litlen_lengths,
-                             text.dist_lengths, centroid=(0.0,) * 20)
+        library = CannedLibrary({self.NAME: (
+            text.litlen_lengths, text.dist_lengths, (0.0,) * 20, 4096)})
         comp = NxCompressor(POWER9.engine)
         outputs = set()
         for seed in range(6):
             result = comp.compress(generate("markov_text", 4096, seed=seed),
                                    strategy=DhtStrategy.CANNED,
-                                   canned_name=self.NAME)
+                                   canned_name=self.NAME, library=library)
             assert result.dht_sources == [self.NAME]
             outputs.add(result.data)
         assert len(outputs) == 6
@@ -236,10 +228,10 @@ class TestOneHeaderOneEncoderPair:
             lit_freq[257:286] = [0] * 29
         else:
             dist_freq[29] = 0
-        register_trained_dht(self.NAME, limited_code_lengths(lit_freq, 15),
-                             limited_code_lengths(dist_freq, 15),
-                             centroid=(0.0,) * 20)
-        table = canned_dht(self.NAME)
+        library = CannedLibrary({self.NAME: (
+            limited_code_lengths(lit_freq, 15),
+            limited_code_lengths(dist_freq, 15), (0.0,) * 20, 4096)})
+        table = library.dht(self.NAME)
         assert not table.covers_all
         # Matches at every distance, the farthest in code 29's range.
         text = generate("log_lines", 2048, seed=3)
@@ -259,9 +251,49 @@ class TestOneHeaderOneEncoderPair:
             assert len(demoted) - len(tokens) == sum(
                 length - 1 for length, _dist in far(tokens))
         result = NxCompressor(POWER9.engine).compress(
-            data, strategy=DhtStrategy.CANNED, canned_name=self.NAME)
+            data, strategy=DhtStrategy.CANNED, canned_name=self.NAME,
+            library=library)
         assert result.dht_sources == [self.NAME]
         assert zlib.decompress(result.data, -15) == data
+
+
+class TestCannedLibrary:
+    """The canned tables as one immutable, content-keyed value."""
+
+    TABLE = ((8,) * 256 + (9,) + (7,) * 29 + (0, 0), (5,) * NUM_DIST_SYMBOLS,
+             (0.5,) * 20, 4096)
+
+    def test_key_is_the_content(self):
+        import pickle
+
+        one = CannedLibrary({"t.c0.v1": self.TABLE})
+        assert one.key == CannedLibrary({"t.c0.v1": self.TABLE}).key
+        assert one.key != CannedLibrary({"t.c0.v2": self.TABLE}).key
+        assert CannedLibrary({}).key == BUILTIN.key != one.key
+        copy = pickle.loads(pickle.dumps(one))
+        assert copy.key == one.key
+        assert copy.dht("t.c0.v1") == one.dht("t.c0.v1")
+
+    @pytest.mark.parametrize("bad", [
+        ("text", lambda lit, dist: (lit, dist)),
+        ("t", lambda lit, dist: (lit[:-1], dist)),
+        ("t", lambda lit, dist: (lit[:286] + (9, 0), dist)),
+        ("t", lambda lit, dist: ((0,) + lit[1:], dist)),
+        ("t", lambda lit, dist: (lit, (16,) + dist[1:])),
+    ], ids=["shadows", "short", "reserved", "literal", "too-long"])
+    def test_bad_table_refused(self, bad):
+        name, mangle = bad
+        lit, dist = mangle(*self.TABLE[:2])
+        with pytest.raises(ConfigError):
+            CannedLibrary({name: (lit, dist, *self.TABLE[2:])})
+
+    def test_trained_table_claims_payloads_up_to_its_samples(self):
+        sample = generate("json_records", 4096, seed=5)
+        library = CannedLibrary({"t.c0.v1": (
+            *self.TABLE[:2], sample_signature(sample), 4096)})
+        assert library.select(sample, 4096) == "t.c0.v1"
+        assert library.select(sample, 4097) == select_canned(sample)
+        assert BUILTIN.select(sample, 4096) == select_canned(sample)
 
 
 class TestSelectCanned:

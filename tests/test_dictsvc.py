@@ -21,29 +21,20 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.backend import backend_capabilities
+from repro.backend.pool import AcceleratorPool
 from repro.dictsvc import DictionaryRegistry, ResultCache, result_key
 from repro.dictsvc.cache import _Claim
 from repro.errors import ConfigError
-from repro.nx.dht import (
-    canned_dht,
-    canned_names,
-    clear_trained_dhts,
-    select_canned,
-    trained_names,
-)
+from repro.nx.compressor import NxCompressor
+from repro.nx.dht import BUILTIN, DhtStrategy, canned_dht
+from repro.nx.params import POWER9, Z15
 from repro.service import CompressionService
 from repro.workloads.generators import generate
 
 from .test_dht import fresh_header_bits
+from .test_service import gate_submits
 
 DATA = pathlib.Path(__file__).parent / "data"
-
-@pytest.fixture(autouse=True)
-def _clean_tables():
-    clear_trained_dhts()
-    yield
-    clear_trained_dhts()
 
 
 # -- result_key ---------------------------------------------------------------
@@ -279,6 +270,12 @@ class TestLruBounds:
 # -- registry: determinism, versioning, bundles -------------------------------
 
 
+class Holder:
+    """What :meth:`DictionaryRegistry.push` needs of a service."""
+
+    library = BUILTIN
+
+
 def _feed(registry: DictionaryRegistry, tenant: str, seed: int) -> None:
     data = generate("json_records", 65536, seed=seed)
     for offset in range(0, len(data), 4096):
@@ -315,41 +312,50 @@ class TestRegistry:
         _feed(registry, "t", seed=9)
         first = registry.train("t")
         assert {d.epoch for d in first} == {1}
-        registry.push()
-        v1_names = set(trained_names())
+        service = Holder()
+        v1_names = set(registry.push(service))
+        v1 = service.library
         assert {d.name for d in first} == v1_names
         assert all(name.endswith(".v1") for name in v1_names)
 
         second = registry.train("t")
         assert {d.epoch for d in second} == {2}
-        registry.push()
-        v2_names = set(trained_names())
+        v2_names = set(registry.push(service))
         assert {d.name for d in second} == v2_names
         assert not (v1_names & v2_names), "old epoch names must retire"
+        for name in v1_names:
+            v1.dht(name)
+            with pytest.raises(ConfigError):
+                service.library.dht(name)
+        assert service.library.key != v1.key
 
     def test_pushed_tables_visible_to_engine(self) -> None:
         registry = DictionaryRegistry(seed=1)
         _feed(registry, "t", seed=9)
         trained = registry.train("t")
-        registry.push()
+        service = Holder()
+        registry.push(service)
+        library = service.library
         for dictionary in trained:
-            dht = canned_dht(dictionary.name)
+            dht = library.dht(dictionary.name)
             assert tuple(dht.litlen_lengths) == dictionary.litlen_lengths
-        # Built-in library unchanged and still first-class.
-        assert len(canned_names()) == 4
-        assert set(canned_names(include_trained=True)) \
-            >= {d.name for d in trained}
-        # ... and the backend advertises what was pushed.
-        caps = backend_capabilities("nx", machine="POWER9")
-        assert set(caps.canned_dicts) >= {d.name for d in trained}
+        # Built-in tables unchanged and still first-class.
+        for name in ("text", "flat"):
+            assert library.dht(name) is canned_dht(name) is BUILTIN.dht(name)
+        # ... and a job carrying the library compresses with it.
+        payload = generate("json_records", 4096, seed=9)
+        result = NxCompressor(POWER9.engine).compress(
+            payload, strategy=DhtStrategy.CANNED, library=library)
+        assert result.dht_sources[0] in {d.name for d in trained}
 
     def test_push_leaves_no_stale_header_cost(self) -> None:
         registry = DictionaryRegistry(seed=1)
         _feed(registry, "t", seed=9)
         for _epoch in range(2):
             registry.train("t")
-            for name in registry.push():
-                dht = canned_dht(name)
+            service = Holder()
+            for name in registry.push(service):
+                dht = service.library.dht(name)
                 assert dht.header_bits == fresh_header_bits(dht)
             _feed(registry, "t", seed=10)  # next epoch trains differently
 
@@ -400,25 +406,37 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             registry.load_bundle(str(wrong))
 
-    def test_serve_dicts_pushes_the_bundle(self, tmp_path, capsys) -> None:
-        """``repro serve --dicts`` publishes a bundle's tables for as long
-        as the server runs."""
-        from repro.cli import main
+    def test_serve_dicts_pushes_the_bundle(self, tmp_path, capsys,
+                                           monkeypatch) -> None:
+        """``repro serve --dicts`` gives the server's service the bundle's
+        library, and the process no tables of its own."""
+        from repro import cli, service as service_pkg
 
         registry = DictionaryRegistry(seed=1)
         _feed(registry, "t", seed=9)
         names = {d.name for d in registry.train("t")}
         bundle = tmp_path / "dicts.json"
         registry.save_bundle(bundle)
+        served = []
+        real_serve = service_pkg.serve
+
+        def serve(service, **kwargs):
+            served.append(service)
+            return real_serve(service, **kwargs)
+
+        monkeypatch.setattr(service_pkg, "serve", serve)
         sigterm = signal.getsignal(signal.SIGTERM)
         try:
-            assert main(["serve", "--dicts", str(bundle), "--port", "0",
-                         "--duration-s", "0.2"]) == 0
+            assert cli.main(["serve", "--dicts", str(bundle), "--port", "0",
+                             "--duration-s", "0.2"]) == 0
         finally:
             signal.signal(signal.SIGTERM, sigterm)
         assert (f"dictionaries: pushed {len(names)} trained canned tables "
                 f"from {bundle}") in capsys.readouterr().out
-        assert set(trained_names()) == names
+        [service] = served
+        assert service.library.key == registry.library().key != BUILTIN.key
+        for name in names:
+            service.library.dht(name)
 
 
 # -- the cache mounted in the service -----------------------------------------
@@ -482,8 +500,8 @@ class TestServiceIntegration:
             registry = DictionaryRegistry(seed=1)
             registry.observe("acme", payload)
             registry.train("acme")
-            pushed = registry.push()
-            assert select_canned(payload) in pushed
+            pushed = registry.push(svc)
+            assert svc.library.select(payload, len(payload)) in pushed
 
             after = compress()
             cache = svc.stats().cache
@@ -492,7 +510,109 @@ class TestServiceIntegration:
         with CompressionService(machine="POWER9", chips=1) as uncached:
             fresh = uncached.submit("compress", payload, strategy="canned",
                                     tenant="acme").wait(10).output
+            assert fresh == before
+            registry.push(uncached)
+            fresh = uncached.submit("compress", payload, strategy="canned",
+                                    tenant="acme").wait(10).output
         assert after == fresh != before
+
+    def test_exec_worker_compresses_with_the_pushed_library(self) -> None:
+        """With a table pushed, a z15 service's canned bytes are the same
+        in process and on an exec worker, and both are the engine's
+        output under that library: the table travels with the job, not
+        with the process."""
+        from repro.exec.pool import shutdown_default_pool
+
+        data = generate("json_records", 65536, seed=5)
+        registry = DictionaryRegistry(seed=11)
+        for offset in range(0, len(data), 4096):
+            registry.observe("t", data[offset:offset + 4096])
+        registry.train("t")
+        library = registry.library()
+        payloads = [data[:4096], data]
+        outputs = {}
+        try:
+            for exec_workers in (None, 1):
+                with CompressionService(machine="z15", backend="dfltcc",
+                                        exec_workers=exec_workers) as svc:
+                    registry.push(svc)
+                    jobs = [svc.submit("compress", p, strategy="canned",
+                                       fmt="raw").wait(120)
+                            for p in payloads]
+                assert all(job.on_exec == bool(exec_workers)
+                           for job in jobs)
+                outputs[exec_workers] = [job.output for job in jobs]
+        finally:
+            shutdown_default_pool()
+        engine = NxCompressor(Z15.engine)
+        expected = [engine.compress(p, strategy=DhtStrategy.CANNED,
+                                    library=library).data
+                    for p in payloads]
+        assert outputs[None] == outputs[1] == expected
+        builtin = engine.compress(payloads[0], strategy=DhtStrategy.CANNED)
+        assert len(expected[0]) < len(builtin.data)
+
+    def test_same_bundle_same_key(self, tmp_path) -> None:
+        """Two services given one bundle file the same request under one
+        key: the key names the library's content, not a process's
+        history of pushes."""
+        registry = DictionaryRegistry(seed=1)
+        _feed(registry, "t", seed=9)
+        registry.train("t")
+        bundle = tmp_path / "dicts.json"
+        registry.save_bundle(bundle)
+        payload = generate("json_records", 4096, seed=9)
+        keys = []
+        for pushes in (1, 3):
+            with CompressionService(machine="POWER9", chips=1,
+                                    cache_mb=1) as svc:
+                for _ in range(pushes):
+                    loaded = DictionaryRegistry()
+                    loaded.load_bundle(str(bundle))
+                    loaded.push(svc)
+                svc.submit("compress", payload, tenant="t").wait(10)
+                keys.append(svc.cache.snapshot_keys())
+        assert keys[0] == keys[1] != []
+        assert keys[0][0][1] != result_key(payload, fmt="gzip",
+                                           epoch=BUILTIN.key)
+
+    def test_job_keeps_the_library_it_was_admitted_with(self) -> None:
+        """A job admitted before a push is compressed, and cached, under
+        the library it was admitted with; the next one under the new."""
+        payload = generate("json_records", 4096, seed=21)
+        registry = DictionaryRegistry(seed=1)
+        registry.observe("acme", payload)
+        registry.train("acme")
+        library = registry.library()
+        engine = NxCompressor(POWER9.engine)
+
+        def expected(library) -> bytes:
+            return engine.compress(payload, strategy=DhtStrategy.CANNED,
+                                   fmt="gzip", library=library).data
+
+        pool = AcceleratorPool(machine="POWER9", chips=1)
+        started, release = gate_submits(pool)
+        try:
+            with CompressionService(pool, cache_mb=4) as svc:
+                held = svc.submit("compress", b"held", tenant="acme")
+                assert started.wait(30)  # dispatcher held at the pool
+                before = svc.submit("compress", payload, strategy="canned",
+                                    tenant="acme")
+                registry.push(svc)
+                release.set()
+                held.wait(30)
+                assert before.wait(30).output == expected(BUILTIN)
+                after = svc.submit("compress", payload, strategy="canned",
+                                   tenant="acme").wait(30)
+                assert after.output == expected(library) != before.output
+                cache = svc.stats().cache
+                assert (cache["executions"], cache["hits"]) == (3, 0)
+                assert svc.cache.begin("acme", result_key(
+                    payload, fmt="gzip", strategy="canned",
+                    epoch=BUILTIN.key)) == ("hit", before.output)
+        finally:
+            release.set()
+            pool.close()
 
     def test_decompress_bypasses_cache(self) -> None:
         payload = generate("markov_text", 2048, seed=4)

@@ -88,7 +88,8 @@ def test_an_exec_worker_loads_one_backend_stack():
     """``import repro.exec.worker`` and one real ``dfltcc`` job: the
     codec, the engine model and the driver types — no service, CLI, ops
     plane, fault injection, workloads, session API or ``multiprocessing``,
-    and of the performance models only the cost calibration."""
+    no ``hashlib`` (its OpenSSL costs each worker ~3.6 MB of RSS), and of
+    the performance models only the cost calibration."""
     job = textwrap.dedent("""
         import gzip
         from repro.exec.worker import backend_job
@@ -104,7 +105,7 @@ def test_an_exec_worker_loads_one_backend_stack():
                    "repro.obs.export", "repro.resilience.chaos",
                    "repro.resilience.faults",
                    "repro.workloads", "repro.core", "multiprocessing",
-                   "secrets")
+                   "secrets", "hashlib")
     perf = {chain.split(" <- ")[0] for chain in imports.matching("repro.perf")}
     assert perf == {"repro.perf", "repro.perf.cost"}, imports.matching(
         "repro.perf")

@@ -132,7 +132,8 @@ class TestGdht:
     def test_full_window_sample_uses_canned_pick(self, payload_200k):
         """A sample covering >= one scan window picks a canned table."""
         from repro.nx.compressor import NxCompressor
-        from repro.nx.dht import GDHT_SCAN_WINDOW, select_canned_windowed
+        from repro.nx.dht import (BUILTIN, GDHT_SCAN_WINDOW,
+                                  select_canned_windowed)
         from repro.nx.params import Z15
 
         data = payload_200k[:8192]
@@ -146,7 +147,7 @@ class TestGdht:
 
         expected = NxCompressor(Z15.engine).compress(
             data, strategy=DhtStrategy.CANNED, fmt="raw",
-            canned_name=select_canned_windowed(sample))
+            canned_name=select_canned_windowed(sample, BUILTIN, len(data)))
         assert result.produced == expected.data
 
 

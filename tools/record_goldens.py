@@ -183,35 +183,32 @@ def dictionary_fingerprints() -> list[dict]:
 
 
 def canned_streams() -> list[dict]:
-    """Canned-DHT bitstreams with the trained tables pushed."""
+    """Canned-DHT bitstreams under the trained tables' library."""
     from repro.nx.compressor import NxCompressor
-    from repro.nx.dht import DhtStrategy, clear_trained_dhts, select_canned
+    from repro.nx.dht import DhtStrategy
     from repro.nx.params import POWER9
 
     registry, corpus = trained_registry()
-    clear_trained_dhts()
-    registry.push()
-    try:
-        engine = NxCompressor(POWER9.engine)
-        streams = []
-        for family, data in sorted(corpus.items()):
-            for offset in (0, 4096):
-                buf = data[offset:offset + 4096]
-                if len(buf) < 4096:
-                    continue
-                result = engine.compress(buf, strategy=DhtStrategy.CANNED)
-                # zlib interop is part of the golden contract.
-                assert zlib.decompress(result.data, wbits=-15) == buf
-                streams.append({
-                    "tenant": family,
-                    "offset": offset,
-                    "length": len(buf),
-                    "pick": select_canned(buf),
-                    "sha256": _sha256(result.data),
-                    "compressed_len": len(result.data),
-                })
-    finally:
-        clear_trained_dhts()
+    library = registry.library()
+    engine = NxCompressor(POWER9.engine)
+    streams = []
+    for family, data in sorted(corpus.items()):
+        for offset in (0, 4096):
+            buf = data[offset:offset + 4096]
+            if len(buf) < 4096:
+                continue
+            result = engine.compress(buf, strategy=DhtStrategy.CANNED,
+                                     library=library)
+            # zlib interop is part of the golden contract.
+            assert zlib.decompress(result.data, wbits=-15) == buf
+            streams.append({
+                "tenant": family,
+                "offset": offset,
+                "length": len(buf),
+                "pick": library.select(buf, len(buf)),
+                "sha256": _sha256(result.data),
+                "compressed_len": len(result.data),
+            })
     return streams
 
 
