@@ -85,6 +85,21 @@ class BoundedTenantLRU:
             self._drop(*next(iter(self.order)))
         return True
 
+    def shrink(self, tenant: str, key: str, value: object) -> bool:
+        """Swap a held key's value for a zero-byte ``value`` in place:
+        the key keeps its slot in every LRU order, so entry counts and
+        evictions read as before.  False if the key is not held or
+        already holds ``value``."""
+        entries = self.tenants.get(tenant)
+        if entries is None or entries.get(key, value) is value:
+            return False
+        entries[key] = value
+        nbytes = self.order[tenant, key]
+        self.order[tenant, key] = 0
+        self._tenant_bytes[tenant] -= nbytes
+        self.bytes -= nbytes
+        return True
+
     def _drop(self, tenant: str, key: str) -> None:
         entries = self.tenants[tenant]
         del entries[key]

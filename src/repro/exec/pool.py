@@ -71,10 +71,11 @@ class ExecJob:
     """Handle for one submitted job; resolved by the pool's drain."""
 
     __slots__ = ("job_id", "fn", "done", "result", "error", "crashed",
-                 "worker", "spans", "metrics", "span_parent", "task")
+                 "worker", "spans", "metrics", "span_parent", "task",
+                 "library")
 
     def __init__(self, job_id: int, fn: str, task: bytes,
-                 span_parent: object = None) -> None:
+                 span_parent: object, library) -> None:
         self.job_id = job_id
         self.fn = fn
         self.done = False
@@ -89,6 +90,9 @@ class ExecJob:
         self.span_parent = span_parent
         #: The framed task, kept for a resubmission after a crash.
         self.task = task
+        #: The canned library the task names by key (None: built-in);
+        #: its content goes to a worker once, before its first task.
+        self.library = library
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("done" if self.done and self.error is None
@@ -98,10 +102,11 @@ class ExecJob:
 
 class _Worker:
     """One child process, the parent's ends of its two pipes, the CPU it
-    is pinned to (None: unpinned) and the job it is running (None:
-    idle)."""
+    is pinned to (None: unpinned), the job it is running (None: idle)
+    and the key of the canned library it holds (None: none)."""
 
-    __slots__ = ("worker_id", "proc", "tasks", "results", "cpu", "job")
+    __slots__ = ("worker_id", "proc", "tasks", "results", "cpu", "job",
+                 "library")
 
     def __init__(self, worker_id: int, proc: subprocess.Popen,
                  tasks: int, results: int, cpu: int | None) -> None:
@@ -111,6 +116,7 @@ class _Worker:
         self.results = results
         self.cpu = cpu
         self.job: ExecJob | None = None
+        self.library: str | None = None
 
 
 def _pin(pid: int, cpu: int | None) -> int | None:
@@ -304,7 +310,7 @@ class ProcessWorkerPool:
 
     def submit(self, fn: str, *, span_parent: object = None,
                metrics: bool = False, traceparent: str | None = None,
-               **kwargs) -> ExecJob:
+               library=None, **kwargs) -> ExecJob:
         """Queue one job; returns a handle resolved by poll/wait.
 
         ``fn`` names a registered worker function; ``kwargs`` are its
@@ -314,7 +320,8 @@ class ProcessWorkerPool:
         captures a worker-side metrics snapshot, merged into the global
         registry at completion.  ``traceparent`` (a W3C-style header
         string) rides in the task so the worker's root span joins the
-        originating wire trace.
+        originating wire trace.  A canned ``library`` reaches ``fn`` as
+        its key: each worker is sent the content once and keeps it.
         """
         opts = {
             "trace": _TRACE.enabled,
@@ -323,8 +330,10 @@ class ProcessWorkerPool:
         }
         if traceparent:
             opts["traceparent"] = traceparent
+        if library is not None:
+            kwargs["library"] = library.key
         job = ExecJob(next(self._next_job), fn, frame((fn, kwargs, opts)),
-                      span_parent)
+                      span_parent, library)
         self._queue(job)
         _REGISTRY.counter("repro_exec_jobs_total",
                           "jobs dispatched to pool workers").inc(
@@ -354,14 +363,19 @@ class ProcessWorkerPool:
             if worker.job is not None:
                 continue
             job = self._backlog.popleft()
+            task, library = job.task, job.library
+            if library is not None and worker.library != library.key:
+                task = frame({library.key: library}) + task
             try:
-                write_frame(worker.tasks, job.task)
+                write_frame(worker.tasks, task)
             except BrokenPipeError:
                 # Died idle: the job never started, and the worker's EOF
                 # is reaped by the next drain.
                 self._backlog.appendleft(job)
                 continue
             worker.job, job.worker = job, worker.worker_id
+            if library is not None:
+                worker.library = library.key
 
     # -- completion ----------------------------------------------------------
 

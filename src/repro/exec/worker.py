@@ -6,7 +6,9 @@ from one pipe and writes results to another, each message one
 length-prefixed pickle (:func:`frame` / :func:`read_frame`).  The parent
 gives a worker one job at a time, so a task is ``(fn_name, kwargs,
 opts)`` and its answer ``(error, result, spans, metrics)`` — no job id,
-no claim: the parent knows which job it handed over.  EOF on the task
+no claim: the parent knows which job it handed over.  A message that
+is a dict, ``{key: library}``, is no task: it is the canned library the
+tasks after it name by key, kept and not answered.  EOF on the task
 pipe (the parent shut the pool down, or died) ends the worker.
 
 Job functions are published in a string-keyed registry (the same lazy
@@ -136,8 +138,8 @@ def crash(exitcode: int = 13) -> None:
 #: same way the pool's lazily created per-chip instances do.
 _BACKENDS: dict[tuple, object] = {}
 
-#: The last trained canned library a job brought: a job bringing the
-#: same content (by key) reuses the tables it built.
+#: The last canned library the parent sent, by key: every job naming
+#: that key reuses the tables it built.
 _LIBRARY: dict = {}
 
 
@@ -145,7 +147,8 @@ def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
                 kind: str, fmt: str, data: bytes, strategy: str = "auto",
                 deadline_s: float | None = None, library=None):
     """Run one final, history-less backend compress (or a decompress)
-    in this worker, under the job's canned ``library`` (None: built-in).
+    in this worker, under the canned library keyed ``library`` (None:
+    built-in).
 
     Returns the :class:`~repro.sysstack.driver.DriverResult` without its
     CSB: the output bytes and the submission stats.
@@ -159,14 +162,10 @@ def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
     if instance is None:
         instance = _BACKENDS[key] = create_backend(
             backend, machine=machine, **backend_kwargs)
-    if library is not None:
-        if library.key not in _LIBRARY:
-            _LIBRARY.clear()
-        library = _LIBRARY.setdefault(library.key, library)
     if kind == "compress":
-        result = instance.compress(data, strategy=strategy, fmt=fmt,
-                                   deadline_s=deadline_s,
-                                   library=library or BUILTIN)
+        result = instance.compress(
+            data, strategy=strategy, fmt=fmt, deadline_s=deadline_s,
+            library=BUILTIN if library is None else _LIBRARY[library])
     else:
         result = instance.decompress(data, fmt=fmt, deadline_s=deadline_s)
     return DriverResult(output=result.output, csb=None, stats=result.stats)
@@ -266,6 +265,11 @@ def main(task_fd: int, result_fd: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         while True:
-            write_frame(result_fd, _answer(*read_frame(task_fd)))
+            task = read_frame(task_fd)
+            if isinstance(task, dict):
+                _LIBRARY.clear()
+                _LIBRARY.update(task)
+                continue
+            write_frame(result_fd, _answer(*task))
     except (EOFError, BrokenPipeError):
         return

@@ -16,7 +16,9 @@ defences (all off the hot path when the connection behaves):
   replays the identical timeline), and the request is resent **with
   the same** ``request_id`` — the server's idempotency cache turns the
   resend into a replay, never a second execution.  One logical
-  request: one id, one trace, one execution.
+  request: one id, one trace, one execution.  The next request under
+  the same tenant carries that id back as ``ack``: the client has read
+  the reply, so the server may free it.
 * **A shared retry budget** — a token bucket spanning all requests on
   the client: successful traffic earns fractional tokens, every retry
   (reconnect or overload) spends one.  Under a genuine outage retries
@@ -149,6 +151,9 @@ class ServiceClient:
         self.retry_budget = retry_budget or RetryBudget()
         #: Chaos/test hook: wraps every socket this client dials.
         self.socket_wrapper = socket_wrapper
+        #: tenant -> request_id of the last ``ok`` reply read under it,
+        #: sent as the next request's ``ack`` (on any connection).
+        self._acks: dict[str, str] = {}
         self.sock: socket.socket | None = None
         self._connect()
 
@@ -301,6 +306,9 @@ class ServiceClient:
             header["fmt"] = fmt
         if deadline_s is not None:
             header["deadline_s"] = deadline_s
+        ack = self._acks.get(tenant)
+        if ack is not None:
+            header["ack"] = ack
         attempts = 0
         reconnects = 0
         self.retry_budget.on_request()
@@ -317,6 +325,7 @@ class ServiceClient:
                     continue
                 status = response.get("status")
                 if status == "ok":
+                    self._acks[tenant] = request_id
                     span.set(status="ok", attempts=attempts,
                              out_bytes=len(body))
                     return ClientResult(body, response, attempts=attempts,

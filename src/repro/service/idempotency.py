@@ -9,13 +9,22 @@ never re-executes); one racing the first attempt **waits** for it — the
 double-execute window when a client reconnects faster than the server
 finishes; one after a failure finds the key free and executes.
 
+A reply is kept until its client **acknowledges** it: the client's next
+request under the same tenant names the last reply it read in ``ack``,
+and that entry becomes a zero-byte *tombstone* in the same critical
+section as the new request's lookup.  The tombstone keeps the key and
+its LRU slot, so a stale or duplicated frame of the acknowledged
+request is still a hit — answered with a typed error, executing
+nothing — while its reply bytes are freed.  A client that never acks
+gets the LRU-bounded replay.
+
 Bounds: ``max_entries`` results and ``max_bytes`` of reply payload per
 tenant, oldest first, so a chatty tenant cannot grow server memory
 without bound or wash out other tenants' windows.  ``stats()`` exposes
 exact counters — ``hits``, ``stores``, ``duplicate_stores``,
-``evictions``, ``waits`` — that the network chaos campaign reconciles
-against client-side success counts: ``duplicate_stores == 0`` *is* the
-zero-double-execution proof.
+``evictions``, ``waits``, ``acks`` and the reply ``bytes`` retained —
+that the network chaos campaign reconciles against client-side success
+counts: ``duplicate_stores == 0`` *is* the zero-double-execution proof.
 """
 
 from __future__ import annotations
@@ -26,6 +35,9 @@ from ..dictsvc.keyed import KeyedCache
 DEFAULT_MAX_ENTRIES = 256
 DEFAULT_MAX_BYTES = 32 << 20
 DEFAULT_MAX_TENANTS = 64
+
+#: What an acknowledged reply leaves in the table: its key, no bytes.
+_ACKED = ("acked",)
 
 
 class IdempotencyCache(KeyedCache):
@@ -39,18 +51,30 @@ class IdempotencyCache(KeyedCache):
                          tenant_max_bytes=max_bytes, max_tenants=max_tenants)
         self.stores = 0
         self.duplicate_stores = 0
+        self.acks = 0
 
     # -- the handler-facing protocol -----------------------------------------
 
-    def begin(self, tenant: str, request_id: str):
+    def begin(self, tenant: str, request_id: str, ack: str | None = None):
         """Start (or join) one keyed execution: ``("hit", (header,
-        body))`` to replay, ``("owner", key)`` to execute and then
-        :meth:`commit` or :meth:`abort`, or ``("wait", claim)`` to wait
-        on ``claim.event`` and call again."""
+        body))`` to replay, ``("acked", None)`` for a request whose
+        client already acknowledged its reply, ``("owner", key)`` to
+        execute and then :meth:`commit` or :meth:`abort`, or ``("wait",
+        claim)`` to wait on ``claim.event`` and call again.
+
+        ``ack`` names the tenant's reply the client read last: a stored
+        one becomes a tombstone.  Any other value (unknown, another
+        tenant's, still executing, this request's own) changes nothing.
+        """
         with self._lock:
+            if (ack is not None and ack != request_id
+                    and self._lru.shrink(tenant, ack, _ACKED)):
+                self.acks += 1
             cached = self._lru.get(tenant, request_id)
             if cached is not None:
                 self.hits += 1
+                if cached is _ACKED:
+                    return "acked", None
                 return "hit", cached
             owner, claim = self._claims.enter((tenant, request_id))
             if owner:
@@ -91,4 +115,6 @@ class IdempotencyCache(KeyedCache):
                 "waits": self.waits,
                 "entries": len(self._lru.order),
                 "tenants": len(self._lru.tenants),
+                "acks": self.acks,
+                "bytes": self._lru.bytes,
             }

@@ -25,7 +25,9 @@ connection layer adds three wire-robustness guarantees on top:
   :class:`~repro.service.idempotency.IdempotencyCache`: a resend after
   a broken connection replays the cached result (``deduped: true``)
   instead of executing the job twice, and a resend racing the first
-  execution waits for it rather than double-running it.
+  execution waits for it rather than double-running it.  A request's
+  ``ack`` frees the reply its client read before it; a stale frame of
+  that acknowledged request is answered with a non-retryable error.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from __future__ import annotations
 import socketserver
 import threading
 
-from ..errors import (RETRYABLE, ConfigError, ReproError, failure_of,
-                      wire_name)
+from ..errors import (RETRYABLE, ConfigError, ReproError, ServiceError,
+                      failure_of, wire_name)
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from .core import CompressionService, finite_seconds
@@ -172,17 +174,28 @@ class _Handler(socketserver.BaseRequestHandler):
         if not request.get("client_request_id") or self.server.dedup is None:
             request.pop("client_request_id", None)
             return self._execute(service, op, payload, request)
-        return self._serve_idempotent(service, op, payload, request)
+        ack = header.get("ack")
+        return self._serve_idempotent(service, op, payload, request,
+                                      ack if isinstance(ack, str) else None)
 
     def _serve_idempotent(self, service: CompressionService, op: str,
-                          payload: bytes,
-                          request: dict) -> tuple[dict, bytes]:
-        """At-most-one execution per ``(tenant, request_id)``."""
+                          payload: bytes, request: dict,
+                          ack: str | None) -> tuple[dict, bytes]:
+        """At-most-one execution per ``(tenant, request_id)``; ``ack``
+        frees the reply the client read before this request."""
         dedup: IdempotencyCache = self.server.dedup
         tenant = request.get("tenant", "")
         request_id = request["client_request_id"]
         for _ in range(_MAX_DEDUP_WAITS):
-            state, token = dedup.begin(tenant, request_id)
+            state, token = dedup.begin(tenant, request_id, ack)
+            if state == "acked":
+                # A stale frame of a request whose reply the client
+                # has read: nothing to replay, nothing to run.
+                _FLIGHT.record("net.acked_resend", request_id=request_id,
+                               op=op, tenant=tenant)
+                return _error_reply(ServiceError(
+                    f"request {request_id!r} was already answered and "
+                    "acknowledged"), request_id=request_id), b""
             if state == "hit":
                 cached_header, body = token
                 response = dict(cached_header)

@@ -37,6 +37,16 @@ from .test_service import gate_submits
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+def _trained_library():
+    """One table trained on 4 KB slices of a json_records payload."""
+    data = generate("json_records", 65536, seed=5)
+    registry = DictionaryRegistry(seed=11)
+    for offset in range(0, len(data), 4096):
+        registry.observe("t", data[offset:offset + 4096])
+    registry.train("t")
+    return registry.library()
+
+
 # -- result_key ---------------------------------------------------------------
 
 
@@ -551,6 +561,53 @@ class TestServiceIntegration:
         assert outputs[None] == outputs[1] == expected
         builtin = engine.compress(payloads[0], strategy=DhtStrategy.CANNED)
         assert len(expected[0]) < len(builtin.data)
+
+    def test_exec_task_names_the_library_by_key(self, monkeypatch) -> None:
+        """A worker is sent the library's content once, before its first
+        task naming it; every task carries only the key, so it is at
+        most 100 B larger than a built-in one."""
+        from repro.exec import pool as exec_pool
+
+        library = _trained_library()
+        writes = []
+        write_frame = exec_pool.write_frame
+        monkeypatch.setattr(exec_pool, "write_frame", lambda fd, data: (
+            writes.append(len(data)), write_frame(fd, data)))
+        kwargs = dict(backend="dfltcc", machine="z15", backend_kwargs={},
+                      kind="compress", fmt="raw", data=bytes(4096),
+                      strategy="canned")
+        with exec_pool.ProcessWorkerPool(1) as pool:
+            jobs = [pool.submit("backend_job", library=lib, **kwargs)
+                    for lib in (None, library, library)]
+            pool.wait(jobs, timeout_s=120)
+        assert all(job.error is None for job in jobs)
+        builtin, first, later = (len(job.task) for job in jobs)
+        assert later == first <= builtin + 100
+        assert writes == [builtin, writes[1], later]
+        assert writes[1] > first + 500  # the content rode once, here
+
+    def test_respawned_worker_is_sent_the_library_again(self) -> None:
+        """A killed worker's replacement holds no library: its first task
+        naming one brings the content, and the output is the engine's
+        under the pushed tables."""
+        from repro.exec.pool import ProcessWorkerPool
+
+        library = _trained_library()
+        payload = generate("json_records", 65536, seed=5)[:4096]
+        expected = NxCompressor(Z15.engine).compress(
+            payload, strategy=DhtStrategy.CANNED, library=library).data
+        kwargs = dict(backend="dfltcc", machine="z15", backend_kwargs={},
+                      kind="compress", fmt="raw", data=payload,
+                      strategy="canned", library=library)
+        with ProcessWorkerPool(1) as pool:
+            before = pool.run_batch([("backend_job", kwargs)], timeout_s=120)
+            (worker,) = pool._workers.values()
+            worker.proc.kill()
+            worker.proc.wait()
+            pool.poll()  # reaps the death, spawns the replacement
+            assert pool.worker_restarts == 1
+            after = pool.run_batch([("backend_job", kwargs)], timeout_s=120)
+        assert before[0].output == after[0].output == expected
 
     def test_same_bundle_same_key(self, tmp_path) -> None:
         """Two services given one bundle file the same request under one

@@ -5,8 +5,9 @@ for garbage instead of silent hangups, idle deadlines, request-id
 dedup over real sockets — and the headline acceptance scenario: a
 reconnecting client whose first attempt's connection is killed
 mid-response still completes the request, exactly once, via the
-server's idempotency cache.  Ends with a seeded slice of the
-``repro chaos --network`` campaign.
+server's idempotency cache, and the acknowledgements that let the
+server free a reply once its client has read it.  Ends with a seeded
+slice of the ``repro chaos --network`` campaign.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import gzip
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -328,6 +330,189 @@ class TestReconnectingClient:
         assert "unreachable" in str(excinfo.value)
         assert "\n" not in str(excinfo.value)
         assert excinfo.value.retryable
+
+
+def _ok(sock, header: dict, payload: bytes) -> tuple[dict, bytes]:
+    send_message(sock, header, payload)
+    reply, body = recv_message(sock)
+    assert reply["status"] == "ok", reply
+    return reply, body
+
+
+class TestAckTombstones:
+    """The table's side of an ack: a tombstone keeps the key, frees the
+    bytes, and an ack naming nothing stored changes nothing."""
+
+    def test_ack_leaves_a_tombstone(self):
+        cache = IdempotencyCache()
+        _, key = cache.begin("t", "r1")
+        cache.commit(key, {"status": "ok"}, b"x" * 80)
+        assert cache.begin("t", "r2", ack="r1")[0] == "owner"
+        stats = cache.stats()
+        assert (stats["acks"], stats["bytes"], stats["entries"]) == (1, 0, 1)
+        # A stale frame of r1: a hit with nothing to replay.
+        assert cache.begin("t", "r1") == ("acked", None)
+        assert cache.stats()["hits"] == 1
+        # Acking it again changes nothing.
+        cache.begin("t", "r3", ack="r1")
+        assert cache.stats()["acks"] == 1
+
+    def test_hostile_acks_change_nothing(self):
+        cache = IdempotencyCache()
+        _, key = cache.begin("t", "r1")
+        cache.commit(key, {"status": "ok"}, b"body")
+        state, busy = cache.begin("t", "busy")
+        assert state == "owner"
+        for tenant, request_id, ack in (("t", "a", "unknown"),
+                                        ("u", "b", "r1"),   # other tenant
+                                        ("t", "c", "busy")):  # executing
+            assert cache.begin(tenant, request_id, ack=ack)[0] == "owner"
+        # A resend naming itself is still a replay.
+        assert cache.begin("t", "r1", ack="r1") == (
+            "hit", ({"status": "ok"}, b"body"))
+        cache.commit(busy, {"status": "ok"}, b"late")
+        assert cache.begin("t", "busy")[0] == "hit"
+        stats = cache.stats()
+        assert (stats["acks"], stats["bytes"]) == (0, len(b"body" b"late"))
+
+    def test_acking_clients_race_to_one_reply_each(self):
+        """Eight threads, each a client acking its previous request on
+        one tenant: every reply is stored once, and what is retained is
+        exactly each client's last reply."""
+        cache = IdempotencyCache(max_entries=4096)
+        n, rounds = 8, 200
+        barrier = threading.Barrier(n)
+
+        def client(c: int) -> None:
+            barrier.wait(10.0)
+            ack = None
+            for r in range(rounds):
+                request_id = f"c{c}r{r}"
+                state, key = cache.begin("t", request_id, ack)
+                assert state == "owner"
+                cache.commit(key, {"status": "ok"}, bytes(c + 1))
+                ack = request_id
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats()
+        assert (stats["stores"], stats["duplicate_stores"]) == (n * rounds, 0)
+        assert stats["acks"] == n * (rounds - 1)
+        assert stats["bytes"] == sum(c + 1 for c in range(n))
+        assert cache.begin("t", "c3r0") == ("acked", None)
+
+
+class TestReplyAcks:
+    """A client's next request acknowledges the reply it read, and the
+    server keeps only a tombstone of an acknowledged reply."""
+
+    def test_acked_replies_leave_one_reply_retained(self, stack):
+        _, server = stack
+        plain = (b"the quick brown fox jumps over the lazy dog " * 1600)[
+            :65536]
+        member = gzip.compress(plain, compresslevel=6, mtime=0)
+        with ServiceClient(port=server.port) as client:
+            for _ in range(300):
+                assert client.decompress(member).output == plain
+        stats = server.dedup.stats()
+        assert stats["bytes"] <= len(plain)
+        assert stats["acks"] == 299
+        assert stats["entries"] == 256 and stats["evictions"] == 44
+
+    def test_stale_frame_of_acked_request_gets_typed_error(self, stack,
+                                                           text_20k):
+        service, server = stack
+        sock = _dial(server.port)
+        first = {"op": "compress", "fmt": "gzip", "request_id": "a"}
+        _ok(sock, first, text_20k)
+        _ok(sock, {"op": "compress", "fmt": "gzip", "request_id": "b",
+                   "ack": "a"}, text_20k)
+        send_message(sock, first, text_20k)  # a stale copy of "a"
+        reply, body = recv_message(sock)
+        sock.close()
+        assert (reply["status"], reply["error_type"], reply["retryable"],
+                reply["request_id"], body) == (
+            "error", "ServiceError", False, "a", b"")
+        assert service.stats().completed == 2
+        stats = server.dedup.stats()
+        assert stats == {**stats, "hits": 1, "stores": 2, "acks": 1,
+                         "duplicate_stores": 0}
+
+    def test_client_side_stale_frames_run_nothing(self, stack, text_20k):
+        """Every frame the client sends is preceded by the one two
+        before it, which the frame between has acknowledged."""
+        service, server = stack
+        wrapper = fault_factory([FaultPlan("stale", probability=1.0)],
+                                seed=3)
+        with ServiceClient(port=server.port,
+                           socket_wrapper=wrapper) as client:
+            for _ in range(4):
+                out = client.compress(text_20k, fmt="gzip")
+                assert gzip.decompress(out.output) == text_20k
+                assert not out.deduped
+        assert service.stats().completed == 4
+        stats = server.dedup.stats()
+        assert stats == {**stats, "hits": 2, "stores": 4, "acks": 3,
+                         "duplicate_stores": 0}
+
+    def test_client_without_acks_still_replays(self, stack, text_20k):
+        service, server = stack
+        sock = _dial(server.port)
+        first = {"op": "compress", "fmt": "gzip", "request_id": "a"}
+        _, body = _ok(sock, first, text_20k)
+        _ok(sock, {"op": "compress", "fmt": "gzip", "request_id": "b"},
+            text_20k)
+        reply, replayed = _ok(sock, first, text_20k)
+        sock.close()
+        assert reply["deduped"] is True and replayed == body
+        assert service.stats().completed == 2
+        assert server.dedup.stats()["acks"] == 0
+
+    def test_hostile_ack_values_are_ignored(self, stack, text_20k):
+        service, server = stack
+        sock = _dial(server.port)
+        owned = {"op": "compress", "fmt": "gzip", "tenant": "acme",
+                 "request_id": "mine"}
+        _ok(sock, owned, text_20k)
+        acks = (["mine"], {"id": "mine"}, 7, None, "unknown",
+                "mine")  # the last one from another tenant
+        for i, ack in enumerate(acks):
+            _ok(sock, {"op": "compress", "fmt": "gzip", "ack": ack,
+                       "request_id": f"r{i}"}, text_20k)
+        # The request's own id as its ack: still a replay.
+        reply, _ = _ok(sock, {**owned, "ack": "mine"}, text_20k)
+        assert reply["deduped"] is True
+        sock.close()
+        assert server.dedup.stats()["acks"] == 0
+        assert service.stats().failed == 0
+        assert service.pool.stats().breaker_opens == 0
+        _assert_healthy(server)
+
+    def test_ack_survives_a_reconnect(self, stack, text_20k):
+        service, server = stack
+        with ServiceClient(port=server.port) as client:
+            first = client.compress(text_20k, fmt="gzip", tenant="acme")
+            client.close()
+            client.compress(text_20k, fmt="gzip", tenant="acme")
+        assert server.dedup.stats()["acks"] == 1
+        sock = _dial(server.port)
+        send_message(sock, {"op": "compress", "fmt": "gzip",
+                            "tenant": "acme",
+                            "request_id": first.request_id}, text_20k)
+        reply, _ = recv_message(sock)
+        sock.close()
+        assert reply["error_type"] == "ServiceError"
+        assert service.stats().completed == 2
 
 
 class TestDedupRace:
