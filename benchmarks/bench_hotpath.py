@@ -45,9 +45,6 @@ RESULT_PATH = REPO_ROOT / "BENCH_hotpath.json"
 
 _MB = 1e6
 
-#: Uncompressed bytes per gzip member of the parallel-inflate archive.
-_MEMBER_BYTES = 1 << 16
-
 #: Span-timed stages (private tracer; survives across run_bench calls so
 #: ``main`` can persist the per-stage breakdown).
 _STAGES = StageRecorder()
@@ -118,45 +115,6 @@ def run_bench(level: int = 6,
         results["parallel_deflate_mbps"] = warm_scaling
         results["parallel_deflate_cold_mbps"] = cold_scaling
 
-    # Parallel-inflate scaling on the *same* corpus and scale as the
-    # deflate sweep, cut into 64 KB gzip members: member boundaries are
-    # the only restart points the engine parallelises from (a single-
-    # member stream plans no jobs at any worker count).  Rates are
-    # output (uncompressed) MB/s — the number a scan-side consumer
-    # feels.
-    inflate_chunk = None
-    try:
-        from repro.deflate.containers import gzip_compress
-        from repro.deflate.parallel_inflate import parallel_inflate
-        from repro.exec.pool import shutdown_default_pool
-    except ImportError:
-        parallel_inflate = None
-    if parallel_inflate is not None:
-        gzip_payload = b"".join(
-            gzip_compress(corpus[off:off + _MEMBER_BYTES], level=level)
-            for off in range(0, len(corpus), _MEMBER_BYTES))
-        # Floor at the engine minimum (4 KiB), not the deflate floor:
-        # members compress to ~15 KB, and a planning chunk must stay
-        # under that for every member start to get its own job (two
-        # runs per worker at the gated 2-worker row).
-        inflate_chunk = max(4096,
-                            len(gzip_payload) // (2 * max(workers)))
-        cold_inflate: dict[str, float] = {}
-        warm_inflate: dict[str, float] = {}
-        for nworkers in workers:
-            shutdown_default_pool()
-            run = lambda: parallel_inflate(gzip_payload,  # noqa: E731
-                                           "gzip",
-                                           chunk_size=inflate_chunk,
-                                           workers=nworkers)
-            cold_inflate[str(nworkers)] = mbps(
-                run, f"parallel_inflate_cold_{nworkers}w", runs=1)
-            warm_inflate[str(nworkers)] = mbps(
-                run, f"parallel_inflate_warm_{nworkers}w")
-        shutdown_default_pool()
-        results["parallel_inflate_mbps"] = warm_inflate
-        results["parallel_inflate_cold_mbps"] = cold_inflate
-
     meta = {
         "corpus": "calgary-like",
         "scale": 1.0,
@@ -169,19 +127,6 @@ def run_bench(level: int = 6,
         # how good the pool is, and the gate reads this field.
         "cpus": os.cpu_count() or 1,
         "parallel_chunk_bytes": chunk_size,
-        # Inflate rows share the deflate corpus/scale and carry their
-        # own cpus field so a gate comparing inflate sweeps across
-        # hosts never has to guess which deflate meta applied.
-        "inflate": {
-            "corpus": "calgary-like",
-            "scale": 1.0,
-            "bytes": len(corpus),
-            "gzip_bytes": (len(gzip_payload)
-                           if parallel_inflate is not None else None),
-            "member_bytes": _MEMBER_BYTES,
-            "cpus": os.cpu_count() or 1,
-            "parallel_chunk_bytes": inflate_chunk,
-        },
         # Every rate is corrected to the probe's reference speed, then
         # stated at the run's median slowdown: the gate corrects by this
         # one number, as it does for a bench probed only before and after.

@@ -5,16 +5,17 @@ accelerator (CMPR invocations re-issued while CC=3, the CPU-determined
 completion), while the RFC 1950/1952 container framing stays in
 software — exactly how the s390 zlib patch wraps the instruction.
 Expansion skips the container header, runs XPND on a first operand
-sized from the member's own ISIZE (growing it on CC=1), and verifies
-the trailer XPND stopped at against the parameter block's running
-check value.
+sized from the ISIZE trailer (growing it on CC=1), and verifies the
+trailer XPND stopped at against the parameter block's running check
+value; a gzip archive is expanded member by member that way.
 """
 
 from __future__ import annotations
 
 from ..deflate.containers import (FORMATS, body_start, checksum,
                                   decompress_target_len, frame,
-                                  require_format, verify_trailer)
+                                  member_follows, require_format,
+                                  verify_trailer)
 from ..nx.dht import CannedLibrary, DhtStrategy
 from ..nx.params import Z15, MachineParams, get_machine
 from ..nx.z15 import Dfltcc, ParameterBlock, cmpr_loop, xpnd_loop
@@ -69,18 +70,28 @@ class DfltccBackend(CompressionBackend):
 
     def _decompress(self, payload: bytes, fmt: str,
                     history: bytes) -> DriverResult:
-        header, window = body_start(fmt, payload, zdict=history)
-        block = ParameterBlock(history=window)
-        result, invocations = xpnd_loop(
-            self._facility, block, payload[header:],
-            decompress_target_len(payload, fmt))
-        # The trailer XPND stopped at, against the check value the
-        # facility accumulated while expanding (gzip: no second pass).
-        verify_trailer(fmt, payload, header + result.consumed,
-                       checksum(fmt, result.produced,
-                                crc=block.check_value),
-                       len(result.produced))
+        capacity = decompress_target_len(payload, fmt)
+        parts: list[bytes] = []
+        seconds, invocations, end = 0.0, 0, 0
+        while True:
+            # XPND expands one raw stream: each gzip member is its own
+            # operation with a fresh parameter block.
+            header, window = body_start(fmt, payload, end, zdict=history)
+            block = ParameterBlock(history=window)
+            result, issues = xpnd_loop(self._facility, block,
+                                       payload[header:], capacity)
+            # The trailer XPND stopped at, against the check value the
+            # facility accumulated while expanding (gzip: no second pass).
+            end = verify_trailer(fmt, payload, header + result.consumed,
+                                 checksum(fmt, result.produced,
+                                          crc=block.check_value),
+                                 len(result.produced))
+            parts.append(result.produced)
+            seconds += result.seconds
+            invocations += issues
+            if not member_follows(fmt, payload, end):
+                break
         stats = SubmissionStats(submissions=invocations,
-                                elapsed_seconds=result.seconds)
-        return DriverResult(output=result.produced, csb=None, stats=stats)
+                                elapsed_seconds=seconds)
+        return DriverResult(output=b"".join(parts), csb=None, stats=stats)
 

@@ -115,16 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=FORMATS)
     p_dec.add_argument("--deadline-ms", type=float, default=None,
                        help="per-job deadline in modelled milliseconds")
-    p_dec.add_argument("--parallel-workers", type=int, default=None,
-                       help="decode runs of gzip members on N worker "
-                            "processes (implies the software-parallel "
-                            "backend; zlib, raw and single-member gzip "
-                            "decode inline; output is byte-identical "
-                            "for every worker count)")
-    p_dec.add_argument("--chunk-size", type=int, default=None,
-                       help="the software-parallel backend's compress "
-                            "chunk; decompression ignores it (member "
-                            "runs are planned per 128 KiB)")
     _add_machine_arg(p_dec)
     _add_backend_args(p_dec, pool=True)
 
@@ -144,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: INPUT.rsix)")
     p_cat.add_argument("--no-index", action="store_true",
                        help="never read or write an index sidecar")
-    p_cat.add_argument("--workers", type=int, default=None,
-                       help="pool workers for full decodes (default: "
-                            "cpu count)")
-    p_cat.add_argument("--chunk-size", type=int, default=None,
-                       help="compressed bytes per member-run job "
-                            "(default 128 KiB, minimum 4096)")
 
     sub.add_parser("machines", help="list machine models")
 
@@ -422,10 +406,8 @@ def cmd_cat(args: argparse.Namespace) -> int:
     full decode, never to wrong bytes.
     """
     from .core.metrics import human_bytes
-    from .deflate.parallel_inflate import read_range
-    from .deflate.seekindex import SeekIndex
+    from .deflate.seekindex import SeekIndex, read_range
     from .errors import SeekIndexError
-    from .exec.pool import shutdown_default_pool
 
     payload = args.input.read_bytes()
     index_path = args.index or args.input.with_name(
@@ -452,46 +434,37 @@ def cmd_cat(args: argparse.Namespace) -> int:
                  f"{human_bytes(result.decoded_bytes)}, skipped "
                  f"{human_bytes(result.skipped_bytes)} of prefix")
         else:
-            data, index = _cat_full_decode(args, payload, index_path,
-                                           note)
+            data = _cat_full_decode(args, payload, index_path, note)
             data = data[offset:offset + length]
             note(f"range {offset}:{length} via full decode "
                  "(no usable index)")
     else:
-        data, index = _cat_full_decode(args, payload, index_path, note)
+        data = _cat_full_decode(args, payload, index_path, note)
 
     if args.output is not None:
         args.output.write_bytes(data)
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-    shutdown_default_pool()
     return 0
 
 
 def _cat_full_decode(args: argparse.Namespace, payload: bytes,
-                     index_path: pathlib.Path, note) -> tuple[bytes, object]:
+                     index_path: pathlib.Path, note) -> bytes:
     from .core.metrics import human_bytes
-    from .deflate.parallel_inflate import parallel_inflate
+    from .deflate.seekindex import decode_indexed
 
-    build = not args.no_index
-    result = parallel_inflate(payload, args.fmt,
-                              workers=args.workers,
-                              **({"chunk_size": args.chunk_size}
-                                 if args.chunk_size else {}),
-                              build_index=build)
+    result = decode_indexed(payload, args.fmt)
     note(f"decoded {human_bytes(len(result.data))} from "
-         f"{human_bytes(len(payload))} ({result.members} member(s), "
-         f"{result.chunks_used} parallel chunk(s), "
-         f"{result.serial_segments} serial segment(s))")
-    if build and result.index is not None and not index_path.exists():
+         f"{human_bytes(len(payload))} ({result.index.members} member(s))")
+    if not args.no_index and not index_path.exists():
         try:
             result.index.save(index_path)
             note(f"wrote seek index {index_path} "
                  f"({len(result.index.points)} points)")
         except OSError as exc:
             note(f"could not write index {index_path}: {exc}")
-    return result.data, result.index
+    return result.data
 
 
 def cmd_machines(_args: argparse.Namespace) -> int:

@@ -20,10 +20,8 @@ if TYPE_CHECKING:
     from .inflate_stream import InflateStream
     from .matcher import LEVEL_CONFIGS, MatcherConfig, MatchStats, tokenize
     from .parallel import DEFAULT_CHUNK_SIZE, parallel_deflate
-    from .parallel_inflate import (DEFAULT_INFLATE_CHUNK_SIZE,
-                                   ParallelInflateResult, RangeReadResult,
-                                   parallel_inflate, read_range)
-    from .seekindex import DEFAULT_SPACING, SeekIndex, SeekPoint
+    from .seekindex import (DEFAULT_SPACING, IndexedDecode, RangeReadResult,
+                            SeekIndex, SeekPoint, decode_indexed, read_range)
 
 __all__ = lazy_exports(__name__, {
     "checksums": "adler32 crc32",
@@ -35,7 +33,6 @@ __all__ = lazy_exports(__name__, {
     "inflate_stream": "InflateStream",
     "matcher": "LEVEL_CONFIGS MatcherConfig MatchStats tokenize",
     "parallel": "DEFAULT_CHUNK_SIZE parallel_deflate",
-    "parallel_inflate": "DEFAULT_INFLATE_CHUNK_SIZE ParallelInflateResult "
-                        "RangeReadResult parallel_inflate read_range",
-    "seekindex": "DEFAULT_SPACING SeekIndex SeekPoint",
+    "seekindex": "DEFAULT_SPACING IndexedDecode RangeReadResult SeekIndex "
+                 "SeekPoint decode_indexed read_range",
 })

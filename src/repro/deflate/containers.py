@@ -33,7 +33,7 @@ SUFFIXES = {"gzip": ".gz", "zlib": ".zz", "raw": ".deflate"}
 
 # -- the per-format table ------------------------------------------------------
 #
-# Everything that differs between the formats is in the next six
+# Everything that differs between the formats is in the next seven
 # functions; every producer and decoder in the package is built on them.
 
 def require_format(fmt: str, history: bytes = b"",
@@ -158,6 +158,13 @@ def verify_trailer(fmt: str, data: bytes, tail: int, check: int,
     return tail
 
 
+def member_follows(fmt: str, data: bytes, end: int) -> bool:
+    """Does another gzip member start at ``end``, where a stream's
+    trailer ended?  Only gzip has members (RFC 1952 section 2.2): what
+    follows a zlib or raw stream is its caller's business."""
+    return fmt == "gzip" and end < len(data)
+
+
 # -- built on the table --------------------------------------------------------
 
 def frame(fmt: str, body: bytes, check: int, size: int,
@@ -185,17 +192,39 @@ def encode(data: bytes, fmt: str, level: int = 6, history: bytes = b"",
 
 
 def decode_with_stats(
-        data: bytes, fmt: str, start: int = 0, history: bytes = b"",
+        data: bytes, fmt: str, history: bytes = b"",
         max_output: int = 1 << 31,
 ) -> tuple[bytes, InflateStats, int]:
-    """Decode the stream at ``start`` in a single inflate pass.
+    """Decode a payload: its one stream, or every member of a gzip
+    archive (RFC 1952 section 2.2).
 
-    One header parse, one inflate, one checksum.  Returns ``(output,
-    stats, end)`` with ``end`` the offset just past the trailer;
-    ``max_output`` aborts the decode with :class:`OutputOverflow` at the
-    cap, before any checksum work.  ``history`` is a raw unit's carried
-    window or a zlib preset dictionary (see :func:`body_start`).
+    One header parse, one inflate, one checksum per member.  Returns
+    ``(output, stats, end)`` with ``end`` the offset just past the last
+    trailer; bytes after a gzip member that are not another member are
+    a :class:`DeflateError`.  ``max_output`` caps the whole output: the
+    decode stops with :class:`OutputOverflow` there, before any checksum
+    work.  ``history`` is a raw unit's carried window or a zlib preset
+    dictionary (see :func:`body_start`).
     """
+    out, stats, end = _decode_stream(data, fmt, 0, history, max_output)
+    parts, produced = [out], len(out)
+    while member_follows(fmt, data, end):
+        out, more, end = _decode_stream(data, fmt, end, b"",
+                                        max_output - produced)
+        parts.append(out)
+        produced += len(out)
+        stats.literals += more.literals
+        stats.matches += more.matches
+        stats.match_bytes += more.match_bytes
+        stats.blocks += more.blocks
+    # One member: join hands back the member's own bytes, no copy.
+    return b"".join(parts), stats, end
+
+
+def _decode_stream(data: bytes, fmt: str, start: int, history: bytes,
+                   max_output: int) -> tuple[bytes, InflateStats, int]:
+    """The stream (or gzip member) at ``start``, in a single inflate
+    pass; ``end`` is the offset just past its trailer."""
     body, window = body_start(fmt, data, start, history)
     out, stats, bits = inflate_with_stats(data, start=body,
                                           max_output=max_output,
@@ -265,22 +294,9 @@ def gzip_header_length(data: bytes, start: int = 0) -> int:
 
 
 def gzip_decompress(data: bytes) -> bytes:
-    """Decompress one RFC 1952 (gzip) member, verifying CRC-32 and ISIZE."""
+    """Decompress an RFC 1952 (gzip) archive, every member of it,
+    verifying each member's CRC-32 and ISIZE."""
     return decode_with_stats(data, "gzip")[0]
-
-
-def gzip_decompress_members(data: bytes) -> bytes:
-    """Decompress a concatenation of gzip members (RFC 1952 section 2.2).
-
-    ``tar``-less archives and per-request accelerator outputs are often
-    shipped this way; stdlib ``gzip.decompress`` accepts the same input.
-    """
-    out = bytearray()
-    pos = 0
-    while pos < len(data):
-        member, _stats, pos = decode_with_stats(data, "gzip", pos)
-        out += member
-    return bytes(out)
 
 
 def decompress_target_len(payload: bytes, fmt: str) -> int:

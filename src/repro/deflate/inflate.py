@@ -344,7 +344,7 @@ def read_block_header(reader: BitReader) -> tuple[
 
 
 def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
-                   stats: InflateStats, stop_bit: int | None = None,
+                   stats: InflateStats,
                    want_bytes: int | None = None) -> bool:
     """Decode whole blocks from ``reader`` onto the end of ``out``.
 
@@ -352,9 +352,9 @@ def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
     ``out`` arrives holding the back-reference window (history, or
     nothing at a member start) and may grow by at most ``budget`` bytes
     before :class:`OutputOverflow`.  Stops after the final block
-    (returns True) or, returning False, after the first block that ends
-    at/after ``stop_bit`` or brings this call's output to
-    ``want_bytes``.  ``reader.bits_consumed`` is the next block's bit.
+    (returns True) or, returning False, after the first block that
+    brings this call's output to ``want_bytes``.
+    ``reader.bits_consumed`` is the next block's bit.
     """
     base = len(out)
     limit = base + budget
@@ -370,8 +370,6 @@ def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
             _inflate_huffman_block(reader, out, *body, stats, limit)
         if final:
             return True
-        if stop_bit is not None and reader.bits_consumed >= stop_bit:
-            return False
         if want_bytes is not None and len(out) - base >= want_bytes:
             return False
 

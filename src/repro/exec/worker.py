@@ -58,7 +58,6 @@ _WORKER_FNS: dict[str, Callable | str] = {
     "crash": "repro.exec.worker:crash",
     "backend_job": "repro.exec.worker:backend_job",
     "deflate_chunk": "repro.deflate.parallel:compress_chunk",
-    "inflate_chunk": "repro.deflate.parallel_inflate:inflate_chunk_job",
 }
 
 

@@ -112,18 +112,17 @@ class TestCat:
     def test_full_decode_writes_sidecar(self, gz_pair, tmp_path):
         gz, plain = gz_pair
         out = tmp_path / "plain.bin"
-        assert main(["cat", str(gz), "-o", str(out), "--workers", "1"]) \
-            == 0
+        assert main(["cat", str(gz), "-o", str(out)]) == 0
         assert out.read_bytes() == plain
         assert gz.with_name(gz.name + ".rsix").exists()
 
     def test_range_via_sidecar_index(self, gz_pair, tmp_path, capsys):
         gz, plain = gz_pair
         full = tmp_path / "full.bin"
-        main(["cat", str(gz), "-o", str(full), "--workers", "1"])
+        main(["cat", str(gz), "-o", str(full)])
         part = tmp_path / "part.bin"
         assert main(["cat", str(gz), "--range", "61000:2048",
-                     "-o", str(part), "--workers", "1"]) == 0
+                     "-o", str(part)]) == 0
         assert part.read_bytes() == plain[61000:63048]
         assert "via index" in capsys.readouterr().err
 
@@ -132,7 +131,7 @@ class TestCat:
         gz, plain = gz_pair
         part = tmp_path / "part.bin"
         assert main(["cat", str(gz), "--range", "100:50", "-o",
-                     str(part), "--no-index", "--workers", "1"]) == 0
+                     str(part), "--no-index"]) == 0
         assert part.read_bytes() == plain[100:150]
         assert "full decode" in capsys.readouterr().err
 
@@ -142,7 +141,7 @@ class TestCat:
         gz.with_name(gz.name + ".rsix").write_bytes(b"RSIXgarbage")
         part = tmp_path / "part.bin"
         assert main(["cat", str(gz), "--range", "500:100", "-o",
-                     str(part), "--workers", "1"]) == 0
+                     str(part)]) == 0
         assert part.read_bytes() == plain[500:600]
         assert "ignoring index" in capsys.readouterr().err
 
@@ -154,8 +153,7 @@ class TestCat:
 
     def test_stdout_path(self, gz_pair, capsysbinary):
         gz, plain = gz_pair
-        assert main(["cat", str(gz), "--no-index", "--workers", "1"]) \
-            == 0
+        assert main(["cat", str(gz), "--no-index"]) == 0
         assert capsysbinary.readouterr().out == plain
 
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.backend import create_backend
-from repro.deflate.bitio import BitReader, BitWriter
+from repro.deflate.bitio import BitReader, BitWriter, reader_at
 from repro.deflate.compress import deflate
 from repro.deflate.constants import (
     CODELEN_ORDER,
@@ -606,14 +606,17 @@ class TestBlockBoundaries:
         stream, ends = self._three_blocks()
         # Trailing bytes, so that refills run ahead of every block end.
         for tail in (b"", bytes(16)):
-            for stop_bit in range(ends[-1] + 2):
-                reader = BitReader(stream + tail)
-                final = inflate_blocks(reader, bytearray(), 1 << 20,
-                                       InflateStats(), stop_bit=stop_bit)
-                want = next((end for end in ends if end >= stop_bit),
-                            ends[-1])
-                assert reader.bits_consumed == want
-                assert final == (want == ends[-1])
+            bit, out = 0, bytearray()
+            for end in ends:
+                # One block a call, each resumed where the last one
+                # stopped, as the seek-index walker resumes.
+                reader = reader_at(stream + tail, bit)
+                final = inflate_blocks(reader, out, 1 << 20,
+                                       InflateStats(), want_bytes=1)
+                bit = reader.bits_consumed
+                assert bit == end
+                assert final == (end == ends[-1])
+            assert out == b"firststoredlastlastl"
 
 
 # -- root tables ---------------------------------------------------------------

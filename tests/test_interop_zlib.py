@@ -124,8 +124,8 @@ def test_stdlib_decodes_nx_output(text_20k, json_20k, random_8k):
 #
 # Seeded archives concatenate gzip members from *both* compressors at
 # mixed levels (level 0 forces stored blocks; tiny members force tiny
-# final blocks), then the parallel-inflate engine must agree
-# byte-for-byte with the stdlib's multi-member decoder.
+# final blocks), then both member walkers must agree byte-for-byte
+# with the stdlib's multi-member decoder.
 
 
 def _fuzz_member(rng: random.Random) -> tuple[bytes, bytes]:
@@ -143,35 +143,24 @@ def _fuzz_member(rng: random.Random) -> tuple[bytes, bytes]:
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_fuzz_multimember_parallel_inflate(seed):
+def test_fuzz_multimember_archive(seed):
+    """Random stdlib + repro archives through both member walkers: the
+    container decoder's and the seek-index decode's."""
     import gzip as stdgzip
 
-    from repro.deflate.parallel_inflate import parallel_inflate
+    from repro.deflate.containers import decode_with_stats
+    from repro.deflate.seekindex import decode_indexed
 
     rng = random.Random(0xA11CE + seed)
     pairs = [_fuzz_member(rng) for _ in range(rng.randrange(1, 5))]
     plain = b"".join(p for p, _ in pairs)
     archive = b"".join(m for _, m in pairs)
-    result = parallel_inflate(archive, "gzip", workers=1,
-                              chunk_size=4096)
+    result = decode_indexed(archive, "gzip", index_spacing=4096)
     assert result.data == plain == stdgzip.decompress(archive), seed
-    assert result.members == len(pairs), seed
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_fuzz_multimember_speculative_resolve(seed):
-    """Same archives through the inline member-run path (every planned
-    run decoded ahead and spliced), which must change nothing."""
-    import gzip as stdgzip
-
-    from tests.test_parallel_inflate import _speculative
-
-    rng = random.Random(0xBEE5 + seed)
-    pairs = [_fuzz_member(rng) for _ in range(rng.randrange(2, 6))]
-    plain = b"".join(p for p, _ in pairs)
-    archive = b"".join(m for _, m in pairs)
-    out, _, _ = _speculative(archive, chunk_size=4096)
-    assert out == plain == stdgzip.decompress(archive), seed
+    assert result.index.members == len(pairs), seed
+    out, stats, end = decode_with_stats(archive, "gzip")
+    assert out == plain and end == len(archive), seed
+    assert stats.literals + stats.match_bytes == len(plain), seed
 
 
 # -- priming-dictionary (zdict) differential ---------------------------------
@@ -304,11 +293,14 @@ def _hostile_streams() -> list[tuple[str, str, bytes, bytes]]:
     ]
 
 
-@pytest.mark.parametrize("backend,kwargs", [
+_FIVE_BACKENDS = pytest.mark.parametrize("backend,kwargs", [
     ("software", {}), ("software-parallel", {"workers": 1}),
     ("software-parallel", {"workers": 2}), ("nx", {}),
     ("dfltcc", {"machine": "z15"})],
     ids=["software", "parallel-1", "parallel-2", "nx", "dfltcc"])
+
+
+@_FIVE_BACKENDS
 @pytest.mark.parametrize("case", _hostile_streams(), ids=lambda c: c[0])
 def test_hostile_header_refused_alike(case, backend, kwargs):
     from repro.backend import create_backend
@@ -321,4 +313,29 @@ def test_hostile_header_refused_alike(case, backend, kwargs):
     with create_backend(backend, **kwargs) as handle:
         with pytest.raises(DeflateError) as refused:
             handle.decompress(payload, fmt=fmt, history=zdict)
+    assert refused.type is reference.type
+
+
+@_FIVE_BACKENDS
+def test_multi_member_archive_decoded_whole_alike(backend, kwargs):
+    """A gzip payload is all of its members (RFC 1952 section 2.2), on
+    every backend, and bytes after a member that are not another member
+    are refused as decoding them alone is."""
+    import gzip as stdgzip
+
+    from repro.backend import create_backend
+    from repro.deflate.containers import decode_with_stats, gzip_compress
+    from repro.errors import DeflateError
+
+    archive = stdgzip.compress(b"hello " * 100) \
+        + gzip_compress(b"world " * 100) + stdgzip.compress(b"!", 1)
+    garbage = b"garbage!"
+    with pytest.raises(DeflateError) as reference:
+        decode_with_stats(garbage, "gzip")
+    with create_backend(backend, **kwargs) as handle:
+        assert handle.decompress(archive, fmt="gzip").output \
+            == stdgzip.decompress(archive)
+        with pytest.raises(DeflateError) as refused:
+            handle.decompress(stdgzip.compress(b"hello") + garbage,
+                              fmt="gzip")
     assert refused.type is reference.type

@@ -119,8 +119,8 @@ class TestSoftwareParallelBackend:
                                ) == data
 
     def test_small_payload_decodes_inline(self, backend):
-        """12 KB is far under the 128 KiB planning chunk: no pool jobs,
-        one inline segment, modelled time for one worker."""
+        """Decompression is the software backend's: one submission,
+        modelled time for one core."""
         import gzip
         data = generate("random_bytes", 12000, seed=9)
         back = backend.decompress(gzip.compress(data), fmt="gzip")

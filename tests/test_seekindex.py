@@ -10,8 +10,8 @@ slice.
 import pytest
 
 from repro.deflate.containers import gzip_compress, zlib_compress
-from repro.deflate.parallel_inflate import parallel_inflate, read_range
-from repro.deflate.seekindex import DEFAULT_SPACING, MAGIC, SeekIndex
+from repro.deflate.seekindex import (DEFAULT_SPACING, MAGIC, SeekIndex,
+                                    decode_indexed, read_range)
 from repro.errors import DeflateError, ReproError, SeekIndexError
 from repro.obs.metrics import REGISTRY
 from repro.workloads.generators import generate
@@ -25,8 +25,7 @@ def archive():
              generate("binary_executable", 50000, seed=63)]
     plain = b"".join(parts)
     blob = b"".join(gzip_compress(p, level=6) for p in parts)
-    result = parallel_inflate(blob, "gzip", workers=1, build_index=True,
-                              index_spacing=32768)
+    result = decode_indexed(blob, "gzip", index_spacing=32768)
     assert result.data == plain
     return blob, plain, result.index
 
@@ -78,8 +77,7 @@ class TestRoundTrip:
 
     def test_build_index_function(self, archive):
         blob, plain, _ = archive
-        index = parallel_inflate(blob, "gzip", workers=1, build_index=True,
-                                 index_spacing=32768).index
+        index = decode_indexed(blob, "gzip", index_spacing=32768).index
         assert index.output_size == len(plain)
         assert index.compressed_size == len(blob)
         rr = read_range(blob, 100000, 3000, index=index)
@@ -152,8 +150,7 @@ class TestReadRange:
         parts = [generate(kind, 45000, seed=s) for s in (71, 72)]
         plain = b"".join(parts)
         blob = b"".join(gzip_compress(p, level=6) for p in parts)
-        result = parallel_inflate(blob, "gzip", workers=1,
-                                  build_index=True, index_spacing=16384)
+        result = decode_indexed(blob, "gzip", index_spacing=16384)
         for off in (0, 1, 44999, 45000, 60001, len(plain) - 10):
             rr = read_range(blob, off, 4096, index=result.index)
             assert rr.data == plain[off:off + 4096], (kind, off)
@@ -192,8 +189,7 @@ class TestReadRange:
     def test_zlib_index_round_trip(self):
         data = generate("markov_text", 90000, seed=73)
         blob = zlib_compress(data, level=6)
-        result = parallel_inflate(blob, "zlib", workers=1,
-                                  build_index=True, index_spacing=16384)
+        result = decode_indexed(blob, "zlib", index_spacing=16384)
         rr = read_range(blob, 40000, 1000, index=result.index)
         assert rr.data == data[40000:41000]
 

@@ -343,19 +343,23 @@ class TestTargetHint:
         payload = stdgzip.compress(text_20k + json_20k) + small
         assert decompress_target_len(payload, "gzip") == 4096
         result = accel.decompress(payload)
-        assert result.output == text_20k + json_20k
-        assert result.stats.submissions == 5  # 4 KB doubled to 64 KB
+        assert result.output == text_20k + json_20k + b"tiny"
+        # 4 KB doubled to 64 KB; XPND expands the second member in an
+        # issue of its own.
+        assert result.stats.submissions \
+            == (6 if accel.backend.name == "dfltcc" else 5)
         if accel.backend.name == "nx":
             assert result.stats.target_overflows == 4
 
     def test_multi_member_and_trailing_garbage(self, accel, text_20k,
                                                json_20k):
         first = stdgzip.compress(text_20k)
-        for payload in (first + stdgzip.compress(json_20k + json_20k),
-                        first + b"\x00" * 64,
-                        first + b"\xff" * 7):
-            result = accel.decompress(payload)
-            assert result.output == text_20k
+        assert accel.decompress(
+            first + stdgzip.compress(json_20k + json_20k)).output \
+            == text_20k + json_20k + json_20k
+        for garbage in (b"\x00" * 64, b"\xff" * 7):
+            with pytest.raises(DeflateError):
+                accel.decompress(first + garbage)
 
     def test_truncated_trailer_is_typed(self, accel, text_20k):
         member = stdgzip.compress(text_20k)
@@ -409,10 +413,15 @@ def test_hint_at_least_true_size_means_one_submission(property_backends,
     """Any stated size >= the true one — however inflated — decodes in
     exactly one submission on every accelerator path."""
     hint = min(len(plain) + excess, 0xFFFFFFFF)
-    # The hint rides in the last four bytes; they are not the member's
-    # own trailer here, so the honest member still verifies.
-    payload = stdgzip.compress(plain) + b"\x00" * 4 + struct.pack("<I", hint)
+    # The hint rides in the member's own ISIZE field: a forged one still
+    # decodes in one submission, then fails its ISIZE check.
+    payload = _forge_isize(stdgzip.compress(plain), hint)
     for handle in property_backends.values():
-        result = handle.decompress(payload)
-        assert result.output == plain
-        assert result.stats.submissions == 1
+        with pytest.MonkeyPatch.context() as patch:
+            targets = _spy_first_target(handle, patch)
+            if hint == len(plain):
+                assert handle.decompress(payload).output == plain
+            else:
+                with pytest.raises(ChecksumError, match="ISIZE"):
+                    handle.decompress(payload)
+        assert len(targets) == 1

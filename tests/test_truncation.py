@@ -79,7 +79,6 @@ def _gzip_decoders() -> dict:
     from repro.backend import create_backend
     from repro.deflate.containers import (decode_with_stats,
                                           gzip_decompress,
-                                          gzip_decompress_members,
                                           gzip_header_length)
 
     def via(name: str, machine: str):
@@ -93,7 +92,6 @@ def _gzip_decoders() -> dict:
 
     return {
         "gzip_decompress": gzip_decompress,
-        "gzip_decompress_members": gzip_decompress_members,
         "gzip_member_length": lambda payload: decode_with_stats(
             payload, "gzip")[2],
         "gzip_header_length": gzip_header_length,
@@ -107,9 +105,9 @@ def _gzip_decoders() -> dict:
 def test_every_gzip_header_cut_raises_typed(name: str) -> None:
     decode = _gzip_decoders()[name]
     member, header_len = _full_header_member()
-    # An empty archive is a valid concatenation of zero members, and an
-    # empty source is the engine's own CC (DATA_LENGTH), not a stream error.
-    first_cut = 1 if name in ("gzip_decompress_members", "nx") else 0
+    # An empty source is the engine's own CC (DATA_LENGTH), not a stream
+    # error.
+    first_cut = 1 if name == "nx" else 0
     for cut in range(first_cut, header_len):
         with pytest.raises(DeflateError):
             decode(member[:cut])

@@ -78,14 +78,8 @@ TABLE = (
     Row("parallel_deflate_mbps.2", "hotpath", "higher", DRIFT, 2),
     Row("parallel_deflate_mbps.4", "hotpath", "higher", DRIFT, 2),
     Row("parallel_deflate_cold_mbps.1", "hotpath", "higher", DRIFT),
-    Row("parallel_inflate_mbps.1", "hotpath", "higher", DRIFT),
-    Row("parallel_inflate_mbps.2", "hotpath", "higher", DRIFT, 2),
-    Row("parallel_inflate_mbps.4", "hotpath", "higher", DRIFT, 2),
-    Row("parallel_inflate_cold_mbps.1", "hotpath", "higher", DRIFT),
     # Two warm workers beat one.
     Row("parallel_deflate_mbps.2/parallel_deflate_mbps.1", "hotpath",
-        "higher", 1.0, 2),
-    Row("parallel_inflate_mbps.2/parallel_inflate_mbps.1", "hotpath",
         "higher", 1.0, 2),
     # The disabled tracer's null spans and the flight recorder cost < 2 %.
     Row("deflate_l6_off_overhead_pct", "obs", "lower", 2.0),
