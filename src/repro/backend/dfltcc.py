@@ -87,6 +87,9 @@ class DfltccBackend(CompressionBackend):
                                           crc=block.check_value),
                                  len(result.produced))
             parts.append(result.produced)
+            # The ISIZE hint is the last member's: a later member starts
+            # from the largest target an earlier one needed.
+            capacity = max(capacity, len(result.produced))
             seconds += result.seconds
             invocations += issues
             if not member_follows(fmt, payload, end):

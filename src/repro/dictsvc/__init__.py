@@ -10,10 +10,10 @@ package productizes that engine feature across tenants:
   per cluster, versioned; a push swaps a service's immutable
   :class:`~repro.nx.dht.CannedLibrary`, which each job carries.
 * :class:`ResultCache` is a content-addressed compressed-result cache
-  (sha256 of payload, codec parameters and the job's library key),
-  bounded by entries and bytes
-  with per-tenant quotas, with singleflight so N concurrent misses on
-  one key run exactly one compression.
+  (keyed on the payload, codec parameters and the job's library key),
+  bounded by entries and bytes with per-tenant quotas, with
+  singleflight so N concurrent misses on one key run exactly one
+  compression.
 """
 
 from typing import TYPE_CHECKING

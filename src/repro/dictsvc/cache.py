@@ -1,10 +1,11 @@
 """Content-addressed compressed-result cache with singleflight.
 
 A million-user service sees heavy key skew: the same hot objects are
-compressed over and over.  This cache addresses results by content —
-``sha256(op | fmt | strategy | canned library | payload)`` — so identical
-requests are served from memory at hash cost instead of accelerator
-cost, regardless of which client sent them.  It is
+compressed over and over.  This cache addresses results by the request
+itself — ``(op, fmt, strategy, canned library, payload)``, compared byte
+for byte, so no digest collision can serve another payload's result —
+and serves identical requests from memory instead of the accelerator,
+regardless of which client sent them.  It is
 :mod:`repro.dictsvc.keyed`'s LRU and claim table behind three
 guarantees, each carried by an exact counter:
 
@@ -15,13 +16,12 @@ guarantees, each carried by an exact counter:
   resolve into one of the two;
 * **bounds** — a global LRU capped by entries *and* bytes, plus
   per-tenant quotas so one chatty tenant cannot wash out the others.
-  A blob larger than any applicable byte bound is simply not cached
-  (``uncacheable``) rather than evicting the world.
+  An entry (result plus the payload its key holds) larger than any
+  applicable byte bound is simply not cached (``uncacheable``) rather
+  than evicting the world.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -34,18 +34,15 @@ DEFAULT_MAX_TENANTS = 64
 
 
 def result_key(payload: bytes, *, op: str = "compress", fmt: str = "raw",
-               strategy: str = "auto", epoch: int | str = 0) -> str:
-    """Content address of one codec result.
+               strategy: str = "auto", epoch: int | str = 0) -> tuple:
+    """Content address of one codec result: the request itself.
 
     Every parameter that changes the output bytes must be part of the
     key; the service passes the key of the canned library the job
     carries to the engine (:attr:`repro.nx.dht.CannedLibrary.key`) as
     ``epoch``, so a push re-keys every result, without a flush.
     """
-    h = hashlib.sha256()
-    h.update(f"{op}|{fmt}|{strategy}|{epoch}|".encode("ascii"))
-    h.update(payload)
-    return h.hexdigest()
+    return op, fmt, strategy, epoch, bytes(payload)
 
 
 class ResultCache(KeyedCache):
@@ -69,7 +66,7 @@ class ResultCache(KeyedCache):
 
     # -- the dispatch-facing protocol -----------------------------------------
 
-    def begin(self, tenant: str, key: str, park=None):
+    def begin(self, tenant: str, key: tuple | str, park=None):
         """Start (or join) one keyed compression.
 
         Returns one of::
@@ -105,19 +102,23 @@ class ResultCache(KeyedCache):
             self._count("miss")
             return "leader", claim
 
-    def commit(self, tenant: str, key: str, blob: bytes) -> bool:
+    def commit(self, tenant: str, key: tuple | str, blob: bytes) -> bool:
         """Store the leader's result and wake parked followers.
 
-        Returns False when the blob exceeded a byte bound and was not
-        cached (followers still wake and will re-execute on retry — the
-        cache never blocks progress, it only dedupes it).
+        Returns False when the entry (blob plus key payload) exceeded a
+        byte bound and was not cached (followers still wake and will
+        re-execute on retry — the cache never blocks progress, it only
+        dedupes it).
         """
         with self._lock:
-            cacheable = len(blob) <= min(self._lru.max_bytes,
-                                         self._lru.tenant_max_bytes)
+            # A result_key holds its payload: charged beside the blob.
+            nbytes = len(blob) + (len(key[-1]) if isinstance(key, tuple)
+                                  else 0)
+            cacheable = nbytes <= min(self._lru.max_bytes,
+                                      self._lru.tenant_max_bytes)
             if cacheable:
                 before = self._lru.evictions
-                self._lru.put(tenant, key, blob, len(blob))
+                self._lru.put(tenant, key, blob, nbytes)
                 if self._lru.evictions > before:
                     _REGISTRY.counter(
                         "repro_cache_evictions_total",
@@ -126,7 +127,7 @@ class ResultCache(KeyedCache):
             else:
                 self.uncacheable += 1
                 _FLIGHT.record("cache.uncacheable", tenant=tenant,
-                               nbytes=len(blob))
+                               nbytes=nbytes)
             # The leader hands each parked follower its own result: for
             # the accounting every one of them is a hit.
             for _ in self._claims.release((tenant, key)):
@@ -135,13 +136,13 @@ class ResultCache(KeyedCache):
                 self._count("hit")
             return cacheable
 
-    def abort(self, tenant: str, key: str) -> None:
+    def abort(self, tenant: str, key: tuple | str) -> None:
         """The leader failed: free the key so a follower can re-claim."""
         with self._lock:
             self.aborts += 1
             self._claims.release((tenant, key))
 
-    def get_or_compute(self, tenant: str, key: str, compute):
+    def get_or_compute(self, tenant: str, key: tuple | str, compute):
         """Blocking convenience: resolve one request to result bytes.
 
         ``compute()`` runs at most once across all concurrent callers
@@ -194,7 +195,7 @@ class ResultCache(KeyedCache):
                 "tenants": len(self._lru.tenants),
             }
 
-    def snapshot_keys(self) -> list[tuple[str, str]]:
+    def snapshot_keys(self) -> list[tuple[str, tuple | str]]:
         """Global LRU order, oldest first (for the property suite)."""
         with self._lock:
             return list(self._lru.order)

@@ -359,7 +359,11 @@ class CannedLibrary:
 
     @cached_property
     def key(self) -> str:
-        """sha256 of the content; hashlib (OpenSSL) loads where it is read."""
+        """sha256 of the content; hashlib (OpenSSL) loads only where a
+        trained library's is read, the built-in one's being a constant."""
+        if not self._content:  # sha256(repr(()))
+            return ("2e38e77b22c314a449e91fafed92a438"
+                    "26ac6aa403ae6a8acb6cf58239fbaf5d")
         import hashlib
 
         return hashlib.sha256(repr(self._content).encode()).hexdigest()

@@ -12,6 +12,7 @@ the cache mounted.
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 import random
 import signal
@@ -26,7 +27,7 @@ from repro.dictsvc import DictionaryRegistry, ResultCache, result_key
 from repro.dictsvc.cache import _Claim
 from repro.errors import ConfigError
 from repro.nx.compressor import NxCompressor
-from repro.nx.dht import BUILTIN, DhtStrategy, canned_dht
+from repro.nx.dht import BUILTIN, CannedLibrary, DhtStrategy, canned_dht
 from repro.nx.params import POWER9, Z15
 from repro.service import CompressionService
 from repro.workloads.generators import generate
@@ -65,6 +66,20 @@ class TestResultKey:
     def test_no_field_payload_confusion(self) -> None:
         # The separator keeps (params, payload) framing unambiguous.
         assert result_key(b"|x", fmt="raw") != result_key(b"x", fmt="raw|")
+
+    def test_a_buffer_is_frozen_to_bytes(self) -> None:
+        buffer = bytearray(b"payload")
+        key = result_key(memoryview(buffer))
+        buffer[0] = ord("P")
+        assert key == result_key(b"payload") != result_key(buffer)
+        assert type(key[-1]) is bytes
+
+    def test_builtin_library_key_is_the_digest_of_no_tables(self) -> None:
+        # A constant, so a server with no pushed tables never loads
+        # hashlib; it must still be the digest a computed key would be.
+        assert CannedLibrary().key == BUILTIN.key \
+            == hashlib.sha256(b"()").hexdigest()
+        assert _trained_library().key != BUILTIN.key
 
 
 # -- singleflight storms ------------------------------------------------------
@@ -255,6 +270,28 @@ class TestLruBounds:
         state, _ = cache.begin("t", "big")
         assert state == "leader"
         cache.abort("t", "big")
+
+    def test_key_payload_is_charged_to_the_byte_bound(self) -> None:
+        cache = ResultCache(max_bytes=100)
+        key = result_key(bytes(60))
+        assert cache.begin("t", key)[0] == "leader"
+        assert cache.commit("t", key, bytes(41)) is False
+        assert cache.stats()["uncacheable"] == 1
+        assert cache.begin("t", key)[0] == "leader"
+        assert cache.commit("t", key, bytes(40)) is True
+        assert cache.cached_bytes() == 100
+
+    def test_payloads_one_byte_apart_are_two_entries(self) -> None:
+        cache = ResultCache()
+        payload = bytearray(generate("markov_text", 4096, seed=2))
+        keys = []
+        for blob in (b"first", b"second"):
+            keys.append(result_key(payload))
+            cache.get_or_compute("t", keys[-1], lambda blob=blob: blob)
+            payload[-1] ^= 1
+        assert cache.entries() == 2
+        assert [cache.begin("t", key) for key in keys] \
+            == [("hit", b"first"), ("hit", b"second")]
 
     def test_tenant_quota_shields_other_tenants(self) -> None:
         cache = ResultCache(max_entries=100, max_bytes=1 << 20,

@@ -13,9 +13,11 @@ equivalent".
 from __future__ import annotations
 
 import pathlib
+import time
 
 import pytest
 
+from repro.service.client import ServiceClient
 from tools.record_goldens import SECTIONS, recorded
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -68,3 +70,20 @@ test_chaos_grid_is_the_recorded_one = _grid("golden_chaos.json")
 test_chaos_golden = _replay("golden_chaos.json")
 test_telemetry_grid_is_the_recorded_one = _grid("golden_telemetry.json")
 test_telemetry_golden = _replay("golden_telemetry.json")
+
+
+@pytest.mark.parametrize("case", sorted(SECTIONS["golden_telemetry.json"]()))
+def test_telemetry_golden_holds_when_the_accept_is_counted_first(
+        case: str, monkeypatch) -> None:
+    """The server counts a connection on its handler thread; a client
+    that stalls after the dial lets it do so before the request is
+    sent.  The recorded case must not depend on which comes first."""
+    dial = ServiceClient._connect
+
+    def dial_then_stall(self) -> None:
+        dial(self)
+        time.sleep(0.2)
+
+    monkeypatch.setattr(ServiceClient, "_connect", dial_then_stall)
+    assert SECTIONS["golden_telemetry.json"]()[case]() \
+        == recorded("golden_telemetry.json")[case]

@@ -16,6 +16,7 @@ and, where the package is installed, the ``repro`` console script
 
 from __future__ import annotations
 
+import gzip
 import os
 import pkgutil
 import re
@@ -28,6 +29,7 @@ from importlib import import_module
 import pytest
 
 import repro
+from repro.service import ServiceClient
 
 ENTRY_POINTS = {"python-m-repro": [sys.executable, "-m", "repro"]}
 if shutil.which("repro"):
@@ -84,6 +86,30 @@ def imports_of(argv: list[str]) -> Imports:
     return Imports(done.stderr)
 
 
+def served_imports(log_path, args: list[str], payloads: list[bytes]):
+    """A ``python -m repro serve ARGS`` tree that answered one compress
+    request per payload, then stopped: its imports and the replies."""
+    with open(log_path, "w+") as log:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+            env={**os.environ, "PYTHONPROFILEIMPORTTIME": "1"},
+            stdout=subprocess.PIPE, stderr=log, text=True)
+        try:
+            for line in server.stdout:  # after a clamp notice on 1 CPU
+                if "serving on" in line:
+                    break
+            port = int(re.search(r":(\d+) ", line).group(1))
+            with ServiceClient(port=port) as client:
+                replies = [client.compress(payload, fmt="gzip")
+                           for payload in payloads]
+        finally:
+            server.terminate()
+            server.communicate(timeout=60)
+        assert server.returncode == 0
+        log.seek(0)
+        return Imports(log.read()), replies
+
+
 def test_an_exec_worker_loads_one_backend_stack():
     """``import repro.exec.worker`` and one real ``dfltcc`` job: the
     codec, the engine model and the driver types — no service, CLI, ops
@@ -125,7 +151,21 @@ def test_a_server_loads_no_study_and_no_ops_plane(entry):
                    "repro.perf.des", "repro.perf.queueing",
                    "repro.perf.timing", "repro.perf.tco", "repro.perf.energy",
                    "repro.perf.system", "repro.exec", "repro.nx.z15",
-                   "http.server", "ssl", "concurrent.futures")
+                   "http.server", "ssl", "concurrent.futures",
+                   "hashlib", "_hashlib")
+
+
+def test_a_cache_hit_loads_no_hashlib(tmp_path):
+    """The result cache keys on the request's own bytes, and the
+    built-in table library's key is a constant: ``serve --cache-mb``
+    answers a miss and then a hit without OpenSSL's ~3.5 MB."""
+    payload = bytes(range(256)) * 16
+    imports, (miss, hit) = served_imports(
+        tmp_path / "log", ["--backend", "nx", "--cache-mb", "16"],
+        [payload, payload])
+    assert miss.modelled_s > 0 and hit.modelled_s == 0, "no cache hit"
+    assert hit.output == miss.output
+    imports.refuse("hashlib", "_hashlib")
 
 
 @entry_points
@@ -142,19 +182,24 @@ def test_help_loads_the_parser_choices_and_nothing_else(entry):
                    "repro.resilience", "repro.service", "numpy")
 
 
-def test_a_spawned_worker_of_the_server_never_loads_the_cli():
+def test_a_spawned_worker_of_the_server_never_loads_the_cli(tmp_path):
     """Of a ``python -m repro`` server and its workers only the server
     loads ``repro.cli``, while every one of them loads the worker loop;
     and no process of the tree loads ``multiprocessing`` or the
-    ``secrets`` module its shared memory needs."""
-    imports = imports_of([sys.executable, "-m", "repro", "serve",
-                          "--machine", "z15", "--backend", "dfltcc",
-                          "--exec-workers", "1", "--duration-s", "0.5"])
+    ``secrets`` module its shared memory needs, nor — the exec parent
+    keys the library it sends a worker by :attr:`CannedLibrary.key`,
+    the built-in one's a constant — ``hashlib`` after a reply."""
+    payload = bytes(range(256)) * 128
+    imports, (reply,) = served_imports(
+        tmp_path / "log", ["--machine", "z15", "--backend", "dfltcc",
+                           "--exec-workers", "1"], [payload])
+    assert gzip.decompress(reply.output) == payload
     assert len(imports.matching("repro.exec.worker")) >= 2, \
         "expected the server and its workers"
     cli = imports.matching("repro.cli")
     assert len(cli) == 1, "\n  ".join(cli)
-    imports.refuse("multiprocessing", "repro.exec.shm", "secrets")
+    imports.refuse("multiprocessing", "repro.exec.shm", "secrets",
+                   "hashlib", "_hashlib")
 
 
 def _children(pid: int) -> list[int]:

@@ -1,9 +1,11 @@
 """DFLTCC instruction model: function codes, continuation, CC semantics."""
 
+import gzip as stdgzip
 import zlib as stdzlib
 
 import pytest
 
+from repro.backend.dfltcc import DfltccBackend
 from repro.errors import AcceleratorError
 from repro.nx.dht import DhtStrategy
 from repro.nx.params import POWER9
@@ -175,6 +177,17 @@ class TestXpnd:
         block = ParameterBlock()
         facility.expand(block, stream)
         assert block.check_value == stdzlib.crc32(payload_200k)
+
+    def test_members_start_from_the_largest_target_yet(self):
+        """The ISIZE hint is the last member's (4 bytes here, so 4 KB):
+        the first 12 KB member doubles its way up in three issues, and
+        every later one starts from the 12 KB it needed."""
+        members = [generate("markov_text", 12000, seed=s) for s in range(4)]
+        archive = b"".join(stdgzip.compress(m) for m in members)
+        archive += stdgzip.compress(b"tiny")
+        result = DfltccBackend().decompress(archive, fmt="gzip")
+        assert result.output == b"".join(members) + b"tiny"
+        assert result.stats.submissions == 3 + 1 + 1 + 1 + 1
 
 
 class TestTimingShape:

@@ -655,9 +655,14 @@ def _telemetry_case(kwargs: dict, op: str, qos: str, payload: bytes,
     service = CompressionService(chips=2, **kwargs)
     server = serve(service)
     try:
+        # The server counts the accept on its handler thread, whenever
+        # that runs: a one-request case traces from before the dial.
+        if requests == 1:
+            obs.reset()
+            obs.enable()
         with ServiceClient(port=server.port) as client:
             for sent in range(requests):
-                if sent == requests - 1:
+                if 0 < sent == requests - 1:
                     obs.reset()
                     obs.enable()
                 client.request(op, payload, qos=qos, fmt="gzip")
