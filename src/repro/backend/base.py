@@ -27,7 +27,8 @@ import abc
 from dataclasses import dataclass
 from typing import ClassVar
 
-from ..nx.dht import BUILTIN, CannedLibrary
+from ..errors import ConfigError
+from ..nx.dht import BUILTIN, CannedLibrary, DhtStrategy
 from ..obs.metrics import record_job
 from ..obs.trace import TRACE as _TRACE
 from ..sysstack.driver import DriverResult
@@ -81,11 +82,6 @@ class BackendStats:
         self.fallbacks += int(result.stats.fallback_to_software)
 
 
-def _strategy_value(strategy: object) -> str:
-    """Accept both the CRB strategy strings and DhtStrategy members."""
-    return getattr(strategy, "value", strategy)
-
-
 def _annotate(span, result: DriverResult) -> None:
     """Attach completion accounting to a ``backend.submit`` span."""
     stats = result.stats
@@ -96,6 +92,10 @@ def _annotate(span, result: DriverResult) -> None:
         span.set(faults=stats.translation_faults)
     if stats.fallback_to_software:
         span.event("fallback.software")
+
+
+#: The strategy strings a request may name (``DhtStrategy`` values).
+_STRATEGIES = tuple(member.value for member in DhtStrategy)
 
 
 class CompressionBackend(abc.ABC):
@@ -129,14 +129,14 @@ class CompressionBackend(abc.ABC):
         :class:`~repro.errors.DeadlineExceeded`.  ``library`` is the
         canned tables the request carries to the engine.
         """
-        fmt = fmt or self.capabilities().default_format
+        fmt, strategy = self._checked(fmt, strategy)
         self._call_deadline_s = deadline_s
         try:
             with _TRACE.span("backend.submit", backend=self.name,
                              op="compress", fmt=fmt,
                              nbytes=len(data)) as span:
-                result = self._compress(data, _strategy_value(strategy),
-                                        fmt, history, final, library)
+                result = self._compress(data, strategy, fmt, history, final,
+                                        library)
                 _annotate(span, result)
         finally:
             self._call_deadline_s = None
@@ -147,7 +147,7 @@ class CompressionBackend(abc.ABC):
                    history: bytes = b"",
                    deadline_s: float | None = None) -> DriverResult:
         """Decompress ``payload`` produced in the same wire format."""
-        fmt = fmt or self.capabilities().default_format
+        fmt, _ = self._checked(fmt)
         self._call_deadline_s = deadline_s
         try:
             with _TRACE.span("backend.submit", backend=self.name,
@@ -159,6 +159,23 @@ class CompressionBackend(abc.ABC):
             self._call_deadline_s = None
         self._record(result, len(payload), "decompress")
         return result
+
+    def _checked(self, fmt: str | None,
+                 strategy: object = "auto") -> tuple[str, str]:
+        """One request's wire format (the default for None) and strategy
+        string (a :class:`DhtStrategy` member or its value), refused with
+        :class:`ConfigError` before any engine sees them when this
+        backend has no such format or there is no such strategy."""
+        caps = self.capabilities()
+        fmt = fmt or caps.default_format
+        if fmt not in caps.formats:
+            raise ConfigError(f"backend {self.name!r} has no wire format "
+                              f"{fmt!r}; have {caps.formats}")
+        strategy = getattr(strategy, "value", strategy)
+        if strategy not in _STRATEGIES:
+            raise ConfigError(f"unknown strategy {strategy!r}; have "
+                              f"{_STRATEGIES}")
+        return fmt, strategy
 
     def _record(self, result: DriverResult, nbytes_in: int,
                 op: str) -> None:

@@ -45,7 +45,7 @@ class E842Backend(CompressionBackend):
     def _compress(self, data: bytes, strategy: str, fmt: str,
                   history: bytes, final: bool,
                   library: CannedLibrary) -> DriverResult:
-        self._check(fmt, history, final)
+        self._check(history, final)
         result = self.engine.compress(data)
         _TRACE.event("e842.pipe", op="compress", seconds=result.seconds)
         stats = SubmissionStats(submissions=1,
@@ -55,7 +55,7 @@ class E842Backend(CompressionBackend):
 
     def _decompress(self, payload: bytes, fmt: str,
                     history: bytes) -> DriverResult:
-        self._check(fmt, history, final=True)
+        self._check(history, final=True)
         result = self.engine.decompress(payload)
         stats = SubmissionStats(submissions=1,
                                 elapsed_seconds=result.seconds)
@@ -63,9 +63,6 @@ class E842Backend(CompressionBackend):
                             engine_result=result)
 
     @staticmethod
-    def _check(fmt: str, history: bytes, final: bool) -> None:
-        if fmt != "842":
-            raise ConfigError(f"842 backend only speaks fmt='842', "
-                              f"not {fmt!r}")
+    def _check(history: bytes, final: bool) -> None:
         if history or not final:
             raise ConfigError("842 has no continuation state")

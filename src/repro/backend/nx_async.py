@@ -102,10 +102,9 @@ class NxAsyncBackend(CompressionBackend):
         """Paste one request without waiting; poll for its completion."""
         if kind not in _COMPRESS_OPS:
             raise ConfigError(f"unknown job kind {kind!r}")
-        fmt = fmt or self._caps.default_format
+        fmt, strategy = self._checked(fmt, strategy)
         cop, dop, driver_fmt = _ops_for(fmt)
         op = cop if kind == "compress" else dop
-        strategy = getattr(strategy, "value", strategy)
         return self.driver.submit(op, data, strategy=strategy,
                                   fmt=driver_fmt, deadline_s=deadline_s,
                                   library=library)

@@ -58,7 +58,6 @@ class SoftwareZlibBackend(CompressionBackend):
 
     def _decompress(self, payload: bytes, fmt: str,
                     history: bytes) -> DriverResult:
-        require_format(fmt)
         output, seconds = run_in_software(
             "decompress", payload, fmt, history=history,
             machine=self.machine)

@@ -48,16 +48,13 @@ def result_key(payload: bytes, *, op: str = "compress", fmt: str = "raw",
 class ResultCache(KeyedCache):
     """Bounded content-addressed LRU + singleflight claim table."""
 
-    def __init__(self, *, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 max_bytes: int = DEFAULT_MAX_BYTES,
-                 tenant_max_entries: int | None = None,
-                 tenant_max_bytes: int | None = None,
+    def __init__(self, *, max_bytes: int = DEFAULT_MAX_BYTES,
+                 tenant_max_entries: int = DEFAULT_MAX_ENTRIES,
                  max_tenants: int = DEFAULT_MAX_TENANTS) -> None:
         super().__init__(
-            max_entries=max_entries, max_bytes=max_bytes,
-            tenant_max_entries=tenant_max_entries or max_entries,
-            tenant_max_bytes=tenant_max_bytes or max_bytes,
-            max_tenants=max_tenants)
+            max_entries=DEFAULT_MAX_ENTRIES, max_bytes=max_bytes,
+            tenant_max_entries=tenant_max_entries,
+            tenant_max_bytes=max_bytes, max_tenants=max_tenants)
         self.requests = 0
         self.misses = 0
         self.executions = 0
@@ -102,21 +99,14 @@ class ResultCache(KeyedCache):
             self._count("miss")
             return "leader", claim
 
-    def commit(self, tenant: str, key: tuple | str, blob: bytes) -> bool:
-        """Store the leader's result and wake parked followers.
-
-        Returns False when the entry (blob plus key payload) exceeded a
-        byte bound and was not cached (followers still wake and will
-        re-execute on retry — the cache never blocks progress, it only
-        dedupes it).
-        """
+    def commit(self, tenant: str, key: tuple | str, blob: bytes) -> None:
+        """Store the leader's result and serve parked followers; an entry
+        (blob plus key payload) past the byte bound is not cached."""
         with self._lock:
             # A result_key holds its payload: charged beside the blob.
             nbytes = len(blob) + (len(key[-1]) if isinstance(key, tuple)
                                   else 0)
-            cacheable = nbytes <= min(self._lru.max_bytes,
-                                      self._lru.tenant_max_bytes)
-            if cacheable:
+            if nbytes <= self._lru.max_bytes:
                 before = self._lru.evictions
                 self._lru.put(tenant, key, blob, nbytes)
                 if self._lru.evictions > before:
@@ -134,7 +124,6 @@ class ResultCache(KeyedCache):
                 self.requests += 1
                 self.hits += 1
                 self._count("hit")
-            return cacheable
 
     def abort(self, tenant: str, key: tuple | str) -> None:
         """The leader failed: free the key so a follower can re-claim."""
@@ -194,8 +183,3 @@ class ResultCache(KeyedCache):
                 "bytes": self._lru.bytes,
                 "tenants": len(self._lru.tenants),
             }
-
-    def snapshot_keys(self) -> list[tuple[str, tuple | str]]:
-        """Global LRU order, oldest first (for the property suite)."""
-        with self._lock:
-            return list(self._lru.order)

@@ -173,11 +173,3 @@ class KeyedCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.waits = 0
-
-    def entries(self) -> int:
-        with self._lock:
-            return len(self._lru.order)
-
-    def cached_bytes(self) -> int:
-        with self._lock:
-            return self._lru.bytes

@@ -629,9 +629,11 @@ class CompressionService:
         job.span.set(outcome="ok", out_bytes=len(output),
                      modelled_s=modelled_s, batch_size=job.batch_size)
         job.span.end()
-        job.event.set()
+        # The cache settles before the caller wakes: a repeat it sends
+        # at once finds the entry, not the claim.
         if job.cache_claim is not None:
             self._cache_settle_ok(job)
+        job.event.set()
 
     def _resolve_error(self, job: Job, error: Exception, *,
                        reason: str = "") -> None:
@@ -659,6 +661,7 @@ class CompressionService:
                            qos=job.qos, error=reason)
         job.span.set(outcome=outcome, error=reason, queue_wait_s=waited)
         job.span.end()
-        job.event.set()
+        # Aborted before the caller wakes: its retry finds the key free.
         if job.cache_claim is not None:
             self._cache_settle_fail(job.cache_claim, error)
+        job.event.set()

@@ -9,6 +9,19 @@ import pytest
 from repro.nx.params import POWER9, Z15
 from repro.workloads.generators import generate
 
+try:  # CI's install job runs one module, without hypothesis
+    from hypothesis import Phase, settings
+except ImportError:
+    pass
+else:  # tests/test_served_model.py; each shrink step waits out a server's
+    # 0.5 s shutdown poll, so tier-1 reports its fixed examples unshrunk
+    settings.register_profile(
+        "served-model", derandomize=True, database=None, deadline=None,
+        max_examples=10, stateful_step_count=100, phases=[Phase.generate])
+    settings.register_profile("served-random", settings.get_profile(
+        "served-model"), derandomize=False, max_examples=100,
+        phases=list(Phase))
+
 
 @pytest.fixture(scope="session")
 def text_20k() -> bytes:

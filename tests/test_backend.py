@@ -93,6 +93,18 @@ def test_round_trip_every_format(name, payload_suite):
                 assert restored.output == data, (name, fmt, label)
 
 
+@pytest.mark.parametrize("name", backend_names())
+def test_unknown_strategy_or_format_is_refused(name):
+    """One check on every backend, before any engine sees the request."""
+    with create_backend(name) as backend:
+        for kwargs in ({"strategy": "bogus"}, {"fmt": "bogus"}):
+            with pytest.raises(ConfigError):
+                backend.compress(b"payload", **kwargs)
+        with pytest.raises(ConfigError):
+            backend.decompress(b"payload", fmt="bogus")
+        assert backend.stats().requests == 0
+
+
 @pytest.mark.parametrize("name", ["nx", "dfltcc"])
 def test_hardware_bitstreams_decodable_by_stdlib(name, text_20k):
     with create_backend(name) as backend:

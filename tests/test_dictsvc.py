@@ -5,9 +5,9 @@ The result cache makes three exact promises — singleflight
 requests``), and bounded LRU residency — and the registry promises
 deterministic training plus versioned push/retire.  This suite proves
 them the hard way: seeded thread storms racing one key, a randomized
-op sequence checked against a reference LRU model, leader-failure
-injection, and a storm through the full ``CompressionService`` with
-the cache mounted.
+op sequence checked against the served-tier model
+(``tests/test_served_model.py``), leader-failure injection, and a
+storm through the full ``CompressionService`` with the cache mounted.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ import pathlib
 import random
 import signal
 import threading
+import time
 import zlib
-from collections import OrderedDict
 
 import pytest
 
 from repro.backend.pool import AcceleratorPool
 from repro.dictsvc import DictionaryRegistry, ResultCache, result_key
 from repro.dictsvc.cache import _Claim
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DeadlineExceeded
 from repro.nx.compressor import NxCompressor
 from repro.nx.dht import BUILTIN, CannedLibrary, DhtStrategy, canned_dht
 from repro.nx.params import POWER9, Z15
@@ -186,86 +186,61 @@ class TestSingleflight:
         assert state == "hit" and blob == b"blob"
 
 
-# -- LRU bounds vs a reference model ------------------------------------------
-
-
-class _ModelLru:
-    """Reference single-tenant LRU with entry and byte bounds."""
-
-    def __init__(self, max_entries: int, max_bytes: int) -> None:
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.entries: OrderedDict[str, int] = OrderedDict()
-        self.evictions = 0
-
-    def get(self, key: str) -> bool:
-        if key in self.entries:
-            self.entries.move_to_end(key)
-            return True
-        return False
-
-    def put(self, key: str, size: int) -> None:
-        if size > self.max_bytes:
-            return  # uncacheable
-        if key in self.entries:
-            return
-        self.entries[key] = size
-        while (len(self.entries) > self.max_entries
-               or sum(self.entries.values()) > self.max_bytes):
-            self.entries.popitem(last=False)
-            self.evictions += 1
+# -- LRU bounds vs the served-tier model --------------------------------------
 
 
 class TestLruBounds:
     @pytest.mark.parametrize("seed", [3, 17, 99])
     def test_random_ops_match_reference(self, seed: int) -> None:
-        """Seeded op sequence: cache == model in order, count, bytes."""
+        """Seeded op sequence: cache == model in hits, count, bytes."""
+        from .test_served_model import ModelLRU  # it imports this module
+
         rng = random.Random(seed)
-        cache = ResultCache(max_entries=8, max_bytes=4096)
-        model = _ModelLru(max_entries=8, max_bytes=4096)
+        cache = ResultCache(tenant_max_entries=8, max_bytes=4096)
+        model = ModelLRU(1, 8, 4096, 4096)
         blobs = {f"k{i}": bytes(rng.randrange(1, 1200))
                  for i in range(24)}
 
         for _ in range(500):
             key = f"k{rng.randrange(24)}"
             state, value = cache.begin("t", key)
+            cached = model.get("t", key)
             if state == "hit":
-                assert model.get(key), f"{key}: cache hit, model miss"
-                assert value == blobs[key]
+                assert cached is not None, f"{key}: cache hit, model miss"
+                assert value == cached == blobs[key]
             else:
                 assert state == "leader"
-                assert not model.get(key), f"{key}: cache miss, model hit"
+                assert cached is None, f"{key}: cache miss, model hit"
                 cache.commit("t", key, blobs[key])
-                model.put(key, len(blobs[key]))
+                model.put("t", key, blobs[key], len(blobs[key]))
 
             # Residency invariants hold after every single operation.
-            assert cache.entries() == len(model.entries)
-            assert cache.cached_bytes() == sum(model.entries.values())
-            assert cache.cached_bytes() <= 4096
-            assert cache.entries() <= 8
-            assert [k for _t, k in cache.snapshot_keys()] \
-                == list(model.entries)
+            stats = cache.stats()
+            assert {book: stats[book] for book in model.books()} \
+                == model.books()
+            assert stats["bytes"] <= 4096 and stats["entries"] <= 8
 
-        assert cache.stats()["evictions"] == model.evictions
-        stats = cache.stats()
         assert stats["hits"] + stats["misses"] == stats["requests"]
 
     def test_byte_bound_evicts_oldest(self) -> None:
-        cache = ResultCache(max_entries=100, max_bytes=1000)
+        cache = ResultCache(max_bytes=1000)
         for i in range(4):
             _state, _ = cache.begin("t", f"k{i}")
             cache.commit("t", f"k{i}", bytes(400))
         # 4 x 400 > 1000: the two oldest must be gone.
-        assert cache.entries() == 2
-        assert [k for _t, k in cache.snapshot_keys()] == ["k2", "k3"]
+        assert cache.stats()["entries"] == 2
+        assert [cache.begin("t", f"k{i}")[0] for i in range(4)] \
+            == ["leader", "leader", "hit", "hit"]
+        cache.abort("t", "k0")
+        cache.abort("t", "k1")
 
     def test_oversized_blob_is_uncacheable(self) -> None:
         cache = ResultCache(max_bytes=100)
         state, _ = cache.begin("t", "big")
         assert state == "leader"
-        assert cache.commit("t", "big", bytes(101)) is False
-        assert cache.entries() == 0
-        assert cache.stats()["uncacheable"] == 1
+        cache.commit("t", "big", bytes(101))
+        stats = cache.stats()
+        assert (stats["entries"], stats["uncacheable"]) == (0, 1)
         # The claim was still released: next begin leads again.
         state, _ = cache.begin("t", "big")
         assert state == "leader"
@@ -275,11 +250,12 @@ class TestLruBounds:
         cache = ResultCache(max_bytes=100)
         key = result_key(bytes(60))
         assert cache.begin("t", key)[0] == "leader"
-        assert cache.commit("t", key, bytes(41)) is False
+        cache.commit("t", key, bytes(41))
         assert cache.stats()["uncacheable"] == 1
         assert cache.begin("t", key)[0] == "leader"
-        assert cache.commit("t", key, bytes(40)) is True
-        assert cache.cached_bytes() == 100
+        cache.commit("t", key, bytes(40))
+        stats = cache.stats()
+        assert (stats["uncacheable"], stats["bytes"]) == (1, 100)
 
     def test_payloads_one_byte_apart_are_two_entries(self) -> None:
         cache = ResultCache()
@@ -289,29 +265,29 @@ class TestLruBounds:
             keys.append(result_key(payload))
             cache.get_or_compute("t", keys[-1], lambda blob=blob: blob)
             payload[-1] ^= 1
-        assert cache.entries() == 2
+        assert cache.stats()["entries"] == 2
         assert [cache.begin("t", key) for key in keys] \
             == [("hit", b"first"), ("hit", b"second")]
 
     def test_tenant_quota_shields_other_tenants(self) -> None:
-        cache = ResultCache(max_entries=100, max_bytes=1 << 20,
-                            tenant_max_entries=2)
+        cache = ResultCache(tenant_max_entries=2)
         for tenant in ("a", "b"):
             for i in range(5):
                 cache.begin(tenant, f"k{i}")
                 cache.commit(tenant, f"k{i}", b"x" * 10)
         # Each tenant holds exactly its quota; neither washed out.
-        keys = cache.snapshot_keys()
-        assert sorted(k for t, k in keys if t == "a") == ["k3", "k4"]
-        assert sorted(k for t, k in keys if t == "b") == ["k3", "k4"]
+        for tenant in ("a", "b"):
+            assert [cache.begin(tenant, f"k{i}")[0] for i in (3, 4, 2)] \
+                == ["hit", "hit", "leader"]
+            cache.abort(tenant, "k2")
 
     def test_tenant_cap_drops_lru_tenant(self) -> None:
         cache = ResultCache(max_tenants=2)
         for tenant in ("a", "b", "c"):
             cache.begin(tenant, "k")
             cache.commit(tenant, "k", b"x")
-        tenants = {t for t, _k in cache.snapshot_keys()}
-        assert tenants == {"b", "c"}
+        assert [cache.begin(tenant, "k")[0] for tenant in "bca"] \
+            == ["hit", "hit", "leader"]
 
 
 # -- registry: determinism, versioning, bundles -------------------------------
@@ -665,10 +641,10 @@ class TestServiceIntegration:
                     loaded.load_bundle(str(bundle))
                     loaded.push(svc)
                 svc.submit("compress", payload, tenant="t").wait(10)
-                keys.append(svc.cache.snapshot_keys())
-        assert keys[0] == keys[1] != []
-        assert keys[0][0][1] != result_key(payload, fmt="gzip",
-                                           epoch=BUILTIN.key)
+                keys.append(svc.library.key)
+                assert svc.cache.begin("t", result_key(
+                    payload, fmt="gzip", epoch=keys[-1]))[0] == "hit"
+        assert keys[0] == keys[1] != BUILTIN.key
 
     def test_job_keeps_the_library_it_was_admitted_with(self) -> None:
         """A job admitted before a push is compressed, and cached, under
@@ -707,6 +683,28 @@ class TestServiceIntegration:
         finally:
             release.set()
             pool.close()
+
+    @pytest.mark.parametrize("ok", [True, False], ids=["commit", "abort"])
+    def test_the_caller_wakes_after_the_cache_settles(self, ok,
+                                                      monkeypatch) -> None:
+        """A settle slowed by 50 ms still ends before its caller wakes: a
+        repeat sent at once never parks on the finished claim."""
+        name = "_cache_settle_ok" if ok else "_cache_settle_fail"
+        real = getattr(CompressionService, name)
+        monkeypatch.setattr(CompressionService, name,
+                            lambda *args: (time.sleep(0.05), real(*args)))
+        payload = generate("markov_text", 2048, seed=8)
+        with CompressionService(chips=1, backend="software",
+                                cache_mb=1) as svc:
+            first = svc.submit("compress", payload,
+                               deadline_s=None if ok else 1e-9)
+            assert first.event.wait(10)
+            assert (first.error is None if ok
+                    else isinstance(first.error, DeadlineExceeded))
+            again = svc.submit("compress", payload).wait(10)
+            assert zlib.decompress(again.output, 31) == payload
+            cache = svc.stats().cache
+            assert (cache["executions"], cache["waits"]) == (2 - ok, 0)
 
     def test_decompress_bypasses_cache(self) -> None:
         payload = generate("markov_text", 2048, seed=4)

@@ -6,9 +6,10 @@ handler's field normalisation, and the LRU + claim table under both
 :class:`~repro.service.idempotency.IdempotencyCache` and
 :class:`~repro.dictsvc.cache.ResultCache` — each held to the contract
 the cheaper implementation must still keep: the same frames refused
-the same way, no header a client can send that stops the service, the
-same counters, and no ``threading.Event`` built for a request nobody
-waits on.
+the same way, no header a client can send that stops the service (on
+the software and the DFLTCC stack), the same counters, one leader per
+key under a thread storm, and no ``threading.Event`` built for a
+request nobody waits on.
 """
 
 from __future__ import annotations
@@ -219,6 +220,16 @@ def cached_stack():
     service.close()
 
 
+@pytest.fixture(scope="module")
+def dfltcc_stack():
+    """z15's DFLTCC runs on the dispatcher: an escaped error kills it."""
+    service = CompressionService(chips=1, machine="z15", cache_mb=4)
+    server = serve(service, port=0, request_timeout_s=10.0)
+    yield service, server
+    server.shutdown()
+    service.close()
+
+
 def _dial(port: int) -> socket.socket:
     sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
     sock.settimeout(10.0)
@@ -287,8 +298,8 @@ MALFORMED = [
     {"deadline_s": "NaN"}, {"deadline_s": float("nan")},
     {"deadline_s": float("inf")}, {"deadline_s": 10 ** 400},
     {"deadline_s": -1},
-    {"fmt": 5}, {"fmt": ["gzip"]}, {"strategy": 5},
-    {"strategy": ["gzip"]},
+    {"fmt": 5}, {"fmt": ["gzip"]}, {"fmt": "bogus"}, {"strategy": 5},
+    {"strategy": ["gzip"]}, {"strategy": "bogus"},
     {"traceparent": 7}, {"request_id": 7},
 ]
 
@@ -328,6 +339,15 @@ class TestMalformedFields:
             good = client.compress(text_20k[:1000], fmt="gzip")
             assert gzip.decompress(good.output) == text_20k[:1000]
 
+    @pytest.mark.parametrize("keyed", [False, True],
+                             ids=["no-id", "with-id"])
+    @pytest.mark.parametrize("fields", MALFORMED,
+                             ids=lambda f: json.dumps(f)[:40])
+    def test_answered_on_dfltcc_and_the_service_lives(
+            self, dfltcc_stack, fields, keyed, text_20k):
+        self.test_answered_and_the_service_lives(dfltcc_stack, fields,
+                                                 keyed, text_20k)
+
     @pytest.mark.parametrize("deadline", ["soon", [1], True])
     def test_submit_refuses_a_deadline_it_cannot_compare(self, cached_stack,
                                                          deadline):
@@ -338,52 +358,24 @@ class TestMalformedFields:
         assert service.compress(b"payload", deadline_s=5).output
 
 
-class _Idempotency:
-    """Both caches behind one vocabulary, for the shared tests."""
-
-    lead = "owner"
-
-    def __init__(self, **bounds) -> None:
-        self.cache = IdempotencyCache(**bounds)
-
-    def commit(self, tenant, key, blob):
-        self.cache.commit((tenant, key), {"status": "ok"}, blob)
-
-    def abort(self, tenant, key):
-        self.cache.abort((tenant, key))
-
-    def blob(self, value):
-        return value[1]
-
-
-class _Results:
-    lead = "leader"
-
-    def __init__(self, max_entries, max_bytes, max_tenants) -> None:
-        self.cache = ResultCache(max_entries=max_entries * max_tenants,
-                                 max_bytes=max_bytes * max_tenants,
-                                 tenant_max_entries=max_entries,
-                                 tenant_max_bytes=max_bytes,
-                                 max_tenants=max_tenants)
-
-    def commit(self, tenant, key, blob):
-        self.cache.commit(tenant, key, blob)
-
-    def abort(self, tenant, key):
-        self.cache.abort(tenant, key)
-
-    def blob(self, value):
-        return value
-
-
-@pytest.mark.parametrize("facade", [_Idempotency, _Results],
+@pytest.mark.parametrize("make", [IdempotencyCache, ResultCache],
                          ids=["idempotency", "result-cache"])
 class TestKeyedCaches:
     @pytest.mark.parametrize("seed", [2, 23])
-    def test_sequence_keeps_counters_and_bounds(self, facade, seed):
+    def test_sequence_keeps_counters_and_bounds(self, make, seed):
         rng = random.Random(seed)
-        face = facade(max_entries=5, max_bytes=600, max_tenants=3)
-        cache = face.cache
+        keyed = make is IdempotencyCache  # its value is (header, reply)
+        bound = "max_entries" if keyed else "tenant_max_entries"
+        cache = make(**{bound: 5}, max_bytes=600, max_tenants=3)
+        if keyed:
+            def commit(tenant, key, blob):
+                cache.commit((tenant, key), {"status": "ok"}, blob)
+
+            def abort(tenant, key):
+                cache.abort((tenant, key))
+        else:
+            commit, abort = cache.commit, cache.abort
+        lead = "owner" if keyed else "leader"
         blobs = {f"k{i}": bytes([i]) * rng.randrange(1, 250)
                  for i in range(14)}
         led = hit = commits = 0
@@ -392,36 +384,35 @@ class TestKeyedCaches:
             state, value = cache.begin(tenant, key)
             if state == "hit":
                 hit += 1
-                assert face.blob(value) == blobs[key]
+                assert (value[1] if keyed else value) == blobs[key]
                 continue
-            assert state == face.lead
+            assert state == lead
             led += 1
             if rng.random() < 0.2:
                 # A failed leader never poisons its key.
-                face.abort(tenant, key)
-                assert cache.begin(tenant, key)[0] == face.lead
+                abort(tenant, key)
+                assert cache.begin(tenant, key)[0] == lead
                 led += 1
-            face.commit(tenant, key, blobs[key])
+            commit(tenant, key, blobs[key])
             commits += 1
             stats = cache.stats()
             assert stats["entries"] == commits - stats["evictions"]
             assert stats["tenants"] <= 3
             assert stats["entries"] <= 5 * stats["tenants"]
-            assert cache.cached_bytes() <= 600 * stats["tenants"]
-            assert cache.entries() == stats["entries"]
+            assert stats["bytes"] <= 600 * stats["tenants"]
         stats = cache.stats()
         assert stats["hits"] == hit and stats["waits"] == 0
         assert stats["evictions"] > 0
-        if facade is _Results:
-            assert stats["hits"] + stats["misses"] == stats["requests"]
-            assert stats["misses"] == stats["executions"] == led
-        else:
+        if keyed:
             assert (stats["stores"], stats["duplicate_stores"]) == (commits,
                                                                     0)
+        else:
+            assert stats["hits"] + stats["misses"] == stats["requests"]
+            assert stats["misses"] == stats["executions"] == led
 
-    def test_one_leader_and_every_waiter_woken_once(self, facade):
-        face = facade(max_entries=8, max_bytes=1 << 20, max_tenants=2)
-        cache = face.cache
+    def test_one_leader_and_every_waiter_woken_once(self, make):
+        cache = make()
+        keyed = make is IdempotencyCache  # its value is (header, reply)
         n = 8
         barrier = threading.Barrier(n)
         lock = threading.Lock()
@@ -430,11 +421,14 @@ class TestKeyedCaches:
         def worker() -> None:
             barrier.wait(10.0)
             state, value = cache.begin("t", "k")
-            if state == face.lead:
+            if state in ("owner", "leader"):
                 with lock:
                     leaders.append(value)
                 barrier.wait(10.0)  # every follower has joined the claim
-                face.commit("t", "k", b"blob")
+                if keyed:
+                    cache.commit(value, {"status": "ok"}, b"blob")
+                else:
+                    cache.commit("t", "k", b"blob")
                 return
             assert state == "wait"
             with lock:
@@ -456,7 +450,8 @@ class TestKeyedCaches:
         assert len({id(claim.event) for claim in claims}) == 1
         assert [(woken, state) for woken, (state, _) in finals] \
             == [(True, "hit")] * (n - 1)
-        assert all(face.blob(value) == b"blob" for _, (_, value) in finals)
+        assert {value[1] if keyed else value
+                for _, (_, value) in finals} == {b"blob"}
         stats = cache.stats()
         assert (stats["waits"], stats["hits"]) == (n - 1, n - 1)
 

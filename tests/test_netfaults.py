@@ -6,7 +6,8 @@ validation and the deterministic per-connection injector, each
 :class:`IdempotencyCache` race protocol (hit / owner / wait / abort)
 and its LRU bounds, and the :class:`RetryBudget` token arithmetic.
 The end-to-end behaviour these compose into lives in
-``test_service_robust.py`` and the ``repro chaos --network`` campaign.
+``test_service_robust.py``, ``test_served_model.py`` and the
+``repro chaos --network`` campaign.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ class TestIdempotencyCache:
         cache.commit(key, {"status": "ok"}, b"y" * 80)
         assert cache.begin("t", "big0")[0] == "owner"
         assert cache.begin("t", "big1")[0] == "hit"
-        assert cache.cached_bytes() <= 100
+        assert cache.stats()["bytes"] <= 100
 
     def test_tenant_bound_evicts_lru_tenant(self):
         cache = IdempotencyCache(max_tenants=2)

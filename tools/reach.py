@@ -80,12 +80,6 @@ ALLOW: dict[str, str] = {
     "repro.deflate.huffman.kraft_sum":
         "completeness oracle tests/test_huffman.py, test_dht.py and "
         "test_constants.py apply to every code the builders emit",
-    "repro.dictsvc.cache.ResultCache.snapshot_keys":
-        "LRU order tests/test_dictsvc.py compares with its reference "
-        "OrderedDict model",
-    "repro.dictsvc.keyed.KeyedCache.cached_bytes":
-        "byte total tests/test_dictsvc.py and test_message_floor.py "
-        "compare with their reference models",
     "repro.deflate.bitio.BitWriter.bit_length":
         "exact bit length tests/test_inflate_kernel.py cuts encoded "
         "streams at",
@@ -161,23 +155,17 @@ ALLOW_KNOBS: dict[str, str] = {
     "repro.deflate.seekindex.decode_indexed(index_spacing=)":
         "test seam: a few-KB spacing records many seek points on a "
         "test-sized archive",
-    "repro.dictsvc.cache.ResultCache(max_entries=)":
-        "test seam: small bounds make eviction fire within a few hundred "
-        "keys in tests/test_dictsvc.py's reference model",
     "repro.dictsvc.cache.ResultCache(tenant_max_entries=)":
-        "test seam: a small per-tenant bound makes one tenant's eviction "
-        "fire before the global one",
-    "repro.dictsvc.cache.ResultCache(tenant_max_bytes=)":
         "test seam: a small per-tenant bound makes one tenant's eviction "
         "fire before the global one",
     "repro.dictsvc.cache.ResultCache(max_tenants=)":
         "test seam: a two-tenant cap shows the oldest tenant evicted",
     "repro.service.idempotency.IdempotencyCache(max_entries=)":
-        "test seam: small bounds make eviction fire within a few hundred "
-        "keys in tests/test_message_floor.py's reference model",
+        "test seam: small bounds make every eviction fire within one "
+        "example of tests/test_served_model.py's state machine",
     "repro.service.idempotency.IdempotencyCache(max_bytes=)":
-        "test seam: small bounds make eviction fire within a few hundred "
-        "keys in tests/test_message_floor.py's reference model",
+        "test seam: small bounds make every eviction fire within one "
+        "example of tests/test_served_model.py's state machine",
     "repro.service.idempotency.IdempotencyCache(max_tenants=)":
         "test seam: a two-tenant cap shows the oldest tenant evicted",
     "repro.exec.pool.ProcessWorkerPool.run_batch(timeout_s=)":
