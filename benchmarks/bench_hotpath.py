@@ -15,21 +15,14 @@ Usage::
 The ``before`` section of the JSON preserves the pre-kernel-rewrite
 numbers the speedup claims are made against; ``--keep-before`` (default)
 carries it forward from the existing file.
-
-The parallel-deflate sweep reports *cold* (first call, pool spin-up
-included) and *warm* (persistent pool reused) rates per worker count;
-``meta.cpus`` records the host's core count so scaling numbers are read
-in context.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
-import sys
 
 from _common import StageRecorder, measure
 from repro.deflate.checksums import adler32, crc32
@@ -54,17 +47,16 @@ def _mbps(nbytes: int, seconds: float) -> float:
     return nbytes / _MB / seconds if seconds > 0 else 0.0
 
 
-def run_bench(level: int = 6,
-              workers: tuple[int, ...] = (1, 2, 4)) -> dict:
+def run_bench(level: int = 6) -> dict:
     """Measure every kernel; returns the results dict."""
     repeats = 7  # deep best-of: the box's timing is noisy
     corpus = corpus_bytes("calgary-like")
     payload = deflate(corpus, level=level).data
     probes: list[float] = []
 
-    def mbps(fn, name: str, runs: int = repeats) -> float:
+    def mbps(fn, name: str) -> float:
         return _mbps(len(corpus),
-                     _STAGES.best_of(fn, runs, probes, name))
+                     _STAGES.best_of(fn, repeats, probes, name))
 
     results: dict = {}
     results["deflate_l6_mbps"] = mbps(lambda: deflate(corpus, level=level),
@@ -83,50 +75,12 @@ def run_bench(level: int = 6,
         results[f"{name}_mbps"] = mbps(
             lambda: [pipe.scan(scan) for scan in scans], name)
 
-    # Chunked-parallel compressor scaling (absent on pre-kernel trees).
-    # Two numbers per worker count: *cold* includes spinning up the
-    # persistent process pool (what a one-shot caller pays), *warm*
-    # reuses it (steady state).  The committed scalar sweep stays the
-    # warm one — that is the rate the execution layer actually serves.
-    try:
-        from repro.deflate.parallel import parallel_deflate
-        from repro.exec.pool import shutdown_default_pool
-    except ImportError:
-        parallel_deflate = None
-    chunk_size = None
-    if parallel_deflate is not None:
-        # The default 128 KiB chunk swallows the whole bench corpus in
-        # one piece, which degenerates to the serial path at any worker
-        # count; slice it so the widest sweep gets two chunks per
-        # worker.
-        chunk_size = max(1 << 14, len(corpus) // (2 * max(workers)))
-        cold_scaling: dict[str, float] = {}
-        warm_scaling: dict[str, float] = {}
-        for nworkers in workers:
-            shutdown_default_pool()
-            run = lambda: parallel_deflate(corpus, level=level,  # noqa: E731
-                                           chunk_size=chunk_size,
-                                           workers=nworkers)
-            cold_scaling[str(nworkers)] = mbps(
-                run, f"parallel_deflate_cold_{nworkers}w", runs=1)
-            warm_scaling[str(nworkers)] = mbps(
-                run, f"parallel_deflate_warm_{nworkers}w")
-        shutdown_default_pool()
-        results["parallel_deflate_mbps"] = warm_scaling
-        results["parallel_deflate_cold_mbps"] = cold_scaling
-
     meta = {
         "corpus": "calgary-like",
         "scale": 1.0,
         "bytes": len(corpus),
         "compressed_bytes": len(payload),
         "level": level,
-        "python": sys.version.split()[0],
-        # Scaling claims are meaningless without knowing the host: a
-        # 1-CPU container cannot show multi-worker speedup no matter
-        # how good the pool is, and the gate reads this field.
-        "cpus": os.cpu_count() or 1,
-        "parallel_chunk_bytes": chunk_size,
         # Every rate is corrected to the probe's reference speed, then
         # stated at the run's median slowdown: the gate corrects by this
         # one number, as it does for a bench probed only before and after.
@@ -137,27 +91,20 @@ def run_bench(level: int = 6,
         return round(rate / meta["host_slowdown"], 3)
 
     return {"meta": meta,
-            "results": {k: ({w: at_host(r) for w, r in v.items()}
-                            if isinstance(v, dict) else at_host(v))
-                        for k, v in results.items()}}
+            "results": {k: at_host(v) for k, v in results.items()}}
 
 
 def render(report: dict) -> str:
     lines = [f"hot-path kernels on {report['meta']['bytes']} bytes "
              f"({report['meta']['corpus']}, level {report['meta']['level']})"]
     for key, value in report["results"].items():
-        if isinstance(value, dict):
-            scaled = ", ".join(f"{w}w={v}" for w, v in value.items())
-            lines.append(f"  {key:24s} {scaled}")
-        else:
-            lines.append(f"  {key:24s} {value:10.3f} MB/s")
+        lines.append(f"  {key:24s} {value:10.3f} MB/s")
     before = report.get("before")
     if before:
         lines.append("  vs before:")
         for key, value in report["results"].items():
             old = before.get(key)
-            if isinstance(old, (int, float)) and old and \
-                    isinstance(value, (int, float)):
+            if isinstance(old, (int, float)) and old:
                 lines.append(f"  {key:24s} {value / old:10.2f}x")
     return "\n".join(lines)
 

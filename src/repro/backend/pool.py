@@ -640,11 +640,11 @@ class AcceleratorPool:
     def _drain_exec(self) -> None:
         """Settle the jobs whose exec worker has finished.
 
-        The execution pool is shared (parallel_deflate batches ride the
-        same fleet), so this never trusts the pool's own returned job
-        lists — it polls the pool, then checks *its* handles.  A worker
-        that dies fails exactly the job it was given, so every handle
-        resolves.
+        The execution pool is shared (every accelerator pool in the
+        process rides the same fleet), so this never trusts the pool's
+        own returned job lists — it polls the pool, then checks *its*
+        handles.  A worker that dies fails exactly the job it was given,
+        so every handle resolves.
         """
         held = self._held(by_exec=True)
         if not held:

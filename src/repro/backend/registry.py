@@ -24,8 +24,6 @@ _Factory = Callable[..., "CompressionBackend"]
 
 _BUILTINS: dict[str, str] = {
     "software": "repro.backend.software:SoftwareZlibBackend",
-    "software-parallel":
-        "repro.backend.software_parallel:SoftwareParallelBackend",
     "nx": "repro.backend.nx_async:NxAsyncBackend",
     "dfltcc": "repro.backend.dfltcc:DfltccBackend",
     "842": "repro.backend.e842:E842Backend",

@@ -97,14 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--deadline-ms", type=float, default=None,
                         help="per-job deadline in modelled milliseconds "
                              "(bounds retry/wait time)")
-    p_comp.add_argument("--parallel-workers", type=int, default=None,
-                        help="compress on N worker processes (pigz "
-                             "model; implies the software-parallel "
-                             "backend, output is byte-identical for "
-                             "every worker count)")
-    p_comp.add_argument("--chunk-size", type=int, default=None,
-                        help="bytes per parallel chunk (default 128 KiB; "
-                             "only with --parallel-workers)")
     _add_machine_arg(p_comp)
     _add_backend_args(p_comp, pool=True)
 
@@ -322,27 +314,12 @@ def _run_session(args: argparse.Namespace, kind: str,
         raise ReproError(f"--pool-chips must be >= 1, got {args.pool_chips}")
     deadline_ms = getattr(args, "deadline_ms", None)
     deadline_s = deadline_ms * 1e-3 if deadline_ms is not None else None
-    backend = args.backend
-    backend_kwargs: dict[str, int] = {}
-    workers = getattr(args, "parallel_workers", None)
-    chunk_size = getattr(args, "chunk_size", None)
-    if workers is not None or chunk_size is not None:
-        backend = backend or "software-parallel"
-        if backend != "software-parallel":
-            raise ReproError(
-                "--parallel-workers/--chunk-size configure the "
-                f"software-parallel backend, not {backend!r}")
-        if workers is not None:
-            backend_kwargs["workers"] = workers
-        if chunk_size is not None:
-            backend_kwargs["chunk_size"] = chunk_size
     with AcceleratorPool(args.machine,
                          chips=getattr(args, "pool_chips", 1),
                          policy=getattr(args, "pool_policy",
                                         "round_robin"),
-                         backend=backend or "nx",
-                         verify=getattr(args, "verify", False),
-                         **backend_kwargs) as pool:
+                         backend=args.backend or "nx",
+                         verify=getattr(args, "verify", False)) as pool:
         if kind == "compress":
             result = pool.compress(data, strategy=args.strategy,
                                    fmt=args.fmt, deadline_s=deadline_s)

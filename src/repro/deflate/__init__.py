@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     from .inflate import InflateStats, inflate, inflate_with_stats
     from .inflate_stream import InflateStream
     from .matcher import LEVEL_CONFIGS, MatcherConfig, MatchStats, tokenize
-    from .parallel import DEFAULT_CHUNK_SIZE, parallel_deflate
     from .seekindex import (DEFAULT_SPACING, IndexedDecode, RangeReadResult,
                             SeekIndex, SeekPoint, decode_indexed, read_range)
 
@@ -32,7 +31,6 @@ __all__ = lazy_exports(__name__, {
     "inflate": "InflateStats inflate inflate_with_stats",
     "inflate_stream": "InflateStream",
     "matcher": "LEVEL_CONFIGS MatcherConfig MatchStats tokenize",
-    "parallel": "DEFAULT_CHUNK_SIZE parallel_deflate",
     "seekindex": "DEFAULT_SPACING IndexedDecode RangeReadResult SeekIndex "
                  "SeekPoint decode_indexed read_range",
 })

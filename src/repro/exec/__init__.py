@@ -1,6 +1,6 @@
 """Process-based execution layer: one warm pool of worker processes.
 
-The seams above (``deflate/parallel``, the backend pool, the service
+The seams above (the backend pool, and through it the service
 dispatcher) submit jobs here instead of spinning up per-call process
 pools.  Each worker is a plain child process with one task pipe and one
 result pipe; see DESIGN.md "Execution layer" for the protocol and the

@@ -1,10 +1,9 @@
 """ProcessWorkerPool: a persistent, crash-tolerant process fleet.
 
 The GIL makes thread "parallelism" over the pure-Python codec kernels a
-regression (thread workers made the parallel sweep *lose* throughput
-as workers grew), and a per-call ``ProcessPoolExecutor``
-pays worker spin-up plus full payload pickling on every request.  This
-pool is the fix the execution layers share:
+regression, and a per-call ``ProcessPoolExecutor`` pays worker spin-up
+plus full payload pickling on every request.  This pool is the fix the
+execution layers share:
 
 * **warm-started once** — workers start lazily on first use and are
   reused for every later job, so a steady-state call pays two pipe hops;
@@ -16,8 +15,8 @@ pool is the fix the execution layers share:
 * **crash containment** — a worker's death is EOF on its result pipe,
   and the parent knows which job it gave that worker: exactly that job
   fails (:class:`~repro.errors.WorkerCrash`), a replacement starts, and
-  the layers above decide whether to retry (pure kernel chunks) or
-  rescue in software (the accelerator pool's breaker path);
+  the layers above decide whether to retry (``run_batch``) or rescue in
+  software (the accelerator pool's breaker path);
 * **truthful telemetry** — results carry the worker's span dicts and
   metrics snapshot; the parent folds them into the process-global
   tracer/registry, so traces and counters look the same whether a job
@@ -29,8 +28,8 @@ and job registry) and with no ``multiprocessing``: no resource-tracker
 process, and nothing re-runs the parent's main module.  It stays in the
 parent's process group and exits at EOF on its task pipe, so a killed
 parent leaves no worker behind.  The module-level default pool
-(:func:`get_default_pool`) is what ``parallel_deflate`` and the
-backends share; it is shut down atexit and by the test suite.
+(:func:`get_default_pool`) is what the accelerator pools of one
+process share; it is shut down atexit and by the test suite.
 """
 
 from __future__ import annotations
@@ -528,7 +527,6 @@ class ProcessWorkerPool:
     # -- batch convenience ---------------------------------------------------
 
     def run_batch(self, calls: list[tuple[str, dict]], *,
-                  span_parent: object = None,
                   timeout_s: float | None = None,
                   metrics: bool = False) -> list[object]:
         """Run ``calls`` (``(fn, kwargs)`` pairs) and return results in
@@ -539,8 +537,7 @@ class ProcessWorkerPool:
         their arguments, so re-execution is safe.  Any other failure
         (or crash-retry exhaustion) raises that job's error.
         """
-        jobs = [self.submit(fn, span_parent=span_parent, metrics=metrics,
-                            **kwargs)
+        jobs = [self.submit(fn, metrics=metrics, **kwargs)
                 for fn, kwargs in calls]
         retries_left = CRASH_RETRIES
         while True:

@@ -39,8 +39,8 @@ from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 
 #: True inside a pool worker process; layers that would otherwise
-#: recurse into the pool (``parallel_deflate``) check this and run
-#: inline instead.
+#: recurse into the pool (an exec-enabled ``AcceleratorPool``) check
+#: this and run inline instead.
 _IN_WORKER = False
 
 #: Bytes of a frame's little-endian length prefix.
@@ -57,7 +57,6 @@ _WORKER_FNS: dict[str, Callable | str] = {
     "echo": "repro.exec.worker:echo",
     "crash": "repro.exec.worker:crash",
     "backend_job": "repro.exec.worker:backend_job",
-    "deflate_chunk": "repro.deflate.parallel:compress_chunk",
 }
 
 

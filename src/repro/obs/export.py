@@ -3,7 +3,7 @@
 The Chrome format is the one Perfetto / ``chrome://tracing`` opens
 directly: complete events (``ph: "X"``) with microsecond timestamps,
 one timeline row per trace (job), plus instant events (``ph: "i"``) for
-the span annotations — so a parallel-deflate or DES run renders as the
+the span annotations — so an exec-pool batch or DES run renders as the
 familiar flame chart with faults and resubmits visible as markers.
 """
 

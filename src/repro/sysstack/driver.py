@@ -214,7 +214,13 @@ class NxDriver:
     def _stage(self, op: Op, data: bytes, strategy: str, fmt: str,
                history: bytes, final: bool, sequence: int,
                library: CannedLibrary) -> Crb:
-        """Buffers and CRB of one request."""
+        """Buffers and CRB of one request.
+
+        The function code is encoded first: a request the engine would
+        refuse raises here, before a buffer is mapped or the job filed.
+        """
+        function = FunctionCode(op=op, strategy=strategy, fmt=fmt)
+        function.encode()
         source, target, csb_va = self.prepare_buffers(
             data, first_target_len(op, data, fmt))
         history_dde = None
@@ -222,9 +228,8 @@ class NxDriver:
             hist_va = self.space.alloc(len(history))
             self.space.write(hist_va, history)
             history_dde = Dde.direct(hist_va, len(history))
-        return Crb(function=FunctionCode(op=op, strategy=strategy, fmt=fmt),
-                   source=source, target=target, csb_address=csb_va,
-                   sequence=sequence,
+        return Crb(function=function, source=source, target=target,
+                   csb_address=csb_va, sequence=sequence,
                    flags=0 if final else CRB_FLAG_CONTINUED,
                    history_dde=history_dde, library=library)
 

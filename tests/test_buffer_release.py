@@ -160,6 +160,21 @@ class TestSyncExitPaths:
         assert not driver.space.pages
         driver.close()  # the failed job's credit came back too
 
+    @pytest.mark.parametrize("field", ["strategy", "fmt"])
+    def test_refused_function_code_files_nothing(self, field, text_20k):
+        """A CRB the engine cannot encode fails before it is filed: no
+        job left in flight to wedge the next ``run``, no page mapped."""
+        driver = make_driver()
+        for _ in range(2):
+            with pytest.raises(JobError, match="bad"):
+                driver.run(Op.COMPRESS, text_20k, **{field: "bogus"})
+            assert driver.in_flight == 0
+            assert not driver.space.pages
+        result = driver.run(Op.COMPRESS, text_20k)
+        assert stdzlib.decompress(result.output, -15) == text_20k
+        assert not driver.space.pages
+        driver.close()
+
 
 class TestAsyncExitPaths:
     def test_permanent_cc_and_neighbours(self, text_20k):

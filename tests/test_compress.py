@@ -1,5 +1,7 @@
 """Block builder: planning, header RLE, block choice, emission."""
 
+import zlib
+
 import pytest
 
 from repro.deflate.bitio import BitWriter
@@ -16,9 +18,11 @@ from repro.deflate.constants import (
     BTYPE_FIXED,
     BTYPE_STORED,
     END_OF_BLOCK,
+    WINDOW_SIZE,
 )
 from repro.deflate.inflate import inflate
 from repro.deflate.matcher import tokenize
+from repro.workloads.generators import generate
 
 
 class TestTokenFrequencies:
@@ -172,3 +176,27 @@ class TestDeflate:
     def test_empty_input(self):
         result = deflate(b"", level=6)
         assert inflate(result.data) == b""
+
+    def test_history_reaches_back_across_the_seam(self):
+        """A copy of the history compresses to back-references.
+
+        A random block makes the effect unambiguous: its trigrams repeat
+        nowhere inside itself, so every match must reach into the primed
+        window — without priming the copy is incompressible noise.  The
+        block is kept just under the window size: a window-aligned copy
+        sits at distance 32768, which the matcher (like zlib's) cannot
+        reach.
+        """
+        block = generate("random_bytes", WINDOW_SIZE - 4096, seed=32)
+        head = deflate(block, level=6, final=False).data
+        primed = head + deflate(block, level=6, history=block).data
+        unprimed = head + deflate(block, level=6).data
+        assert zlib.decompress(primed, -15) == block + block
+        assert len(primed) < 0.6 * len(unprimed)
+
+    def test_final_false_is_continuable(self):
+        corpus = generate("markov_text", 120000, seed=31)
+        head, tail = corpus[:70000], corpus[70000:]
+        cont = deflate(head, level=6, final=False).data
+        fin = deflate(tail, level=6, history=head[-WINDOW_SIZE:]).data
+        assert zlib.decompress(cont + fin, -15) == corpus

@@ -9,8 +9,8 @@ import time
 import pytest
 
 from repro import obs
-from repro.deflate import inflate, parallel_deflate
-from repro.deflate.parallel import compress_chunk
+from repro.backend import create_backend
+from repro.deflate import inflate
 from repro.errors import ExecError, WorkerCrash
 from repro.exec import (ProcessWorkerPool, get_default_pool,
                         shutdown_default_pool)
@@ -155,13 +155,17 @@ def test_default_pool_recreated_when_broken():
 # -- worker parity -----------------------------------------------------------
 
 def test_worker_inline_output_parity(pool):
-    """A chunk compressed in a worker is the chunk compressed here."""
-    chunk = generate("markov_text", 40000, seed=41)
-    kwargs = {"chunk": chunk, "history": b"", "level": 6, "final": True}
-    inline = compress_chunk(**kwargs)
-    pooled, = pool.run_batch([("deflate_chunk", kwargs)], timeout_s=120.0)
-    assert pooled == inline
-    assert inflate(pooled.data) == chunk
+    """A compress run in a worker is the compress run here."""
+    data = generate("markov_text", 40000, seed=41)
+    kwargs = {"backend": "software", "machine": "POWER9",
+              "backend_kwargs": {"level": 6}, "kind": "compress",
+              "fmt": "raw", "data": data}
+    with create_backend("software", machine="POWER9", level=6) as backend:
+        inline = backend.compress(data, fmt="raw")
+    pooled, = pool.run_batch([("backend_job", kwargs)], timeout_s=120.0)
+    assert pooled.output == inline.output
+    assert pooled.stats == inline.stats
+    assert inflate(pooled.output) == data
 
 
 # -- telemetry relay ---------------------------------------------------------
@@ -191,29 +195,37 @@ def test_merge_snapshot_counters_gauges_histograms():
 
 
 def test_worker_spans_fold_under_parallel_span():
-    corpus = generate("markov_text", 100000, seed=42)
+    """Each job of a batch spread over two workers relays its kernel
+    span back under that job's own parent-side span."""
+    from repro.backend.pool import AcceleratorPool
+
+    payloads = [generate("markov_text", 8000, seed=s) for s in range(4)]
     obs.reset()
     obs.enable(trace=True, metrics=False)
     try:
         completed_before = get_default_pool(2).jobs_completed
-        result = parallel_deflate(corpus, level=6, chunk_size=1 << 15,
-                                  workers=2)
-        assert inflate(result.data) == corpus
+        with AcceleratorPool("POWER9", chips=1, backend="software",
+                             exec_workers=2) as ap:
+            jobs = [ap.submit_compress(p, fmt="raw") for p in payloads]
+            ap.wait_all()
+        assert [inflate(j.result.output) for j in jobs] == payloads
         # The pool path really ran (no silent inline fallback).
-        assert get_default_pool(2).jobs_completed > completed_before
-        parallel_spans = [s for s in TRACE.finished()
-                          if s.name == "deflate.parallel"]
-        assert len(parallel_spans) == 1
-        parent = parallel_spans[0]
-        kernels = [s for s in TRACE.finished() if s.name == "deflate.kernel"]
-        assert len(kernels) >= 4  # one per chunk, relayed from workers
-        by_id = {s.span_id: s for s in TRACE.finished()}
+        assert get_default_pool(2).jobs_completed \
+            == completed_before + len(payloads)
+        finished = TRACE.finished()
+        by_id = {s.span_id: s for s in finished}
+        kernels = [s for s in finished if s.name == "deflate.kernel"]
+        assert len(kernels) == len(payloads)  # relayed from workers
+        roots = set()
         for kernel in kernels:
-            assert kernel.trace_id == parent.trace_id
-            node = kernel
+            node, path = kernel, []
             while node.parent_id is not None:
                 node = by_id[node.parent_id]
-            assert node.span_id == parent.span_id
+                path.append(node.name)
+            assert path[-2:] == ["worker.job", "pool.route"]
+            assert node.trace_id == kernel.trace_id
+            roots.add(node.span_id)
+        assert len(roots) == len(payloads)  # one parent span per job
     finally:
         obs.disable()
         obs.reset()

@@ -293,14 +293,12 @@ def _hostile_streams() -> list[tuple[str, str, bytes, bytes]]:
     ]
 
 
-_FIVE_BACKENDS = pytest.mark.parametrize("backend,kwargs", [
-    ("software", {}), ("software-parallel", {"workers": 1}),
-    ("software-parallel", {"workers": 2}), ("nx", {}),
-    ("dfltcc", {"machine": "z15"})],
-    ids=["software", "parallel-1", "parallel-2", "nx", "dfltcc"])
+_BACKENDS = pytest.mark.parametrize("backend,kwargs", [
+    ("software", {}), ("nx", {}), ("dfltcc", {"machine": "z15"})],
+    ids=["software", "nx", "dfltcc"])
 
 
-@_FIVE_BACKENDS
+@_BACKENDS
 @pytest.mark.parametrize("case", _hostile_streams(), ids=lambda c: c[0])
 def test_hostile_header_refused_alike(case, backend, kwargs):
     from repro.backend import create_backend
@@ -316,7 +314,7 @@ def test_hostile_header_refused_alike(case, backend, kwargs):
     assert refused.type is reference.type
 
 
-@_FIVE_BACKENDS
+@_BACKENDS
 def test_multi_member_archive_decoded_whole_alike(backend, kwargs):
     """A gzip payload is all of its members (RFC 1952 section 2.2), on
     every backend, and bytes after a member that are not another member

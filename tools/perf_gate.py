@@ -11,7 +11,7 @@ and ``dictsvc`` (``bench_dictsvc.py``); with no argument all four run.
 Each fresh document is judged against the committed
 ``BENCH_<source>.json``, row by row.
 
-A row is ``(metric, source, better, limit, min_cpus)``.  Its limit is
+A row is ``(metric, source, better, limit)``.  Its limit is
 either relative (:class:`Rel`: the share by which the fresh value may be
 worse than the committed one, by ``worse_by`` from the stack benchmark's
 ``compare.py``) or absolute (a number the fresh value must not be worse
@@ -21,11 +21,9 @@ every timed region (``benchmarks/_common.StageRecorder.best_of``) and
 recorded as ``meta.host_slowdown``, so a slow phase of the host cannot
 fail a row and a fast one cannot mask a regression.
 Absolute rows are ratios, shares and counts, and are taken as measured.
-A row needing more CPUs than the host has is printed as skipped.
 
 A metric names a key of the document's ``results`` or of the document
-itself; ``.`` descends into a dict and ``a/b`` is the ratio of two.
-Exits 1 when a row fails (each failed row is named), 2 on an unknown
+itself.  Exits 1 when a row fails (each failed row is named), 2 on an unknown
 source.
 """
 
@@ -58,7 +56,6 @@ class Row(NamedTuple):
     source: str
     better: str        # "higher", or "lower" for an absolute limit
     limit: float       # a Rel, or an absolute bound
-    min_cpus: int = 1
 
 
 #: How much worse than committed a speed-corrected rate may read: on a
@@ -74,13 +71,6 @@ TABLE = (
     Row("adler32_mbps", "hotpath", "higher", DRIFT),
     Row("nx_scan_p9_mbps", "hotpath", "higher", DRIFT),
     Row("nx_scan_z15_mbps", "hotpath", "higher", DRIFT),
-    Row("parallel_deflate_mbps.1", "hotpath", "higher", DRIFT),
-    Row("parallel_deflate_mbps.2", "hotpath", "higher", DRIFT, 2),
-    Row("parallel_deflate_mbps.4", "hotpath", "higher", DRIFT, 2),
-    Row("parallel_deflate_cold_mbps.1", "hotpath", "higher", DRIFT),
-    # Two warm workers beat one.
-    Row("parallel_deflate_mbps.2/parallel_deflate_mbps.1", "hotpath",
-        "higher", 1.0, 2),
     # The disabled tracer's null spans and the flight recorder cost < 2 %.
     Row("deflate_l6_off_overhead_pct", "obs", "lower", 2.0),
     Row("inflate_off_overhead_pct", "obs", "lower", 2.0),
@@ -96,12 +86,7 @@ TABLE = (
 
 def lookup(doc: dict, metric: str) -> float | None:
     """The value of ``metric`` in ``doc``, or None when it is absent."""
-    if "/" in metric:
-        num, den = (lookup(doc, part) for part in metric.split("/"))
-        return num / den if num is not None and den else None
-    value: object = {**doc, **doc.get("results", {})}
-    for key in metric.split("."):
-        value = value.get(key) if isinstance(value, dict) else None
+    value = {**doc, **doc.get("results", {})}.get(metric)
     return value if isinstance(value, (int, float)) else None
 
 
@@ -116,10 +101,7 @@ def corrected(doc: dict, metric: str) -> float | None:
 
 
 def judge(row: Row, fresh: dict, committed: dict) -> tuple[str, str]:
-    """``(verdict, detail)`` of one row: ok, FAIL or skipped."""
-    cpus = fresh.get("meta", {}).get("cpus", 1)
-    if cpus < row.min_cpus:
-        return "skipped", f"needs {row.min_cpus} CPUs, the host has {cpus}"
+    """``(verdict, detail)`` of one row: ok or FAIL."""
     if not isinstance(row.limit, Rel):
         value = lookup(fresh, row.metric)
         if value is None:

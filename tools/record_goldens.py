@@ -370,10 +370,6 @@ def container_producers() -> dict:
             grid[f"software-l{level}-{fmt}"] = (
                 lambda d, level=level, fmt=fmt: _backend(
                     "software", d, fmt, level=level))
-            grid[f"software_parallel-l{level}-{fmt}"] = (
-                lambda d, level=level, fmt=fmt: _backend(
-                    "software-parallel", d, fmt, level=level, workers=1,
-                    chunk_size=_STREAM_CHUNK))
     grid["software_compress-842"] = lambda d: software_compress(
         d, fmt="842", machine=POWER9)
     for fmt in _WIRE_FORMATS + ("842",):
