@@ -10,7 +10,6 @@ if TYPE_CHECKING:
     from .metrics import Table, human_bytes
     from .offload import OffloadAdvisor, Recommendation, Route
     from .plot import bar_chart, line_chart
-    from .stream import NxCompressStream, NxDecompressStream, StreamStats
 
 __all__ = lazy_exports(__name__, {
     "analyze": "Analysis StrategyEstimate analyze",
@@ -18,5 +17,4 @@ __all__ = lazy_exports(__name__, {
     "metrics": "Table human_bytes",
     "offload": "OffloadAdvisor Recommendation Route",
     "plot": "bar_chart line_chart",
-    "stream": "NxCompressStream NxDecompressStream StreamStats",
 })

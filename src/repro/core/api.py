@@ -171,17 +171,14 @@ class NxGzip:
         self._account(len(chunk), result, "compress")
         return result
 
-    def compress_stream(self, fmt: str = "gzip") -> "NxCompressStream":
-        """Open a chunk-at-a-time compression stream on this session."""
-        from .stream import NxCompressStream
+    def compress_stream(self, fmt: str = "gzip") -> "CompressStream":
+        """Open a chunk-at-a-time compression stream on this session;
+        its units are :meth:`compress_chunk` requests."""
+        from ..deflate.stream import CompressStream
 
-        return NxCompressStream(session=self, fmt=fmt)
-
-    def decompress_stream(self) -> "NxDecompressStream":
-        """Open a continuation-unit decompression stream."""
-        from .stream import NxDecompressStream
-
-        return NxDecompressStream(session=self)
+        return CompressStream(
+            lambda chunk, history, final: self.compress_chunk(
+                chunk, history, final).output, fmt)
 
     def close(self) -> None:
         self.backend.close()

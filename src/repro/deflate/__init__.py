@@ -15,22 +15,22 @@ if TYPE_CHECKING:
     from .compress import CompressResult, deflate
     from .containers import (gzip_compress, gzip_decompress, zlib_compress,
                              zlib_decompress)
-    from .gzip_stream import GzipReader
     from .inflate import InflateStats, inflate, inflate_with_stats
     from .inflate_stream import InflateStream
     from .matcher import LEVEL_CONFIGS, MatcherConfig, MatchStats, tokenize
     from .seekindex import (DEFAULT_SPACING, IndexedDecode, RangeReadResult,
                             SeekIndex, SeekPoint, decode_indexed, read_range)
+    from .stream import CompressStream, DecompressStream
 
 __all__ = lazy_exports(__name__, {
     "checksums": "adler32 crc32",
     "compress": "CompressResult deflate",
     "containers": "gzip_compress gzip_decompress zlib_compress "
                   "zlib_decompress",
-    "gzip_stream": "GzipReader",
     "inflate": "InflateStats inflate inflate_with_stats",
     "inflate_stream": "InflateStream",
     "matcher": "LEVEL_CONFIGS MatcherConfig MatchStats tokenize",
     "seekindex": "DEFAULT_SPACING IndexedDecode RangeReadResult SeekIndex "
                  "SeekPoint decode_indexed read_range",
+    "stream": "CompressStream DecompressStream",
 })

@@ -103,22 +103,45 @@ def checksum(fmt: str, data: bytes, running: int | None = None,
     return 0
 
 
-def body_start(fmt: str, data: bytes, start: int = 0,
-               zdict: bytes = b"") -> tuple[int, bytes]:
+def header_end(fmt: str, data: bytes, start: int = 0,
+               zdict: bytes = b"") -> tuple[int, bytes] | None:
     """Offset of the DEFLATE body of the stream at ``start``, and the
-    window that body starts with.
+    window that body starts with; ``None`` while the buffer ends inside
+    the header (a streaming reader waits for more).
 
-    The header in front is validated (gzip: magic, method and the
-    optional fields; zlib: CM, FCHECK and, under FDICT, that ``zdict``
-    is the dictionary DICTID names).  ``zdict`` is a raw unit's carried
-    window or a zlib preset dictionary; a stream that does not ask for
-    one starts empty.
+    The header is validated as far as it goes (gzip: magic, method and
+    the optional FEXTRA/FNAME/FCOMMENT/FHCRC fields, each bounds-checked;
+    zlib: CM, FCHECK and, under FDICT, that ``zdict`` is the dictionary
+    DICTID names).  ``zdict`` is a raw unit's carried window or a zlib
+    preset dictionary; a stream that does not ask for one starts empty.
     """
     if fmt == "gzip":
-        return start + gzip_header_length(data, start), b""
+        if len(data) - start < 10:
+            return None
+        if data[start:start + 2] != GZIP_MAGIC:
+            raise DeflateError("bad gzip magic")
+        if data[start + 2] != GZIP_METHOD_DEFLATE:
+            raise DeflateError(f"unsupported gzip method {data[start + 2]}")
+        flg = data[start + 3]
+        pos = start + 10
+        if flg & 0x04:  # FEXTRA
+            if pos + 2 > len(data):
+                return None
+            pos += 2 + struct.unpack_from("<H", data, pos)[0]
+        for bit in (0x08, 0x10):  # FNAME, FCOMMENT
+            if flg & bit:
+                # An FEXTRA that ran past the buffer ends here too:
+                # find() from beyond the end is -1.
+                end = data.find(b"\x00", pos)
+                if end < 0:
+                    return None
+                pos = end + 1
+        if flg & 0x02:  # FHCRC
+            pos += 2
+        return (pos, b"") if pos <= len(data) else None
     if fmt == "zlib":
-        if len(data) - start < 6:
-            raise DeflateError("zlib stream too short")
+        if len(data) - start < 2:
+            return None
         cmf, flg = data[start], data[start + 1]
         if (cmf & 0x0F) != ZLIB_CM_DEFLATE:
             raise DeflateError(f"unsupported zlib method {cmf & 0x0F}")
@@ -128,6 +151,8 @@ def body_start(fmt: str, data: bytes, start: int = 0,
             return start + 2, b""
         if not zdict:
             raise DeflateError("stream needs a preset dictionary")
+        if len(data) - start < 6:
+            return None
         if struct.unpack_from(">I", data, start + 2)[0] != adler32(zdict):
             raise ChecksumError("DICTID does not match the dictionary")
         return start + 6, zdict
@@ -166,6 +191,16 @@ def member_follows(fmt: str, data: bytes, end: int) -> bool:
 
 
 # -- built on the table --------------------------------------------------------
+
+def body_start(fmt: str, data: bytes, start: int = 0,
+               zdict: bytes = b"") -> tuple[int, bytes]:
+    """:func:`header_end` for a decoder that holds the whole payload: a
+    header the buffer cuts short is a :class:`DeflateError`."""
+    found = header_end(fmt, data, start, zdict)
+    if found is None:
+        raise DeflateError(f"{fmt} header truncated")
+    return found
+
 
 def frame(fmt: str, body: bytes, check: int, size: int,
           level: int | None = None, zdict: bytes = b"",
@@ -250,47 +285,6 @@ def gzip_compress(data: bytes, level: int = 6,
     """Compress into an RFC 1952 (gzip) member."""
     return frame("gzip", deflate(data, level=level).data, crc32(data),
                  len(data), level, mtime=mtime)
-
-
-def gzip_header_end(data: bytes, start: int = 0) -> int | None:
-    """Offset just past the RFC 1952 member header at ``start``.
-
-    The one walk over FEXTRA/FNAME/FCOMMENT/FHCRC, every field
-    bounds-checked.  ``None`` means the buffer ends inside the header
-    (a streaming reader waits for more; a one-shot decoder reports
-    truncation); a wrong magic or method is a :class:`DeflateError`.
-    """
-    if len(data) - start < 10:
-        return None
-    if data[start:start + 2] != GZIP_MAGIC:
-        raise DeflateError("bad gzip magic")
-    if data[start + 2] != GZIP_METHOD_DEFLATE:
-        raise DeflateError(f"unsupported gzip method {data[start + 2]}")
-    flg = data[start + 3]
-    pos = start + 10
-    if flg & 0x04:  # FEXTRA
-        if pos + 2 > len(data):
-            return None
-        pos += 2 + struct.unpack_from("<H", data, pos)[0]
-    for bit in (0x08, 0x10):  # FNAME, FCOMMENT
-        if flg & bit:
-            # An FEXTRA that ran past the buffer ends here too: find()
-            # from beyond the end is -1.
-            end = data.find(b"\x00", pos)
-            if end < 0:
-                return None
-            pos = end + 1
-    if flg & 0x02:  # FHCRC
-        pos += 2
-    return pos if pos <= len(data) else None
-
-
-def gzip_header_length(data: bytes, start: int = 0) -> int:
-    """Length in bytes of the complete member header at ``start``."""
-    end = gzip_header_end(data, start)
-    if end is None:
-        raise DeflateError("gzip header truncated")
-    return end - start
 
 
 def gzip_decompress(data: bytes) -> bytes:

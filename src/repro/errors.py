@@ -90,8 +90,8 @@ class E842Overflow(E842Error):
     """Decoded output exceeds the caller's buffer capacity."""
 
 
-class StreamStateError(ReproError):
-    """The stream was used after finish() or out of order."""
+class StreamStateError(DeflateError):
+    """A compress stream was written after it was finished."""
 
 
 class SeekIndexError(ReproError):

@@ -1,4 +1,4 @@
-"""Incremental gzip reader."""
+"""Incremental gzip reading through ``DecompressStream("gzip")``."""
 
 import gzip as stdgzip
 import io
@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deflate.containers import gzip_compress
-from repro.deflate.gzip_stream import GzipReader
+from repro.deflate.stream import DecompressStream
 from repro.errors import ChecksumError, DeflateError
 
 
-def run_chunks(payload: bytes, size: int) -> tuple[bytes, GzipReader]:
-    reader = GzipReader()
+def run_chunks(payload: bytes, size: int) -> tuple[bytes, DecompressStream]:
+    reader = DecompressStream("gzip")
     out = bytearray()
     for i in range(0, len(payload), size):
         out += reader.feed(payload[i:i + size])
@@ -39,14 +39,14 @@ class TestSingleMember:
                               fileobj=buf) as handle:
             handle.write(text_20k)
         payload = buf.getvalue()
-        reader = GzipReader()
+        reader = DecompressStream("gzip")
         out = (reader.feed(payload[:5]) + reader.feed(payload[5:12])
                + reader.feed(payload[12:]) + reader.finish())
         assert out == text_20k
 
     def test_output_streams_early(self, text_20k):
         payload = gzip_compress(text_20k)
-        reader = GzipReader()
+        reader = DecompressStream("gzip")
         early = reader.feed(payload[:len(payload) // 2])
         assert early
         assert early == text_20k[:len(early)]
@@ -59,7 +59,7 @@ class TestCompleteOnFeed:
         all of it from ``feed``: no tail is held back for ``finish``."""
         data = text_20k[:size]
         for payload in (gzip_compress(data), stdgzip.compress(data)):
-            reader = GzipReader()
+            reader = DecompressStream("gzip")
             assert reader.feed(payload) == data
             assert reader.members_read == 1
             assert reader.finish() == b""
@@ -72,19 +72,13 @@ class TestMultiMember:
         assert out == text_20k + json_20k
         assert reader.members_read == 2
 
-    def test_single_member_mode_rejects_tail(self, text_20k):
-        archive = gzip_compress(text_20k) + gzip_compress(b"x")
-        reader = GzipReader(allow_multiple_members=False)
-        with pytest.raises(DeflateError):
-            reader.feed(archive)
-            reader.finish()
 
 
 class TestErrors:
     def test_crc_mismatch(self, text_20k):
         payload = bytearray(gzip_compress(text_20k))
         payload[-6] ^= 0xFF
-        reader = GzipReader()
+        reader = DecompressStream("gzip")
         with pytest.raises(ChecksumError):
             reader.feed(bytes(payload))
             reader.finish()
@@ -92,25 +86,25 @@ class TestErrors:
     def test_isize_mismatch(self, text_20k):
         payload = bytearray(gzip_compress(text_20k))
         payload[-1] ^= 0xFF
-        reader = GzipReader()
+        reader = DecompressStream("gzip")
         with pytest.raises(ChecksumError):
             reader.feed(bytes(payload))
             reader.finish()
 
     def test_bad_magic(self):
-        reader = GzipReader()
+        reader = DecompressStream("gzip")
         with pytest.raises(DeflateError):
             reader.feed(b"NOTGZIP---" * 2)
 
     def test_truncated(self, text_20k):
         payload = gzip_compress(text_20k)
-        reader = GzipReader()
+        reader = DecompressStream("gzip")
         reader.feed(payload[: len(payload) // 3])
         with pytest.raises(DeflateError):
             reader.finish()
 
     def test_empty_input(self):
-        reader = GzipReader()
+        reader = DecompressStream("gzip")
         with pytest.raises(DeflateError):
             reader.finish()
 

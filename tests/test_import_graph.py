@@ -147,7 +147,9 @@ def test_a_server_loads_no_study_and_no_ops_plane(entry):
                           "--duration-s", "0"])
     assert imports.matching("repro.service.server"), "nothing was served"
     imports.refuse("repro.workloads", "repro.core.analyze", "repro.core.api",
-                   "repro.core.plot", "repro.core.stream", "repro.obs.http",
+                   "repro.core.plot", "repro.deflate.stream",
+                   "repro.deflate.inflate_stream", "repro.deflate.zlib_like",
+                   "repro.obs.http",
                    "repro.perf.des", "repro.perf.queueing",
                    "repro.perf.timing", "repro.perf.tco", "repro.perf.energy",
                    "repro.perf.system", "repro.exec", "repro.nx.z15",

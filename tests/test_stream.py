@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import NxGzip
-from repro.core.stream import StreamStateError
 from repro.deflate.compress import deflate
 from repro.deflate.containers import zlib_compress, zlib_decompress
 from repro.deflate.inflate import inflate_with_stats
-from repro.errors import AcceleratorError, ChecksumError, DeflateError
+from repro.deflate.stream import DecompressStream
+from repro.errors import (AcceleratorError, ChecksumError, ConfigError,
+                          DeflateError, StreamStateError)
 from repro.nx.compressor import NxCompressor
 from repro.nx.dht import DhtStrategy
 from repro.nx.params import POWER9
@@ -171,9 +172,18 @@ class TestCompressStream:
             for chunk in chunked(stream_data[:60000], 20000):
                 stream.write(chunk)
             stream.finish()
-        assert stream.stats.chunks == 4  # 3 writes + final empty
-        assert stream.stats.bytes_in == 60000
-        assert stream.stats.modelled_seconds > 0
+        assert session.stats.requests == 4  # 3 writes + final empty
+        assert session.stats.bytes_in == 60000
+        assert session.stats.modelled_seconds > 0
+
+    @pytest.mark.parametrize("fmt", ["bogus", "842"])
+    def test_unknown_format_refused(self, fmt):
+        """A stream frames one of the wire formats or none: a name the
+        table does not know is refused before any unit is compressed."""
+        with NxGzip("POWER9") as session:
+            with pytest.raises(ConfigError):
+                session.compress_stream(fmt=fmt)
+            assert session.stats.requests == 0
 
     def test_faults_during_streaming_recovered(self, stream_data):
         with NxGzip("POWER9", fault_probability=0.02, seed=5) as session:
@@ -193,11 +203,11 @@ class TestDecompressStream:
                      for chunk in chunked(stream_data, 30000)]
             units.append(cstream.finish())
 
-            dstream = session.decompress_stream()
-            out = b""
-            for idx, unit in enumerate(units):
-                out += dstream.decode_unit(unit,
-                                           final=idx == len(units) - 1)
+        dstream = DecompressStream("raw")
+        out = b""
+        for unit in units:
+            out += dstream.feed(unit)
+        out += dstream.finish()
         assert out == stream_data
 
     def test_a_unit_may_arrive_in_two_pieces(self, stream_data):
@@ -208,17 +218,16 @@ class TestDecompressStream:
         with NxGzip("POWER9") as session:
             cstream = session.compress_stream(fmt="raw")
             units = [cstream.write(data[:6000]), cstream.finish(data[6000:])]
-            for split in (0, 1):
-                for cut in range(0, len(units[split]) + 1, 7):
-                    dstream = session.decompress_stream()
-                    out = b""
-                    for idx, unit in enumerate(units):
-                        final = idx == len(units) - 1
-                        if idx == split:
-                            out += dstream.decode_unit(unit[:cut])
-                            unit = unit[cut:]
-                        out += dstream.decode_unit(unit, final=final)
-                    assert out == data
+        for split in (0, 1):
+            for cut in range(0, len(units[split]) + 1, 7):
+                dstream = DecompressStream("raw")
+                out = b""
+                for idx, unit in enumerate(units):
+                    if idx == split:
+                        out += dstream.feed(unit[:cut])
+                        unit = unit[cut:]
+                    out += dstream.feed(unit)
+                assert out + dstream.finish() == data
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,9 +4,10 @@ The streaming layers hold state between calls — a 32 KB history window
 on the compress side, a partially decoded element plus buffered bits on
 the inflate side — so their bugs live at chunk *boundaries*: a split
 mid-Huffman-code, a zero-length write, a flush followed by more data.
-These tests drive both with seeded random schedules (boundaries placed
+These tests drive them with seeded random schedules (boundaries placed
 anywhere, including empty chunks and 1-byte feeds) and hold the whole
-family to one oracle: byte parity with the one-shot path.
+family to one oracle: byte parity with the one-shot path (stdlib's,
+for :class:`DecompressStream` over every container).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import zlib
 import pytest
 
 from repro import NxGzip
-from repro.core.stream import StreamStateError, reassemble
 from repro.deflate.inflate import inflate_with_stats
 from repro.deflate.inflate_stream import InflateStream
-from repro.errors import DeflateError
+from repro.deflate.stream import DecompressStream
+from repro.errors import DeflateError, StreamStateError
 from tests.test_inflate_stream import inflate_incremental
 from repro.workloads.generators import generate
 
@@ -122,13 +123,11 @@ class TestCompressStreamFuzz:
                      split(data, random_schedule(rng, len(data),
                                                  zero_chunks=False))]
             units.append(stream.finish())
-            reader = session.decompress_stream()
-            restored = b"".join(
-                reader.decode_unit(u, final=(i == len(units) - 1))
-                for i, u in enumerate(units))
-        assert restored == data
+        reader = DecompressStream("raw")
+        restored = b"".join(reader.feed(u) for u in units)
+        assert restored + reader.finish() == data
         # And the reassembled raw stream is a valid one-shot stream.
-        assert zlib.decompress(reassemble(units), wbits=-15) == data
+        assert zlib.decompress(b"".join(units), wbits=-15) == data
 
     def test_write_after_finish_raises(self):
         with NxGzip("POWER9") as session:
@@ -225,3 +224,68 @@ class TestInflateStreamFuzz:
             wire += stream.finish()
         chunks = split(wire, random_schedule(rng, len(wire)))
         assert inflate_incremental(chunks) == data
+
+
+def _feed_all(stream: DecompressStream, chunks: list[bytes]) -> bytes:
+    out = b"".join(stream.feed(chunk) for chunk in chunks)
+    return out + stream.finish()
+
+
+class TestDecompressStreamFuzz:
+    """Every container, in random chunkings, against stdlib's decoders."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_multi_member_gzip(self, corpus, seed):
+        rng = random.Random(seed * 31)
+        names = [rng.choice(sorted(corpus)) for _ in range(3)]
+        members = [gzip.compress(corpus[name][:rng.randint(0, 20000)],
+                                 compresslevel=rng.choice((1, 6, 9)),
+                                 mtime=0) for name in names]
+        archive = b"".join(members)
+        stream = DecompressStream("gzip")
+        chunks = split(archive, random_schedule(rng, len(archive)))
+        assert _feed_all(stream, chunks) == gzip.decompress(archive)
+        assert stream.members_read == len(members)
+        assert stream.finished
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("primed", [False, True], ids=["plain", "fdict"])
+    def test_zlib(self, corpus, seed, primed):
+        rng = random.Random(seed * 37 + primed)
+        data = corpus[rng.choice(sorted(corpus))]
+        zdict = corpus["json"][:rng.randint(1, 40000)] if primed else b""
+        packer = zlib.compressobj(6, zlib.DEFLATED, 15,
+                                  **({"zdict": zdict} if primed else {}))
+        payload = packer.compress(data) + packer.flush()
+        assert bool(payload[1] & 0x20) == primed  # FDICT
+        stream = DecompressStream("zlib", zdict=zdict)
+        chunks = split(payload, random_schedule(rng, len(payload)))
+        assert _feed_all(stream, chunks) == data
+        assert stream.members_read == 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_with_zdict(self, corpus, seed):
+        rng = random.Random(seed * 41)
+        data = corpus[rng.choice(sorted(corpus))]
+        zdict = corpus["text"][:rng.randint(1, 60000)]
+        packer = zlib.compressobj(6, zlib.DEFLATED, -15, zdict=zdict)
+        payload = packer.compress(data) + packer.flush()
+        stream = DecompressStream("raw", zdict=zdict)
+        chunks = split(payload, random_schedule(rng, len(payload)))
+        assert _feed_all(stream, chunks) == data
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("fmt", ["gzip", "zlib"])
+    def test_trailing_bytes_raise(self, seed, fmt):
+        """What follows a zlib stream, or a gzip member when it is not
+        another member, is refused on ``feed`` or at ``finish``."""
+        rng = random.Random(seed * 43)
+        data = generate("markov_text", 5000, seed=seed)
+        payload = (gzip.compress(data, mtime=0) if fmt == "gzip"
+                   else zlib.compress(data))
+        tail = rng.choice((b"\x00", b"junk", zlib.compress(b"x"),
+                           bytes(rng.randrange(256) for _ in range(40))))
+        wire = payload + tail
+        stream = DecompressStream(fmt)
+        with pytest.raises(DeflateError):
+            _feed_all(stream, split(wire, random_schedule(rng, len(wire))))

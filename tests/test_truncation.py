@@ -55,7 +55,7 @@ def test_full_stream_still_decodes() -> None:
 
 # -- gzip member headers -----------------------------------------------------
 #
-# One parser (``containers.gzip_header_end``) serves the one-shot
+# One parser (``containers.header_end``) serves the one-shot
 # decoders, the member walker, the dfltcc backend and the streaming
 # reader: every cut of a header carrying every optional field, and every
 # malformed field, must come back as a typed ``DeflateError`` from each.
@@ -77,9 +77,8 @@ def _full_header_member() -> tuple[bytes, int]:
 
 def _gzip_decoders() -> dict:
     from repro.backend import create_backend
-    from repro.deflate.containers import (decode_with_stats,
-                                          gzip_decompress,
-                                          gzip_header_length)
+    from repro.deflate.containers import (body_start, decode_with_stats,
+                                          gzip_decompress)
 
     def via(name: str, machine: str):
         def decode(payload: bytes) -> bytes:
@@ -94,7 +93,7 @@ def _gzip_decoders() -> dict:
         "gzip_decompress": gzip_decompress,
         "gzip_member_length": lambda payload: decode_with_stats(
             payload, "gzip")[2],
-        "gzip_header_length": gzip_header_length,
+        "gzip_header_length": lambda payload: body_start("gzip", payload)[0],
         "nx": via("nx", "POWER9"),
         "dfltcc": via("dfltcc", "z15"),
         "software": via("software", "POWER9"),
@@ -144,14 +143,14 @@ def test_malformed_gzip_header_fields_raise_typed(name: str) -> None:
 
 def test_streaming_reader_waits_where_one_shot_raises() -> None:
     """The same walk tells a streaming caller "need more", not "bad"."""
-    from repro.deflate.containers import gzip_header_end
-    from repro.deflate.gzip_stream import GzipReader
+    from repro.deflate.containers import header_end
+    from repro.deflate.stream import DecompressStream
 
     member, header_len = _full_header_member()
     for cut in range(header_len):
-        assert gzip_header_end(member[:cut]) is None
-    assert gzip_header_end(member) == header_len
-    assert gzip_header_end(b"junk" + member, 4) == 4 + header_len
-    reader = GzipReader()
+        assert header_end("gzip", member[:cut]) is None
+    assert header_end("gzip", member) == (header_len, b"")
+    assert header_end("gzip", b"junk" + member, 4) == (4 + header_len, b"")
+    reader = DecompressStream("gzip")
     out = b"".join(reader.feed(member[i:i + 1]) for i in range(len(member)))
     assert out + reader.finish() == generate("markov_text", 1500, seed=23)

@@ -6,6 +6,7 @@ import zlib as stdzlib
 import pytest
 
 from repro.deflate import zlib_like
+from repro.deflate.stream import DecompressStream
 from repro.errors import DeflateError
 from repro.workloads.generators import generate
 
@@ -134,10 +135,11 @@ class TestDecompressObj:
             units.append(deflate(chunk, 6, history=hist,
                                  final=idx == len(chunks) - 1).data)
             hist = (hist + chunk)[-32768:]
-        dec = zlib_like.decompressobj()
+        dec = DecompressStream("raw")
         out = b""
-        for idx, unit in enumerate(units):
-            out += dec.decompress(unit, final=idx == len(units) - 1)
+        for unit in units:
+            out += dec.feed(unit)
+        out += dec.finish()
         assert out == text_20k
 
     def test_zdict_decompressobj(self, json_20k):
@@ -145,8 +147,8 @@ class TestDecompressObj:
 
         d = json_20k[:5000]
         unit = deflate(json_20k[5000:], 6, history=d, final=True).data
-        dec = zlib_like.decompressobj(zdict=d)
-        assert dec.decompress(unit, final=True) == json_20k[5000:]
+        dec = DecompressStream("raw", zdict=d)
+        assert dec.feed(unit) + dec.finish() == json_20k[5000:]
 
     @pytest.mark.parametrize("primed", [False, True], ids=["", "zdict"])
     def test_a_unit_may_arrive_in_two_pieces(self, json_20k, primed):
@@ -160,11 +162,11 @@ class TestDecompressObj:
                  deflate(last, 6, history=zdict + first, final=True).data]
         for split in (0, 1):
             for cut in range(len(units[split]) + 1):
-                dec = zlib_like.decompressobj(zdict=zdict)
+                dec = DecompressStream("raw", zdict=zdict)
                 out = b""
                 for idx, unit in enumerate(units):
                     if idx == split:
-                        out += dec.decompress(unit[:cut])
+                        out += dec.feed(unit[:cut])
                         unit = unit[cut:]
-                    out += dec.decompress(unit, final=idx == 1)
-                assert out == first + last
+                    out += dec.feed(unit)
+                assert out + dec.finish() == first + last

@@ -106,22 +106,15 @@ ALLOW: dict[str, str] = {
         "builds the indirect DDE the engine's gather path walks",
     "repro.sysstack.dde.Dde.pack_entries":
         "writes the indirect entry array Dde.unpack_entries reads back",
-    "repro.core.api.NxGzip.decompress_stream":
-        "decode half of NxGzip.compress_stream, whose units "
-        "tools/record_goldens.py pins",
-    "repro.core.stream.NxDecompressStream.decode_unit":
-        "decode half of NxCompressStream.write",
-    "repro.core.stream.reassemble":
-        "joins NxCompressStream units into one raw stream",
     "repro.deflate.zlib_like.decompress":
         "decode half of the zlib_like drop-in, whose compress half "
         "tools/record_goldens.py pins",
-    "repro.deflate.zlib_like.decompressobj":
-        "decode half of zlib_like.compressobj",
     "repro.deflate.containers.zlib_decompress":
         "decode half of containers.zlib_compress",
-    "repro.deflate.gzip_stream.GzipReader":
-        "streaming decode of gzip members over InflateStream",
+    "repro.deflate.stream.DecompressStream":
+        "decode half of CompressStream, whose framing "
+        "tools/record_goldens.py pins; repro decompress does not read "
+        "through it yet (it would leave the pool's modelled path)",
 }
 
 #: Knobs no root sets, each with the reason it stays.
@@ -215,6 +208,10 @@ ALLOW_KNOBS: dict[str, str] = {
     "repro.sysstack.vas.Vas.open_window(priority=)":
         "the paper's high-priority VAS receive FIFO; tests/test_priority.py "
         "holds Vas.pop_request to the arbitrate E14's queueing model runs",
+    "repro.deflate.compress.deflate(strategy=)":
+        "zlib's Z_HUFFMAN_ONLY and Z_RLE on the software codec; "
+        "tests/test_interop_zlib.py holds each strategy's streams to "
+        "stdlib's",
     "repro.deflate.zlib_like.compressobj(zdict=)":
         "stdlib zlib.compressobj's preset dictionary, which the drop-in "
         "mirrors; tests/test_interop_zlib.py holds its streams to stdlib's",
