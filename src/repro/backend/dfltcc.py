@@ -4,18 +4,18 @@ This is the zlib-dfltcc shape: the deflate *body* is produced by the
 accelerator (CMPR invocations re-issued while CC=3, the CPU-determined
 completion), while the RFC 1950/1952 container framing stays in
 software — exactly how the s390 zlib patch wraps the instruction.
-Expansion skips the container header, runs XPND on a first operand
-sized from the ISIZE trailer (growing it on CC=1), and verifies the
-trailer XPND stopped at against the parameter block's running check
-value; a gzip archive is expanded member by member that way.
+Expansion is one XPND walk of the whole payload, every gzip member of
+it (the model's facility runs the container walker every decoder
+shares), into a first operand sized from the ISIZE trailer; on CC=1 the
+loop keeps what the operand holds and re-issues into a fresh one, going
+on from the state the parameter block carries.
 """
 
 from __future__ import annotations
 
-from ..deflate.containers import (FORMATS, body_start, checksum,
+from ..deflate.containers import (FORMATS, checksum,
                                   decompress_target_len, frame,
-                                  member_follows, require_format,
-                                  verify_trailer)
+                                  require_format)
 from ..nx.dht import CannedLibrary, DhtStrategy
 from ..nx.params import Z15, MachineParams, get_machine
 from ..nx.z15 import Dfltcc, ParameterBlock, cmpr_loop, xpnd_loop
@@ -70,31 +70,10 @@ class DfltccBackend(CompressionBackend):
 
     def _decompress(self, payload: bytes, fmt: str,
                     history: bytes) -> DriverResult:
-        capacity = decompress_target_len(payload, fmt)
-        parts: list[bytes] = []
-        seconds, invocations, end = 0.0, 0, 0
-        while True:
-            # XPND expands one raw stream: each gzip member is its own
-            # operation with a fresh parameter block.
-            header, window = body_start(fmt, payload, end, zdict=history)
-            block = ParameterBlock(history=window)
-            result, issues = xpnd_loop(self._facility, block,
-                                       payload[header:], capacity)
-            # The trailer XPND stopped at, against the check value the
-            # facility accumulated while expanding (gzip: no second pass).
-            end = verify_trailer(fmt, payload, header + result.consumed,
-                                 checksum(fmt, result.produced,
-                                          crc=block.check_value),
-                                 len(result.produced))
-            parts.append(result.produced)
-            # The ISIZE hint is the last member's: a later member starts
-            # from the largest target an earlier one needed.
-            capacity = max(capacity, len(result.produced))
-            seconds += result.seconds
-            invocations += issues
-            if not member_follows(fmt, payload, end):
-                break
+        output, seconds, invocations = xpnd_loop(
+            self._facility, ParameterBlock(history=history), payload, fmt,
+            decompress_target_len(payload, fmt))
         stats = SubmissionStats(submissions=invocations,
+                                target_overflows=invocations - 1,
                                 elapsed_seconds=seconds)
-        return DriverResult(output=b"".join(parts), csb=None, stats=stats)
-
+        return DriverResult(output=output, csb=None, stats=stats)

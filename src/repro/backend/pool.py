@@ -88,7 +88,7 @@ _REAP_TICK_S = 0.1
 def _hardware_clean(result: DriverResult) -> bool:
     """Did the hardware serve this without misbehaving?
 
-    Translation faults and target regrowth are *protocol*, not failure;
+    Translation faults and target continuations are *protocol*, not failure;
     hangs, spurious CCs, and retry-exhausted software fallbacks are the
     breaker-relevant signals.
     """

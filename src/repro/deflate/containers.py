@@ -9,11 +9,15 @@ and the accelerator model.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
 from ..errors import ChecksumError, ConfigError, DeflateError
+from ..obs.trace import TRACE as _TRACE
+from .bitio import reader_at
 from .checksums import adler32, crc32
 from .compress import deflate
-from .inflate import InflateStats, inflate_with_stats
+from .constants import WINDOW_SIZE
+from .inflate import InflateStats, inflate_blocks
 
 ZLIB_CM_DEFLATE = 8
 ZLIB_WINDOW_32K = 7
@@ -226,9 +230,171 @@ def encode(data: bytes, fmt: str, level: int = 6, history: bytes = b"",
                  zdict=history)
 
 
+@dataclass(frozen=True)
+class SeekPoint:
+    """A block boundary a decode can go on from: its whole state.
+
+    A seek index records these; an engine whose target filled hands one
+    back, and the next request continues there with ``window`` as its
+    history.
+    """
+
+    bit_offset: int          # absolute bit offset into the payload
+    out_offset: int          # output bytes before it
+    member: int              # gzip member index (0 for raw/zlib)
+    member_out_offset: int   # output bytes of that member before it
+    check: int               # the member's running check (see checksum)
+    window: bytes = b""      # the 32 KB before it (b"" at a member start)
+
+
+class Resolver:
+    """The container walker every decoder runs: a payload's members in
+    order from a known state, each trailer verified where it is crossed.
+
+    ``history`` is a raw unit's carried window or a zlib preset
+    dictionary; with ``point``, the window the decode resumes with.
+    ``spacing`` (when not None) records a :class:`SeekPoint` every that
+    many output bytes and at every member body start.  ``pos_bit`` is a
+    block boundary while a member is open (``buf``: its window, then
+    its output), otherwise the bit of the next gzip member header or
+    the end of the payload.
+    """
+
+    def __init__(self, payload: bytes, fmt: str, history: bytes = b"",
+                 point: SeekPoint | None = None,
+                 spacing: int | None = None) -> None:
+        self.payload, self.fmt, self.spacing = payload, fmt, spacing
+        self.stats = InflateStats()
+        self.points: list[SeekPoint] = []
+        self.parts: list[bytes] = []   # output of the closed members
+        self.produced = 0              # ... and its length
+        self.end = 0                   # offset just past the last trailer
+        self.buf: bytearray | None = None
+        if point is None:
+            self.offset = self.members = 0
+            self._open(0, history)
+        else:
+            self.offset, self.members = point.out_offset, point.member
+            self._start(point.bit_offset, history, point.member_out_offset,
+                        point.check)
+
+    def _open(self, header_byte: int, zdict: bytes = b"") -> None:
+        body, window = body_start(self.fmt, self.payload, header_byte, zdict)
+        # The check of no bytes: gzip's is the 0 given, with no pass.
+        self._start(body * 8, window, 0, checksum(self.fmt, b"", crc=0))
+
+    def _start(self, bit: int, window: bytes, member_out: int,
+               check: int) -> None:
+        self.pos_bit, self.member_before, self.check = bit, member_out, check
+        self.buf = bytearray(window[-WINDOW_SIZE:])
+        # The member's output starts at ``base``; ``check`` covers it up
+        # to ``checked``.
+        self.base = self.checked = len(self.buf)
+
+    def _open_bytes(self) -> int:
+        return len(self.buf) - self.base if self.buf is not None else 0
+
+    def run(self, cap: int = 1 << 62, want: int | None = None,
+            resumable: bool = False) -> SeekPoint | None:
+        """Decode until the payload ends or ``want`` output bytes exist.
+
+        Output past ``cap`` is an :class:`OutputOverflow` — or, with
+        ``resumable``, the block that would pass it is undone and the
+        state at its first bit returned (None otherwise).
+        """
+        while want is None or self.produced + self._open_bytes() < want:
+            if self.buf is None:
+                if self.pos_bit >= 8 * len(self.payload):
+                    break
+                self._open(self.pos_bit // 8)
+            self._record_point()
+            final = self._segment(cap, want, resumable)
+            if final is None:
+                return self._point()
+            if final:
+                self._close()
+        return None
+
+    def output(self) -> bytes:
+        """Everything decoded, the open member's bytes included (once:
+        the decode is over)."""
+        if self._open_bytes():
+            self._take()
+        # One member: join hands back the member's own bytes, no copy.
+        return b"".join(self.parts)
+
+    def _segment(self, cap: int, want: int | None,
+                 resumable: bool) -> bool | None:
+        """Decode blocks of the open member; True after its final one."""
+        done = self.produced + self._open_bytes()
+        if want is not None:
+            want -= done
+        elif self.spacing is not None:
+            # Stop where the next seek point is due.
+            want = self.spacing - (self.offset + done
+                                   - self.points[-1].out_offset)
+        reader = reader_at(self.payload, self.pos_bit)
+        with _TRACE.span("inflate.kernel", nbytes=len(self.payload)) as span:
+            size = len(self.buf)
+            final = inflate_blocks(reader, self.buf, cap - done, self.stats,
+                                   want_bytes=want, resumable=resumable)
+            span.set(out_bytes=len(self.buf) - size)
+        self.pos_bit = reader.bits_consumed
+        return final
+
+    def _fold_check(self) -> None:
+        if len(self.buf) > self.checked:
+            self.check = checksum(
+                self.fmt, memoryview(self.buf)[self.checked:], self.check)
+            self.checked = len(self.buf)
+
+    def _take(self) -> bytes:
+        buf, base = self.buf, self.base
+        piece = bytes(buf) if not base else bytes(memoryview(buf)[base:])
+        self.parts.append(piece)
+        self.produced += len(piece)
+        return piece
+
+    def _close(self) -> None:
+        """Verify the trailer behind a final block and step past it."""
+        checked = self.checked - self.base
+        piece = self._take()
+        self.buf = None  # the check pass runs with the output held once
+        self.check = checksum(self.fmt, memoryview(piece)[checked:]
+                              if checked else piece, self.check)
+        self.end = verify_trailer(
+            self.fmt, self.payload, (self.pos_bit + 7) // 8, self.check,
+            self.member_before + len(piece))
+        self.members += 1
+        follows = member_follows(self.fmt, self.payload, self.end)
+        self.pos_bit = 8 * (self.end if follows else len(self.payload))
+
+    def _point(self) -> SeekPoint:
+        self._fold_check()
+        return SeekPoint(
+            bit_offset=self.pos_bit,
+            out_offset=self.offset + self.produced + self._open_bytes(),
+            member=self.members,
+            member_out_offset=self.member_before + self._open_bytes(),
+            check=self.check, window=bytes(self.buf[-WINDOW_SIZE:]))
+
+    def _record_point(self) -> None:
+        if self.spacing is None:
+            return
+        if self.points:
+            gap = (self.offset + self.produced + self._open_bytes()
+                   - self.points[-1].out_offset)
+            # Member body starts are always worth a point (the window
+            # is empty there); otherwise honour the spacing.
+            at_member_start = self.member_before + self._open_bytes() == 0
+            if gap == 0 or (gap < self.spacing and not at_member_start):
+                return
+        self.points.append(self._point())
+
+
 def decode_with_stats(
         data: bytes, fmt: str, history: bytes = b"",
-        max_output: int = 1 << 31,
+        resume: SeekPoint | None = None,
 ) -> tuple[bytes, InflateStats, int]:
     """Decode a payload: its one stream, or every member of a gzip
     archive (RFC 1952 section 2.2).
@@ -236,37 +402,13 @@ def decode_with_stats(
     One header parse, one inflate, one checksum per member.  Returns
     ``(output, stats, end)`` with ``end`` the offset just past the last
     trailer; bytes after a gzip member that are not another member are
-    a :class:`DeflateError`.  ``max_output`` caps the whole output: the
-    decode stops with :class:`OutputOverflow` there, before any checksum
-    work.  ``history`` is a raw unit's carried window or a zlib preset
-    dictionary (see :func:`body_start`).
+    a :class:`DeflateError`.  ``history`` is a raw unit's carried window
+    or a zlib preset dictionary; with ``resume`` the decode goes on from
+    that state, ``history`` its window.
     """
-    out, stats, end = _decode_stream(data, fmt, 0, history, max_output)
-    parts, produced = [out], len(out)
-    while member_follows(fmt, data, end):
-        out, more, end = _decode_stream(data, fmt, end, b"",
-                                        max_output - produced)
-        parts.append(out)
-        produced += len(out)
-        stats.literals += more.literals
-        stats.matches += more.matches
-        stats.match_bytes += more.match_bytes
-        stats.blocks += more.blocks
-    # One member: join hands back the member's own bytes, no copy.
-    return b"".join(parts), stats, end
-
-
-def _decode_stream(data: bytes, fmt: str, start: int, history: bytes,
-                   max_output: int) -> tuple[bytes, InflateStats, int]:
-    """The stream (or gzip member) at ``start``, in a single inflate
-    pass; ``end`` is the offset just past its trailer."""
-    body, window = body_start(fmt, data, start, history)
-    out, stats, bits = inflate_with_stats(data, start=body,
-                                          max_output=max_output,
-                                          history=window)
-    tail = (bits + 7) // 8  # bits_consumed is absolute in the buffer
-    end = verify_trailer(fmt, data, tail, checksum(fmt, out), len(out))
-    return out, stats, end
+    resolver = Resolver(data, fmt, history, resume)
+    resolver.run()
+    return resolver.output(), resolver.stats, resolver.end
 
 
 def zlib_compress(data: bytes, level: int = 6,
@@ -300,14 +442,34 @@ def decompress_target_len(payload: bytes, fmt: str) -> int:
     sized from it; the value is untrusted (forged, mod 2**32, or another
     member's when members are concatenated) and is therefore clamped to
     what DEFLATE can expand ``payload`` to.  zlib and raw streams state
-    nothing: the 4x guess stands.  Callers keep their grow-and-resubmit
-    loop, so a hint that lies low costs a resubmission, never bytes.
+    nothing: the 4x guess stands.  It is the first hint only: a decode
+    that fills its target goes on into the next
+    (:func:`next_target_len`), so a hint that lies low costs a
+    continuation, never bytes.
     """
     guess = 4 * len(payload) + 1024
     if fmt == "gzip" and len(payload) >= 18:
         isize = int.from_bytes(payload[-4:], "little")
         guess = min(isize, DEFLATE_MAX_EXPANSION * len(payload) + 1024)
     return max(4096, guess)
+
+
+def next_target_len(target_len: int, written: int,
+                    point: SeekPoint | None, payload_len: int) -> int:
+    """The fresh target a request goes on into once ``target_len``
+    filled having ``written`` bytes, stopped at ``point``.
+
+    Twice the last, so continuations stay logarithmic in the output;
+    once some output fits, also room for the rest of the payload at the
+    ratio decoded so far, so a low first hint costs a continuation or
+    two, not one a doubling.
+    """
+    grown = 2 * target_len
+    if point is None or not written:
+        return grown
+    rest = ((8 * payload_len - point.bit_offset) * point.out_offset
+            // point.bit_offset)
+    return max(grown, rest + rest // 8)
 
 
 def wrap_zlib(deflate_body: bytes, original: bytes) -> bytes:

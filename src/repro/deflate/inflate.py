@@ -298,10 +298,8 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
             return False
 
 
-def inflate_with_stats(data: bytes, start: int = 0,
-                       max_output: int = 1 << 31,
-                       history: bytes = b"") -> tuple[
-                           bytes, InflateStats, int]:
+def inflate_with_stats(data: bytes, history: bytes = b"") -> tuple[
+        bytes, InflateStats, int]:
     """Decode a raw DEFLATE stream.
 
     ``history`` is the preset dictionary the stream was compressed
@@ -310,7 +308,7 @@ def inflate_with_stats(data: bytes, start: int = 0,
     find the trailing checksum.
     """
     with _TRACE.span("inflate.kernel", nbytes=len(data)) as span:
-        result = inflate_core(data, start, max_output, history)
+        result = inflate_core(data, history=history)
         span.set(out_bytes=len(result[0]))
         return result
 
@@ -344,8 +342,8 @@ def read_block_header(reader: BitReader) -> tuple[
 
 
 def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
-                   stats: InflateStats,
-                   want_bytes: int | None = None) -> bool:
+                   stats: InflateStats, want_bytes: int | None = None,
+                   resumable: bool = False) -> bool | None:
     """Decode whole blocks from ``reader`` onto the end of ``out``.
 
     The one stored/fixed/dynamic block loop for every one-shot decode:
@@ -353,21 +351,35 @@ def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
     nothing at a member start) and may grow by at most ``budget`` bytes
     before :class:`OutputOverflow`.  Stops after the final block
     (returns True) or, returning False, after the first block that
-    brings this call's output to ``want_bytes``.
+    brings this call's output to ``want_bytes``.  With ``resumable`` the
+    block that would pass the budget is undone instead: ``out``,
+    ``stats`` and ``reader`` go back to its first bit and the call
+    returns None, for a decode to go on from there into more room.
     ``reader.bits_consumed`` is the next block's bit.
     """
     base = len(out)
     limit = base + budget
     while True:
+        mark = (reader._pos, reader._bitbuf, reader._bitcount, len(out),
+                stats.literals)
         final, btype, body = read_block_header(reader)
         stats.blocks.append(btype)
-        if btype == BTYPE_STORED:
-            out.extend(reader.read_bytes(body))
-            stats.literals += body
-            if len(out) > limit:
-                raise OutputOverflow("output exceeds allowed size")
-        else:
-            _inflate_huffman_block(reader, out, *body, stats, limit)
+        try:
+            if btype == BTYPE_STORED:
+                out.extend(reader.read_bytes(body))
+                stats.literals += body
+                if len(out) > limit:
+                    raise OutputOverflow("output exceeds allowed size")
+            else:
+                _inflate_huffman_block(reader, out, *body, stats, limit)
+        except OutputOverflow:
+            if not resumable:
+                raise
+            (reader._pos, reader._bitbuf, reader._bitcount, size,
+             stats.literals) = mark
+            del out[size:]
+            stats.blocks.pop()
+            return None
         if final:
             return True
         if want_bytes is not None and len(out) - base >= want_bytes:

@@ -23,7 +23,8 @@ Format v1 (all integers little-endian)::
         out_offset        u64  global uncompressed offset there
         member            u32  gzip member index (0-based)
         member_out_offset u64  uncompressed offset within that member
-        crc               u32  running CRC-32 of the member so far
+        check             u32  running check of the member so far
+                               (CRC-32 gzip, Adler-32 zlib, 0 raw)
         wkind             u8   0 = raw window bytes, 1 = deflated
         wlen              u16  uncompressed window length (<= 32768)
         stored            u32  stored window byte count
@@ -35,9 +36,12 @@ typed :class:`~repro.errors.SeekIndexError`: an unreadable index must
 never steer a decode toward wrong bytes — callers fall back to a full
 serial decode instead.
 
-One container walker, :class:`_Resolver`, records the points as a side
-effect of a full serial decode (:func:`decode_indexed`, ``repro cat``)
-and resumes at one (:func:`read_range`, ``repro cat --range``).
+The points are :class:`~repro.deflate.containers.SeekPoint`, the state
+the container walker every decoder runs
+(:class:`~repro.deflate.containers.Resolver`) resumes from: it records
+them as a side effect of a full serial decode (:func:`decode_indexed`,
+``repro cat``) and goes on from one (:func:`read_range`, ``repro cat
+--range``) as an engine goes on from a full target.
 """
 
 from __future__ import annotations
@@ -51,12 +55,10 @@ from dataclasses import dataclass, field
 from ..errors import DeflateError, SeekIndexError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
-from .bitio import reader_at
 from .checksums import crc32
 from .compress import deflate
-from .containers import (FORMATS, body_start, checksum, member_follows,
-                         verify_trailer)
-from .inflate import InflateStats, inflate, inflate_blocks
+from .containers import FORMATS, Resolver, SeekPoint
+from .inflate import inflate
 
 MAGIC = b"RSIX"
 VERSION = 1
@@ -72,18 +74,6 @@ _FMT_NAMES = {code: name for name, code in _FMT_CODES.items()}
 
 _HEADER = struct.Struct("<4sHBBIQQI")
 _POINT = struct.Struct("<QQIQIBHI")
-
-
-@dataclass(frozen=True)
-class SeekPoint:
-    """One resumable block boundary."""
-
-    bit_offset: int          # absolute bit offset into the payload
-    out_offset: int          # global uncompressed offset at the boundary
-    member: int              # gzip member index (0 for raw/zlib)
-    member_out_offset: int   # uncompressed offset within that member
-    crc: int                 # running CRC-32 of the member's output so far
-    window: bytes            # back-reference window (b"" at member start)
 
 
 @dataclass
@@ -116,7 +106,7 @@ class SeekIndex:
             wkind, stored = _pack_window(point.window)
             out += _POINT.pack(point.bit_offset, point.out_offset,
                                point.member, point.member_out_offset,
-                               point.crc, wkind, len(point.window),
+                               point.check, wkind, len(point.window),
                                len(stored))
             out += stored
         out += struct.pack("<I", crc32(bytes(out)))
@@ -145,7 +135,7 @@ class SeekIndex:
         for _ in range(npoints):
             if pos + _POINT.size > len(blob) - 4:
                 raise SeekIndexError("seek index truncated inside a point")
-            bit_offset, out_offset, member, member_out, crc, wkind, \
+            bit_offset, out_offset, member, member_out, check, wkind, \
                 wlen, stored = _POINT.unpack_from(blob, pos)
             pos += _POINT.size
             if wlen > _WINDOW:
@@ -157,8 +147,8 @@ class SeekIndex:
             pos += stored
             points.append(SeekPoint(bit_offset=bit_offset,
                                     out_offset=out_offset, member=member,
-                                    member_out_offset=member_out, crc=crc,
-                                    window=window))
+                                    member_out_offset=member_out,
+                                    check=check, window=window))
         if pos != len(blob) - 4:
             raise SeekIndexError(
                 f"seek index has {len(blob) - 4 - pos} stray bytes")
@@ -231,7 +221,7 @@ def _unpack_window(stored: bytes, wkind: int, wlen: int) -> bytes:
     return window
 
 
-# -- the container walker -----------------------------------------------------
+# -- decoding through the index ----------------------------------------------
 
 @dataclass(frozen=True)
 class IndexedDecode:
@@ -253,114 +243,6 @@ class RangeReadResult:
     point_bit_offset: int    # where in the payload the decode resumed
 
 
-class _Resolver:
-    """Walks a payload's members in order from a position whose window
-    is known, verifying each container trailer it crosses.
-
-    ``pos_bit`` is a block boundary while ``in_member``, otherwise the
-    bit of the next gzip member header (or the end of the payload).
-    ``spacing`` (when not None) records a seek point every that many
-    output bytes and at every member body start.
-    """
-
-    def __init__(self, payload: bytes, fmt: str, spacing: int | None,
-                 max_output: int) -> None:
-        self.payload = payload
-        self.fmt = fmt
-        self.spacing = spacing
-        self.max_output = max_output
-        self.out = bytearray()
-        self.points: list[SeekPoint] = []
-        self.members = 0          # members completed (trailer verified)
-        self.member_start = 0     # offset in ``out`` of the open member
-        self.member_crc = 0
-        self.window = b""
-        self.pos_bit = 0
-        self.in_member = False
-
-    def open(self, header_byte: int = 0) -> None:
-        """Start at the container header at ``header_byte`` — the top of
-        the stream, or a later gzip member — checking it."""
-        body, self.window = body_start(self.fmt, self.payload, header_byte)
-        self.pos_bit = body * 8
-        self.member_crc = 0
-        self.member_start = len(self.out)
-        self.in_member = True
-
-    def resume(self, point: SeekPoint) -> None:
-        """Start at an indexed block boundary instead."""
-        self.pos_bit = point.bit_offset
-        self.window = point.window
-        self.member_crc = point.crc
-        self.member_start = -point.member_out_offset
-        self.members = point.member
-        self.in_member = True
-
-    def run(self, want: int | None = None) -> None:
-        """Decode until the payload ends or ``want`` output bytes exist."""
-        end_bit = len(self.payload) * 8
-        while want is None or len(self.out) < want:
-            if self.in_member:
-                self._record_point()
-                if self._segment(want):
-                    self._finish_member()
-            elif self.pos_bit >= end_bit:
-                return
-            else:
-                self.open(self.pos_bit // 8)
-
-    def _segment(self, want: int | None) -> bool:
-        """Decode blocks of the open member; True after its final one."""
-        if want is not None:
-            want -= len(self.out)
-        elif self.spacing is not None:
-            # Stop where the next seek point is due.
-            want = self.spacing - (len(self.out)
-                                   - self.points[-1].out_offset)
-        reader = reader_at(self.payload, self.pos_bit)
-        buf = bytearray(self.window)
-        final = inflate_blocks(reader, buf,
-                               self.max_output - len(self.out),
-                               InflateStats(), want_bytes=want)
-        nwindow = len(self.window)
-        self.window = bytes(buf[-_WINDOW:])
-        del buf[:nwindow]
-        self.out += buf
-        self.member_crc = crc32(buf, self.member_crc)
-        self.pos_bit = reader.bits_consumed
-        return final
-
-    def _finish_member(self) -> None:
-        """Verify the trailer behind a final block and step past it."""
-        # gzip's CRC-32 was kept running for the seek points; zlib's
-        # Adler-32 covers the whole output (its one member).
-        end = verify_trailer(
-            self.fmt, self.payload, (self.pos_bit + 7) // 8,
-            checksum(self.fmt, self.out, crc=self.member_crc),
-            len(self.out) - self.member_start)
-        if not member_follows(self.fmt, self.payload, end):
-            end = len(self.payload)
-        self.members += 1
-        self.pos_bit = end * 8
-        self.in_member = False
-
-    def _record_point(self) -> None:
-        if self.spacing is None:
-            return
-        if self.points:
-            gap = len(self.out) - self.points[-1].out_offset
-            # Member body starts are always worth a point (the window
-            # is empty there); otherwise honour the spacing.
-            at_member_start = len(self.out) == self.member_start
-            if gap == 0 or (gap < self.spacing and not at_member_start):
-                return
-        self.points.append(SeekPoint(
-            bit_offset=self.pos_bit, out_offset=len(self.out),
-            member=self.members,
-            member_out_offset=len(self.out) - self.member_start,
-            crc=self.member_crc, window=self.window))
-
-
 def decode_indexed(payload: bytes, fmt: str, *,
                    index_spacing: int = DEFAULT_SPACING,
                    max_output: int = 1 << 62) -> IndexedDecode:
@@ -375,16 +257,16 @@ def decode_indexed(payload: bytes, fmt: str, *,
     """
     if fmt not in FORMATS:
         raise DeflateError(f"cannot index a {fmt!r} stream")
-    resolver = _Resolver(payload, fmt, index_spacing, max_output)
     with _TRACE.span("inflate.indexed", nbytes=len(payload),
                      fmt=fmt) as span:
-        resolver.open()
-        resolver.run()
-        span.set(out_bytes=len(resolver.out), members=resolver.members)
+        resolver = Resolver(payload, fmt, spacing=index_spacing)
+        resolver.run(max_output)
+        data = resolver.output()
+        span.set(out_bytes=len(data), members=resolver.members)
     index = SeekIndex(fmt=fmt, compressed_size=len(payload),
-                      output_size=len(resolver.out),
-                      members=resolver.members, points=resolver.points)
-    return IndexedDecode(data=bytes(resolver.out), index=index)
+                      output_size=len(data), members=resolver.members,
+                      points=resolver.points)
+    return IndexedDecode(data=data, index=index)
 
 
 def read_range(payload: bytes, offset: int, length: int, *,
@@ -407,13 +289,12 @@ def read_range(payload: bytes, offset: int, length: int, *,
             f"payload, got {len(payload)} bytes")
     point = index.locate(offset)
     # A zlib body is walked as raw: no Adler-32 check from a midpoint.
-    resolver = _Resolver(payload, "gzip" if fmt == "gzip" else "raw",
-                         None, 1 << 62)
-    resolver.resume(point)
     with _TRACE.span("inflate.range", offset=offset, length=length,
                      resume_bit=point.bit_offset):
+        resolver = Resolver(payload, "gzip" if fmt == "gzip" else "raw",
+                            point.window, point)
         resolver.run(want=offset + length - point.out_offset)
-    out = resolver.out
+        out = resolver.output()
     start = offset - point.out_offset
     data = bytes(out[start:start + length])
     _REGISTRY.counter("repro_inflate_random_reads_total",

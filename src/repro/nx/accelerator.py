@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
-from ..sysstack.crb import CcCode, Crb, Csb, Op
+from ..sysstack.crb import CcCode, Crb, Op
 from ..sysstack.mmu import AddressSpace
 from ..sysstack.vas import PasteRecord, Vas
 from .engine import JobOutcome, NxEngine
@@ -125,16 +125,7 @@ class NxAccelerator:
     def _fabricate(self, crb: Crb, space: AddressSpace, cc: CcCode,
                    fault_address: int = 0) -> JobOutcome:
         """A chaos-injected abnormal completion (engine never ran)."""
-        engine = self.engine_for(crb)
-        busy = engine._abort_seconds()
-        engine.counters.busy_seconds += busy
-        csb = Csb(valid=True, cc=cc, fault_address=fault_address)
-        if crb.csb_address:
-            space.write(crb.csb_address, csb.pack())
-        return JobOutcome(csb=csb, busy_seconds=busy,
-                          faulted_address=(fault_address
-                                           if cc is CcCode.TRANSLATION
-                                           else None))
+        return self.engine_for(crb).abort(crb, space, cc, fault_address)
 
     def _hydrate(self, crb: Crb, space: AddressSpace) -> None:
         from ..sysstack.dde import DDE_BYTES, Dde

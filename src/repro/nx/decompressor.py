@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..deflate.constants import BTYPE_DYNAMIC
-from ..deflate.containers import FORMATS, decode_with_stats
+from ..deflate.containers import FORMATS, Resolver, SeekPoint
 from ..deflate.inflate import InflateStats
 from ..errors import AcceleratorError
 from .params import DECOMP_DHT_SETUP_CYCLES, PIPELINE_FILL_CYCLES, EngineParams
@@ -33,6 +33,8 @@ class NxDecompressResult:
     #: Input bytes up to the end of the stream (container trailer
     #: included); anything after them was not part of it.
     consumed_bytes: int
+    #: Where a request whose target filled goes on (None: it finished).
+    resume: SeekPoint | None = None
 
     @property
     def seconds(self) -> float:
@@ -52,25 +54,31 @@ class NxDecompressor:
     params: EngineParams
 
     def decompress(self, payload: bytes, fmt: str = "raw",
-                   max_output: int = 1 << 31,
-                   history: bytes = b"") -> NxDecompressResult:
+                   max_output: int = 1 << 31, history: bytes = b"",
+                   resume: SeekPoint | None = None) -> NxDecompressResult:
         """Run one decompression request through the engine model.
 
-        One inflate pass and one checksum pass, whatever the format;
-        output past ``max_output`` (the CRB's target size) aborts the
-        decode with :class:`OutputOverflow` at the cap.  ``history`` is
-        the carried window of a raw unit or a zlib preset dictionary.
+        One inflate pass and one checksum pass, whatever the format.
+        ``history`` is the carried window of a raw unit or a zlib preset
+        dictionary; with ``resume`` the request goes on from that state
+        and ``history`` is its window.  A request whose output would pass
+        ``max_output`` (the target's size) ends at the last block that
+        fits: the result's ``resume`` is where the next one goes on.
         """
         if fmt not in FORMATS:
             raise AcceleratorError(f"unsupported wire format {fmt!r}")
-        data, stats, end = decode_with_stats(
-            payload, fmt, history=history, max_output=max_output)
-
-        cycles = self._cycle_model(len(payload), len(data), stats)
+        resolver = Resolver(payload, fmt, history, resume)
+        point = resolver.run(max_output, resumable=True)
+        data = resolver.output()
+        start = resume.bit_offset if resume is not None else 0
+        stop = point.bit_offset if point is not None else 8 * len(payload)
+        cycles = self._cycle_model(-(-(stop - start) // 8), len(data),
+                                   resolver.stats)
         return NxDecompressResult(data=data, input_bytes=len(payload),
-                                  cycles=cycles, stats=stats,
+                                  cycles=cycles, stats=resolver.stats,
                                   clock_ghz=self.params.clock_ghz,
-                                  consumed_bytes=end)
+                                  consumed_bytes=resolver.end,
+                                  resume=point)
 
     def _cycle_model(self, in_bytes: int, out_bytes: int,
                      stats: InflateStats) -> int:

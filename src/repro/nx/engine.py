@@ -5,14 +5,17 @@ modelled address space: walk the source DDE through the MMU, run the
 compression or decompression pipe, scatter the output through the target
 DDE, and produce a CSB.  Translation faults abort the job with
 ``CC=TRANSLATION`` and the faulting address, exactly the software-visible
-protocol the driver's touch-and-resubmit loop relies on.
+protocol the driver's touch-and-resubmit loop relies on.  A decompress
+whose target fills ends at the last block that fits with
+``CC=TARGET_SPACE``: the target holds that output, and the result the
+state the driver's next request continues from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import OutputOverflow, TranslationFault
+from ..errors import TranslationFault
 from ..obs.trace import TRACE as _TRACE
 from ..sysstack.crb import CcCode, Crb, Csb, Op
 from ..sysstack.mmu import AddressSpace
@@ -78,42 +81,28 @@ class NxEngine:
         self.counters.jobs += 1
         reject = self._validate(crb)
         if reject is not None:
-            busy = self._abort_seconds()
-            self.counters.busy_seconds += busy
-            csb = Csb(valid=True, cc=reject)
-            if crb.csb_address:
-                self._write_csb(crb, space, csb)
-            return JobOutcome(csb=csb, busy_seconds=busy)
+            return self.abort(crb, space, reject)
         try:
             source = self._gather_dde(crb.source, space)
             history = (self._gather_dde(crb.history_dde, space)
                        if crb.history_dde is not None else b"")
         except TranslationFault as fault:
-            return self._fault_outcome(crb, space, fault)
+            return self._fault(crb, space, fault)
 
         if crb.function.op is Op.COMPRESS:
             result = self._compressor.compress(
                 source, strategy=DhtStrategy(crb.function.strategy),
                 fmt=crb.function.fmt, history=history,
                 final=crb.is_final, library=crb.library)
-            output = result.data
-            compute_seconds = result.seconds
         elif crb.function.op is Op.DECOMPRESS:
-            try:
-                result = self._decompressor.decompress(
-                    source, fmt=crb.function.fmt,
-                    max_output=crb.target.total_length, history=history)
-            except OutputOverflow:
-                # The decode stopped at the target cap, before any
-                # checksum work; report the architected overflow CC so
-                # the driver grows the buffer.
-                return self._overflow_outcome(crb, space, 0, None)
-            output = result.data
-            compute_seconds = result.seconds
+            # A full target ends the decode at the last block that fits:
+            # the CSB says how far it got, the result where to go on.
+            result = self._decompressor.decompress(
+                source, fmt=crb.function.fmt,
+                max_output=crb.target.total_length, history=history,
+                resume=crb.resume)
         elif crb.function.op is Op.COMPRESS_842:
             result = self._e842.compress(source)
-            output = result.data
-            compute_seconds = result.seconds
         else:  # Op.DECOMPRESS_842
             from ..e842.codec import E842Error, E842Overflow
 
@@ -121,25 +110,28 @@ class NxEngine:
                 result = self._e842.decompress(
                     source, max_output=crb.target.total_length)
             except E842Overflow:
-                return self._overflow_outcome(crb, space, 0, None)
+                return self.abort(crb, space, CcCode.TARGET_SPACE)
             except E842Error:
-                return self._reject(crb, space, CcCode.DATA_LENGTH)
-            output = result.data
-            compute_seconds = result.seconds
+                return self.abort(crb, space, CcCode.DATA_LENGTH)
 
+        output = result.data
         if len(output) > crb.target.total_length:
-            return self._overflow_outcome(crb, space, len(source), result)
+            return self.abort(crb, space, CcCode.TARGET_SPACE)
 
         try:
             self._scatter(crb, space, output)
         except TranslationFault as fault:
-            return self._fault_outcome(crb, space, fault)
+            return self._fault(crb, space, fault)
 
-        busy = self._busy_seconds(len(source), len(output), compute_seconds)
-        csb = Csb(valid=True, cc=CcCode.SUCCESS,
-                  processed_bytes=len(source), target_written=len(output))
-        self._write_csb(crb, space, csb)
-        self.counters.completed += 1
+        busy = self._busy_seconds(len(source), len(output), result.seconds)
+        point = getattr(result, "resume", None)
+        csb = Csb(valid=True, cc=CcCode.SUCCESS, processed_bytes=len(source),
+                  target_written=len(output))
+        if point is not None:
+            csb.cc, csb.processed_bytes = (CcCode.TARGET_SPACE,
+                                           point.bit_offset // 8)
+        space.write(crb.csb_address, csb.pack())
+        self.counters.completed += point is None
         self.counters.bytes_in += len(source)
         self.counters.bytes_out += len(output)
         self.counters.busy_seconds += busy
@@ -156,22 +148,11 @@ class NxEngine:
             return CcCode.DATA_LENGTH
         return None
 
-    def _reject(self, crb: Crb, space: AddressSpace,
-                cc: CcCode) -> JobOutcome:
-        busy = self._abort_seconds()
-        self.counters.busy_seconds += busy
-        csb = Csb(valid=True, cc=cc)
-        if crb.csb_address:
-            self._write_csb(crb, space, csb)
-        return JobOutcome(csb=csb, busy_seconds=busy)
-
     # -- data movement ----------------------------------------------------
 
     def _gather_dde(self, dde, space: AddressSpace) -> bytes:
-        chunks = []
-        for address, length in dde.segments():
-            chunks.append(space.dma_read(address, length))
-        return b"".join(chunks)
+        return b"".join(space.dma_read(address, length)
+                        for address, length in dde.segments())
 
     def _scatter(self, crb: Crb, space: AddressSpace, output: bytes) -> None:
         pos = 0
@@ -181,9 +162,6 @@ class NxEngine:
             chunk = output[pos:pos + length]
             space.dma_write(address, chunk)
             pos += len(chunk)
-
-    def _write_csb(self, crb: Crb, space: AddressSpace, csb: Csb) -> None:
-        space.write(crb.csb_address, csb.pack())
 
     # -- timing -------------------------------------------------------------
 
@@ -200,22 +178,19 @@ class NxEngine:
 
     # -- abnormal completions -----------------------------------------------
 
-    def _fault_outcome(self, crb: Crb, space: AddressSpace,
-                       fault: TranslationFault) -> JobOutcome:
-        self.counters.faulted += 1
+    def abort(self, crb: Crb, space: AddressSpace, cc: CcCode,
+              fault_address: int = 0) -> JobOutcome:
+        """A job that ends with no output — refused, faulted, or out of
+        target space with nothing to go on from — charged the abort."""
         busy = self._abort_seconds()
         self.counters.busy_seconds += busy
-        csb = Csb(valid=True, cc=CcCode.TRANSLATION,
-                  fault_address=fault.address)
-        self._write_csb(crb, space, csb)
-        return JobOutcome(csb=csb, busy_seconds=busy,
-                          faulted_address=fault.address)
+        csb = Csb(valid=True, cc=cc, fault_address=fault_address)
+        if crb.csb_address:
+            space.write(crb.csb_address, csb.pack())
+        return JobOutcome(csb=csb, busy_seconds=busy, faulted_address=(
+            fault_address if cc is CcCode.TRANSLATION else None))
 
-    def _overflow_outcome(self, crb: Crb, space: AddressSpace,
-                          processed: int, result) -> JobOutcome:
-        busy = self._abort_seconds()
-        self.counters.busy_seconds += busy
-        csb = Csb(valid=True, cc=CcCode.TARGET_SPACE,
-                  processed_bytes=processed)
-        self._write_csb(crb, space, csb)
-        return JobOutcome(csb=csb, busy_seconds=busy, result=result)
+    def _fault(self, crb: Crb, space: AddressSpace,
+               fault: TranslationFault) -> JobOutcome:
+        self.counters.faulted += 1
+        return self.abort(crb, space, CcCode.TRANSLATION, fault.address)

@@ -15,8 +15,9 @@ the DHT).  Key architectural behaviours modelled here:
   overhead is a fraction of a microsecond.
 * **Continuation state** — history and the check value live in the
   parameter block, so a stream can be compressed chunk by chunk with
-  full window carry (the synchronous analogue of the POWER9 history
-  DDE protocol).
+  full window carry, and an expansion whose first operand fills goes on
+  where it stopped (the synchronous analogue of the POWER9 history DDE
+  protocol).
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 
 from ..deflate.checksums import crc32
 from ..deflate.constants import WINDOW_SIZE
-from ..deflate.containers import decompress_target_len
-from ..errors import AcceleratorError, OutputOverflow
+from ..deflate.containers import (SeekPoint, decompress_target_len,
+                                  next_target_len)
+from ..errors import AcceleratorError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 from .compressor import NxCompressor
@@ -59,7 +61,6 @@ class ParameterBlock:
     """The in-memory state block both CMPR and XPND carry across calls."""
 
     continuation: bool = False
-    new_task: bool = True
     history: bytes = b""
     check_value: int = 0
     dht_strategy: DhtStrategy = DhtStrategy.FIXED
@@ -67,6 +68,8 @@ class ParameterBlock:
     library: CannedLibrary = BUILTIN  # the canned tables CMPR may use
     total_in: int = 0
     total_out: int = 0
+    #: Where an expansion whose first operand filled goes on.
+    resume: SeekPoint | None = None
 
     def size_check(self) -> None:
         if len(self.history) > WINDOW_SIZE:
@@ -159,7 +162,6 @@ class Dfltcc:
         block.total_in += len(chunk)
         block.total_out += len(produced)
         block.continuation = not chunk_last
-        block.new_task = False
 
         cc = ConditionCode.DONE if remaining_after == 0 \
             else ConditionCode.PARTIAL
@@ -167,33 +169,31 @@ class Dfltcc:
                             seconds=self._issue_seconds() + result.seconds)
 
     def expand(self, block: ParameterBlock, payload: bytes,
+               fmt: str = "raw",
                out_capacity: int = 1 << 62) -> DfltccResult:
-        """XPND: synchronous decompression of a complete raw stream.
+        """XPND: synchronous decompression of a ``fmt`` payload.
 
-        Output-side partial completion: the decode stops as soon as the
-        plaintext outgrows the first operand and CC=1 is returned with
-        nothing consumed (the caller grows the buffer), matching the
-        architecture's operand semantics at request granularity.
-        ``consumed`` is the length of the DEFLATE stream, so a container
-        layer finds its trailer right behind it.
+        Output-side partial completion: when the plaintext outgrows the
+        first operand, the expansion ends at the last block that fits
+        with CC=1, and the parameter block carries where it stopped
+        (``resume``; its window is the block's history, its running
+        check the check value).  Re-issued with the same payload into a
+        fresh first operand, it goes on from there; ``consumed`` is how
+        far into the payload it got.
         """
         block.size_check()
-        try:
-            result = self._decompressor.decompress(
-                payload, fmt="raw", max_output=out_capacity,
-                history=block.history)
-        except OutputOverflow:
-            return DfltccResult(cc=ConditionCode.OP1_FULL, consumed=0,
-                                produced=b"",
-                                seconds=self._issue_seconds())
-        block.history = (block.history + result.data)[-WINDOW_SIZE:]
-        block.check_value = crc32(result.data, block.check_value)
-        block.total_in += result.consumed_bytes
-        block.total_out += len(result.data)
-        return DfltccResult(cc=ConditionCode.DONE,
-                            consumed=result.consumed_bytes,
-                            produced=result.data,
-                            seconds=self._issue_seconds() + result.seconds)
+        result = self._decompressor.decompress(
+            payload, fmt=fmt, max_output=out_capacity,
+            history=block.history, resume=block.resume)
+        point = block.resume = result.resume
+        seconds = self._issue_seconds() + result.seconds
+        if point is None:
+            return DfltccResult(cc=ConditionCode.DONE, produced=result.data,
+                                consumed=result.consumed_bytes,
+                                seconds=seconds)
+        block.history, block.check_value = point.window, point.check
+        return DfltccResult(cc=ConditionCode.OP1_FULL, produced=result.data,
+                            consumed=point.bit_offset // 8, seconds=seconds)
 
     def _issue_seconds(self) -> float:
         """Per-invocation cost: issue + millicode entry, sub-microsecond."""
@@ -228,25 +228,29 @@ def cmpr_loop(facility: Dfltcc, block: ParameterBlock, data: bytes,
     return bytes(out), seconds, invocations
 
 
-def xpnd_loop(facility: Dfltcc, block: ParameterBlock, body: bytes,
-              capacity: int) -> tuple[DfltccResult, int]:
-    """The software loop around XPND: double the first operand on CC=1.
+def xpnd_loop(facility: Dfltcc, block: ParameterBlock, payload: bytes,
+              fmt: str, capacity: int) -> tuple[bytes, float, int]:
+    """The software loop around XPND: on CC=1, keep what the first
+    operand holds and re-issue into a fresh one.
 
-    Returns the completing invocation's result (its ``seconds`` are
-    that one issue's) and how many issues it took.
+    Returns ``(output, modelled seconds of every issue, issues)``.
     """
-    invocations = 0
+    parts: list[bytes] = []
+    seconds, invocations = 0.0, 0
     while True:
-        result = facility.expand(block, body, out_capacity=capacity)
+        result = facility.expand(block, payload, fmt, out_capacity=capacity)
+        parts.append(result.produced)
+        seconds += result.seconds
         invocations += 1
         if result.cc is ConditionCode.DONE:
             break
         if result.cc is not ConditionCode.OP1_FULL:
             raise AcceleratorError(f"unexpected CC {result.cc!r}")
         _TRACE.event("overflow.target", length=capacity)
-        capacity *= 2
+        capacity = next_target_len(capacity, len(result.produced),
+                                   block.resume, len(payload))
     _count_issues(invocations, "xpnd")
-    return result, invocations
+    return b"".join(parts), seconds, invocations
 
 
 def _count_issues(invocations: int, fn: str) -> None:
@@ -264,6 +268,7 @@ def dfltcc_compress(data: bytes,
 
 def dfltcc_expand(payload: bytes) -> tuple[bytes, float]:
     """One raw stream through :func:`xpnd_loop` on a fresh z15 facility."""
-    result, _ = xpnd_loop(Dfltcc(), ParameterBlock(), payload,
-                          decompress_target_len(payload, "raw"))
-    return result.produced, result.seconds
+    output, seconds, _ = xpnd_loop(Dfltcc(), ParameterBlock(), payload,
+                                   "raw", decompress_target_len(payload,
+                                                                "raw"))
+    return output, seconds

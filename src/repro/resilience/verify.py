@@ -28,14 +28,16 @@ from ..perf.cost import SoftwareCostModel
 
 def run_in_software(kind: str, data: bytes, fmt: str, *, level: int = 6,
                     history: bytes = b"", final: bool = True,
-                    machine=None) -> tuple[bytes, float]:
+                    machine=None, resume=None) -> tuple[bytes, float]:
     """Run one job on the calling core: the only software executor.
 
     Every take-over — the driver's fallback when retries run out, the
     pool's rescue of a failed chip's job, the re-encode after a failed
     verify — and the software backends themselves are this function, so
     a job keeps its ``history`` and ``final`` wherever it ends up and
-    the bytes are what the engine would have written for ``fmt``.
+    the bytes are what the engine would have written for ``fmt``.  A
+    decode an engine left at ``resume`` (a full target) goes on from
+    there, ``history`` its window.
     Returns the output and the calibrated core seconds on ``machine``
     (0.0 without one).
     """
@@ -46,7 +48,8 @@ def run_in_software(kind: str, data: bytes, fmt: str, *, level: int = 6,
     elif kind == "compress":
         output = encode(data, fmt, level, history, final)
     else:
-        output = decode_with_stats(data, fmt, history=history)[0]
+        output = decode_with_stats(data, fmt, history=history,
+                                   resume=resume)[0]
     if machine is None:
         return output, 0.0
     cost = SoftwareCostModel(machine)

@@ -14,6 +14,7 @@ import enum
 import struct
 from dataclasses import dataclass, field
 
+from ..deflate.containers import SeekPoint
 from ..errors import JobError
 from ..nx.dht import BUILTIN, CannedLibrary
 from .dde import Dde
@@ -117,9 +118,11 @@ class Crb:
     sequence: int = 0
     flags: int = 0
     history_dde: Dde | None = None  # preset dictionary / carried window
-    # The parameter block it points at: the canned DHTs the job may use.
+    # The parameter block it points at: the canned DHTs the job may use,
+    # and where a continued decode goes on (its window is the history).
     # Not packed: the real CRB carries only the block's address.
     library: CannedLibrary = field(default=BUILTIN, repr=False)
+    resume: SeekPoint | None = None
     _pad: bytes = field(default=b"", repr=False)
 
     @property
@@ -143,8 +146,8 @@ class Crb:
         return body + b"\x00" * (CRB_BYTES - len(body))
 
     @classmethod
-    def unpack(cls, raw: bytes,
-               library: CannedLibrary = BUILTIN) -> "Crb":
+    def unpack(cls, raw: bytes, library: CannedLibrary = BUILTIN,
+               resume: SeekPoint | None = None) -> "Crb":
         if len(raw) != CRB_BYTES:
             raise JobError(f"CRB must be {CRB_BYTES} bytes, got {len(raw)}")
         fc, flags, csb_address = struct.unpack_from("<IIQ", raw, 0)
@@ -157,4 +160,4 @@ class Crb:
         return cls(function=FunctionCode.decode(fc), source=source,
                    target=target, csb_address=csb_address,
                    sequence=sequence, flags=flags, history_dde=history,
-                   library=library)
+                   library=library, resume=resume)

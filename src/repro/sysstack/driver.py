@@ -6,7 +6,9 @@ This is the software half of the documented submission protocol:
 2. build a CRB and ``paste`` it to the process's VAS send window,
    backing off when the window is out of credits;
 3. poll the CSB; on ``CC=TRANSLATION`` touch the faulting page and
-   resubmit; on ``CC=TARGET_SPACE`` grow the target buffer and resubmit;
+   resubmit; on ``CC=TARGET_SPACE`` keep what the target holds and
+   resubmit the rest of a decode, from the engine's state with its
+   window as the history DDE, into a fresh target;
 4. after a bounded number of retries, fall back to software zlib —
    the same last-resort path the production library (libnxz) takes;
 5. read the output, then free the request's buffers — on every exit.
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..deflate.containers import decompress_target_len
+from ..deflate.containers import decompress_target_len, next_target_len
 from ..errors import DeadlineExceeded, JobError, ReproError
 from ..nx.dht import BUILTIN, CannedLibrary
 from ..obs.trace import TRACE as _TRACE
@@ -111,6 +113,8 @@ class PendingJob:
     #: ``result``.
     error: Exception | None = None
     deadline_s: float | None = None
+    #: Output of the requests a decode went on from (``CC=TARGET_SPACE``).
+    kept: list[bytes] = field(default_factory=list, init=False)
 
     @property
     def failed(self) -> bool:
@@ -122,7 +126,9 @@ def first_target_len(op: Op, data: bytes, fmt: str) -> int:
 
     Compression output is bounded by its input; decompression asks the
     payload (:func:`~repro.deflate.containers.decompress_target_len`).
-    Either way ``CC=TARGET_SPACE`` regrowth backs a wrong first size.
+    Either way ``CC=TARGET_SPACE`` backs a wrong first size: a decode
+    continues into a fresh target, anything else starts over in one
+    twice the size.
     """
     if op in (Op.COMPRESS, Op.COMPRESS_842):
         return max(4096, int(len(data) * COMPRESS_TARGET_FACTOR) + 1024)
@@ -223,19 +229,36 @@ class NxDriver:
         function.encode()
         source, target, csb_va = self.prepare_buffers(
             data, first_target_len(op, data, fmt))
-        history_dde = None
-        if history:
-            hist_va = self.space.alloc(len(history))
-            self.space.write(hist_va, history)
-            history_dde = Dde.direct(hist_va, len(history))
         return Crb(function=function, source=source, target=target,
                    csb_address=csb_va, sequence=sequence,
                    flags=0 if final else CRB_FLAG_CONTINUED,
-                   history_dde=history_dde, library=library)
+                   history_dde=self._place(history), library=library)
 
-    def _grow_target(self, crb: Crb) -> None:
-        """``CC=TARGET_SPACE``: swap in a target twice the size."""
-        new_len = crb.target.length * 2
+    def _place(self, history: bytes) -> Dde | None:
+        """A history buffer holding ``history`` (None when empty)."""
+        if not history:
+            return None
+        va = self.space.alloc(len(history))
+        self.space.write(va, history)
+        return Dde.direct(va, len(history))
+
+    def _continue(self, job: PendingJob, csb: Csb, result) -> None:
+        """``CC=TARGET_SPACE``: keep what the target holds, and resubmit
+        the rest of a decode from the engine's state — its window the
+        new history — into a fresh target (a job with no such state
+        starts over)."""
+        crb = job.crb
+        point = getattr(result, "resume", None)
+        if point is not None:
+            job.kept.append(self.space.read(crb.target.address,
+                                            csb.target_written))
+            if crb.history_dde is not None:
+                self.space.free(crb.history_dde.address,
+                                crb.history_dde.length)
+            crb.history_dde = self._place(point.window)
+            crb.resume = point
+        new_len = next_target_len(crb.target.length, csb.target_written,
+                                  point, crb.source.length)
         self.space.free(crb.target.address, crb.target.length)
         crb.target = Dde.direct(self.space.alloc(new_len), new_len)
 
@@ -408,6 +431,8 @@ class NxDriver:
             if csb.cc is CcCode.SUCCESS:
                 output = self.space.read(crb.target.address,
                                          csb.target_written)
+                if job.kept:
+                    output = b"".join(job.kept + [output])
                 self._resolve(job, DriverResult(
                     output=output, csb=csb, stats=stats,
                     engine_result=outcome.result))
@@ -429,7 +454,7 @@ class NxDriver:
             elif csb.cc is CcCode.TARGET_SPACE:
                 stats.target_overflows += 1
                 span.event("overflow.target", length=crb.target.length)
-                self._grow_target(crb)
+                self._continue(job, csb, outcome.result)
             else:
                 # A spurious non-success CC: the engine is misbehaving,
                 # not the request.  Back off, retry, and let the budget
@@ -511,15 +536,16 @@ class NxDriver:
         try:
             output, sw_seconds = run_in_software(
                 kind, data, fmt, history=history, final=crb.is_final,
-                machine=self.accelerator.machine)
+                machine=self.accelerator.machine, resume=crb.resume)
         except ReproError as exc:
             # The input is bad enough that software can't finish either.
             self._resolve(job, error=exc)
             return
         job.stats.fallback_to_software = True
         job.stats.elapsed_seconds += sw_seconds
-        self._resolve(job, DriverResult(output=output, csb=None,
-                                        stats=job.stats))
+        self._resolve(job, DriverResult(
+            output=b"".join(job.kept + [output]), csb=None,
+            stats=job.stats))
 
 
 #: ``benchmarks/stack/ladder.py`` imports the driver under this name.

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..backend.routing import arbitrate
+from ..deflate.containers import SeekPoint
 from ..errors import VasError
 from ..nx.dht import CannedLibrary
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -30,15 +31,16 @@ STARVATION_BOUND = 8
 
 @dataclass
 class PasteRecord:
-    """One accepted paste: the raw CRB, its originating window, and the
-    canned library its parameter block names."""
+    """One accepted paste: the raw CRB, its originating window, and its
+    parameter block (the canned library, a continued decode's state)."""
 
     window_id: int
     raw_crb: bytes
     library: CannedLibrary
+    resume: SeekPoint | None = None
 
     def crb(self) -> Crb:
-        return Crb.unpack(self.raw_crb, self.library)
+        return Crb.unpack(self.raw_crb, self.library, self.resume)
 
 
 @dataclass
@@ -117,7 +119,7 @@ class Vas:
             return False
         window.outstanding += 1
         fifo.append(PasteRecord(window_id=window_id, raw_crb=raw,
-                                library=crb.library))
+                                library=crb.library, resume=crb.resume))
         _REGISTRY.counter("repro_vas_pastes_total",
                           "accepted CRB pastes").inc(
             1, priority=window.priority)

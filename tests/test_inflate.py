@@ -6,7 +6,7 @@ import pytest
 
 from repro.deflate.bitio import BitWriter
 from repro.deflate.compress import deflate
-from repro.deflate.inflate import inflate, inflate_with_stats
+from repro.deflate.inflate import inflate, inflate_core, inflate_with_stats
 from repro.errors import DeflateError
 
 
@@ -58,7 +58,7 @@ class TestInflate:
     def test_output_cap_enforced(self):
         data = deflate(bytes(100000), level=6).data
         with pytest.raises(DeflateError, match="exceeds"):
-            inflate_with_stats(data, max_output=1000)
+            inflate_core(data, max_output=1000)
 
     def test_stats_reflect_stream(self, text_20k):
         payload = deflate(text_20k, level=6).data

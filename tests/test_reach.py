@@ -133,6 +133,56 @@ def test_a_dataclass_field_the_code_writes_is_not_a_knob(tmp_path):
     assert "repro.knobs.Config(count=)" not in result.knobs
 
 
+OPTIONS = """
+    import argparse
+    from dataclasses import dataclass
+
+    @dataclass
+    class Options:
+        strategy: str = "auto"
+        mode: str = "fast"
+        level: int = 6
+
+    def cmd(args: argparse.Namespace):
+        args.strategy = "fixed"
+        return Options()
+
+    def main(argv):
+        ns = argparse.ArgumentParser().parse_args(argv)
+        ns.mode = "slow"
+        return cmd(ns)
+
+    def tune(args):
+        args.level = 1
+"""
+
+
+def options_tree(tmp_path):
+    return tree(tmp_path, {
+        "src/repro/options.py": OPTIONS, "examples/demo.py": """
+            from repro.options import Options, main, tune
+
+            main([])
+            tune(Options())
+        """})
+
+
+def test_an_option_set_on_an_argparse_namespace_is_no_field_write(
+        tmp_path):
+    """``args.strategy = ...`` on a namespace (annotated, or bound to
+    ``parse_args()``) does not make a same-named field state."""
+    result = census(options_tree(tmp_path), allow={}, allow_knobs={})
+    assert "repro.options.Options(strategy=)" in result.unset
+    assert "repro.options.Options(mode=)" in result.unset
+
+
+def test_a_field_written_through_any_other_name_is_state(tmp_path):
+    """The same store on an instance the code cannot type — even one
+    named ``args`` — still makes the field state, not a knob."""
+    result = census(options_tree(tmp_path), allow={}, allow_knobs={})
+    assert "repro.options.Options(level=)" not in result.knobs
+
+
 def test_a_knob_allow_list_entry_with_no_reason_fails(tmp_path):
     result = census(knob_tree(tmp_path), allow={}, allow_knobs={
         "repro.knobs.tested_only(level=)": " "})

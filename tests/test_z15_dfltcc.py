@@ -171,23 +171,58 @@ class TestXpnd:
         assert result.cc is ConditionCode.DONE
         assert result.produced == payload_200k
 
-    def test_expand_check_value(self, payload_200k):
-        stream, _s, _i = dfltcc_compress(payload_200k)
-        facility = Dfltcc()
-        block = ParameterBlock()
-        facility.expand(block, stream)
-        assert block.check_value == stdzlib.crc32(payload_200k)
+    def test_expand_carries_the_state(self, payload_200k):
+        """CC=1 leaves the running check and the window in the
+        parameter block, and the re-issue goes on from them."""
+        packer = stdzlib.compressobj(6, stdzlib.DEFLATED, 31)
+        member = (packer.compress(payload_200k[:100000])
+                  + packer.flush(stdzlib.Z_SYNC_FLUSH)
+                  + packer.compress(payload_200k[100000:]) + packer.flush())
+        facility, block = Dfltcc(), ParameterBlock()
+        first = facility.expand(block, member, "gzip", out_capacity=150000)
+        assert first.cc is ConditionCode.OP1_FULL
+        assert first.produced == payload_200k[:100000]
+        assert block.check_value == stdzlib.crc32(first.produced)
+        assert block.history == first.produced[-32768:]
+        rest = facility.expand(block, member, "gzip",
+                               out_capacity=len(payload_200k))
+        assert rest.cc is ConditionCode.DONE
+        assert first.produced + rest.produced == payload_200k
+        assert rest.consumed == len(member)
 
-    def test_members_start_from_the_largest_target_yet(self):
+    def test_archive_goes_on_from_the_first_member_that_fits(self):
         """The ISIZE hint is the last member's (4 bytes here, so 4 KB):
-        the first 12 KB member doubles its way up in three issues, and
-        every later one starts from the 12 KB it needed."""
+        4 and 8 KB hold no block of the first 12 KB member, 16 KB holds
+        it, and the rest of the archive goes into one target sized at
+        the ratio decoded so far."""
         members = [generate("markov_text", 12000, seed=s) for s in range(4)]
         archive = b"".join(stdgzip.compress(m) for m in members)
         archive += stdgzip.compress(b"tiny")
         result = DfltccBackend().decompress(archive, fmt="gzip")
         assert result.output == b"".join(members) + b"tiny"
-        assert result.stats.submissions == 3 + 1 + 1 + 1 + 1
+        assert (result.stats.submissions,
+                result.stats.target_overflows) == (4, 3)
+
+
+    def test_every_issue_is_charged(self, monkeypatch):
+        """A multi-issue expansion's modelled time is the sum of all its
+        issues', the CC=1 ones included."""
+        members = [generate("markov_text", 12000, seed=s) for s in range(4)]
+        archive = b"".join(stdgzip.compress(m) for m in members)
+        archive += stdgzip.compress(b"tiny")
+        backend = DfltccBackend()
+        facility = backend._facility
+        real, seconds = facility.expand, []
+
+        def expand(*args, **kwargs):
+            result = real(*args, **kwargs)
+            seconds.append(result.seconds)
+            return result
+
+        monkeypatch.setattr(facility, "expand", expand)
+        result = backend.decompress(archive, fmt="gzip")
+        assert len(seconds) == result.stats.submissions > 1
+        assert result.stats.elapsed_seconds == pytest.approx(sum(seconds))
 
 
 class TestTimingShape:

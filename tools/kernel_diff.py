@@ -28,7 +28,11 @@ matches, match_bytes, blocks, bits_consumed)`` or on ``(type(exc)
 ``tests/test_inflate_kernel.header_fix_cases`` and
 ``repeat_first_stream`` close the matrix.  Every inflate case is also
 decoded *streamed*, through each tree's ``InflateStream`` 16 KB a
-``feed``, and is equal there on the output bytes or on the error.
+``feed``, and is equal there on the output bytes or on the error.  And
+every inflate case is decoded *resumed* here, the way a request goes on
+from a full target, with targets that end one, two and every block's
+continuation; equal to the other tree's one-shot decode on ``(output,
+literals, matches, match_bytes, bits_consumed)`` or on the error.
 
 *Encode* — ``NxCompressor.compress`` under the FIXED, CANNED, DYNAMIC
 and AUTO strategies x every generator x 0 / 100 / 4 KB / 32 KB / 70 KB
@@ -51,8 +55,14 @@ from types import ModuleType
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))  # the matrices live in tests/
 
+from repro.deflate.bitio import BitReader, reader_at  # noqa: E402
 from repro.deflate.constants import WINDOW_SIZE  # noqa: E402
-from repro.deflate.inflate import inflate_core  # noqa: E402
+from repro.deflate.inflate import (  # noqa: E402
+    InflateStats,
+    inflate_blocks,
+    inflate_core,
+)
+from repro.errors import OutputOverflow  # noqa: E402
 from repro.deflate.inflate_stream import InflateStream  # noqa: E402
 from repro.nx.compressor import NxCompressor  # noqa: E402
 from repro.nx.dht import DhtStrategy  # noqa: E402
@@ -211,6 +221,60 @@ def one_shot(core):
     return decode
 
 
+def block_ends(stream: bytes, history: bytes) -> list[int]:
+    """Output bytes at each block boundary of a one-shot decode, up to
+    its end or the block that fails."""
+    reader, out, ends = BitReader(stream), bytearray(history), []
+    try:
+        while not inflate_blocks(reader, out, 1 << 62, InflateStats(),
+                                 want_bytes=0):
+            ends.append(len(out) - len(history))
+    except Exception:  # noqa: BLE001 - the failing block ends the list
+        pass
+    return ends
+
+
+def _cuts(ends: list[int], parts: int) -> list[int]:
+    """Targets that end ``parts`` continuations at block boundaries."""
+    marks = sorted({ends[len(ends) * k // parts - 1]
+                    for k in range(1, parts) if len(ends) * k >= parts})
+    return [b - a for a, b in zip([0] + marks, marks)]
+
+
+RESUMED_SPLITS = {
+    "one continuation": lambda ends: _cuts(ends, 2),
+    "two continuations": lambda ends: _cuts(ends, 3),
+    "every block": lambda ends: [b - a for a, b in zip([0] + ends, ends)],
+}
+
+
+def resumed(split):
+    """A decode that goes on from every full target, as a request does:
+    each target holds the blocks ``split`` sizes it for (the block that
+    would pass it is rolled back), the next starts at the state's bit
+    with the last 32 KB as its window.  Equal to a one-shot decode on
+    ``(output, literals, matches, match_bytes, bits_consumed)``."""
+    def decode(stream: bytes, history: bytes = b"",
+               max_output: int = 1 << 31) -> tuple:
+        stats, output = InflateStats(), bytearray()
+        reader, window = BitReader(stream), history[-WINDOW_SIZE:]
+        for target in split(block_ends(stream, history)) + [None]:
+            room = max_output - len(output)
+            cap = room if target is None else min(target, room)
+            out = bytearray(window)
+            final = inflate_blocks(reader, out, cap, stats, resumable=True)
+            output += out[len(window):]
+            if final:
+                return (bytes(output), stats.literals, stats.matches,
+                        stats.match_bytes, reader.bits_consumed)
+            if final is None and cap == room:
+                raise OutputOverflow("output exceeds allowed size")
+            window = bytes(out[-WINDOW_SIZE:])
+            reader = reader_at(stream, reader.bits_consumed)
+        raise AssertionError("unreachable")
+    return decode
+
+
 def streamed(stream_cls):
     """An ``InflateStream`` class, fed ``_FEED`` bytes a call, likewise:
     a stream reports its output bytes alone."""
@@ -247,6 +311,7 @@ def diff_inflate(checkout: str) -> bool:
                               "repro.deflate.inflate_stream").InflateStream
     pairs = (("", one_shot(inflate_core), one_shot(other_core)),
              ("streamed ", streamed(InflateStream), streamed(other_stream)))
+    there_one_shot = pairs[0][2]
     count = 0
     for label, stream, kwargs in inflate_cases():
         count += 1
@@ -257,8 +322,19 @@ def diff_inflate(checkout: str) -> bool:
                 print(f"MISMATCH in {kind}inflate case {count} ({label}): "
                       f"here {_brief(here)}; there {_brief(there)}")
                 return False
-    print(f"kernel_diff: inflate: {count} cases, one-shot and streamed, "
-          f"0 mismatches against {checkout}")
+        there = observed_inflate(there_one_shot, stream, kwargs)
+        if len(there) > 2:
+            there = there[:4] + there[5:]  # no block list: see resumed()
+        for kind, split in RESUMED_SPLITS.items():
+            here = observed_inflate(resumed(split), stream, kwargs)
+            if here != there:
+                print(f"MISMATCH in inflate case {count} resumed at "
+                      f"{kind} ({label}): here {_brief(here)}; "
+                      f"there {_brief(there)}")
+                return False
+    print(f"kernel_diff: inflate: {count} cases, one-shot, streamed and "
+          f"resumed ({len(RESUMED_SPLITS)} ways), 0 mismatches against "
+          f"{checkout}")
     return True
 
 

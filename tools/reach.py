@@ -123,6 +123,18 @@ ALLOW_KNOBS: dict[str, str] = {
     "repro.backend.pool.AcceleratorPool(exec_pool=)":
         "test seam: an exec pool whose workers dwell (default_delay_s) "
         "is how tests/test_service.py observes the dispatch window",
+    "repro.sysstack.driver.NxDriver.open(credits=)":
+        "test seam: a window of a few credits makes tests/"
+        "test_async_driver.py's and test_buffer_release.py's pastes back "
+        "off and drain",
+    "repro.deflate.inflate.inflate_core(max_output=)":
+        "test seam: tools/kernel_diff.py and tests/test_inflate_kernel.py "
+        "hold the kernel's cap one-shot; a served decode is capped by "
+        "containers.Resolver.run",
+    "repro.deflate.inflate.inflate_core(start=)":
+        "test seam: tests/test_inflate_kernel.py decodes a body behind a "
+        "header; a served decode starts at a bit through "
+        "containers.Resolver",
     "repro.cli.main(argv=)":
         "test seam: tests run the CLI in process on an argument list",
     "repro.deflate.compress.deflate(block_tokens=)":
@@ -862,21 +874,25 @@ class _Index:
 
     def written(self) -> set[str]:
         """Attribute names code assigns or deletes outside ``__init__``
-        and ``__post_init__``."""
+        and ``__post_init__`` — on anything but an argparse namespace,
+        whose attributes are command-line options, not fields."""
         names: set[str] = set()
 
-        def visit(tree: ast.AST) -> None:
-            if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and tree.name in ("__init__", "__post_init__"):
-                return
+        def visit(tree: ast.AST, options: set[str]) -> None:
+            if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if tree.name in ("__init__", "__post_init__"):
+                    return
+                options = options | _namespaces(tree)
             if isinstance(tree, ast.Attribute) \
-                    and isinstance(tree.ctx, (ast.Store, ast.Del)):
+                    and isinstance(tree.ctx, (ast.Store, ast.Del)) \
+                    and not (isinstance(tree.value, ast.Name)
+                             and tree.value.id in options):
                 names.add(tree.attr)
             for child in ast.iter_child_nodes(tree):
-                visit(child)
+                visit(child, options)
 
         for mod in self.modules.values():
-            visit(mod.tree)
+            visit(mod.tree, set())
         return names
 
     def knobs(self, reached: set[str]) -> dict[str, str]:
@@ -964,6 +980,23 @@ def _function_sig(key: str, tree: ast.FunctionDef, bound: int) -> _Sig:
                       False)
                for arg, default in zip(args.kwonlyargs, args.kw_defaults)]
     return _Sig(key, params, args.kwarg.arg if args.kwarg else None, bound)
+
+
+def _namespaces(func: ast.FunctionDef) -> set[str]:
+    """The names ``func`` binds to an argparse namespace: parameters
+    annotated ``Namespace``, and names a ``parse_args()`` call assigns."""
+    args = func.args
+    found = {arg.arg for arg in (*args.posonlyargs, *args.args,
+                                 *args.kwonlyargs)
+             if arg.annotation is not None
+             and ast.unparse(arg.annotation).rsplit(".", 1)[-1]
+             == "Namespace"}
+    for sub in ast.walk(func):
+        if isinstance(sub, ast.Assign) and _is_call_to(sub.value,
+                                                       "parse_args"):
+            found.update(target.id for target in sub.targets
+                         if isinstance(target, ast.Name))
+    return found
 
 
 def _decorators(tree: ast.AST) -> set[str]:
