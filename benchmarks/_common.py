@@ -1,9 +1,10 @@
-"""Shared reporting and stage timing for the experiment benches.
+"""Shared rendering and stage timing for the benches.
 
-Every bench renders its paper-style table through here: printed to
-stdout (visible with ``pytest -s`` or when run as a script) and written
-to ``benchmarks/results/<experiment>.txt`` so the table survives pytest's
-output capture.  EXPERIMENTS.md is written by hand from these files.
+Every row of the experiment table (``benchmarks/experiments.py``)
+renders its paper-style table with :func:`render` and writes it with
+:func:`report` to ``benchmarks/results/<experiment>.txt``, the file
+``tests/test_experiments.py`` byte-diffs a fresh render against.
+EXPERIMENTS.md is written by hand from these files.
 
 Timing goes through :class:`StageRecorder` — the span API from
 :mod:`repro.obs.trace` on a *private* tracer, so benches get the same
@@ -136,19 +137,24 @@ class StageRecorder:
         return path
 
 
-def report(experiment: str, table: Table, title: str,
-           notes: str = "", figure: str = "",
-           stages: StageRecorder | None = None) -> str:
-    """Render, print, and persist one experiment table (+ figure)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+def render(table: Table, title: str, notes: str = "",
+           figure: str = "") -> str:
+    """One experiment's results text: the titled table, its notes on the
+    next line, and its figure after a blank line."""
     text = table.render(title=title)
     if notes:
         text += "\n" + notes
     if figure:
         text += "\n\n" + figure
+    return text
+
+
+def report(experiment: str, text: str,
+           stages: StageRecorder | None = None) -> None:
+    """Print and persist one experiment's rendered text (+ stages)."""
+    RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{experiment}.txt").write_text(text + "\n")
     if stages is not None:
         stages.write(experiment)
     print()
     print(text)
-    return text

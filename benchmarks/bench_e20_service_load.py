@@ -1,29 +1,18 @@
 """E20 — the serving stack under saturating multi-client load.
 
-E19 replayed a diurnal tape against the pool; E20 pushes the same idea
-through the *server*: concurrent clients drive one
-:class:`~repro.service.core.CompressionService` past its admission
-capacity while a latency-sensitive interactive stream runs alongside
-the bulk flood.  Measured (wall-clock, not modelled):
+Concurrent clients drive one :class:`~repro.service.core.CompressionService`
+past its admission capacity while an interactive stream runs alongside
+the bulk flood.  Measured on the wall clock: saturation throughput
+(accepted payload bytes per second with the bulk queues pinned full),
+p99 latency per QoS class, quiet and loaded, and the shed ratio.
 
-* **saturation throughput** — accepted-and-completed payload bytes per
-  second once the bulk queues are pinned full;
-* **p99 latency per QoS class** — interactive (high FIFO) vs bulk
-  (normal FIFO), quiet vs under saturation;
-* **shed ratio** — offered load rejected with retryable errors rather
-  than queued without bound.
+``main`` writes ``BENCH_service.json``, whose saturation throughput
+``tools/perf_gate.py`` holds fresh runs to, corrected by the host's
+speed around the flood (``meta.host_slowdown``); row ``e20`` of
+``benchmarks/experiments.py`` renders :func:`build_table` of one run
+and checks its claims.  Usage::
 
-Results land in ``BENCH_service.json`` at the repo root;
-``tools/perf_gate.py`` holds fresh runs to a floor on the saturation
-throughput, corrected by the host's speed probed just before and after
-the flood (``meta.host_slowdown``).  Latency numbers are reported but
-not floor-gated (lower is better; the relative-floor gate would read
-improvements as noise).
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_e20_service_load.py
-    PYTHONPATH=src python benchmarks/bench_e20_service_load.py --no-write
+    PYTHONPATH=src python benchmarks/bench_e20_service_load.py [--no-write]
 """
 
 from __future__ import annotations
@@ -35,7 +24,7 @@ import pathlib
 import threading
 import time
 
-from _common import StageRecorder, measure, report
+from _common import StageRecorder, measure
 from repro.core.metrics import Table
 from repro.errors import ServiceOverloaded
 from repro.service import CompressionService, QosClass, QosPolicy
@@ -44,7 +33,7 @@ from repro.workloads.generators import generate
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_service.json"
 
-_STAGES = StageRecorder()
+STAGES = StageRecorder()
 
 SEED = 20
 
@@ -75,7 +64,7 @@ def run_bench() -> dict:
     with CompressionService(chips=2, qos=POLICY) as svc:
         # Phase 1: quiet interactive latency (the protection baseline).
         quiet: list[float] = []
-        with _STAGES.stage("quiet", probes=quiet_probes):
+        with STAGES.stage("quiet", probes=quiet_probes):
             for _ in range(quiet_probes):
                 t0 = time.perf_counter()
                 result = svc.compress(payload, qos="interactive")
@@ -139,7 +128,7 @@ def run_bench() -> dict:
                 thread.join()
 
         probes: list[float] = []
-        flood_s = _STAGES.best_of(flood, 1, probes, "saturate",
+        flood_s = STAGES.best_of(flood, 1, probes, "saturate",
                                   threads=flood_threads + 1)
         stats = svc.stats()
 
@@ -147,27 +136,18 @@ def run_bench() -> dict:
     elapsed = flood_s * slowdown  # back to wall-clock seconds
     offered = flood_threads * flood_jobs + probe_jobs
     saturation_mbps = counters["bytes"] / 1e6 / elapsed if elapsed else 0.0
-    results = {
-        "saturation_mbps": round(saturation_mbps, 3),
-        "accepted_per_s": round(counters["accepted"] / elapsed, 2)
-        if elapsed else 0.0,
-    }
-    latency = {
-        "interactive_quiet_p99_ms": round(_p99(quiet) * 1e3, 3),
-        "interactive_loaded_p99_ms": round(_p99(probe_lat) * 1e3, 3),
-        "bulk_loaded_p99_ms": round(_p99(bulk_lat) * 1e3, 3),
-    }
-    return {
-        "bench": "e20_service_load",
-        "offered": offered,
-        "accepted": counters["accepted"],
-        "shed": counters["shed"],
-        "shed_ratio": round(counters["shed"] / offered, 4),
-        "batches": stats.batches,
-        "results": results,
-        "latency": latency,
-        "meta": {"host_slowdown": round(slowdown, 4)},
-    }
+    results = {"saturation_mbps": round(saturation_mbps, 3),
+               "accepted_per_s": round(counters["accepted"] / elapsed, 2)
+               if elapsed else 0.0}
+    latency = {f"{name}_p99_ms": round(_p99(samples) * 1e3, 3)
+               for name, samples in (("interactive_quiet", quiet),
+                                     ("interactive_loaded", probe_lat),
+                                     ("bulk_loaded", bulk_lat))}
+    return {"bench": "e20_service_load", "offered": offered,
+            "accepted": counters["accepted"], "shed": counters["shed"],
+            "shed_ratio": round(counters["shed"] / offered, 4),
+            "batches": stats.batches, "results": results, "latency": latency,
+            "meta": {"host_slowdown": round(slowdown, 4)}}
 
 
 def build_table(data: dict) -> Table:
@@ -183,26 +163,6 @@ def build_table(data: dict) -> Table:
     return table
 
 
-def test_e20_service_load(benchmark):
-    data = benchmark.pedantic(run_bench, rounds=1, iterations=1)
-    report("e20_service_load", build_table(data),
-           "E20: serving stack at saturation "
-           "(bulk flood + interactive probes, 2 chips)",
-           notes="overload sheds with retry-after instead of queueing "
-                 "without bound; the high FIFO shields interactive p99 "
-                 "from the bulk backlog",
-           stages=_STAGES)
-    assert data["shed"] > 0                      # admission control bit
-    assert data["accepted"] > 0
-    assert data["results"]["saturation_mbps"] > 0
-    loaded = data["latency"]["interactive_loaded_p99_ms"]
-    bulk = data["latency"]["bulk_loaded_p99_ms"]
-    if loaded and bulk:
-        # The high FIFO must not be slower than the bulk queue it
-        # preempts (batch-granularity preemption, so a generous bound).
-        assert loaded <= 3 * bulk
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--no-write", action="store_true",
@@ -216,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_write:
         args.out.write_text(json.dumps(data, indent=2) + "\n")
         print(f"wrote {args.out}")
-        print(f"stages: {_STAGES.write('e20_service_load')}")
+        print(f"stages: {STAGES.write('e20_service_load')}")
     return 0
 
 

@@ -468,11 +468,17 @@ class NxDriver:
 
     def _attempt(self, job: PendingJob) -> None:
         """Paste a job's next attempt — its first included — if deadline
-        and attempt budget allow; else resolve it terminally."""
+        and attempt budget allow; else resolve it terminally.
+
+        A continuation after a full target is progress, not a retry: it
+        spends none of the budget, and the doubling targets keep their
+        count at log2 of the output over the first target."""
+        stats = job.stats
         try:
-            check_deadline(job.stats.elapsed_seconds, job.deadline_s,
+            check_deadline(stats.elapsed_seconds, job.deadline_s,
                            f"job {job.sequence}")
-            if not (self.retry_policy.allows(job.stats.submissions)
+            if not (self.retry_policy.allows(stats.submissions
+                                             - stats.target_overflows)
                     and self._paste(job)):
                 # Budget spent or window wedged (credit leak): the
                 # production library runs zlib on the calling core.

@@ -1,8 +1,9 @@
 """CHANGES.md entries stay short.
 
 A ``PR n:`` entry is its head line plus the indented lines under it.
-From PR 47 on an entry runs to at most 10 lines; long lists (deleted
-test ids, raw runs) belong in a ``benchmarks/results/`` file it names.
+From PR 47 on an entry runs to at most 10 lines, and from PR 50 on to
+at most 8; long lists (deleted test ids, raw runs) belong in a
+``benchmarks/results/`` file it names.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import re
 CHANGES = pathlib.Path(__file__).resolve().parents[1] / "CHANGES.md"
 FIRST_CAPPED = 47
 MAX_LINES = 10
+FIRST_TIGHT = 50
+TIGHT_LINES = 8
 
 _HEAD = re.compile(r"PR (\d+):")
 
@@ -38,6 +41,13 @@ def test_entries_from_pr_47_on_fit_in_10_lines():
             for n, lines in entry_lengths(CHANGES.read_text())
             if n >= FIRST_CAPPED and lines > MAX_LINES]
     assert not long, f"CHANGES.md entries over {MAX_LINES} lines: {long}"
+
+
+def test_entries_from_pr_50_on_fit_in_8_lines():
+    long = [f"PR {n}: {lines} lines"
+            for n, lines in entry_lengths(CHANGES.read_text())
+            if n >= FIRST_TIGHT and lines > TIGHT_LINES]
+    assert not long, f"CHANGES.md entries over {TIGHT_LINES} lines: {long}"
 
 
 def test_continuation_lines_count_and_found_lines_do_not():

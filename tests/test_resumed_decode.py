@@ -152,6 +152,19 @@ def test_a_megabyte_of_zeros_doubles_into_one_block(name, machine):
     assert seen.blocks == [1 << 20]
 
 
+def test_a_one_byte_first_target_stays_on_the_engine():
+    """A continuation spends none of the retry budget: from a 1-byte
+    first target ``nx`` doubles its way to the 1 MB block (21
+    submissions, far past the 9-attempt budget) and never falls back
+    to software."""
+    result, seen = _decode_counted("nx", "POWER9", _zeros_zlib(), "zlib",
+                                   first=1)
+    assert result.output == bytes(1 << 20)
+    assert not result.stats.fallback_to_software
+    assert result.stats.submissions == 21
+    _assert_counts(result, seen, 1 << 20)
+
+
 def test_software_goes_on_from_an_engine_state(nine_members):
     """The driver's fallback finishes a decode an engine left: the same
     state, the window as its history."""
@@ -207,11 +220,11 @@ def _stdlib(fmt: str, payload: bytes, history: bytes) -> bytes:
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=_payloads(), first=st.integers(512, 40000))
+@given(case=_payloads(), first=st.integers(1, 40000))
 def test_any_first_target_decodes_as_the_stdlib(case, first):
-    """Every target at least doubles, so from 512 B the driver's retry
-    budget (9 submissions) reaches 64 KB, past any payload here: no job
-    falls back to software, and submissions = overflows + 1."""
+    """Every target at least doubles and no continuation spends retry
+    budget, so from any first target the engine finishes the decode:
+    submissions = overflows + 1."""
     fmt, payload, history, plain = case
     assert _stdlib(fmt, payload, history) == plain
     largest = _largest_block(payload, fmt, history)

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import RetryBudgetExhausted, ServiceUnreachable
 from repro.resilience import FaultPlan, fault_factory
 from repro.service import (CompressionService, IdempotencyCache,
@@ -246,6 +247,40 @@ class TestDedupOnTheWire:
         assert "deduped" not in second
         sock.close()
         assert server.dedup.stats()["stores"] == 0
+
+
+class TestNetCounters:
+    def test_bad_frame_and_dedup_hit_are_counted_by_label(self, stack,
+                                                          text_20k):
+        """``repro_service_net_bad_frames_total`` by ``kind`` and
+        ``repro_service_net_dedup_hits_total`` by ``op``, one each."""
+        _, server = stack
+        obs.reset()
+        obs.enable(trace=False, metrics=True)
+        try:
+            sock = _dial(server.port)
+            garbage = b"\x00\xffnot json at all"
+            sock.sendall(_LEN.pack(len(garbage)) + garbage)
+            assert recv_message(sock)[0]["kind"] == "bad_header"
+            sock.close()
+            sock = _dial(server.port)
+            header = {"op": "compress", "fmt": "gzip", "request_id": "r-1"}
+            for _ in range(2):
+                send_message(sock, header, text_20k)
+                reply, _body = recv_message(sock)
+            assert reply["deduped"] is True
+            sock.close()
+            samples = {name: obs.registry().get(name).snapshot_values()
+                       for name in ("repro_service_net_bad_frames_total",
+                                    "repro_service_net_dedup_hits_total")}
+        finally:
+            obs.disable()
+            obs.reset()
+        assert samples == {
+            "repro_service_net_bad_frames_total": [
+                {"labels": {"kind": "bad_header"}, "value": 1}],
+            "repro_service_net_dedup_hits_total": [
+                {"labels": {"op": "compress"}, "value": 1}]}
 
 
 class TestReconnectingClient:

@@ -8,8 +8,9 @@ reason in :data:`ALLOW`.  The entry points (*roots*) are:
 
 * each handler in ``repro.cli._COMMANDS``, and ``repro.cli.main``;
 * every ``benchmarks/bench_*.py``, ``benchmarks/stack/*.py``,
-  ``examples/*.py`` and ``tools/*.py`` file (but this one), and
-  ``tests/test_claims.py`` — a root file is read whole.
+  ``examples/*.py`` and ``tools/*.py`` file (but this one),
+  ``benchmarks/experiments.py`` and ``tests/test_claims.py`` — a root
+  file is read whole.
 
 Unit tests are not roots: a name only a unit test calls is reported.
 
@@ -231,6 +232,7 @@ ALLOW_KNOBS: dict[str, str] = {
 
 #: Root files, as globs under the repo, and the label prefix of each.
 ROOT_GLOBS = (("benchmarks/bench_*.py", "bench"),
+              ("benchmarks/experiments.py", "bench"),
               ("benchmarks/stack/*.py", "stack"),
               ("examples/*.py", "example"),
               ("tools/*.py", "tool"),

@@ -28,10 +28,12 @@ repair, the four backends, the streaming writers — and the modelled
 seconds of those that charge any.  The grid only goes through names that
 survive a refactor of the framing code.
 
-``golden_experiments.json`` — the modelled queueing tables (E5, E6's DES
-cross-check, E14, E15, E16, E19) at their bench seeds, every value at
-full precision, plus a digest of each configuration's job-by-job start
-and finish times: the draw order and the event order are the contract.
+``golden_experiments.json`` — the ``pin`` of every row of the experiment
+table (``benchmarks/experiments.py``) that has one: the modelled queueing
+tables (E5, E6's DES cross-check, E14, E15, E16, E19) at their seeds,
+every value at full precision, plus a digest of each configuration's
+job-by-job start and finish times: the draw order and the event order
+are the contract.
 
 ``golden_chaos.json`` — every number of the default offline chaos
 campaign at seeds 7 and 3 (faults by kind, breaker opens and log,
@@ -55,13 +57,15 @@ import gzip
 import hashlib
 import json
 import pathlib
+import sys
 import zlib
 
 from repro.deflate.compress import deflate
 from repro.deflate.inflate import inflate_with_stats
 from repro.workloads.generators import generate
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 #: The one golden file that is a list: each of its cases names itself.
 DEFLATE = "golden_deflate.json"
 
@@ -408,130 +412,20 @@ def container_cases() -> dict:
             for payload in CONTAINER_PAYLOADS}
 
 
-# -- modelled experiments: the queueing tables at their bench seeds ----------
+# -- modelled experiments: the pinned rows of the experiment table ---------
 
-def _timeline(jobs) -> str:
-    """SHA-256 over each finished job's ``(start, finish, size, served
-    chip)`` in completion order: the event order, not just the means.
-    A shared queue names no chip; it is recorded as chip 0."""
-    digest = hashlib.sha256()
-    for job in jobs:
-        digest.update(repr((job.start_time, job.finish_time, job.size_bytes,
-                            job.served_chip or 0)).encode())
-    return digest.hexdigest()
-
-
-def _e5() -> dict:
-    """``benchmarks/bench_e5_queueing.py``: 64 KB jobs, 16 clients."""
-    from repro.nx.params import POWER9
-    from repro.perf.queueing import load_sweep
-
-    return {f"load={load}": {
-                "mean_s": result.mean_latency,
-                "p95_s": result.percentile(95),
-                "p99_s": result.percentile(99),
-                "gbps": result.throughput_gbps,
-                "digest": _timeline(result.jobs)}
-            for load, result in load_sweep(
-                POWER9, loads=[0.2, 0.5, 0.7, 0.85, 0.95],
-                size_bytes=65536, clients=16, duration_s=0.25)}
-
-
-def _e6() -> dict:
-    """``benchmarks/bench_e6_spark_tpcds.py``'s DES cross-check: the
-    CPU -> engine tandem keeps no job list, so its outcome is the pin."""
-    from repro.nx.params import POWER9
-    from repro.workloads.spark import ClusterSpec, SparkDagSim
-
-    sim = SparkDagSim(machine=POWER9,
-                      cluster=ClusterSpec(nodes=4, cores_per_node=10))
-    out = {}
-    for label, offload in (("software", False), ("offload", True)):
-        outcome = sim.run(offload=offload)
-        out[label] = {"makespan_s": outcome.makespan_seconds,
-                      "accel_busy_s": outcome.accel_busy_seconds,
-                      "accel_wait_s": outcome.accel_wait_seconds,
-                      "tasks_run": outcome.tasks_run}
-    return out
-
-
-def _e14() -> dict:
-    """``benchmarks/bench_e14_priority.py``: 8 KB RPCs vs 4 MB bulk."""
-    from repro.nx.params import POWER9
-    from repro.perf.queueing import AcceleratorQueue, Source
-
-    sources = [Source(4000.0, 8192, high_priority=True),
-               Source(1500.0, 4 << 20)]
-    out = {}
-    for bound, label in ((None, "single FIFO"), (8, "priority FIFOs")):
-        results = AcceleratorQueue(POWER9, starvation_bound=bound,
-                                   seed=11).run_open(sources, 0.3)
-        for cls, res in results.by_class().items():
-            out[f"{label}/{cls}"] = {"mean_s": res.mean_latency,
-                                     "p99_s": res.percentile(99),
-                                     "jobs": res.completed,
-                                     "digest": _timeline(res.jobs)}
-    return out
-
-
-def _e15() -> dict:
-    """``benchmarks/bench_e15_routing.py``: 4 chips, one hot source."""
-    from repro.nx.params import POWER9, Topology
-    from repro.perf.queueing import policy_comparison
-
-    results = policy_comparison(
-        Topology(machine=POWER9, chips_per_drawer=4, drawers=1),
-        [1.6, 0.1, 0.1, 0.1], duration_s=0.3)
-    return {policy: {"gbps": res.throughput_gbps,
-                     "mean_s": res.mean_latency,
-                     "p99_s": res.percentile(99),
-                     "remote_fraction": res.remote_fraction,
-                     "digest": _timeline(res.jobs)}
-            for policy, res in results.items()}
-
-
-def _e16() -> dict:
-    """``benchmarks/bench_e16_batch_depth.py``: closed loop, 64 KB."""
-    from repro.nx.params import POWER9
-    from repro.perf.queueing import AcceleratorQueue
-
-    out = {}
-    for depth in (1, 2, 4, 8, 16):
-        model = AcceleratorQueue(POWER9, seed=5)
-        result = model.run_closed(clients=depth, think_seconds=10e-6,
-                                  duration_s=0.2, size=65536)
-        util = (100.0 * result.completed * model.service_seconds(65536)
-                / result.sim_seconds)
-        out[f"depth={depth}"] = {"gbps": result.throughput_gbps,
-                                 "util_pct": min(util, 100.0),
-                                 "mean_s": result.mean_latency,
-                                 "digest": _timeline(result.jobs)}
-    return out
-
-
-def _e19() -> dict:
-    """``benchmarks/bench_e19_diurnal_replay.py``: seed-3 diurnal day."""
-    from repro.nx.params import POWER9
-    from repro.perf.queueing import AcceleratorQueue
-    from repro.workloads.replay import DiurnalSpec, diurnal_trace, replay
-
-    spec = DiurnalSpec(seed=3)
-    trace = diurnal_trace(spec)
-    out = {}
-    for engines in (1, 2):
-        result = replay(trace, POWER9, engines=engines, buckets=10,
-                        duration_s=spec.duration_s)
-        jobs = AcceleratorQueue(POWER9, engines=engines).run_trace(trace).jobs
-        out[f"engines={engines}"] = {
-            "buckets": [[b.count, b.p99_latency_s] for b in result.buckets],
-            "digest": _timeline(jobs)}
-    return out
+def _pin(row) -> dict:
+    return row.pin(row.compute())
 
 
 def experiments() -> dict:
-    """``name -> recorder()`` of every pinned experiment."""
-    return {"e5": _e5, "e6": _e6, "e14": _e14, "e15": _e15, "e16": _e16,
-            "e19": _e19}
+    """``id -> recorder()`` of every row of ``benchmarks/experiments.py``
+    that names a ``pin``."""
+    if str(ROOT / "benchmarks") not in sys.path:
+        sys.path.append(str(ROOT / "benchmarks"))
+    from experiments import EXPERIMENTS
+    return {key: functools.partial(_pin, row)
+            for key, row in EXPERIMENTS.items() if row.pin is not None}
 
 
 # -- chaos: the offline campaign's numbers and every wire firing trace -------
