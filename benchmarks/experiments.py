@@ -646,12 +646,10 @@ def _e18() -> dict:
             # engine leaves is head-of-line blocking (E14's business).
             claims={"worst_bucket": (6, 9), "second_engine_cut": (0, 0.75),
                     "worst_two_us": (500, INF), "quiet_p99_us": (0, 100)},
-            # The digest's jobs: replay() keeps only its buckets.
             pin=lambda values: {
                 f"engines={n}": {
                     "buckets": [[b.count, b.p99_latency_s] for b in r.buckets],
-                    "digest": _timeline(AcceleratorQueue(POWER9, engines=n)
-                                        .run_trace(values["trace"]).jobs)}
+                    "digest": _timeline(r.jobs)}
                 for n, r in values["replays"].items()})
 def _e19() -> dict:
     spec = DiurnalSpec(seed=3)
@@ -663,7 +661,7 @@ def _e19() -> dict:
         table.add(b1.bucket, b1.count, b1.p99_latency_s * 1e6,
                   b2.p99_latency_s * 1e6)
     worst_one, worst_two = one.worst_bucket, two.worst_bucket
-    return {"table": table, "trace": trace, "replays": {1: one, 2: two},
+    return {"table": table, "replays": {1: one, 2: two},
             "worst_bucket": worst_one.bucket,
             "worst_one_us": worst_one.p99_latency_s * 1e6,
             "worst_two_us": worst_two.p99_latency_s * 1e6,

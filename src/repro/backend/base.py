@@ -27,7 +27,7 @@ import abc
 from dataclasses import dataclass
 from typing import ClassVar
 
-from ..errors import ConfigError
+from ..errors import NO_BOUND, ConfigError
 from ..nx.dht import BUILTIN, CannedLibrary, DhtStrategy
 from ..obs.metrics import record_job
 from ..obs.trace import TRACE as _TRACE
@@ -106,11 +106,6 @@ class CompressionBackend(abc.ABC):
 
     def __init__(self) -> None:
         self._stats = BackendStats()
-        #: Per-call deadline (modelled seconds), set by the public
-        #: methods for the duration of one ``_compress``/``_decompress``
-        #: call.  Backends that can bound their waiting (the NX driver
-        #: paths) consult it; the rest ignore it.
-        self._call_deadline_s: float | None = None
 
     # -- the protocol --------------------------------------------------------
 
@@ -130,33 +125,26 @@ class CompressionBackend(abc.ABC):
         canned tables the request carries to the engine.
         """
         fmt, strategy = self._checked(fmt, strategy)
-        self._call_deadline_s = deadline_s
-        try:
-            with _TRACE.span("backend.submit", backend=self.name,
-                             op="compress", fmt=fmt,
-                             nbytes=len(data)) as span:
-                result = self._compress(data, strategy, fmt, history, final,
-                                        library)
-                _annotate(span, result)
-        finally:
-            self._call_deadline_s = None
+        with _TRACE.span("backend.submit", backend=self.name,
+                         op="compress", fmt=fmt, nbytes=len(data)) as span:
+            result = self._compress(data, strategy, fmt, history, final,
+                                    library, deadline_s)
+            _annotate(span, result)
         self._record(result, len(data), "compress")
         return result
 
     def decompress(self, payload: bytes, *, fmt: str | None = None,
-                   history: bytes = b"",
-                   deadline_s: float | None = None) -> DriverResult:
-        """Decompress ``payload`` produced in the same wire format."""
+                   history: bytes = b"", deadline_s: float | None = None,
+                   max_output: int = NO_BOUND) -> DriverResult:
+        """Decompress ``payload`` produced in the same wire format;
+        output past ``max_output`` is an :class:`OutputOverflow`."""
         fmt, _ = self._checked(fmt)
-        self._call_deadline_s = deadline_s
-        try:
-            with _TRACE.span("backend.submit", backend=self.name,
-                             op="decompress", fmt=fmt,
-                             nbytes=len(payload)) as span:
-                result = self._decompress(payload, fmt, history)
-                _annotate(span, result)
-        finally:
-            self._call_deadline_s = None
+        with _TRACE.span("backend.submit", backend=self.name,
+                         op="decompress", fmt=fmt,
+                         nbytes=len(payload)) as span:
+            result = self._decompress(payload, fmt, history, deadline_s,
+                                      max_output)
+            _annotate(span, result)
         self._record(result, len(payload), "decompress")
         return result
 
@@ -201,16 +189,19 @@ class CompressionBackend(abc.ABC):
         """Release modelled resources (VAS windows etc.); idempotent."""
 
     # -- implementation hooks ------------------------------------------------
+    # (``deadline_s`` as the public methods take it: only the NX driver
+    # waits, so the other backends ignore it.)
 
     @abc.abstractmethod
     def _compress(self, data: bytes, strategy: str, fmt: str,
                   history: bytes, final: bool,
-                  library: CannedLibrary) -> DriverResult:
+                  library: CannedLibrary,
+                  deadline_s: float | None) -> DriverResult:
         ...
 
     @abc.abstractmethod
-    def _decompress(self, payload: bytes, fmt: str,
-                    history: bytes) -> DriverResult:
+    def _decompress(self, payload: bytes, fmt: str, history: bytes,
+                    deadline_s: float | None, max_output: int) -> DriverResult:
         ...
 
     # -- context management --------------------------------------------------

@@ -53,7 +53,8 @@ class DfltccBackend(CompressionBackend):
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
                   history: bytes, final: bool,
-                  library: CannedLibrary) -> DriverResult:
+                  library: CannedLibrary,
+                  deadline_s: float | None) -> DriverResult:
         require_format(fmt, history, final)
         block = ParameterBlock(dht_strategy=DhtStrategy(strategy),
                                history=history, library=library)
@@ -68,11 +69,11 @@ class DfltccBackend(CompressionBackend):
                                 elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
 
-    def _decompress(self, payload: bytes, fmt: str,
-                    history: bytes) -> DriverResult:
+    def _decompress(self, payload: bytes, fmt: str, history: bytes,
+                    deadline_s: float | None, max_output: int) -> DriverResult:
         output, seconds, invocations = xpnd_loop(
             self._facility, ParameterBlock(history=history), payload, fmt,
-            decompress_target_len(payload, fmt))
+            decompress_target_len(payload, fmt), max_output)
         stats = SubmissionStats(submissions=invocations,
                                 target_overflows=invocations - 1,
                                 elapsed_seconds=seconds)

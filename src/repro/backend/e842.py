@@ -44,7 +44,8 @@ class E842Backend(CompressionBackend):
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
                   history: bytes, final: bool,
-                  library: CannedLibrary) -> DriverResult:
+                  library: CannedLibrary,
+                  deadline_s: float | None) -> DriverResult:
         self._check(history, final)
         result = self.engine.compress(data)
         _TRACE.event("e842.pipe", op="compress", seconds=result.seconds)
@@ -53,10 +54,10 @@ class E842Backend(CompressionBackend):
         return DriverResult(output=result.data, csb=None, stats=stats,
                             engine_result=result)
 
-    def _decompress(self, payload: bytes, fmt: str,
-                    history: bytes) -> DriverResult:
+    def _decompress(self, payload: bytes, fmt: str, history: bytes,
+                    deadline_s: float | None, max_output: int) -> DriverResult:
         self._check(history, final=True)
-        result = self.engine.decompress(payload)
+        result = self.engine.decompress(payload, max_output)
         stats = SubmissionStats(submissions=1,
                                 elapsed_seconds=result.seconds)
         return DriverResult(output=result.data, csb=None, stats=stats,

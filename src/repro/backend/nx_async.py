@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..deflate.containers import FORMATS
-from ..errors import ConfigError
+from ..errors import NO_BOUND, ConfigError
 from ..nx.accelerator import NxAccelerator
 from ..nx.dht import BUILTIN, CannedLibrary
 from ..nx.params import POWER9, MachineParams, get_machine
@@ -80,25 +80,27 @@ class NxAsyncBackend(CompressionBackend):
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
                   history: bytes, final: bool,
-                  library: CannedLibrary) -> DriverResult:
+                  library: CannedLibrary,
+                  deadline_s: float | None) -> DriverResult:
         op, _, driver_fmt = _ops_for(fmt)
         return self.driver.run(op, data, strategy=strategy, fmt=driver_fmt,
                                history=history, final=final,
-                               deadline_s=self._call_deadline_s,
-                               library=library)
+                               deadline_s=deadline_s, library=library)
 
-    def _decompress(self, payload: bytes, fmt: str,
-                    history: bytes) -> DriverResult:
+    def _decompress(self, payload: bytes, fmt: str, history: bytes,
+                    deadline_s: float | None, max_output: int) -> DriverResult:
         _, op, driver_fmt = _ops_for(fmt)
         return self.driver.run(op, payload, fmt=driver_fmt, history=history,
-                               deadline_s=self._call_deadline_s)
+                               deadline_s=deadline_s,
+                               max_output=max_output)
 
     # -- asynchronous batch surface ------------------------------------------
 
     def submit(self, kind: str, data: bytes, *, strategy: object = "auto",
                fmt: str | None = None,
                deadline_s: float | None = None,
-               library: CannedLibrary = BUILTIN) -> PendingJob:
+               library: CannedLibrary = BUILTIN,
+               max_output: int = NO_BOUND) -> PendingJob:
         """Paste one request without waiting; poll for its completion."""
         if kind not in _COMPRESS_OPS:
             raise ConfigError(f"unknown job kind {kind!r}")
@@ -107,7 +109,7 @@ class NxAsyncBackend(CompressionBackend):
         op = cop if kind == "compress" else dop
         return self.driver.submit(op, data, strategy=strategy,
                                   fmt=driver_fmt, deadline_s=deadline_s,
-                                  library=library)
+                                  library=library, max_output=max_output)
 
     def poll(self) -> list[PendingJob]:
         """Drain completions; finished jobs are folded into ``stats()``."""

@@ -55,8 +55,8 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ..errors import (AcceleratorError, ConfigError, ExecError, ReproError,
-                      failure_of)
+from ..errors import (NO_BOUND, AcceleratorError, ConfigError, ExecError,
+                      ReproError, failure_of)
 from ..nx.dht import BUILTIN
 from ..nx.params import POWER9, MachineParams, get_machine
 from ..obs.flight import FLIGHT as _FLIGHT
@@ -143,10 +143,11 @@ class Job:
     span: object = NULL_SPAN
     cache_claim = None
     event: threading.Event | None = None
-    # A streaming call's window and final bit; the canned tables it carries.
+    # A streaming call's window, final bit, canned tables; a decode's bound.
     history = b""
     final = True
     library = BUILTIN
+    max_output = NO_BOUND
     # The pool's side: the chip, and while a lower layer holds the job
     # that layer's own handle (a driver pending or an exec job, both
     # ``done``/``result``/``error``) and whether it is the exec pool's.
@@ -426,7 +427,8 @@ class AcceleratorPool:
                         library=job.library), None
                 return backend.decompress(
                     job.payload, fmt=job.fmt, history=job.history,
-                    deadline_s=job.deadline_s), None
+                    deadline_s=job.deadline_s,
+                    max_output=job.max_output), None
         except ReproError as exc:
             return None, exc
 
@@ -504,7 +506,8 @@ class AcceleratorPool:
             1, kind=job.op)
         output, seconds = run_in_software(
             job.op, job.payload, job.fmt, history=job.history,
-            final=job.final, machine=self.machine)
+            final=job.final, machine=self.machine,
+            max_output=job.max_output)
         stats = SubmissionStats(fallback_to_software=True,
                                 elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
@@ -541,7 +544,8 @@ class AcceleratorPool:
             with self._op_lock(chip):
                 pending = backend.submit(
                     job.op, job.payload, strategy=job.strategy, fmt=job.fmt,
-                    deadline_s=job.deadline_s, library=job.library)
+                    deadline_s=job.deadline_s, library=job.library,
+                    max_output=job.max_output)
             self._file(job, pending)
             # The paste itself may have resolved the job (software
             # fallback on a wedged window, deadline, permanent CC).
@@ -623,7 +627,8 @@ class AcceleratorPool:
             backend_kwargs=self._backend_kwargs,
             kind=job.op, fmt=job.fmt, strategy=job.strategy,
             deadline_s=job.deadline_s, data=job.payload,
-            library=None if job.library is BUILTIN else job.library)
+            library=None if job.library is BUILTIN else job.library,
+            max_output=job.max_output)
         self._file(job, exec_job, on_exec=True)
 
     def _resolve_exec(self, job: Job) -> DriverResult | None:

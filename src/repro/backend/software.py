@@ -47,7 +47,8 @@ class SoftwareZlibBackend(CompressionBackend):
 
     def _compress(self, data: bytes, strategy: str, fmt: str,
                   history: bytes, final: bool,
-                  library: CannedLibrary) -> DriverResult:
+                  library: CannedLibrary,
+                  deadline_s: float | None) -> DriverResult:
         require_format(fmt, history, final)
         output, seconds = run_in_software(
             "compress", data, fmt, level=self.level, history=history,
@@ -56,10 +57,10 @@ class SoftwareZlibBackend(CompressionBackend):
         stats = SubmissionStats(submissions=1, elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)
 
-    def _decompress(self, payload: bytes, fmt: str,
-                    history: bytes) -> DriverResult:
+    def _decompress(self, payload: bytes, fmt: str, history: bytes,
+                    deadline_s: float | None, max_output: int) -> DriverResult:
         output, seconds = run_in_software(
             "decompress", payload, fmt, history=history,
-            machine=self.machine)
+            machine=self.machine, max_output=max_output)
         stats = SubmissionStats(submissions=1, elapsed_seconds=seconds)
         return DriverResult(output=output, csb=None, stats=stats)

@@ -43,7 +43,7 @@ import sys
 from .backend.registry import backend_names
 from .backend.routing import ROUTING_POLICIES
 from .deflate.containers import FORMATS, SUFFIXES
-from .errors import ConfigError, ReproError
+from .errors import ConfigError, ReproError, wire_name
 from .nx.params import MACHINES, get_machine
 
 
@@ -870,7 +870,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = _COMMANDS[args.command](args)
     except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc} [{wire_name(exc)}]", file=sys.stderr)
         code = 1
     if args.trace or args.metrics:
         _finish_telemetry(args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from ..errors import ChecksumError, ConfigError, DeflateError
+from ..errors import NO_BOUND, ChecksumError, ConfigError, DeflateError
 from ..obs.trace import TRACE as _TRACE
 from .bitio import reader_at
 from .checksums import adler32, crc32
@@ -294,7 +294,7 @@ class Resolver:
     def _open_bytes(self) -> int:
         return len(self.buf) - self.base if self.buf is not None else 0
 
-    def run(self, cap: int = 1 << 62, want: int | None = None,
+    def run(self, cap: int = NO_BOUND, want: int | None = None,
             resumable: bool = False) -> SeekPoint | None:
         """Decode until the payload ends or ``want`` output bytes exist.
 
@@ -394,7 +394,7 @@ class Resolver:
 
 def decode_with_stats(
         data: bytes, fmt: str, history: bytes = b"",
-        resume: SeekPoint | None = None,
+        resume: SeekPoint | None = None, max_output: int = NO_BOUND,
 ) -> tuple[bytes, InflateStats, int]:
     """Decode a payload: its one stream, or every member of a gzip
     archive (RFC 1952 section 2.2).
@@ -404,10 +404,10 @@ def decode_with_stats(
     trailer; bytes after a gzip member that are not another member are
     a :class:`DeflateError`.  ``history`` is a raw unit's carried window
     or a zlib preset dictionary; with ``resume`` the decode goes on from
-    that state, ``history`` its window.
+    that state, ``history`` its window; up to ``max_output`` bytes.
     """
     resolver = Resolver(data, fmt, history, resume)
-    resolver.run()
+    resolver.run(max_output)
     return resolver.output(), resolver.stats, resolver.end
 
 
@@ -454,22 +454,24 @@ def decompress_target_len(payload: bytes, fmt: str) -> int:
     return max(4096, guess)
 
 
-def next_target_len(target_len: int, written: int,
-                    point: SeekPoint | None, payload_len: int) -> int:
+def next_target_len(target_len: int, point: SeekPoint | None,
+                    overrun: tuple[int, int] | None, payload_len: int,
+                    left: int = NO_BOUND) -> int:
     """The fresh target a request goes on into once ``target_len``
-    filled having ``written`` bytes, stopped at ``point``.
+    filled, stopped at ``point`` with the block it rolled back having
+    made ``overrun = (bits, bytes)`` (``InflateStats.overrun``).
 
     Twice the last, so continuations stay logarithmic in the output;
-    once some output fits, also room for the rest of the payload at the
-    ratio decoded so far, so a low first hint costs a continuation or
-    two, not one a doubling.
+    also room for the rest of the payload at the rate that block
+    decoded, so a block of any size takes one more target, not one a
+    doubling.  Never more than ``left``, what the decode's bound has
+    left.
     """
     grown = 2 * target_len
-    if point is None or not written:
-        return grown
-    rest = ((8 * payload_len - point.bit_offset) * point.out_offset
-            // point.bit_offset)
-    return max(grown, rest + rest // 8)
+    if point is not None and overrun and overrun[0]:
+        rest = (8 * payload_len - point.bit_offset) * overrun[1] // overrun[0]
+        grown = max(grown, rest + rest // 8)
+    return min(grown, left)
 
 
 def wrap_zlib(deflate_body: bytes, original: bytes) -> bytes:

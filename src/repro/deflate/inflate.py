@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import DeflateError, InputTruncated, OutputOverflow
+from ..errors import NO_BOUND, DeflateError, InputTruncated, OutputOverflow
 from ..obs.trace import TRACE as _TRACE
 from .bitio import BitReader
 from .constants import (
@@ -68,6 +68,14 @@ class InflateStats:
     matches: int = 0
     match_bytes: int = 0
     blocks: list[int] = field(default_factory=list, init=False)
+    #: The block a resumable decode rolled back: (body bits, bytes made).
+    overrun: tuple[int, int] | None = field(default=None, init=False)
+
+
+def _overflow(reader: BitReader, pos: int, bitbuf: int, bitcount: int):
+    """The cap, passed at ``pos``: the reader says how far it got."""
+    reader._pos, reader._bitbuf, reader._bitcount = pos, bitbuf, bitcount
+    return OutputOverflow("output exceeds allowed size")
 
 
 def _read_dynamic_header(
@@ -235,7 +243,7 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
                     if bitcount < (pos - nbytes) << 3:
                         raise InputTruncated("unexpected end of DEFLATE stream")
                 if len(out) > max_output:
-                    raise OutputOverflow("output exceeds allowed size")
+                    raise _overflow(reader, pos, bitbuf, bitcount)
             entry = lit_table[bitbuf & root_mask]
         row = len_rows[bitbuf & root_mask]
         if row is None:
@@ -247,7 +255,7 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
                 if sym < END_OF_BLOCK:
                     append(sym)
                 if len(out) > max_output:
-                    raise OutputOverflow("output exceeds allowed size")
+                    raise _overflow(reader, pos, bitbuf, bitcount)
                 if sym < END_OF_BLOCK and not (more and pos > limit):
                     continue
                 _hand_back(reader, pos, bitbuf, bitcount, stats,
@@ -291,7 +299,7 @@ def _inflate_huffman_block(reader: BitReader, out: bytearray,
         match_bytes += length
         if len(out) > room:
             if len(out) > max_output:
-                raise OutputOverflow("output exceeds allowed size")
+                raise _overflow(reader, pos, bitbuf, bitcount)
             _hand_back(reader, pos, bitbuf, bitcount, stats,
                        len(out) - size_before - match_bytes,
                        matches, match_bytes)
@@ -353,8 +361,9 @@ def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
     (returns True) or, returning False, after the first block that
     brings this call's output to ``want_bytes``.  With ``resumable`` the
     block that would pass the budget is undone instead: ``out``,
-    ``stats`` and ``reader`` go back to its first bit and the call
-    returns None, for a decode to go on from there into more room.
+    ``stats`` and ``reader`` go back to its first bit (``stats.overrun``
+    says how far it got) and the call returns None, for a decode to go
+    on from there into more room.
     ``reader.bits_consumed`` is the next block's bit.
     """
     base = len(out)
@@ -364,6 +373,7 @@ def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
                 stats.literals)
         final, btype, body = read_block_header(reader)
         stats.blocks.append(btype)
+        start = reader.bits_consumed
         try:
             if btype == BTYPE_STORED:
                 out.extend(reader.read_bytes(body))
@@ -375,6 +385,7 @@ def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
         except OutputOverflow:
             if not resumable:
                 raise
+            stats.overrun = (reader.bits_consumed - start, len(out) - mark[3])
             (reader._pos, reader._bitbuf, reader._bitcount, size,
              stats.literals) = mark
             del out[size:]
@@ -387,7 +398,7 @@ def inflate_blocks(reader: BitReader, out: bytearray, budget: int,
 
 
 def inflate_core(data: bytes, start: int = 0,
-                 max_output: int = 1 << 31,
+                 max_output: int = NO_BOUND,
                  history: bytes = b"") -> tuple[bytes, InflateStats, int]:
     """:func:`inflate_with_stats` without the telemetry guard."""
     reader = BitReader(data, start=start)

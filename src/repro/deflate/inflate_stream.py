@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DeflateError, InputTruncated, OutputOverflow
+from ..errors import NO_BOUND, DeflateError, InputTruncated, OutputOverflow
 from .bitio import reader_at
 from .constants import BTYPE_STORED, WINDOW_SIZE
 from .inflate import InflateStats, _inflate_huffman_block, read_block_header
@@ -41,7 +41,7 @@ class InflateStream:
     """Resumable raw-DEFLATE decoder."""
 
     history: bytes = b""
-    max_output: int = 1 << 31
+    max_output: int = NO_BOUND
 
     def __post_init__(self) -> None:
         # The window, then plaintext; trimmed to the window after a call.

@@ -52,7 +52,7 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from ..errors import DeflateError, SeekIndexError
+from ..errors import NO_BOUND, DeflateError, SeekIndexError
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 from .checksums import crc32
@@ -245,7 +245,7 @@ class RangeReadResult:
 
 def decode_indexed(payload: bytes, fmt: str, *,
                    index_spacing: int = DEFAULT_SPACING,
-                   max_output: int = 1 << 62) -> IndexedDecode:
+                   max_output: int = NO_BOUND) -> IndexedDecode:
     """Decompress ``payload`` serially, recording a :class:`SeekIndex`
     (one point per ``index_spacing`` output bytes, and one at every gzip
     member body start) for later :func:`read_range` calls.

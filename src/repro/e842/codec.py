@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..deflate.bitio import BitReader, BitWriter
-from ..errors import E842Error, E842Overflow
+from ..errors import NO_BOUND, E842Error, OutputOverflow
 
 CHUNK = 8
 
@@ -238,8 +238,8 @@ def _choose_template(chunk: bytes,
     return best_opcode, best_plan
 
 
-def decompress(payload: bytes, max_output: int = 1 << 31) -> bytes:
-    """Decode an 842 stream."""
+def decompress(payload: bytes, max_output: int = NO_BOUND) -> bytes:
+    """Decode an 842 stream, up to ``max_output`` bytes."""
     reader = BitReader(payload)
     rings = _Rings()
     out = bytearray()
@@ -282,4 +282,4 @@ def decompress(payload: bytes, max_output: int = 1 << 31) -> bytes:
         else:
             raise E842Error(f"reserved opcode {opcode:#x}")
         if len(out) > max_output:
-            raise E842Overflow("output exceeds allowed size")
+            raise OutputOverflow("output exceeds allowed size")

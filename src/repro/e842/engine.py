@@ -59,7 +59,7 @@ class Engine842:
                              stats=result.stats)
 
     def decompress(self, payload: bytes,
-                   max_output: int = 1 << 31) -> E842JobResult:
+                   max_output: int) -> E842JobResult:
         out = decompress(payload, max_output=max_output)
         cycles = self._cycles(len(out))
         return E842JobResult(data=out, input_bytes=len(payload),

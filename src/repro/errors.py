@@ -65,7 +65,11 @@ class ChecksumError(DeflateError):
 
 
 class OutputOverflow(DeflateError):
-    """Decoded output would exceed the caller's buffer capacity."""
+    """Decoded output would pass the decode's bound, in any format."""
+
+
+#: The bound of a decode nobody bounds: a library call, a local file.
+NO_BOUND = 1 << 62
 
 
 class HuffmanError(DeflateError):
@@ -84,10 +88,6 @@ class ProtocolError(DeflateError):
 
 class E842Error(ReproError):
     """Malformed 842 stream."""
-
-
-class E842Overflow(E842Error):
-    """Decoded output exceeds the caller's buffer capacity."""
 
 
 class StreamStateError(DeflateError):

@@ -33,7 +33,7 @@ import traceback
 from importlib import import_module
 from typing import Callable
 
-from ..errors import ExecError
+from ..errors import NO_BOUND, ExecError
 from ..obs.context import TraceContext
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
@@ -143,10 +143,11 @@ _LIBRARY: dict = {}
 
 def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
                 kind: str, fmt: str, data: bytes, strategy: str = "auto",
-                deadline_s: float | None = None, library=None):
-    """Run one final, history-less backend compress (or a decompress)
-    in this worker, under the canned library keyed ``library`` (None:
-    built-in).
+                deadline_s: float | None = None, library=None,
+                max_output: int = NO_BOUND):
+    """Run one final, history-less backend compress (or a decompress,
+    bounded by ``max_output``) in this worker, under the canned library
+    keyed ``library`` (None: built-in).
 
     Returns the :class:`~repro.sysstack.driver.DriverResult` without its
     CSB: the output bytes and the submission stats.
@@ -165,7 +166,8 @@ def backend_job(*, backend: str, machine: str, backend_kwargs: dict,
             data, strategy=strategy, fmt=fmt, deadline_s=deadline_s,
             library=BUILTIN if library is None else _LIBRARY[library])
     else:
-        result = instance.decompress(data, fmt=fmt, deadline_s=deadline_s)
+        result = instance.decompress(data, fmt=fmt, deadline_s=deadline_s,
+                                     max_output=max_output)
     return DriverResult(output=result.output, csb=None, stats=result.stats)
 
 

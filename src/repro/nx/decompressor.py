@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..deflate.constants import BTYPE_DYNAMIC
 from ..deflate.containers import FORMATS, Resolver, SeekPoint
 from ..deflate.inflate import InflateStats
-from ..errors import AcceleratorError
+from ..errors import NO_BOUND, AcceleratorError
 from .params import DECOMP_DHT_SETUP_CYCLES, PIPELINE_FILL_CYCLES, EngineParams
 
 #: Front-end input consumption rate.
@@ -54,7 +54,7 @@ class NxDecompressor:
     params: EngineParams
 
     def decompress(self, payload: bytes, fmt: str = "raw",
-                   max_output: int = 1 << 31, history: bytes = b"",
+                   max_output: int = NO_BOUND, history: bytes = b"",
                    resume: SeekPoint | None = None) -> NxDecompressResult:
         """Run one decompression request through the engine model.
 

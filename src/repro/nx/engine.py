@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import TranslationFault
+from ..errors import OutputOverflow, TranslationFault
 from ..obs.trace import TRACE as _TRACE
 from ..sysstack.crb import CcCode, Crb, Csb, Op
 from ..sysstack.mmu import AddressSpace
@@ -104,12 +104,12 @@ class NxEngine:
         elif crb.function.op is Op.COMPRESS_842:
             result = self._e842.compress(source)
         else:  # Op.DECOMPRESS_842
-            from ..e842.codec import E842Error, E842Overflow
+            from ..e842.codec import E842Error
 
             try:
                 result = self._e842.decompress(
                     source, max_output=crb.target.total_length)
-            except E842Overflow:
+            except OutputOverflow:  # no state to go on from
                 return self.abort(crb, space, CcCode.TARGET_SPACE)
             except E842Error:
                 return self.abort(crb, space, CcCode.DATA_LENGTH)

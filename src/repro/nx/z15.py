@@ -29,7 +29,7 @@ from ..deflate.checksums import crc32
 from ..deflate.constants import WINDOW_SIZE
 from ..deflate.containers import (SeekPoint, decompress_target_len,
                                   next_target_len)
-from ..errors import AcceleratorError
+from ..errors import NO_BOUND, AcceleratorError, OutputOverflow
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
 from .compressor import NxCompressor
@@ -84,6 +84,7 @@ class DfltccResult:
     consumed: int          # bytes taken from the second operand
     produced: bytes        # bytes appended to the first operand
     seconds: float         # modelled synchronous execution time
+    overrun: tuple[int, int] | None = None  # CC=1: InflateStats.overrun
 
 
 @dataclass
@@ -169,8 +170,7 @@ class Dfltcc:
                             seconds=self._issue_seconds() + result.seconds)
 
     def expand(self, block: ParameterBlock, payload: bytes,
-               fmt: str = "raw",
-               out_capacity: int = 1 << 62) -> DfltccResult:
+               fmt: str = "raw", *, out_capacity: int) -> DfltccResult:
         """XPND: synchronous decompression of a ``fmt`` payload.
 
         Output-side partial completion: when the plaintext outgrows the
@@ -193,7 +193,8 @@ class Dfltcc:
                                 seconds=seconds)
         block.history, block.check_value = point.window, point.check
         return DfltccResult(cc=ConditionCode.OP1_FULL, produced=result.data,
-                            consumed=point.bit_offset // 8, seconds=seconds)
+                            consumed=point.bit_offset // 8, seconds=seconds,
+                            overrun=result.stats.overrun)
 
     def _issue_seconds(self) -> float:
         """Per-invocation cost: issue + millicode entry, sub-microsecond."""
@@ -229,27 +230,32 @@ def cmpr_loop(facility: Dfltcc, block: ParameterBlock, data: bytes,
 
 
 def xpnd_loop(facility: Dfltcc, block: ParameterBlock, payload: bytes,
-              fmt: str, capacity: int) -> tuple[bytes, float, int]:
+              fmt: str, capacity: int,
+              bound: int = NO_BOUND) -> tuple[bytes, float, int]:
     """The software loop around XPND: on CC=1, keep what the first
-    operand holds and re-issue into a fresh one.
+    operand holds and re-issue into a fresh one, up to ``bound`` bytes.
 
     Returns ``(output, modelled seconds of every issue, issues)``.
     """
     parts: list[bytes] = []
-    seconds, invocations = 0.0, 0
+    seconds, invocations, left = 0.0, 0, bound
+    capacity = min(capacity, bound)
     while True:
         result = facility.expand(block, payload, fmt, out_capacity=capacity)
         parts.append(result.produced)
         seconds += result.seconds
         invocations += 1
+        _count_issues(1, "xpnd")
         if result.cc is ConditionCode.DONE:
             break
         if result.cc is not ConditionCode.OP1_FULL:
             raise AcceleratorError(f"unexpected CC {result.cc!r}")
         _TRACE.event("overflow.target", length=capacity)
-        capacity = next_target_len(capacity, len(result.produced),
-                                   block.resume, len(payload))
-    _count_issues(invocations, "xpnd")
+        if capacity == left:
+            raise OutputOverflow("output exceeds allowed size")
+        left -= len(result.produced)
+        capacity = next_target_len(capacity, block.resume, result.overrun,
+                                   len(payload), left)
     return b"".join(parts), seconds, invocations
 
 

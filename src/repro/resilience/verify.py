@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .. import e842
 from ..deflate.containers import decode_with_stats, encode
-from ..errors import ReproError
+from ..errors import NO_BOUND, ReproError
 from ..obs.flight import FLIGHT as _FLIGHT
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import TRACE as _TRACE
@@ -28,7 +28,8 @@ from ..perf.cost import SoftwareCostModel
 
 def run_in_software(kind: str, data: bytes, fmt: str, *, level: int = 6,
                     history: bytes = b"", final: bool = True,
-                    machine=None, resume=None) -> tuple[bytes, float]:
+                    machine=None, resume=None,
+                    max_output: int = NO_BOUND) -> tuple[bytes, float]:
     """Run one job on the calling core: the only software executor.
 
     Every take-over — the driver's fallback when retries run out, the
@@ -37,19 +38,19 @@ def run_in_software(kind: str, data: bytes, fmt: str, *, level: int = 6,
     a job keeps its ``history`` and ``final`` wherever it ends up and
     the bytes are what the engine would have written for ``fmt``.  A
     decode an engine left at ``resume`` (a full target) goes on from
-    there, ``history`` its window.
+    there, ``history`` its window, up to ``max_output`` bytes.
     Returns the output and the calibrated core seconds on ``machine``
     (0.0 without one).
     """
     if fmt == "842":
         output = (e842.compress(data).data if kind == "compress"
-                  else e842.decompress(data))
+                  else e842.decompress(data, max_output))
         level = 1  # software 842 costs roughly a fast-level zlib
     elif kind == "compress":
         output = encode(data, fmt, level, history, final)
     else:
         output = decode_with_stats(data, fmt, history=history,
-                                   resume=resume)[0]
+                                   resume=resume, max_output=max_output)[0]
     if machine is None:
         return output, 0.0
     cost = SoftwareCostModel(machine)

@@ -12,7 +12,7 @@ queue, which a single dispatcher thread hands to the shared
   :class:`~repro.errors.ServiceOverloaded` carrying a ``retry_after_s``
   estimate, so overload produces cheap, explicit rejections instead of
   unbounded buffering (the server never queues more than the configured
-  envelope, no matter the offered load).
+  envelope, no matter the offered load); the byte bound caps a decode.
 * **QoS scheduling** — dispatch order follows the VAS two-FIFO model
   via :class:`~repro.service.qos.QosPolicy`: the high FIFO takes the
   next free slot, the starvation bound keeps bulk moving.
@@ -208,6 +208,8 @@ class CompressionService:
         qcls = self.qos.resolve(qos)
         job = Job(op, payload, fmt or "gzip", strategy, deadline_s)
         job.qos, job.tenant, job.library = qcls.name, tenant, self.library
+        if op == "decompress":
+            job.max_output = qcls.queue_bytes_limit
         if self.cache is not None and op == "compress":
             # Consult the content-addressed cache before admission: the
             # request is a hit, a follower parked on the executing

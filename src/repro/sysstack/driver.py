@@ -8,7 +8,7 @@ This is the software half of the documented submission protocol:
 3. poll the CSB; on ``CC=TRANSLATION`` touch the faulting page and
    resubmit; on ``CC=TARGET_SPACE`` keep what the target holds and
    resubmit the rest of a decode, from the engine's state with its
-   window as the history DDE, into a fresh target;
+   window as the history DDE, into a fresh target (up to its bound);
 4. after a bounded number of retries, fall back to software zlib —
    the same last-resort path the production library (libnxz) takes;
 5. read the output, then free the request's buffers — on every exit.
@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..deflate.containers import decompress_target_len, next_target_len
-from ..errors import DeadlineExceeded, JobError, ReproError
+from ..errors import (NO_BOUND, DeadlineExceeded, JobError, OutputOverflow,
+                      ReproError)
 from ..nx.dht import BUILTIN, CannedLibrary
 from ..obs.trace import TRACE as _TRACE
 from ..resilience.policy import RetryPolicy, check_deadline
@@ -115,6 +116,7 @@ class PendingJob:
     deadline_s: float | None = None
     #: Output of the requests a decode went on from (``CC=TARGET_SPACE``).
     kept: list[bytes] = field(default_factory=list, init=False)
+    left: int = NO_BOUND  # the output bytes its bound has left
 
     @property
     def failed(self) -> bool:
@@ -219,7 +221,7 @@ class NxDriver:
 
     def _stage(self, op: Op, data: bytes, strategy: str, fmt: str,
                history: bytes, final: bool, sequence: int,
-               library: CannedLibrary) -> Crb:
+               library: CannedLibrary, bound: int) -> Crb:
         """Buffers and CRB of one request.
 
         The function code is encoded first: a request the engine would
@@ -228,7 +230,7 @@ class NxDriver:
         function = FunctionCode(op=op, strategy=strategy, fmt=fmt)
         function.encode()
         source, target, csb_va = self.prepare_buffers(
-            data, first_target_len(op, data, fmt))
+            data, min(first_target_len(op, data, fmt), bound))
         return Crb(function=function, source=source, target=target,
                    csb_address=csb_va, sequence=sequence,
                    flags=0 if final else CRB_FLAG_CONTINUED,
@@ -248,17 +250,18 @@ class NxDriver:
         new history — into a fresh target (a job with no such state
         starts over)."""
         crb = job.crb
-        point = getattr(result, "resume", None)
+        point, overrun = getattr(result, "resume", None), None
         if point is not None:
             job.kept.append(self.space.read(crb.target.address,
                                             csb.target_written))
+            job.left -= csb.target_written
             if crb.history_dde is not None:
                 self.space.free(crb.history_dde.address,
                                 crb.history_dde.length)
             crb.history_dde = self._place(point.window)
-            crb.resume = point
-        new_len = next_target_len(crb.target.length, csb.target_written,
-                                  point, crb.source.length)
+            crb.resume, overrun = point, result.stats.overrun
+        new_len = next_target_len(crb.target.length, point, overrun,
+                                  crb.source.length, job.left)
         self.space.free(crb.target.address, crb.target.length)
         crb.target = Dde.direct(self.space.alloc(new_len), new_len)
 
@@ -285,7 +288,8 @@ class NxDriver:
             fmt: str = "raw", history: bytes = b"",
             final: bool = True,
             deadline_s: float | None = None,
-            library: CannedLibrary = BUILTIN) -> DriverResult:
+            library: CannedLibrary = BUILTIN,
+            max_output: int = NO_BOUND) -> DriverResult:
         """Execute one compress/decompress request end to end.
 
         ``history`` seeds the engine's match window (or the inflate
@@ -294,6 +298,7 @@ class NxDriver:
         ``deadline_s`` bounds the job's *modelled* time spent waiting —
         past it, retries stop and :class:`DeadlineExceeded` is raised.
         ``library`` is the canned tables the CRB's parameter block names.
+        Output past ``max_output`` is an :class:`OutputOverflow`.
         Refuses to interleave with jobs in flight: waiting for this one
         would take their completions off the caller's next ``poll``.
         """
@@ -302,7 +307,8 @@ class NxDriver:
                            "wait_all() first")
         job = self.submit(op, data, strategy=strategy, fmt=fmt,
                           history=history, final=final,
-                          deadline_s=deadline_s, library=library)
+                          deadline_s=deadline_s, library=library,
+                          max_output=max_output)
         self.wait_all()
         if job.error is not None:
             raise job.error
@@ -312,22 +318,23 @@ class NxDriver:
                fmt: str = "raw", history: bytes = b"",
                final: bool = True,
                deadline_s: float | None = None,
-               library: CannedLibrary = BUILTIN) -> PendingJob:
+               library: CannedLibrary = BUILTIN,
+               max_output: int = NO_BOUND) -> PendingJob:
         """Paste one request; returns a handle to poll on.
 
-        ``history``, ``final``, ``deadline_s`` and ``library`` mean what
-        they do for :meth:`run`.  The paste itself may resolve the job
-        (software on a wedged window, a deadline spent backing off):
-        check :attr:`PendingJob.done`.
+        The keywords mean what they do for :meth:`run`.  The paste
+        itself may resolve the job (software on a wedged window, a
+        deadline spent backing off): check :attr:`PendingJob.done`.
         """
         if self._window_id is None:
             self.open()
         crb = self._stage(op, data, strategy, fmt, history, final,
-                          self._next_sequence, library)
+                          self._next_sequence, library, max_output)
         job = PendingJob(sequence=self._next_sequence, op=op, crb=crb,
                          stats=SubmissionStats(), data_len=len(data),
                          deadline_s=(deadline_s if deadline_s is not None
-                                     else self.deadline_s))
+                                     else self.deadline_s),
+                         left=max_output)
         self._next_sequence += 1
         self._pending[job.sequence] = job
         self._attempt(job)
@@ -454,6 +461,11 @@ class NxDriver:
             elif csb.cc is CcCode.TARGET_SPACE:
                 stats.target_overflows += 1
                 span.event("overflow.target", length=crb.target.length)
+                if crb.target.length >= job.left:
+                    # A target at the bound filled: refused, not retried.
+                    self._resolve(job, error=OutputOverflow(
+                        "output exceeds allowed size"))
+                    return
                 self._continue(job, csb, outcome.result)
             else:
                 # A spurious non-success CC: the engine is misbehaving,
@@ -542,7 +554,8 @@ class NxDriver:
         try:
             output, sw_seconds = run_in_software(
                 kind, data, fmt, history=history, final=crb.is_final,
-                machine=self.accelerator.machine, resume=crb.resume)
+                machine=self.accelerator.machine, resume=crb.resume,
+                max_output=job.left)
         except ReproError as exc:
             # The input is bad enough that software can't finish either.
             self._resolve(job, error=exc)

@@ -82,11 +82,12 @@ class BucketStats:
 
 @dataclass
 class ReplayResult:
-    """Outcome of replaying one trace."""
+    """Outcome of replaying one trace: its buckets, and every job."""
 
     buckets: list[BucketStats]
     total_requests: int
     max_queue_depth: int
+    jobs: list[Job]
 
     @property
     def worst_bucket(self) -> BucketStats:
@@ -113,4 +114,5 @@ def replay(trace: list[TracePoint], machine: MachineParams,
                                  bytes_total=sum(job.size_bytes
                                                  for job in jobs)))
     return ReplayResult(buckets=stats, total_requests=result.completed,
-                        max_queue_depth=result.max_queue_depth)
+                        max_queue_depth=result.max_queue_depth,
+                        jobs=result.jobs)

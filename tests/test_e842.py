@@ -14,6 +14,7 @@ from repro.e842.codec import (
     template_cost_bits,
 )
 from repro.e842.engine import PIPELINE_FILL_CYCLES, Engine842
+from repro.errors import OutputOverflow
 from repro.workloads.generators import generate
 
 
@@ -98,7 +99,7 @@ class TestErrors:
 
     def test_output_cap(self):
         payload = compress(bytes(100000)).data
-        with pytest.raises(E842Error):
+        with pytest.raises(OutputOverflow):
             decompress(payload, max_output=1000)
 
 
@@ -135,7 +136,7 @@ class TestEngine:
         engine = Engine842()
         data = generate("json_records", 30000, seed=33)
         comp = engine.compress(data)
-        out = engine.decompress(comp.data)
+        out = engine.decompress(comp.data, max_output=len(data))
         assert out.data == data
         assert out.throughput_gbps > 0
 

@@ -6,6 +6,7 @@ silent corruption.
 """
 
 import contextlib
+import gzip as stdgzip
 import zlib as stdzlib
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro import obs
 from repro.backend.pool import AcceleratorPool
 from repro.errors import (AcceleratorError, ConfigError, DeadlineExceeded,
-                          JobError, ReproError)
+                          JobError, OutputOverflow, ReproError)
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9
 from repro.resilience.chaos import (default_plans, render, run_campaign,
@@ -26,6 +27,8 @@ from repro.resilience.policy import (BACKOFF_MULTIPLIER, BASE_BACKOFF_S,
                                      JITTER_FRACTION, MAX_BACKOFF_S,
                                      RetryPolicy, check_deadline)
 from repro.resilience.verify import (software_compress, verify_payload)
+from repro.service import CompressionService
+from repro.service.qos import QosClass, QosPolicy
 from repro.sysstack.crb import Op
 from repro.sysstack.driver import NxDriver
 from repro.sysstack.mmu import AddressSpace
@@ -503,6 +506,36 @@ class TestPoolHealth:
             assert (stats.breaker_opens, stats.rescues) == (0, 0)
             valid = pool.compress(plain, fmt=fmt).output
             assert pool.decompress(valid, fmt=fmt).output == plain
+
+    @pytest.mark.parametrize("machine,backend,exec_workers",
+                             [("POWER9", "nx", None),
+                              ("z15", "dfltcc", None),
+                              ("z15", "dfltcc", 1)],
+                             ids=["nx", "dfltcc", "dfltcc_exec"])
+    def test_refused_bomb_never_moves_the_breaker(self, machine, backend,
+                                                  exec_workers):
+        """A decode past its class's byte bound is refused: the job
+        fails as ``OutputOverflow``, the chip is not charged, no
+        software decodes the bomb again, and a valid request after it
+        still runs on the chip."""
+        bomb = stdgzip.compress(bytes(1 << 20))
+        plain = b"hello world " * 100
+        policy = QosPolicy((QosClass("only", queue_bytes_limit=64 << 10),))
+        with CompressionService(machine=machine, chips=1, backend=backend,
+                                exec_workers=exec_workers,
+                                qos=policy) as service:
+            for _ in range(6):
+                with pytest.raises(OutputOverflow):
+                    service.submit("decompress", bomb).wait(60)
+            stats = service.pool.stats()
+            assert stats.breaker_states == ("CLOSED",)
+            assert (stats.breaker_opens, stats.rescues,
+                    stats.fallbacks) == (0, 0, 0)
+            job = service.submit("decompress",
+                                 stdgzip.compress(plain)).wait(60)
+        assert job.output == plain and job.chip == 0
+        assert not job.result.stats.fallback_to_software
+        assert job.on_exec == bool(exec_workers)
 
 
 class TestVerify:

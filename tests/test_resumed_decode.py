@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.backend import create_backend
 from repro.deflate import containers
 from repro.nx.decompressor import NxDecompressor
@@ -134,10 +135,10 @@ def test_nine_member_archive_is_decoded_once(name, machine, nine_members):
     result, seen = _decode_counted(name, machine, payload, "gzip")
     assert result.output == plain
     _assert_counts(result, seen, _largest_block(payload, "gzip"))
-    # Once a member fits, the rest goes into one target sized from the
-    # ratio decoded so far: 4..64 KB hold no block, 128 KB holds the
-    # first member, and its second member's block no longer fits.
-    assert result.stats.submissions == 7
+    # 4 KB holds no block; the next target, sized at the rate the
+    # rolled-back block decoded (a member's first block, so a low one),
+    # holds all but the last 133 KB, which the third holds.
+    assert result.stats.submissions == 3
     assert seen.kept + sum(seen.rolled_back) < 1.2 * len(result.output)
 
 
@@ -152,11 +153,34 @@ def test_a_megabyte_of_zeros_doubles_into_one_block(name, machine):
     assert seen.blocks == [1 << 20]
 
 
-def test_a_one_byte_first_target_stays_on_the_engine():
+@pytest.mark.parametrize("name,machine", ENGINES)
+def test_a_big_block_takes_one_step(name, machine):
+    """The 5 KB first target fills 46 bits into the 1 MB block; sized
+    at the rate those bits decoded, the second holds the whole block:
+    two submissions (two XPND issues on ``dfltcc``), 1.005x the output
+    decoded."""
+    obs.reset()
+    obs.enable(metrics=True)
+    try:
+        result, seen = _decode_counted(name, machine, _zeros_zlib(), "zlib")
+        issues = obs.registry().get("repro_backend_dfltcc_invocations_total")
+    finally:
+        obs.disable()
+        obs.reset()
+    assert result.output == bytes(1 << 20)
+    assert result.stats.submissions == 2
+    assert seen.kept + sum(seen.rolled_back) <= 1.1 * len(result.output)
+    assert (issues.value(fn="xpnd") if issues else 0) == (
+        2 if name == "dfltcc" else 0)
+
+
+def test_a_one_byte_first_target_stays_on_the_engine(monkeypatch):
     """A continuation spends none of the retry budget: from a 1-byte
-    first target ``nx`` doubles its way to the 1 MB block (21
-    submissions, far past the 9-attempt budget) and never falls back
-    to software."""
+    first target, each next one only twice the last, ``nx`` doubles its
+    way to the 1 MB block (21 submissions, far past the 9-attempt
+    budget) and never falls back to software."""
+    monkeypatch.setattr("repro.sysstack.driver.next_target_len",
+                        lambda target_len, *_: 2 * target_len)
     result, seen = _decode_counted("nx", "POWER9", _zeros_zlib(), "zlib",
                                    first=1)
     assert result.output == bytes(1 << 20)

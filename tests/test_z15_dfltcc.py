@@ -192,16 +192,16 @@ class TestXpnd:
 
     def test_archive_goes_on_from_the_first_member_that_fits(self):
         """The ISIZE hint is the last member's (4 bytes here, so 4 KB):
-        4 and 8 KB hold no block of the first 12 KB member, 16 KB holds
-        it, and the rest of the archive goes into one target sized at
-        the ratio decoded so far."""
+        4 KB holds no block of the first 12 KB member; the next target,
+        sized at the rate the rolled-back block decoded, holds three
+        members, and the rest goes into a third."""
         members = [generate("markov_text", 12000, seed=s) for s in range(4)]
         archive = b"".join(stdgzip.compress(m) for m in members)
         archive += stdgzip.compress(b"tiny")
         result = DfltccBackend().decompress(archive, fmt="gzip")
         assert result.output == b"".join(members) + b"tiny"
         assert (result.stats.submissions,
-                result.stats.target_overflows) == (4, 3)
+                result.stats.target_overflows) == (3, 2)
 
 
     def test_every_issue_is_charged(self, monkeypatch):

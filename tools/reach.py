@@ -130,8 +130,9 @@ ALLOW_KNOBS: dict[str, str] = {
         "off and drain",
     "repro.deflate.inflate.inflate_core(max_output=)":
         "test seam: tools/kernel_diff.py and tests/test_inflate_kernel.py "
-        "hold the kernel's cap one-shot; a served decode is capped by "
-        "containers.Resolver.run",
+        "hold the kernel's cap one-shot; a served decode's bound, its QoS "
+        "class's byte limit, reaches the kernel as containers.Resolver.run's "
+        "cap",
     "repro.deflate.inflate.inflate_core(start=)":
         "test seam: tests/test_inflate_kernel.py decodes a body behind a "
         "header; a served decode starts at a bit through "
@@ -150,14 +151,11 @@ ALLOW_KNOBS: dict[str, str] = {
         "test seam: forces the CC=3 re-issue loop through the backend, "
         "so tests/test_single_pass_decompress.py spans the check value "
         "across re-issued chunks",
-    "repro.deflate.inflate_stream.InflateStream(max_output=)":
-        "test seam: tests/test_inflate_kernel.py holds the streamed "
-        "decoder's OutputOverflow to the one-shot kernel's, whose cap "
-        "the CRB target size sets",
     "repro.deflate.seekindex.decode_indexed(max_output=)":
-        "safety cap: the serial walker abandons a zero bomb at the cap "
-        "before materialising it (test_zero_bomb_stops_at_the_cap holds "
-        "the peak under 2 MB)",
+        "library bound: repro cat decodes the user's own file with no "
+        "bound, as a served decode's class bound does not apply there; a "
+        "caller that indexes untrusted input sets it "
+        "(test_zero_bomb_stops_at_the_cap holds the peak under 2 MB)",
     "repro.deflate.seekindex.decode_indexed(index_spacing=)":
         "test seam: a few-KB spacing records many seek points on a "
         "test-sized archive",
